@@ -20,70 +20,120 @@ import (
 // (j, hⱼ) pair plus the list of local workers it still has to visit
 // before leaving over the network (§3.4's intra-machine circulation).
 type distToken struct {
-	tok    cluster.Token
-	visits []int8
+	tok  cluster.Token
+	plan []int8 // local workers to visit, in order; a recycled token reuses the backing
+	next int    // plan[next:] are the stops still ahead
 }
 
-// tokenPool recycles distTokens between a machine's sender (producer
-// of spent tokens) and its receiver (consumer): the sender returns a
-// token once Sender.Add has copied its vector into the outbound batch
-// arena, and the receiver refills it — vector storage and visit-plan
-// backing included — from the next inbound arena, so the steady-state
-// receive path allocates nothing. A buffered channel with
-// non-blocking operations keeps the exchange safe and cheap from each
-// side's single goroutine; an empty pool just allocates, a full one
-// just drops.
+// tokenPool recycles distTokens from a machine's sender (producer of
+// spent tokens) to its receiver (consumer): the sender returns a token
+// once Sender.Add has copied its vector into the outbound batch arena,
+// and the receiver refills it — vector storage and visit-plan backing
+// included — from the next inbound arena, so the steady-state receive
+// path allocates nothing.
+//
+// An SPSC ring carries the spent tokens across, a stash of meshBlock
+// at a time. The receiver empties the ring onto a stack of its own
+// once per inbound batch (collect) and takes from the top, so the
+// token it reuses is the one the sender let go of last: the one most
+// likely still in cache.
+//
+// Ring and stack each hold all n tokens of the run. In the closed
+// circuit the tokens travel, a machine's share wanders over the whole
+// range from none to all of them, so any smaller pool overflows while
+// the machine empties and allocates again while it fills. The token
+// count itself grows only on demand, to the machine's peak holding.
 //
 // Under the reference wire path (NOMAD_REFERENCE_WIRE) the pool is
 // nil: the legacy Sender retains token vectors until flush, so spent
 // tokens must not be reused, and inbound vectors are freshly
 // allocated by the legacy decode and travel with the token as before.
-type tokenPool struct{ free chan *distToken }
+type tokenPool struct {
+	ring  *queue.Ring[*distToken]
+	spent []*distToken // sender-side stash, pushed when full
+	free  []*distToken // receiver-side stack, newest on top
+}
 
-// newTokenPool returns a pool of the given capacity, or nil under the
+// newTokenPool returns a pool for a run of n tokens, or nil under the
 // reference wire path.
-func newTokenPool(capacity int) *tokenPool {
+func newTokenPool(n int) *tokenPool {
 	if cluster.ReferenceWire() {
 		return nil
 	}
-	return &tokenPool{free: make(chan *distToken, capacity)}
+	return &tokenPool{
+		ring:  queue.NewRing[*distToken](n),
+		spent: make([]*distToken, 0, meshBlock),
+		free:  make([]*distToken, 0, n),
+	}
+}
+
+// collect moves every token the sender has returned so far onto the
+// receiver's stack. Receiver goroutine only, once per inbound batch.
+//
+//nomad:noalloc
+func (tp *tokenPool) collect() {
+	if tp == nil {
+		return
+	}
+	have := len(tp.free)
+	tp.free = tp.free[:have+tp.ring.PopBatch(tp.free[have:cap(tp.free)])]
 }
 
 // fromInbound materializes an inbound wire token as a machine-local
 // distToken, copying the k-coordinate vector out of the (recycled)
-// batch arena into pooled storage.
+// batch arena into pooled storage. Receiver goroutine only.
+//
+//nomad:noalloc
 func (tp *tokenPool) fromInbound(t cluster.Token, k int) *distToken {
 	if tp == nil {
-		return &distToken{tok: t} // reference wire: the decoded vector travels
+		return &distToken{tok: t} //nomad:alloc-ok reference wire: the decoded vector travels
 	}
-	select {
-	case tok := <-tp.free:
-		tok.tok.Item = t.Item
-		vec := tok.tok.Vec
-		if cap(vec) < k {
-			vec = make([]float64, k)
-		}
-		vec = vec[:k]
-		copy(vec, t.Vec)
-		tok.tok.Vec = vec
-		return tok
-	default:
-		vec := make([]float64, k)
-		copy(vec, t.Vec)
-		return &distToken{tok: cluster.Token{Item: t.Item, Vec: vec}}
+	var tok *distToken
+	if top := len(tp.free) - 1; top >= 0 {
+		tok, tp.free[top] = tp.free[top], nil
+		tp.free = tp.free[:top]
+	} else {
+		tok = new(distToken) //nomad:alloc-ok warm-up growth until the machine has seen its peak token count
 	}
+	tok.tok.Item = t.Item
+	if cap(tok.tok.Vec) < k {
+		tok.tok.Vec = make([]float64, k) //nomad:alloc-ok warm-up growth, as above
+	}
+	tok.tok.Vec = tok.tok.Vec[:k]
+	copy(tok.tok.Vec, t.Vec)
+	return tok
 }
 
 // put returns a spent token (vector already copied into a batch
-// arena) for reuse. No-op under the reference wire path.
+// arena) for reuse. No-op under the reference wire path. Sender
+// goroutine only.
+//
+//nomad:noalloc
 func (tp *tokenPool) put(tok *distToken) {
 	if tp == nil {
 		return
 	}
-	select {
-	case tp.free <- tok:
-	default: // pool full: let the GC have it
+	tp.spent = append(tp.spent, tok)
+	if len(tp.spent) == cap(tp.spent) {
+		tp.ring.PushBatch(tp.spent) // what a full ring refuses goes to the GC
+		clear(tp.spent)
+		tp.spent = tp.spent[:0]
 	}
+}
+
+// newTokens builds the n item tokens of a run's initial placement from
+// one vector slab and one token array, each vector filled from the
+// model's item row.
+func newTokens(md *factor.Model) []distToken {
+	k := md.K
+	slab := make([]float64, md.N*k)
+	toks := make([]distToken, md.N)
+	for j := range toks {
+		vec := slab[j*k : (j+1)*k : (j+1)*k]
+		md.CopyItemRowTo64(j, vec)
+		toks[j].tok = cluster.Token{Item: int32(j), Vec: vec}
+	}
+	return toks
 }
 
 // machine is one simulated machine of the hybrid architecture: Workers
@@ -173,7 +223,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 			workers:   W,
 			queues:    make([]queue.Queue[*distToken], W),
 			out:       make(chan *distToken, 4*cfg.BatchSize),
-			pool:      newTokenPool(4 * cfg.BatchSize),
+			pool:      newTokenPool(n),
 			lastKnown: make([]atomic.Int64, Mtot),
 		}
 		for w := 0; w < W; w++ {
@@ -190,15 +240,13 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	// Initial placement: every item token starts at a uniformly random
 	// machine with a fresh local visit plan (Algorithm 1 lines 6–10).
 	permScratch := make([]int, W)
-	for j := 0; j < n; j++ {
-		vec := make([]float64, cfg.K)
-		md.CopyItemRowTo64(j, vec)
-		tok := &distToken{tok: cluster.Token{Item: int32(j), Vec: vec}}
+	toks := newTokens(md)
+	for j := range toks {
 		mc := machines[root.Intn(M)]
 		if fo != nil {
 			fo.noteOwned(mc.id, int32(j))
 		}
-		deliverLocal(mc, tok, cfg.Circulate, root, permScratch)
+		deliverLocal(mc, &toks[j], cfg.Circulate, root, permScratch)
 	}
 
 	counter := train.NewCounterFor(cfg, p)
@@ -357,18 +405,18 @@ func planVisits(tok *distToken, W, circulate int, r *rng.Source, scratch []int) 
 	if W == 1 && circulate == 1 {
 		// Single local worker: the only plan is "visit worker 0 once" —
 		// no permutation, no RNG draw.
-		tok.visits = tok.visits[:0]
+		tok.plan, tok.next = tok.plan[:0], 0
 		return 0
 	}
 	perm := scratch[:W]
 	r.Perm(perm)
-	visits := tok.visits[:0]
+	plan := tok.plan[:0]
 	for c := 0; c < circulate; c++ {
 		for _, w := range perm {
-			visits = append(visits, int8(w))
+			plan = append(plan, int8(w))
 		}
 	}
-	tok.visits = visits[1:]
+	tok.plan, tok.next = plan, 1
 	return perm[0]
 }
 
@@ -401,7 +449,7 @@ func runDistWorker(mc *machine, w int, md *factor.Model, lr *localRatings,
 			// "all idle" while a token is still between queue and channel.
 			fo.setDrainIdle(mc.id, w, false)
 			if tok, ok := mc.queues[w].TryPop(); ok {
-				tok.visits = tok.visits[:0]
+				tok.next = len(tok.plan)
 				mc.out <- tok
 				continue
 			}
@@ -457,9 +505,9 @@ func runDistWorker(mc *machine, w int, md *factor.Model, lr *localRatings,
 			}
 		}
 
-		if len(tok.visits) > 0 {
-			next := tok.visits[0]
-			tok.visits = tok.visits[1:]
+		if tok.next < len(tok.plan) {
+			next := tok.plan[tok.next]
+			tok.next++
 			mc.queues[next].Push(tok)
 		} else {
 			mc.out <- tok
@@ -586,8 +634,11 @@ func runSender(mc *machine, link cluster.Link, cfg train.Config, r *rng.Source, 
 // runs until every peer has ended its stream (or the link fails).
 func runReceiver(mc *machine, link cluster.Link, cfg train.Config, r *rng.Source, fo *failoverRuntime) {
 	scratch := make([]int, mc.workers)
-	deliver := func(t cluster.Token) {
-		deliverLocal(mc, mc.pool.fromInbound(t, cfg.K), cfg.Circulate, r, scratch)
+	deliver := func(toks []cluster.Token) {
+		mc.pool.collect()
+		for _, t := range toks {
+			deliverLocal(mc, mc.pool.fromInbound(t, cfg.K), cfg.Circulate, r, scratch)
+		}
 	}
 	cmds := fo.recvCmds(mc.id) // nil (never ready) without failover
 	recv := link.Recv()
@@ -615,9 +666,7 @@ func runReceiver(mc *machine, link cluster.Link, cfg train.Config, r *rng.Source
 				// worker queue (and hence the sender, which clears them).
 				fo.beforeDeliver(mc.id, inb.Batch.Tokens)
 			}
-			for _, t := range inb.Batch.Tokens {
-				deliver(t)
-			}
+			deliver(inb.Batch.Tokens)
 			if fo != nil {
 				fo.afterDeliver(mc.id, inb.From, inb.Batch.Tokens, link)
 			}

@@ -1,0 +1,68 @@
+package core
+
+import (
+	"fmt"
+	"runtime"
+	"testing"
+
+	"nomad/internal/cluster"
+	"nomad/internal/dataset"
+	"nomad/internal/train"
+)
+
+// TestDistributedTokenPathAllocFree pins DESIGN.md §8's claim at the
+// level of the runner, where the codec's own alloc tests cannot see:
+// once a distributed run is warm, moving a token from one machine to
+// the next — recycle, batch, encode, write, read, decode, re-plan,
+// lane delivery — allocates nothing.
+//
+// A short and a long run of one configuration differ only in how many
+// tokens crossed the wire: set-up, the initial placement, link boot
+// and the recycler's growth to the machine's peak token count are paid
+// in both. So the difference in mallocs over the difference in wire
+// tokens is the steady-state cost of one hop. A recycler that misses
+// costs up to 2 (a distToken and its vector per hop).
+func TestDistributedTokenPathAllocFree(t *testing.T) {
+	if cluster.ReferenceWire() {
+		t.Skip("the reference wire path allocates every inbound vector by design")
+	}
+	ds, err := dataset.LongtailLike(0.01).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		backend string
+		workers int
+	}{{"sim", 1}, {"tcp", 1}, {"sim", 2}} {
+		t.Run(fmt.Sprintf("%s_w%d", tc.backend, tc.workers), func(t *testing.T) {
+			cfg := train.Config{
+				K: 16, Lambda: 0.05, Alpha: 0.01, Beta: 0.01,
+				Machines: 2, Workers: tc.workers, Backend: tc.backend,
+				EvalPoints: 2, Seed: 7,
+			}
+			run := func(epochs int) (mallocs uint64, wireTokens float64) {
+				cfg.Epochs = epochs
+				var before, after runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&before)
+				res := runNomad(t, ds, cfg)
+				runtime.ReadMemStats(&after)
+				return after.Mallocs - before.Mallocs, float64(res.BytesSent) / float64(4+8*cfg.K)
+			}
+			warmMallocs, warmTokens := run(4)
+			mallocs, tokens := run(132)
+			hops := tokens - warmTokens
+			// A longer run can push a machine to a higher peak than the warm
+			// run saw: at most 2 mallocs for each of the n tokens, on each
+			// machine. Enough hops keep that bound well under the limit.
+			if hops < 200*float64(ds.Cols()) {
+				t.Fatalf("only %.0f wire tokens between the runs: too few to outweigh warm-up", hops)
+			}
+			perHop := (float64(mallocs) - float64(warmMallocs)) / hops
+			t.Logf("%.0f wire tokens, %.4f mallocs per wire token", hops, perHop)
+			if perHop > 0.05 {
+				t.Errorf("%.3f mallocs per wire token in steady state, want ≤ 0.05", perHop)
+			}
+		})
+	}
+}

@@ -33,6 +33,11 @@ type meshMachine struct {
 	mesh    *queue.Mesh[*distToken]
 	pool    *tokenPool // sender→receiver distToken recycling
 
+	// stage collects, per first-stop lane, the tokens of the inbound
+	// batch the receiver is unpacking; publishStaged empties it with one
+	// SendBatch per lane before the batch is accounted as delivered.
+	stage [][]*distToken
+
 	// pending holds receiver-delivered tokens whose worker lane was
 	// momentarily full; retried on the next inbound message and folded
 	// into the final collection at teardown. pendingN mirrors the total
@@ -44,6 +49,21 @@ type meshMachine struct {
 	// lastKnown[r] is the most recent queue-length gossip received
 	// from machine r (§3.3).
 	lastKnown []atomic.Int64
+}
+
+// newMeshMachine returns the machine of rank id in a cluster with
+// machines ranks: a mesh of workers compute endpoints plus the port,
+// on lanes of ringCap slots, and a recycler for the run's n tokens.
+func newMeshMachine(id, workers, ringCap, n, machines int) *meshMachine {
+	return &meshMachine{
+		id:        id,
+		workers:   workers,
+		mesh:      queue.NewMesh[*distToken](workers+1, ringCap),
+		pool:      newTokenPool(n),
+		stage:     make([][]*distToken, workers+1),
+		pending:   make([][]*distToken, workers+1),
+		lastKnown: make([]atomic.Int64, machines),
+	}
 }
 
 // port is the mesh endpoint owned by the communication threads.
@@ -170,14 +190,7 @@ func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Co
 
 	machines := make([]*meshMachine, Mtot)
 	for mcID := 0; mcID < Mtot; mcID++ {
-		mc := &meshMachine{
-			id:        mcID,
-			workers:   W,
-			mesh:      queue.NewMesh[*distToken](W+1, meshRingCap(n, M*W)),
-			pool:      newTokenPool(4 * cfg.BatchSize),
-			pending:   make([][]*distToken, W+1),
-			lastKnown: make([]atomic.Int64, Mtot),
-		}
+		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), n, Mtot)
 		// Latent spares lose every least-loaded comparison until a join
 		// activates them (and clears the poison).
 		for r := M; r < Mtot; r++ {
@@ -190,15 +203,14 @@ func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Co
 	// Initial placement: every item token starts at a uniformly random
 	// machine with a fresh local visit plan (Algorithm 1 lines 6–10).
 	permScratch := make([]int, W)
-	for j := 0; j < n; j++ {
-		vec := make([]float64, cfg.K)
-		md.CopyItemRowTo64(j, vec)
-		tok := &distToken{tok: cluster.Token{Item: int32(j), Vec: vec}}
+	toks := newTokens(md)
+	for j := range toks {
 		mc := machines[root.Intn(M)]
 		if fo != nil {
 			fo.noteOwned(mc.id, int32(j))
 		}
-		deliverMeshLocal(mc, tok, cfg.Circulate, root, permScratch)
+		mc.stageLocal(&toks[j], cfg.Circulate, root, permScratch)
+		mc.publishStaged()
 	}
 
 	counter := train.NewCounterFor(cfg, p)
@@ -359,15 +371,51 @@ func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Co
 	}, runErr
 }
 
-// deliverMeshLocal plans a token's visits through mc's workers and
-// offers it to the first stop's lane, parking it in pending when the
-// lane is full. The producer is always the port endpoint (init runs
-// before any thread starts, the receiver owns it afterwards).
-func deliverMeshLocal(mc *meshMachine, tok *distToken, circulate int, r *rng.Source, scratch []int) {
+// stageLocal plans a token's visits through mc's workers and stages it
+// for the first stop's lane; publishStaged makes it visible there. The
+// producer is always the port endpoint (init runs before any thread
+// starts, the receiver owns it afterwards).
+//
+//nomad:noalloc
+func (mc *meshMachine) stageLocal(tok *distToken, circulate int, r *rng.Source, scratch []int) {
 	first := planVisits(tok, mc.workers, circulate, r, scratch)
-	if !mc.mesh.Send(mc.port(), first, tok) {
-		mc.pendingN.Add(1)
-		mc.pending[first] = append(mc.pending[first], tok)
+	mc.stage[first] = append(mc.stage[first], tok)
+}
+
+// deliverBatch is the receiver's delivery of one inbound batch: every
+// token is copied into a recycled distToken and staged, then the batch
+// is published lane by lane.
+//
+//nomad:noalloc
+func (mc *meshMachine) deliverBatch(toks []cluster.Token, k, circulate int, r *rng.Source, scratch []int) {
+	mc.pool.collect()
+	for _, t := range toks {
+		mc.stageLocal(mc.pool.fromInbound(t, k), circulate, r, scratch)
+	}
+	mc.publishStaged()
+}
+
+// publishStaged offers every staged token to its lane, one SendBatch
+// per lane. What a full lane refuses parks in pending behind anything
+// already parked there, so each lane stays FIFO; pendingN rises before
+// the tokens leave the stage, so they are always counted somewhere.
+//
+//nomad:noalloc
+func (mc *meshMachine) publishStaged() {
+	for d, toks := range mc.stage {
+		if len(toks) == 0 {
+			continue
+		}
+		acc := 0
+		if len(mc.pending[d]) == 0 {
+			acc = mc.mesh.SendBatch(mc.port(), d, toks)
+		}
+		if rest := toks[acc:]; len(rest) > 0 {
+			mc.pendingN.Add(int64(len(rest)))
+			mc.pending[d] = append(mc.pending[d], rest...)
+		}
+		clear(toks)
+		mc.stage[d] = toks[:0]
 	}
 }
 
@@ -423,12 +471,12 @@ func runDistWorkerMesh(mc *meshMachine, w int, md *factor.Model, lr *localRating
 			for i := 0; i < k; i++ {
 				tok := in[i]
 				in[i] = nil
-				tok.visits = tok.visits[:0]
+				tok.next = len(tok.plan)
 				out[port] = append(out[port], tok)
 			}
 			for d := 0; d < port; d++ {
 				for i, tok := range out[d] {
-					tok.visits = tok.visits[:0]
+					tok.next = len(tok.plan)
 					out[port] = append(out[port], tok)
 					out[d][i] = nil
 				}
@@ -501,9 +549,9 @@ func runDistWorkerMesh(mc *meshMachine, w int, md *factor.Model, lr *localRating
 				}
 			}
 			dst := port
-			if len(tok.visits) > 0 {
-				dst = int(tok.visits[0])
-				tok.visits = tok.visits[1:]
+			if tok.next < len(tok.plan) {
+				dst = int(tok.plan[tok.next])
+				tok.next++
 			}
 			out[dst] = append(out[dst], tok)
 			if len(out[dst]) >= threshold {
@@ -638,13 +686,14 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 // runMeshReceiver unpacks inbound token batches, records queue-length
 // gossip and starts each token's local circulation through the mesh.
 // Each token's vector is copied out of the arena-backed batch into a
-// recycled distToken, then the arena is released back to the link's
-// pool. It runs until every peer has ended its stream (or the link
-// fails).
+// recycled distToken and staged for its first-stop lane; the whole
+// batch is then published lane by lane and the arena released back to
+// the link's pool. It runs until every peer has ended its stream (or
+// the link fails).
 func runMeshReceiver(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.Source, fo *failoverRuntime) {
 	scratch := make([]int, mc.workers)
-	deliver := func(t cluster.Token) {
-		deliverMeshLocal(mc, mc.pool.fromInbound(t, cfg.K), cfg.Circulate, r, scratch)
+	deliver := func(toks []cluster.Token) {
+		mc.deliverBatch(toks, cfg.K, cfg.Circulate, r, scratch)
 	}
 	cmds := fo.recvCmds(mc.id) // nil (never ready) without failover
 	recv := link.Recv()
@@ -673,10 +722,10 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, cfg train.Config, r *rn
 				// worker lane (and hence the sender, which clears them).
 				fo.beforeDeliver(mc.id, inb.Batch.Tokens)
 			}
-			for _, t := range inb.Batch.Tokens {
-				deliver(t)
-			}
+			deliver(inb.Batch.Tokens)
 			if fo != nil {
+				// Strictly after the publish: a satisfied fence implies the
+				// batch is in the lanes or counted in pendingN.
 				fo.afterDeliver(mc.id, inb.From, inb.Batch.Tokens, link)
 			}
 			if mc.pool != nil {

@@ -883,7 +883,7 @@ func (fo *failoverRuntime) respActivate(J int) {
 // handleRecvCmd executes an agent command on the receiver goroutine.
 // deliver is the runner's delivery closure (shared with the normal
 // inbound path so injection uses the same visit planning).
-func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func(cluster.Token)) {
+func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func([]cluster.Token)) {
 	switch cmd.kind {
 	case recvMarkDead:
 		fo.m[i].dropFrom[cmd.victim] = true
@@ -894,10 +894,8 @@ func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func(clus
 		}
 		cmd.reply <- bm
 	case recvInject:
-		for _, t := range cmd.toks {
-			fo.noteOwned(i, t.Item)
-			deliver(t)
-		}
+		fo.beforeDeliver(i, cmd.toks)
+		deliver(cmd.toks)
 	case recvRetry:
 		if fo.m[i].retry != nil {
 			fo.m[i].retry()
@@ -907,7 +905,7 @@ func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func(clus
 
 // drainRecvCmds runs any still-queued commands before a receiver
 // returns, so a late injection racing teardown is not lost.
-func (fo *failoverRuntime) drainRecvCmds(i int, deliver func(cluster.Token)) {
+func (fo *failoverRuntime) drainRecvCmds(i int, deliver func([]cluster.Token)) {
 	if fo == nil {
 		return
 	}

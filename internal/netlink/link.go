@@ -229,11 +229,13 @@ func (l *TCP) writeFrame(p *peer, typ FrameType, payload []byte) error {
 // sender's arena and the socket is vector → frame — and flushed with
 // a single syscall. The batch stays owned by the caller.
 func (l *TCP) Send(dst int, batch cluster.TokenBatch) error {
-	if l.sendClosed.Load() {
-		return cluster.ErrLinkClosed
-	}
+	// A failed link also closes its send side: report the failure, which
+	// names the peer, ahead of the closure it caused.
 	if err := l.Err(); err != nil {
 		return err
+	}
+	if l.sendClosed.Load() {
+		return cluster.ErrLinkClosed
 	}
 	p := l.peers[dst]
 	if p == nil {
@@ -295,11 +297,13 @@ func (l *TCP) Recv() <-chan cluster.Inbound { return l.recv }
 
 // SendCtl implements cluster.Link.
 func (l *TCP) SendCtl(dst int, kind uint8, payload []byte) error {
-	if l.sendClosed.Load() {
-		return cluster.ErrLinkClosed
-	}
+	// A failed link also closes its send side: report the failure, which
+	// names the peer, ahead of the closure it caused.
 	if err := l.Err(); err != nil {
 		return err
+	}
+	if l.sendClosed.Load() {
+		return cluster.ErrLinkClosed
 	}
 	framed := make([]byte, 0, 1+len(payload))
 	framed = append(framed, kind)

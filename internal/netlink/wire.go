@@ -248,9 +248,9 @@ func batchWireSize(tokens, k int) int { return 12 + tokens*tokenWireSize(k) }
 // length (§3.3), the token count, then each (j, hⱼ) pair with hⱼ as
 // raw little-endian float64 bits — the same scalar layout the
 // train.State checkpoint uses. Every token must have exactly k
-// coordinates. The payload is pre-sized once and the vectors are
-// stored with batched little-endian writes straight into it, so a
-// buffer with warm capacity costs zero allocations.
+// coordinates. The payload is pre-sized once and each vector is
+// stored straight into it with one copy (putFloats), so a buffer with
+// warm capacity costs zero allocations.
 //
 //nomad:noalloc
 func AppendTokenBatch(buf []byte, batch cluster.TokenBatch, k int) ([]byte, error) {
@@ -267,10 +267,8 @@ func AppendTokenBatch(buf []byte, batch cluster.TokenBatch, k int) ([]byte, erro
 		}
 		le.PutUint32(buf[pos:], uint32(t.Item))
 		pos += 4
-		for _, v := range t.Vec {
-			le.PutUint64(buf[pos:], math.Float64bits(v))
-			pos += 8
-		}
+		putFloats(buf[pos:], t.Vec)
+		pos += 8 * k
 	}
 	return buf, nil
 }
@@ -342,10 +340,8 @@ func DecodeTokenBatchInto(payload []byte, k int, buf *cluster.BatchBuf) (cluster
 		item := int32(le.Uint32(payload[pos:]))
 		pos += 4
 		vec := buf.AddVec(item, k) //nomad:alloc-ok arena warm-up growth, amortized away on reuse
-		for c := range vec {
-			vec[c] = math.Float64frombits(le.Uint64(payload[pos:]))
-			pos += 8
-		}
+		getFloats(vec, payload[pos:])
+		pos += 8 * k
 	}
 	return buf.HandOff(int(int64(le.Uint64(payload)))), nil
 }

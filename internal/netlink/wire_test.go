@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"nomad/internal/cluster"
@@ -133,6 +134,32 @@ func TestTokenBatchRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFloatCodecMatchesPortable: the bulk vector copy the codec takes
+// on little-endian hosts writes and reads exactly the bytes of the
+// per-coordinate form, for every bit pattern class and at an offset
+// that is not 8-byte aligned (token vectors start 4 bytes after the
+// item index).
+func TestFloatCodecMatchesPortable(t *testing.T) {
+	vec := []float64{0, math.Copysign(0, -1), 1, -1e300, 5e-324, math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8dead0000beef), math.Pi}
+	bulk := make([]byte, 4+8*len(vec))
+	want := make([]byte, len(bulk))
+	putFloats(bulk[4:], vec)
+	putFloatsPortable(want[4:], vec)
+	if !bytes.Equal(bulk, want) {
+		t.Fatalf("putFloats wrote % x, portable form % x", bulk, want)
+	}
+	got := make([]float64, len(vec))
+	getFloats(got, want[4:])
+	for i := range vec {
+		if math.Float64bits(got[i]) != math.Float64bits(vec[i]) {
+			t.Fatalf("coordinate %d decoded to bits %#x, want %#x", i, math.Float64bits(got[i]), math.Float64bits(vec[i]))
+		}
+	}
+	putFloats(nil, nil)
+	getFloats(nil, nil)
 }
 
 func TestTokenBatchRejectsWrongRank(t *testing.T) {
