@@ -1,8 +1,9 @@
 // Package kerneldispatch protects the PR 6 dispatch seam: every
 // SGD/eval call site must obtain its arithmetic through
-// vecmath.KernelFor / KernelFor32 / DotKernel / DotKernel32 — the
-// functions that consult the reference/SIMD/portable dispatch — and
-// never invoke the scalar reference kernels directly. A direct
+// vecmath.KernelFor / KernelFor32 / DotKernel / DotKernel32 /
+// DotRowsKernel / DotRowsKernel32 — the functions that consult the
+// reference/SIMD/portable dispatch — and never invoke the scalar
+// reference kernels directly. A direct
 // vecmath.Dot in an eval loop silently pins that path to scalar code
 // on every machine and escapes all three A/B switches
 // (NOMAD_REFERENCE_KERNELS, NOMAD_NO_SIMD, SetSIMD), which is how a

@@ -28,6 +28,14 @@ func train(w, h []float64, err, step, lambda float64) {
 	_ = dot(w, h)
 }
 
+// scan scores a block of rows through the batched dispatch seam, as
+// the serving index does: silent.
+func scan(user, rows, out []float64, user32, rows32, out32 []float32) {
+	vecmath.DotRowsKernel(len(user))(user, rows, out)
+	dotRows32 := vecmath.DotRowsKernel32(len(user32))
+	dotRows32(user32, rows32, out32)
+}
+
 // axpyUser calls undipatched vector math: silent.
 func axpyUser(x, y []float64) {
 	vecmath.Axpy(2, x, y)
@@ -39,5 +47,6 @@ func referenceCheck(u, v []float64) float64 {
 }
 
 var _ = train
+var _ = scan
 var _ = axpyUser
 var _ = referenceCheck

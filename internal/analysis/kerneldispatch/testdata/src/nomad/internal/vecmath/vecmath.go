@@ -27,6 +27,16 @@ func DotKernel() func(a, b []float64) float64 { return Dot }
 // DotKernel32 is the blessed dispatcher for float32 dots.
 func DotKernel32() func(a, b []float32) float32 { return Dot32 }
 
+// DotRowsKernel is the blessed dispatcher for batched float64 dots.
+func DotRowsKernel(rank int) func(user, rows, out []float64) {
+	return func(user, rows, out []float64) {}
+}
+
+// DotRowsKernel32 is the blessed dispatcher for batched float32 dots.
+func DotRowsKernel32(rank int) func(user, rows, out []float32) {
+	return func(user, rows, out []float32) {}
+}
+
 // SGDKernels is the blessed dispatch bundle.
 type SGDKernels struct {
 	Step func(w, h []float64, err, step, lambda float64)

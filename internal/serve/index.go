@@ -3,6 +3,7 @@ package serve
 import (
 	"math"
 	"sort"
+	"sync"
 
 	"nomad/internal/factor"
 	"nomad/internal/topn"
@@ -18,9 +19,10 @@ import (
 // item can displace the heap's current worst (strictly below the
 // threshold, so equal-score/lower-index ties keep scanning), which
 // makes the pruned result identical to a full scan — the property the
-// equivalence tests and the CI equality gate assert. Scores are
-// computed with the same rank-dispatched vecmath kernels at the same
-// precision as Model.Predict, so pruning changes nothing downstream.
+// equivalence tests and the CI equality gate assert. Scores come from
+// the batched form of the rank-dispatched vecmath kernels, bit for bit
+// what Model.Predict computes at the same precision, so neither
+// pruning nor batching changes anything downstream.
 //
 // Floating-point slack: the computed dot may exceed the computed norm
 // product by a few ulps of accumulated rounding, so the bound is
@@ -32,8 +34,8 @@ type Index struct {
 	norms []float64 // ‖hⱼ‖ in items order, accumulated in float64
 	vec64 []float64 // len(items)×k contiguous rows, items order
 	vec32 []float32
-	dot64 vecmath.DotFunc
-	dot32 vecmath.DotFunc32
+	dot64 vecmath.DotRowsFunc
+	dot32 vecmath.DotRowsFunc32
 	slack float64
 }
 
@@ -71,14 +73,14 @@ func BuildIndex(md *factor.Model, owned []int32) *Index {
 	sort.Sort(byNormDesc{ix})
 	if ix.prec == factor.Float32 {
 		ix.slack = indexSlack32
-		ix.dot32 = vecmath.DotKernel32(ix.k)
+		ix.dot32 = vecmath.DotRowsKernel32(ix.k)
 		ix.vec32 = make([]float32, len(ix.items)*ix.k)
 		for i, j := range ix.items {
 			copy(ix.vec32[i*ix.k:(i+1)*ix.k], md.ItemRow32(int(j)))
 		}
 		return ix
 	}
-	ix.dot64 = vecmath.DotKernel(ix.k)
+	ix.dot64 = vecmath.DotRowsKernel(ix.k)
 	ix.vec64 = make([]float64, len(ix.items)*ix.k)
 	for i, j := range ix.items {
 		copy(ix.vec64[i*ix.k:(i+1)*ix.k], md.ItemRow(int(j)))
@@ -109,12 +111,14 @@ func (ix *Index) K() int { return ix.k }
 // Precision returns the element precision of the indexed vectors.
 func (ix *Index) Precision() factor.Precision { return ix.prec }
 
-// ScanStats reports how far one top-N scan went.
+// ScanStats reports how far one top-N scan went; Scanned + Pruned ==
+// Len() for every query.
 type ScanStats struct {
-	// Scanned is the number of candidate items whose score was computed.
+	// Scanned is the number of rows scored, excluded (rated) ones
+	// included: exclusion is looked up only after a score passes the
+	// heap threshold.
 	Scanned int
-	// Pruned is the number of items skipped by the norm-bound early
-	// exit (Scanned + Pruned + excluded = Len()).
+	// Pruned is the number of rows the norm bound skipped unscored.
 	Pruned int
 }
 
@@ -144,32 +148,75 @@ func ratedContains(rated []int32, item int32) bool {
 	return lo < len(rated) && rated[lo] == item
 }
 
+// scanBlock is the number of rows the scan bounds, scores and filters
+// at a time: large enough to amortize the bound test and the kernel
+// call, small enough that scoring past the exact cut (at most
+// scanBlock−1 rows) stays noise next to a typical scan.
+const scanBlock = 64
+
+// scanScratch is one scan's block of scores. The kernels are reached
+// through function values, so a stack array would escape; queries
+// borrow one from scratchPool instead.
+type scanScratch struct {
+	s64 [scanBlock]float64
+	s32 [scanBlock]float32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scanScratch) }}
+
 // TopN streams the indexed items into h, excluding the
 // ascending-sorted rated list, stopping early once the norm bound
 // proves no remaining item can enter. user64/user32 is the query
 // user's factor row at the index's precision; unorm is its Euclidean
 // norm. The result in h is identical to an unpruned full scan.
+//
+// The table is walked in blocks of scanBlock rows, cheapest check
+// first: one norm-bound test per block (against the block's first,
+// largest norm), one batched kernel call scoring the whole block, a
+// plain compare of each score with the cached heap threshold, and only
+// for the rows that pass it the exclusion lookup and the heap offer.
+// The compare is Heap.Offer's own rejection predicate, so filtering by
+// it before the exclusion lookup drops exactly the rows Offer would
+// have dropped after it.
+//
+//nomad:noalloc
 func (ix *Index) TopN(user64 []float64, user32 []float32, unorm float64, rated []int32, h *topn.Heap) ScanStats {
 	var st ScanStats
-	k := ix.k
-	for i, item := range ix.items {
-		if h.Full() {
-			if worst, ok := h.Worst(); ok && unorm*ix.norms[i]*ix.slack < worst.Score {
-				st.Pruned = len(ix.items) - i
-				break
-			}
+	k, n := ix.k, len(ix.items)
+	sc := scratchPool.Get().(*scanScratch)
+	defer scratchPool.Put(sc)
+	worst, _ := h.Worst()
+	full := h.Full()
+	for lo := 0; lo < n; lo += scanBlock {
+		if full && unorm*ix.norms[lo]*ix.slack < worst.Score {
+			st.Pruned = n - lo
+			break
 		}
-		if ratedContains(rated, item) {
-			continue
-		}
-		var score float64
+		hi := min(lo+scanBlock, n)
+		scores := sc.s64[:hi-lo]
 		if ix.prec == factor.Float32 {
-			score = float64(ix.dot32(user32, ix.vec32[i*k:(i+1)*k]))
+			s32 := sc.s32[:hi-lo]
+			ix.dot32(user32, ix.vec32[lo*k:hi*k], s32)
+			for r, v := range s32 {
+				scores[r] = float64(v)
+			}
 		} else {
-			score = ix.dot64(user64, ix.vec64[i*k:(i+1)*k])
+			ix.dot64(user64, ix.vec64[lo*k:hi*k], scores)
 		}
-		st.Scanned++
-		h.Offer(topn.Rec{Item: item, Score: score})
+		st.Scanned += hi - lo
+		items := ix.items[lo:hi]
+		for r, score := range scores {
+			rec := topn.Rec{Item: items[r], Score: score}
+			if full && topn.Worse(rec, worst) {
+				continue
+			}
+			if ratedContains(rated, rec.Item) {
+				continue
+			}
+			h.Offer(rec)
+			worst, _ = h.Worst()
+			full = h.Full()
+		}
 	}
 	return st
 }

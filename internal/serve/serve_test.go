@@ -13,17 +13,14 @@ import (
 	"nomad/internal/train"
 )
 
-// naiveTopN is the unpruned oracle: score every item with
-// Model.Predict, exclude rated, keep the deterministic top-N.
+// naiveTopN is the unpruned oracle over the whole catalog: score every
+// item with Model.Predict, exclude rated, sort, keep the top n.
 func naiveTopN(md *factor.Model, user, n int, rated []int32) []topn.Rec {
-	h := topn.NewHeap(n)
-	for j := 0; j < md.N; j++ {
-		if ratedContains(rated, int32(j)) {
-			continue
-		}
-		h.Offer(topn.Rec{Item: int32(j), Score: md.Predict(user, j)})
+	all := make([]int32, md.N)
+	for j := range all {
+		all[j] = int32(j)
 	}
-	return h.Sorted()
+	return bruteForceTopN(md, all, user, n, rated)
 }
 
 func sameRecs(t *testing.T, got, want []topn.Rec) {
@@ -80,15 +77,7 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 func TestIndexPrunesLongTail(t *testing.T) {
 	// With a heavy-tailed norm distribution most items must be pruned,
 	// otherwise the "single-digit ms at 600K items" budget is fiction.
-	md := factor.NewInitP(4, 20000, 8, 3, factor.Float64)
-	h := md.HData()
-	rng := rand.New(rand.NewSource(9))
-	for j := 0; j < 20000; j++ {
-		scale := 1.0 / float64(1+rng.Intn(1000))
-		for x := 0; x < 8; x++ {
-			h[j*8+x] *= scale
-		}
-	}
+	md := longTailModel(20000, 8, factor.Float64)
 	ix := BuildIndex(md, nil)
 	recs, st := indexQuery(ix, md, 0, 10, nil)
 	sameRecs(t, recs, naiveTopN(md, 0, 10, nil))

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
 	"nomad/internal/cluster"
@@ -86,14 +87,15 @@ func (s *Server) fail(w http.ResponseWriter, code int, msg string) {
 
 func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	user64, err := strconv.ParseInt(r.URL.Query().Get("user"), 10, 32)
+	query := r.URL.Query()
+	user64, err := strconv.ParseInt(query.Get("user"), 10, 32)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "bad or missing user parameter")
 		return
 	}
 	user := int32(user64)
 	n := 10
-	if v := r.URL.Query().Get("n"); v != "" {
+	if v := query.Get("n"); v != "" {
 		n, err = strconv.Atoi(v)
 		if err != nil || n < 0 {
 			s.fail(w, http.StatusBadRequest, "bad n parameter")
@@ -123,6 +125,8 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	}
 
 	resp := RecResponse{User: user, N: n}
+	sc := respPool.Get().(*respScratch)
+	defer respPool.Put(sc)
 	if s.cfg.Gateway != nil {
 		// Sharded: widen the user row for the wire (exact for float32)
 		// and scatter. The gateway holds its own epoch references; ours
@@ -149,11 +153,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Epoch = res.Epoch
 		resp.Shards = res.Shards
-		resp.Items = recItems(res.Recs)
+		resp.Items = sc.recItems(res.Recs)
 		s.scanned.Add(int64(res.Stats.Scanned))
 		s.pruned.Add(int64(res.Stats.Pruned))
 	} else {
-		h := topn.NewHeap(n)
+		h := sc.heap
+		h.Reset(n)
 		var st ScanStats
 		if md.Precision() == factor.Float32 {
 			st = ep.Index.TopN(nil, md.UserRow32(int(user)), md.UserNorm(int(user)), rated, h)
@@ -162,7 +167,7 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Epoch = ep.Seq
 		resp.Shards = 1
-		resp.Items = recItems(h.Sorted())
+		resp.Items = sc.recItems(h.Sorted())
 		ep.Release()
 		s.scanned.Add(int64(st.Scanned))
 		s.pruned.Add(int64(st.Pruned))
@@ -187,12 +192,26 @@ func wireUserRow(md *factor.Model, user int) []float64 {
 	return append([]float64(nil), md.UserRow(user)...)
 }
 
-func recItems(recs []topn.Rec) []RecItem {
-	out := make([]RecItem, len(recs))
-	for i, r := range recs {
-		out[i] = RecItem{Item: r.Item, Score: r.Score}
+// respScratch is the per-request state handleRecommend reuses: the
+// top-N heap and the wire form of its result. Both are bounded by
+// Config.MaxN. items is never nil, so an empty result encodes as [].
+type respScratch struct {
+	heap  *topn.Heap
+	items []RecItem
+}
+
+var respPool = sync.Pool{New: func() any {
+	return &respScratch{heap: topn.NewHeap(0), items: []RecItem{}}
+}}
+
+// recItems converts recs to their wire form in sc's buffer, which is
+// valid until sc goes back to the pool.
+func (sc *respScratch) recItems(recs []topn.Rec) []RecItem {
+	sc.items = sc.items[:0]
+	for _, r := range recs {
+		sc.items = append(sc.items, RecItem{Item: r.Item, Score: r.Score})
 	}
-	return out
+	return sc.items
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

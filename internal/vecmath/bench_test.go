@@ -53,6 +53,26 @@ func BenchmarkDotKernel(b *testing.B) {
 	}
 }
 
+// BenchmarkDotRowsKernel is the batched dot over a cache-resident block
+// of 64 rows; ns/op is ns per row, comparable with BenchmarkDotKernel.
+func BenchmarkDotRowsKernel(b *testing.B) {
+	for _, k := range benchWidths {
+		const block = 64
+		r := rng.New(uint64(k))
+		user := make([]float64, k)
+		rows := make([]float64, block*k)
+		out := make([]float64, block)
+		fill(r, user)
+		fill(r, rows)
+		dotRows := DotRowsKernel(k)
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			for i := 0; i < b.N; i += block {
+				dotRows(user, rows, out)
+			}
+		})
+	}
+}
+
 // BenchmarkStepReference is the pre-optimization square-loss path as
 // the solvers ran it: Dot, then a separate SGDUpdateGrad with the
 // residual — two row traversals per rating.

@@ -1,6 +1,7 @@
 package vecmath
 
 import (
+	"bytes"
 	"math"
 	"sync"
 	"testing"
@@ -299,6 +300,9 @@ func FuzzSIMDDot(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}, false)
 	f.Add(make([]byte, 8*33), true)
 	f.Add([]byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0x7f, 0xf8, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1}, false)
+	// 2191 bytes: 273 values and m = 1 + 2191%32 = 16, so the batched
+	// entry sees a K=16 user row with 16 rows behind it.
+	f.Add(bytes.Repeat([]byte{0x3f, 0xe8, 1, 2, 3, 4, 5, 6, 0xbf, 0xd0, 6, 5, 4, 3, 2, 1}, 137)[:2191], true)
 	f.Fuzz(func(t *testing.T, raw []byte, odd bool) {
 		if !SIMDAvailable() {
 			t.Skip("no AVX2/FMA on this machine")
@@ -326,6 +330,23 @@ func FuzzSIMDDot(f *testing.F) {
 		a, b := vals[:n], vals[len(vals)-n:]
 		want := Dot(a, b)
 		got := KernelFor(n).Dot(a, b)
+		// The batched entry must reproduce the per-row kernel bit for
+		// bit (NaN payloads included) on every row width-m rows fit in
+		// the input, for the fuzzer's m as well as n.
+		for _, m := range []int{n, 1 + len(raw)%32} {
+			if m > len(vals)/2 {
+				continue
+			}
+			user, table := vals[:m], vals[m:m+(len(vals)-m)/m*m]
+			out := make([]float64, len(table)/m)
+			DotRowsKernel(m)(user, table, out)
+			for i, v := range out {
+				if w := KernelFor(m).Dot(user, table[i*m:(i+1)*m]); math.Float64bits(v) != math.Float64bits(w) {
+					t.Fatalf("batched dot row %d width %d: %v (%#x), per-row %v (%#x)",
+						i, m, v, math.Float64bits(v), w, math.Float64bits(w))
+				}
+			}
+		}
 		if math.IsNaN(want) || math.IsInf(want, 0) {
 			if !math.IsNaN(got) && !math.IsInf(got, 0) {
 				t.Fatalf("reference %v non-finite, asm %v finite", want, got)

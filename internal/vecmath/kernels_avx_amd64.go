@@ -30,6 +30,12 @@ func sgdAVX32(w, h *float32, n int, sg, sl float32)
 //go:noescape
 func fstepAVX32(w, h *float32, n int, rating, step, lambda float32) float32
 
+//go:noescape
+func dotRowsAVX(user, rows, out *float64, k, n int)
+
+//go:noescape
+func dotRowsAVX32(user, rows, out *float32, k, n int)
+
 // simdKernelFor returns the AVX2 kernel bundle for rank k, or ok=false
 // when the hardware lacks AVX2/FMA (the caller then falls through to
 // the portable kernels).
@@ -48,6 +54,41 @@ func simdKernelFor32(k int) (Kernel32, bool) {
 	}
 	return Kernel32{K: k, Dot: dotSIMD32, Step: stepSIMD32, Grad: gradSIMD32,
 		ItemPass: itemPassSIMD32(k)}, true
+}
+
+// simdDotRows returns the AVX2 batched dot for rank k, or ok=false
+// when the hardware lacks AVX2/FMA.
+func simdDotRows(k int) (DotRowsFunc, bool) {
+	return dotRowsSIMD, simdAvailable && k > 0
+}
+
+// simdDotRows32 is the float32 twin of simdDotRows.
+func simdDotRows32(k int) (DotRowsFunc32, bool) {
+	return dotRowsSIMD32, simdAvailable && k > 0
+}
+
+//nomad:noalloc
+func dotRowsSIMD(user, rows, out []float64) {
+	if len(rows) != len(out)*len(user) {
+		panic("vecmath: DotRows length mismatch")
+	}
+	if len(rows) == 0 {
+		clear(out)
+		return
+	}
+	dotRowsAVX(&user[0], &rows[0], &out[0], len(user), len(out))
+}
+
+//nomad:noalloc
+func dotRowsSIMD32(user, rows, out []float32) {
+	if len(rows) != len(out)*len(user) {
+		panic("vecmath: DotRows length mismatch")
+	}
+	if len(rows) == 0 {
+		clear(out)
+		return
+	}
+	dotRowsAVX32(&user[0], &rows[0], &out[0], len(user), len(out))
 }
 
 func dotSIMD(a, b []float64) float64 {

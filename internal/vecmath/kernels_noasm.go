@@ -13,3 +13,7 @@ func featureList() string { return "" }
 func simdKernelFor(k int) (Kernel, bool) { return Kernel{}, false }
 
 func simdKernelFor32(k int) (Kernel32, bool) { return Kernel32{}, false }
+
+func simdDotRows(k int) (DotRowsFunc, bool) { return nil, false }
+
+func simdDotRows32(k int) (DotRowsFunc32, bool) { return nil, false }

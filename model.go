@@ -6,6 +6,7 @@ import (
 
 	"nomad/internal/factor"
 	"nomad/internal/topn"
+	"nomad/internal/vecmath"
 )
 
 // Model is a trained low-rank factorization: the predicted rating of
@@ -50,12 +51,32 @@ func (m *Model) Recommend(d *Dataset, user, topN int) []Recommendation {
 	if topN <= 0 {
 		return nil
 	}
+	md := m.inner
+	var score func(j int) float64
+	if md.Precision() == factor.Float32 {
+		dot, w := vecmath.DotKernel32(md.K), md.UserRow32(user)
+		score = func(j int) float64 { return float64(dot(w, md.ItemRow32(j))) }
+	} else {
+		dot, w := vecmath.DotKernel(md.K), md.UserRow(user)
+		score = func(j int) float64 { return dot(w, md.ItemRow(j)) }
+	}
+	// Score first, then compare with the heap's threshold (Offer's own
+	// rejection test), and look the rating up only for the few items
+	// that would enter: the lookup is the expensive check.
 	h := topn.NewHeap(topN)
-	for j := 0; j < m.inner.N; j++ {
+	var worst topn.Rec
+	full := false
+	for j := 0; j < md.N; j++ {
+		rec := topn.Rec{Item: int32(j), Score: score(j)}
+		if full && topn.Worse(rec, worst) {
+			continue
+		}
 		if d != nil && d.Rated(user, j) {
 			continue
 		}
-		h.Offer(topn.Rec{Item: int32(j), Score: m.Predict(user, j)})
+		h.Offer(rec)
+		worst, _ = h.Worst()
+		full = h.Full()
 	}
 	recs := h.Sorted()
 	out := make([]Recommendation, len(recs))

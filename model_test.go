@@ -39,17 +39,34 @@ func testModel(users, items, k int, seed uint64) *Model {
 }
 
 func TestRecommendMatchesFullSort(t *testing.T) {
-	m := testModel(40, 500, 8, 11)
-	for _, topN := range []int{1, 3, 10, 499, 500, 501, 2000} {
-		for user := 0; user < 5; user++ {
-			got := m.Recommend(nil, user, topN)
-			want := recommendFullSort(m, nil, user, topN)
-			if len(got) != len(want) {
-				t.Fatalf("topN=%d user=%d: %d recs, want %d", topN, user, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("topN=%d user=%d rank %d: got %+v want %+v", topN, user, i, got[i], want[i])
+	// Exclusion lists at ~10% density put rated items inside every
+	// user's top list, so Recommend's look-up-only-on-admission order
+	// is compared with the reference's exclude-first order.
+	var ratings []Rating
+	for user := 0; user < 40; user++ {
+		for item := user % 7; item < 500; item += 7 + user%5 {
+			ratings = append(ratings, Rating{User: user, Item: item, Value: 1})
+		}
+	}
+	ds, err := NewDataset(40, 500, ratings, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
+		m := &Model{inner: factor.NewInitP(40, 500, 8, 11, prec)}
+		for _, d := range []*Dataset{nil, ds} {
+			for _, topN := range []int{1, 3, 10, 499, 500, 501, 2000} {
+				for user := 0; user < 5; user++ {
+					got := m.Recommend(d, user, topN)
+					want := recommendFullSort(m, d, user, topN)
+					if len(got) != len(want) {
+						t.Fatalf("%v topN=%d user=%d: %d recs, want %d", prec, topN, user, len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("%v topN=%d user=%d rank %d: got %+v want %+v", prec, topN, user, i, got[i], want[i])
+						}
+					}
 				}
 			}
 		}
