@@ -50,9 +50,11 @@ type benchRecord struct {
 	// only the hot path.
 	Options *experiments.Options `json:"options,omitempty"`
 	Hotpath hotpathStats         `json:"hotpath"`
-	// TokenBound is the transport-bound companion workload: the
-	// longtail profile's ≈4.5 ratings/item make per-token transport
-	// cost, not SGD arithmetic, the worker loop's dominant term —
+	// TokenBound is the fine-grained-token companion workload: the
+	// longtail profile's ≈4.5 ratings/item make per-token cost — the
+	// cache misses a token's offsets, rating slices and rows bring,
+	// then the transport — not SGD arithmetic, the worker loop's
+	// dominant term (EXPERIMENTS.md "Where an SGD update waits") —
 	// the regime the batched SPSC mesh exists for. (The pinned netflix
 	// hotpath has ≈2.8K ratings/item, so there the transport is ≈0.1%
 	// of the work and the A/B reads as parity; see EXPERIMENTS.md.)
@@ -154,7 +156,7 @@ func newRecord(kernels, transport, precision string) benchRecord {
 }
 
 // measureHotpathAB runs the BenchmarkTrainNomadEpoch workload plus
-// the token-transport-bound longtail workload on every kernel side,
+// the per-token-bound longtail workload on every kernel side,
 // alternating sides within each rep so machine-speed drift cancels
 // out of the comparison.
 func measureHotpathAB(base, after, f32 *benchRecord) error {

@@ -203,12 +203,14 @@ type hotPath struct {
 
 	// Float64 models.
 	wData    []float64
+	hData    []float64
 	kern     vecmath.Kernel
 	itemPass vecmath.ItemPassFunc
 
 	// Float32 models.
 	f32        bool
 	wData32    []float32
+	hData32    []float32
 	kern32     vecmath.Kernel32
 	itemPass32 vecmath.ItemPassFunc32
 	lambda32   float32
@@ -227,13 +229,13 @@ func newHotPath(md *factor.Model, schedule sched.Schedule, cfg train.Config) hot
 	var batched bool
 	if md.Precision() == factor.Float32 {
 		hp.f32 = true
-		hp.wData32 = md.WData32()
+		hp.wData32, hp.hData32 = md.WData32(), md.HData32()
 		hp.kern32 = vecmath.KernelFor32(cfg.K)
 		hp.lambda32 = float32(cfg.Lambda)
 		hp.h32 = make([]float32, cfg.K)
 		batched = hp.kern32.ItemPass != nil
 	} else {
-		hp.wData = md.WData()
+		hp.wData, hp.hData = md.WData(), md.HData()
 		hp.kern = vecmath.KernelFor(cfg.K)
 		batched = hp.kern.ItemPass != nil
 	}
@@ -257,6 +259,53 @@ func (hp *hotPath) stepFor(t int32) float64 {
 		return hp.table.Step(int(t)) // direct, inlinable lookup
 	}
 	return hp.schedule.Step(int(t))
+}
+
+// prefetchRows is how many leading user rows of the next token the
+// block pipeline warms: exactly the rows the SIMD item pass's own
+// look-ahead (vecmath's itemPassAhead, same value) starts too late for.
+const prefetchRows = 8
+
+// prefetchAhead is one beat of the software pipeline the block loops
+// run over an already-popped block while they train token i (DESIGN.md
+// §4 piece 4). Each stage reads only what the previous beat made
+// resident and prefetches what the next one will read: the rating-list
+// offsets of token i+3 (item j3); the heads of token i+2's rating
+// slices and its item vector (vec2 when the vector travels with the
+// token, and the model row it lives in or is mirrored to); the user
+// rows of token i+1's first ratings. A negative item means the block
+// ends before that token. Every address touched is the worker's own —
+// its localRatings, its users' rows, rows of tokens it holds — so
+// nothing here can be seen by, or wait on, another worker.
+//
+//nomad:noalloc
+func (hp *hotPath) prefetchAhead(lr *localRatings, j1, j2, j3 int, vec2 []float64) {
+	n := len(lr.colPtr) - 1
+	vecmath.Prefetch(lr.colPtr, j3, 1)
+	if uint(j2) < uint(n) {
+		lo := int(lr.colPtr[j2]) // == len(users) for a trailing empty list: ignored
+		vecmath.Prefetch(lr.users, lo, 1)
+		vecmath.Prefetch(lr.vals, lo, 1)
+		vecmath.Prefetch(lr.counts, lo, 1)
+		vecmath.Prefetch(vec2, 0, len(vec2))
+		hp.prefetchRow(hp.hData, hp.hData32, j2)
+	}
+	if uint(j1) < uint(n) {
+		lo, hi := lr.colPtr[j1], lr.colPtr[j1+1]
+		for _, u := range lr.users[lo:min(hi, lo+prefetchRows)] {
+			hp.prefetchRow(hp.wData, hp.wData32, int(u))
+		}
+	}
+}
+
+// prefetchRow prefetches row r of a factor matrix held as d64 or d32,
+// whichever the model's precision uses.
+func (hp *hotPath) prefetchRow(d64 []float64, d32 []float32, r int) {
+	if k := hp.md.K; hp.f32 {
+		vecmath.Prefetch(d32, r*k, k)
+	} else {
+		vecmath.Prefetch(d64, r*k, k)
+	}
 }
 
 // itemSGD runs the SGD updates for one item's rating list (hRow is the

@@ -509,6 +509,19 @@ func runDistWorkerMesh(mc *meshMachine, w int, md *factor.Model, lr *localRating
 			tok := in[i]
 			in[i] = nil
 
+			// Warm what the next three tokens of the block will read.
+			j1, j2, j3, vec2 := -1, -1, -1, []float64(nil)
+			if i+1 < k {
+				j1 = int(in[i+1].tok.Item)
+			}
+			if i+2 < k {
+				j2, vec2 = int(in[i+2].tok.Item), in[i+2].tok.Vec
+			}
+			if i+3 < k {
+				j3 = int(in[i+3].tok.Item)
+			}
+			hp.prefetchAhead(lr, j1, j2, j3, vec2)
+
 			j := int(tok.tok.Item)
 			usersJ, vals, counts := lr.itemRatings(j)
 			var began time.Time

@@ -289,6 +289,19 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 		for i := 0; i < k; i++ {
 			tok := in[i]
 
+			// Warm what the next three tokens of the block will read.
+			j1, j2, j3 := -1, -1, -1
+			if i+1 < k {
+				j1 = int(in[i+1].item)
+			}
+			if i+2 < k {
+				j2 = int(in[i+2].item)
+			}
+			if i+3 < k {
+				j3 = int(in[i+3].item)
+			}
+			hp.prefetchAhead(lr, j1, j2, j3, nil)
+
 			// SGD over this worker's ratings for the item (lines 16–21).
 			j := int(tok.item)
 			usersJ, vals, counts := lr.itemRatings(j)

@@ -129,11 +129,12 @@ func HugewikiLike(scale float64) Spec {
 // LongtailLike returns a long-tail catalog shape: an item set an
 // order of magnitude larger than the user set with only ≈4.5 ratings
 // per item (think storefront catalogs where most items have a handful
-// of interactions). With so few ratings per token, per-token transport
-// overhead — not SGD arithmetic — dominates NOMAD's worker loop, which
-// makes this the token-transport stress workload of the benchmark
-// suite (the shared-memory analog of what §5.3 says Yahoo's shape does
-// to the network layer).
+// of interactions). With so few ratings per token, per-token cost —
+// first the cache misses on each token's offsets, rating slices and
+// rows, then the transport — not SGD arithmetic, dominates NOMAD's
+// worker loop, which makes this the fine-grained-token stress workload
+// of the benchmark suite (the shared-memory analog of what §5.3 says
+// Yahoo's shape does to the network layer).
 func LongtailLike(scale float64) Spec {
 	return scaled("longtail-like", 80_000, 600_000, 2_700_000, scale, 0.6, 0.6, false)
 }
@@ -203,8 +204,22 @@ func (s Spec) Generate() (*Dataset, error) {
 	// Sample distinct (i, j) pairs.
 	seen := make(map[uint64]struct{}, s.NNZ)
 	entries := make([]sparse.Entry, 0, s.NNZ)
-	wRow := make([]float64, s.TrueRank)
-	hRow := make([]float64, s.TrueRank)
+	// Ground-truth rows of the smaller side are tabulated once — each
+	// would otherwise be regenerated for every rating that names it —
+	// while the larger side stays on the fly, as truth intends, so the
+	// generator holds O(min(m,n)·rank) floats, not the factor matrices.
+	const wSide, hSide = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
+	rank := s.TrueRank
+	itemsCached := s.Cols <= s.Rows
+	cachedSide := uint64(wSide)
+	if itemsCached {
+		cachedSide = hSide
+	}
+	cached := make([]float64, min(s.Rows, s.Cols)*rank)
+	for x := 0; x*rank < len(cached); x++ {
+		truth(s.Seed, cachedSide, x, rank, cached[x*rank:(x+1)*rank])
+	}
+	scratch := make([]float64, rank)
 	noise := r.Split(3)
 	attempts := int64(0)
 	maxAttempts := s.NNZ * 50
@@ -220,10 +235,16 @@ func (s Spec) Generate() (*Dataset, error) {
 			continue
 		}
 		seen[key] = struct{}{}
-		truth(s.Seed, 0x5555555555555555, i, s.TrueRank, wRow)
-		truth(s.Seed, 0xaaaaaaaaaaaaaaaa, j, s.TrueRank, hRow)
+		wRow, hRow := scratch, scratch
+		if itemsCached {
+			truth(s.Seed, wSide, i, rank, scratch)
+			hRow = cached[j*rank : (j+1)*rank]
+		} else {
+			truth(s.Seed, hSide, j, rank, scratch)
+			wRow = cached[i*rank : (i+1)*rank]
+		}
 		var dot float64
-		for l := 0; l < s.TrueRank; l++ {
+		for l := 0; l < rank; l++ {
 			dot += wRow[l] * hRow[l]
 		}
 		v := dot + noise.Normal(0, s.NoiseSD)

@@ -47,6 +47,7 @@ package vecmath
 import (
 	"os"
 	"sync/atomic"
+	"unsafe"
 )
 
 // referenceOnly pins every kernel selector to the reference
@@ -122,6 +123,30 @@ type GradFunc func(w, h []float64, g, step, lambda float64)
 // slicing — out of the inner loop.
 type ItemPassFunc func(wData []float64, users []int32, vals []float64,
 	counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64)
+
+// itemPassAhead is how many ratings ahead of the one being stepped the
+// SIMD item passes prefetch the user row. An item's rating list names
+// its user rows in an order the hardware cannot predict, so without the
+// hint every rating waits on a miss the arithmetic then idles behind.
+// The distance is a constant because the gain is a plateau, not a peak:
+// 8 and 16 measured alike and 4 within 5 % (EXPERIMENTS.md "Where an
+// SGD update waits"). Look-ahead only — the first itemPassAhead rows of a list are
+// the caller's to warm (core's block pipeline does).
+const itemPassAhead = 8
+
+// Prefetch hints the cache lines under s[i:i+n] toward the caches
+// (PREFETCHT0 on amd64; it compiles to nothing elsewhere). Nothing is
+// read, so it cannot race — but it does pull the lines, so the SGD hot
+// path only prefetches what the issuing worker owns. A window that is
+// not wholly inside s is ignored, which lets look-ahead callers pass
+// indices past the end unclamped (n < 1 touches the one line at s[i]).
+// A window that does not start on a line boundary leaves its last
+// partial line to the hardware's adjacent-line prefetcher.
+func Prefetch[T any](s []T, i, n int) {
+	if uint(i) < uint(len(s)) && i+n <= len(s) {
+		prefetchT0(unsafe.Pointer(&s[i]), uintptr(n)*unsafe.Sizeof(s[0]))
+	}
+}
 
 // Kernel bundles the hot-path kernels specialized for one rank. Select
 // it once per run with KernelFor and reuse it for every rating.

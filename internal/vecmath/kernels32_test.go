@@ -138,50 +138,51 @@ func TestItemPass32BitMatchesStep(t *testing.T) {
 	}
 	r := rng.New(54)
 	for _, k := range []int{8, 16, 32, 17} {
-		kern := KernelFor32(k)
-		if kern.ItemPass == nil {
-			t.Fatalf("K=%d: ItemPass missing", k)
-		}
-		const nUsers, nRatings = 10, 60
-		steps := []float64{0.05, 0.04, 0.03}
 		slowCalls := 0
-		slow := func(t int) float64 { slowCalls++; return 0.02 / float64(t+1) }
-		wData := make([]float32, nUsers*k)
-		h := make([]float32, k)
-		fill32(r, wData)
-		fill32(r, h)
-		users := make([]int32, nRatings)
-		vals := make([]float64, nRatings)
-		counts := make([]int32, nRatings)
-		for x := range users {
-			users[x] = int32(r.Intn(nUsers))
-			vals[x] = r.Uniform(-3, 3)
-			counts[x] = int32(r.Intn(6))
-		}
-		wRef := append([]float32(nil), wData...)
-		hRef := append([]float32(nil), h...)
-		for x := range users {
-			tc := counts[x]
-			step := 0.02 / float64(int(tc)+1)
-			if int(tc) < len(steps) {
-				step = steps[tc]
+		for _, nRatings := range itemPassLens {
+			kern := KernelFor32(k)
+			if kern.ItemPass == nil {
+				t.Fatalf("K=%d: ItemPass missing", k)
 			}
-			o := int(users[x]) * k
-			kern.Step(wRef[o:o+k], hRef, float32(vals[x]), float32(step), 0.02)
+			const nUsers = 10
+			steps := []float64{0.05, 0.04, 0.03}
+			slow := func(t int) float64 { slowCalls++; return 0.02 / float64(t+1) }
+			wData := make([]float32, nUsers*k)
+			h := make([]float32, k)
+			fill32(r, wData)
+			fill32(r, h)
+			users := itemPassUsers(r, nRatings, nUsers)
+			vals := make([]float64, nRatings)
+			counts := make([]int32, nRatings)
+			for x := range users {
+				vals[x] = r.Uniform(-3, 3)
+				counts[x] = int32(r.Intn(6))
+			}
+			wRef := append([]float32(nil), wData...)
+			hRef := append([]float32(nil), h...)
+			for x := range users {
+				tc := counts[x]
+				step := 0.02 / float64(int(tc)+1)
+				if int(tc) < len(steps) {
+					step = steps[tc]
+				}
+				o := int(users[x]) * k
+				kern.Step(wRef[o:o+k], hRef, float32(vals[x]), float32(step), 0.02)
+			}
+			kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
+			for i := range wData {
+				if wData[i] != wRef[i] {
+					t.Fatalf("K=%d n=%d: wData[%d] = %v, per-rating %v", k, nRatings, i, wData[i], wRef[i])
+				}
+			}
+			for i := range h {
+				if h[i] != hRef[i] {
+					t.Fatalf("K=%d n=%d: h[%d] = %v, per-rating %v", k, nRatings, i, h[i], hRef[i])
+				}
+			}
 		}
-		kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
 		if slowCalls == 0 {
 			t.Fatalf("K=%d: slow fallback never exercised", k)
-		}
-		for i := range wData {
-			if wData[i] != wRef[i] {
-				t.Fatalf("K=%d: wData[%d] = %v, per-rating %v", k, i, wData[i], wRef[i])
-			}
-		}
-		for i := range h {
-			if h[i] != hRef[i] {
-				t.Fatalf("K=%d: h[%d] = %v, per-rating %v", k, i, h[i], hRef[i])
-			}
 		}
 	}
 }

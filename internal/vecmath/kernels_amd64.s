@@ -609,3 +609,21 @@ rmem32:
 	JNZ  rmem32
 	VZEROUPPER
 	RET
+
+// ---------------------------------------------------------------------
+// prefetch (kept last: no kernel above may move or change alignment)
+// ---------------------------------------------------------------------
+
+// func prefetchT0(p unsafe.Pointer, n uintptr)
+//
+// Prefetches the lines at p, p+64, ... below p+n (n ≥ 1). A hint, not a
+// load: it cannot fault and has no architectural effect.
+TEXT ·prefetchT0(SB), NOSPLIT, $0-16
+	MOVQ p+0(FP), AX
+	MOVQ n+8(FP), CX
+pfline:
+	PREFETCHT0 (AX)
+	ADDQ $64, AX
+	SUBQ $64, CX
+	JGT  pfline
+	RET

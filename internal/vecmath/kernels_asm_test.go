@@ -154,49 +154,76 @@ func TestSIMDGradMatchesReference(t *testing.T) {
 	}
 }
 
+// itemPassLens are the rating-list lengths the item-pass tests run:
+// every side of the look-ahead distance (a list shorter than, equal to
+// and just past it, and one several windows long) plus a long list.
+var itemPassLens = []int{0, 1, itemPassAhead - 1, itemPassAhead, itemPassAhead + 1, 3*itemPassAhead + 1, 60}
+
+// itemPassUsers draws the users of one n-rating list over an
+// nUsers-row table sized exactly, so a look-ahead that indexes past
+// either end of the list or the table panics: the list opens on row 0,
+// closes on the last row, and repeats one user inside a single
+// look-ahead window (a row prefetched while it is being updated).
+func itemPassUsers(r *rng.Source, n, nUsers int) []int32 {
+	users := make([]int32, n)
+	for x := range users {
+		users[x] = int32(r.Intn(nUsers))
+	}
+	if n > 0 {
+		users[0], users[n-1] = 0, int32(nUsers-1)
+	}
+	if n > 3 {
+		users[2] = users[1]
+	}
+	return users
+}
+
 // TestSIMDItemPassBitMatchesStep: the asm item pass calls the same
 // fused asm step per rating, so against kern.Step at the same schedule
-// it must agree bit for bit (this mirrors the portable item-pass test).
+// it must agree bit for bit (this mirrors the portable item-pass test)
+// — at every list length around its prefetch look-ahead, which may
+// touch cache lines but never the arithmetic.
 func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 	forceSIMD(t)
 	r := rng.New(44)
 	for _, k := range []int{8, 16, 32, 17} {
-		kern := KernelFor(k)
-		const nUsers, nRatings = 10, 60
-		steps := []float64{0.05, 0.04, 0.03}
-		slow := func(t int) float64 { return 0.02 / float64(t+1) }
-		wData := make([]float64, nUsers*k)
-		h := make([]float64, k)
-		fill(r, wData)
-		fill(r, h)
-		users := make([]int32, nRatings)
-		vals := make([]float64, nRatings)
-		counts := make([]int32, nRatings)
-		for x := range users {
-			users[x] = int32(r.Intn(nUsers))
-			vals[x] = r.Uniform(-3, 3)
-			counts[x] = int32(r.Intn(6))
-		}
-		wRef := append([]float64(nil), wData...)
-		hRef := append([]float64(nil), h...)
-		for x := range users {
-			tc := counts[x]
-			step := slow(int(tc))
-			if int(tc) < len(steps) {
-				step = steps[tc]
+		for _, nRatings := range itemPassLens {
+			kern := KernelFor(k)
+			const nUsers = 10
+			steps := []float64{0.05, 0.04, 0.03}
+			slow := func(t int) float64 { return 0.02 / float64(t+1) }
+			wData := make([]float64, nUsers*k)
+			h := make([]float64, k)
+			fill(r, wData)
+			fill(r, h)
+			users := itemPassUsers(r, nRatings, nUsers)
+			vals := make([]float64, nRatings)
+			counts := make([]int32, nRatings)
+			for x := range users {
+				vals[x] = r.Uniform(-3, 3)
+				counts[x] = int32(r.Intn(6))
 			}
-			o := int(users[x]) * k
-			kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
-		}
-		kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
-		for i := range wData {
-			if wData[i] != wRef[i] {
-				t.Fatalf("K=%d: wData[%d] = %v, per-rating %v", k, i, wData[i], wRef[i])
+			wRef := append([]float64(nil), wData...)
+			hRef := append([]float64(nil), h...)
+			for x := range users {
+				tc := counts[x]
+				step := slow(int(tc))
+				if int(tc) < len(steps) {
+					step = steps[tc]
+				}
+				o := int(users[x]) * k
+				kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
 			}
-		}
-		for i := range h {
-			if h[i] != hRef[i] {
-				t.Fatalf("K=%d: h[%d] = %v, per-rating %v", k, i, h[i], hRef[i])
+			kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
+			for i := range wData {
+				if wData[i] != wRef[i] {
+					t.Fatalf("K=%d n=%d: wData[%d] = %v, per-rating %v", k, nRatings, i, wData[i], wRef[i])
+				}
+			}
+			for i := range h {
+				if h[i] != hRef[i] {
+					t.Fatalf("K=%d n=%d: h[%d] = %v, per-rating %v", k, nRatings, i, h[i], hRef[i])
+				}
 			}
 		}
 	}

@@ -7,6 +7,8 @@ package vecmath
 // only in-bounds base pointers; zero-length rows never reach asm at
 // all.
 
+import "unsafe"
+
 // simdAvailable records, once at init, whether the CPU and OS support
 // the AVX2/FMA kernels. On other GOARCHes it is a false constant (see
 // kernels_noasm.go).
@@ -35,6 +37,9 @@ func dotRowsAVX(user, rows, out *float64, k, n int)
 
 //go:noescape
 func dotRowsAVX32(user, rows, out *float32, k, n int)
+
+//go:noescape
+func prefetchT0(p unsafe.Pointer, n uintptr)
 
 // simdKernelFor returns the AVX2 kernel bundle for rank k, or ok=false
 // when the hardware lacks AVX2/FMA (the caller then falls through to
@@ -135,6 +140,9 @@ func itemPassSIMD(k int) ItemPassFunc {
 		vals = vals[:len(users)]
 		counts = counts[:len(users)]
 		for x := range users {
+			if x+itemPassAhead < len(users) {
+				Prefetch(wData, int(users[x+itemPassAhead])*k, k)
+			}
 			t := counts[x]
 			counts[x] = t + 1
 			step := stepAt(t, steps, slow)
@@ -184,6 +192,9 @@ func itemPassSIMD32(k int) ItemPassFunc32 {
 		vals = vals[:len(users)]
 		counts = counts[:len(users)]
 		for x := range users {
+			if x+itemPassAhead < len(users) {
+				Prefetch(wData, int(users[x+itemPassAhead])*k, k)
+			}
 			t := counts[x]
 			counts[x] = t + 1
 			step := float32(stepAt(t, steps, slow))

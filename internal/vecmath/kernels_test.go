@@ -310,3 +310,18 @@ func TestKernelPanicsOnMismatch(t *testing.T) {
 		}()
 	}
 }
+
+// TestPrefetchIgnoresWindowsOutsideTheSlice: look-ahead callers hand
+// Prefetch unclamped indices, so every window that is not wholly inside
+// the slice — negative, at or past the end, overhanging, nil — must be
+// a no-op rather than an index (under -race, checkptr also vets the
+// pointer the in-range ones form).
+func TestPrefetchIgnoresWindowsOutsideTheSlice(t *testing.T) {
+	s := make([]float64, 16)
+	for _, w := range [][2]int{{-1, 1}, {16, 1}, {15, 2}, {0, 17}, {1 << 30, 1}, {-1 << 30, 8},
+		{0, 16}, {8, 8}, {15, 1}, {3, 0}} {
+		Prefetch(s, w[0], w[1])
+	}
+	Prefetch([]int32(nil), 0, 1)
+	Prefetch([]float32{}, 0, 0)
+}
