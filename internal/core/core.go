@@ -206,6 +206,7 @@ type hotPath struct {
 	hData    []float64
 	kern     vecmath.Kernel
 	itemPass vecmath.ItemPassFunc
+	pair     vecmath.ItemPassPairFunc // nil: no two-list kernel, runBlock keeps to token order
 
 	// Float32 models.
 	f32        bool
@@ -213,6 +214,7 @@ type hotPath struct {
 	hData32    []float32
 	kern32     vecmath.Kernel32
 	itemPass32 vecmath.ItemPassFunc32
+	pair32     vecmath.ItemPassPairFunc32
 	lambda32   float32
 	h32        []float32 // per-worker scratch row for itemSGDVec
 }
@@ -243,9 +245,9 @@ func newHotPath(md *factor.Model, schedule sched.Schedule, cfg train.Config) hot
 	// one call per token covers the item's whole rating list.
 	if hp.fused && hp.table != nil && batched {
 		if hp.f32 {
-			hp.itemPass32 = hp.kern32.ItemPass
+			hp.itemPass32, hp.pair32 = hp.kern32.ItemPass, hp.kern32.ItemPassPair
 		} else {
-			hp.itemPass = hp.kern.ItemPass
+			hp.itemPass, hp.pair = hp.kern.ItemPass, hp.kern.ItemPassPair
 		}
 		hp.steps = hp.table.Steps()
 		hp.slow = hp.table.Fallback().Step

@@ -16,6 +16,12 @@ type localRatings struct {
 	users  []int32 // global user index of each rating
 	vals   []float64
 	counts []int32 // updates applied to this (i,j) so far
+
+	// midUser cuts the worker's users at its rating-mass median: about
+	// half of the local ratings are on users below it. Within an item's
+	// list (ascending by user) it is where lane L's share ends and lane
+	// H's begins (lanes.go). Derived from the matrix; never checkpointed.
+	midUser int32
 }
 
 // itemRatings returns the users, values and per-rating update counts
@@ -57,6 +63,14 @@ func buildLocalRatings(train *sparse.Matrix, users *partition.Partition) []*loca
 		lr.users = make([]int32, total)
 		lr.vals = make([]float64, total)
 		lr.counts = make([]int32, total)
+		var below int32
+		for _, i := range users.Part(q) {
+			if 2*below >= total {
+				break
+			}
+			below += int32(train.RowDegree(int(i)))
+			lr.midUser = i + 1
+		}
 	}
 	// Pass 2: fill, using a moving cursor per worker per item.
 	cursor := make([][]int32, p)

@@ -264,10 +264,76 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 		return true
 	}
 
-	var idle idleBackoff
 	var batch int64 // updates since last counter flush
-	stopped := false
-	for !stopped && !stop.Load() {
+	var began time.Time
+
+	// The lanes begin tokens before earlier ones finish, so the budget
+	// check cannot wait for finish: begin runs finish's flush arithmetic
+	// ahead of it (same tokens, same order, same threshold, hence the
+	// same flushes) and starts no token past the one whose flush will
+	// cross the budget. ahead is what begin has flushed and finish has
+	// not. With one worker nothing else moves the counter, so this is
+	// the token the loop always stopped on; with several, a crossing
+	// seen here is a lower bound on the one finish will see.
+	var aheadBatch, ahead int64
+	crossed := false
+	begin := func(n int) bool {
+		if crossed {
+			return false
+		}
+		if aheadBatch += int64(n); aheadBatch >= 256 {
+			ahead, aheadBatch = ahead+aheadBatch, 0
+			crossed = counter.Total()+ahead >= cfg.MaxUpdates
+		}
+		if straggler {
+			began = time.Now()
+		}
+		return true
+	}
+	// finish is the per-token bookkeeping, in token order: count, check
+	// the budget, route the token on. Reports whether the run is stopping.
+	finish := func(i, n int) bool {
+		if straggler && n > 0 && !stop.Load() {
+			// Simulate a slow machine (§3.3 ablation); skipped once
+			// stop is set so cancellation stays prompt.
+			time.Sleep(time.Duration(float64(time.Since(began)) * (cfg.Straggle - 1)))
+		}
+		batch += int64(n)
+		if batch >= 256 {
+			counter.Add(q, batch)
+			ahead, batch = ahead-batch, 0
+			// Worker-side budget check; see runSharedWorker.
+			if counter.Total() >= cfg.MaxUpdates {
+				stop.Store(true)
+			}
+		}
+
+		// Forward the token (lines 22–23): uniform, or the §3.3
+		// least-loaded choice between two candidates — the length
+		// probes are single atomic loads, never queue locks.
+		dst := 0
+		if loadBalance {
+			a, b := route.next(), route.next()
+			dst = a
+			if mesh.ApproxLen(b) < mesh.ApproxLen(a) {
+				dst = b
+			}
+		} else if p > 1 {
+			dst = route.next()
+		}
+		out[dst] = append(out[dst], in[i])
+		if len(out[dst]) >= threshold {
+			flush(dst)
+		}
+		return stop.Load()
+	}
+
+	// The simulated straggler times each token, so it keeps to token
+	// order; so does a hot path without a two-list kernel.
+	lanes := !straggler && (hp.pair != nil || hp.pair32 != nil)
+	var items [meshBlock]int32
+	var idle idleBackoff
+	for !stop.Load() {
 		k := mesh.RecvBatch(q, in[:])
 		if k == 0 {
 			// Nothing inbound: push pending tokens along so they keep
@@ -286,70 +352,16 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 			continue
 		}
 		idle.reset()
-		for i := 0; i < k; i++ {
-			tok := in[i]
-
-			// Warm what the next three tokens of the block will read.
-			j1, j2, j3 := -1, -1, -1
-			if i+1 < k {
-				j1 = int(in[i+1].item)
-			}
-			if i+2 < k {
-				j2 = int(in[i+2].item)
-			}
-			if i+3 < k {
-				j3 = int(in[i+3].item)
-			}
-			hp.prefetchAhead(lr, j1, j2, j3, nil)
-
-			// SGD over this worker's ratings for the item (lines 16–21).
-			j := int(tok.item)
-			usersJ, vals, counts := lr.itemRatings(j)
-			var began time.Time
-			if straggler {
-				began = time.Now()
-			}
-			hp.itemSGDItem(j, usersJ, vals, counts)
-			if straggler && len(usersJ) > 0 && !stop.Load() {
-				// Simulate a slow machine (§3.3 ablation); skipped once
-				// stop is set so cancellation stays prompt.
-				time.Sleep(time.Duration(float64(time.Since(began)) * (cfg.Straggle - 1)))
-			}
-			batch += int64(len(usersJ))
-			if batch >= 256 {
-				counter.Add(q, batch)
-				batch = 0
-				// Worker-side budget check; see runSharedWorker.
-				if counter.Total() >= cfg.MaxUpdates {
-					stop.Store(true)
-				}
-			}
-
-			// Forward the token (lines 22–23): uniform, or the §3.3
-			// least-loaded choice between two candidates — the length
-			// probes are single atomic loads, never queue locks.
-			dst := 0
-			if loadBalance {
-				a, b := route.next(), route.next()
-				dst = a
-				if mesh.ApproxLen(b) < mesh.ApproxLen(a) {
-					dst = b
-				}
-			} else if p > 1 {
-				dst = route.next()
-			}
-			out[dst] = append(out[dst], tok)
-			if len(out[dst]) >= threshold {
-				flush(dst)
-			}
-			if stop.Load() {
-				// Stop at the same token boundary the unbatched loop
-				// would: park the block's unprocessed remainder as the
-				// front of this worker's logical queue.
-				res.in = append(res.in, in[i+1:k]...)
-				stopped = true
-				break
-			}
+		for i, tok := range in[:k] {
+			items[i] = tok.item
+		}
+		// SGD over this worker's ratings for each token's item (lines
+		// 16–21), then finish. A stop leaves whole tokens only: park the
+		// block's untouched remainder as the front of this worker's
+		// logical queue.
+		if done := hp.runBlock(lr, items[:k], lanes, begin, finish); done < k {
+			res.in = append(res.in, in[done:k]...)
+			break
 		}
 	}
 	counter.Add(q, batch)

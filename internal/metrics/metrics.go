@@ -11,11 +11,28 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"unsafe"
 
 	"nomad/internal/factor"
 	"nomad/internal/sparse"
 	"nomad/internal/vecmath"
 )
+
+// rmseAhead is how many test entries ahead of the one being scored RMSE
+// prefetches the rows the entry names. Test entries come in no order
+// the hardware can predict, so on a table larger than the cache every
+// entry is a row miss; the hint changes which lines are resident, never
+// a sum. Like vecmath's item-pass look-ahead (same value) the gain is a
+// plateau: 4, 8 and 16 measured alike (EXPERIMENTS.md "Where the kernel
+// waits on itself").
+const rmseAhead = 8
+
+// residentBytes is the factor-table size up to which RMSE leaves a
+// table to the cache: a table that fits a core's private cache stays
+// resident under evaluation, and hinting it costs a call per entry for
+// nothing (netflix's 888 item rows; measured +10 %). The tables of the
+// shapes this repository runs are a factor of ten away on either side.
+const residentBytes = 1 << 20
 
 // RMSE returns the root-mean-square error of the model on the given
 // rating entries, computed in parallel. It returns NaN for an empty
@@ -28,16 +45,16 @@ func RMSE(md *factor.Model, test []sparse.Entry) float64 {
 	if workers > len(test) {
 		workers = 1
 	}
-	f32 := md.Precision() == factor.Float32
 	// Specialized prediction kernel, chosen once. The float32 path
 	// predicts with float32 accumulation — the same arithmetic its
 	// training kernels use — and only the squared-error sum is float64.
-	var dot vecmath.DotFunc
-	var dot32 vecmath.DotFunc32
-	if f32 {
-		dot32 = vecmath.DotKernel32(md.K)
+	var sum func(part []sparse.Entry) float64
+	if md.Precision() == factor.Float32 {
+		w, h, dot := md.WData32(), md.HData32(), vecmath.DotKernel32(md.K)
+		sum = func(part []sparse.Entry) float64 { return squaredError(part, w, h, md.K, dot) }
 	} else {
-		dot = vecmath.DotKernel(md.K)
+		w, h, dot := md.WData(), md.HData(), vecmath.DotKernel(md.K)
+		sum = func(part []sparse.Entry) float64 { return squaredError(part, w, h, md.K, dot) }
 	}
 	partials := make([]float64, workers)
 	var wg sync.WaitGroup
@@ -54,18 +71,7 @@ func RMSE(md *factor.Model, test []sparse.Entry) float64 {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var s float64
-			for _, e := range test[lo:hi] {
-				var pred float64
-				if f32 {
-					pred = float64(dot32(md.UserRow32(int(e.Row)), md.ItemRow32(int(e.Col))))
-				} else {
-					pred = dot(md.UserRow(int(e.Row)), md.ItemRow(int(e.Col)))
-				}
-				d := e.Val - pred
-				s += d * d
-			}
-			partials[w] = s
+			partials[w] = sum(test[lo:hi])
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -74,6 +80,29 @@ func RMSE(md *factor.Model, test []sparse.Entry) float64 {
 		total += p
 	}
 	return math.Sqrt(total / float64(len(test)))
+}
+
+// squaredError sums (value − prediction)² over part, in order, against
+// the flat row-major tables w and h of rank k.
+func squaredError[T float32 | float64](part []sparse.Entry, w, h []T, k int, dot func(a, b []T) T) float64 {
+	size := int(unsafe.Sizeof(w[0]))
+	aheadW, aheadH := len(w)*size > residentBytes, len(h)*size > residentBytes
+	var s float64
+	for x, e := range part {
+		if x+rmseAhead < len(part) {
+			a := part[x+rmseAhead]
+			if aheadW {
+				vecmath.Prefetch(w, int(a.Row)*k, k)
+			}
+			if aheadH {
+				vecmath.Prefetch(h, int(a.Col)*k, k)
+			}
+		}
+		i, j := int(e.Row)*k, int(e.Col)*k
+		d := e.Val - float64(dot(w[i:i+k], h[j:j+k]))
+		s += d * d
+	}
+	return s
 }
 
 // Objective returns the regularized training objective of paper

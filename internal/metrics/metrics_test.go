@@ -2,11 +2,13 @@ package metrics
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"nomad/internal/factor"
 	"nomad/internal/sparse"
+	"nomad/internal/vecmath"
 )
 
 func exactModel(t *testing.T) (*factor.Model, []sparse.Entry) {
@@ -65,6 +67,55 @@ func TestRMSELargeParallelMatchesSerial(t *testing.T) {
 	serial = math.Sqrt(serial / float64(len(test)))
 	if got := RMSE(md, test); math.Abs(got-serial) > 1e-12 {
 		t.Fatalf("parallel RMSE %v != serial %v", got, serial)
+	}
+}
+
+// TestRMSELookAheadChangesNoBit holds RMSE to the loop it was before
+// the row look-ahead, written out here: same chunks, same entries in
+// the same order through the same dispatched dot, same partial sums
+// added in the same order — so the result is equal to the last bit, in
+// both precisions, with the user table, the item table or neither past
+// residentBytes, for test sets shorter than, as long as and longer than
+// the look-ahead, naming the first and the last row of both tables.
+func TestRMSELookAheadChangesNoBit(t *testing.T) {
+	const k = 16
+	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
+		for _, shape := range [][2]int{{300, 40}, {20000, 40}, {40, 20000}} {
+			m, n := shape[0], shape[1]
+			md := factor.NewInitP(m, n, k, 5, prec)
+			for _, size := range []int{1, rmseAhead - 1, rmseAhead, rmseAhead + 1, 1000} {
+				test := make([]sparse.Entry, size)
+				for x := range test {
+					test[x] = sparse.Entry{Row: int32((x * 131) % m), Col: int32((x * 7) % n), Val: float64(1 + x%5)}
+				}
+				test[0].Row, test[0].Col = 0, int32(n-1)
+				test[size-1].Row, test[size-1].Col = int32(m-1), 0
+
+				workers := runtime.GOMAXPROCS(0)
+				if workers > size {
+					workers = 1
+				}
+				chunk := (size + workers - 1) / workers
+				var total float64
+				for lo := 0; lo < size; lo += chunk {
+					var part float64
+					for _, e := range test[lo:min(lo+chunk, size)] {
+						var pred float64
+						if prec == factor.Float32 {
+							pred = float64(vecmath.DotKernel32(k)(md.UserRow32(int(e.Row)), md.ItemRow32(int(e.Col))))
+						} else {
+							pred = vecmath.DotKernel(k)(md.UserRow(int(e.Row)), md.ItemRow(int(e.Col)))
+						}
+						d := e.Val - pred
+						part += d * d
+					}
+					total += part
+				}
+				if got, want := RMSE(md, test), math.Sqrt(total/float64(size)); got != want {
+					t.Errorf("%v, %d×%d, %d entries: RMSE %v, the loop without look-ahead %v", prec, m, n, size, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -360,6 +360,9 @@ func (w *bodyWriter) WriteHeader(int)             {}
 // query parse and a fresh heap and item slice per request, so the
 // ceiling sits between the two with room for toolchain drift.
 func TestRecommendHandlerAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector allocates per request on its own (11 measured); the ceiling is the plain build's")
+	}
 	md := longTailModel(5000, 16, factor.Float64)
 	store := NewStore()
 	store.Promote(&Epoch{Seq: 1, Model: md, Index: BuildIndex(md, nil)})

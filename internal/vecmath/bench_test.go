@@ -10,6 +10,7 @@ package vecmath
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"nomad/internal/rng"
@@ -124,40 +125,53 @@ func BenchmarkGradKernel(b *testing.B) {
 }
 
 // BenchmarkItemPassCold is the in-tree witness of the gap between the
-// item pass's arithmetic and its memory: the K=16 batched pass over a
-// shuffled user list, once against a W table far larger than the
-// last-level cache (every user row is a miss unless something fetched
-// it ahead) and once against a table that stays cache-resident (the
-// arithmetic alone). ns/rating is reported for both; the distance
-// between them is what look-ahead prefetching has to hide.
+// item pass's arithmetic and its memory, and between one dependency
+// chain and two: the K=16 batched pass over shuffled user lists against
+// a W table far larger than the last-level cache (every user row is a
+// miss unless something fetched it ahead), one about the size of it,
+// and one that stays cache-resident (the arithmetic alone) — through
+// the single-list kernel, and ("pair") two lists at a time through the
+// two-list kernel. ns/rating is reported for all; cold minus resident
+// is what look-ahead prefetching has to hide, single minus pair what a
+// second chain buys.
 func BenchmarkItemPassCold(b *testing.B) {
 	const k = 16
 	b.Run("f64", func(b *testing.B) {
-		pass := KernelFor(k).ItemPass
-		if pass == nil {
+		kn := KernelFor(k)
+		if kn.ItemPass == nil {
 			b.Skip("no batched item pass under NOMAD_REFERENCE_KERNELS")
 		}
-		benchItemPassRows(b, k, func(w []float64, users []int32, vals []float64, counts []int32, h []float64, steps []float64) {
-			pass(w, users, vals, counts, h, 1e-3, steps, nil)
-		})
+		benchItemPassRows(b, k, func(w []float64, a, c ItemList[float64], steps []float64) {
+			kn.ItemPass(w, a.Users, a.Vals, a.Counts, a.H, 1e-3, steps, nil)
+			kn.ItemPass(w, c.Users, c.Vals, c.Counts, c.H, 1e-3, steps, nil)
+		}, func(w []float64, a, c ItemList[float64], steps []float64) {
+			kn.ItemPassPair(w, a, c, 1e-3, steps, nil)
+		}, kn.ItemPassPair != nil)
 	})
 	b.Run("f32", func(b *testing.B) {
-		pass := KernelFor32(k).ItemPass
-		if pass == nil {
+		kn := KernelFor32(k)
+		if kn.ItemPass == nil {
 			b.Skip("no batched item pass under NOMAD_REFERENCE_KERNELS")
 		}
-		benchItemPassRows(b, k, func(w []float32, users []int32, vals []float64, counts []int32, h []float32, steps []float64) {
-			pass(w, users, vals, counts, h, 1e-3, steps, nil)
-		})
+		benchItemPassRows(b, k, func(w []float32, a, c ItemList[float32], steps []float64) {
+			kn.ItemPass(w, a.Users, a.Vals, a.Counts, a.H, 1e-3, steps, nil)
+			kn.ItemPass(w, c.Users, c.Vals, c.Counts, c.H, 1e-3, steps, nil)
+		}, func(w []float32, a, c ItemList[float32], steps []float64) {
+			kn.ItemPassPair(w, a, c, 1e-3, steps, nil)
+		}, kn.ItemPassPair != nil)
 	})
 }
 
+// benchItemPassRows times single (two lists, one after the other) and,
+// when the dispatch has a two-list kernel, pair (the same two lists in
+// lockstep) on each table shape.
 func benchItemPassRows[T float32 | float64](b *testing.B, k int,
-	pass func(w []T, users []int32, vals []float64, counts []int32, h []T, steps []float64)) {
+	single, pair func(w []T, a, c ItemList[T], steps []float64), havePair bool) {
 	const (
 		coldRows     = 1 << 20 // 128 MB of float64 rows at K=16, 64 MB of float32
+		l3Rows       = 1 << 16 // 8 MB of float64 rows: about one last-level cache
 		residentRows = 256
-		list         = 4096 // ratings per call: one popular item's local list
+		list         = 4096 // ratings per list: one popular item's local list
 	)
 	steps := make([]float64, 4096)
 	for t := range steps {
@@ -166,39 +180,49 @@ func benchItemPassRows[T float32 | float64](b *testing.B, k int,
 	for _, shape := range []struct {
 		name string
 		rows int
-	}{{"cold", coldRows}, {"resident", residentRows}} {
+		pass func(w []T, a, c ItemList[T], steps []float64)
+	}{
+		{"cold", coldRows, single}, {"l3", l3Rows, single}, {"resident", residentRows, single},
+		{"pair/cold", coldRows, pair}, {"pair/l3", l3Rows, pair}, {"pair/resident", residentRows, pair},
+	} {
 		b.Run(shape.name, func(b *testing.B) {
+			if !havePair && strings.HasPrefix(shape.name, "pair") {
+				b.Skip("no two-list kernel on this dispatch")
+			}
 			r := rng.New(uint64(shape.rows))
 			w := make([]T, shape.rows*k)
 			for i := range w {
 				w[i] = T(r.Uniform(-1, 1))
 			}
-			h := make([]T, k)
-			for i := range h {
-				h[i] = T(r.Uniform(-1, 1))
-			}
-			users := make([]int32, max(shape.rows, list))
+			users := make([]int32, max(shape.rows, 2*list))
 			for x := range users {
 				users[x] = int32(x % shape.rows)
 			}
 			r.Shuffle(len(users), func(i, j int) { users[i], users[j] = users[j], users[i] })
-			vals := make([]float64, list)
-			for x := range vals {
-				vals[x] = 0.7
+			var l [2]ItemList[T]
+			for i := range l {
+				l[i] = ItemList[T]{Vals: make([]float64, list), Counts: make([]int32, list), H: make([]T, k)}
+				for x := range l[i].Vals {
+					l[i].Vals[x] = 0.7
+				}
+				for x := range l[i].H {
+					l[i].H[x] = T(r.Uniform(-1, 1))
+				}
 			}
-			counts := make([]int32, list)
 			b.ResetTimer()
 			lo, calls := 0, 0
-			for done := 0; done < b.N; done += list {
+			for done := 0; done < b.N; done += 2 * list {
 				if calls++; calls%1024 == 0 {
-					clear(counts) // stay inside the tabulated steps
+					clear(l[0].Counts) // stay inside the tabulated steps
+					clear(l[1].Counts)
 				}
-				pass(w, users[lo:lo+list], vals, counts, h, steps)
-				if lo += list; lo+list > len(users) {
+				l[0].Users, l[1].Users = users[lo:lo+list], users[lo+list:lo+2*list]
+				shape.pass(w, l[0], l[1], steps)
+				if lo += 2 * list; lo+2*list > len(users) {
 					lo = 0
 				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+list-1)/list*list), "ns/rating")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64((b.N+2*list-1)/(2*list)*(2*list)), "ns/rating")
 		})
 	}
 }

@@ -124,6 +124,25 @@ type GradFunc func(w, h []float64, g, step, lambda float64)
 type ItemPassFunc func(wData []float64, users []int32, vals []float64,
 	counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64)
 
+// ItemList is one item's rating list as ItemPassPairFunc takes it: the
+// ItemPassFunc arguments that differ between two items.
+type ItemList[T float32 | float64] struct {
+	Users  []int32
+	Vals   []float64
+	Counts []int32
+	H      []T
+}
+
+// ItemPassPairFunc advances two different items' lists in lockstep —
+// a's x-th rating, then b's — for min(len(a.Users), len(b.Users))
+// ratings of each, leaving the longer list's tail to the caller. Two
+// lists are two independent dependency chains through their item rows,
+// which one list never offers (DESIGN.md §4 piece 5). The result is
+// that of ItemPassFunc on the same ratings in the same alternating
+// order; a.H and b.H must be different rows.
+type ItemPassPairFunc func(wData []float64, a, b ItemList[float64],
+	lambda float64, steps []float64, slow func(int) float64)
+
 // itemPassAhead is how many ratings ahead of the one being stepped the
 // SIMD item passes prefetch the user row. An item's rating list names
 // its user rows in an order the hardware cannot predict, so without the
@@ -159,6 +178,10 @@ type Kernel struct {
 	// ItemPassFunc. It is nil under NOMAD_REFERENCE_KERNELS (callers
 	// fall back to their per-rating loops).
 	ItemPass ItemPassFunc
+	// ItemPassPair is nil wherever there is no two-list kernel (every
+	// rank but 16, every GOARCH but amd64, either switch set): callers
+	// run the lists one after the other.
+	ItemPassPair ItemPassPairFunc
 }
 
 // KernelFor returns the kernels specialized for rank k: AVX2/FMA

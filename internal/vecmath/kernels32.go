@@ -34,6 +34,10 @@ type GradFunc32 func(w, h []float32, g, step, lambda float32)
 type ItemPassFunc32 func(wData []float32, users []int32, vals []float64,
 	counts []int32, h []float32, lambda float32, steps []float64, slow func(int) float64)
 
+// ItemPassPairFunc32 is the float32 ItemPassPairFunc.
+type ItemPassPairFunc32 func(wData []float32, a, b ItemList[float32],
+	lambda float32, steps []float64, slow func(int) float64)
+
 // Kernel32 bundles the float32 hot-path kernels for one rank.
 type Kernel32 struct {
 	K    int
@@ -42,6 +46,8 @@ type Kernel32 struct {
 	Grad GradFunc32
 	// ItemPass is nil under NOMAD_REFERENCE_KERNELS, like Kernel.ItemPass.
 	ItemPass ItemPassFunc32
+	// ItemPassPair is nil wherever Kernel.ItemPassPair is.
+	ItemPassPair ItemPassPairFunc32
 }
 
 // KernelFor32 is the float32 twin of KernelFor: AVX2 kernels when the

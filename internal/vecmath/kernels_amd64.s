@@ -5,7 +5,9 @@
 // callers pass the base pointer and element count and the kernels never
 // touch memory outside [ptr, ptr+n). All functions are NOSPLIT leaf
 // routines with no stack frame, and every exit runs VZEROUPPER so mixed
-// SSE code after a call pays no AVX transition penalty.
+// SSE code after a call pays no AVX transition penalty. Loop heads sit
+// behind PCALIGN $32 and new kernels go at the end of the file, so
+// growth elsewhere does not move a loop across a fetch window.
 //
 // Numerics: the dot products accumulate into 4 YMM registers (16 f64 /
 // 32 f32 partial sums) with fused multiply-adds, so results differ from
@@ -30,6 +32,7 @@
 	VXORPD X1, X1, X1                             \
 	VXORPD X2, X2, X2                             \
 	VXORPD X3, X3, X3                             \
+	PCALIGN $32                                   \
 lblk:                                                 \
 	CMPQ CX, $16                                  \
 	JLT  loct                                     \
@@ -101,6 +104,7 @@ TEXT ·dotAVX(SB), NOSPLIT, $0-32
 // broadcast. Clobbers SI, DI, CX, Y0-Y3, Y12-Y15 (X5 preserved: it
 // carries fstepAVX's residual).
 #define UPD64(loct, lquad, lsca, ldone)               \
+	PCALIGN $32                                   \
 loct:                                                 \
 	CMPQ CX, $8                                   \
 	JLT  lquad                                    \
@@ -211,6 +215,7 @@ TEXT ·fstepAVX(SB), NOSPLIT, $0-56
 	VXORPS X1, X1, X1                             \
 	VXORPS X2, X2, X2                             \
 	VXORPS X3, X3, X3                             \
+	PCALIGN $32                                   \
 lblk:                                                 \
 	CMPQ CX, $32                                  \
 	JLT  lhex                                     \
@@ -277,6 +282,7 @@ TEXT ·dotAVX32(SB), NOSPLIT, $0-28
 // float32 SGD update loop body; expects Y10/X10 = sg, Y11/X11 = sl.
 // Clobbers SI, DI, CX, Y0-Y3, Y12-Y15 (X5 preserved).
 #define UPD32(lhex, loct, lsca, ldone)                \
+	PCALIGN $32                                   \
 lhex:                                                 \
 	CMPQ CX, $16                                  \
 	JLT  loct                                     \
@@ -436,6 +442,7 @@ rlquad:
 rloaded:
 	MOVQ SI, R9
 	MOVQ CX, R10
+	PCALIGN $32
 rrow:
 	VXORPD X0, X0, X0
 	VXORPD X1, X1, X1
@@ -549,6 +556,7 @@ rloct32:
 rloaded32:
 	MOVQ SI, R9
 	MOVQ CX, R10
+	PCALIGN $32
 rrow32:
 	VXORPS X0, X0, X0
 	VXORPS X1, X1, X1
@@ -611,7 +619,7 @@ rmem32:
 	RET
 
 // ---------------------------------------------------------------------
-// prefetch (kept last: no kernel above may move or change alignment)
+// prefetch
 // ---------------------------------------------------------------------
 
 // func prefetchT0(p unsafe.Pointer, n uintptr)
@@ -626,4 +634,334 @@ pfline:
 	ADDQ $64, AX
 	SUBQ $64, CX
 	JGT  pfline
+	RET
+
+// ---------------------------------------------------------------------
+// whole-list K=16 item passes (DESIGN.md §4 piece 5)
+// ---------------------------------------------------------------------
+//
+// One call walks a rating list: bounds and step-table checks, the
+// count increment, the 8-ahead row prefetch and the fused step all stay
+// here, and the item row h never leaves its YMM registers between
+// ratings. The arithmetic is fstepAVX's (fstepAVX32's) at n = 16,
+// instruction for instruction with the same operand roles — the
+// accumulators are zeroed and summed in the same order, the zero
+// partial sums of the float32 reduction included — so a list run here
+// is bit-identical to the same list run one fstepAVX call per rating.
+// Only the loads moved: w is read once into Y4-Y7 (Y4,Y5) for both the
+// dot and the update, h comes from registers.
+//
+// Stop-early contract: a kernel returns how many ratings it applied and
+// stops before touching one whose user index is not in [0, rows) or
+// whose count is not inside the step table (both compared unsigned, so
+// negatives stop too). The Go wrappers run that one rating through the
+// checked per-rating path and re-enter.
+
+// One 4-lane quarter of the simultaneous update (UPD64's arithmetic):
+// W is the loaded user quarter, H the register-resident item quarter,
+// Y2 = sg, Y3 = sl.
+#define UPDQ64(WP, OFF, W, H)                         \
+	VMOVAPD W, Y0                                 \
+	VFMADD231PD Y2, H, Y0                         \
+	VFNMADD231PD Y3, W, Y0                        \
+	VMOVAPD H, Y1                                 \
+	VFMADD231PD Y2, W, Y1                         \
+	VFNMADD231PD Y3, H, Y1                        \
+	VMOVUPD Y0, OFF(WP)                           \
+	VMOVAPD Y1, H
+
+// UPDQ64 on 8 float32 lanes.
+#define UPDQ32(WP, OFF, W, H)                         \
+	VMOVAPS W, Y0                                 \
+	VFMADD231PS Y2, H, Y0                         \
+	VFNMADD231PS Y3, W, Y0                        \
+	VMOVAPS H, Y1                                 \
+	VFMADD231PS Y2, W, Y1                         \
+	VFNMADD231PS Y3, H, Y1                        \
+	VMOVUPS Y0, OFF(WP)                           \
+	VMOVAPS Y1, H
+
+// One float64 step on the row at WP against the item row in H0-H3,
+// written back to both. T holds the rating's count (the step-table
+// index). Clobbers Y0-Y7.
+#define STEP16_64(WP, H0, H1, H2, H3, RATING, STEPS, T, LAMBDA) \
+	VXORPD X0, X0, X0                             \
+	VXORPD X1, X1, X1                             \
+	VXORPD X2, X2, X2                             \
+	VXORPD X3, X3, X3                             \
+	VMOVUPD (WP), Y4                              \
+	VMOVUPD 32(WP), Y5                            \
+	VMOVUPD 64(WP), Y6                            \
+	VMOVUPD 96(WP), Y7                            \
+	VFMADD231PD H0, Y4, Y0                        \
+	VFMADD231PD H1, Y5, Y1                        \
+	VFMADD231PD H2, Y6, Y2                        \
+	VFMADD231PD H3, Y7, Y3                        \
+	VADDPD Y1, Y0, Y0                             \
+	VADDPD Y3, Y2, Y2                             \
+	VADDPD Y2, Y0, Y0                             \
+	VEXTRACTF128 $1, Y0, X1                       \
+	VADDPD X1, X0, X0                             \
+	VHADDPD X0, X0, X0                            \
+	VMOVSD RATING, X1                             \
+	VSUBSD X0, X1, X1                             \
+	VMOVSD (STEPS)(T*8), X0                       \
+	VMULSD X1, X0, X2                             \
+	VMULSD LAMBDA, X0, X3                         \
+	VBROADCASTSD X2, Y2                           \
+	VBROADCASTSD X3, Y3                           \
+	UPDQ64(WP, 0, Y4, H0)                         \
+	UPDQ64(WP, 32, Y5, H1)                        \
+	UPDQ64(WP, 64, Y6, H2)                        \
+	UPDQ64(WP, 96, Y7, H3)
+
+// The float32 step: item row in H0,H1 (H2,H3 are unused: one signature
+// for both precisions); the rating and the tabulated step are float64
+// in memory and narrowed here, as the Go loop does.
+#define STEP16_32(WP, H0, H1, H2, H3, RATING, STEPS, T, LAMBDA) \
+	VXORPS X0, X0, X0                             \
+	VXORPS X1, X1, X1                             \
+	VXORPS X2, X2, X2                             \
+	VXORPS X3, X3, X3                             \
+	VMOVUPS (WP), Y4                              \
+	VMOVUPS 32(WP), Y5                            \
+	VFMADD231PS H0, Y4, Y0                        \
+	VFMADD231PS H1, Y5, Y1                        \
+	VADDPS Y1, Y0, Y0                             \
+	VADDPS Y3, Y2, Y2                             \
+	VADDPS Y2, Y0, Y0                             \
+	VEXTRACTF128 $1, Y0, X1                       \
+	VADDPS X1, X0, X0                             \
+	VHADDPS X0, X0, X0                            \
+	VHADDPS X0, X0, X0                            \
+	VCVTSD2SS RATING, X1, X1                      \
+	VSUBSS X0, X1, X1                             \
+	VCVTSD2SS (STEPS)(T*8), X0, X0                \
+	VMULSS X1, X0, X2                             \
+	VMULSS LAMBDA, X0, X3                         \
+	VBROADCASTSS X2, Y2                           \
+	VBROADCASTSS X3, Y3                           \
+	UPDQ32(WP, 0, Y4, H0)                         \
+	UPDQ32(WP, 32, Y5, H1)
+
+// Prefetch the user row itemPassAhead (8) ratings past X when the list
+// (N ratings) reaches that far. SHIFT is log2 of the row size: a
+// float64 row is two lines, a float32 row one. A hint only — a wild
+// index prefetches a wild address and faults nothing.
+#define AHEAD64(USERS, X, N, W, TMP, lskip)           \
+	LEAQ 8(X), TMP                                \
+	CMPQ TMP, N                                   \
+	JGE  lskip                                    \
+	MOVLQSX (USERS)(TMP*4), TMP                   \
+	SHLQ $7, TMP                                  \
+	PREFETCHT0 (W)(TMP*1)                         \
+	PREFETCHT0 64(W)(TMP*1)                       \
+lskip:
+
+#define AHEAD32(USERS, X, N, W, TMP, lskip)           \
+	LEAQ 8(X), TMP                                \
+	CMPQ TMP, N                                   \
+	JGE  lskip                                    \
+	MOVLQSX (USERS)(TMP*4), TMP                   \
+	SHLQ $6, TMP                                  \
+	PREFETCHT0 (W)(TMP*1)                         \
+lskip:
+
+// The single-list loop on the registers of itemPass16AVX: STEP and
+// AHEAD are the precision's step and look-ahead macros, SHIFT is log2
+// of its row size.
+#define ONELIST(STEP, AHEAD, SHIFT, LAMBDA, lloop, lskip, ldone) \
+lloop:                                                \
+	CMPQ AX, R12                                  \
+	JGE  ldone                                    \
+	AHEAD(R9, AX, R12, R8, SI, lskip)             \
+	MOVLQSX (R9)(AX*4), SI                        \
+	CMPQ SI, DX                                   \
+	JAE  ldone                                    \
+	MOVL (R11)(AX*4), CX                          \
+	CMPQ CX, BX                                   \
+	JAE  ldone                                    \
+	INCL (R11)(AX*4)                              \
+	SHLQ SHIFT, SI                                \
+	ADDQ R8, SI                                   \
+	STEP(SI, Y8, Y9, Y10, Y11, (R10)(AX*8), R13, CX, LAMBDA) \
+	INCQ AX                                       \
+	JMP  lloop                                    \
+ldone:
+
+// The two-list loop on the registers of itemPassPair16AVX; list B's
+// item row is in B0-B3. Both ratings of an iteration are checked before
+// either is applied.
+#define TWOLIST(STEP, AHEAD, SHIFT, B0, B1, B2, B3, ROWS, NSTEPS, NA, NB, LAMBDA, lloop, lskipA, lskipB, ldone) \
+lloop:                                                \
+	CMPQ AX, R12                                  \
+	JGE  ldone                                    \
+	AHEAD(R9, AX, NA, R8, SI, lskipA)             \
+	AHEAD(BX, AX, NB, R8, SI, lskipB)             \
+	MOVLQSX (BX)(AX*4), SI                        \
+	CMPQ SI, ROWS                                 \
+	JAE  ldone                                    \
+	MOVL (DI)(AX*4), CX                           \
+	CMPQ CX, NSTEPS                               \
+	JAE  ldone                                    \
+	MOVLQSX (R9)(AX*4), SI                        \
+	CMPQ SI, ROWS                                 \
+	JAE  ldone                                    \
+	MOVL (R11)(AX*4), CX                          \
+	CMPQ CX, NSTEPS                               \
+	JAE  ldone                                    \
+	INCL (R11)(AX*4)                              \
+	SHLQ SHIFT, SI                                \
+	ADDQ R8, SI                                   \
+	STEP(SI, Y8, Y9, Y10, Y11, (R10)(AX*8), R13, CX, LAMBDA) \
+	MOVLQSX (BX)(AX*4), SI                        \
+	MOVL (DI)(AX*4), CX                           \
+	INCL (DI)(AX*4)                               \
+	SHLQ SHIFT, SI                                \
+	ADDQ R8, SI                                   \
+	STEP(SI, B0, B1, B2, B3, (DX)(AX*8), R13, CX, LAMBDA) \
+	INCQ AX                                       \
+	JMP  lloop                                    \
+ldone:
+
+// func itemPass16AVX(w *float64, rows int, users *int32, vals *float64, counts *int32, n int, h *float64, lambda float64, steps *float64, nsteps int) int
+//
+// Registers: R8 = w, DX = rows, R9/R10/R11 = users/vals/counts,
+// R12 = n, R13 = steps, BX = nsteps, DI = h, AX = x (ratings applied),
+// SI = user index then row pointer, CX = count. Y8-Y11 = h.
+TEXT ·itemPass16AVX(SB), NOSPLIT, $0-88
+	MOVQ w+0(FP), R8
+	MOVQ rows+8(FP), DX
+	MOVQ users+16(FP), R9
+	MOVQ vals+24(FP), R10
+	MOVQ counts+32(FP), R11
+	MOVQ n+40(FP), R12
+	MOVQ h+48(FP), DI
+	MOVQ steps+64(FP), R13
+	MOVQ nsteps+72(FP), BX
+	XORQ AX, AX
+	VMOVUPD (DI), Y8
+	VMOVUPD 32(DI), Y9
+	VMOVUPD 64(DI), Y10
+	VMOVUPD 96(DI), Y11
+	PCALIGN $32
+	ONELIST(STEP16_64, AHEAD64, $7, lambda+56(FP), ip64loop, ip64skip, ip64done)
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	VMOVUPD Y10, 64(DI)
+	VMOVUPD Y11, 96(DI)
+	VZEROUPPER
+	MOVQ AX, ret+80(FP)
+	RET
+
+// func itemPass16AVX32(w *float32, rows int, users *int32, vals *float64, counts *int32, n int, h *float32, lambda float32, steps *float64, nsteps int) int
+//
+// itemPass16AVX on float32 rows: same registers, h in Y8,Y9.
+TEXT ·itemPass16AVX32(SB), NOSPLIT, $0-88
+	MOVQ w+0(FP), R8
+	MOVQ rows+8(FP), DX
+	MOVQ users+16(FP), R9
+	MOVQ vals+24(FP), R10
+	MOVQ counts+32(FP), R11
+	MOVQ n+40(FP), R12
+	MOVQ h+48(FP), DI
+	MOVQ steps+64(FP), R13
+	MOVQ nsteps+72(FP), BX
+	XORQ AX, AX
+	VMOVUPS (DI), Y8
+	VMOVUPS 32(DI), Y9
+	PCALIGN $32
+	ONELIST(STEP16_32, AHEAD32, $6, lambda+56(FP), ip32loop, ip32skip, ip32done)
+	VMOVUPS Y8, (DI)
+	VMOVUPS Y9, 32(DI)
+	VZEROUPPER
+	MOVQ AX, ret+80(FP)
+	RET
+
+// func itemPassPair16AVX(w *float64, rows int, steps *float64, nsteps int, lambda float64, usersA *int32, valsA *float64, countsA *int32, hA *float64, nA int, usersB *int32, valsB *float64, countsB *int32, hB *float64, nB int) int
+//
+// Two lists in lockstep, A[x] then B[x], for min(nA, nB) ratings: two
+// independent dependency chains (through hA in Y8-Y11 and through hB
+// in Y12-Y15) that the out-of-order core overlaps; program order is
+// still A[x], B[x], so lists that share a user row stay correct. The
+// return value x means A[0:x] and B[0:x] are applied and nothing else
+// is touched. The look-ahead prefetch runs to each list's own end.
+//
+// Registers: R8 = w, R13 = steps, R12 = min(nA, nB), AX = x,
+// R9/R10/R11 = usersA/valsA/countsA, BX/DX/DI = usersB/valsB/countsB,
+// SI = user index then row pointer, CX = count; rows, nsteps, nA, nB,
+// lambda, hA and hB are read from the frame.
+TEXT ·itemPassPair16AVX(SB), NOSPLIT, $0-128
+	MOVQ w+0(FP), R8
+	MOVQ steps+16(FP), R13
+	MOVQ usersA+40(FP), R9
+	MOVQ valsA+48(FP), R10
+	MOVQ countsA+56(FP), R11
+	MOVQ usersB+80(FP), BX
+	MOVQ valsB+88(FP), DX
+	MOVQ countsB+96(FP), DI
+	MOVQ nA+72(FP), R12
+	MOVQ nB+112(FP), CX
+	CMPQ CX, R12
+	CMOVQLT CX, R12
+	MOVQ hA+64(FP), SI
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	VMOVUPD 64(SI), Y10
+	VMOVUPD 96(SI), Y11
+	MOVQ hB+104(FP), SI
+	VMOVUPD (SI), Y12
+	VMOVUPD 32(SI), Y13
+	VMOVUPD 64(SI), Y14
+	VMOVUPD 96(SI), Y15
+	XORQ AX, AX
+	PCALIGN $32
+	TWOLIST(STEP16_64, AHEAD64, $7, Y12, Y13, Y14, Y15, rows+8(FP), nsteps+24(FP), nA+72(FP), nB+112(FP), lambda+32(FP), pp64loop, pp64skipA, pp64skipB, pp64done)
+	MOVQ hA+64(FP), SI
+	VMOVUPD Y8, (SI)
+	VMOVUPD Y9, 32(SI)
+	VMOVUPD Y10, 64(SI)
+	VMOVUPD Y11, 96(SI)
+	MOVQ hB+104(FP), SI
+	VMOVUPD Y12, (SI)
+	VMOVUPD Y13, 32(SI)
+	VMOVUPD Y14, 64(SI)
+	VMOVUPD Y15, 96(SI)
+	VZEROUPPER
+	MOVQ AX, ret+120(FP)
+	RET
+
+// func itemPassPair16AVX32(w *float32, rows int, steps *float64, nsteps int, lambda float32, usersA *int32, valsA *float64, countsA *int32, hA *float32, nA int, usersB *int32, valsB *float64, countsB *int32, hB *float32, nB int) int
+//
+// itemPassPair16AVX on float32 rows: hA in Y8,Y9, hB in Y10,Y11.
+TEXT ·itemPassPair16AVX32(SB), NOSPLIT, $0-128
+	MOVQ w+0(FP), R8
+	MOVQ steps+16(FP), R13
+	MOVQ usersA+40(FP), R9
+	MOVQ valsA+48(FP), R10
+	MOVQ countsA+56(FP), R11
+	MOVQ usersB+80(FP), BX
+	MOVQ valsB+88(FP), DX
+	MOVQ countsB+96(FP), DI
+	MOVQ nA+72(FP), R12
+	MOVQ nB+112(FP), CX
+	CMPQ CX, R12
+	CMOVQLT CX, R12
+	MOVQ hA+64(FP), SI
+	VMOVUPS (SI), Y8
+	VMOVUPS 32(SI), Y9
+	MOVQ hB+104(FP), SI
+	VMOVUPS (SI), Y10
+	VMOVUPS 32(SI), Y11
+	XORQ AX, AX
+	PCALIGN $32
+	TWOLIST(STEP16_32, AHEAD32, $6, Y10, Y11, Y10, Y11, rows+8(FP), nsteps+24(FP), nA+72(FP), nB+112(FP), lambda+32(FP), pp32loop, pp32skipA, pp32skipB, pp32done)
+	MOVQ hA+64(FP), SI
+	VMOVUPS Y8, (SI)
+	VMOVUPS Y9, 32(SI)
+	MOVQ hB+104(FP), SI
+	VMOVUPS Y10, (SI)
+	VMOVUPS Y11, 32(SI)
+	VZEROUPPER
+	MOVQ AX, ret+120(FP)
 	RET

@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -156,8 +157,9 @@ func TestSIMDGradMatchesReference(t *testing.T) {
 
 // itemPassLens are the rating-list lengths the item-pass tests run:
 // every side of the look-ahead distance (a list shorter than, equal to
-// and just past it, and one several windows long) plus a long list.
-var itemPassLens = []int{0, 1, itemPassAhead - 1, itemPassAhead, itemPassAhead + 1, 3*itemPassAhead + 1, 60}
+// and just past it, and one several windows long), a long list, and one
+// the size of a popular item's (the whole-list kernels' home ground).
+var itemPassLens = []int{0, 1, itemPassAhead - 1, itemPassAhead, itemPassAhead + 1, 3*itemPassAhead + 1, 60, 4096}
 
 // itemPassUsers draws the users of one n-rating list over an
 // nUsers-row table sized exactly, so a look-ahead that indexes past
@@ -226,6 +228,226 @@ func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// stepList is the oracle of the batched item passes, written out here:
+// ratings [from, to) of one list, one Kernel.Step (Kernel32.Step) call
+// each, the count moved and the step looked up the way every per-rating
+// loop does it. A user index outside wData panics on the row slice,
+// after the count moved and before any row is written.
+func stepList[T float32 | float64](step func(w, h []T, rating, step, lambda T) T, k int,
+	wData []T, l ItemList[T], from, to int, lambda T, steps []float64, slow func(int) float64) {
+	for x := from; x < to; x++ {
+		tc := l.Counts[x]
+		l.Counts[x] = tc + 1
+		var st float64
+		if int(tc) < len(steps) {
+			st = steps[tc]
+		} else {
+			st = slow(int(tc))
+		}
+		w := wData[int(l.Users[x])*k:][:k]
+		step(w, l.H, T(l.Vals[x]), T(st), lambda)
+	}
+}
+
+// passFixture is a random nUsers-row table and n-rating list over it
+// (itemPassUsers' shape: rows 0 and nUsers−1, a repeated user) with
+// counts straddling the end of a table of tableLen steps, and a deep
+// copy of both for the oracle.
+type passFixture[T float32 | float64] struct {
+	w, wRef []T
+	l, lRef ItemList[T]
+}
+
+func newPassFixture[T float32 | float64](r *rng.Source, k, nUsers, n, tableLen int) passFixture[T] {
+	var f passFixture[T]
+	f.w = make([]T, nUsers*k)
+	for i := range f.w {
+		f.w[i] = T(r.Uniform(-1, 1))
+	}
+	f.l = ItemList[T]{Users: itemPassUsers(r, n, nUsers), Vals: make([]float64, n),
+		Counts: make([]int32, n), H: make([]T, k)}
+	for i := range f.l.H {
+		f.l.H[i] = T(r.Uniform(-1, 1))
+	}
+	for x := range f.l.Vals {
+		f.l.Vals[x] = r.Uniform(-3, 3)
+		f.l.Counts[x] = int32(r.Intn(tableLen + 3))
+	}
+	f.wRef = append([]T(nil), f.w...)
+	f.lRef = ItemList[T]{Users: f.l.Users, Vals: f.l.Vals,
+		Counts: append([]int32(nil), f.l.Counts...), H: append([]T(nil), f.l.H...)}
+	return f
+}
+
+// diff names the first place the kernel's side differs from the
+// oracle's, bit for bit, or returns "".
+func (f *passFixture[T]) diff() string {
+	for i := range f.w {
+		if f.w[i] != f.wRef[i] {
+			return fmt.Sprintf("wData[%d] = %v, per-rating %v", i, f.w[i], f.wRef[i])
+		}
+	}
+	for i := range f.l.H {
+		if f.l.H[i] != f.lRef.H[i] {
+			return fmt.Sprintf("h[%d] = %v, per-rating %v", i, f.l.H[i], f.lRef.H[i])
+		}
+	}
+	for i := range f.l.Counts {
+		if f.l.Counts[i] != f.lRef.Counts[i] {
+			return fmt.Sprintf("counts[%d] = %d, per-rating %d", i, f.l.Counts[i], f.lRef.Counts[i])
+		}
+	}
+	return ""
+}
+
+// panics reports whether fn panicked.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+// testItemPassStops drives one precision's K=16 whole-list kernel at
+// the ratings it must hand back to the checked path. Step tables of 5
+// entries and of none: the slow closure runs exactly as often as the
+// per-rating loop runs it. A user index past the table's rows or below
+// zero, first, in the middle and last in the list: the same panic as
+// the per-rating loop, at the same rating, with the same rows, item row
+// and counts left behind — every earlier rating applied, the bad one's
+// count moved, no row written for it.
+func testItemPassStops[T float32 | float64](t *testing.T,
+	step func(w, h []T, rating, step, lambda T) T,
+	pass func(wData []T, users []int32, vals []float64, counts []int32, h []T, lambda T, steps []float64, slow func(int) float64)) {
+	const k, nUsers = 16, 10
+	r := rng.New(47)
+	for _, tableLen := range []int{5, 0} {
+		steps := make([]float64, tableLen)
+		for i := range steps {
+			steps[i] = r.Uniform(0.001, 0.1)
+		}
+		for _, n := range itemPassLens {
+			f := newPassFixture[T](r, k, nUsers, n, tableLen)
+			var slowRef, slowGot int
+			stepList(step, k, f.wRef, f.lRef, 0, n, 0.02, steps,
+				func(t int) float64 { slowRef++; return 0.01 / float64(t+1) })
+			pass(f.w, f.l.Users, f.l.Vals, f.l.Counts, f.l.H, 0.02, steps,
+				func(t int) float64 { slowGot++; return 0.01 / float64(t+1) })
+			if d := f.diff(); d != "" {
+				t.Fatalf("table %d, n=%d: %s", tableLen, n, d)
+			}
+			if slowGot != slowRef || (n >= 60 && slowRef == 0) {
+				t.Fatalf("table %d, n=%d: slow path ran %d times, per-rating loop %d", tableLen, n, slowGot, slowRef)
+			}
+		}
+	}
+	steps := []float64{0.05, 0.04, 0.03, 0.02, 0.01}
+	slow := func(t int) float64 { return 0.01 / float64(t+1) }
+	for _, bad := range []int32{nUsers, -1, 1 << 30, -1 << 31} {
+		for _, at := range []int{0, 11, 19} {
+			f := newPassFixture[T](r, k, nUsers, 20, len(steps))
+			f.l.Users[at] = bad
+			if !panics(func() { stepList(step, k, f.wRef, f.lRef, 0, 20, 0.02, steps, slow) }) {
+				t.Fatal("the oracle accepted a bad user index")
+			}
+			if !panics(func() { pass(f.w, f.l.Users, f.l.Vals, f.l.Counts, f.l.H, 0.02, steps, slow) }) {
+				t.Fatalf("user %d at %d: no panic", bad, at)
+			}
+			if d := f.diff(); d != "" {
+				t.Fatalf("user %d at %d: after the panic %s", bad, at, d)
+			}
+		}
+	}
+}
+
+func TestSIMDItemPassStopsWhereThePerRatingLoopChecks(t *testing.T) {
+	forceSIMD(t)
+	t.Run("f64", func(t *testing.T) { testItemPassStops(t, KernelFor(16).Step, KernelFor(16).ItemPass) })
+	t.Run("f32", func(t *testing.T) { testItemPassStops(t, KernelFor32(16).Step, KernelFor32(16).ItemPass) })
+}
+
+// testItemPassPair: the two-list kernel against the order it promises —
+// A[x], B[x] alternately through Kernel.Step — and then the longer
+// list's tail through the single-list pass, on lists that share users
+// (both open on row 0 and close on the last row), with a short step
+// table so the checked path is taken mid-pair, and with a bad user
+// index in either list (the alternation's panic, and its state).
+func testItemPassPair[T float32 | float64](t *testing.T,
+	step func(w, h []T, rating, step, lambda T) T,
+	pass func(wData []T, users []int32, vals []float64, counts []int32, h []T, lambda T, steps []float64, slow func(int) float64),
+	pair func(wData []T, a, b ItemList[T], lambda T, steps []float64, slow func(int) float64)) {
+	const k, nUsers = 16, 10
+	r := rng.New(48)
+	steps := []float64{0.05, 0.04, 0.03, 0.02, 0.01}
+	alternate := func(w []T, a, b ItemList[T], slow func(int) float64) {
+		n := min(len(a.Users), len(b.Users))
+		for x := 0; x < n; x++ {
+			stepList(step, k, w, a, x, x+1, 0.02, steps, slow)
+			stepList(step, k, w, b, x, x+1, 0.02, steps, slow)
+		}
+		stepList(step, k, w, a, n, len(a.Users), 0.02, steps, slow)
+		stepList(step, k, w, b, n, len(b.Users), 0.02, steps, slow)
+	}
+	tail := func(l ItemList[T], n int) ItemList[T] {
+		return ItemList[T]{Users: l.Users[n:], Vals: l.Vals[n:], Counts: l.Counts[n:], H: l.H}
+	}
+	for _, lens := range [][2]int{{40, 40}, {40, 13}, {0, 9}, {7, 0}, {1, 1}, {4096, 3000}} {
+		for _, bad := range []int{-1, 0, 1} { // no bad index, one in A, one in B
+			if bad >= 0 && lens[bad] < 7 {
+				continue
+			}
+			fa := newPassFixture[T](r, k, nUsers, lens[0], len(steps))
+			fb := newPassFixture[T](r, k, nUsers, lens[1], len(steps))
+			fb.w, fb.wRef = fa.w, fa.wRef // one table under both lists
+			if bad >= 0 {
+				[]ItemList[T]{fa.l, fb.l}[bad].Users[5] = nUsers
+			}
+			var slowRef, slowGot int
+			refPanicked := panics(func() {
+				alternate(fa.wRef, fa.lRef, fb.lRef, func(t int) float64 { slowRef++; return 0.01 / float64(t+1) })
+			})
+			gotPanicked := panics(func() {
+				slow := func(t int) float64 { slowGot++; return 0.01 / float64(t+1) }
+				pair(fa.w, fa.l, fb.l, 0.02, steps, slow)
+				n := min(lens[0], lens[1])
+				ta, tb := tail(fa.l, n), tail(fb.l, n)
+				pass(fa.w, ta.Users, ta.Vals, ta.Counts, ta.H, 0.02, steps, slow)
+				pass(fa.w, tb.Users, tb.Vals, tb.Counts, tb.H, 0.02, steps, slow)
+			})
+			if refPanicked != (bad >= 0) || gotPanicked != refPanicked {
+				t.Fatalf("lens %v bad %d: pair panicked %v, alternation %v", lens, bad, gotPanicked, refPanicked)
+			}
+			if d := fa.diff(); d != "" {
+				t.Fatalf("lens %v bad %d: list A: %s", lens, bad, d)
+			}
+			if d := fb.diff(); d != "" {
+				t.Fatalf("lens %v bad %d: list B: %s", lens, bad, d)
+			}
+			if slowGot != slowRef {
+				t.Fatalf("lens %v bad %d: slow path ran %d times, alternation %d", lens, bad, slowGot, slowRef)
+			}
+		}
+	}
+}
+
+func TestItemPassPairMatchesAlternation(t *testing.T) {
+	forceSIMD(t)
+	t.Run("f64", func(t *testing.T) {
+		kn := KernelFor(16)
+		testItemPassPair(t, kn.Step, kn.ItemPass, kn.ItemPassPair)
+	})
+	t.Run("f32", func(t *testing.T) {
+		kn := KernelFor32(16)
+		testItemPassPair(t, kn.Step, kn.ItemPass, kn.ItemPassPair)
+	})
+	if KernelFor(8).ItemPassPair != nil || KernelFor32(17).ItemPassPair != nil {
+		t.Fatal("a two-list kernel for a rank that has none")
+	}
+	SetSIMD(false)
+	if KernelFor(16).ItemPassPair != nil || KernelFor32(16).ItemPassPair != nil {
+		t.Fatal("a two-list kernel with the assembly switched off")
 	}
 }
 

@@ -41,6 +41,18 @@ func dotRowsAVX32(user, rows, out *float32, k, n int)
 //go:noescape
 func prefetchT0(p unsafe.Pointer, n uintptr)
 
+//go:noescape
+func itemPass16AVX(w *float64, rows int, users *int32, vals *float64, counts *int32, n int, h *float64, lambda float64, steps *float64, nsteps int) int
+
+//go:noescape
+func itemPass16AVX32(w *float32, rows int, users *int32, vals *float64, counts *int32, n int, h *float32, lambda float32, steps *float64, nsteps int) int
+
+//go:noescape
+func itemPassPair16AVX(w *float64, rows int, steps *float64, nsteps int, lambda float64, usersA *int32, valsA *float64, countsA *int32, hA *float64, nA int, usersB *int32, valsB *float64, countsB *int32, hB *float64, nB int) int
+
+//go:noescape
+func itemPassPair16AVX32(w *float32, rows int, steps *float64, nsteps int, lambda float32, usersA *int32, valsA *float64, countsA *int32, hA *float32, nA int, usersB *int32, valsB *float64, countsB *int32, hB *float32, nB int) int
+
 // simdKernelFor returns the AVX2 kernel bundle for rank k, or ok=false
 // when the hardware lacks AVX2/FMA (the caller then falls through to
 // the portable kernels).
@@ -48,8 +60,13 @@ func simdKernelFor(k int) (Kernel, bool) {
 	if !simdAvailable || k <= 0 {
 		return Kernel{}, false
 	}
-	return Kernel{K: k, Dot: dotSIMD, Step: stepSIMD, Grad: gradSIMD,
-		ItemPass: itemPassSIMD(k)}, true
+	kn := Kernel{K: k, Dot: dotSIMD, Step: stepSIMD, Grad: gradSIMD}
+	if k == 16 {
+		kn.ItemPass, kn.ItemPassPair = itemPassSIMD16, itemPassPairSIMD16
+	} else {
+		kn.ItemPass = itemPassSIMD(k)
+	}
+	return kn, true
 }
 
 // simdKernelFor32 is the float32 twin of simdKernelFor.
@@ -57,8 +74,13 @@ func simdKernelFor32(k int) (Kernel32, bool) {
 	if !simdAvailable || k <= 0 {
 		return Kernel32{}, false
 	}
-	return Kernel32{K: k, Dot: dotSIMD32, Step: stepSIMD32, Grad: gradSIMD32,
-		ItemPass: itemPassSIMD32(k)}, true
+	kn := Kernel32{K: k, Dot: dotSIMD32, Step: stepSIMD32, Grad: gradSIMD32}
+	if k == 16 {
+		kn.ItemPass, kn.ItemPassPair = itemPassSIMD16x32, itemPassPairSIMD16x32
+	} else {
+		kn.ItemPass = itemPassSIMD32(k)
+	}
+	return kn, true
 }
 
 // simdDotRows returns the AVX2 batched dot for rank k, or ok=false
@@ -126,10 +148,9 @@ func gradSIMD(w, h []float64, g, step, lambda float64) {
 	sgdAVX(&w[0], &h[0], len(w), step*g, step*lambda)
 }
 
-// itemPassSIMD returns the batched item pass for rank k with the fused
-// step in assembly. The loop itself stays in Go: the per-rating
-// schedule lookup needs the slow-path closure, and hoisting just the
-// arithmetic is where all the time goes anyway.
+// itemPassSIMD returns the batched item pass for rank k ≠ 16 with the
+// fused step in assembly and the loop in Go (K = 16, the rank every
+// benchmark runs, has the whole list in assembly: itemPassSIMD16).
 func itemPassSIMD(k int) ItemPassFunc {
 	return func(wData []float64, users []int32, vals []float64,
 		counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64) {
@@ -202,4 +223,92 @@ func itemPassSIMD32(k int) ItemPassFunc32 {
 			fstepAVX32(&w[0], hp, k, float32(vals[x]), step, lambda)
 		}
 	}
+}
+
+// checked16 is one rating of a K=16 item pass on the path the
+// per-rating loops take (step is fstepAVX or fstepAVX32): the count
+// moves, the step size comes from the table or the slow closure, and a
+// user index outside wData panics on the row slice before any row is
+// written. The whole-list kernels stop in front of exactly the ratings
+// that need it.
+func checked16[T float32 | float64](step func(w, h *T, n int, rating, step, lambda T) T,
+	wData []T, u int32, val float64, count *int32, h []T, lambda T, steps []float64, slow func(int) float64) {
+	t := *count
+	*count = t + 1
+	st := T(stepAt(t, steps, slow))
+	w := wData[int(u)*16:][:16]
+	step(&w[0], &h[0], 16, T(val), st, lambda)
+}
+
+// itemPassSIMD16 is Kernel.ItemPass for K=16: the whole list in one
+// assembly call, re-entered after each rating the kernel declined. Kept
+// free of indirection (its float32 twin is a copy, not a generic): on
+// 2-rating lists the call overhead is a quarter of the work.
+func itemPassSIMD16(wData []float64, users []int32, vals []float64,
+	counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64) {
+	if len(h) != 16 {
+		panic("vecmath: ItemPass width mismatch")
+	}
+	vals = vals[:len(users)]
+	counts = counts[:len(users)]
+	w, sp := unsafe.SliceData(wData), unsafe.SliceData(steps)
+	for x := 0; x < len(users); x++ {
+		x += itemPass16AVX(w, len(wData)/16, &users[x], &vals[x], &counts[x], len(users)-x,
+			&h[0], lambda, sp, len(steps))
+		if x == len(users) {
+			return
+		}
+		checked16(fstepAVX, wData, users[x], vals[x], &counts[x], h, lambda, steps, slow)
+	}
+}
+
+func itemPassSIMD16x32(wData []float32, users []int32, vals []float64,
+	counts []int32, h []float32, lambda float32, steps []float64, slow func(int) float64) {
+	if len(h) != 16 {
+		panic("vecmath: ItemPass width mismatch")
+	}
+	vals = vals[:len(users)]
+	counts = counts[:len(users)]
+	w, sp := unsafe.SliceData(wData), unsafe.SliceData(steps)
+	for x := 0; x < len(users); x++ {
+		x += itemPass16AVX32(w, len(wData)/16, &users[x], &vals[x], &counts[x], len(users)-x,
+			&h[0], lambda, sp, len(steps))
+		if x == len(users) {
+			return
+		}
+		checked16(fstepAVX32, wData, users[x], vals[x], &counts[x], h, lambda, steps, slow)
+	}
+}
+
+// pairLists16 is Kernel.ItemPassPair for K=16 around one precision's
+// two-list kernel and fused step.
+func pairLists16[T float32 | float64](
+	pair func(w *T, rows int, steps *float64, nsteps int, lambda T, usersA *int32, valsA *float64, countsA *int32, hA *T, nA int, usersB *int32, valsB *float64, countsB *int32, hB *T, nB int) int,
+	step func(w, h *T, n int, rating, step, lambda T) T,
+	wData []T, a, b ItemList[T], lambda T, steps []float64, slow func(int) float64) {
+	if len(a.H) != 16 || len(b.H) != 16 {
+		panic("vecmath: ItemPass width mismatch")
+	}
+	na, nb := len(a.Users), len(b.Users)
+	a.Vals, a.Counts = a.Vals[:na], a.Counts[:na]
+	b.Vals, b.Counts = b.Vals[:nb], b.Counts[:nb]
+	w, sp := unsafe.SliceData(wData), unsafe.SliceData(steps)
+	for x, n := 0, min(na, nb); x < n; x++ {
+		x += pair(w, len(wData)/16, sp, len(steps), lambda,
+			&a.Users[x], &a.Vals[x], &a.Counts[x], &a.H[0], na-x,
+			&b.Users[x], &b.Vals[x], &b.Counts[x], &b.H[0], nb-x)
+		if x == n {
+			return
+		}
+		checked16(step, wData, a.Users[x], a.Vals[x], &a.Counts[x], a.H, lambda, steps, slow)
+		checked16(step, wData, b.Users[x], b.Vals[x], &b.Counts[x], b.H, lambda, steps, slow)
+	}
+}
+
+func itemPassPairSIMD16(wData []float64, a, b ItemList[float64], lambda float64, steps []float64, slow func(int) float64) {
+	pairLists16(itemPassPair16AVX, fstepAVX, wData, a, b, lambda, steps, slow)
+}
+
+func itemPassPairSIMD16x32(wData []float32, a, b ItemList[float32], lambda float32, steps []float64, slow func(int) float64) {
+	pairLists16(itemPassPair16AVX32, fstepAVX32, wData, a, b, lambda, steps, slow)
 }

@@ -221,7 +221,9 @@ func TestFusedSGDStepGeneric(t *testing.T) {
 // TestItemPassMatchesPerRatingLoop: the batched kernel must be
 // bit-identical to calling Kernel.Step per rating with the step size
 // looked up from the same table — it is the same arithmetic with the
-// per-rating overheads hoisted, so exact equality is required.
+// per-rating overheads hoisted, so exact equality is required, at every
+// list length of itemPassLens and down to how often the slow closure
+// runs.
 func TestItemPassMatchesPerRatingLoop(t *testing.T) {
 	if ReferenceOnly() {
 		t.Skip("reference mode has no batched kernel by design")
@@ -232,60 +234,62 @@ func TestItemPassMatchesPerRatingLoop(t *testing.T) {
 		if kern.ItemPass == nil {
 			t.Fatalf("K=%d: ItemPass missing", k)
 		}
-		const nUsers, nRatings = 12, 40
-		steps := make([]float64, 5) // short table to exercise the slow fallback
-		for i := range steps {
-			steps[i] = r.Uniform(0.001, 0.1)
-		}
-		slowCalls := 0
-		slow := func(t int) float64 { slowCalls++; return 0.01 / float64(t+1) }
-
-		wData := make([]float64, nUsers*k)
-		h := make([]float64, k)
-		fill(r, wData)
-		fill(r, h)
-		users := make([]int32, nRatings)
-		vals := make([]float64, nRatings)
-		counts := make([]int32, nRatings)
-		for x := range users {
-			users[x] = int32(r.Intn(nUsers))
-			vals[x] = r.Uniform(-3, 3)
-			counts[x] = int32(r.Intn(8)) // some past the table boundary
-		}
-
-		wRef := append([]float64(nil), wData...)
-		hRef := append([]float64(nil), h...)
-		countsRef := append([]int32(nil), counts...)
-		for x := range users {
-			tc := countsRef[x]
-			countsRef[x] = tc + 1
-			var step float64
-			if int(tc) < len(steps) {
-				step = steps[tc]
-			} else {
-				step = 0.01 / float64(int(tc)+1)
+		for _, nRatings := range itemPassLens {
+			const nUsers = 12
+			steps := make([]float64, 5) // short table to exercise the slow fallback
+			for i := range steps {
+				steps[i] = r.Uniform(0.001, 0.1)
 			}
-			o := int(users[x]) * k
-			kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
-		}
+			slowCalls, wantSlow := 0, 0
+			slow := func(t int) float64 { slowCalls++; return 0.01 / float64(t+1) }
 
-		kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
-		if slowCalls == 0 {
-			t.Fatalf("K=%d: slow fallback never exercised", k)
-		}
-		for i := range wData {
-			if wData[i] != wRef[i] {
-				t.Fatalf("K=%d: wData[%d] = %v, per-rating loop %v", k, i, wData[i], wRef[i])
+			wData := make([]float64, nUsers*k)
+			h := make([]float64, k)
+			fill(r, wData)
+			fill(r, h)
+			users := itemPassUsers(r, nRatings, nUsers)
+			vals := make([]float64, nRatings)
+			counts := make([]int32, nRatings)
+			for x := range users {
+				vals[x] = r.Uniform(-3, 3)
+				counts[x] = int32(r.Intn(8)) // some past the table boundary
 			}
-		}
-		for i := range h {
-			if h[i] != hRef[i] {
-				t.Fatalf("K=%d: h[%d] = %v, per-rating loop %v", k, i, h[i], hRef[i])
+
+			wRef := append([]float64(nil), wData...)
+			hRef := append([]float64(nil), h...)
+			countsRef := append([]int32(nil), counts...)
+			for x := range users {
+				tc := countsRef[x]
+				countsRef[x] = tc + 1
+				var step float64
+				if int(tc) < len(steps) {
+					step = steps[tc]
+				} else {
+					wantSlow++
+					step = 0.01 / float64(int(tc)+1)
+				}
+				o := int(users[x]) * k
+				kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
 			}
-		}
-		for i := range counts {
-			if counts[i] != countsRef[i] {
-				t.Fatalf("K=%d: counts[%d] = %d, want %d", k, i, counts[i], countsRef[i])
+
+			kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
+			if slowCalls != wantSlow || (nRatings >= 25 && slowCalls == 0) {
+				t.Fatalf("K=%d n=%d: slow fallback ran %d times, per-rating loop %d", k, nRatings, slowCalls, wantSlow)
+			}
+			for i := range wData {
+				if wData[i] != wRef[i] {
+					t.Fatalf("K=%d n=%d: wData[%d] = %v, per-rating loop %v", k, nRatings, i, wData[i], wRef[i])
+				}
+			}
+			for i := range h {
+				if h[i] != hRef[i] {
+					t.Fatalf("K=%d n=%d: h[%d] = %v, per-rating loop %v", k, nRatings, i, h[i], hRef[i])
+				}
+			}
+			for i := range counts {
+				if counts[i] != countsRef[i] {
+					t.Fatalf("K=%d n=%d: counts[%d] = %d, want %d", k, nRatings, i, counts[i], countsRef[i])
+				}
 			}
 		}
 	}
