@@ -96,7 +96,6 @@ func BenchmarkFig23GraphLabCommodity(b *testing.B) { benchExperiment(b, "fig23")
 
 // --- Ablations (design choices called out in DESIGN.md) ------------------
 
-func BenchmarkAblationQueues(b *testing.B)          { benchExperiment(b, "abl-queue") }
 func BenchmarkAblationLoadBalance(b *testing.B)     { benchExperiment(b, "abl-lb") }
 func BenchmarkAblationPartition(b *testing.B)       { benchExperiment(b, "abl-part") }
 func BenchmarkAblationBatchSize(b *testing.B)       { benchExperiment(b, "abl-batch") }

@@ -3,23 +3,17 @@ package main
 // The -dist mode emits BENCH_dist.json: the machine-to-machine data
 // plane's performance record. It drives whole netlink.Loopback
 // clusters — real TCP sockets, rendezvous, heartbeats — inside one
-// process, training NOMAD end-to-end at several machine counts on
-// both wire sides of the NOMAD_REFERENCE_WIRE A/B (the legacy
-// allocating codec vs the pooled arena-backed one), and pairs that
-// with codec microbenchmarks measuring the frame encode/decode paths
-// in isolation (tokens/s, ns/token and allocations per op).
+// process, training NOMAD end-to-end at several machine counts over
+// the pooled arena-backed wire, and pairs that with codec
+// microbenchmarks measuring the frame encode/decode paths in isolation
+// (tokens/s, ns/token and allocations per op).
 //
 //	go run ./cmd/nomad-bench -dist BENCH_dist.json
 //	go run ./cmd/nomad-bench -dist out.json -distmachines 2,4 -distreps 5
 //
-// Both wire sides run interleaved rep by rep in one process (the
-// benchmark boxes are small shared VMs; interleaving lands both sides
-// under the same machine conditions), with the A/B switch flipped via
-// cluster.SetReferenceWire between runs — the switch is consulted
-// when links and senders are constructed, so flipping it between
-// Session.Run calls is exact. Like -sweep, the machine list and rep
-// count are adjustable so CI can smoke a tiny configuration; the
-// datasets, seed, rank and epoch budget are pinned.
+// Like -sweep, the machine list and rep count are adjustable so CI can
+// smoke a tiny configuration; the datasets, seed, rank and epoch
+// budget are pinned.
 
 import (
 	"bytes"
@@ -47,7 +41,7 @@ type distDoc struct {
 type distProtocol struct {
 	// Datasets maps profile name to scale: netflix (≈2.8K ratings per
 	// item token — arithmetic-bound) and longtail (≈4.5 —
-	// communication-bound), so the A/B shows the wire path in both
+	// communication-bound), so the record shows the wire path in both
 	// regimes.
 	Datasets map[string]float64 `json:"datasets"`
 	K        int                `json:"k"`
@@ -62,12 +56,11 @@ type distProtocol struct {
 	Chaos string `json:"chaos,omitempty"`
 }
 
-// distPoint is one (dataset, machines, wire side) end-to-end training
+// distPoint is one (dataset, machines) end-to-end training
 // measurement over the TCP loopback backend.
 type distPoint struct {
 	Dataset      string  `json:"dataset"`
 	Machines     int     `json:"machines"`
-	Wire         string  `json:"wire"`
 	BestUPS      float64 `json:"best_updates_per_sec"`
 	MeanUPS      float64 `json:"mean_updates_per_sec"`
 	TokensPerSec float64 `json:"approx_wire_tokens_per_sec"`
@@ -92,20 +85,12 @@ type distPoint struct {
 // and no SGD.
 type codecPoint struct {
 	Op           string  `json:"op"` // "encode" or "decode"
-	Wire         string  `json:"wire"`
 	K            int     `json:"k"`
 	BatchTokens  int     `json:"batch_tokens"`
 	TokensPerSec float64 `json:"tokens_per_sec"`
 	NsPerToken   float64 `json:"ns_per_token"`
 	AllocsPerOp  float64 `json:"allocs_per_op"`
 }
-
-// distWireSides is the A/B: the legacy allocating wire path and the
-// pooled arena-backed one, in measurement order.
-var distWireSides = []struct {
-	name string
-	ref  bool
-}{{"reference", true}, {"pooled", false}}
 
 // runDist measures the distributed data plane and writes the record.
 // A non-empty chaos spec subjects every end-to-end run to that fault
@@ -126,7 +111,6 @@ func runDist(path string, machineList []int, reps int, chaos string) error {
 			Epochs: epochs, Reps: reps, Workers: 1, Machines: machineList,
 			Backend: "tcp-loopback", Chaos: chaos},
 	}
-	defer cluster.SetReferenceWire(false)
 	for _, prof := range profiles {
 		doc.Protocol.Datasets[prof.name] = prof.scale
 		ds, err := nomad.Synthesize(prof.name, prof.scale, seed)
@@ -134,71 +118,55 @@ func runDist(path string, machineList []int, reps int, chaos string) error {
 			return err
 		}
 		for _, machines := range machineList {
-			pts := make([]distPoint, len(distWireSides))
-			recovery := make([]benchenv.Histogram, len(distWireSides))
-			resizeJoin := make([]benchenv.Histogram, len(distWireSides))
-			resizeDrain := make([]benchenv.Histogram, len(distWireSides))
-			for i, side := range distWireSides {
-				pts[i] = distPoint{Dataset: prof.name, Machines: machines, Wire: side.name}
-			}
-			// Interleave: warm-up rep (rep 0) plus reps measured, both
-			// sides back to back within each rep.
+			pt := distPoint{Dataset: prof.name, Machines: machines}
+			var recovery, resizeJoin, resizeDrain benchenv.Histogram
+			// Warm-up rep (rep 0) plus reps measured.
 			for rep := 0; rep < reps+1; rep++ {
-				for i, side := range distWireSides {
-					cluster.SetReferenceWire(side.ref)
-					res, recoveryMs, resizeMs, err := runDistTraining(ds, machines, seed, epochs, chaos)
-					if err != nil {
-						return fmt.Errorf("%s p=%d %s wire: %w", prof.name, machines, side.name, err)
-					}
-					if rep == 0 {
-						continue // warm-up (page faults, listener ramp-up)
-					}
-					pt := &pts[i]
-					ups := float64(res.Updates) / res.Seconds
-					pt.MeanUPS += ups / float64(reps)
-					if recoveryMs > 0 {
-						recovery[i].Record(time.Duration(recoveryMs * float64(time.Millisecond)))
-					}
-					for _, ms := range resizeMs["join"] {
-						resizeJoin[i].Record(time.Duration(ms * float64(time.Millisecond)))
-					}
-					for _, ms := range resizeMs["drain"] {
-						resizeDrain[i].Record(time.Duration(ms * float64(time.Millisecond)))
-					}
-					if ups > pt.BestUPS {
-						pt.BestUPS = ups
-						pt.FinalRMSE = res.TestRMSE
-						pt.Updates = res.Updates
-						pt.BytesSent = res.BytesSent
-						pt.MessagesSent = res.MessagesSent
-						pt.TokensPerSec = approxWireTokens(res.BytesSent, res.MessagesSent, k) / res.Seconds
-					}
+				res, recoveryMs, resizeMs, err := runDistTraining(ds, machines, seed, epochs, chaos)
+				if err != nil {
+					return fmt.Errorf("%s p=%d: %w", prof.name, machines, err)
+				}
+				if rep == 0 {
+					continue // warm-up (page faults, listener ramp-up)
+				}
+				ups := float64(res.Updates) / res.Seconds
+				pt.MeanUPS += ups / float64(reps)
+				if recoveryMs > 0 {
+					recovery.Record(time.Duration(recoveryMs * float64(time.Millisecond)))
+				}
+				for _, ms := range resizeMs["join"] {
+					resizeJoin.Record(time.Duration(ms * float64(time.Millisecond)))
+				}
+				for _, ms := range resizeMs["drain"] {
+					resizeDrain.Record(time.Duration(ms * float64(time.Millisecond)))
+				}
+				if ups > pt.BestUPS {
+					pt.BestUPS = ups
+					pt.FinalRMSE = res.TestRMSE
+					pt.Updates = res.Updates
+					pt.BytesSent = res.BytesSent
+					pt.MessagesSent = res.MessagesSent
+					pt.TokensPerSec = approxWireTokens(res.BytesSent, res.MessagesSent, k) / res.Seconds
 				}
 			}
-			for i := range pts {
-				if recovery[i].Count() > 0 {
-					pts[i].RecoveryMs = float64(recovery[i].Quantile(0.5).Nanoseconds()) / 1e6
-				}
-				if resizeJoin[i].Count() > 0 {
-					pts[i].ResizeJoinMs = float64(resizeJoin[i].Quantile(0.5).Nanoseconds()) / 1e6
-				}
-				if resizeDrain[i].Count() > 0 {
-					pts[i].ResizeDrainMs = float64(resizeDrain[i].Quantile(0.5).Nanoseconds()) / 1e6
-				}
+			if recovery.Count() > 0 {
+				pt.RecoveryMs = float64(recovery.Quantile(0.5).Nanoseconds()) / 1e6
 			}
-			for i := range pts {
-				doc.EndToEnd = append(doc.EndToEnd, pts[i])
-				fmt.Printf("   [dist: %s p=%d %s wire: best %.2fM updates/s, ≈%.2fM wire tokens/s, rmse %.4f]\n",
-					prof.name, machines, pts[i].Wire, pts[i].BestUPS/1e6, pts[i].TokensPerSec/1e6, pts[i].FinalRMSE)
+			if resizeJoin.Count() > 0 {
+				pt.ResizeJoinMs = float64(resizeJoin.Quantile(0.5).Nanoseconds()) / 1e6
 			}
+			if resizeDrain.Count() > 0 {
+				pt.ResizeDrainMs = float64(resizeDrain.Quantile(0.5).Nanoseconds()) / 1e6
+			}
+			doc.EndToEnd = append(doc.EndToEnd, pt)
+			fmt.Printf("   [dist: %s p=%d: best %.2fM updates/s, ≈%.2fM wire tokens/s, rmse %.4f]\n",
+				prof.name, machines, pt.BestUPS/1e6, pt.TokensPerSec/1e6, pt.FinalRMSE)
 		}
 	}
-	for _, side := range distWireSides {
-		enc, dec := codecBench(side.ref, k, 100)
-		doc.Codec = append(doc.Codec, enc, dec)
-		fmt.Printf("   [dist: codec %s wire: encode %.1fM tokens/s (%.1f allocs/op), decode %.1fM tokens/s (%.1f allocs/op)]\n",
-			side.name, enc.TokensPerSec/1e6, enc.AllocsPerOp, dec.TokensPerSec/1e6, dec.AllocsPerOp)
-	}
+	enc, dec := codecBench(k, 100)
+	doc.Codec = append(doc.Codec, enc, dec)
+	fmt.Printf("   [dist: codec: encode %.1fM tokens/s (%.1f allocs/op), decode %.1fM tokens/s (%.1f allocs/op)]\n",
+		enc.TokensPerSec/1e6, enc.AllocsPerOp, dec.TokensPerSec/1e6, dec.AllocsPerOp)
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -265,38 +233,20 @@ func approxWireTokens(bytesSent, msgs int64, k int) float64 {
 	return float64(data) / float64(4+8*k)
 }
 
-// codecBench measures one wire side's frame encode and decode in
-// isolation: a batchTokens-token rank-k batch per op, reporting
-// tokens/s, ns/token and allocations per op. The reference side
-// reproduces the legacy shape (fresh payload and frame buffers per
-// frame, per-token vector allocation on decode); the pooled side uses
-// the reusable-buffer single-copy paths the TCP link runs in steady
-// state.
-func codecBench(ref bool, k, batchTokens int) (enc, dec codecPoint) {
+// codecBench measures the frame encode and decode in isolation: a
+// batchTokens-token rank-k batch per op through the reusable-buffer
+// single-copy paths the TCP link runs in steady state, reporting
+// tokens/s, ns/token and allocations per op.
+func codecBench(k, batchTokens int) (enc, dec codecPoint) {
 	const iters = 20000
-	wire := "pooled"
-	if ref {
-		wire = "reference"
-	}
 	batch := buildCodecBatch(batchTokens, k)
 
-	var encode func()
 	var wbuf []byte
-	if ref {
-		encode = func() {
-			payload, err := netlink.AppendTokenBatch(nil, batch, k)
-			if err != nil {
-				panic(err)
-			}
-			wbuf = netlink.AppendFrame(make([]byte, 0, 20+len(payload)), netlink.FrameTokens, 1, payload)
-		}
-	} else {
-		encode = func() {
-			var err error
-			wbuf, err = netlink.AppendTokenFrame(wbuf[:0], 1, batch, k)
-			if err != nil {
-				panic(err)
-			}
+	encode := func() {
+		var err error
+		wbuf, err = netlink.AppendTokenFrame(wbuf[:0], 1, batch, k)
+		if err != nil {
+			panic(err)
 		}
 	}
 	encode() // warm
@@ -311,30 +261,16 @@ func codecBench(ref bool, k, batchTokens int) (enc, dec codecPoint) {
 	rd := bytes.NewReader(frame)
 	var rbuf []byte
 	arena := cluster.NewBatchBuf()
-	var decode func()
-	if ref {
-		decode = func() {
-			rd.Reset(frame)
-			f, err := netlink.ReadFrame(rd)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := netlink.DecodeTokenBatch(f.Payload, k); err != nil {
-				panic(err)
-			}
+	decode := func() {
+		rd.Reset(frame)
+		var f netlink.Frame
+		var err error
+		f, rbuf, err = netlink.ReadFrameReuse(rd, rbuf)
+		if err != nil {
+			panic(err)
 		}
-	} else {
-		decode = func() {
-			rd.Reset(frame)
-			var f netlink.Frame
-			var err error
-			f, rbuf, err = netlink.ReadFrameReuse(rd, rbuf)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := netlink.DecodeTokenBatchInto(f.Payload, k, arena); err != nil {
-				panic(err)
-			}
+		if _, err := netlink.DecodeTokenBatchInto(f.Payload, k, arena); err != nil {
+			panic(err)
 		}
 	}
 	decode() // warm
@@ -346,9 +282,9 @@ func codecBench(ref bool, k, batchTokens int) (enc, dec codecPoint) {
 	decSecs := time.Since(start).Seconds()
 
 	tok := float64(iters * batchTokens)
-	enc = codecPoint{Op: "encode", Wire: wire, K: k, BatchTokens: batchTokens,
+	enc = codecPoint{Op: "encode", K: k, BatchTokens: batchTokens,
 		TokensPerSec: tok / encSecs, NsPerToken: encSecs * 1e9 / tok, AllocsPerOp: encAllocs}
-	dec = codecPoint{Op: "decode", Wire: wire, K: k, BatchTokens: batchTokens,
+	dec = codecPoint{Op: "decode", K: k, BatchTokens: batchTokens,
 		TokensPerSec: tok / decSecs, NsPerToken: decSecs * 1e9 / tok, AllocsPerOp: decAllocs}
 	return enc, dec
 }

@@ -7,7 +7,6 @@
 //	nomad-bench -exp fig5
 //	nomad-bench -exp fig8,fig11 -scale 0.005 -machines 8
 //	nomad-bench -exp all
-//	nomad-bench -exp fig6R -transport mutex
 //	nomad-bench -json BENCH_hotpath.json
 //	nomad-bench -sweep BENCH_scaling.json
 //
@@ -16,8 +15,8 @@
 // index and EXPERIMENTS.md for recorded paper-vs-measured comparisons.
 //
 // The -json mode instead measures the fixed hot-path benchmark set
-// (the BenchmarkTrainNomadEpoch workload on both sides of the token-
-// transport A/B, plus fig5/fig6) and merges machine-readable records
+// (the BenchmarkTrainNomadEpoch workload on both sides of the kernel
+// A/B, plus fig5/fig6) and merges machine-readable records
 // into the given file; see json.go and the committed BENCH_hotpath.json
 // for the protocol. The -sweep mode records worker scaling (sweep.go,
 // BENCH_scaling.json) and the -dist mode records the TCP data plane
@@ -39,7 +38,6 @@ import (
 	"time"
 
 	"nomad/internal/experiments"
-	"nomad/internal/queue"
 )
 
 func main() {
@@ -61,11 +59,10 @@ func run() int {
 		seed      = flag.Uint64("seed", 42, "random seed")
 		tsvDir    = flag.String("tsv", "", "also write each series as a TSV file into this directory")
 		jsonPath  = flag.String("json", "", "measure the fixed hot-path A/B benchmark set (baseline + after, interleaved) and merge the records into this JSON file")
-		transport = flag.String("transport", "", "token transport for -exp runs: auto, spsc, mutex, lockfree, chan")
-		sweepPath = flag.String("sweep", "", "measure the worker-scaling sweep (updates/s vs workers per transport, plus the transport tokens/s microbench) and write it to this JSON file")
+		sweepPath = flag.String("sweep", "", "measure the worker-scaling sweep (updates/s vs workers per kernel side and precision, plus the mesh tokens/s microbench) and write it to this JSON file")
 		sweepWkrs = flag.String("sweepworkers", "1,2,4", "comma-separated worker counts for -sweep")
 		sweepReps = flag.Int("sweepreps", 3, "measured reps per -sweep point (plus one warm-up)")
-		distPath  = flag.String("dist", "", "measure the TCP data plane (loopback clusters on both wire sides, plus codec microbenchmarks) and write it to this JSON file")
+		distPath  = flag.String("dist", "", "measure the TCP data plane (loopback clusters plus codec microbenchmarks) and write it to this JSON file")
 		distMachs = flag.String("distmachines", "2,4", "comma-separated machine counts for -dist")
 		distReps  = flag.Int("distreps", 3, "measured reps per -dist point (plus one warm-up)")
 		distChaos = flag.String("chaos", "", "fault injection for -dist runs, e.g. kill:rank=2,at=mid-epoch (enables failover, adds recovery_ms to the record)")
@@ -111,20 +108,14 @@ func run() int {
 		return 0
 	}
 
-	kind, err := queue.KindByName(*transport)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nomad-bench: %v\n", err)
-		return 2
-	}
 	opts := experiments.Options{
-		Scale:     *scale,
-		Epochs:    *epochs,
-		Seconds:   *seconds,
-		K:         *k,
-		Workers:   *workers,
-		Machines:  *machines,
-		Seed:      *seed,
-		Transport: kind,
+		Scale:    *scale,
+		Epochs:   *epochs,
+		Seconds:  *seconds,
+		K:        *k,
+		Workers:  *workers,
+		Machines: *machines,
+		Seed:     *seed,
 	}
 
 	if *sweepPath != "" {

@@ -2,9 +2,9 @@ package main
 
 // The -sweep mode emits BENCH_scaling.json: NOMAD's shared-memory
 // multi-core scaling record — steady updates/s as the worker count
-// (and GOMAXPROCS with it) varies, across transport, kernel side and
-// factor precision — plus a pure transport microbenchmark (tokens
-// moved per second through each queue kind, no SGD) and a kernel
+// (and GOMAXPROCS with it) varies, across kernel side and factor
+// precision — plus a pure transport microbenchmark (tokens moved per
+// second through the SPSC mesh, no SGD) and a kernel
 // microbenchmark (ns/op for the dot and fused-step kernels on both
 // sides of the SIMD dispatch at both precisions). It is the
 // shared-memory analog of the paper's Figure 4 scaling study, tracked
@@ -18,7 +18,7 @@ package main
 // rep count are adjustable: CI smokes it with a tiny configuration so
 // the harness cannot rot, while perf PRs record the full sweep. The
 // protocol (EXPERIMENTS.md): every scaling point pins workers to
-// cores, sets GOMAXPROCS to the worker count, and runs the four sides
+// cores, sets GOMAXPROCS to the worker count, and runs the three sides
 // interleaved rep by rep so machine drift lands on all sides equally.
 
 import (
@@ -62,14 +62,12 @@ type sweepProtocol struct {
 	PinnedWorkers bool `json:"pinned_workers"`
 }
 
-// scalingPoint is one (dataset, workers, transport, kernels,
-// precision) training measurement, taken with GOMAXPROCS set to the
-// worker count.
+// scalingPoint is one (dataset, workers, kernels, precision) training
+// measurement, taken with GOMAXPROCS set to the worker count.
 type scalingPoint struct {
 	Dataset      string  `json:"dataset"`
 	Workers      int     `json:"workers"`
 	GOMAXPROCS   int     `json:"gomaxprocs"`
-	Transport    string  `json:"transport"`
 	Kernels      string  `json:"kernels"`   // "simd" or "portable"
 	Precision    string  `json:"precision"` // "float64" or "float32"
 	BestUPS      float64 `json:"steady_best_updates_per_sec"`
@@ -79,11 +77,10 @@ type scalingPoint struct {
 	TotalUpdates int64   `json:"updates"`
 }
 
-// microPoint is one (workers, kind) transport-only measurement: p
-// endpoints circulating tokens with no SGD between pops.
+// microPoint is one transport-only measurement: p mesh endpoints
+// circulating tokens with no SGD between pops.
 type microPoint struct {
 	Workers      int     `json:"workers"`
-	Kind         string  `json:"kind"`
 	TokensPerSec float64 `json:"tokens_per_sec"`
 }
 
@@ -97,24 +94,18 @@ type kernelPoint struct {
 }
 
 // sweepSides are the training-sweep sides, interleaved within each
-// rep: the shipping configuration (batched SPSC transport, SIMD
-// kernels, float64), the legacy mutex transport it replaced, the
+// rep: the shipping configuration (SIMD kernels, float64), the
 // portable-kernel side of the SIMD dispatch A/B, and the float32
 // model. On hosts without AVX2+FMA the "simd" label degrades to
 // "portable" (recorded as such), and the record's env block says why.
 var sweepSides = []struct {
-	transport queue.Kind
 	simd      bool
 	precision nomad.Precision
 }{
-	{queue.KindSPSC, true, nomad.Float64},
-	{queue.KindMutex, true, nomad.Float64},
-	{queue.KindSPSC, false, nomad.Float64},
-	{queue.KindSPSC, true, nomad.Float32},
+	{true, nomad.Float64},
+	{false, nomad.Float64},
+	{true, nomad.Float32},
 }
-
-// microKinds is every transport in the tokens/s microbench.
-var microKinds = []queue.Kind{queue.KindSPSC, queue.KindMutex, queue.KindLockFree, queue.KindChan}
 
 // kernelSide applies the side's kernel dispatch and returns its label.
 func kernelSide(simd bool) string {
@@ -154,8 +145,7 @@ func runSweep(path string, workerList []int, reps int) error {
 			pts := make([]scalingPoint, len(sweepSides))
 			for i, side := range sweepSides {
 				pts[i] = scalingPoint{Dataset: prof.name, Workers: workers,
-					GOMAXPROCS: workers, Transport: side.transport.String(),
-					Precision: side.precision.String()}
+					GOMAXPROCS: workers, Precision: side.precision.String()}
 			}
 			for rep := 0; rep < reps+1; rep++ {
 				for i, side := range sweepSides {
@@ -163,7 +153,6 @@ func runSweep(path string, workerList []int, reps int) error {
 					s, err := nomad.NewSession(ds,
 						nomad.WithWorkers(workers),
 						nomad.WithSeed(seed),
-						nomad.WithTransport(side.transport.String()),
 						nomad.WithPrecision(side.precision),
 						nomad.WithPinnedWorkers(),
 						nomad.WithStopConditions(nomad.MaxEpochs(epochs)))
@@ -190,8 +179,8 @@ func runSweep(path string, workerList []int, reps int) error {
 			for i := range pts {
 				pts[i].PerWorkerUPS = pts[i].BestUPS / float64(workers)
 				doc.Scaling = append(doc.Scaling, pts[i])
-				fmt.Printf("   [sweep: %s p=%d %s/%s/%s: best %.2fM updates/s (%.2fM/worker), rmse %.4f]\n",
-					prof.name, workers, pts[i].Transport, pts[i].Kernels, pts[i].Precision,
+				fmt.Printf("   [sweep: %s p=%d %s/%s: best %.2fM updates/s (%.2fM/worker), rmse %.4f]\n",
+					prof.name, workers, pts[i].Kernels, pts[i].Precision,
 					pts[i].BestUPS/1e6, pts[i].PerWorkerUPS/1e6, pts[i].FinalRMSE)
 			}
 		}
@@ -199,13 +188,9 @@ func runSweep(path string, workerList []int, reps int) error {
 	runtime.GOMAXPROCS(defaultProcs)
 	doc.Kernel = kernelMicrobench()
 	for _, workers := range workerList {
-		for _, kind := range microKinds {
-			tps := transportTokensPerSec(kind, workers)
-			doc.Transport = append(doc.Transport, microPoint{
-				Workers: workers, Kind: kind.String(), TokensPerSec: tps})
-			fmt.Printf("   [sweep: transport micro p=%d %s: %.1fM tokens/s]\n",
-				workers, kind.String(), tps/1e6)
-		}
+		tps := meshTokensPerSec(workers)
+		doc.Transport = append(doc.Transport, microPoint{Workers: workers, TokensPerSec: tps})
+		fmt.Printf("   [sweep: transport micro p=%d: %.1fM tokens/s]\n", workers, tps/1e6)
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
@@ -214,58 +199,18 @@ func runSweep(path string, workerList []int, reps int) error {
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// transportTokensPerSec circulates tokens among p endpoints through
-// the given transport with no work between pop and re-push — the pure
-// per-token transport cost that the SGD loop pays on top of its
-// arithmetic. Routing uses a cheap LCG on all kinds so the comparison
-// isolates the queues themselves.
-func transportTokensPerSec(kind queue.Kind, p int) float64 {
-	const tokens = 1 << 10
-	const movesPerWorker = 1 << 17
+// meshTokensPerSec circulates tokens among p mesh endpoints with no
+// work between pop and re-push — the pure per-token transport cost
+// that the SGD loop pays on top of its arithmetic: block pops,
+// per-destination out-buffers, block flushes, the worker loop's
+// transport pattern without the SGD. Routing uses a cheap LCG.
+func meshTokensPerSec(p int) float64 {
+	const (
+		tokens         = 1 << 10
+		movesPerWorker = 1 << 17
+		block          = 64
+	)
 	totalMoves := int64(p) * movesPerWorker
-
-	if kind.Resolve() == queue.KindSPSC {
-		return meshTokensPerSec(p, tokens, totalMoves)
-	}
-	queues := make([]queue.Queue[int32], p)
-	for q := 0; q < p; q++ {
-		queues[q] = queue.New[int32](kind, 4*tokens)
-	}
-	for t := 0; t < tokens; t++ {
-		queues[t%p].Push(int32(t))
-	}
-	var wg sync.WaitGroup
-	var moved paddedCounter
-	start := time.Now()
-	for q := 0; q < p; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			rnd := uint64(q + 1)
-			for n := int64(0); moved.load() < totalMoves; {
-				tok, ok := queues[q].TryPop()
-				if !ok {
-					runtime.Gosched()
-					continue
-				}
-				rnd = rnd*6364136223846793005 + 1442695040888963407
-				queues[int(rnd>>33)%p].Push(tok)
-				n++
-				if n%256 == 0 {
-					moved.add(256)
-				}
-			}
-		}(q)
-	}
-	wg.Wait()
-	return float64(totalMoves) / time.Since(start).Seconds()
-}
-
-// meshTokensPerSec is the SPSC side of the microbench: block pops,
-// per-destination out-buffers, block flushes — the worker loop's
-// transport pattern without the SGD.
-func meshTokensPerSec(p, tokens int, totalMoves int64) float64 {
-	const block = 64
 	mesh := queue.NewMesh[int32](p, 4*tokens)
 	for t := 0; t < tokens; t++ {
 		mesh.Send(t%p, t%p, int32(t))

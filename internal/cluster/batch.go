@@ -19,33 +19,8 @@ package cluster
 //   - A batch produced by (*BatchBuf).HandOff owns its arena: exactly
 //     one consumer must call Release when the tokens are no longer
 //     needed, after which every view into the batch is invalid.
-//
-// NOMAD_REFERENCE_WIRE=1 pins the legacy allocating wire data plane
-// (per-token vector allocation on decode, per-frame buffers on
-// encode, per-batch pending slices in the Sender, free-running
-// heartbeats) — the in-tree A/B switch of the wire-path benchmarks,
-// in the mould of NOMAD_REFERENCE_KERNELS and
-// NOMAD_REFERENCE_TRANSPORT.
 
-import (
-	"os"
-	"sync"
-)
-
-// referenceWire pins the legacy allocating wire path. Read once at
-// startup; SetReferenceWire overrides it for in-process A/B runs.
-var referenceWire = os.Getenv("NOMAD_REFERENCE_WIRE") != ""
-
-// ReferenceWire reports whether the legacy wire data plane is forced:
-// allocating codec paths in internal/netlink, per-batch pending
-// slices in Sender, and heartbeats that always take their own write.
-func ReferenceWire() bool { return referenceWire }
-
-// SetReferenceWire overrides the NOMAD_REFERENCE_WIRE switch at run
-// time. cmd/nomad-bench uses it to measure both wire sides
-// interleaved in one process. The switch is consulted when links and
-// senders are constructed — never flip it while a run is active.
-func SetReferenceWire(v bool) { referenceWire = v }
+import "sync"
 
 // BatchBuf is a reusable arena for one TokenBatch: the token item
 // indices plus one flat float64 payload every token vector is a view

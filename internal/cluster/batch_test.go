@@ -81,16 +81,10 @@ func TestCloneBatchIsDeep(t *testing.T) {
 	clone.Release()
 }
 
-// TestSenderCopiesOnAdd pins the new ownership rule: the caller may
-// reuse a token's vector as soon as Add returns, because the sender
-// copied it into its per-destination arena. The rule deliberately
-// does not hold on the legacy pending-slice path, so the arena side
-// is pinned explicitly (the CI reference-wire pass sets the switch
-// for the whole package).
+// TestSenderCopiesOnAdd pins the ownership rule: the caller may reuse
+// a token's vector as soon as Add returns, because the sender copied
+// it into its per-destination arena.
 func TestSenderCopiesOnAdd(t *testing.T) {
-	prev := ReferenceWire()
-	SetReferenceWire(false)
-	defer SetReferenceWire(prev)
 	c := NewSimCluster(2, netsim.Instant(), 2)
 	s := NewSender(c.Links()[0], 10, nil)
 	vec := []float64{1, 2}
@@ -124,41 +118,5 @@ func TestSimLinkSendClonesBatch(t *testing.T) {
 	batches := drainBatches(t, c)
 	if len(batches) != 1 || batches[0].Tokens[0].Vec[0] != 3 {
 		t.Fatalf("delivered batch saw the caller's reuse: %+v", batches)
-	}
-}
-
-// TestSenderReferenceWire drives the legacy pending-slice path that
-// NOMAD_REFERENCE_WIRE selects, keeping the benchmark baseline alive.
-func TestSenderReferenceWire(t *testing.T) {
-	prev := ReferenceWire()
-	SetReferenceWire(true)
-	defer SetReferenceWire(prev)
-	c := NewSimCluster(2, netsim.Instant(), 2)
-	s := NewSender(c.Links()[0], 2, func() int { return 3 })
-	for i := 0; i < 5; i++ {
-		s.Add(1, Token{Item: int32(i), Vec: make([]float64, 2)})
-	}
-	if s.PendingTotal() != 1 {
-		t.Fatalf("pending = %d, want 1", s.PendingTotal())
-	}
-	if err := s.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-	links := c.Links()
-	links[1].CloseSend() //nolint:errcheck
-	next := int32(0)
-	for inb := range links[1].Recv() {
-		if inb.Batch.QueueLen != 3 {
-			t.Fatalf("gossip = %d, want 3", inb.Batch.QueueLen)
-		}
-		for _, tok := range inb.Batch.Tokens {
-			if tok.Item != next {
-				t.Fatalf("token order broken: got %d want %d", tok.Item, next)
-			}
-			next++
-		}
-	}
-	if next != 5 {
-		t.Fatalf("delivered %d tokens, want 5", next)
 	}
 }

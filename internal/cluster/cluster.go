@@ -61,24 +61,19 @@ func (b *TokenBatch) Release() {
 // (BatchBuf), so the caller keeps ownership of the vector and may
 // recycle it as soon as Add returns; each Flush materializes the
 // arena as a view batch, sends it, and Resets the arena — zero
-// steady-state allocation. Under NOMAD_REFERENCE_WIRE the legacy
-// path is restored: Add retains the token (vector included) in a
-// per-destination pending slice that is surrendered at flush.
+// steady-state allocation.
 type Sender struct {
 	link      Link
 	batchSize int
-	queueLen  func() int // sampled at flush time for the gossip payload
-	refwire   bool
-	pending   [][]Token   // reference wire: per-destination retained tokens
-	bufs      []*BatchBuf // arena path: per-destination reusable arenas
+	queueLen  func() int  // sampled at flush time for the gossip payload
+	bufs      []*BatchBuf // per-destination reusable arenas
 	dead      []bool      // failover: destinations evicted from routing
 	closed    bool
 	err       error // first non-closure Send failure, surfaced until Close
 }
 
 // NewSender returns a Sender over the given link. queueLen supplies
-// the gossip payload; it may be nil, in which case 0 is sent. The
-// wire A/B switch is consulted here, once per sender.
+// the gossip payload; it may be nil, in which case 0 is sent.
 func NewSender(link Link, batchSize int, queueLen func() int) *Sender {
 	if batchSize < 1 {
 		batchSize = 1
@@ -90,17 +85,12 @@ func NewSender(link Link, batchSize int, queueLen func() int) *Sender {
 		link:      link,
 		batchSize: batchSize,
 		queueLen:  queueLen,
-		refwire:   ReferenceWire(),
+		bufs:      make([]*BatchBuf, link.Machines()),
+		dead:      make([]bool, link.Machines()),
 	}
-	if s.refwire {
-		s.pending = make([][]Token, link.Machines())
-	} else {
-		s.bufs = make([]*BatchBuf, link.Machines())
-		for i := range s.bufs {
-			s.bufs[i] = NewBatchBuf()
-		}
+	for i := range s.bufs {
+		s.bufs[i] = NewBatchBuf()
 	}
-	s.dead = make([]bool, link.Machines())
 	return s
 }
 
@@ -114,10 +104,6 @@ func (s *Sender) MarkDead(dst int) {
 		return
 	}
 	s.dead[dst] = true
-	if s.refwire {
-		s.pending[dst] = nil
-		return
-	}
 	s.bufs[dst].Reset()
 }
 
@@ -127,15 +113,6 @@ func (s *Sender) MarkDead(dst int) {
 // through the normal batching path.
 func (s *Sender) Redirect(dead int, pick func() int) {
 	if s.dead[dead] {
-		return
-	}
-	if s.refwire {
-		moved := s.pending[dead]
-		s.pending[dead] = nil
-		s.dead[dead] = true
-		for _, t := range moved {
-			s.Add(pick(), t)
-		}
 		return
 	}
 	// The arena's views stay valid while we re-add: Add copies into
@@ -150,20 +127,12 @@ func (s *Sender) Redirect(dead int, pick func() int) {
 
 // Add enqueues a token for dst, flushing automatically when the batch
 // for that destination is full. The token's vector is copied; the
-// caller may reuse it as soon as Add returns (except under the
-// reference wire path, which retains it until flush).
+// caller may reuse it as soon as Add returns.
 //
 //nomad:noalloc
 func (s *Sender) Add(dst int, t Token) {
 	if s.dead[dst] {
 		return // evicted destination: counted missing, regenerated by failover
-	}
-	if s.refwire {
-		s.pending[dst] = append(s.pending[dst], t)
-		if len(s.pending[dst]) >= s.batchSize {
-			s.Flush(dst) //nolint:errcheck // surfaced by the next FlushAll/Close
-		}
-		return
 	}
 	s.bufs[dst].Add(t.Item, t.Vec) //nomad:alloc-ok arena warm-up growth, amortized away on reuse
 	if s.bufs[dst].Len() >= s.batchSize {
@@ -184,19 +153,10 @@ func (s *Sender) Flush(dst int) error {
 	if s.dead[dst] {
 		return s.err
 	}
-	var batch TokenBatch
-	if s.refwire {
-		if len(s.pending[dst]) == 0 {
-			return s.err
-		}
-		batch = TokenBatch{Tokens: s.pending[dst], QueueLen: s.queueLen()}
-	} else {
-		if s.bufs[dst].Len() == 0 {
-			return s.err
-		}
-		batch = s.bufs[dst].Batch(s.queueLen())
+	if s.bufs[dst].Len() == 0 {
+		return s.err
 	}
-	if err := s.link.Send(dst, batch); err != nil {
+	if err := s.link.Send(dst, s.bufs[dst].Batch(s.queueLen())); err != nil {
 		if errors.Is(err, ErrLinkClosed) {
 			s.closed = true
 			return nil // orderly teardown already ended the stream
@@ -220,11 +180,7 @@ func (s *Sender) Flush(dst int) error {
 		s.err = err
 		return err
 	}
-	if s.refwire {
-		s.pending[dst] = nil // surrendered: the link delivers by reference
-	} else {
-		s.bufs[dst].Reset() // Send copied or encoded; the arena is ours again
-	}
+	s.bufs[dst].Reset() // Send copied or encoded; the arena is ours again
 	return nil
 }
 
@@ -258,12 +214,6 @@ func (s *Sender) Close() error {
 // PendingTotal reports how many tokens are buffered and unsent.
 func (s *Sender) PendingTotal() int {
 	n := 0
-	if s.refwire {
-		for _, p := range s.pending {
-			n += len(p)
-		}
-		return n
-	}
 	for _, b := range s.bufs {
 		n += b.Len()
 	}

@@ -26,18 +26,11 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"nomad/internal/affinity"
 	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/loss"
 	"nomad/internal/partition"
-	"nomad/internal/queue"
-	"nomad/internal/rng"
 	"nomad/internal/sched"
 	"nomad/internal/train"
 	"nomad/internal/vecmath"
@@ -77,110 +70,6 @@ func (*NOMAD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 		return trainLockstep(ctx, ds, cfg, hooks)
 	}
 	return trainDistributed(ctx, ds, cfg, hooks)
-}
-
-// sharedToken is the nomadic token of the shared-memory runner: just
-// the item index, since hⱼ stays in the model under the ownership
-// discipline.
-type sharedToken struct {
-	item int32
-}
-
-// trainShared runs Algorithm 1 with p worker goroutines in one
-// process. With cfg.Resume set it restores the checkpointed model,
-// per-rating schedule counts, RNG streams and token ownership instead
-// of initializing fresh; for a single worker the continuation is
-// bit-compatible with an uninterrupted run, because the token order,
-// schedule position and stop decision are all deterministic.
-func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
-	if cfg.QueueKind.Resolve() == queue.KindSPSC {
-		return trainSharedMesh(ctx, ds, cfg, hooks)
-	}
-	p := cfg.Workers
-	m, n := ds.Rows(), ds.Cols()
-	users := partitionUsers(ds, cfg, p)
-	local := buildLocalRatings(ds.Train, users)
-	schedule := cfg.Schedule()
-	root := rng.New(cfg.Seed)
-
-	var md *factor.Model
-	workerRNG := make([]*rng.Source, p)
-	queues := make([]queue.Queue[sharedToken], p)
-	for q := 0; q < p; q++ {
-		queues[q] = queue.New[sharedToken](cfg.QueueKind, 2*n/p+4)
-	}
-	if st := cfg.Resume; st != nil {
-		md = st.Model
-		importCounts(ds.Train, users, local, st.CountsFor(ds.Train.NNZ()))
-		st.RestoreStreams(root, workerRNG)
-		if err := restoreQueues(queues, st.Queues, n, root); err != nil {
-			return nil, err
-		}
-	} else {
-		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
-		// Initial token placement: a random assignment of all n item
-		// tokens over the worker queues (Algorithm 1 lines 6–10).
-		for j := 0; j < n; j++ {
-			queues[root.Intn(p)].Push(sharedToken{item: int32(j)})
-		}
-		for q := 0; q < p; q++ {
-			workerRNG[q] = root.Split(uint64(q))
-		}
-	}
-
-	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for q := 0; q < p; q++ {
-		wg.Add(1)
-		go func(q int) {
-			defer wg.Done()
-			runSharedWorker(q, md, local[q], queues, schedule, cfg, counter, &stop, workerRNG[q])
-		}(q)
-	}
-
-	runErr := train.Monitor(ctx, &stop, counter, cfg, rec, md, hooks)
-	wg.Wait()
-
-	// Ownership invariant: every item token must be parked in exactly
-	// one queue now that all workers have stopped. A mismatch would
-	// mean a token was lost or duplicated — i.e. the serializability
-	// discipline was broken. The drained tokens, in pop order, are the
-	// checkpoint's token-ownership map.
-	parked := 0
-	parkedQueues := make([][]int32, p)
-	for qi, q := range queues {
-		for {
-			tok, ok := q.TryPop()
-			if !ok {
-				break
-			}
-			parkedQueues[qi] = append(parkedQueues[qi], tok.item)
-			parked++
-		}
-	}
-	if parked != n {
-		return nil, fmt.Errorf("core: token conservation violated: %d tokens for %d items", parked, n)
-	}
-
-	rec.Sample(md, counter.Total())
-	return &train.Result{
-		Algorithm: "nomad",
-		Model:     md,
-		Trace:     rec.Trace(),
-		Updates:   counter.Total(),
-		Elapsed:   rec.Elapsed(),
-		Final: &train.State{
-			Algorithm: "nomad",
-			Seed:      cfg.Seed,
-			Updates:   counter.Total(),
-			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local),
-			RNG:       train.CaptureStreams(root, workerRNG),
-			Queues:    parkedQueues,
-		},
-	}, runErr
 }
 
 // hotPath is the per-run selection every SGD worker loop shares:
@@ -355,7 +244,7 @@ func (hp *hotPath) itemSGD32(usersJ []int32, vals []float64, counts []int32, hRo
 }
 
 // itemSGDItem processes one token when the item row lives in the model
-// (the shared-memory runners' ownership discipline).
+// (the shared-memory runner's ownership discipline).
 func (hp *hotPath) itemSGDItem(j int, usersJ []int32, vals []float64, counts []int32) {
 	if hp.f32 {
 		hp.itemSGD32(usersJ, vals, counts, hp.md.ItemRow32(j))
@@ -384,77 +273,6 @@ func (hp *hotPath) itemSGDVec(j int, usersJ []int32, vals []float64, counts []in
 	}
 	hp.itemSGD(usersJ, vals, counts, vec)
 	copy(hp.md.ItemRow(j), vec)
-}
-
-// runSharedWorker is Algorithm 1's per-worker loop.
-func runSharedWorker(q int, md *factor.Model, lr *localRatings,
-	queues []queue.Queue[sharedToken], schedule sched.Schedule, cfg train.Config,
-	counter *train.Counter, stop *atomic.Bool, r *rng.Source) {
-
-	p := len(queues)
-	if cfg.PinWorkers {
-		affinity.Pin(q)
-		defer affinity.Unpin()
-	}
-	hp := newHotPath(md, schedule, cfg)
-	loadBalance := cfg.LoadBalance && p > 1
-	straggler := q == 0 && cfg.Straggle > 1
-	var idle idleBackoff
-	var batch int64 // updates since last counter flush
-	for !stop.Load() {
-		tok, ok := queues[q].TryPop()
-		if !ok {
-			// Queue momentarily empty: yield, then back off.
-			idle.wait()
-			continue
-		}
-		idle.reset()
-
-		// SGD over this worker's ratings for the item (lines 16–21).
-		j := int(tok.item)
-		usersJ, vals, counts := lr.itemRatings(j)
-		var began time.Time
-		if straggler {
-			began = time.Now()
-		}
-		hp.itemSGDItem(j, usersJ, vals, counts)
-		if straggler && len(usersJ) > 0 && !stop.Load() {
-			// Simulate a slow machine: stretch this token's processing
-			// time by the configured factor (§3.3 ablation). Skipped once
-			// stop is set so cancellation stays prompt.
-			time.Sleep(time.Duration(float64(time.Since(began)) * (cfg.Straggle - 1)))
-		}
-		batch += int64(len(usersJ))
-		if batch >= 256 {
-			counter.Add(q, batch)
-			batch = 0
-			// Worker-side budget check: stops the run at a token
-			// boundary as soon as the flushed total crosses the update
-			// budget, instead of waiting for the monitor's next poll.
-			// For a single worker this makes the stop point — and hence
-			// checkpoint/resume — fully deterministic.
-			if counter.Total() >= cfg.MaxUpdates {
-				stop.Store(true)
-			}
-		}
-
-		// Forward the token (lines 22–23): uniform by default, or the
-		// §3.3 least-loaded choice between two random candidates. With
-		// one worker there is nowhere else to go — skip the RNG draw;
-		// with load balancing, both candidates come from a single draw.
-		dst := 0
-		if loadBalance {
-			var alt int
-			dst, alt = r.Pair(p)
-			if queues[alt].Len() < queues[dst].Len() {
-				dst = alt
-			}
-		} else if p > 1 {
-			dst = r.Intn(p)
-		}
-		queues[dst].Push(tok)
-	}
-	counter.Add(q, batch)
 }
 
 // partitionUsers splits users across p workers: equal user counts by

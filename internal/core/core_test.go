@@ -87,20 +87,6 @@ func TestSharedLoadBalanceConverges(t *testing.T) {
 	requireConverged(t, runNomad(t, ds, cfg))
 }
 
-func TestSharedAllQueueKinds(t *testing.T) {
-	ds := testData(t)
-	for _, kind := range allKinds {
-		cfg := baseConfig()
-		cfg.Workers = 2
-		cfg.Epochs = 6
-		cfg.QueueKind = kind
-		res := runNomad(t, ds, cfg)
-		if res.Updates == 0 {
-			t.Errorf("queue kind %v: no updates", kind)
-		}
-	}
-}
-
 func TestUpdatesRespectCap(t *testing.T) {
 	ds := testData(t)
 	cfg := baseConfig()

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"testing"
 
-	"nomad/internal/cluster"
 	"nomad/internal/dataset"
 	"nomad/internal/train"
 )
@@ -23,9 +22,6 @@ import (
 // tokens is the steady-state cost of one hop. A recycler that misses
 // costs up to 2 (a distToken and its vector per hop).
 func TestDistributedTokenPathAllocFree(t *testing.T) {
-	if cluster.ReferenceWire() {
-		t.Skip("the reference wire path allocates every inbound vector by design")
-	}
 	ds, err := dataset.LongtailLike(0.01).Generate()
 	if err != nil {
 		t.Fatal(err)

@@ -1,14 +1,13 @@
 package core
 
-// The (sim | tcp) × (transport) backend matrix over the asynchronous
-// distributed runners, the bitwise parity guarantees of the lockstep
-// runner, and the failure semantics of the real-network backend.
+// The (sim | tcp) backend matrix over the asynchronous distributed
+// runner, the bitwise parity guarantees of the lockstep runner, and
+// the failure semantics of the real-network backend.
 
 import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"testing"
@@ -16,30 +15,26 @@ import (
 
 	"nomad/internal/cluster"
 	"nomad/internal/netlink"
-	"nomad/internal/queue"
 	"nomad/internal/train"
 )
 
-// TestDistributedBackendMatrix runs every async distributed runner
-// (the batched SPSC mesh and the legacy mutex transport) over both
-// link backends: the simulated network and a real TCP loopback mesh
-// speaking the netlink wire protocol.
+// TestDistributedBackendMatrix runs the async distributed runner over
+// both link backends: the simulated network and a real TCP loopback
+// mesh speaking the netlink wire protocol.
 func TestDistributedBackendMatrix(t *testing.T) {
 	ds := testData(t)
 	for _, backend := range []string{"sim", "tcp"} {
-		for _, kind := range []queue.Kind{queue.KindSPSC, queue.KindMutex} {
-			t.Run(fmt.Sprintf("%s_%s", backend, kind), func(t *testing.T) {
-				cfg := baseConfig()
-				cfg.Machines, cfg.Workers = 3, 2
-				cfg.Backend = backend
-				cfg.QueueKind = kind
-				res := runNomad(t, ds, cfg)
-				requireConverged(t, res)
-				if res.MessagesSent == 0 || res.BytesSent == 0 {
-					t.Fatalf("no network accounting: %d msgs, %d bytes", res.MessagesSent, res.BytesSent)
-				}
-			})
-		}
+		// The subtest suffix names the token transport, the SPSC mesh.
+		t.Run(backend+"_spsc", func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.Machines, cfg.Workers = 3, 2
+			cfg.Backend = backend
+			res := runNomad(t, ds, cfg)
+			requireConverged(t, res)
+			if res.MessagesSent == 0 || res.BytesSent == 0 {
+				t.Fatalf("no network accounting: %d msgs, %d bytes", res.MessagesSent, res.BytesSent)
+			}
+		})
 	}
 }
 

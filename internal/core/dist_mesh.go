@@ -1,14 +1,17 @@
 package core
 
-// The distributed runner on the batched SPSC transport: each machine's
-// W workers plus its sender and receiver threads share a (W+1)-endpoint
-// mesh whose last endpoint — the "network port" — is produced into by
+// The distributed runner: each machine's W workers plus its sender and
+// receiver threads share a (W+1)-endpoint mesh whose last endpoint —
+// the "network port" — is produced into by
 // the receiver (inbound tokens starting their §3.4 local circulation)
 // and consumed from by the sender (tokens whose visit plan is
 // exhausted). Every lane keeps the single-producer single-consumer
 // discipline, so the intra-machine transport is identical to the
 // shared-memory one and the network batching of §3.5 starts from
-// already-batched port reads.
+// already-batched port reads. Tokens cross the network as pooled
+// arena batches (cluster.Sender, cluster.BatchBuf) and are recycled
+// from the sender back to the receiver (tokenPool), so the steady-state
+// token path allocates nothing.
 
 import (
 	"context"
@@ -26,7 +29,113 @@ import (
 	"nomad/internal/train"
 )
 
-// meshMachine is one simulated machine on the batched transport.
+// distToken is a nomadic token inside one machine: the traveling
+// (j, hⱼ) pair plus the list of local workers it still has to visit
+// before leaving over the network (§3.4's intra-machine circulation).
+type distToken struct {
+	tok  cluster.Token
+	plan []int8 // local workers to visit, in order; a recycled token reuses the backing
+	next int    // plan[next:] are the stops still ahead
+}
+
+// tokenPool recycles distTokens from a machine's sender (producer of
+// spent tokens) to its receiver (consumer): the sender returns a token
+// once Sender.Add has copied its vector into the outbound batch arena,
+// and the receiver refills it — vector storage and visit-plan backing
+// included — from the next inbound arena, so the steady-state receive
+// path allocates nothing.
+//
+// An SPSC ring carries the spent tokens across, a stash of meshBlock
+// at a time. The receiver empties the ring onto a stack of its own
+// once per inbound batch (collect) and takes from the top, so the
+// token it reuses is the one the sender let go of last: the one most
+// likely still in cache.
+//
+// Ring and stack each hold all n tokens of the run. In the closed
+// circuit the tokens travel, a machine's share wanders over the whole
+// range from none to all of them, so any smaller pool overflows while
+// the machine empties and allocates again while it fills. The token
+// count itself grows only on demand, to the machine's peak holding.
+type tokenPool struct {
+	ring  *queue.Ring[*distToken]
+	spent []*distToken // sender-side stash, pushed when full
+	free  []*distToken // receiver-side stack, newest on top
+}
+
+// newTokenPool returns a pool for a run of n tokens.
+func newTokenPool(n int) *tokenPool {
+	return &tokenPool{
+		ring:  queue.NewRing[*distToken](n),
+		spent: make([]*distToken, 0, meshBlock),
+		free:  make([]*distToken, 0, n),
+	}
+}
+
+// collect moves every token the sender has returned so far onto the
+// receiver's stack. Receiver goroutine only, once per inbound batch.
+//
+//nomad:noalloc
+func (tp *tokenPool) collect() {
+	have := len(tp.free)
+	tp.free = tp.free[:have+tp.ring.PopBatch(tp.free[have:cap(tp.free)])]
+}
+
+// fromInbound materializes an inbound wire token as a machine-local
+// distToken, copying the k-coordinate vector out of the (recycled)
+// batch arena into pooled storage. Receiver goroutine only. Kept out
+// of line so its warm-up allocations stay in this frame, next to their
+// waivers, rather than inlining into the delivery loop.
+//
+//go:noinline
+//nomad:noalloc
+func (tp *tokenPool) fromInbound(t cluster.Token, k int) *distToken {
+	var tok *distToken
+	if top := len(tp.free) - 1; top >= 0 {
+		tok, tp.free[top] = tp.free[top], nil
+		tp.free = tp.free[:top]
+	} else {
+		tok = new(distToken) //nomad:alloc-ok warm-up growth until the machine has seen its peak token count
+	}
+	tok.tok.Item = t.Item
+	if cap(tok.tok.Vec) < k {
+		tok.tok.Vec = make([]float64, k) //nomad:alloc-ok warm-up growth, as above
+	}
+	tok.tok.Vec = tok.tok.Vec[:k]
+	copy(tok.tok.Vec, t.Vec)
+	return tok
+}
+
+// put returns a spent token (vector already copied into a batch
+// arena) for reuse. Sender goroutine only.
+//
+//nomad:noalloc
+func (tp *tokenPool) put(tok *distToken) {
+	tp.spent = append(tp.spent, tok)
+	if len(tp.spent) == cap(tp.spent) {
+		tp.ring.PushBatch(tp.spent) // what a full ring refuses goes to the GC
+		clear(tp.spent)
+		tp.spent = tp.spent[:0]
+	}
+}
+
+// newTokens builds the n item tokens of a run's initial placement from
+// one vector slab and one token array, each vector filled from the
+// model's item row.
+func newTokens(md *factor.Model) []distToken {
+	k := md.K
+	slab := make([]float64, md.N*k)
+	toks := make([]distToken, md.N)
+	for j := range toks {
+		vec := slab[j*k : (j+1)*k : (j+1)*k]
+		md.CopyItemRowTo64(j, vec)
+		toks[j].tok = cluster.Token{Item: int32(j), Vec: vec}
+	}
+	return toks
+}
+
+// meshMachine is one machine of the hybrid architecture: W compute
+// workers plus the dedicated sender and receiver goroutines the paper
+// reserves for communication (§3.4), sharing one mesh.
 type meshMachine struct {
 	id      int
 	workers int
@@ -101,10 +210,9 @@ func (mc *meshMachine) retryPending() {
 	}
 }
 
-// machinePicker returns the outbound-destination chooser shared by
-// both sender implementations: uniform over peers, or the §3.3
-// least-loaded known peer with random tie-break, reported as a
-// BalanceEvent.
+// machinePicker returns the sender's outbound-destination chooser:
+// uniform over peers, or the §3.3 least-loaded known peer with random
+// tie-break, reported as a BalanceEvent.
 func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng.Source, hooks *train.Hooks) func() int {
 	return func() int {
 		if M == 1 {
@@ -139,8 +247,12 @@ func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng
 	}
 }
 
-// trainDistributedMesh is trainDistributed on the batched transport.
-func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
+// trainDistributed runs NOMAD across cfg.Machines machines connected
+// by the configured link backend (simulated network or TCP). Resume
+// restores the model, per-rating schedule counts and RNG streams;
+// tokens (folded into the model when the previous run tore down) are
+// re-scattered.
+func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
 	// M counts the initial members; Mtot adds the provisioned elastic
 	// spares, which run their communication threads from the start but
 	// stay latent (no tokens, gossip-poisoned) until a join round.
@@ -213,8 +325,6 @@ func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Co
 		mc.publishStaged()
 	}
 
-	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
 	var stop atomic.Bool
 
 	// A transport failure (TCP peer down) must end the run even though
@@ -242,6 +352,12 @@ func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Co
 	if chaos != nil {
 		chaos.Arm(links)
 	}
+
+	// The recorder publishes the first TraceEvent, so it starts only
+	// now that the membership controls are bound: a subscriber reacting
+	// to that event may already resize the run.
+	counter := train.NewCounterFor(cfg, p)
+	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
 
 	// Compute workers. residual[mc][w] keeps each worker's unflushed
 	// out-buffers for the final collection.
@@ -369,6 +485,31 @@ func trainDistributedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Co
 			// model above; a resume re-scatters them.
 		},
 	}, runErr
+}
+
+// planVisits fills tok's visit plan — Circulate full permutations of
+// the W local workers, with the first stop consumed into the return
+// value — and returns that first worker. scratch is a caller-owned
+// permutation buffer of length ≥ W, reused across tokens so the
+// receive path allocates nothing per token (beyond growing the token's
+// own visit plan once).
+func planVisits(tok *distToken, W, circulate int, r *rng.Source, scratch []int) (first int) {
+	if W == 1 && circulate == 1 {
+		// Single local worker: the only plan is "visit worker 0 once" —
+		// no permutation, no RNG draw.
+		tok.plan, tok.next = tok.plan[:0], 0
+		return 0
+	}
+	perm := scratch[:W]
+	r.Perm(perm)
+	plan := tok.plan[:0]
+	for c := 0; c < circulate; c++ {
+		for _, w := range perm {
+			plan = append(plan, int8(w))
+		}
+	}
+	tok.plan, tok.next = plan, 1
+	return perm[0]
 }
 
 // stageLocal plans a token's visits through mc's workers and stages it
@@ -556,7 +697,7 @@ func runDistWorkerMesh(mc *meshMachine, w int, md *factor.Model, lr *localRating
 			if batch >= 256 {
 				counter.Add(gw, batch)
 				batch = 0
-				// Worker-side budget check; see runSharedWorker.
+				// Worker-side budget check; see runSharedWorkerMesh.
 				if counter.Total() >= cfg.MaxUpdates {
 					stop.Store(true)
 				}
@@ -723,9 +864,7 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, cfg train.Config, r *rn
 			if fo != nil && !fo.acceptBatch(mc.id, inb.From) {
 				// Dead self or evicted source: discard, but keep draining —
 				// a stalled receive channel wedges the transport.
-				if mc.pool != nil {
-					inb.Batch.Release()
-				}
+				inb.Batch.Release()
 				continue
 			}
 			mc.lastKnown[inb.From].Store(int64(inb.Batch.QueueLen))
@@ -741,11 +880,7 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, cfg train.Config, r *rn
 				// batch is in the lanes or counted in pendingN.
 				fo.afterDeliver(mc.id, inb.From, inb.Batch.Tokens, link)
 			}
-			if mc.pool != nil {
-				// Copied out above; reference wire retains the vectors, so
-				// only the pooled path may recycle the arena.
-				inb.Batch.Release()
-			}
+			inb.Batch.Release() // the vectors were copied out above
 		}
 	}
 }

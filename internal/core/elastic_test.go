@@ -2,26 +2,24 @@ package core
 
 // The elasticity matrix: a 4-machine asynchronous run (one provisioned
 // spare) survives a chaos schedule that kills one machine, joins the
-// spare and drains a member — on both link backends and both token
-// transports — conserving all n item tokens across every resize and
+// spare and drains a member — on both link backends — conserving all n
+// item tokens across every resize and
 // converging to the undisturbed noise floor. Plus arbiter succession
 // (the coordinator itself dies) and the fence-timeout abort path.
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"time"
 
 	"nomad/internal/cluster"
-	"nomad/internal/queue"
 	"nomad/internal/train"
 )
 
 // elasticConfig is the shared 4-machine + 1-spare elastic run.
-func elasticConfig(backend string, kind queue.Kind) train.Config {
-	cfg := failoverConfig(backend, kind)
+func elasticConfig(backend string) train.Config {
+	cfg := failoverConfig(backend)
 	cfg.ElasticSpares = 1
 	return cfg
 }
@@ -69,7 +67,7 @@ func requireResized(t *testing.T, resizes []train.ResizeEvent, kind string, rank
 
 // TestElasticKillJoinDrain runs the full multi-fault schedule — kill a
 // machine mid-epoch, activate the provisioned spare, then drain a
-// member — on every (backend × transport) combination. The run must
+// member — on both link backends. The run must
 // survive all three membership changes, conserve every item token
 // (checked by the runner's teardown) and converge to within 1e-2 of
 // the undisturbed run's final RMSE.
@@ -78,34 +76,33 @@ func TestElasticKillJoinDrain(t *testing.T) {
 		t.Skip("multi-second elasticity matrix")
 	}
 	// The undisturbed reference: same provisioned topology, no faults.
-	base, _, _ := runFailover(t, elasticConfig("sim", queue.KindSPSC), "")
+	base, _, _ := runFailover(t, elasticConfig("sim"), "")
 	baseline := base.Trace.Final().RMSE
 	for _, backend := range []string{"sim", "tcp"} {
-		for _, kind := range []queue.Kind{queue.KindSPSC, queue.KindMutex} {
-			t.Run(fmt.Sprintf("%s_%s", backend, kind), func(t *testing.T) {
-				// Auto-resolved subjects: kill the highest selectable rank
-				// (3), join the lowest unclaimed spare (4), drain the
-				// highest selectable member that did not just join (2).
-				res, recovs, resizes := runElastic(t, elasticConfig(backend, kind),
-					"kill@mid-epoch;join@mid-epoch;drain@mid-epoch")
-				if len(recovs) != 1 || recovs[0].Rank != 3 {
-					t.Fatalf("want one recovery of rank 3, got %v", recovs)
-				}
-				j := requireResized(t, resizes, "join", 4)
-				if j.Machines != 4 {
-					t.Errorf("post-join working set %d, want 4", j.Machines)
-				}
-				d := requireResized(t, resizes, "drain", 2)
-				if d.Machines != 3 {
-					t.Errorf("post-drain working set %d, want 3", d.Machines)
-				}
-				requireConverged(t, res)
-				if drift := math.Abs(res.Trace.Final().RMSE - baseline); drift > 1e-2 {
-					t.Errorf("final RMSE %.4f drifted %.4f from undisturbed %.4f (> 1e-2)",
-						res.Trace.Final().RMSE, drift, baseline)
-				}
-			})
-		}
+		// The subtest suffix names the token transport, the SPSC mesh.
+		t.Run(backend+"_spsc", func(t *testing.T) {
+			// Auto-resolved subjects: kill the highest selectable rank (3),
+			// join the lowest unclaimed spare (4), drain the highest
+			// selectable member that did not just join (2).
+			res, recovs, resizes := runElastic(t, elasticConfig(backend),
+				"kill@mid-epoch;join@mid-epoch;drain@mid-epoch")
+			if len(recovs) != 1 || recovs[0].Rank != 3 {
+				t.Fatalf("want one recovery of rank 3, got %v", recovs)
+			}
+			j := requireResized(t, resizes, "join", 4)
+			if j.Machines != 4 {
+				t.Errorf("post-join working set %d, want 4", j.Machines)
+			}
+			d := requireResized(t, resizes, "drain", 2)
+			if d.Machines != 3 {
+				t.Errorf("post-drain working set %d, want 3", d.Machines)
+			}
+			requireConverged(t, res)
+			if drift := math.Abs(res.Trace.Final().RMSE - baseline); drift > 1e-2 {
+				t.Errorf("final RMSE %.4f drifted %.4f from undisturbed %.4f (> 1e-2)",
+					res.Trace.Final().RMSE, drift, baseline)
+			}
+		})
 	}
 }
 
@@ -117,7 +114,7 @@ func TestElasticArbiterSuccession(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second elasticity run")
 	}
-	res, recovs, resizes := runElastic(t, elasticConfig("sim", queue.KindSPSC),
+	res, recovs, resizes := runElastic(t, elasticConfig("sim"),
 		"kill:rank=0,at=mid-epoch;join@mid-epoch")
 	if len(recovs) != 1 || recovs[0].Rank != 0 {
 		t.Fatalf("want one recovery of rank 0 (the arbiter), got %v", recovs)
@@ -133,7 +130,7 @@ func TestElasticDrainOnly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second elasticity run")
 	}
-	cfg := failoverConfig("sim", queue.KindMutex)
+	cfg := failoverConfig("sim")
 	res, recovs, resizes := runElastic(t, cfg, "drain@mid-epoch")
 	if len(recovs) != 0 {
 		t.Fatalf("a graceful drain produced %d recovery events", len(recovs))
@@ -153,7 +150,7 @@ func TestElasticFenceTimeout(t *testing.T) {
 	foFenceTimeout = 150 * time.Millisecond
 	defer func() { foFenceTimeout = orig }()
 
-	cfg := elasticConfig("sim", queue.KindSPSC)
+	cfg := elasticConfig("sim")
 	// Rank 2's sends (data and control alike) stall for far longer than
 	// the fence timeout; the join round that starts mid-stall can never
 	// quiesce.
@@ -176,14 +173,14 @@ func TestElasticFenceTimeout(t *testing.T) {
 func TestElasticRequestValidation(t *testing.T) {
 	ds := testData(t)
 
-	neg := elasticConfig("sim", queue.KindSPSC)
+	neg := elasticConfig("sim")
 	neg.ElasticSpares = -1
 	if _, err := neg.Normalize(ds); err == nil {
 		t.Error("negative ElasticSpares accepted")
 	}
 
 	// A chaos join naming an initial member is rejected up front.
-	member := failoverConfig("sim", queue.KindSPSC)
+	member := failoverConfig("sim")
 	spec, err := cluster.ParseChaos("join:rank=1,at=mid-epoch")
 	if err != nil {
 		t.Fatal(err)

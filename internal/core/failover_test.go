@@ -1,27 +1,24 @@
 package core
 
 // The failover matrix: a 4-machine asynchronous run survives the
-// chaos-injected death of machine 2 — on both link backends and both
-// token transports, at several protocol points — and still converges,
+// chaos-injected death of machine 2 — on both link backends, at
+// several protocol points — and still converges,
 // conserving all n item tokens through the remap.
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"testing"
 
 	"nomad/internal/cluster"
-	"nomad/internal/queue"
 	"nomad/internal/train"
 )
 
 // failoverConfig is the shared 4-machine failover-enabled run.
-func failoverConfig(backend string, kind queue.Kind) train.Config {
+func failoverConfig(backend string) train.Config {
 	cfg := baseConfig()
 	cfg.Machines, cfg.Workers = 4, 2
 	cfg.Backend = backend
-	cfg.QueueKind = kind
 	cfg.Failover = true
 	return cfg
 }
@@ -76,8 +73,8 @@ func requireRecovered(t *testing.T, downs []train.PeerEvent, recovs []train.Peer
 	}
 }
 
-// TestFailoverChaosMatrix kills machine 2 mid-epoch on every
-// (backend × transport) combination and requires the survivors to
+// TestFailoverChaosMatrix kills machine 2 mid-epoch on both link
+// backends and requires the survivors to
 // reconfigure, conserve all tokens and converge to within 1e-2 of the
 // undisturbed run's final RMSE.
 func TestFailoverChaosMatrix(t *testing.T) {
@@ -87,20 +84,19 @@ func TestFailoverChaosMatrix(t *testing.T) {
 	// The undisturbed reference: same dataset, seed and budget, no
 	// failure. Async runs are nondeterministic, but both settle onto the
 	// same noise floor.
-	base, _, _ := runFailover(t, failoverConfig("sim", queue.KindSPSC), "")
+	base, _, _ := runFailover(t, failoverConfig("sim"), "")
 	baseline := base.Trace.Final().RMSE
 	for _, backend := range []string{"sim", "tcp"} {
-		for _, kind := range []queue.Kind{queue.KindSPSC, queue.KindMutex} {
-			t.Run(fmt.Sprintf("%s_%s", backend, kind), func(t *testing.T) {
-				res, downs, recovs := runFailover(t, failoverConfig(backend, kind), "kill:rank=2,at=mid-epoch")
-				requireRecovered(t, downs, recovs, 2)
-				requireConverged(t, res)
-				if d := math.Abs(res.Trace.Final().RMSE - baseline); d > 1e-2 {
-					t.Errorf("final RMSE %.4f drifted %.4f from undisturbed %.4f (> 1e-2)",
-						res.Trace.Final().RMSE, d, baseline)
-				}
-			})
-		}
+		// The subtest suffix names the token transport, the SPSC mesh.
+		t.Run(backend+"_spsc", func(t *testing.T) {
+			res, downs, recovs := runFailover(t, failoverConfig(backend), "kill:rank=2,at=mid-epoch")
+			requireRecovered(t, downs, recovs, 2)
+			requireConverged(t, res)
+			if d := math.Abs(res.Trace.Final().RMSE - baseline); d > 1e-2 {
+				t.Errorf("final RMSE %.4f drifted %.4f from undisturbed %.4f (> 1e-2)",
+					res.Trace.Final().RMSE, d, baseline)
+			}
+		})
 	}
 }
 
@@ -114,7 +110,7 @@ func TestFailoverKillPoints(t *testing.T) {
 	for _, backend := range []string{"sim", "tcp"} {
 		for _, at := range []string{"rendezvous", "snapshot"} {
 			t.Run(backend+"_"+at, func(t *testing.T) {
-				res, downs, recovs := runFailover(t, failoverConfig(backend, queue.KindSPSC),
+				res, downs, recovs := runFailover(t, failoverConfig(backend),
 					"kill:rank=2,at="+at)
 				requireRecovered(t, downs, recovs, 2)
 				requireConverged(t, res)
@@ -130,7 +126,7 @@ func TestFailoverPartitionHeals(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failover run")
 	}
-	res, _, recovs := runFailover(t, failoverConfig("sim", queue.KindSPSC),
+	res, _, recovs := runFailover(t, failoverConfig("sim"),
 		"partition:rank=1,at=mid-epoch,window=50ms")
 	if len(recovs) != 0 {
 		t.Fatalf("a healed partition triggered %d failovers", len(recovs))
@@ -145,7 +141,7 @@ func TestFailoverDropsReplication(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failover run")
 	}
-	res, downs, recovs := runFailover(t, failoverConfig("sim", queue.KindSPSC),
+	res, downs, recovs := runFailover(t, failoverConfig("sim"),
 		"drop:rank=2,at=snapshot,p=1.0")
 	// Dropping frames alone kills nobody.
 	_ = res
@@ -159,17 +155,17 @@ func TestFailoverDropsReplication(t *testing.T) {
 // are rejected up front.
 func TestFailoverConfigValidation(t *testing.T) {
 	ds := testData(t)
-	twoMachines := failoverConfig("sim", queue.KindSPSC)
+	twoMachines := failoverConfig("sim")
 	twoMachines.Machines = 2
 	if _, err := twoMachines.Normalize(ds); err == nil {
 		t.Error("failover with 2 machines accepted")
 	}
-	lockstep := failoverConfig("sim", queue.KindSPSC)
+	lockstep := failoverConfig("sim")
 	lockstep.Lockstep = true
 	if _, err := lockstep.Normalize(ds); err == nil {
 		t.Error("failover with lockstep accepted")
 	}
-	badRank := failoverConfig("sim", queue.KindSPSC)
+	badRank := failoverConfig("sim")
 	spec, err := cluster.ParseChaos("kill:rank=9,at=mid-epoch")
 	if err != nil {
 		t.Fatal(err)

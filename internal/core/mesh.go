@@ -1,15 +1,14 @@
 package core
 
-// The batched token transport (queue.KindSPSC, the default): workers
-// exchange tokens through a p×p mesh of bounded SPSC rings instead of
-// p MPMC queues. Tokens are popped in blocks, processed, and routed
-// through per-destination out-buffers that are flushed in blocks, so
-// the per-token cost of the transport is a slice append — the
+// The shared-memory runner: workers exchange tokens through a p×p mesh
+// of bounded SPSC rings. Tokens are popped in blocks, processed, and
+// routed through per-destination out-buffers that are flushed in
+// blocks, so the per-token cost of the transport is a slice append — the
 // synchronization (one atomic release per block) and the routing RNG
 // (one draw per four route choices) are amortized the way the paper
 // amortizes network overhead by batching ~100 tokens per message
 // (§3.5). Queue-length gossip for §3.3 load balancing reads padded
-// atomics instead of taking the destination queues' locks.
+// atomics, never a lock.
 
 import (
 	"context"
@@ -27,6 +26,13 @@ import (
 	"nomad/internal/sched"
 	"nomad/internal/train"
 )
+
+// sharedToken is the nomadic token of the shared-memory runner: just
+// the item index, since hⱼ stays in the model under the ownership
+// discipline.
+type sharedToken struct {
+	item int32
+}
 
 // meshBlock is the transport's block size: tokens popped per RecvBatch
 // and buffered per destination before a flush. Large enough to
@@ -88,8 +94,8 @@ func (t *tokenRouter) next() int {
 
 // meshRingCap sizes a mesh lane at twice its expected uniform-routing
 // occupancy (n/p tokens per worker spread over p inbound lanes) plus
-// block slack, so the p² lanes preallocate ~2n slots total — the same
-// O(n) footprint as the MPMC queues they replace — instead of O(n·p).
+// block slack, so the p² lanes preallocate ~2n slots total — an O(n)
+// footprint instead of O(n·p).
 // Skewed routing that overfills a lane is handled, not lost: the
 // producer keeps the overflow in its out-buffer and retries, and the
 // restore path preloads what a lane cannot take. For p=1 the single
@@ -116,12 +122,14 @@ func meshFlushThreshold(n, p int) int {
 	return t
 }
 
-// trainSharedMesh is trainShared on the batched SPSC transport. The
-// single-worker guarantees are unchanged: token order is FIFO, the
-// stop decision happens at the same counter-flush boundary, and the
-// drained ownership map reconstructs the logical queue exactly, so
-// checkpoint/resume stays bit-compatible with an uninterrupted run.
-func trainSharedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
+// trainShared runs Algorithm 1 with p worker goroutines in one
+// process. With cfg.Resume set it restores the checkpointed model,
+// per-rating schedule counts, RNG streams and token ownership instead
+// of initializing fresh. For a single worker the continuation is
+// bit-compatible with an uninterrupted run: token order is FIFO, the
+// stop decision happens at a deterministic counter-flush boundary, and
+// the drained ownership map reconstructs the logical queue exactly.
+func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
 	p := cfg.Workers
 	m, n := ds.Rows(), ds.Cols()
 	users := partitionUsers(ds, cfg, p)
@@ -176,10 +184,12 @@ func trainSharedMesh(ctx context.Context, ds *dataset.Dataset, cfg train.Config,
 	runErr := train.Monitor(ctx, &stop, counter, cfg, rec, md, hooks)
 	wg.Wait()
 
-	// Ownership invariant (see trainShared): every token must now be
-	// in exactly one place. Per worker, the logical queue order is its
-	// unprocessed block remainder (front), then its mesh row, then
-	// whatever peers could not flush toward it (back).
+	// Ownership invariant: every item token must now be in exactly one
+	// place. A mismatch would mean a token was lost or duplicated — i.e.
+	// the serializability discipline was broken. Per worker, the logical
+	// queue order is its unprocessed block remainder (front), then its
+	// mesh row, then whatever peers could not flush toward it (back);
+	// that order is the checkpoint's token-ownership map.
 	parked := 0
 	parkedQueues := make([][]int32, p)
 	for q := 0; q < p; q++ {
@@ -302,7 +312,11 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 		if batch >= 256 {
 			counter.Add(q, batch)
 			ahead, batch = ahead-batch, 0
-			// Worker-side budget check; see runSharedWorker.
+			// Worker-side budget check: stops the run at a token boundary
+			// as soon as the flushed total crosses the update budget,
+			// instead of waiting for the monitor's next poll. For a single
+			// worker this makes the stop point — and hence
+			// checkpoint/resume — fully deterministic.
 			if counter.Total() >= cfg.MaxUpdates {
 				stop.Store(true)
 			}
@@ -310,7 +324,7 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 
 		// Forward the token (lines 22–23): uniform, or the §3.3
 		// least-loaded choice between two candidates — the length
-		// probes are single atomic loads, never queue locks.
+		// probes are single atomic loads.
 		dst := 0
 		if loadBalance {
 			a, b := route.next(), route.next()

@@ -75,28 +75,14 @@ func forEachParked(saved [][]int32, n int, park func(qi int, item int32)) error 
 	return nil
 }
 
-// restoreQueues reloads the checkpointed token-ownership map: each
-// worker queue gets its parked tokens back in pop order. When the map
-// is missing (distributed checkpoints fold tokens into the model) or
-// was taken with a different worker count, all n tokens are scattered
-// uniformly instead.
-func restoreQueues(queues []queue.Queue[sharedToken], saved [][]int32, n int, root *rng.Source) error {
-	if len(saved) != len(queues) {
-		for j := 0; j < n; j++ {
-			queues[root.Intn(len(queues))].Push(sharedToken{item: int32(j)})
-		}
-		return nil
-	}
-	return forEachParked(saved, n, func(qi int, item int32) {
-		queues[qi].Push(sharedToken{item: item})
-	})
-}
-
-// restoreMesh is restoreQueues for the batched SPSC transport: worker
+// restoreMesh reloads the checkpointed token-ownership map: worker
 // qi's parked tokens refill its self lane in pop order; tokens beyond
 // the lane's capacity preload the worker's self-destination out-buffer,
 // which the worker flushes behind the lane's content — preserving the
 // logical queue order that makes single-worker resume bit-compatible.
+// When the map is missing (distributed checkpoints fold tokens into the
+// model) or was taken with a different worker count, all n tokens are
+// scattered uniformly instead.
 func restoreMesh(mesh *queue.Mesh[sharedToken], preload [][]sharedToken, saved [][]int32, n int, root *rng.Source) error {
 	p := mesh.P()
 	if len(saved) != p {

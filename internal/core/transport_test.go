@@ -2,17 +2,13 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"nomad/internal/queue"
 	"nomad/internal/rng"
 	"nomad/internal/train"
 )
-
-// allKinds is every selectable transport, including the auto default.
-var allKinds = []queue.Kind{
-	queue.KindAuto, queue.KindSPSC, queue.KindMutex, queue.KindLockFree, queue.KindChan,
-}
 
 // assertOwnershipMap checks the checkpointed token-ownership map holds
 // every item exactly once — the no-loss/no-duplication half of NOMAD's
@@ -42,30 +38,26 @@ func assertOwnershipMap(t *testing.T, label string, res *train.Result, n int) {
 }
 
 // TestTokenConservationRandomizedStop is the transport property test:
-// for every kind, with load balancing both off and on, stop runs at
-// randomized update budgets — so workers are interrupted at arbitrary
-// points with tokens in rings, out-buffers and in-flight blocks — and
-// demand an exact ownership map every time.
+// for every worker count up to 4, with load balancing both off and on,
+// stop runs at randomized update budgets — so workers are interrupted
+// at arbitrary points with tokens in rings, out-buffers and in-flight
+// blocks — and demand an exact ownership map every time.
 func TestTokenConservationRandomizedStop(t *testing.T) {
 	ds := testData(t)
 	n := ds.Cols()
 	r := rng.New(99)
-	for _, kind := range allKinds {
+	for workers := 1; workers <= 4; workers++ {
 		for _, lb := range []bool{false, true} {
 			for rep := 0; rep < 3; rep++ {
 				cfg := baseConfig()
-				cfg.Workers = 3
-				cfg.QueueKind = kind
+				cfg.Workers = workers
 				cfg.LoadBalance = lb
 				cfg.Epochs = 0
 				cfg.MaxUpdates = 1000 + int64(r.Intn(20000))
-				label := kind.String()
-				if lb {
-					label += "+lb"
-				}
+				label := fmt.Sprintf("p=%d lb=%v rep %d (budget %d)", workers, lb, rep, cfg.MaxUpdates)
 				res, err := New().Train(context.Background(), ds, cfg, nil)
 				if err != nil {
-					t.Fatalf("%s rep %d (budget %d): %v", label, rep, cfg.MaxUpdates, err)
+					t.Fatalf("%s: %v", label, err)
 				}
 				assertOwnershipMap(t, label, res, n)
 			}
@@ -74,24 +66,31 @@ func TestTokenConservationRandomizedStop(t *testing.T) {
 }
 
 // TestMeshTokenConservationDistributed covers the same invariant on
-// the distributed mesh runner, where conservation is checked by the
-// fold-into-model collection (an error return on violation).
+// the distributed runner over both link backends, where conservation
+// is checked by the fold-into-model collection (an error return on
+// violation), at randomized update budgets.
 func TestMeshTokenConservationDistributed(t *testing.T) {
 	ds := testData(t)
-	for _, lb := range []bool{false, true} {
-		cfg := baseConfig()
-		cfg.Machines = 2
-		cfg.Workers = 2
-		cfg.QueueKind = queue.KindSPSC
-		cfg.LoadBalance = lb
-		cfg.Epochs = 0
-		cfg.MaxUpdates = 7000
-		res, err := New().Train(context.Background(), ds, cfg, nil)
-		if err != nil {
-			t.Fatalf("lb=%v: %v", lb, err)
-		}
-		if res.Updates < cfg.MaxUpdates {
-			t.Errorf("lb=%v: stopped at %d updates, below budget", lb, res.Updates)
+	r := rng.New(98)
+	for _, backend := range []string{"sim", "tcp"} {
+		for _, lb := range []bool{false, true} {
+			for rep := 0; rep < 3; rep++ {
+				cfg := baseConfig()
+				cfg.Machines = 2
+				cfg.Workers = 2
+				cfg.Backend = backend
+				cfg.LoadBalance = lb
+				cfg.Epochs = 0
+				cfg.MaxUpdates = 1000 + int64(r.Intn(20000))
+				label := fmt.Sprintf("%s lb=%v rep %d (budget %d)", backend, lb, rep, cfg.MaxUpdates)
+				res, err := New().Train(context.Background(), ds, cfg, nil)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Updates < cfg.MaxUpdates {
+					t.Errorf("%s: stopped at %d updates, below budget", label, res.Updates)
+				}
+			}
 		}
 	}
 }
@@ -104,7 +103,6 @@ func TestMeshSingleWorkerDeterministic(t *testing.T) {
 	ds := testData(t)
 	run := func() *train.Result {
 		cfg := baseConfig()
-		cfg.QueueKind = queue.KindSPSC
 		cfg.Epochs = 3
 		return runNomad(t, ds, cfg)
 	}
@@ -129,7 +127,7 @@ func TestMeshSingleWorkerDeterministic(t *testing.T) {
 	}
 }
 
-// TestMeshResumeRestoresOwnership: a mesh checkpoint with more tokens
+// TestMeshRestoreOverflow: a mesh checkpoint with more tokens
 // than one lane holds must still restore without loss (overflow goes
 // through the worker's preload buffer).
 func TestMeshRestoreOverflow(t *testing.T) {

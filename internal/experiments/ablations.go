@@ -6,42 +6,14 @@ import (
 	"nomad/internal/core"
 	"nomad/internal/hogwild"
 	"nomad/internal/netsim"
-	"nomad/internal/queue"
 )
 
 func init() {
-	register("abl-queue", AblQueues)
 	register("abl-lb", AblLoadBalance)
 	register("abl-part", AblPartition)
 	register("abl-batch", AblBatchSize)
 	register("abl-serial", AblSerializability)
 	register("abl-circ", AblCirculation)
-}
-
-// AblQueues ablates the token-transport implementation (§3.5 discusses
-// TBB's concurrent queue; we compare the batched SPSC ring mesh against
-// a mutex ring, a lock-free linked queue and a channel).
-func AblQueues(o Options) (*Result, error) {
-	ds, err := data("netflix", o)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{Headers: []string{"queue", "final RMSE", "updates/sec/worker"}}
-	for _, kind := range []queue.Kind{queue.KindSPSC, queue.KindMutex, queue.KindLockFree, queue.KindChan} {
-		cfg := baseConfig("netflix", o)
-		cfg.QueueKind = kind
-		s, tr, err := runSeries("", core.New(), ds, cfg, "seconds", 1)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, []string{kind.String(), fmtF(s.Final()),
-			fmt.Sprintf("%.0f", tr.Throughput(cfg).PerWorkerPerSec())})
-	}
-	return &Result{
-		ID: "abl-queue", Title: "Ablation: worker queue implementation",
-		Notes: []string{"paper §3.5: the queue is not the bottleneck; all variants should be close"},
-		Table: t,
-	}, nil
 }
 
 // AblLoadBalance ablates §3.3 dynamic load balancing with worker 0

@@ -25,7 +25,6 @@ import (
 
 	"nomad/internal/dataset"
 	"nomad/internal/metrics"
-	"nomad/internal/queue"
 	"nomad/internal/textplot"
 	"nomad/internal/train"
 )
@@ -39,9 +38,6 @@ type Options struct {
 	Workers  int     // threads per machine ("cores")
 	Machines int     // machines for distributed experiments
 	Seed     uint64
-	// Transport selects NOMAD's token transport (queue.KindAuto by
-	// default, which resolves to the batched SPSC mesh).
-	Transport queue.Kind
 }
 
 // WithDefaults fills unset fields with the standard small-scale values.
@@ -188,7 +184,6 @@ func baseConfig(profile string, o Options) train.Config {
 	cfg.BoldStep = cfg.Alpha
 	cfg.Workers = o.Workers
 	cfg.Machines = 1
-	cfg.QueueKind = o.Transport
 	return cfg
 }
 

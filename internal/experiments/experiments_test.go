@@ -18,7 +18,7 @@ func TestRegistryComplete(t *testing.T) {
 		"fig8", "fig9", "fig10L", "fig10R", "fig11", "fig12",
 		"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19",
 		"fig20", "fig21", "fig22", "fig23",
-		"abl-queue", "abl-lb", "abl-part", "abl-batch", "abl-serial", "abl-circ",
+		"abl-lb", "abl-part", "abl-batch", "abl-serial", "abl-circ",
 	}
 	for _, id := range want {
 		if _, ok := Registry[id]; !ok {

@@ -98,7 +98,6 @@ type TCP struct {
 	rank     int
 	machines int
 	opts     Options
-	refwire  bool            // NOMAD_REFERENCE_WIRE: legacy allocating codec paths
 	ctx      context.Context // rendezvous context: cancellation fails barriers fast
 
 	peers []*peer // indexed by rank; self is nil
@@ -141,7 +140,6 @@ func newTCP(ctx context.Context, rank, machines int, conns map[int]net.Conn, opt
 		rank:     rank,
 		machines: machines,
 		opts:     opts,
-		refwire:  cluster.ReferenceWire(),
 		ctx:      ctx,
 		peers:    make([]*peer, machines),
 		recv:     make(chan cluster.Inbound, 4*machines),
@@ -200,17 +198,11 @@ func (l *TCP) Stats() cluster.LinkStats {
 // writeFrame writes one frame to a peer under its write lock: the
 // frame is encoded into the peer's reusable buffer and flushed with a
 // single Write call — one flush is one syscall, no per-frame
-// allocation once the buffer is warm. The reference wire path keeps
-// the legacy fresh-buffer-per-frame behaviour for the A/B.
+// allocation once the buffer is warm.
 func (l *TCP) writeFrame(p *peer, typ FrameType, payload []byte) error {
 	p.wmu.Lock()
-	var buf []byte
-	if l.refwire {
-		buf = AppendFrame(make([]byte, 0, headerSize+len(payload)), typ, l.rank, payload)
-	} else {
-		buf = AppendFrame(p.wbuf[:0], typ, l.rank, payload)
-		p.wbuf = buf
-	}
+	buf := AppendFrame(p.wbuf[:0], typ, l.rank, payload)
+	p.wbuf = buf
 	_, err := p.conn.Write(buf)
 	if err == nil {
 		p.lastSend.Store(time.Now().UnixNano())
@@ -223,8 +215,7 @@ func (l *TCP) writeFrame(p *peer, typ FrameType, payload []byte) error {
 	return err
 }
 
-// Send implements cluster.Link. On the pooled wire path the batch is
-// serialized straight into the peer's write buffer — header, batch
+// Send implements cluster.Link. The batch is serialized straight into the peer's write buffer — header, batch
 // header and token vectors in one pass, so the only copy between the
 // sender's arena and the socket is vector → frame — and flushed with
 // a single syscall. The batch stays owned by the caller.
@@ -243,16 +234,6 @@ func (l *TCP) Send(dst int, batch cluster.TokenBatch) error {
 	}
 	if p.dead.Load() {
 		return &cluster.PeerDownError{Rank: dst, Cause: errPeerEvicted}
-	}
-	if l.refwire {
-		payload, err := AppendTokenBatch(make([]byte, 0, batchWireSize(len(batch.Tokens), l.opts.K)), batch, l.opts.K)
-		if err != nil {
-			return err
-		}
-		if err := l.writeFrame(p, FrameTokens, payload); err != nil {
-			return l.sendFailed(p, err)
-		}
-		return nil
 	}
 	p.wmu.Lock()
 	buf, err := AppendTokenFrame(p.wbuf[:0], l.rank, batch, l.opts.K)
@@ -478,23 +459,18 @@ func (l *TCP) peerDead(rank int) bool {
 }
 
 // reader drains one peer's connection, dispatching frames onto the
-// typed channels until the stream ends. On the pooled wire path the
-// connection owns one payload buffer that every frame is read into
+// typed channels until the stream ends. The connection owns one payload buffer that every frame is read into
 // (ReadFrameReuse) and token batches are decoded into pooled arenas
 // whose ownership travels with the Inbound — the consumer Releases
 // them; control payloads, which may sit in the ctl channel across
 // many frames, are copied out of the read buffer instead.
 func (l *TCP) reader(p *peer) {
 	defer l.wg.Done()
-	var rbuf []byte // connection-owned payload arena (pooled wire path)
+	var rbuf []byte // connection-owned payload arena
 	for {
 		var f Frame
 		var err error
-		if l.refwire {
-			f, err = ReadFrame(p.conn)
-		} else {
-			f, rbuf, err = ReadFrameReuse(p.conn, rbuf)
-		}
+		f, rbuf, err = ReadFrameReuse(p.conn, rbuf)
 		if err != nil {
 			if p.eof.Load() || l.isDown() {
 				return // orderly: stream already ended, or we tore down
@@ -508,17 +484,10 @@ func (l *TCP) reader(p *peer) {
 		}
 		switch f.Type {
 		case FrameTokens:
-			var batch cluster.TokenBatch
-			if l.refwire {
-				batch, err = DecodeTokenBatch(f.Payload, l.opts.K)
-			} else {
-				arena := cluster.GetBatchBuf()
-				batch, err = DecodeTokenBatchInto(f.Payload, l.opts.K, arena)
-				if err != nil {
-					arena.Release()
-				}
-			}
+			arena := cluster.GetBatchBuf()
+			batch, err := DecodeTokenBatchInto(f.Payload, l.opts.K, arena)
 			if err != nil {
+				arena.Release()
 				l.peerDown(p, err)
 				return
 			}
@@ -533,7 +502,7 @@ func (l *TCP) reader(p *peer) {
 				return
 			}
 			payload := f.Payload[1:]
-			if !l.refwire && len(payload) > 0 {
+			if len(payload) > 0 {
 				// The payload aliases this connection's read buffer, which
 				// the next ReadFrameReuse overwrites; control frames are
 				// rare and small, so the hand-off is a copy.
@@ -579,8 +548,7 @@ func (l *TCP) reader(p *peer) {
 // been idle towards that peer for a whole interval: every frame we
 // send refreshes the peer's view of our liveness (its lastRecv), so
 // under load the liveness signal piggybacks on the token flushes and
-// the heartbeat loop costs no syscalls at all. The reference wire
-// path keeps the legacy always-write behaviour.
+// the heartbeat loop costs no syscalls at all.
 func (l *TCP) heartbeat() {
 	defer l.wg.Done()
 	interval := l.opts.heartbeatInterval()
@@ -605,7 +573,7 @@ func (l *TCP) heartbeat() {
 				}
 				continue // failover: keep watching the survivors
 			}
-			if !l.refwire && now-p.lastSend.Load() < int64(interval) {
+			if now-p.lastSend.Load() < int64(interval) {
 				continue // a recent data frame already carried our liveness
 			}
 			if err := l.writeFrame(p, FrameHeartbeat, nil); err != nil && !p.eof.Load() && !l.isDown() {

@@ -1,218 +1,178 @@
 package queue
 
+// Queue semantics of the Mesh as a whole — FIFO, emptiness, no loss
+// under concurrency, per-producer order, length accounting — driven
+// through the endpoint API the workers use.
+
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
-var kinds = []Kind{KindMutex, KindLockFree, KindChan}
-
+// TestFIFOSingleThread: one endpoint's self lane is a FIFO across many
+// ring wraps, mixing batch sizes on both sides.
 func TestFIFOSingleThread(t *testing.T) {
-	for _, k := range kinds {
-		q := New[int](k, 8)
-		for i := 0; i < 100; i++ {
-			q.Push(i)
+	m := NewMesh[int](1, 16)
+	next, expect := 0, 0
+	buf := make([]int, 3)
+	for expect < 100 {
+		in := make([]int, 0, 5)
+		for v := next; v < min(next+5, 100); v++ {
+			in = append(in, v)
 		}
-		if q.Len() != 100 {
-			t.Fatalf("%v: Len = %d, want 100", k, q.Len())
-		}
-		for i := 0; i < 100; i++ {
-			v, ok := q.TryPop()
-			if !ok || v != i {
-				t.Fatalf("%v: pop %d => %v,%v", k, i, v, ok)
+		next += m.SendBatch(0, 0, in)
+		n := m.RecvBatch(0, buf)
+		for _, v := range buf[:n] {
+			if v != expect {
+				t.Fatalf("popped %d, want %d", v, expect)
 			}
+			expect++
 		}
-		if _, ok := q.TryPop(); ok {
-			t.Fatalf("%v: pop from empty succeeded", k)
-		}
+	}
+	if n := m.RecvBatch(0, buf); n != 0 {
+		t.Fatalf("RecvBatch from drained mesh = %d", n)
 	}
 }
 
+// TestEmptyPop: an empty mesh yields nothing on any endpoint, leaves
+// the destination buffer untouched and reports no backlog.
 func TestEmptyPop(t *testing.T) {
-	for _, k := range kinds {
-		q := New[string](k, 4)
-		if v, ok := q.TryPop(); ok || v != "" {
-			t.Fatalf("%v: empty queue returned %q,%v", k, v, ok)
+	m := NewMesh[string](3, 4)
+	buf := []string{"keep"}
+	for d := 0; d < m.P(); d++ {
+		if n := m.RecvBatch(d, buf); n != 0 || buf[0] != "keep" {
+			t.Fatalf("endpoint %d: empty mesh returned %d (%q)", d, n, buf[0])
 		}
+		if m.ApproxLen(d) != 0 {
+			t.Fatalf("endpoint %d: empty mesh has backlog %d", d, m.ApproxLen(d))
+		}
+		m.Drain(d, func(v string) { t.Fatalf("endpoint %d: drained %q from empty mesh", d, v) })
 	}
 }
 
-func TestRingGrowth(t *testing.T) {
-	q := New[int](KindMutex, 4)
-	// Interleave pushes and pops so head wraps, then force growth.
-	for i := 0; i < 3; i++ {
-		q.Push(i)
-	}
-	q.TryPop()
-	q.TryPop()
-	for i := 3; i < 50; i++ {
-		q.Push(i)
-	}
-	want := 2
-	for q.Len() > 0 {
-		v, _ := q.TryPop()
-		if v != want {
-			t.Fatalf("after growth: got %d want %d", v, want)
-		}
-		want++
-	}
-	if want != 50 {
-		t.Fatalf("drained %d elements, want 48", want-2)
-	}
-}
-
-// TestNoLostElements hammers each queue with concurrent producers and
-// consumers and checks that every pushed element is popped exactly once.
+// TestNoLostElements runs every endpoint as producer and consumer at
+// once, all-to-all through small lanes (so full lanes refuse sends and
+// the producers retry), and checks that every element sent is received
+// exactly once.
 func TestNoLostElements(t *testing.T) {
-	const producers, consumers, perProducer = 4, 4, 5000
-	for _, k := range kinds {
-		q := New[int](k, producers*perProducer)
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := 0; i < perProducer; i++ {
-					q.Push(p*perProducer + i)
+	const p, perProducer = 4, 5000
+	const total = p * perProducer
+	m := NewMesh[int](p, 16)
+	var received atomic.Int64
+	results := make([][]int, p)
+	var wg sync.WaitGroup
+	for q := 0; q < p; q++ {
+		wg.Add(1)
+		go func(q int) {
+			defer wg.Done()
+			out := make([][]int, p)
+			buf := make([]int, 8)
+			sent := 0
+			for received.Load() < total {
+				for ; sent < perProducer && len(out[sent%p]) < 8; sent++ {
+					out[sent%p] = append(out[sent%p], q*perProducer+sent)
 				}
-			}(p)
-		}
-		results := make(chan int, producers*perProducer)
-		var cg sync.WaitGroup
-		done := make(chan struct{})
-		for c := 0; c < consumers; c++ {
-			cg.Add(1)
-			go func() {
-				defer cg.Done()
-				for {
-					if v, ok := q.TryPop(); ok {
-						results <- v
-						continue
-					}
-					select {
-					case <-done:
-						// Final drain after producers finish.
-						for {
-							v, ok := q.TryPop()
-							if !ok {
-								return
-							}
-							results <- v
-						}
-					default:
-					}
+				for d := range out {
+					acc := m.SendBatch(q, d, out[d])
+					out[d] = out[d][:copy(out[d], out[d][acc:])]
 				}
-			}()
-		}
-		wg.Wait()
-		close(done)
-		cg.Wait()
-		close(results)
-		seen := make([]bool, producers*perProducer)
-		count := 0
-		for v := range results {
+				n := m.RecvBatch(q, buf)
+				results[q] = append(results[q], buf[:n]...)
+				received.Add(int64(n))
+				if n == 0 {
+					runtime.Gosched() // single-core hosts: let the peers run
+				}
+			}
+		}(q)
+	}
+	wg.Wait()
+	seen := make([]bool, total)
+	count := 0
+	for q, got := range results {
+		for _, v := range got {
+			if v%perProducer%p != q {
+				t.Fatalf("element %d delivered to endpoint %d", v, q)
+			}
 			if seen[v] {
-				t.Fatalf("%v: element %d popped twice", k, v)
+				t.Fatalf("element %d received twice", v)
 			}
 			seen[v] = true
 			count++
 		}
-		if count != producers*perProducer {
-			t.Fatalf("%v: popped %d of %d elements", k, count, producers*perProducer)
-		}
+	}
+	if count != total {
+		t.Fatalf("received %d of %d elements", count, total)
 	}
 }
 
-// TestPerProducerOrder verifies FIFO order is preserved per producer
-// even under concurrency (a property both ring and MS queues give).
+// TestPerProducerOrder: with several producers feeding one consumer
+// concurrently, each producer's elements arrive in the order sent.
 func TestPerProducerOrder(t *testing.T) {
-	for _, k := range kinds {
-		q := New[[2]int](k, 1<<14)
-		const producers, perProducer = 3, 3000
-		var wg sync.WaitGroup
-		for p := 0; p < producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				for i := 0; i < perProducer; i++ {
-					q.Push([2]int{p, i})
+	const p, perProducer = 4, 3000
+	m := NewMesh[[2]int](p, 8)
+	var wg sync.WaitGroup
+	for src := 1; src < p; src++ {
+		wg.Add(1)
+		go func(src int) {
+			defer wg.Done()
+			for i := 0; i < perProducer; {
+				if m.Send(src, 0, [2]int{src, i}) {
+					i++
+				} else {
+					runtime.Gosched()
 				}
-			}(p)
-		}
-		wg.Wait()
-		last := make([]int, producers)
-		for i := range last {
-			last[i] = -1
-		}
-		for {
-			v, ok := q.TryPop()
-			if !ok {
-				break
 			}
-			if v[1] <= last[v[0]] {
-				t.Fatalf("%v: producer %d out of order: %d after %d", k, v[0], v[1], last[v[0]])
+		}(src)
+	}
+	last := []int{-1, -1, -1, -1}
+	buf := make([][2]int, 5)
+	for got := 0; got < (p-1)*perProducer; {
+		n := m.RecvBatch(0, buf)
+		if n == 0 {
+			runtime.Gosched()
+		}
+		for _, v := range buf[:n] {
+			if v[1] != last[v[0]]+1 {
+				t.Fatalf("producer %d out of order: %d after %d", v[0], v[1], last[v[0]])
 			}
 			last[v[0]] = v[1]
 		}
-		for p, l := range last {
-			if l != perProducer-1 {
-				t.Fatalf("%v: producer %d only drained to %d", k, p, l)
-			}
-		}
+		got += n
 	}
+	wg.Wait()
 }
 
+// TestLenTracksApproximately: the backlog counts exactly what the lanes
+// accepted — refused and partially accepted sends included — and drops
+// with every receive and drain.
 func TestLenTracksApproximately(t *testing.T) {
-	for _, k := range kinds {
-		q := New[int](k, 64)
-		for i := 0; i < 10; i++ {
-			q.Push(i)
-		}
-		if q.Len() != 10 {
-			t.Fatalf("%v: Len = %d want 10", k, q.Len())
-		}
-		q.TryPop()
-		if q.Len() != 9 {
-			t.Fatalf("%v: Len = %d want 9", k, q.Len())
-		}
+	m := NewMesh[int](2, 4)
+	if n := m.SendBatch(0, 1, []int{1, 2, 3, 4, 5, 6}); n != 4 {
+		t.Fatalf("SendBatch into a 4-slot lane accepted %d", n)
+	}
+	if m.Send(0, 1, 7) {
+		t.Fatal("send into a full lane accepted")
+	}
+	m.Send(1, 1, 8)
+	if got := m.ApproxLen(1); got != 5 {
+		t.Fatalf("ApproxLen(1) = %d, want 5", got)
+	}
+	buf := make([]int, 2)
+	m.RecvBatch(1, buf)
+	if got := m.ApproxLen(1); got != 3 {
+		t.Fatalf("ApproxLen(1) after receiving 2 = %d, want 3", got)
+	}
+	m.Send(1, 0, 9)
+	if got := m.TotalLen(); got != 4 {
+		t.Fatalf("TotalLen = %d, want 4", got)
+	}
+	m.Drain(1, func(int) {})
+	if got := m.ApproxLen(1); got != 0 {
+		t.Fatalf("ApproxLen(1) after drain = %d, want 0", got)
+	}
+	if got := m.TotalLen(); got != 1 {
+		t.Fatalf("TotalLen after drain = %d, want 1", got)
 	}
 }
-
-func TestKindString(t *testing.T) {
-	if KindAuto.String() != "auto" || KindMutex.String() != "mutex" ||
-		KindLockFree.String() != "lockfree" || KindChan.String() != "chan" ||
-		KindSPSC.String() != "spsc" || Kind(99).String() != "unknown" {
-		t.Fatal("Kind.String broken")
-	}
-}
-
-// New must resolve KindAuto (and fall back for KindSPSC, which is not
-// an MPMC queue) rather than hand back a nil implementation.
-func TestNewResolvesNonQueueKinds(t *testing.T) {
-	for _, k := range []Kind{KindAuto, KindSPSC} {
-		q := New[int](k, 8)
-		q.Push(1)
-		if v, ok := q.TryPop(); !ok || v != 1 {
-			t.Fatalf("kind %v: queue does not work: %v %v", k, v, ok)
-		}
-	}
-}
-
-func benchQueue(b *testing.B, k Kind) {
-	q := New[int](k, 1<<16)
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if i%2 == 0 {
-				q.Push(i)
-			} else {
-				q.TryPop()
-			}
-			i++
-		}
-	})
-}
-
-func BenchmarkMutexQueue(b *testing.B)    { benchQueue(b, KindMutex) }
-func BenchmarkLockFreeQueue(b *testing.B) { benchQueue(b, KindLockFree) }
-func BenchmarkChanQueue(b *testing.B)     { benchQueue(b, KindChan) }

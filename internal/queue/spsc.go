@@ -1,3 +1,15 @@
+// Package queue provides the token transport that carries NOMAD's
+// nomadic item tokens between workers: a mesh of bounded
+// single-producer single-consumer rings with batch push/pop (Mesh),
+// built from Ring.
+//
+// The original implementation used Intel TBB's concurrent_queue, which
+// the paper notes is "technically not lock-free" but scales nearly
+// linearly (§3.5): the queue is not NOMAD's bottleneck. The mesh keeps
+// that property without any lock, amortizes its atomics over blocks of
+// tokens, and reports each endpoint's approximate backlog with one
+// atomic load, which NOMAD's dynamic load balancing (§3.3) uses to
+// route tokens toward lightly loaded workers.
 package queue
 
 import (
@@ -171,8 +183,7 @@ type paddedInt64 struct {
 //
 // Per-destination backlog estimates are kept in cache-line-padded
 // atomics, updated with one Add per batch; ApproxLen is a single
-// atomic load, which is what NOMAD's §3.3 load-balance gossip reads in
-// place of the two queue-lock probes of the MPMC transports.
+// atomic load, which is what NOMAD's §3.3 load-balance gossip reads.
 type Mesh[T any] struct {
 	p     int
 	rings []*Ring[T]    // rings[dst*p+src]

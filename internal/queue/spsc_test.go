@@ -317,36 +317,6 @@ func TestMeshDrainOrder(t *testing.T) {
 	}
 }
 
-func TestKindResolve(t *testing.T) {
-	defer SetReferenceTransport(ReferenceTransport())
-	SetReferenceTransport(false)
-	if got := KindAuto.Resolve(); got != KindSPSC {
-		t.Errorf("KindAuto resolves to %v, want spsc", got)
-	}
-	SetReferenceTransport(true)
-	if got := KindAuto.Resolve(); got != KindMutex {
-		t.Errorf("KindAuto under reference transport resolves to %v, want mutex", got)
-	}
-	if got := KindChan.Resolve(); got != KindChan {
-		t.Errorf("explicit kind rewritten to %v", got)
-	}
-}
-
-func TestKindByName(t *testing.T) {
-	for name, want := range map[string]Kind{
-		"": KindAuto, "auto": KindAuto, "mutex": KindMutex,
-		"lockfree": KindLockFree, "chan": KindChan, "spsc": KindSPSC,
-	} {
-		got, err := KindByName(name)
-		if err != nil || got != want {
-			t.Errorf("KindByName(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := KindByName("bogus"); err == nil {
-		t.Error("KindByName accepted bogus name")
-	}
-}
-
 // BenchmarkRingBatchTransfer is the transport microbench of the
 // worker-scaling harness: tokens/s through one SPSC lane in blocks.
 func BenchmarkRingBatchTransfer(b *testing.B) {

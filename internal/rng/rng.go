@@ -96,20 +96,6 @@ func (r *Source) Intn(n int) int {
 	return int(hi)
 }
 
-// Pair returns two independent uniformly random ints in [0, n) from a
-// single generator step, one from each 32-bit half via fixed-point
-// reduction. The reduction bias is at most n·2⁻³² — immaterial for the
-// small fan-outs (worker counts) this serves — in exchange for halving
-// the RNG cost of NOMAD's two-choice token routing. It panics if n is
-// not in [1, 2³²).
-func (r *Source) Pair(n int) (int, int) {
-	if n <= 0 || int64(n) > 1<<32-1 {
-		panic("rng: Pair called with n out of range")
-	}
-	v := r.Uint64()
-	return int(uint64(uint32(v)) * uint64(n) >> 32), int((v >> 32) * uint64(n) >> 32)
-}
-
 // Quad returns four independent uniformly random ints in [0, n) from a
 // single generator step, one from each 16-bit quarter via fixed-point
 // reduction. The reduction bias is at most n·2⁻¹⁶ — immaterial for the

@@ -17,7 +17,6 @@ import (
 	"nomad/internal/loss"
 	"nomad/internal/metrics"
 	"nomad/internal/netsim"
-	"nomad/internal/queue"
 	"nomad/internal/sched"
 	"nomad/internal/sparse"
 	"nomad/internal/vecmath"
@@ -66,10 +65,9 @@ type Config struct {
 	Lockstep bool
 
 	// NOMAD-specific knobs.
-	BatchSize   int        // tokens per network message (§3.5, default 100)
-	QueueKind   queue.Kind // token transport (KindAuto → batched SPSC mesh; see queue.Kind)
-	LoadBalance bool       // §3.3 dynamic load balancing
-	Circulate   int        // local visits per token per machine pass (§3.4, default 1)
+	BatchSize   int  // tokens per network message (§3.5, default 100)
+	LoadBalance bool // §3.3 dynamic load balancing
+	Circulate   int  // local visits per token per machine pass (§3.4, default 1)
 
 	// Straggle artificially slows worker 0 by the given factor (e.g. 4
 	// makes it process tokens 4× slower); 0 or 1 disables it. It exists

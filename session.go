@@ -13,7 +13,6 @@ import (
 	"nomad/internal/loss"
 	"nomad/internal/metrics"
 	"nomad/internal/netsim"
-	"nomad/internal/queue"
 	"nomad/internal/train"
 )
 
@@ -87,7 +86,6 @@ type settings struct {
 	lossName     string
 	precision    *Precision
 	pinWorkers   bool
-	transport    queue.Kind
 	loadBalance  bool
 	balanceUsers bool
 	batchSize    *int
@@ -291,22 +289,6 @@ func WithLoss(name string) Option {
 			return fmt.Errorf("nomad: %w", err)
 		}
 		st.lossName = name
-		return nil
-	}
-}
-
-// WithTransport selects NOMAD's token transport by name: "auto" (the
-// default — the batched SPSC ring mesh, or the legacy mutex queue when
-// NOMAD_REFERENCE_TRANSPORT is set), "spsc", "mutex", "lockfree" or
-// "chan". The MPMC kinds exist for the §3.5 ablation; "spsc" is the
-// fast path.
-func WithTransport(name string) Option {
-	return func(st *settings) error {
-		k, err := queue.KindByName(name)
-		if err != nil {
-			return fmt.Errorf("nomad: %w", err)
-		}
-		st.transport = k
 		return nil
 	}
 }
@@ -562,7 +544,6 @@ func (st *settings) trainConfig() (train.Config, error) {
 		cfg.Precision = factor.Float32
 	}
 	cfg.PinWorkers = st.pinWorkers
-	cfg.QueueKind = st.transport
 	cfg.LoadBalance = st.loadBalance
 	cfg.BalanceUsers = st.balanceUsers
 	if st.batchSize != nil {

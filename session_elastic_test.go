@@ -6,7 +6,6 @@ package nomad
 
 import (
 	"context"
-	"strings"
 	"testing"
 	"time"
 )
@@ -102,18 +101,11 @@ func TestSessionElasticResize(t *testing.T) {
 	}
 
 	// The run's first TraceEvent (the recorder's sample at zero updates)
-	// is published before the runner binds the membership controls, so
-	// after it the handle may still answer "no elastic run is active" for
-	// a moment: wait for the handle to go live, do not race it.
+	// is published only after the runner binds the membership controls,
+	// so the handle is live from then on.
 	<-started
-	for deadline := time.Now().Add(time.Minute); ; time.Sleep(time.Millisecond) {
-		err := s.Resize().Join(-1)
-		if err == nil {
-			break
-		}
-		if !strings.Contains(err.Error(), "no elastic run is active") || time.Now().After(deadline) {
-			t.Fatalf("live Join: %v", err)
-		}
+	if err := s.Resize().Join(-1); err != nil {
+		t.Fatalf("live Join: %v", err)
 	}
 	j := await("join", resizes)
 	if j.Kind != "join" || j.Rank != 3 || j.Machines != 4 {

@@ -49,12 +49,8 @@ func runPrecision(t *testing.T, prec Precision, extra ...Option) *Result {
 	return res
 }
 
-func TestFloat32NomadMutexQueue(t *testing.T) {
-	runPrecision(t, Float32, WithWorkers(2), WithTransport("mutex"))
-}
-
 func TestFloat32NomadSPSCMesh(t *testing.T) {
-	runPrecision(t, Float32, WithWorkers(2), WithTransport("spsc"))
+	runPrecision(t, Float32, WithWorkers(2))
 }
 
 func TestFloat32NomadDistributedAsync(t *testing.T) {

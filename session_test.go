@@ -230,27 +230,12 @@ func checkpointResume(t *testing.T, algo string, extra ...Option) {
 func TestCheckpointResumeBitCompatibleNomad(t *testing.T) { checkpointResume(t, "nomad") }
 func TestCheckpointResumeBitCompatibleDSGD(t *testing.T)  { checkpointResume(t, "dsgd") }
 
-// The resume guarantee must hold on both sides of the transport A/B:
-// the batched SPSC mesh reconstructs its logical token queue from the
-// drained ownership map (front residual ∥ ring ∥ out-buffers), and the
-// legacy mutex queue stays bit-compatible as before.
+// The SPSC mesh reconstructs its logical token queue from the drained
+// ownership map (front residual ∥ ring ∥ out-buffers). The default rank
+// runs the popped block as two lanes; rank 8 has no two-list kernel,
+// so this case resumes through the token-order block schedule.
 func TestCheckpointResumeBitCompatibleNomadSPSC(t *testing.T) {
-	checkpointResume(t, "nomad", WithTransport("spsc"))
-}
-func TestCheckpointResumeBitCompatibleNomadMutex(t *testing.T) {
-	checkpointResume(t, "nomad", WithTransport("mutex"))
-}
-
-func TestWithTransportRejectsUnknown(t *testing.T) {
-	d := synthSmall(t)
-	if _, err := NewSession(d, WithTransport("bogus")); err == nil {
-		t.Fatal("unknown transport accepted")
-	}
-	for _, name := range []string{"auto", "spsc", "mutex", "lockfree", "chan"} {
-		if _, err := NewSession(d, WithTransport(name)); err != nil {
-			t.Fatalf("transport %q rejected: %v", name, err)
-		}
-	}
+	checkpointResume(t, "nomad", WithRank(8))
 }
 
 func TestCheckpointRoundTripsEverySolver(t *testing.T) {
