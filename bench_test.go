@@ -113,7 +113,7 @@ func BenchmarkTrainNomadEpoch(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := Train(ds, Config{Epochs: 1, Workers: 2, Seed: 7})
+		res, err := runSession(ds, WithStopConditions(MaxEpochs(1)), WithWorkers(2), WithSeed(7))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,6 +11,7 @@ package nomad
 import (
 	"math"
 	"testing"
+	"time"
 )
 
 // qualityDataset is large enough that converged quality is stable but
@@ -37,13 +38,8 @@ func TestAllSolversReachComparableQuality(t *testing.T) {
 		// Equal wall-clock budgets: update budgets would be unfair to
 		// CCD++/ALS, whose work units differ (a CCD++ outer iteration
 		// touches each rating 2k times).
-		res, err := Train(d, Config{
-			Algorithm:  name,
-			Workers:    2,
-			MaxSeconds: 1.5,
-			Lambda:     0.05,
-			Seed:       4,
-		})
+		res, err := runSession(d, WithAlgorithm(name), WithWorkers(2),
+			WithStopConditions(MaxDuration(1500*time.Millisecond)), WithLambda(0.05), WithSeed(4))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -74,10 +70,8 @@ func TestNomadDistributedMatchesSharedQuality(t *testing.T) {
 	}
 	d := qualityDataset(t)
 	run := func(machines int) float64 {
-		res, err := Train(d, Config{
-			Machines: machines, Workers: 2, Network: "hpc",
-			Epochs: 30, Seed: 6, Lambda: 0.05,
-		})
+		res, err := runSession(d, WithCluster(machines, "hpc"), WithWorkers(2),
+			WithStopConditions(MaxEpochs(30)), WithSeed(6), WithLambda(0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +88,12 @@ func TestNomadDistributedMatchesSharedQuality(t *testing.T) {
 func TestLoadBalanceNeverLosesTokens(t *testing.T) {
 	// Stress the routing paths: straggler + load balancing + tiny
 	// batches + commodity latency, all at once. The run's internal
-	// token-conservation check fails the Train call if any token is
-	// lost or duplicated.
+	// token-conservation check fails the run if any token is lost or
+	// duplicated.
 	d := qualityDataset(t)
-	_, err := Train(d, Config{
-		Machines: 3, Workers: 2, Network: "commodity",
-		LoadBalance: true, Straggle: 3, BatchSize: 1,
-		MaxSeconds: 1, Epochs: 1000000, Seed: 8,
-	})
+	_, err := runSession(d, WithCluster(3, "commodity"), WithWorkers(2),
+		WithLoadBalance(), WithStraggler(3), WithBatchSize(1),
+		WithStopConditions(MaxEpochs(1000000), MaxDuration(time.Second)), WithSeed(8))
 	if err != nil {
 		t.Fatal(err)
 	}

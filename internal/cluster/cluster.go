@@ -12,9 +12,9 @@ import (
 	"nomad/internal/netsim"
 )
 
-// Token is one nomadic item parameter in flight: the item index and
-// its current factor row hⱼ. In shared-memory mode Vec is nil and the
-// row lives in the model; in distributed mode the vector travels.
+// Token is one nomadic item parameter in flight between machines: the
+// item index and its current factor row hⱼ. Inside a machine the row
+// lives in the model and only the index moves.
 type Token struct {
 	Item int32
 	Vec  []float64

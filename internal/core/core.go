@@ -13,15 +13,16 @@
 //     algorithm lock-free and its updates serializable.
 //   - In distributed mode, a machine circulates an incoming token
 //     through its local workers in a random permutation before sending
-//     it over the (simulated) network (§3.4), accumulating ~100 tokens
-//     per message (§3.5).
+//     it over the network (§3.4), accumulating ~100 tokens per message
+//     (§3.5).
 //   - With LoadBalance enabled, token routing prefers lightly loaded
 //     recipients using queue-length gossip carried on every message
 //     (§3.3).
 //
-// Shared-memory runs (Machines == 1) keep hⱼ in the model and pass only
-// the item index, since ownership transfer makes data races impossible;
-// distributed runs physically move the vector through netsim.
+// Inside a machine a token is only the item index: hⱼ stays in the
+// model row, which ownership transfer keeps free of data races. Every
+// runner's workers run one loop (runWorker); a distributed run copies
+// hⱼ out of the row only onto the wire, and back in on arrival.
 package core
 
 import (
@@ -75,11 +76,8 @@ func (*NOMAD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 // hotPath is the per-run selection every SGD worker loop shares:
 // kernels, the devirtualized loss fast-path, the tabulated schedule
 // and the batched item-pass kernel — all chosen once per run, never
-// per rating. Both the shared-memory and distributed workers build one
-// and call itemSGDItem (shared memory: the item row lives in the
-// model) or itemSGDVec (distributed: the row travels in the token) per
-// token. One hotPath serves one worker goroutine: the float32 scratch
-// row is not shared.
+// per rating. Each worker builds one and trains its tokens with
+// runBlock, on the item rows in the model.
 type hotPath struct {
 	md       *factor.Model
 	schedule sched.Schedule
@@ -105,7 +103,6 @@ type hotPath struct {
 	itemPass32 vecmath.ItemPassFunc32
 	pair32     vecmath.ItemPassPairFunc32
 	lambda32   float32
-	h32        []float32 // per-worker scratch row for itemSGDVec
 }
 
 func newHotPath(md *factor.Model, schedule sched.Schedule, cfg train.Config) hotPath {
@@ -123,7 +120,6 @@ func newHotPath(md *factor.Model, schedule sched.Schedule, cfg train.Config) hot
 		hp.wData32, hp.hData32 = md.WData32(), md.HData32()
 		hp.kern32 = vecmath.KernelFor32(cfg.K)
 		hp.lambda32 = float32(cfg.Lambda)
-		hp.h32 = make([]float32, cfg.K)
 		batched = hp.kern32.ItemPass != nil
 	} else {
 		hp.wData, hp.hData = md.WData(), md.HData()
@@ -157,20 +153,19 @@ func (hp *hotPath) stepFor(t int32) float64 {
 // look-ahead (vecmath's itemPassAhead, same value) starts too late for.
 const prefetchRows = 8
 
-// prefetchAhead is one beat of the software pipeline the block loops
-// run over an already-popped block while they train token i (DESIGN.md
-// §4 piece 4). Each stage reads only what the previous beat made
-// resident and prefetches what the next one will read: the rating-list
-// offsets of token i+3 (item j3); the heads of token i+2's rating
-// slices and its item vector (vec2 when the vector travels with the
-// token, and the model row it lives in or is mirrored to); the user
-// rows of token i+1's first ratings. A negative item means the block
-// ends before that token. Every address touched is the worker's own —
-// its localRatings, its users' rows, rows of tokens it holds — so
-// nothing here can be seen by, or wait on, another worker.
+// prefetchAhead is one beat of the software pipeline runBlock runs
+// over an already-popped block while it trains token i (DESIGN.md §4
+// piece 4). Each stage reads only what the previous beat made resident
+// and prefetches what the next one will read: the rating-list offsets
+// of token i+3 (item j3); the heads of token i+2's rating slices and
+// its item row; the user rows of token i+1's first ratings. A negative
+// item means the block ends before that token. Every address touched
+// is the worker's own — its localRatings, its users' rows, rows of
+// tokens it holds — so nothing here can be seen by, or wait on,
+// another worker.
 //
 //nomad:noalloc
-func (hp *hotPath) prefetchAhead(lr *localRatings, j1, j2, j3 int, vec2 []float64) {
+func (hp *hotPath) prefetchAhead(lr *localRatings, j1, j2, j3 int) {
 	n := len(lr.colPtr) - 1
 	vecmath.Prefetch(lr.colPtr, j3, 1)
 	if uint(j2) < uint(n) {
@@ -178,7 +173,6 @@ func (hp *hotPath) prefetchAhead(lr *localRatings, j1, j2, j3 int, vec2 []float6
 		vecmath.Prefetch(lr.users, lo, 1)
 		vecmath.Prefetch(lr.vals, lo, 1)
 		vecmath.Prefetch(lr.counts, lo, 1)
-		vecmath.Prefetch(vec2, 0, len(vec2))
 		hp.prefetchRow(hp.hData, hp.hData32, j2)
 	}
 	if uint(j1) < uint(n) {
@@ -201,7 +195,7 @@ func (hp *hotPath) prefetchRow(d64 []float64, d32 []float32, r int) {
 
 // itemSGD runs the SGD updates for one item's rating list (hRow is the
 // item row, shared across the list). Float64 models only; the
-// precision-agnostic entry points are itemSGDItem and itemSGDVec.
+// precision-agnostic entry point is itemSGDItem.
 func (hp *hotPath) itemSGD(usersJ []int32, vals []float64, counts []int32, hRow []float64) {
 	if hp.itemPass != nil {
 		hp.itemPass(hp.wData, usersJ, vals, counts, hRow, hp.lambda, hp.steps, hp.slow)
@@ -243,36 +237,14 @@ func (hp *hotPath) itemSGD32(usersJ []int32, vals []float64, counts []int32, hRo
 	}
 }
 
-// itemSGDItem processes one token when the item row lives in the model
-// (the shared-memory runner's ownership discipline).
+// itemSGDItem trains one item's rating list on its model row, which
+// the token's holder owns.
 func (hp *hotPath) itemSGDItem(j int, usersJ []int32, vals []float64, counts []int32) {
 	if hp.f32 {
 		hp.itemSGD32(usersJ, vals, counts, hp.md.ItemRow32(j))
 		return
 	}
 	hp.itemSGD(usersJ, vals, counts, hp.md.ItemRow(j))
-}
-
-// itemSGDVec processes one token whose item row travels as a float64
-// vector (the distributed wire format, whatever the model precision).
-// It updates vec in place and mirrors the result into the model's item
-// row, which the owner keeps current for monitoring snapshots.
-func (hp *hotPath) itemSGDVec(j int, usersJ []int32, vals []float64, counts []int32, vec []float64) {
-	if hp.f32 {
-		h := hp.h32
-		for l, v := range vec {
-			h[l] = float32(v)
-		}
-		hp.itemSGD32(usersJ, vals, counts, h)
-		row := hp.md.ItemRow32(j)
-		for l, v := range h {
-			row[l] = v
-			vec[l] = float64(v)
-		}
-		return
-	}
-	hp.itemSGD(usersJ, vals, counts, vec)
-	copy(hp.md.ItemRow(j), vec)
 }
 
 // partitionUsers splits users across p workers: equal user counts by

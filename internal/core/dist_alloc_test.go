@@ -12,15 +12,15 @@ import (
 // TestDistributedTokenPathAllocFree pins DESIGN.md §8's claim at the
 // level of the runner, where the codec's own alloc tests cannot see:
 // once a distributed run is warm, moving a token from one machine to
-// the next — recycle, batch, encode, write, read, decode, re-plan,
-// lane delivery — allocates nothing.
+// the next — row into batch, encode, write, read, decode, delivery
+// into the row, re-plan, lane hand-off — allocates nothing.
 //
 // A short and a long run of one configuration differ only in how many
 // tokens crossed the wire: set-up, the initial placement, link boot
-// and the recycler's growth to the machine's peak token count are paid
-// in both. So the difference in mallocs over the difference in wire
-// tokens is the steady-state cost of one hop. A recycler that misses
-// costs up to 2 (a distToken and its vector per hop).
+// and buffer growth to the machines' peak holdings are paid in both.
+// So the difference in mallocs over the difference in wire tokens is
+// the steady-state cost of one hop; what remains is the sim link's one
+// clone arena per message.
 func TestDistributedTokenPathAllocFree(t *testing.T) {
 	ds, err := dataset.LongtailLike(0.01).Generate()
 	if err != nil {
@@ -48,9 +48,9 @@ func TestDistributedTokenPathAllocFree(t *testing.T) {
 			warmMallocs, warmTokens := run(4)
 			mallocs, tokens := run(132)
 			hops := tokens - warmTokens
-			// A longer run can push a machine to a higher peak than the warm
-			// run saw: at most 2 mallocs for each of the n tokens, on each
-			// machine. Enough hops keep that bound well under the limit.
+			// A longer run can push a machine's pending and lane
+			// buffers to a higher peak than the warm run saw. Enough hops
+			// keep that growth well under the limit.
 			if hops < 200*float64(ds.Cols()) {
 				t.Fatalf("only %.0f wire tokens between the runs: too few to outweigh warm-up", hops)
 			}

@@ -9,12 +9,14 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"nomad/internal/cluster"
 	"nomad/internal/netlink"
+	"nomad/internal/netsim"
 	"nomad/internal/train"
 )
 
@@ -172,6 +174,28 @@ func TestLockstepResumeBackendParity(t *testing.T) {
 	}
 }
 
+// TestLockstepRejectsOutOfRangeItem: a peer's round batch naming an
+// item past the dataset fails the round with an error naming the peer,
+// instead of binning a token that would later index a model row.
+func TestLockstepRejectsOutOfRangeItem(t *testing.T) {
+	const n = 10
+	links := cluster.NewSimCluster(2, netsim.Instant(), 2).Links()
+	coll := newLockCollector(links[0], n)
+	bad := cluster.TokenBatch{Tokens: []cluster.Token{{Item: 4, Vec: []float64{1, 2}}, {Item: n, Vec: []float64{3, 4}}}}
+	if err := links[1].Send(0, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := links[1].SendCtl(0, ctlRoundEnd, make([]byte, 12)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := coll.collectRound(0); err == nil || !strings.Contains(err.Error(), "machine 1 sent item token 10") {
+		t.Fatalf("collectRound = %v, want the out-of-range item from machine 1 rejected", err)
+	}
+	for _, l := range links {
+		l.Close() //nolint:errcheck
+	}
+}
+
 // freePort reserves an ephemeral port for a coordinator listen
 // address. (The tiny close-then-reuse window is fine in tests.)
 func freePort(t *testing.T) string {
@@ -283,7 +307,7 @@ func TestMultiProcessWorkerKillAborts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("saboteur join: %v", err)
 	}
-	coll := newLockCollector(link)
+	coll := newLockCollector(link, ds.Cols())
 	for round := uint32(0); round < 2; round++ {
 		end := make([]byte, 12)
 		end[0] = byte(round)

@@ -2,16 +2,17 @@ package core
 
 // The distributed runner: each machine's W workers plus its sender and
 // receiver threads share a (W+1)-endpoint mesh whose last endpoint —
-// the "network port" — is produced into by
-// the receiver (inbound tokens starting their §3.4 local circulation)
-// and consumed from by the sender (tokens whose visit plan is
-// exhausted). Every lane keeps the single-producer single-consumer
-// discipline, so the intra-machine transport is identical to the
-// shared-memory one and the network batching of §3.5 starts from
-// already-batched port reads. Tokens cross the network as pooled
-// arena batches (cluster.Sender, cluster.BatchBuf) and are recycled
-// from the sender back to the receiver (tokenPool), so the steady-state
-// token path allocates nothing.
+// the "network port" — is produced into by the receiver (inbound
+// tokens starting their §3.4 local circulation) and consumed from by
+// the sender (tokens whose visit plan is exhausted). Every lane keeps
+// the single-producer single-consumer discipline, and the workers run
+// the shared-memory loop itself (runWorker), so the network batching of
+// §3.5 starts from already-batched port reads. Inside a machine a token
+// is only an item ID: hⱼ's home is its model row, which the receiver
+// writes on delivery and the sender reads into a pooled arena batch
+// (cluster.Sender, cluster.BatchBuf) on departure, so the vector exists
+// apart from the row only on the wire and the token path allocates
+// nothing.
 
 import (
 	"context"
@@ -25,112 +26,55 @@ import (
 	"nomad/internal/factor"
 	"nomad/internal/queue"
 	"nomad/internal/rng"
-	"nomad/internal/sched"
 	"nomad/internal/train"
 )
 
-// distToken is a nomadic token inside one machine: the traveling
-// (j, hⱼ) pair plus the list of local workers it still has to visit
-// before leaving over the network (§3.4's intra-machine circulation).
-type distToken struct {
-	tok  cluster.Token
-	plan []int8 // local workers to visit, in order; a recycled token reuses the backing
-	next int    // plan[next:] are the stops still ahead
+// visitPlans is one machine's §3.4 local circulation: for every item,
+// the permutation of the machine's W workers, Circulate times over,
+// that its token visits before leaving through the port. The receiver
+// draws a token's plan when it stages the token; each worker that then
+// holds the token reads and advances it. Ownership and the lanes'
+// release/acquire hand-off make that race-free. Nil when W·Circulate =
+// 1: the one stop is the first, and then the port.
+type visitPlans struct {
+	stops int     // W·Circulate
+	perm  []int   // the port producer's permutation scratch, length W
+	plan  []int8  // item j's stops are plan[j·stops : (j+1)·stops]
+	next  []int32 // next[j] indexes item j's next stop; stops means none left
 }
 
-// tokenPool recycles distTokens from a machine's sender (producer of
-// spent tokens) to its receiver (consumer): the sender returns a token
-// once Sender.Add has copied its vector into the outbound batch arena,
-// and the receiver refills it — vector storage and visit-plan backing
-// included — from the next inbound arena, so the steady-state receive
-// path allocates nothing.
-//
-// An SPSC ring carries the spent tokens across, a stash of meshBlock
-// at a time. The receiver empties the ring onto a stack of its own
-// once per inbound batch (collect) and takes from the top, so the
-// token it reuses is the one the sender let go of last: the one most
-// likely still in cache.
-//
-// Ring and stack each hold all n tokens of the run. In the closed
-// circuit the tokens travel, a machine's share wanders over the whole
-// range from none to all of them, so any smaller pool overflows while
-// the machine empties and allocates again while it fills. The token
-// count itself grows only on demand, to the machine's peak holding.
-type tokenPool struct {
-	ring  *queue.Ring[*distToken]
-	spent []*distToken // sender-side stash, pushed when full
-	free  []*distToken // receiver-side stack, newest on top
-}
-
-// newTokenPool returns a pool for a run of n tokens.
-func newTokenPool(n int) *tokenPool {
-	return &tokenPool{
-		ring:  queue.NewRing[*distToken](n),
-		spent: make([]*distToken, 0, meshBlock),
-		free:  make([]*distToken, 0, n),
+func newVisitPlans(n, workers, circulate int) *visitPlans {
+	stops := workers * circulate
+	if stops <= 1 {
+		return nil
 	}
+	return &visitPlans{stops: stops, perm: make([]int, workers), plan: make([]int8, n*stops), next: make([]int32, n)}
 }
 
-// collect moves every token the sender has returned so far onto the
-// receiver's stack. Receiver goroutine only, once per inbound batch.
-//
-//nomad:noalloc
-func (tp *tokenPool) collect() {
-	have := len(tp.free)
-	tp.free = tp.free[:have+tp.ring.PopBatch(tp.free[have:cap(tp.free)])]
+// start draws item j's plan and returns its first stop, consumed. The
+// port producer calls it: the initial placement before any thread
+// starts, the receiver afterwards.
+func (vp *visitPlans) start(j int32, r *rng.Source) int {
+	if vp == nil {
+		return 0
+	}
+	r.Perm(vp.perm)
+	plan := vp.plan[int(j)*vp.stops:][:vp.stops]
+	for x := range plan {
+		plan[x] = int8(vp.perm[x%len(vp.perm)])
+	}
+	vp.next[j] = 1
+	return vp.perm[0]
 }
 
-// fromInbound materializes an inbound wire token as a machine-local
-// distToken, copying the k-coordinate vector out of the (recycled)
-// batch arena into pooled storage. Receiver goroutine only. Kept out
-// of line so its warm-up allocations stay in this frame, next to their
-// waivers, rather than inlining into the delivery loop.
-//
-//go:noinline
-//nomad:noalloc
-func (tp *tokenPool) fromInbound(t cluster.Token, k int) *distToken {
-	var tok *distToken
-	if top := len(tp.free) - 1; top >= 0 {
-		tok, tp.free[top] = tp.free[top], nil
-		tp.free = tp.free[:top]
-	} else {
-		tok = new(distToken) //nomad:alloc-ok warm-up growth until the machine has seen its peak token count
+// nextStop consumes item j's next plan stop, if one is left.
+func (vp *visitPlans) nextStop(j int) (int, bool) {
+	if vp == nil || int(vp.next[j]) >= vp.stops {
+		return 0, false
 	}
-	tok.tok.Item = t.Item
-	if cap(tok.tok.Vec) < k {
-		tok.tok.Vec = make([]float64, k) //nomad:alloc-ok warm-up growth, as above
-	}
-	tok.tok.Vec = tok.tok.Vec[:k]
-	copy(tok.tok.Vec, t.Vec)
-	return tok
-}
-
-// put returns a spent token (vector already copied into a batch
-// arena) for reuse. Sender goroutine only.
-//
-//nomad:noalloc
-func (tp *tokenPool) put(tok *distToken) {
-	tp.spent = append(tp.spent, tok)
-	if len(tp.spent) == cap(tp.spent) {
-		tp.ring.PushBatch(tp.spent) // what a full ring refuses goes to the GC
-		clear(tp.spent)
-		tp.spent = tp.spent[:0]
-	}
-}
-
-// newTokens builds the n item tokens of a run's initial placement from
-// one vector slab and one token array, each vector filled from the
-// model's item row.
-func newTokens(md *factor.Model) []distToken {
-	k := md.K
-	slab := make([]float64, md.N*k)
-	toks := make([]distToken, md.N)
-	for j := range toks {
-		vec := slab[j*k : (j+1)*k : (j+1)*k]
-		md.CopyItemRowTo64(j, vec)
-		toks[j].tok = cluster.Token{Item: int32(j), Vec: vec}
-	}
-	return toks
+	x := int(vp.next[j])
+	vp.next[j]++
+	return int(vp.plan[j*vp.stops+x]), true
 }
 
 // meshMachine is one machine of the hybrid architecture: W compute
@@ -139,20 +83,18 @@ func newTokens(md *factor.Model) []distToken {
 type meshMachine struct {
 	id      int
 	workers int
-	mesh    *queue.Mesh[*distToken]
-	pool    *tokenPool // sender→receiver distToken recycling
+	md      *factor.Model
+	mesh    *queue.Mesh[itemToken]
+	plans   *visitPlans
 
-	// stage collects, per first-stop lane, the tokens of the inbound
-	// batch the receiver is unpacking; publishStaged empties it with one
-	// SendBatch per lane before the batch is accounted as delivered.
-	stage [][]*distToken
-
-	// pending holds receiver-delivered tokens whose worker lane was
-	// momentarily full; retried on the next inbound message and folded
-	// into the final collection at teardown. pendingN mirrors the total
-	// held (visible-in-lane before decrement), so a drain's quiesce
-	// check can account for tokens parked here.
-	pending  [][]*distToken
+	// pending holds, per first-stop lane, the receiver's delivered
+	// tokens until retryPending moves them in with one SendBatch per
+	// lane; what a full lane refuses waits for the next retry, in order,
+	// and is folded into the final collection at teardown. pendingN
+	// counts them (raised before they are parked, lowered once they are
+	// visible in a lane), so a drain's quiesce check can account for
+	// tokens parked here.
+	pending  [][]itemToken
 	pendingN atomic.Int64
 
 	// lastKnown[r] is the most recent queue-length gossip received
@@ -162,15 +104,16 @@ type meshMachine struct {
 
 // newMeshMachine returns the machine of rank id in a cluster with
 // machines ranks: a mesh of workers compute endpoints plus the port,
-// on lanes of ringCap slots, and a recycler for the run's n tokens.
-func newMeshMachine(id, workers, ringCap, n, machines int) *meshMachine {
+// on lanes of ringCap slots, over the model md, whose tokens visit
+// their workers circulate times over.
+func newMeshMachine(id, workers, ringCap, machines int, md *factor.Model, circulate int) *meshMachine {
 	return &meshMachine{
 		id:        id,
 		workers:   workers,
-		mesh:      queue.NewMesh[*distToken](workers+1, ringCap),
-		pool:      newTokenPool(n),
-		stage:     make([][]*distToken, workers+1),
-		pending:   make([][]*distToken, workers+1),
+		md:        md,
+		mesh:      queue.NewMesh[itemToken](workers+1, ringCap),
+		plans:     newVisitPlans(md.N, workers, circulate),
+		pending:   make([][]itemToken, workers+1),
 		lastKnown: make([]atomic.Int64, machines),
 	}
 }
@@ -178,30 +121,16 @@ func newMeshMachine(id, workers, ringCap, n, machines int) *meshMachine {
 // port is the mesh endpoint owned by the communication threads.
 func (mc *meshMachine) port() int { return mc.workers }
 
-// queueLen is the machine's total backlog, gossiped to peers. All
-// reads are single atomic loads — §3.3 gossip never takes a lock.
-func (mc *meshMachine) queueLen() int {
-	n := 0
-	for d := 0; d <= mc.workers; d++ {
-		n += mc.mesh.ApproxLen(d)
-	}
-	return n
-}
-
-// retryPending re-offers tokens whose lane was full when the receiver
-// first delivered them.
+// retryPending offers every pending token to its lane, oldest first.
+//
+//nomad:noalloc
 func (mc *meshMachine) retryPending() {
 	for d, toks := range mc.pending {
 		if len(toks) == 0 {
 			continue
 		}
-		acc := mc.mesh.SendBatch(mc.port(), d, toks)
-		if acc > 0 {
-			rest := copy(toks, toks[acc:])
-			for i := rest; i < len(toks); i++ {
-				toks[i] = nil // release for GC
-			}
-			mc.pending[d] = toks[:rest]
+		if acc := mc.mesh.SendBatch(mc.port(), d, toks); acc > 0 {
+			mc.pending[d] = toks[:copy(toks, toks[acc:])]
 			// After SendBatch: the tokens are visible in the lane before
 			// the pending count drops, so the two never read zero while a
 			// token is between stations.
@@ -215,9 +144,6 @@ func (mc *meshMachine) retryPending() {
 // tie-break, reported as a BalanceEvent.
 func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng.Source, hooks *train.Hooks) func() int {
 	return func() int {
-		if M == 1 {
-			return 0
-		}
 		if loadBalance {
 			best, bestLen := -1, int64(1<<62)
 			ties := 0
@@ -250,7 +176,7 @@ func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng
 // trainDistributed runs NOMAD across cfg.Machines machines connected
 // by the configured link backend (simulated network or TCP). Resume
 // restores the model, per-rating schedule counts and RNG streams;
-// tokens (folded into the model when the previous run tore down) are
+// tokens (whose vectors never left the model rows at teardown) are
 // re-scattered.
 func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
 	// M counts the initial members; Mtot adds the provisioned elastic
@@ -272,17 +198,16 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	if cfg.Chaos != nil {
 		chaos = cluster.NewChaosController(cfg.Chaos)
 		chaos.SetSnapshotKind(ctlFoReplToks)
-		chaos.OnKill(func(victim int) { fo.killMachine(victim) })
-		chaos.OnJoin(func(rank int) {
-			if err := fo.requestJoin(rank); err != nil {
-				fo.fail(err)
+		failOn := func(request func(rank int) error) func(int) {
+			return func(rank int) {
+				if err := request(rank); err != nil {
+					fo.fail(err)
+				}
 			}
-		})
-		chaos.OnDrain(func(rank int) {
-			if err := fo.requestDrain(rank); err != nil {
-				fo.fail(err)
-			}
-		})
+		}
+		chaos.OnKill(fo.killMachine)
+		chaos.OnJoin(failOn(fo.requestJoin))
+		chaos.OnDrain(failOn(fo.requestDrain))
 		links = chaos.WrapAll(links)
 	}
 	root := rng.New(cfg.Seed)
@@ -302,7 +227,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 
 	machines := make([]*meshMachine, Mtot)
 	for mcID := 0; mcID < Mtot; mcID++ {
-		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), n, Mtot)
+		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), Mtot, md, cfg.Circulate)
 		// Latent spares lose every least-loaded comparison until a join
 		// activates them (and clears the poison).
 		for r := M; r < Mtot; r++ {
@@ -314,37 +239,43 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 
 	// Initial placement: every item token starts at a uniformly random
 	// machine with a fresh local visit plan (Algorithm 1 lines 6–10).
-	permScratch := make([]int, W)
-	toks := newTokens(md)
-	for j := range toks {
+	for j := 0; j < n; j++ {
 		mc := machines[root.Intn(M)]
 		if fo != nil {
 			fo.noteOwned(mc.id, int32(j))
 		}
-		mc.stageLocal(&toks[j], cfg.Circulate, root, permScratch)
-		mc.publishStaged()
+		mc.pendingN.Add(1)
+		mc.stageLocal(int32(j), root)
+		mc.retryPending()
 	}
 
 	var stop atomic.Bool
 
 	// A transport failure (TCP peer down) must end the run even though
-	// the update budget can no longer be reached.
+	// the update budget can no longer be reached; so must a peer that
+	// sends an item that does not exist.
 	runCtx, cancelRun := context.WithCancel(ctx)
 	defer cancelRun()
+	var peerErr error
+	var peerOnce sync.Once
+	reject := func(err error) {
+		peerOnce.Do(func() { peerErr = err })
+		stop.Store(true)
+		cancelRun()
+	}
 
-	fo.bind(links, md, local, users, func(victim int) {
-		// Poison the gossip tables so every §3.3 least-loaded picker
-		// shuns the dead machine from its next decision on.
-		for _, mc := range machines {
-			mc.lastKnown[victim].Store(poisonedQueueLen)
+	// gossip(v) sets every machine's view of a rank's queue length to v:
+	// poisoned, every §3.3 least-loaded picker shuns a dead or drained
+	// machine from its next decision on; cleared, pickers can route to a
+	// spare that just activated.
+	gossip := func(v int64) func(rank int) {
+		return func(rank int) {
+			for _, mc := range machines {
+				mc.lastKnown[rank].Store(v)
+			}
 		}
-	}, func(rank int) {
-		// A spare just activated: clear the poison so pickers can route
-		// to it.
-		for _, mc := range machines {
-			mc.lastKnown[rank].Store(0)
-		}
-	}, &stop, cancelRun)
+	}
+	fo.bind(links, md, local, users, gossip(poisonedQueueLen), gossip(0), &stop, cancelRun)
 	fo.startAgents()
 	if cfg.Elastic != nil && fo != nil {
 		cfg.Elastic.Bind(fo.requestJoin, fo.requestDrain)
@@ -359,20 +290,19 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	counter := train.NewCounterFor(cfg, p)
 	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
 
-	// Compute workers. residual[mc][w] keeps each worker's unflushed
-	// out-buffers for the final collection.
-	residual := make([][][][]*distToken, Mtot)
+	// Compute workers: global worker gw is worker gw mod W of machine
+	// gw / W.
+	workers := make([]worker, p)
 	var workerWG sync.WaitGroup
-	for mcID := 0; mcID < Mtot; mcID++ {
-		residual[mcID] = make([][][]*distToken, W)
-		for w := 0; w < W; w++ {
-			workerWG.Add(1)
-			go func(mc *meshMachine, w int) {
-				defer workerWG.Done()
-				residual[mc.id][w] = runDistWorkerMesh(mc, w, md, local[mc.id*W+w], schedule, cfg,
-					counter, &stop, workerRNG[mc.id*W+w], fo)
-			}(machines[mcID], w)
-		}
+	for gw := range workers {
+		mc := machines[gw/W]
+		workers[gw] = worker{mesh: mc.mesh, q: gw % W, gw: gw, port: mc.port(), plans: mc.plans,
+			mc: mc.id, fo: fo, lr: local[gw], threshold: meshFlushThreshold(n, M*W), r: workerRNG[gw]}
+		workerWG.Add(1)
+		go func(w *worker) {
+			defer workerWG.Done()
+			runWorker(w, md, schedule, cfg, counter, &stop)
+		}(&workers[gw])
 	}
 
 	// Sender and receiver threads, one of each per machine. Senders
@@ -392,7 +322,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		receiverWG.Add(1)
 		go func(mc *meshMachine) {
 			defer receiverWG.Done()
-			runMeshReceiver(mc, links[mc.id], cfg, receiverRNG, fo)
+			runMeshReceiver(mc, links[mc.id], receiverRNG, fo, reject)
 			if links[mc.id].Err() != nil && !fo.machineGone(mc.id) {
 				cancelRun()
 			}
@@ -417,6 +347,9 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		l.Close() //nolint:errcheck // idempotent release
 	}
 	fo.wait()
+	if peerErr != nil {
+		return nil, peerErr
+	}
 	if lerr := fo.liveLinkErr(links); lerr != nil {
 		return nil, fmt.Errorf("core: distributed transport failed: %w", lerr)
 	}
@@ -427,40 +360,26 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		runErr = nil // monitor cancelled by teardown plumbing, not the caller
 	}
 
-	// Collect every token still held anywhere — mesh lanes, receiver
-	// overflow, worker residual buffers — and write its vector back
-	// into the model. Token conservation is the ownership invariant;
-	// a dead machine's holdings are skipped (regenerated on the buddy).
-	collected := 0
-	collect := func(tok *distToken) {
-		md.SetItemRowFrom64(int(tok.tok.Item), tok.tok.Vec)
-		collected++
-	}
+	// Every token still held anywhere — worker residuals, mesh lanes,
+	// receiver overflow — must name each item exactly once; each hⱼ is
+	// already in its model row. A dead machine's holdings are skipped
+	// (regenerated on the buddy).
+	var held [][]int32
 	for _, mc := range machines {
 		if fo.machineGone(mc.id) {
 			continue
 		}
-		for d := 0; d <= mc.workers; d++ {
-			mc.mesh.Drain(d, collect)
-			for _, tok := range mc.pending[d] {
-				collect(tok)
+		queues := make([][]int32, W+1)
+		collectParked(queues, mc.mesh, workers[mc.id*W:(mc.id+1)*W])
+		for d, toks := range mc.pending {
+			for _, tok := range toks {
+				queues[d] = append(queues[d], tok.item)
 			}
 		}
+		held = append(held, queues...)
 	}
-	for mcID, perWorker := range residual {
-		if fo.machineGone(mcID) {
-			continue
-		}
-		for _, outs := range perWorker {
-			for _, toks := range outs {
-				for _, tok := range toks {
-					collect(tok)
-				}
-			}
-		}
-	}
-	if collected != n {
-		return nil, fmt.Errorf("core: token conservation violated: collected %d tokens for %d items", collected, n)
+	if err := forEachParked(held, n, nil); err != nil {
+		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
 
 	rec.Sample(md, counter.Total())
@@ -479,247 +398,76 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 			Seed:      cfg.Seed,
 			Updates:   counter.Total(),
 			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local),
+			Counts:    exportCounts(ds.Train, users, local, 0, p),
 			RNG:       train.CaptureStreams(root, workerRNG),
-			// Queues deliberately nil: tokens were folded back into the
-			// model above; a resume re-scatters them.
+			// Queues deliberately nil: the model rows hold every hⱼ; a
+			// resume re-scatters the tokens.
 		},
 	}, runErr
 }
 
-// planVisits fills tok's visit plan — Circulate full permutations of
-// the W local workers, with the first stop consumed into the return
-// value — and returns that first worker. scratch is a caller-owned
-// permutation buffer of length ≥ W, reused across tokens so the
-// receive path allocates nothing per token (beyond growing the token's
-// own visit plan once).
-func planVisits(tok *distToken, W, circulate int, r *rng.Source, scratch []int) (first int) {
-	if W == 1 && circulate == 1 {
-		// Single local worker: the only plan is "visit worker 0 once" —
-		// no permutation, no RNG draw.
-		tok.plan, tok.next = tok.plan[:0], 0
-		return 0
-	}
-	perm := scratch[:W]
-	r.Perm(perm)
-	plan := tok.plan[:0]
-	for c := 0; c < circulate; c++ {
-		for _, w := range perm {
-			plan = append(plan, int8(w))
+// stageLocal plans a token's visits through mc's workers and parks it
+// behind its first stop's lane, already counted in pendingN;
+// retryPending moves it in. The producer is always the port endpoint
+// (init runs before any thread starts, the receiver owns it
+// afterwards).
+//
+//nomad:noalloc
+func (mc *meshMachine) stageLocal(item int32, r *rng.Source) {
+	first := mc.plans.start(item, r)
+	mc.pending[first] = append(mc.pending[first], itemToken{item: item})
+}
+
+// badItem returns the index of the first token naming an item outside
+// [0, n), or -1. An item ID from a peer passes here before it indexes
+// an ownership bitmap, a rating list or a model row.
+func badItem(toks []cluster.Token, n int) int {
+	for x, t := range toks {
+		if uint32(t.Item) >= uint32(n) {
+			return x
 		}
 	}
-	tok.plan, tok.next = plan, 1
-	return perm[0]
+	return -1
 }
 
-// stageLocal plans a token's visits through mc's workers and stages it
-// for the first stop's lane; publishStaged makes it visible there. The
-// producer is always the port endpoint (init runs before any thread
-// starts, the receiver owns it afterwards).
-//
-//nomad:noalloc
-func (mc *meshMachine) stageLocal(tok *distToken, circulate int, r *rng.Source, scratch []int) {
-	first := planVisits(tok, mc.workers, circulate, r, scratch)
-	mc.stage[first] = append(mc.stage[first], tok)
+// wireItemErr is the run-ending error for a peer that sent item.
+func wireItemErr(from int, item int32, n int) error {
+	return fmt.Errorf("core: machine %d sent item token %d, outside [0,%d)", from, item, n)
 }
 
-// deliverBatch is the receiver's delivery of one inbound batch: every
-// token is copied into a recycled distToken and staged, then the batch
-// is published lane by lane.
+// deliverBatch is the receiver's delivery of one inbound batch: each
+// token's ownership bit is set, its vector written into its model row
+// — hⱼ's only home while the token is on this machine — and the token
+// staged, all before retryPending lets any of them into a lane. A token
+// naming an item outside [0, n) fails the batch before anything is
+// touched: deliverBatch returns its index, or -1.
 //
 //nomad:noalloc
-func (mc *meshMachine) deliverBatch(toks []cluster.Token, k, circulate int, r *rng.Source, scratch []int) {
-	mc.pool.collect()
+func (mc *meshMachine) deliverBatch(toks []cluster.Token, fo *failoverRuntime, r *rng.Source) int {
+	if bad := badItem(toks, mc.md.N); bad >= 0 {
+		return bad
+	}
+	mc.pendingN.Add(int64(len(toks)))
 	for _, t := range toks {
-		mc.stageLocal(mc.pool.fromInbound(t, k), circulate, r, scratch)
+		if fo != nil {
+			fo.noteOwned(mc.id, t.Item)
+		}
+		mc.md.SetItemRowFrom64(int(t.Item), t.Vec)
+		mc.stageLocal(t.Item, r)
 	}
-	mc.publishStaged()
+	mc.retryPending()
+	return -1
 }
 
-// publishStaged offers every staged token to its lane, one SendBatch
-// per lane. What a full lane refuses parks in pending behind anything
-// already parked there, so each lane stays FIFO; pendingN rises before
-// the tokens leave the stage, so they are always counted somewhere.
-//
-//nomad:noalloc
-func (mc *meshMachine) publishStaged() {
-	for d, toks := range mc.stage {
-		if len(toks) == 0 {
-			continue
-		}
-		acc := 0
-		if len(mc.pending[d]) == 0 {
-			acc = mc.mesh.SendBatch(mc.port(), d, toks)
-		}
-		if rest := toks[acc:]; len(rest) > 0 {
-			mc.pendingN.Add(int64(len(rest)))
-			mc.pending[d] = append(mc.pending[d], rest...)
-		}
-		clear(toks)
-		mc.stage[d] = toks[:0]
+// wireToken is item j's token as the wire carries it: hⱼ read from its
+// model row — in place for float64, widened into scratch (length K)
+// for float32. Sender.Add copies it into the batch arena.
+func (mc *meshMachine) wireToken(j int32, scratch []float64) cluster.Token {
+	if mc.md.Precision() == factor.Float32 {
+		mc.md.CopyItemRowTo64(int(j), scratch)
+		return cluster.Token{Item: j, Vec: scratch}
 	}
-}
-
-// runDistWorkerMesh processes token blocks from its own mesh row: SGD
-// on the local ratings of each token's item, then hand-off to the next
-// local worker's lane or the port. It returns its unflushed
-// out-buffers for the coordinator's final collection.
-func runDistWorkerMesh(mc *meshMachine, w int, md *factor.Model, lr *localRatings,
-	schedule sched.Schedule, cfg train.Config, counter *train.Counter,
-	stop *atomic.Bool, r *rng.Source, fo *failoverRuntime) [][]*distToken {
-
-	gw := mc.id*mc.workers + w // global worker id (counter shard)
-	hp := newHotPath(md, schedule, cfg)
-	straggler := gw == 0 && cfg.Straggle > 1
-	port := mc.port()
-	threshold := meshFlushThreshold(md.N, cfg.Machines*mc.workers)
-
-	var in [meshBlock]*distToken
-	out := make([][]*distToken, port+1)
-	for d := range out {
-		out[d] = make([]*distToken, 0, 2*meshBlock)
-	}
-	flush := func(d int) bool {
-		if len(out[d]) == 0 {
-			return false
-		}
-		acc := mc.mesh.SendBatch(w, d, out[d])
-		if acc == 0 {
-			return false
-		}
-		rest := copy(out[d], out[d][acc:])
-		for i := rest; i < len(out[d]); i++ {
-			out[d][i] = nil // release for GC
-		}
-		out[d] = out[d][:rest]
-		return true
-	}
-
-	var idle idleBackoff
-	var batch int64
-	var respSeen uint64
-	var extras []*localRatings // fostered shards this worker trains beyond its own
-	for !stop.Load() && !fo.machineGone(mc.id) {
-		if fo.drainingMachine(mc.id) {
-			// Graceful leave: stop training and forward everything this
-			// worker holds — inbound lane tokens and unflushed hand-off
-			// buffers alike — to the port, visit plans cancelled. The idle
-			// flag is published only after the buffers are demonstrably
-			// empty, so the sender's quiesce check cannot miss a token
-			// between stations.
-			fo.setDrainIdle(mc.id, w, false)
-			k := mc.mesh.RecvBatch(w, in[:])
-			for i := 0; i < k; i++ {
-				tok := in[i]
-				in[i] = nil
-				tok.next = len(tok.plan)
-				out[port] = append(out[port], tok)
-			}
-			for d := 0; d < port; d++ {
-				for i, tok := range out[d] {
-					tok.next = len(tok.plan)
-					out[port] = append(out[port], tok)
-					out[d][i] = nil
-				}
-				out[d] = out[d][:0]
-			}
-			flush(port)
-			if k == 0 && len(out[port]) == 0 {
-				fo.setDrainIdle(mc.id, w, true)
-				idle.wait()
-			}
-			continue
-		}
-		k := mc.mesh.RecvBatch(w, in[:])
-		if k == 0 {
-			moved := false
-			for d := 0; d <= port; d++ {
-				if flush(d) {
-					moved = true
-				}
-			}
-			if moved {
-				idle.reset()
-			} else {
-				idle.wait()
-			}
-			continue
-		}
-		idle.reset()
-		for i := 0; i < k; i++ {
-			tok := in[i]
-			in[i] = nil
-
-			// Warm what the next three tokens of the block will read.
-			j1, j2, j3, vec2 := -1, -1, -1, []float64(nil)
-			if i+1 < k {
-				j1 = int(in[i+1].tok.Item)
-			}
-			if i+2 < k {
-				j2, vec2 = int(in[i+2].tok.Item), in[i+2].tok.Vec
-			}
-			if i+3 < k {
-				j3 = int(in[i+3].tok.Item)
-			}
-			hp.prefetchAhead(lr, j1, j2, j3, vec2)
-
-			j := int(tok.tok.Item)
-			usersJ, vals, counts := lr.itemRatings(j)
-			var began time.Time
-			if straggler {
-				began = time.Now()
-			}
-			// The vector travels with the token; itemSGDVec updates it
-			// and mirrors the result into the model (owner write-back so
-			// progress monitoring sees current hⱼ).
-			hp.itemSGDVec(j, usersJ, vals, counts, tok.tok.Vec)
-			if straggler && len(usersJ) > 0 && !stop.Load() {
-				time.Sleep(time.Duration(float64(time.Since(began)) * (cfg.Straggle - 1)))
-			}
-			batch += int64(len(usersJ))
-			if fo != nil {
-				// The responsibility table may name this worker for shards
-				// beyond its own: a latent spare's fostered users, or a
-				// dead machine's users remapped here by failover. Train
-				// those shards' ratings of item j too.
-				if g := fo.respGeneration(); g != respSeen {
-					respSeen = g
-					extras = fo.extraShards(gw, extras)
-				}
-				for _, ex := range extras {
-					au, av, ac := ex.itemRatings(j)
-					if len(au) > 0 {
-						hp.itemSGDVec(j, au, av, ac, tok.tok.Vec)
-						batch += int64(len(au))
-					}
-				}
-			}
-			if batch >= 256 {
-				counter.Add(gw, batch)
-				batch = 0
-				// Worker-side budget check; see runSharedWorkerMesh.
-				if counter.Total() >= cfg.MaxUpdates {
-					stop.Store(true)
-				}
-			}
-			dst := port
-			if tok.next < len(tok.plan) {
-				dst = int(tok.plan[tok.next])
-				tok.next++
-			}
-			out[dst] = append(out[dst], tok)
-			if len(out[dst]) >= threshold {
-				flush(dst)
-			}
-		}
-	}
-	counter.Add(gw, batch)
-
-	// Final flush; leftovers go back to the coordinator.
-	for d := 0; d <= port; d++ {
-		flush(d)
-	}
-	return out
+	return cluster.Token{Item: j, Vec: mc.md.ItemRow(int(j))}
 }
 
 // runMeshSender drains the machine's port row in blocks, batching
@@ -730,28 +478,31 @@ func runDistWorkerMesh(mc *meshMachine, w int, md *factor.Model, lr *localRating
 func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.Source,
 	hooks *train.Hooks, workersDone *atomic.Bool, fo *failoverRuntime) {
 
-	s := cluster.NewSender(link, cfg.BatchSize, mc.queueLen)
+	// The gossiped backlog (§3.3) is the mesh's: single atomic loads,
+	// never a lock.
+	s := cluster.NewSender(link, cfg.BatchSize, mc.mesh.TotalLen)
 	pick := fo.wrapPick(machinePicker(mc.id, link.Machines(), cfg.LoadBalance, mc.lastKnown, r, hooks))
 	cmds := fo.sendCmds(mc.id) // nil (never ready) without failover
 	port := mc.port()
-	add := func(tok *distToken) {
+	scratch := make([]float64, cfg.K)
+	send := func(d int, tok itemToken) {
+		if fo != nil {
+			// The token is leaving this machine: clear its ownership bit
+			// before it becomes observable anywhere else.
+			fo.noteSent(mc.id, d, tok.item)
+		}
+		s.Add(d, mc.wireToken(tok.item, scratch))
+	}
+	add := func(tok itemToken) {
 		// A scale-out rebalance takes priority: while this machine owes
 		// the latest joiner tokens, route them there instead of picking.
 		d := fo.donationDest(mc.id)
 		if d < 0 {
 			d = pick()
 		}
-		if fo != nil {
-			// The token is leaving this machine: clear its ownership bit
-			// before it becomes observable anywhere else.
-			fo.noteSent(mc.id, d, tok.tok.Item)
-		}
-		// Add copies the vector into the batch arena, so the token
-		// itself goes straight back to the receive-side pool.
-		s.Add(d, tok.tok)
-		mc.pool.put(tok)
+		send(d, tok)
 	}
-	var buf [meshBlock]*distToken
+	var buf [meshBlock]itemToken
 	// drainAll is the scale-in hand-off: stream every token still on
 	// this machine to dest (the ring buddy) until it is demonstrably
 	// empty. The quiesce check reads the stations in token-flow order —
@@ -760,28 +511,21 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 	// always caught by a later one (tokens only move downstream; no new
 	// ones arrive, the peers are parked).
 	drainAll := func(dest int) {
-		fwd := func(tok *distToken) {
-			fo.noteSent(mc.id, dest, tok.tok.Item)
-			s.Add(dest, tok.tok)
-			mc.pool.put(tok)
-		}
 		for {
 			if fo.isStopping() || fo.dead[mc.id].Load() {
 				return // killed or torn down mid-drain: hand over to evict/teardown
 			}
 			k := mc.mesh.RecvBatch(port, buf[:])
-			for i := 0; i < k; i++ {
-				fwd(buf[i])
-				buf[i] = nil
+			for _, tok := range buf[:k] {
+				send(dest, tok)
 			}
 			if k > 0 {
 				continue
 			}
-			if mc.pendingN.Load() == 0 && mc.queueLen() == 0 && fo.drainIdleAll(mc.id) {
+			if mc.pendingN.Load() == 0 && mc.mesh.TotalLen() == 0 && fo.drainIdleAll(mc.id) {
 				if k := mc.mesh.RecvBatch(port, buf[:]); k > 0 {
-					for i := 0; i < k; i++ {
-						fwd(buf[i])
-						buf[i] = nil
+					for _, tok := range buf[:k] {
+						send(dest, tok)
 					}
 					continue
 				}
@@ -806,51 +550,39 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			continue
 		default:
 		}
+		// Read before the sweep: once every worker has exited and
+		// flushed, nothing produces into the port row, so a row this
+		// sweep finds dry is drained for good.
+		done := workersDone.Load()
 		k := mc.mesh.RecvBatch(port, buf[:])
-		if k == 0 {
-			// Row dry: push out partial batches, then back off.
-			s.FlushAll() //nolint:errcheck // link failure surfaces via link.Err
-			if workersDone.Load() {
-				// All workers have exited and flushed; one final sweep
-				// cannot race a producer, so the row is drained for good.
-				for {
-					k := mc.mesh.RecvBatch(port, buf[:])
-					if k == 0 {
-						break
-					}
-					for i := 0; i < k; i++ {
-						add(buf[i])
-						buf[i] = nil
-					}
-				}
-				s.Close() //nolint:errcheck
-				return
-			}
-			idle.wait()
+		for _, tok := range buf[:k] {
+			add(tok)
+		}
+		if k > 0 {
+			idle.reset()
 			continue
 		}
-		idle.reset()
-		for i := 0; i < k; i++ {
-			add(buf[i])
-			buf[i] = nil
+		if done {
+			s.Close() //nolint:errcheck
+			return
 		}
+		// Row dry: push out partial batches, then back off.
+		s.FlushAll() //nolint:errcheck // link failure surfaces via link.Err
+		idle.wait()
 	}
 }
 
 // runMeshReceiver unpacks inbound token batches, records queue-length
-// gossip and starts each token's local circulation through the mesh.
-// Each token's vector is copied out of the arena-backed batch into a
-// recycled distToken and staged for its first-stop lane; the whole
-// batch is then published lane by lane and the arena released back to
-// the link's pool. It runs until every peer has ended its stream (or
-// the link fails).
-func runMeshReceiver(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.Source, fo *failoverRuntime) {
-	scratch := make([]int, mc.workers)
-	deliver := func(toks []cluster.Token) {
-		mc.deliverBatch(toks, cfg.K, cfg.Circulate, r, scratch)
-	}
+// gossip and starts each token's local circulation through the mesh
+// (deliverBatch), then releases the arena back to the link's pool. A
+// batch naming an item that does not exist is rejected — reject names
+// the peer and ends the run — and everything after it is discarded. It
+// runs until every peer has ended its stream (or the link fails).
+func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, fo *failoverRuntime, reject func(error)) {
+	deliver := func(toks []cluster.Token) { mc.deliverBatch(toks, fo, r) }
 	cmds := fo.recvCmds(mc.id) // nil (never ready) without failover
 	recv := link.Recv()
+	rejected := false
 	for {
 		select {
 		case cmd := <-cmds:
@@ -861,26 +593,25 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, cfg train.Config, r *rn
 				fo.drainRecvCmds(mc.id, deliver)
 				return
 			}
-			if fo != nil && !fo.acceptBatch(mc.id, inb.From) {
-				// Dead self or evicted source: discard, but keep draining —
-				// a stalled receive channel wedges the transport.
+			if rejected || fo != nil && !fo.acceptBatch(mc.id, inb.From) {
+				// Discard, but keep draining — a stalled receive channel
+				// wedges the transport.
 				inb.Batch.Release()
 				continue
 			}
 			mc.lastKnown[inb.From].Store(int64(inb.Batch.QueueLen))
-			mc.retryPending()
-			if fo != nil {
-				// Ownership bits are set before any token can reach a
-				// worker lane (and hence the sender, which clears them).
-				fo.beforeDeliver(mc.id, inb.Batch.Tokens)
+			if bad := mc.deliverBatch(inb.Batch.Tokens, fo, r); bad >= 0 {
+				rejected = true
+				reject(wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, mc.md.N))
+				inb.Batch.Release()
+				continue
 			}
-			deliver(inb.Batch.Tokens)
 			if fo != nil {
-				// Strictly after the publish: a satisfied fence implies the
+				// Strictly after the delivery: a satisfied fence implies the
 				// batch is in the lanes or counted in pendingN.
 				fo.afterDeliver(mc.id, inb.From, inb.Batch.Tokens, link)
 			}
-			inb.Batch.Release() // the vectors were copied out above
+			inb.Batch.Release() // the vectors were copied into the model above
 		}
 	}
 }

@@ -2,20 +2,25 @@ package core
 
 import (
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"nomad/internal/cluster"
+	"nomad/internal/factor"
+	"nomad/internal/netsim"
 	"nomad/internal/rng"
 )
 
-// The receiver's staged delivery on lanes far too small for its
-// batches, so most tokens take the overflow path: stage → lane, or
-// stage → pending → (retryPending) → lane. Whatever the interleaving
+// The receiver's delivery on lanes far too small for its batches, so
+// most tokens wait in pending for a later retryPending before they
+// reach their lane. Whatever the interleaving
 // with the consumers, each lane must hand out its tokens in the order
-// they were delivered, pendingN must return to zero, and every one of
-// the n tokens must come out exactly once.
+// they were delivered, pendingN must return to zero, every one of the
+// n tokens must come out exactly once, and each token's vector must be
+// in its model row.
 
 const (
 	deliveryTokens = 1000
@@ -23,17 +28,32 @@ const (
 	deliveryK      = 4
 )
 
+// deliveryVec is the vector item j arrives with.
+func deliveryVec(j int) []float64 {
+	v := make([]float64, deliveryK)
+	for l := range v {
+		v[l] = float64(j) + float64(l)/8
+	}
+	return v
+}
+
 // deliveryBatches cuts items 0..n-1, in order, into wire batches.
 func deliveryBatches() [][]cluster.Token {
 	var batches [][]cluster.Token
 	for j := 0; j < deliveryTokens; j += deliveryBatch {
 		var b []cluster.Token
 		for i := j; i < j+deliveryBatch && i < deliveryTokens; i++ {
-			b = append(b, cluster.Token{Item: int32(i), Vec: make([]float64, deliveryK)})
+			b = append(b, cluster.Token{Item: int32(i), Vec: deliveryVec(i)})
 		}
 		batches = append(batches, b)
 	}
 	return batches
+}
+
+// deliveryMachine is rank 0 of a machines-rank cluster over a fresh
+// model of deliveryTokens items.
+func deliveryMachine(workers, ringCap, machines, circulate int) *meshMachine {
+	return newMeshMachine(0, workers, ringCap, machines, factor.New(1, deliveryTokens, deliveryK), circulate)
 }
 
 // requireDelivered checks what the consumers popped, lane by lane.
@@ -53,6 +73,9 @@ func requireDelivered(t *testing.T, mc *meshMachine, lanes [][]int32) {
 			}
 			seen[j] = true
 			total++
+			if row := mc.md.ItemRow(int(j)); !slices.Equal(row, deliveryVec(int(j))) {
+				t.Fatalf("item %d's row holds %v, delivered %v", j, row, deliveryVec(int(j)))
+			}
 		}
 	}
 	if total != deliveryTokens {
@@ -72,15 +95,14 @@ func requireDelivered(t *testing.T, mc *meshMachine, lanes [][]int32) {
 // behind the parked tokens, not overtake them.
 func TestMeshDeliveryOverflowSequential(t *testing.T) {
 	const workers = 2
-	mc := newMeshMachine(0, workers, 2, deliveryTokens, 1)
+	mc := deliveryMachine(workers, 2, 1, 1)
 	r := rng.New(5)
-	scratch := make([]int, workers)
 	lanes := make([][]int32, workers)
 	pop := func(max int) {
-		buf := make([]*distToken, max)
+		buf := make([]itemToken, max)
 		for w := 0; w < workers; w++ {
 			for _, tok := range buf[:mc.mesh.RecvBatch(w, buf)] {
-				lanes[w] = append(lanes[w], tok.tok.Item)
+				lanes[w] = append(lanes[w], tok.item)
 			}
 		}
 	}
@@ -88,7 +110,9 @@ func TestMeshDeliveryOverflowSequential(t *testing.T) {
 		if i%2 == 0 {
 			mc.retryPending()
 		}
-		mc.deliverBatch(b, deliveryK, 1, r, scratch)
+		if bad := mc.deliverBatch(b, nil, r); bad >= 0 {
+			t.Fatalf("batch %d: token %d rejected", i, bad)
+		}
 		parked := 0
 		for _, toks := range mc.pending {
 			parked += len(toks)
@@ -113,7 +137,7 @@ func TestMeshDeliveryOverflowSequential(t *testing.T) {
 // runMeshReceiver; CI runs it under the race detector.
 func TestMeshDeliveryOverflowConcurrent(t *testing.T) {
 	const workers = 3
-	mc := newMeshMachine(0, workers, 4, deliveryTokens, 1)
+	mc := deliveryMachine(workers, 4, 1, 2)
 	lanes := make([][]int32, workers)
 	var popped atomic.Int64
 	var wg sync.WaitGroup
@@ -121,11 +145,11 @@ func TestMeshDeliveryOverflowConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var buf [5]*distToken
+			var buf [5]itemToken
 			for popped.Load() < deliveryTokens {
 				k := mc.mesh.RecvBatch(w, buf[:])
 				for _, tok := range buf[:k] {
-					lanes[w] = append(lanes[w], tok.tok.Item)
+					lanes[w] = append(lanes[w], tok.item)
 				}
 				popped.Add(int64(k))
 				if k == 0 {
@@ -135,10 +159,9 @@ func TestMeshDeliveryOverflowConcurrent(t *testing.T) {
 		}(w)
 	}
 	r := rng.New(6)
-	scratch := make([]int, workers)
 	for _, b := range deliveryBatches() {
 		mc.retryPending()
-		mc.deliverBatch(b, deliveryK, 2, r, scratch)
+		mc.deliverBatch(b, nil, r)
 	}
 	for mc.pendingN.Load() > 0 {
 		mc.retryPending()
@@ -146,4 +169,89 @@ func TestMeshDeliveryOverflowConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 	requireDelivered(t, mc, lanes)
+}
+
+// TestVisitPlansFollowedConcurrently runs worker goroutines that follow
+// the plans the delivering receiver draws: the receiver writes a
+// token's plan, and each worker holding the token reads and advances
+// it, ordered only by the lanes' hand-off (CI runs it under the race
+// detector). Every token must visit every worker Circulate times, the
+// first stop included, and then leave.
+func TestVisitPlansFollowedConcurrently(t *testing.T) {
+	const workers, circulate = 3, 2
+	mc := deliveryMachine(workers, deliveryTokens, 1, circulate) // lanes never fill
+	visits := make([][]int, workers)
+	var left atomic.Int64
+	var wg sync.WaitGroup
+	for w := range visits {
+		visits[w] = make([]int, deliveryTokens)
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var buf [8]itemToken
+			for left.Load() < deliveryTokens {
+				k := mc.mesh.RecvBatch(w, buf[:])
+				for _, tok := range buf[:k] {
+					visits[w][tok.item]++
+					if d, ok := mc.plans.nextStop(int(tok.item)); !ok {
+						left.Add(1)
+					} else if !mc.mesh.Send(w, d, tok) {
+						t.Errorf("lane %d→%d full", w, d)
+					}
+				}
+				if k == 0 {
+					runtime.Gosched()
+				}
+			}
+		}(w)
+	}
+	r := rng.New(7)
+	for _, b := range deliveryBatches() {
+		mc.deliverBatch(b, nil, r)
+	}
+	wg.Wait()
+	for w := range visits {
+		for j, v := range visits[w] {
+			if v != circulate {
+				t.Fatalf("item %d visited worker %d %d times, want %d", j, w, v, circulate)
+			}
+		}
+	}
+}
+
+// TestReceiverRejectsOutOfRangeItem sends the real receiver, through a
+// sim link, a batch whose second token names an item past the model.
+// The run must be failed with an error naming the sending machine —
+// not a panic on a model row, a rating list or an ownership bitmap —
+// nothing of that batch may be delivered, and the receiver must keep
+// draining until the stream ends.
+func TestReceiverRejectsOutOfRangeItem(t *testing.T) {
+	links := cluster.NewSimCluster(2, netsim.Instant(), deliveryK).Links()
+	mc := deliveryMachine(1, 64, 2, 1)
+	batches := [][]cluster.Token{
+		{{Item: 3, Vec: deliveryVec(3)}},
+		{{Item: 7, Vec: deliveryVec(7)}, {Item: deliveryTokens + 5, Vec: deliveryVec(0)}},
+		{{Item: 9, Vec: deliveryVec(9)}},
+	}
+	for _, b := range batches {
+		if err := links[1].Send(0, cluster.TokenBatch{Tokens: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	links[1].CloseSend() //nolint:errcheck
+	links[0].CloseSend() //nolint:errcheck
+
+	var errs []error
+	runMeshReceiver(mc, links[0], rng.New(1), nil, func(err error) { errs = append(errs, err) })
+	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "machine 1 sent item token 1005") {
+		t.Fatalf("reject called with %v, want one error naming machine 1 and item 1005", errs)
+	}
+	var got []int32
+	mc.mesh.Drain(0, func(tok itemToken) { got = append(got, tok.item) })
+	if !slices.Equal(got, []int32{3}) {
+		t.Fatalf("delivered %v, want only the batch before the bad one", got)
+	}
+	if row := mc.md.ItemRow(7); slices.Equal(row, deliveryVec(7)) {
+		t.Fatal("the rejected batch's first token reached its model row")
+	}
 }

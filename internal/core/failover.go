@@ -705,8 +705,10 @@ func (fo *failoverRuntime) setRetryFn(i int, fn func()) {
 }
 
 // noteOwned sets item's ownership bit for machine i: called at initial
-// placement, on every delivery (before the token enters the worker
-// queues, so it can never be re-sent while unset) and on injection.
+// placement and on every delivery, injections included, before the
+// token enters the worker queues. A token must never be observable by
+// the sender (which clears bits) before its bit is set, or a snapshot
+// could double- or zero-count it.
 //
 //nomad:noalloc
 func (fo *failoverRuntime) noteOwned(i int, item int32) {
@@ -736,16 +738,6 @@ func (fo *failoverRuntime) acceptBatch(i, src int) bool {
 		return false
 	}
 	return !fo.m[i].dropFrom[src]
-}
-
-// beforeDeliver sets the ownership bits of an accepted batch. This
-// runs before the tokens enter the worker queues: a token must never
-// be observable by the sender (which clears bits) before its bit is
-// set, or a snapshot could double- or zero-count it.
-func (fo *failoverRuntime) beforeDeliver(i int, toks []cluster.Token) {
-	for x := range toks {
-		fo.noteOwned(i, toks[x].Item)
-	}
 }
 
 // afterDeliver completes a delivery's accounting: the fence counter
@@ -882,7 +874,8 @@ func (fo *failoverRuntime) respActivate(J int) {
 
 // handleRecvCmd executes an agent command on the receiver goroutine.
 // deliver is the runner's delivery closure (shared with the normal
-// inbound path so injection uses the same visit planning).
+// inbound path so injection uses the same ownership bits, row writes
+// and visit planning).
 func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func([]cluster.Token)) {
 	switch cmd.kind {
 	case recvMarkDead:
@@ -894,7 +887,6 @@ func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func([]cl
 		}
 		cmd.reply <- bm
 	case recvInject:
-		fo.beforeDeliver(i, cmd.toks)
 		deliver(cmd.toks)
 	case recvRetry:
 		if fo.m[i].retry != nil {
@@ -1013,17 +1005,12 @@ func (fo *failoverRuntime) wait() {
 	fo.agentWG.Wait()
 }
 
-// liveLinkErr is firstLinkErr restricted to machines still in the
-// cluster: a killed victim's endpoint legitimately reports a failure.
+// liveLinkErr reports the first transport failure among the run's
+// endpoints that are still in the cluster: a killed victim's endpoint
+// legitimately reports one.
 func (fo *failoverRuntime) liveLinkErr(links []cluster.Link) error {
-	if fo == nil {
-		return firstLinkErr(links)
-	}
 	for i, l := range links {
-		if fo.gone(i) {
-			continue
-		}
-		if err := l.Err(); err != nil {
+		if err := l.Err(); err != nil && !fo.machineGone(i) {
 			return err
 		}
 	}

@@ -592,9 +592,9 @@ func (a *foAgent) finishDrain() {
 }
 
 // onRemap (buddy only): regenerate the missing tokens — replica first,
-// model row (the victim's last owner write-back) as fallback — install
-// the victim's replicated user rows, take over its rating shards,
-// report regeneration done.
+// model row (hⱼ's home, so the victim's last completed update) as
+// fallback — install the victim's replicated user rows, take over its
+// rating shards, report regeneration done.
 func (a *foAgent) onRemap(missing []int32) {
 	fo := a.fo
 	rs := a.replicas[a.subject]

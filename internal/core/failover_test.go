@@ -136,7 +136,7 @@ func TestFailoverPartitionHeals(t *testing.T) {
 
 // TestFailoverDropsReplication: lossy replication (dropped snapshots)
 // must not break a subsequent kill-failover — regeneration falls back
-// to the model's last owner write-back for unreplicated rows.
+// to the model row, hⱼ's home, for unreplicated items.
 func TestFailoverDropsReplication(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failover run")

@@ -73,7 +73,7 @@ func (hp *hotPath) runBlock(lr *localRatings, items []int32, lanes bool,
 				if halted = !begin(hi - lo); halted {
 					continue
 				}
-				hp.prefetchAhead(lr, item(lTok+1), item(lTok+2), item(lTok+3), nil)
+				hp.prefetchAhead(lr, item(lTok+1), item(lTok+2), item(lTok+3))
 				if !long {
 					hp.itemSGDItem(j, lr.users[lo:hi], lr.vals[lo:hi], lr.counts[lo:hi])
 					lTok, hTok = lTok+1, hTok+1

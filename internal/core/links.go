@@ -81,14 +81,3 @@ func linkTotals(links []cluster.Link) (bytes, msgs int64) {
 	}
 	return bytes, msgs
 }
-
-// firstLinkErr reports the first transport failure among the run's
-// endpoints, if any.
-func firstLinkErr(links []cluster.Link) error {
-	for _, l := range links {
-		if err := l.Err(); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -35,6 +35,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,6 +118,7 @@ func (e *abortError) Error() string {
 type lockCollector struct {
 	link cluster.Link
 	rank int
+	n    int // items: an inbound token naming another fails the round
 
 	// The channels are kept here so a closed one can be nilled out:
 	// they close together, but the buffered frames drain at different
@@ -132,11 +134,12 @@ type lockCollector struct {
 	dirs    []lockDirective              // directives from rank 0, FIFO
 }
 
-func newLockCollector(link cluster.Link) *lockCollector {
+func newLockCollector(link cluster.Link, n int) *lockCollector {
 	m := link.Machines()
 	c := &lockCollector{
 		link:    link,
 		rank:    link.Rank(),
+		n:       n,
 		recvCh:  link.Recv(),
 		ctlCh:   link.Ctl(),
 		byRound: make([]map[uint32][]cluster.Token, m),
@@ -150,8 +153,9 @@ func newLockCollector(link cluster.Link) *lockCollector {
 }
 
 // pump blocks for one inbound event and files it. It returns an error
-// when a peer aborts the run, or when both inbound streams are
-// exhausted with the caller still waiting.
+// when a peer aborts the run or sends an item that does not exist, or
+// when both inbound streams are exhausted with the caller still
+// waiting.
 func (c *lockCollector) pump() error {
 	if c.recvCh == nil && c.ctlCh == nil {
 		return c.deadErr()
@@ -162,7 +166,7 @@ func (c *lockCollector) pump() error {
 			c.recvCh = nil // keep draining ctl
 			return nil
 		}
-		c.bin(inb)
+		return c.bin(inb)
 	case ct, ok := <-c.ctlCh:
 		if !ok {
 			c.ctlCh = nil // keep draining recv
@@ -193,24 +197,23 @@ func (c *lockCollector) pump() error {
 	return nil
 }
 
-// bin files one delivered batch under its round tag. Inbound batches
-// are arena-backed and recycled on Release, so a bin that outlives
-// this call deep-copies the vectors it keeps.
-func (c *lockCollector) bin(inb cluster.Inbound) {
-	round := uint32(inb.Batch.QueueLen)
-	c.byRound[inb.From][round] = appendTokenCopies(c.byRound[inb.From][round], inb.Batch.Tokens)
-	inb.Batch.Release()
-}
-
-// appendTokenCopies appends deep copies of src's tokens — vectors
-// included — onto dst.
-func appendTokenCopies(dst []cluster.Token, src []cluster.Token) []cluster.Token {
-	for _, t := range src {
-		vec := make([]float64, len(t.Vec))
-		copy(vec, t.Vec)
-		dst = append(dst, cluster.Token{Item: t.Item, Vec: vec})
+// bin files one delivered batch under its round tag, or rejects it if
+// a token names an item outside [0, n). Inbound batches are
+// arena-backed and recycled on Release, so a bin that outlives this
+// call deep-copies the vectors it keeps.
+func (c *lockCollector) bin(inb cluster.Inbound) error {
+	var err error
+	if bad := badItem(inb.Batch.Tokens, c.n); bad >= 0 {
+		err = wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, c.n)
+	} else {
+		bin := c.byRound[inb.From]
+		round := uint32(inb.Batch.QueueLen)
+		for _, t := range inb.Batch.Tokens {
+			bin[round] = append(bin[round], cluster.Token{Item: t.Item, Vec: slices.Clone(t.Vec)})
+		}
 	}
-	return dst
+	inb.Batch.Release()
+	return err
 }
 
 func (c *lockCollector) deadErr() error {
@@ -274,7 +277,9 @@ func (c *lockCollector) drainBuffered() error {
 				c.recvCh = nil
 				return nil
 			}
-			c.bin(inb)
+			if err := c.bin(inb); err != nil {
+				return err
+			}
 		default:
 			return nil
 		}
@@ -476,7 +481,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		}
 	}
 
-	coll := newLockCollector(link)
+	coll := newLockCollector(link, n)
 	outbox := make([][]cluster.Token, M)
 	cum := int64(0)  // this machine's updates this segment
 	var total int64  // global updates, known after each directive
@@ -619,7 +624,7 @@ func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Conf
 	if err := link.SendCtl(0, ctlFold, fold[:]); err != nil {
 		return nil, err
 	}
-	counts := exportRankCounts(ds.Train, users, local, rank, W)
+	counts := exportCounts(ds.Train, users, local, rank*W, rank*W+W)
 	payload := make([]byte, 8+4*len(counts))
 	binary.LittleEndian.PutUint64(payload, uint64(len(counts)))
 	for i, c := range counts {
@@ -706,10 +711,10 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 	rec *train.Recorder, root *rng.Source) (*train.Result, error) {
 
 	n := ds.Cols()
-	collected := 0
+	items := make([]int32, 0, n)
 	for _, tok := range queue {
 		copy(md.ItemRow(int(tok.Item)), tok.Vec)
-		collected++
+		items = append(items, tok.Item)
 	}
 	declared := int64(len(queue))
 	countsByRank := make(map[int][]int32)
@@ -722,9 +727,14 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 				recv = nil
 				continue
 			}
+			if bad := badItem(inb.Batch.Tokens, n); bad >= 0 {
+				err := wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, n)
+				inb.Batch.Release()
+				return nil, err
+			}
 			for _, tok := range inb.Batch.Tokens {
 				copy(md.ItemRow(int(tok.Item)), tok.Vec)
-				collected++
+				items = append(items, tok.Item)
 			}
 			inb.Batch.Release()
 		case ct, ok := <-ctl:
@@ -763,8 +773,11 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 	if err := link.Err(); err != nil {
 		return nil, err
 	}
-	if collected != n || declared != int64(n) {
-		return nil, fmt.Errorf("core: token conservation violated: collected %d tokens (%d declared) for %d items", collected, declared, n)
+	if err := forEachParked([][]int32{items}, n, nil); err != nil {
+		return nil, fmt.Errorf("core: token conservation violated: %w", err)
+	}
+	if declared != int64(n) {
+		return nil, fmt.Errorf("core: token conservation violated: %d tokens declared for %d items", declared, n)
 	}
 	counts, err := mergeCounts(ds.Train, users, local, countsByRank, W)
 	if err != nil {
@@ -823,29 +836,9 @@ func applyUserRows(md *factor.Model, payload []byte) error {
 	return nil
 }
 
-// exportRankCounts flattens one machine's per-rating step counts in
-// global CSC order restricted to its users — the stream mergeCounts
-// re-interleaves on the coordinator.
-func exportRankCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, rank, W int) []int32 {
-	lo, hi := rank*W, rank*W+W
-	cur := make([]int32, len(local))
-	var out []int32
-	for j := 0; j < tr.Cols(); j++ {
-		rows, _ := tr.Col(j)
-		for _, i := range rows {
-			q := users.Owner(int(i))
-			if q >= lo && q < hi {
-				out = append(out, local[q].counts[cur[q]])
-			}
-			cur[q]++
-		}
-	}
-	return out
-}
-
 // mergeCounts assembles the canonical CSC-ordered global step counts
 // from the coordinator's own worker stores and each worker machine's
-// exportRankCounts stream.
+// exportCounts stream.
 func mergeCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, byRank map[int][]int32, W int) ([]int32, error) {
 	out := make([]int32, 0, tr.NNZ())
 	cur := make([]int32, len(local))

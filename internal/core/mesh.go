@@ -1,9 +1,11 @@
 package core
 
-// The shared-memory runner: workers exchange tokens through a p×p mesh
-// of bounded SPSC rings. Tokens are popped in blocks, processed, and
-// routed through per-destination out-buffers that are flushed in
-// blocks, so the per-token cost of the transport is a slice append — the
+// The token mesh and the one worker loop. Workers exchange item tokens
+// through a mesh of bounded SPSC rings — the p workers of a
+// shared-memory run, or one machine's W workers plus its network port
+// (dist_mesh.go). Tokens are popped in blocks, trained, and routed
+// through per-destination out-buffers that are flushed in blocks, so
+// the per-token cost of the transport is a slice append — the
 // synchronization (one atomic release per block) and the routing RNG
 // (one draw per four route choices) are amortized the way the paper
 // amortizes network overhead by batching ~100 tokens per message
@@ -27,10 +29,10 @@ import (
 	"nomad/internal/train"
 )
 
-// sharedToken is the nomadic token of the shared-memory runner: just
-// the item index, since hⱼ stays in the model under the ownership
-// discipline.
-type sharedToken struct {
+// itemToken is the nomadic token inside a machine: just the item
+// index. hⱼ lives in the model row, which the token's holder owns; a
+// distributed run copies it out only onto the wire (dist_mesh.go).
+type itemToken struct {
 	item int32
 }
 
@@ -44,11 +46,11 @@ const meshBlock = 64
 // meshResidual is what one worker leaves behind at stop: the popped
 // but unprocessed remainder of its last block (the front of its
 // logical queue) and the per-destination out-buffer tokens its lanes
-// could not take (the back). The coordinator folds both into the
-// token-conservation drain.
+// could not take (the back). The runner folds both into the
+// token-conservation check.
 type meshResidual struct {
-	in  []sharedToken
-	out [][]sharedToken
+	in  []itemToken
+	out [][]itemToken
 }
 
 // idleBackoff is the empty-queue wait policy shared by all worker
@@ -64,11 +66,7 @@ func (b *idleBackoff) wait() {
 		runtime.Gosched()
 		return
 	}
-	shift := b.spins - 65
-	if shift > 7 {
-		shift = 7
-	}
-	time.Sleep(time.Microsecond << shift)
+	time.Sleep(time.Microsecond << min(b.spins-65, 7))
 }
 
 func (b *idleBackoff) reset() { b.spins = 0 }
@@ -111,16 +109,7 @@ func meshRingCap(n, p int) int { return 2*n/(p*p) + 4*meshBlock }
 // keep every token in circulation. The same reasoning bounds the
 // paper's choice of ~100 tokens per network message (§3.5): batching
 // pays only when tokens queue up behind each other anyway.
-func meshFlushThreshold(n, p int) int {
-	t := n / (4 * p)
-	if t < 1 {
-		return 1
-	}
-	if t > meshBlock {
-		return meshBlock
-	}
-	return t
-}
+func meshFlushThreshold(n, p int) int { return min(max(n/(4*p), 1), meshBlock) }
 
 // trainShared runs Algorithm 1 with p worker goroutines in one
 // process. With cfg.Resume set it restores the checkpointed model,
@@ -137,31 +126,29 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	schedule := cfg.Schedule()
 	root := rng.New(cfg.Seed)
 
-	mesh := queue.NewMesh[sharedToken](p, meshRingCap(n, p))
+	mesh := queue.NewMesh[itemToken](p, meshRingCap(n, p))
 	// preload[q] seeds worker q's self-destination out-buffer with
 	// tokens that did not fit in its lanes at placement time; the
 	// worker's own flushes feed them into circulation.
-	preload := make([][]sharedToken, p)
+	preload := make([][]itemToken, p)
 
 	var md *factor.Model
+	var saved [][]int32
 	workerRNG := make([]*rng.Source, p)
-	if st := cfg.Resume; st != nil {
-		md = st.Model
+	st := cfg.Resume
+	if st != nil {
+		md, saved = st.Model, st.Queues
 		importCounts(ds.Train, users, local, st.CountsFor(ds.Train.NNZ()))
 		st.RestoreStreams(root, workerRNG)
-		if err := restoreMesh(mesh, preload, st.Queues, n, root); err != nil {
-			return nil, err
-		}
 	} else {
 		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
-		// Initial token placement (Algorithm 1 lines 6–10), spread over
-		// source lanes so no lane carries the whole scatter.
-		for j := 0; j < n; j++ {
-			dst := root.Intn(p)
-			if !mesh.Send(j%p, dst, sharedToken{item: int32(j)}) {
-				preload[dst] = append(preload[dst], sharedToken{item: int32(j)})
-			}
-		}
+	}
+	// Token placement: the checkpointed ownership map, or without one
+	// Algorithm 1's initial scatter (lines 6–10).
+	if err := restoreMesh(mesh, preload, saved, n, root); err != nil {
+		return nil, err
+	}
+	if st == nil {
 		for q := 0; q < p; q++ {
 			workerRNG[q] = root.Split(uint64(q))
 		}
@@ -170,48 +157,27 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	counter := train.NewCounterFor(cfg, p)
 	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
 	var stop atomic.Bool
-	residual := make([]meshResidual, p)
+	workers := make([]worker, p)
 	var wg sync.WaitGroup
-	for q := 0; q < p; q++ {
+	for q := range workers {
+		workers[q] = worker{mesh: mesh, q: q, gw: q, port: -1, lr: local[q],
+			threshold: meshFlushThreshold(n, p), r: workerRNG[q], preload: preload[q]}
 		wg.Add(1)
-		go func(q int) {
+		go func(w *worker) {
 			defer wg.Done()
-			runSharedWorkerMesh(q, md, local[q], mesh, schedule, cfg, counter, &stop,
-				workerRNG[q], preload[q], &residual[q])
-		}(q)
+			runWorker(w, md, schedule, cfg, counter, &stop)
+		}(&workers[q])
 	}
 
 	runErr := train.Monitor(ctx, &stop, counter, cfg, rec, md, hooks)
 	wg.Wait()
 
-	// Ownership invariant: every item token must now be in exactly one
-	// place. A mismatch would mean a token was lost or duplicated — i.e.
-	// the serializability discipline was broken. Per worker, the logical
-	// queue order is its unprocessed block remainder (front), then its
-	// mesh row, then whatever peers could not flush toward it (back);
-	// that order is the checkpoint's token-ownership map.
-	parked := 0
-	parkedQueues := make([][]int32, p)
-	for q := 0; q < p; q++ {
-		for _, tok := range residual[q].in {
-			parkedQueues[q] = append(parkedQueues[q], tok.item)
-		}
-		mesh.Drain(q, func(tok sharedToken) {
-			parkedQueues[q] = append(parkedQueues[q], tok.item)
-		})
-	}
-	for src := 0; src < p; src++ {
-		for dst, toks := range residual[src].out {
-			for _, tok := range toks {
-				parkedQueues[dst] = append(parkedQueues[dst], tok.item)
-			}
-		}
-	}
-	for q := range parkedQueues {
-		parked += len(parkedQueues[q])
-	}
-	if parked != n {
-		return nil, fmt.Errorf("core: token conservation violated: %d tokens for %d items", parked, n)
+	// Every item token must now be in exactly one place, in each
+	// worker's logical queue order — the checkpoint's token-ownership map.
+	parked := make([][]int32, p)
+	collectParked(parked, mesh, workers)
+	if err := forEachParked(parked, n, nil); err != nil {
+		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
 
 	rec.Sample(md, counter.Total())
@@ -226,38 +192,79 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 			Seed:      cfg.Seed,
 			Updates:   counter.Total(),
 			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local),
+			Counts:    exportCounts(ds.Train, users, local, 0, p),
 			RNG:       train.CaptureStreams(root, workerRNG),
-			Queues:    parkedQueues,
+			Queues:    parked,
 		},
 	}, runErr
 }
 
-// runSharedWorkerMesh is Algorithm 1's per-worker loop on the batched
-// transport: pop a block, run SGD per token, route each token into a
-// per-destination out-buffer, flush buffers in blocks.
-func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
-	mesh *queue.Mesh[sharedToken], schedule sched.Schedule, cfg train.Config,
-	counter *train.Counter, stop *atomic.Bool, r *rng.Source,
-	preload []sharedToken, res *meshResidual) {
+// collectParked appends to queues[d] every token a stopped mesh holds
+// for endpoint d, in logical queue order: each worker's unprocessed
+// block remainder (front), the endpoint's mesh row, then whatever the
+// workers' out-buffers could not flush toward it (back).
+func collectParked(queues [][]int32, mesh *queue.Mesh[itemToken], workers []worker) {
+	for i := range workers {
+		for _, tok := range workers[i].res.in {
+			queues[workers[i].q] = append(queues[workers[i].q], tok.item)
+		}
+	}
+	for d := range queues {
+		mesh.Drain(d, func(tok itemToken) { queues[d] = append(queues[d], tok.item) })
+	}
+	for i := range workers {
+		for d, toks := range workers[i].res.out {
+			for _, tok := range toks {
+				queues[d] = append(queues[d], tok.item)
+			}
+		}
+	}
+}
 
-	p := mesh.P()
+// worker is one compute thread of Algorithm 1: a mesh endpoint, the
+// ratings it trains and where its tokens go next. trainShared and
+// trainDistributed fill one in per thread; runWorker drives it.
+type worker struct {
+	mesh      *queue.Mesh[itemToken]
+	q         int              // this worker's endpoint in mesh
+	gw        int              // global worker id: counter shard and pinned core; 0 may straggle
+	port      int              // the machine's network endpoint, or -1 in shared memory
+	plans     *visitPlans      // §3.4 local visit plans; nil when there is never a next stop
+	mc        int              // machine id, for the failover hooks
+	fo        *failoverRuntime // nil without failover
+	lr        *localRatings
+	threshold int         // out-buffer flush size
+	r         *rng.Source // route draws, made only where there is no port
+	preload   []itemToken // placed here but refused by the lanes; flushed behind them
+	res       meshResidual
+}
+
+// runWorker is Algorithm 1's per-worker loop for every runner: pop a
+// block from the worker's mesh row, train it with runBlock, and route
+// each token as it finishes — to the next stop of its local visit
+// plan; when the plan is done, out through the machine's port; with no
+// port (shared memory), to a worker drawn uniformly or by §3.3
+// two-choice — through per-destination out-buffers flushed in blocks.
+// At stop it leaves what it still holds in w.res.
+func runWorker(w *worker, md *factor.Model, schedule sched.Schedule, cfg train.Config,
+	counter *train.Counter, stop *atomic.Bool) {
+
+	p, fo := w.mesh.P(), w.fo
 	if cfg.PinWorkers {
-		affinity.Pin(q)
+		affinity.Pin(w.gw)
 		defer affinity.Unpin()
 	}
 	hp := newHotPath(md, schedule, cfg)
 	loadBalance := cfg.LoadBalance && p > 1
-	straggler := q == 0 && cfg.Straggle > 1
-	route := tokenRouter{r: r, p: p}
-	threshold := meshFlushThreshold(md.N, p)
+	straggler := w.gw == 0 && cfg.Straggle > 1
+	route := tokenRouter{r: w.r, p: p}
 
-	var in [meshBlock]sharedToken
-	out := make([][]sharedToken, p)
+	var in [meshBlock]itemToken
+	out := make([][]itemToken, p)
 	for d := range out {
-		out[d] = make([]sharedToken, 0, 2*meshBlock)
+		out[d] = make([]itemToken, 0, 2*meshBlock)
 	}
-	out[q] = append(out[q], preload...)
+	out[w.q] = append(out[w.q], w.preload...)
 
 	// flush pushes out[d]'s tokens into the lane in order, keeping
 	// whatever the lane cannot take. Reports whether any token moved.
@@ -265,52 +272,66 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 		if len(out[d]) == 0 {
 			return false
 		}
-		acc := mesh.SendBatch(q, d, out[d])
+		acc := w.mesh.SendBatch(w.q, d, out[d])
 		if acc == 0 {
 			return false
 		}
-		rest := copy(out[d], out[d][acc:])
-		out[d] = out[d][:rest]
+		out[d] = out[d][:copy(out[d], out[d][acc:])]
 		return true
 	}
 
 	var batch int64 // updates since last counter flush
 	var began time.Time
+	// Shards this worker trains beyond its own: a latent spare's
+	// fostered users, or a dead or drained machine's users remapped here.
+	var extras []*localRatings
+	var respSeen uint64
 
 	// The lanes begin tokens before earlier ones finish, so the budget
 	// check cannot wait for finish: begin runs finish's flush arithmetic
 	// ahead of it (same tokens, same order, same threshold, hence the
-	// same flushes) and starts no token past the one whose flush will
-	// cross the budget. ahead is what begin has flushed and finish has
-	// not. With one worker nothing else moves the counter, so this is
-	// the token the loop always stopped on; with several, a crossing
-	// seen here is a lower bound on the one finish will see.
+	// same flushes) and raises stop at the token whose flush will cross
+	// the budget; that token still runs, no later one starts. ahead is
+	// what begin has flushed and finish has not. With one worker this is
+	// the token the loop always stopped on. begin does not count extras,
+	// so with them its flushes are not finish's, but the crossing it sees
+	// is still reached: a worker's whole batch is counted at exit.
 	var aheadBatch, ahead int64
-	crossed := false
 	begin := func(n int) bool {
-		if crossed {
+		if stop.Load() || fo.machineGone(w.mc) {
 			return false
 		}
 		if aheadBatch += int64(n); aheadBatch >= 256 {
 			ahead, aheadBatch = ahead+aheadBatch, 0
-			crossed = counter.Total()+ahead >= cfg.MaxUpdates
+			if counter.Total()+ahead >= cfg.MaxUpdates {
+				stop.Store(true)
+			}
 		}
 		if straggler {
 			began = time.Now()
 		}
 		return true
 	}
-	// finish is the per-token bookkeeping, in token order: count, check
-	// the budget, route the token on. Reports whether the run is stopping.
+	// finish is the per-token bookkeeping, in token order: train the
+	// extras, count, check the budget, route the token on. Reports
+	// whether the run is stopping.
 	finish := func(i, n int) bool {
 		if straggler && n > 0 && !stop.Load() {
 			// Simulate a slow machine (§3.3 ablation); skipped once
 			// stop is set so cancellation stays prompt.
 			time.Sleep(time.Duration(float64(time.Since(began)) * (cfg.Straggle - 1)))
 		}
+		j := int(in[i].item)
 		batch += int64(n)
+		// Before the token is routed: once it is, another worker may
+		// own hⱼ.
+		for _, ex := range extras {
+			usersJ, vals, counts := ex.itemRatings(j)
+			hp.itemSGDItem(j, usersJ, vals, counts)
+			batch += int64(len(usersJ))
+		}
 		if batch >= 256 {
-			counter.Add(q, batch)
+			counter.Add(w.gw, batch)
 			ahead, batch = ahead-batch, 0
 			// Worker-side budget check: stops the run at a token boundary
 			// as soon as the flushed total crosses the update budget,
@@ -322,21 +343,24 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 			}
 		}
 
-		// Forward the token (lines 22–23): uniform, or the §3.3
-		// least-loaded choice between two candidates — the length
-		// probes are single atomic loads.
-		dst := 0
-		if loadBalance {
+		// Forward the token (lines 22–23). The §3.3 two-choice probes
+		// are single atomic loads.
+		dst, ok := w.plans.nextStop(j)
+		switch {
+		case ok:
+		case w.port >= 0:
+			dst = w.port
+		case loadBalance:
 			a, b := route.next(), route.next()
 			dst = a
-			if mesh.ApproxLen(b) < mesh.ApproxLen(a) {
+			if w.mesh.ApproxLen(b) < w.mesh.ApproxLen(a) {
 				dst = b
 			}
-		} else if p > 1 {
+		case p > 1:
 			dst = route.next()
 		}
 		out[dst] = append(out[dst], in[i])
-		if len(out[dst]) >= threshold {
+		if len(out[dst]) >= w.threshold {
 			flush(dst)
 		}
 		return stop.Load()
@@ -347,16 +371,35 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 	lanes := !straggler && (hp.pair != nil || hp.pair32 != nil)
 	var items [meshBlock]int32
 	var idle idleBackoff
-	for !stop.Load() {
-		k := mesh.RecvBatch(q, in[:])
+	for !stop.Load() && !fo.machineGone(w.mc) {
+		if fo.drainingMachine(w.mc) {
+			// Graceful leave: stop training and forward everything this
+			// worker holds — inbound lane tokens and unflushed hand-off
+			// buffers alike — to the port; the next machine plans afresh.
+			// The idle flag is published only after the buffers are
+			// demonstrably empty, so the sender's quiesce check cannot
+			// miss a token between stations.
+			fo.setDrainIdle(w.mc, w.q, false)
+			k := w.mesh.RecvBatch(w.q, in[:])
+			out[w.port] = append(out[w.port], in[:k]...)
+			for d := 0; d < w.port; d++ {
+				out[w.port] = append(out[w.port], out[d]...)
+				out[d] = out[d][:0]
+			}
+			flush(w.port)
+			if k == 0 && len(out[w.port]) == 0 {
+				fo.setDrainIdle(w.mc, w.q, true)
+				idle.wait()
+			}
+			continue
+		}
+		k := w.mesh.RecvBatch(w.q, in[:])
 		if k == 0 {
 			// Nothing inbound: push pending tokens along so they keep
 			// circulating, then back off.
 			moved := false
-			for d := 0; d < p; d++ {
-				if flush(d) {
-					moved = true
-				}
+			for d := range out {
+				moved = flush(d) || moved
 			}
 			if moved {
 				idle.reset()
@@ -366,6 +409,10 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 			continue
 		}
 		idle.reset()
+		if g := fo.respGeneration(); g != respSeen {
+			respSeen = g
+			extras = fo.extraShards(w.gw, extras)
+		}
 		for i, tok := range in[:k] {
 			items[i] = tok.item
 		}
@@ -373,20 +420,17 @@ func runSharedWorkerMesh(q int, md *factor.Model, lr *localRatings,
 		// 16–21), then finish. A stop leaves whole tokens only: park the
 		// block's untouched remainder as the front of this worker's
 		// logical queue.
-		if done := hp.runBlock(lr, items[:k], lanes, begin, finish); done < k {
-			res.in = append(res.in, in[done:k]...)
+		if done := hp.runBlock(w.lr, items[:k], lanes, begin, finish); done < k {
+			w.res.in = append(w.res.in, in[done:k]...)
 			break
 		}
 	}
-	counter.Add(q, batch)
+	counter.Add(w.gw, batch)
 
 	// Final flush; whatever the lanes cannot take is parked for the
-	// coordinator's drain.
-	res.out = make([][]sharedToken, p)
-	for d := 0; d < p; d++ {
+	// runner's conservation check.
+	for d := range out {
 		flush(d)
-		if len(out[d]) > 0 {
-			res.out[d] = out[d]
-		}
 	}
+	w.res.out = out
 }

@@ -3,8 +3,12 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
+	"nomad/internal/dataset"
+	"nomad/internal/factor"
 	"nomad/internal/queue"
 	"nomad/internal/rng"
 	"nomad/internal/train"
@@ -66,32 +70,94 @@ func TestTokenConservationRandomizedStop(t *testing.T) {
 }
 
 // TestMeshTokenConservationDistributed covers the same invariant on
-// the distributed runner over both link backends, where conservation
-// is checked by the fold-into-model collection (an error return on
-// violation), at randomized update budgets.
+// the distributed runner over both link backends, where the teardown's
+// exact check (an error return on violation) sees every token, at
+// randomized update budgets. The K=16 shapes run the lanes: testData's
+// per-worker lists are mostly ≥ laneMin, so the paired path, the visit
+// plans (W = 2) and the float32 wire conversion all run on the
+// distributed loop.
 func TestMeshTokenConservationDistributed(t *testing.T) {
 	ds := testData(t)
 	r := rng.New(98)
+	run := func(label string, cfg train.Config) {
+		t.Helper()
+		cfg.Machines = 2
+		cfg.Epochs = 0
+		cfg.MaxUpdates = 1000 + int64(r.Intn(20000))
+		label = fmt.Sprintf("%s (budget %d)", label, cfg.MaxUpdates)
+		res, err := New().Train(context.Background(), ds, cfg, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.Updates < cfg.MaxUpdates {
+			t.Errorf("%s: stopped at %d updates, below budget", label, res.Updates)
+		}
+	}
 	for _, backend := range []string{"sim", "tcp"} {
 		for _, lb := range []bool{false, true} {
 			for rep := 0; rep < 3; rep++ {
 				cfg := baseConfig()
-				cfg.Machines = 2
-				cfg.Workers = 2
-				cfg.Backend = backend
-				cfg.LoadBalance = lb
-				cfg.Epochs = 0
-				cfg.MaxUpdates = 1000 + int64(r.Intn(20000))
-				label := fmt.Sprintf("%s lb=%v rep %d (budget %d)", backend, lb, rep, cfg.MaxUpdates)
-				res, err := New().Train(context.Background(), ds, cfg, nil)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
+				cfg.Workers, cfg.Backend, cfg.LoadBalance = 2, backend, lb
+				run(fmt.Sprintf("%s lb=%v rep %d", backend, lb, rep), cfg)
+			}
+		}
+		for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
+			for _, workers := range []int{1, 2} {
+				cfg := baseConfig()
+				cfg.K, cfg.Precision, cfg.Workers, cfg.Backend = 16, prec, workers, backend
+				if long := longLists(ds, 2*workers); long < 0.75 {
+					t.Fatalf("W=%d: only %.2f of the per-worker lists reach laneMin", workers, long)
 				}
-				if res.Updates < cfg.MaxUpdates {
-					t.Errorf("%s: stopped at %d updates, below budget", label, res.Updates)
+				run(fmt.Sprintf("%s K=16 %v W=%d", backend, prec, workers), cfg)
+			}
+		}
+	}
+}
+
+// longLists is the share of nonempty per-worker rating lists, over p
+// workers, that are at least laneMin long.
+func longLists(ds *dataset.Dataset, p int) float64 {
+	long, lists := 0, 0
+	for _, lr := range buildLocalRatings(ds.Train, partitionUsers(ds, train.Config{}, p)) {
+		for j := 0; j < ds.Cols(); j++ {
+			if l := lr.colPtr[j+1] - lr.colPtr[j]; l > 0 {
+				lists++
+				if l >= laneMin {
+					long++
 				}
 			}
 		}
+	}
+	return float64(long) / float64(lists)
+}
+
+// TestConservationCheckIsExact: the teardown's check must catch a
+// holding with one item twice and another missing — as many tokens as
+// items, so a count alone would pass it — wherever in the mesh, the
+// block remainders or the out-buffers the two tokens sit.
+func TestConservationCheckIsExact(t *testing.T) {
+	const n = 10
+	held := func(last int32) [][]int32 {
+		mesh := queue.NewMesh[itemToken](2, 16)
+		for j := int32(0); j < 6; j++ {
+			mesh.Send(0, int(j/3), itemToken{item: j})
+		}
+		workers := []worker{{mesh: mesh, q: 0}, {mesh: mesh, q: 1}}
+		workers[0].res.in = []itemToken{{item: 6}, {item: 7}}
+		workers[1].res.out = [][]itemToken{{{item: 8}}, {{item: last}}}
+		queues := make([][]int32, 2)
+		collectParked(queues, mesh, workers)
+		return queues
+	}
+	exact := held(9)
+	if err := forEachParked(exact, n, nil); err != nil {
+		t.Fatalf("exact holding rejected: %v", err)
+	}
+	if want := [][]int32{{6, 7, 0, 1, 2, 8}, {3, 4, 5, 9}}; !slices.EqualFunc(exact, want, slices.Equal) {
+		t.Fatalf("collected %v, want front residual, lanes, then out-buffers: %v", exact, want)
+	}
+	if err := forEachParked(held(3), n, nil); err == nil || !strings.Contains(err.Error(), "item token 3 held twice") {
+		t.Fatalf("item 3 twice and item 9 missing: got %v", err)
 	}
 }
 
@@ -132,8 +198,8 @@ func TestMeshSingleWorkerDeterministic(t *testing.T) {
 // through the worker's preload buffer).
 func TestMeshRestoreOverflow(t *testing.T) {
 	n := 2000
-	mesh := queue.NewMesh[sharedToken](2, 8) // lane capacity 8 ≪ n/2
-	preload := make([][]sharedToken, 2)
+	mesh := queue.NewMesh[itemToken](2, 8) // lane capacity 8 ≪ n/2
+	preload := make([][]itemToken, 2)
 	saved := make([][]int32, 2)
 	for j := 0; j < n; j++ {
 		saved[j%2] = append(saved[j%2], int32(j))
@@ -143,7 +209,7 @@ func TestMeshRestoreOverflow(t *testing.T) {
 	}
 	got := 0
 	for q := 0; q < 2; q++ {
-		mesh.Drain(q, func(sharedToken) { got++ })
+		mesh.Drain(q, func(itemToken) { got++ })
 		got += len(preload[q])
 	}
 	if got != n {
@@ -151,7 +217,7 @@ func TestMeshRestoreOverflow(t *testing.T) {
 	}
 	// Duplicate detection must survive the overflow path too.
 	saved[0][0] = saved[1][0]
-	if err := restoreMesh(queue.NewMesh[sharedToken](2, 8), make([][]sharedToken, 2), saved, n, rng.New(1)); err == nil {
+	if err := restoreMesh(queue.NewMesh[itemToken](2, 8), make([][]itemToken, 2), saved, n, rng.New(1)); err == nil {
 		t.Fatal("duplicate parked token accepted")
 	}
 }

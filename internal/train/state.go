@@ -60,8 +60,8 @@ type State struct {
 	RNG [][4]uint64
 	// Queues is NOMAD's shared-memory token-ownership map: for each
 	// worker queue, the parked item tokens in pop order. Nil for other
-	// solvers and for distributed runs (whose tokens were folded back
-	// into the model at teardown and are re-scattered on resume).
+	// solvers and for distributed runs (whose item vectors live in the
+	// model rows; their tokens are re-scattered on resume).
 	Queues [][]int32
 }
 

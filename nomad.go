@@ -16,16 +16,13 @@
 //
 // Sessions are cancellable (Run honours ctx), observable (Subscribe
 // streams typed Events) and restartable (Checkpoint/Resume serialize
-// the full training state). The legacy one-shot Train call remains as
-// a thin shim over Session.
+// the full training state).
 //
 // The paper's tables and figures are regenerated by cmd/nomad-bench and
 // the repository-root benchmarks; see DESIGN.md and EXPERIMENTS.md.
 package nomad
 
 import (
-	"context"
-
 	"nomad/internal/als"
 	"nomad/internal/ccd"
 	"nomad/internal/core"
@@ -36,67 +33,6 @@ import (
 	"nomad/internal/hogwild"
 	"nomad/internal/train"
 )
-
-// Config selects the solver and its hyper-parameters for the legacy
-// Train call. The zero value trains NOMAD with sensible defaults for
-// unit-variance ratings.
-//
-// Config cannot distinguish an unset field from an explicit zero, so
-// Train applies defaults to zero values (see the field comments). New
-// code should use NewSession with functional options, where zero
-// values are expressible: WithLambda(0) really means λ=0.
-type Config struct {
-	// Algorithm is one of Algorithms(); empty means "nomad".
-	Algorithm string
-
-	// Model hyper-parameters (paper Table 1).
-	K int // latent dimension (default 16)
-	// Lambda is the regularization weight. Zero selects the default
-	// 0.05 — a historical quirk this shim preserves; use
-	// NewSession(ds, WithLambda(0)) for an unregularized run.
-	Lambda float64
-
-	// SGD step-size schedule s_t = Alpha/(1+Beta·t^1.5) (paper eq. 11).
-	// Alpha: 0 selects the default 0.05. Beta: honoured as given when
-	// Alpha is set; when Alpha is zero and Beta is zero the default
-	// pair (0.05, 0.02) applies. (Earlier versions silently overwrote a
-	// user-set Beta whenever Alpha was zero; that clobbering is fixed —
-	// Alpha: 0, Beta: 0.1 now trains with α=0.05, β=0.1.)
-	Alpha, Beta float64
-
-	// Parallelism: Workers threads on each of Machines machines. With
-	// Machines > 1 the run uses the simulated Network.
-	Workers  int
-	Machines int
-
-	// Network is "hpc", "commodity" or "instant" (default) and only
-	// matters when Machines > 1.
-	Network string
-
-	// LoadBalance enables NOMAD's §3.3 dynamic load balancing.
-	LoadBalance bool
-	// BatchSize is the tokens-per-message accumulation of §3.5
-	// (default 100).
-	BatchSize int
-	// Straggle slows worker 0 by the given factor (>1) to exercise
-	// heterogeneous-cluster behaviour.
-	Straggle float64
-	// BalanceUsers partitions users by rating volume instead of by
-	// count (the paper's footnote-1 alternative).
-	BalanceUsers bool
-
-	// Loss selects the per-rating loss: "square" (default, paper
-	// eq. 1), "absolute", or "logistic" for ±1 binary matrices (the §6
-	// generalization). Honoured by "nomad" and "hogwild".
-	Loss string
-
-	// Stop conditions: Epochs sweeps (default 10), or MaxSeconds of
-	// wall-clock, whichever comes first if both are set.
-	Epochs     int
-	MaxSeconds float64
-
-	Seed uint64
-}
 
 // TracePoint is one sample of the convergence trace.
 type TracePoint struct {
@@ -136,83 +72,4 @@ func registry() map[string]train.Algorithm {
 // Algorithms lists the available solver names.
 func Algorithms() []string {
 	return []string{"nomad", "dsgd", "dsgdpp", "fpsgd", "ccd", "als", "glals", "biassgd", "hogwild"}
-}
-
-// Train fits a model to the dataset's training split and evaluates it
-// on the test split.
-//
-// Deprecated-in-spirit: Train is a compatibility shim over Session —
-// a one-shot, blocking run with no cancellation, no event stream and
-// no checkpointing. It keeps the legacy Config defaulting rules
-// (Lambda: 0 → 0.05); new code should use NewSession.
-func Train(d *Dataset, cfg Config) (*Result, error) {
-	s, err := NewSession(d, legacyOptions(cfg)...)
-	if err != nil {
-		return nil, err
-	}
-	return s.Run(context.Background())
-}
-
-// legacyOptions translates a legacy Config into Session options,
-// reproducing the documented zero-value defaulting of the flat
-// struct. Validation happens when NewSession applies the options.
-func legacyOptions(cfg Config) []Option {
-	var opts []Option
-	if cfg.Algorithm != "" {
-		opts = append(opts, WithAlgorithm(cfg.Algorithm))
-	}
-	if cfg.K != 0 {
-		opts = append(opts, WithRank(cfg.K))
-	}
-	if cfg.Lambda != 0 {
-		// Lambda: 0 keeps the legacy default (0.05); an explicit zero
-		// is only expressible through WithLambda.
-		opts = append(opts, WithLambda(cfg.Lambda))
-	}
-	switch {
-	case cfg.Alpha != 0:
-		opts = append(opts, WithSchedule(cfg.Alpha, cfg.Beta))
-	case cfg.Beta != 0:
-		// Alpha unset, Beta set: default step size, caller's decay.
-		opts = append(opts, WithSchedule(0.05, cfg.Beta))
-	}
-	if cfg.Workers != 0 {
-		opts = append(opts, WithWorkers(cfg.Workers))
-	}
-	if cfg.Machines > 1 || cfg.Network != "" {
-		machines := cfg.Machines
-		if machines <= 0 {
-			machines = 1
-		}
-		opts = append(opts, WithCluster(machines, cfg.Network))
-	}
-	if cfg.LoadBalance {
-		opts = append(opts, WithLoadBalance())
-	}
-	if cfg.BatchSize != 0 {
-		opts = append(opts, WithBatchSize(cfg.BatchSize))
-	}
-	if cfg.Straggle >= 1 {
-		opts = append(opts, WithStraggler(cfg.Straggle))
-	}
-	if cfg.BalanceUsers {
-		opts = append(opts, WithBalancedUsers())
-	}
-	if cfg.Loss != "" {
-		opts = append(opts, WithLoss(cfg.Loss))
-	}
-	var stops []StopCondition
-	if cfg.Epochs > 0 {
-		stops = append(stops, MaxEpochs(cfg.Epochs))
-	}
-	if cfg.MaxSeconds > 0 {
-		stops = append(stops, MaxDuration(secondsToDuration(cfg.MaxSeconds)))
-	}
-	if len(stops) > 0 {
-		opts = append(opts, WithStopConditions(stops...))
-	}
-	if cfg.Seed != 0 {
-		opts = append(opts, WithSeed(cfg.Seed))
-	}
-	return opts
 }

@@ -2,6 +2,7 @@ package nomad
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -14,6 +15,15 @@ func synthSmall(t *testing.T) *Dataset {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// runSession trains d to completion with the given options.
+func runSession(d *Dataset, opts ...Option) (*Result, error) {
+	s, err := NewSession(d, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return s.Run(context.Background())
 }
 
 func TestSynthesizeShapes(t *testing.T) {
@@ -32,7 +42,7 @@ func TestSynthesizeUnknownProfile(t *testing.T) {
 
 func TestTrainDefaultAlgorithm(t *testing.T) {
 	d := synthSmall(t)
-	res, err := Train(d, Config{Epochs: 8, Seed: 3})
+	res, err := runSession(d, WithStopConditions(MaxEpochs(8)), WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +63,7 @@ func TestTrainDefaultAlgorithm(t *testing.T) {
 func TestTrainEveryAlgorithm(t *testing.T) {
 	d := synthSmall(t)
 	for _, name := range Algorithms() {
-		cfg := Config{Algorithm: name, Epochs: 3, Seed: 3, Workers: 2}
-		res, err := Train(d, cfg)
+		res, err := runSession(d, WithAlgorithm(name), WithStopConditions(MaxEpochs(3)), WithSeed(3), WithWorkers(2))
 		if err != nil {
 			t.Errorf("%s: %v", name, err)
 			continue
@@ -68,7 +77,7 @@ func TestTrainEveryAlgorithm(t *testing.T) {
 func TestTrainDistributedNetworkNames(t *testing.T) {
 	d := synthSmall(t)
 	for _, network := range []string{"instant", "hpc", "commodity"} {
-		res, err := Train(d, Config{Machines: 2, Network: network, Epochs: 2, Seed: 1})
+		res, err := runSession(d, WithCluster(2, network), WithStopConditions(MaxEpochs(2)), WithSeed(1))
 		if err != nil {
 			t.Fatalf("%s: %v", network, err)
 		}
@@ -76,17 +85,17 @@ func TestTrainDistributedNetworkNames(t *testing.T) {
 			t.Errorf("%s: no messages sent", network)
 		}
 	}
-	if _, err := Train(d, Config{Network: "carrier-pigeon"}); err == nil {
+	if _, err := runSession(d, WithCluster(1, "carrier-pigeon")); err == nil {
 		t.Fatal("bad network name accepted")
 	}
 }
 
 func TestTrainErrors(t *testing.T) {
-	if _, err := Train(nil, Config{}); err == nil {
+	if _, err := runSession(nil); err == nil {
 		t.Fatal("nil dataset accepted")
 	}
 	d := synthSmall(t)
-	if _, err := Train(d, Config{Algorithm: "quantum"}); err == nil {
+	if _, err := runSession(d, WithAlgorithm("quantum")); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -141,7 +150,7 @@ func TestSplitConserves(t *testing.T) {
 
 func TestRecommendExcludesRated(t *testing.T) {
 	d := synthSmall(t)
-	res, err := Train(d, Config{Epochs: 5, Seed: 2})
+	res, err := runSession(d, WithStopConditions(MaxEpochs(5)), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +174,7 @@ func TestRecommendExcludesRated(t *testing.T) {
 
 func TestModelSaveLoad(t *testing.T) {
 	d := synthSmall(t)
-	res, err := Train(d, Config{Epochs: 3, Seed: 2})
+	res, err := runSession(d, WithStopConditions(MaxEpochs(3)), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +211,7 @@ func TestDatasetTextRoundTrip(t *testing.T) {
 
 func TestRankingQuality(t *testing.T) {
 	d := synthSmall(t)
-	res, err := Train(d, Config{Epochs: 8, Seed: 2, Workers: 2})
+	res, err := runSession(d, WithStopConditions(MaxEpochs(8)), WithSeed(2), WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,11 +240,11 @@ func TestRankingQuality(t *testing.T) {
 func TestLossConfig(t *testing.T) {
 	d := synthSmall(t)
 	for _, l := range []string{"square", "absolute", "logistic"} {
-		if _, err := Train(d, Config{Loss: l, Epochs: 2, Seed: 1}); err != nil {
+		if _, err := runSession(d, WithLoss(l), WithStopConditions(MaxEpochs(2)), WithSeed(1)); err != nil {
 			t.Errorf("loss %q: %v", l, err)
 		}
 	}
-	if _, err := Train(d, Config{Loss: "hinge"}); err == nil {
+	if _, err := runSession(d, WithLoss("hinge")); err == nil {
 		t.Error("unknown loss accepted")
 	}
 }

@@ -17,9 +17,8 @@ import (
 )
 
 // A Session is a first-class training run: cancellable, observable,
-// checkpointable and resumable. Where the legacy Train function blocks
-// until done and returns only a post-hoc trace, a Session is built
-// once from functional options and then driven:
+// checkpointable and resumable. It is built once from functional
+// options and then driven:
 //
 //	s, err := nomad.NewSession(ds,
 //		nomad.WithAlgorithm("nomad"),
@@ -129,8 +128,8 @@ func WithRank(k int) Option {
 	}
 }
 
-// WithLambda sets the regularization λ. Unlike the legacy Config,
-// WithLambda(0) really means zero regularization. Default 0.05.
+// WithLambda sets the regularization λ; WithLambda(0) means no
+// regularization. Default 0.05.
 func WithLambda(l float64) Option {
 	return func(st *settings) error {
 		if l < 0 {
@@ -808,11 +807,6 @@ func (s *Session) Resume(r io.Reader) error {
 	}
 	s.state = st
 	return nil
-}
-
-// secondsToDuration converts a float seconds budget to a Duration.
-func secondsToDuration(s float64) time.Duration {
-	return time.Duration(s * float64(time.Second))
 }
 
 // newResult converts an internal training result to the public shape,

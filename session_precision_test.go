@@ -137,7 +137,7 @@ func TestFloat32Rejections(t *testing.T) {
 		}
 	}
 	// The internal guard catches configs assembled without the facade.
-	if _, err := Train(d, Config{Algorithm: "als"}); err != nil {
+	if _, err := runSession(d, WithAlgorithm("als")); err != nil {
 		t.Fatalf("sanity: plain als config rejected: %v", err)
 	}
 }

@@ -60,49 +60,6 @@ func TestLambdaZeroExpressible(t *testing.T) {
 	}
 }
 
-// TestLegacyShimDefaults pins the legacy Config translation: Lambda: 0
-// still means the historical default 0.05, but a user-set Beta is no
-// longer clobbered when Alpha is unset (the old toTrainConfig bug).
-func TestLegacyShimDefaults(t *testing.T) {
-	resolve := func(cfg Config) settings {
-		t.Helper()
-		st := settings{algorithm: "nomad"}
-		for _, o := range legacyOptions(cfg) {
-			if err := o(&st); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return st
-	}
-
-	st := resolve(Config{})
-	tc, err := st.trainConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Lambda != 0.05 || tc.Alpha != 0.05 || tc.Beta != 0.02 {
-		t.Fatalf("zero Config resolved to λ=%v α=%v β=%v, want legacy defaults", tc.Lambda, tc.Alpha, tc.Beta)
-	}
-
-	st = resolve(Config{Beta: 0.5})
-	tc, err = st.trainConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Alpha != 0.05 || tc.Beta != 0.5 {
-		t.Fatalf("Config{Beta: 0.5} resolved to α=%v β=%v; Beta must survive an unset Alpha", tc.Alpha, tc.Beta)
-	}
-
-	st = resolve(Config{Lambda: 0.3, Alpha: 0.01, Beta: 0})
-	tc, err = st.trainConfig()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tc.Lambda != 0.3 || tc.Alpha != 0.01 || tc.Beta != 0 {
-		t.Fatalf("explicit values resolved to λ=%v α=%v β=%v", tc.Lambda, tc.Alpha, tc.Beta)
-	}
-}
-
 // runCancelled starts a run with an effectively unbounded budget,
 // cancels it shortly after, and asserts the solver stopped promptly
 // with ctx.Err() and partial progress.
@@ -377,7 +334,7 @@ func TestSubscribeStreamsEvents(t *testing.T) {
 	if epochs == 0 {
 		t.Error("no EpochEvents streamed")
 	}
-	// The legacy post-hoc trace and the stream must tell one story.
+	// The post-hoc trace and the stream must tell one story.
 	if res := s.Result(); len(res.Trace) == 0 {
 		t.Error("post-hoc trace empty")
 	}
