@@ -26,7 +26,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"os/signal"
@@ -35,7 +34,6 @@ import (
 	"time"
 
 	"nomad"
-	"nomad/internal/netlink"
 )
 
 func main() {
@@ -51,7 +49,7 @@ func main() {
 		workers    = flag.Int("workers", 4, "worker threads per machine")
 		machines   = flag.Int("machines", 1, "machines (simulated, loopback, or real cluster size)")
 		network    = flag.String("network", "instant", "network backend: instant, hpc, commodity (simulated) or tcp (real sockets)")
-		role       = flag.String("role", "", "multi-process cluster role: coordinator, worker, or join (dial a running cluster's elastic gate)")
+		role       = flag.String("role", "", "multi-process cluster role: coordinator or worker")
 		listen     = flag.String("listen", "", "address this process listens on (coordinator: required; worker: default :0)")
 		join       = flag.String("join", "", "coordinator address a worker joins")
 		lockstep   = flag.Bool("lockstep", false, "deterministic round-based distributed runner (bitwise-reproducible across backends)")
@@ -59,7 +57,6 @@ func main() {
 		failover   = flag.Bool("failover", false, "survive a machine death: buddy replication + token-ownership failover")
 		elastic    = flag.Int("elastic", 0, "provision this many spare machine slots for mid-run scale-out (implies -failover)")
 		drain      = flag.Bool("drain", false, "first Ctrl-C/SIGTERM drains one machine gracefully instead of stopping the run; a second signal stops")
-		gateAddr   = flag.String("elastic-gate", "", "with -elastic: listen on this address for mid-run -role=join dialers")
 		chaos      = flag.String("chaos", "", "fault injection, e.g. kill:rank=2,at=mid-epoch or join@+2s;drain@+5s (kill/partition/delay/drop/join/drain; implies -failover)")
 		hbEvery    = flag.Duration("heartbeat-interval", 0, "tcp liveness probe interval (0 = default 500ms)")
 		hbTimeout  = flag.Duration("heartbeat-timeout", 0, "declare a silent tcp peer dead after this long (0 = default 10s)")
@@ -73,25 +70,6 @@ func main() {
 		quiet      = flag.Bool("quiet", false, "suppress the live event stream")
 	)
 	flag.Parse()
-
-	// The join-gate digest covers every flag that shapes training, the
-	// same rule the rendezvous enforces: mismatched invocations are
-	// refused before any state moves.
-	digest := cliDigest(*input, *profile, *scale, *algo, *k, *lambda, *alpha, *beta,
-		*workers, *machines, *epochs, *seed)
-
-	if *role == "join" {
-		// Scale-out, from the outside: dial a running cluster's elastic
-		// gate with the same training flags it was launched with and ask
-		// for admission. The admission itself activates a provisioned
-		// spare in the running cluster (fence → carve → stream → resume);
-		// this process carries away the ticket.
-		if *join == "" {
-			fatal(fmt.Errorf("-role=join needs -join (the running coordinator's -elastic-gate address)"))
-		}
-		runJoinRole(*join, digest, *k)
-		return
-	}
 
 	ds, err := loadDataset(*input, *profile, *scale, *testFrac, *seed)
 	if err != nil {
@@ -126,7 +104,7 @@ func main() {
 		}
 		opts = append(opts, nomad.WithCluster(0, "tcp", workerListen, *join))
 	default:
-		fatal(fmt.Errorf("unknown -role %q (coordinator, worker, join)", *role))
+		fatal(fmt.Errorf("unknown -role %q (coordinator, worker)", *role))
 	}
 	if *lockstep {
 		opts = append(opts, nomad.WithLockstep())
@@ -239,23 +217,6 @@ func main() {
 		}
 	}()
 
-	// With -elastic-gate the run admits external -role=join dialers: a
-	// matching-digest Hello triggers a live scale-out (the next idle
-	// spare activates) and the dialer receives its admission ticket
-	// once the membership change commits.
-	if *gateAddr != "" {
-		if *elastic <= 0 {
-			fatal(fmt.Errorf("-elastic-gate needs -elastic spare slots to admit joiners into"))
-		}
-		gate, err := netlink.OpenJoinGate(*gateAddr, digest, admitJoiner(s), netlink.Options{K: *k})
-		if err != nil {
-			fatal(err)
-		}
-		defer gate.Close()
-		fmt.Printf("elastic join gate on %s\n", gate.Addr())
-		go gate.Serve(ctx) //nolint:errcheck // ends with the run context
-	}
-
 	res, err := s.Run(ctx)
 	interrupted := errors.Is(err, context.Canceled)
 	if err != nil && !interrupted {
@@ -333,68 +294,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("model written to %s\n", *modelOut)
-	}
-}
-
-// cliDigest summarizes the training invocation for the join-gate
-// handshake — FNV-1a over the flag tuple, mirroring the rendezvous
-// rule that every process must run the same dataset, seed and
-// hyper-parameters.
-func cliDigest(vals ...any) uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "nomad-train|%v", vals)
-	return h.Sum64()
-}
-
-// admitJoiner builds the gate's admission decision for a running
-// session: trigger a live scale-out on the next idle spare and report
-// the committed rank and cluster size back to the dialer.
-func admitJoiner(s *nomad.Session) netlink.AdmitFunc {
-	return func(addr string) (netlink.Admission, error) {
-		events, cancelSub := s.Subscribe(128)
-		defer cancelSub()
-		if err := s.Resize().Join(-1); err != nil {
-			return netlink.Admission{}, err
-		}
-		timeout := time.After(time.Minute)
-		for {
-			select {
-			case e, ok := <-events:
-				if !ok {
-					return netlink.Admission{}, fmt.Errorf("run ended before the join committed")
-				}
-				if ev, ok := e.(nomad.ResizeEvent); ok && ev.Kind == "join" {
-					return netlink.Admission{Rank: ev.Rank, Machines: ev.Machines}, nil
-				}
-			case <-timeout:
-				return netlink.Admission{}, fmt.Errorf("join did not commit within a minute")
-			}
-		}
-	}
-}
-
-// runJoinRole is the whole life of a -role=join process: dial the
-// gate, get admitted (or refused), print the ticket.
-func runJoinRole(gate string, digest uint64, k int) {
-	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer cancel()
-	tk, err := netlink.DialJoin(ctx, gate, "", digest, netlink.Options{K: k})
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("admitted: machine %d of %d (k=%d); the cluster carved an ownership share and resumed\n",
-		tk.Rank, tk.Machines, tk.K)
-	if n := len(tk.Owner); n > 0 {
-		owned := 0
-		for _, o := range tk.Owner {
-			if int(o) == tk.Rank {
-				owned++
-			}
-		}
-		fmt.Printf("ownership map: %d of %d item tokens assigned here\n", owned, n)
-	}
-	if tk.State != nil {
-		fmt.Printf("resume state received: %d cluster updates so far\n", tk.State.Updates)
 	}
 }
 

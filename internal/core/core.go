@@ -21,7 +21,9 @@
 //
 // Inside a machine a token is only the item index: hⱼ stays in the
 // model row, which ownership transfer keeps free of data races. Every
-// runner's workers run one loop (runWorker); a distributed run copies
+// runner trains tokens with one trainer (hotPath.runBlock): the
+// asynchronous runners' workers call it from one loop (runWorker), the
+// lockstep runner once per worker per round. A distributed run copies
 // hⱼ out of the row only onto the wire, and back in on arrival.
 package core
 

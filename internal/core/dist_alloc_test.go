@@ -13,7 +13,10 @@ import (
 // level of the runner, where the codec's own alloc tests cannot see:
 // once a distributed run is warm, moving a token from one machine to
 // the next — row into batch, encode, write, read, decode, delivery
-// into the row, re-plan, lane hand-off — allocates nothing.
+// into the row, re-plan, lane hand-off — allocates nothing. The
+// lockstep runner's hop (row into batch, wire, binned into the row)
+// allocates nothing per token either; its per-round bins and slices
+// spread over every token of the round.
 //
 // A short and a long run of one configuration differ only in how many
 // tokens crossed the wire: set-up, the initial placement, link boot
@@ -27,14 +30,19 @@ func TestDistributedTokenPathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		backend string
-		workers int
-	}{{"sim", 1}, {"tcp", 1}, {"sim", 2}} {
-		t.Run(fmt.Sprintf("%s_w%d", tc.backend, tc.workers), func(t *testing.T) {
+		backend  string
+		workers  int
+		lockstep bool
+	}{{"sim", 1, false}, {"tcp", 1, false}, {"sim", 2, false}, {"sim", 2, true}, {"tcp", 2, true}} {
+		name := fmt.Sprintf("%s_w%d", tc.backend, tc.workers)
+		if tc.lockstep {
+			name = "lockstep_" + name
+		}
+		t.Run(name, func(t *testing.T) {
 			cfg := train.Config{
 				K: 16, Lambda: 0.05, Alpha: 0.01, Beta: 0.01,
 				Machines: 2, Workers: tc.workers, Backend: tc.backend,
-				EvalPoints: 2, Seed: 7,
+				Lockstep: tc.lockstep, EvalPoints: 2, Seed: 7,
 			}
 			run := func(epochs int) (mallocs uint64, wireTokens float64) {
 				cfg.Epochs = epochs

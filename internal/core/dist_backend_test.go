@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"nomad/internal/cluster"
+	"nomad/internal/factor"
 	"nomad/internal/netlink"
 	"nomad/internal/netsim"
 	"nomad/internal/train"
@@ -180,7 +181,7 @@ func TestLockstepResumeBackendParity(t *testing.T) {
 func TestLockstepRejectsOutOfRangeItem(t *testing.T) {
 	const n = 10
 	links := cluster.NewSimCluster(2, netsim.Instant(), 2).Links()
-	coll := newLockCollector(links[0], n)
+	coll := newLockCollector(links[0], factor.New(1, n, 2))
 	bad := cluster.TokenBatch{Tokens: []cluster.Token{{Item: 4, Vec: []float64{1, 2}}, {Item: n, Vec: []float64{3, 4}}}}
 	if err := links[1].Send(0, bad); err != nil {
 		t.Fatal(err)
@@ -307,7 +308,7 @@ func TestMultiProcessWorkerKillAborts(t *testing.T) {
 	if err != nil {
 		t.Fatalf("saboteur join: %v", err)
 	}
-	coll := newLockCollector(link, ds.Cols())
+	coll := newLockCollector(link, factor.New(ds.Rows(), ds.Cols(), wcfg.K))
 	for round := uint32(0); round < 2; round++ {
 		end := make([]byte, 12)
 		end[0] = byte(round)

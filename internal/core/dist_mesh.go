@@ -460,14 +460,15 @@ func (mc *meshMachine) deliverBatch(toks []cluster.Token, fo *failoverRuntime, r
 }
 
 // wireToken is item j's token as the wire carries it: hⱼ read from its
-// model row — in place for float64, widened into scratch (length K)
-// for float32. Sender.Add copies it into the batch arena.
-func (mc *meshMachine) wireToken(j int32, scratch []float64) cluster.Token {
-	if mc.md.Precision() == factor.Float32 {
-		mc.md.CopyItemRowTo64(int(j), scratch)
+// row of md — in place for float64, widened into scratch (length K) for
+// float32. The link copies it before the row is next written: Sender.Add
+// into the batch arena, Link.Send by its boundary rule.
+func wireToken(md *factor.Model, j int32, scratch []float64) cluster.Token {
+	if md.Precision() == factor.Float32 {
+		md.CopyItemRowTo64(int(j), scratch)
 		return cluster.Token{Item: j, Vec: scratch}
 	}
-	return cluster.Token{Item: j, Vec: mc.md.ItemRow(int(j))}
+	return cluster.Token{Item: j, Vec: md.ItemRow(int(j))}
 }
 
 // runMeshSender drains the machine's port row in blocks, batching
@@ -491,7 +492,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			// before it becomes observable anywhere else.
 			fo.noteSent(mc.id, d, tok.item)
 		}
-		s.Add(d, mc.wireToken(tok.item, scratch))
+		s.Add(d, wireToken(mc.md, tok.item, scratch))
 	}
 	add := func(tok itemToken) {
 		// A scale-out rebalance takes priority: while this machine owes

@@ -66,7 +66,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -200,7 +199,6 @@ type foMachine struct {
 	repl     *cluster.BatchBuf // pending replication snapshot
 	replN    int               // tokens accumulated in repl
 	rowCur   int               // rotating cursor into the machine's user list
-	rowBuf   []float64         // scratch row for CopyUserRowTo64
 }
 
 // failoverRuntime is the shared state of one failover-enabled run: the
@@ -316,7 +314,6 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 			recvCmd:  make(chan foRecvCmd, 8),
 			dropFrom: make([]bool, M),
 			repl:     cluster.NewBatchBuf(),
-			rowBuf:   make([]float64, cfg.K),
 		}
 		fo.owned[i] = make([]atomic.Uint64, words)
 		fo.sent[i] = make([]atomic.Int64, M)
@@ -783,32 +780,14 @@ func (fo *failoverRuntime) flushReplication(i int, link cluster.Link) {
 	if len(users) == 0 {
 		return
 	}
-	count := replRowChunk
-	if count > len(users) {
-		count = len(users)
-	}
-	rows := make([]byte, 8+count*(4+8*fo.K))
-	binary.LittleEndian.PutUint32(rows, uint32(ep))
-	binary.LittleEndian.PutUint32(rows[4:], uint32(count))
-	pos := 8
-	for c := 0; c < count; c++ {
-		u := users[m.rowCur]
-		m.rowCur++
-		if m.rowCur == len(users) {
-			m.rowCur = 0
-		}
-		binary.LittleEndian.PutUint32(rows[pos:], uint32(u))
-		pos += 4
-		// The row is being written by this machine's own workers; the
-		// torn-read risk is the same one the unlocked monitor sampling
-		// accepts, and a torn replica row only costs replication fidelity.
-		fo.md.CopyUserRowTo64(int(u), m.rowBuf) //nomad:racy-read replication snapshot of live rows
-		for _, v := range m.rowBuf {
-			binary.LittleEndian.PutUint64(rows[pos:], math.Float64bits(v))
-			pos += 8
-		}
-	}
-	link.SendCtl(buddy, ctlFoReplRows, rows) //nolint:errcheck // lossy-tolerant plane
+	chunk := users[m.rowCur:min(m.rowCur+replRowChunk, len(users))]
+	m.rowCur = (m.rowCur + len(chunk)) % len(users)
+	rows := binary.LittleEndian.AppendUint32(make([]byte, 0, 8+len(chunk)*(4+8*fo.K)), uint32(ep))
+	// The rows are being written by this machine's own workers; the
+	// torn-read risk is the same one the unlocked monitor sampling
+	// accepts, and a torn replica row only costs replication fidelity.
+	rows = appendUserRows(rows, fo.md, chunk) //nomad:racy-read replication snapshot of live rows
+	link.SendCtl(buddy, ctlFoReplRows, rows)  //nolint:errcheck // lossy-tolerant plane
 }
 
 // ---- responsibility table ----

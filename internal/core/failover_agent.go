@@ -5,9 +5,7 @@ package core
 // evict/join/drain round state machine described in failover.go.
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"time"
 
@@ -308,7 +306,7 @@ func (a *foAgent) handleCtl(ct cluster.Ctl) {
 			}
 		}
 	case ctlFoReplRows:
-		a.storeReplRows(ct.From, rest)
+		a.storeReplRows(ct.From, rest) //nolint:errcheck // lossy-tolerant plane
 	}
 }
 
@@ -695,29 +693,12 @@ func (a *foAgent) replica(from int) *replicaStore {
 	return rs
 }
 
-// storeReplRows decodes a ctlFoReplRows chunk into the sender's replica.
-func (a *foAgent) storeReplRows(from int, payload []byte) {
-	if len(payload) < 4 {
-		return
-	}
-	count := int(binary.LittleEndian.Uint32(payload))
-	per := 4 + 8*a.fo.K
-	if count < 0 || len(payload)-4 != count*per {
-		return
-	}
-	rs := a.replica(from)
-	pos := 4
-	for c := 0; c < count; c++ {
-		u := int32(binary.LittleEndian.Uint32(payload[pos:]))
-		pos += 4
-		row := rs.users[u]
-		if row == nil {
-			row = make([]float64, a.fo.K)
-			rs.users[u] = row
-		}
-		for x := range row {
-			row[x] = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
-			pos += 8
-		}
-	}
+// storeReplRows decodes a ctlFoReplRows chunk into the sender's
+// replica. A malformed chunk stores nothing; like any lost replication
+// frame it only widens the window of updates a death would lose.
+func (a *foAgent) storeReplRows(from int, payload []byte) error {
+	return decodeUserRows(payload, a.fo.md.M, a.fo.K, func(u int, row []float64) {
+		rs := a.replica(from)
+		rs.users[int32(u)] = append(rs.users[int32(u)][:0], row...)
+	})
 }

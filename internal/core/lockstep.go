@@ -2,12 +2,17 @@ package core
 
 // The deterministic lockstep runner for distributed NOMAD. Machines
 // still exchange nomadic (j, hⱼ) tokens over a cluster.Link, but in
-// synchronized rounds: each machine processes its whole token queue
-// (circulating every token through its W local workers in a fixed
-// order), ships the processed tokens to uniformly chosen peers, marks
-// the round's end, and merges the peers' deliveries in rank order.
-// The coordinator (rank 0) sums the per-machine update counts carried
-// on the round-end markers and decides stop at round boundaries.
+// synchronized rounds: each machine trains its whole token queue
+// (every token visits its W local workers in a fixed order), ships the
+// tokens to uniformly chosen peers, marks the round's end, and merges
+// the peers' deliveries in rank order. The coordinator (rank 0) sums
+// the per-machine update counts carried on the round-end markers and
+// decides stop at round boundaries.
+//
+// It trains with the token and the trainer of the other runners: inside
+// a machine a token is an item ID, hⱼ lives in the machine's own model
+// row — written when an inbound token is binned, read when it ships —
+// and each round runs runBlock over the queue one worker at a time.
 //
 // The point of the mode is bitwise determinism: for a given (dataset,
 // seed, machines, workers) the result is identical whatever the
@@ -35,7 +40,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sync"
 	"time"
 
@@ -56,7 +60,7 @@ const (
 	ctlDirective uint8 = 2 // round uint32 | stop uint8 | global total int64
 	ctlFold      uint8 = 3 // folded tokens int64 | cumulative local updates int64
 	ctlCounts    uint8 = 4 // count uint64 | count × int32 step counts (global CSC order restricted to the sender's users)
-	ctlUserRows  uint8 = 5 // k uint32 | rows uint32 | rows × (user int32 + k × float64)
+	ctlUserRows  uint8 = 5 // appendUserRows: count uint32 | count × (user int32 + K × float64)
 	ctlAbort     uint8 = 6 // reason bytes; cascades, every rank returns an error
 )
 
@@ -118,7 +122,7 @@ func (e *abortError) Error() string {
 type lockCollector struct {
 	link cluster.Link
 	rank int
-	n    int // items: an inbound token naming another fails the round
+	md   *factor.Model // an inbound token's hⱼ goes into its row; a token naming no row fails the round
 
 	// The channels are kept here so a closed one can be nilled out:
 	// they close together, but the buffered frames drain at different
@@ -128,26 +132,26 @@ type lockCollector struct {
 	recvCh <-chan cluster.Inbound
 	ctlCh  <-chan cluster.Ctl
 
-	byRound []map[uint32][]cluster.Token // per peer: round tag → tokens
-	ends    []uint32                     // per peer: round-end markers seen
-	cums    [][]int64                    // per peer: update totals, one per round-end
-	dirs    []lockDirective              // directives from rank 0, FIFO
+	byRound []map[uint32][]int32 // per peer: round tag → items
+	ends    []uint32             // per peer: round-end markers seen
+	cums    [][]int64            // per peer: update totals, one per round-end
+	dirs    []lockDirective      // directives from rank 0, FIFO
 }
 
-func newLockCollector(link cluster.Link, n int) *lockCollector {
+func newLockCollector(link cluster.Link, md *factor.Model) *lockCollector {
 	m := link.Machines()
 	c := &lockCollector{
 		link:    link,
 		rank:    link.Rank(),
-		n:       n,
+		md:      md,
 		recvCh:  link.Recv(),
 		ctlCh:   link.Ctl(),
-		byRound: make([]map[uint32][]cluster.Token, m),
+		byRound: make([]map[uint32][]int32, m),
 		ends:    make([]uint32, m),
 		cums:    make([][]int64, m),
 	}
 	for r := range c.byRound {
-		c.byRound[r] = make(map[uint32][]cluster.Token)
+		c.byRound[r] = make(map[uint32][]int32)
 	}
 	return c
 }
@@ -198,18 +202,20 @@ func (c *lockCollector) pump() error {
 }
 
 // bin files one delivered batch under its round tag, or rejects it if
-// a token names an item outside [0, n). Inbound batches are
-// arena-backed and recycled on Release, so a bin that outlives this
-// call deep-copies the vectors it keeps.
+// a token names an item outside [0, n). Each token's hⱼ is written into
+// its model row on the way in: the machine holds the token from here
+// on, so nothing else reads or writes that row until it ships again,
+// and the arena-backed batch can be released at once.
 func (c *lockCollector) bin(inb cluster.Inbound) error {
 	var err error
-	if bad := badItem(inb.Batch.Tokens, c.n); bad >= 0 {
-		err = wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, c.n)
+	if bad := badItem(inb.Batch.Tokens, c.md.N); bad >= 0 {
+		err = wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, c.md.N)
 	} else {
 		bin := c.byRound[inb.From]
 		round := uint32(inb.Batch.QueueLen)
 		for _, t := range inb.Batch.Tokens {
-			bin[round] = append(bin[round], cluster.Token{Item: t.Item, Vec: slices.Clone(t.Vec)})
+			c.md.SetItemRowFrom64(int(t.Item), t.Vec)
+			bin[round] = append(bin[round], t.Item)
 		}
 	}
 	inb.Batch.Release()
@@ -224,13 +230,13 @@ func (c *lockCollector) deadErr() error {
 }
 
 // collectRound waits until every peer has marked the given round's
-// end, then returns the merged tokens (peers in rank order — the
+// end, then returns the merged items (peers in rank order — the
 // determinism anchor) and each peer's reported cumulative updates. A
 // peer's round-end follows its last token batch for that round on the
 // same connection, so once it arrives the round's tokens are either
 // already binned or sitting earlier in the inbound buffer; the bin
 // read below happens after both.
-func (c *lockCollector) collectRound(round uint32) ([]cluster.Token, []int64, error) {
+func (c *lockCollector) collectRound(round uint32) ([]int32, []int64, error) {
 	for {
 		ready := true
 		for r := range c.ends {
@@ -252,18 +258,18 @@ func (c *lockCollector) collectRound(round uint32) ([]cluster.Token, []int64, er
 	if err := c.drainBuffered(); err != nil {
 		return nil, nil, err
 	}
-	var tokens []cluster.Token
+	var items []int32
 	cums := make([]int64, len(c.ends))
 	for r := range c.ends {
 		if r == c.rank {
 			continue
 		}
-		tokens = append(tokens, c.byRound[r][round]...)
+		items = append(items, c.byRound[r][round]...)
 		delete(c.byRound[r], round)
 		cums[r] = c.cums[r][0]
 		c.cums[r] = c.cums[r][1:]
 	}
-	return tokens, cums, nil
+	return items, cums, nil
 }
 
 // drainBuffered files every already-delivered inbound batch without
@@ -302,15 +308,17 @@ func (c *lockCollector) awaitDirective(round uint32) (lockDirective, error) {
 	return d, nil
 }
 
-// residual returns every token still binned — non-empty only if a
-// stream ended mid-round, but folded anyway so token conservation
-// never depends on timing.
-func (c *lockCollector) residual() []cluster.Token {
-	var out []cluster.Token
+// residual removes and returns every item still binned. Mid-run that
+// is non-empty only if a stream ended mid-round, but it is folded
+// anyway so token conservation never depends on timing; at the
+// coordinator's gather it is the workers' fold shipments.
+func (c *lockCollector) residual() []int32 {
+	var out []int32
 	for r := range c.byRound {
-		for _, toks := range c.byRound[r] {
-			out = append(out, toks...)
+		for _, items := range c.byRound[r] {
+			out = append(out, items...)
 		}
+		clear(c.byRound[r])
 	}
 	return out
 }
@@ -321,16 +329,22 @@ func sendAbort(link cluster.Link, reason string) {
 	link.SendCtl(-1, ctlAbort, []byte(reason)) //nolint:errcheck
 }
 
-// shipTokens sends a queue of tokens to dst in §3.5-sized batches,
+// shipTokens sends the tokens of items to dst in §3.5-sized batches,
 // each tagged with the round it belongs to (the gossip slot is unused
-// in lockstep mode).
-func shipTokens(link cluster.Link, dst int, tokens []cluster.Token, batchSize int, round uint32) error {
-	for len(tokens) > 0 {
-		n := min(len(tokens), batchSize)
-		if err := link.Send(dst, cluster.TokenBatch{Tokens: tokens[:n], QueueLen: int(round)}); err != nil {
+// in lockstep mode). A batch is views of the items' rows of md, which
+// lockstep keeps float64 (train.Normalize), so wireToken needs no
+// scratch; Send's boundary rule copies them before it returns.
+func shipTokens(link cluster.Link, md *factor.Model, dst int, items []int32, batchSize int, round uint32) error {
+	batch := make([]cluster.Token, min(len(items), batchSize))
+	for len(items) > 0 {
+		n := min(len(items), batchSize)
+		for x, j := range items[:n] {
+			batch[x] = wireToken(md, j, nil)
+		}
+		if err := link.Send(dst, cluster.TokenBatch{Tokens: batch[:n], QueueLen: int(round)}); err != nil {
 			return err
 		}
-		tokens = tokens[n:]
+		items = items[n:]
 	}
 	return nil
 }
@@ -451,13 +465,12 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 	}
 	route := routeStream(root, M, rank)
 
-	// This machine's starting tokens, ascending item order.
-	var queue []cluster.Token
+	// This machine's starting tokens, ascending item order; their hⱼ
+	// are already in md's rows.
+	var queue []int32
 	for j := 0; j < n; j++ {
 		if int(owner[j]) == rank {
-			vec := make([]float64, cfg.K)
-			copy(vec, md.ItemRow(j))
-			queue = append(queue, cluster.Token{Item: int32(j), Vec: vec})
+			queue = append(queue, int32(j))
 		}
 	}
 
@@ -467,6 +480,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		hp[w] = newHotPath(md, schedule, cfg)
 		lrs[w] = local[rank*W+w]
 	}
+	lanes := hp[0].pair != nil // as in runWorker; lockstep has no straggler
 
 	var rec *train.Recorder
 	var epochSize, epoch int64
@@ -481,11 +495,18 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		}
 	}
 
-	coll := newLockCollector(link, n)
-	outbox := make([][]cluster.Token, M)
+	coll := newLockCollector(link, md)
+	outbox := make([][]int32, M)
 	cum := int64(0)  // this machine's updates this segment
 	var total int64  // global updates, known after each directive
 	var runErr error // coordinator: ctx error that ended the run
+	// Lockstep stops only at round boundaries: every token begins, and
+	// finishing one only counts its updates.
+	begin := func(int) bool { return true }
+	finish := func(_, n int) bool {
+		cum += int64(n)
+		return false
+	}
 	abort := func(err error) (*train.Result, error) {
 		var ab *abortError
 		if !errors.As(err, &ab) { // only the origin broadcasts
@@ -499,16 +520,19 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		if rank != 0 && ctx.Err() != nil {
 			return abort(ctx.Err())
 		}
-		// Process the whole queue: each token visits the machine's W
-		// workers in order, then heads for a uniformly chosen peer.
-		for i := range queue {
-			tok := queue[i]
-			j := int(tok.Item)
-			for w := 0; w < W; w++ {
-				usersJ, vals, counts := lrs[w].itemRatings(j)
-				hp[w].itemSGD(usersJ, vals, counts, tok.Vec)
-				cum += int64(len(usersJ))
+		// Train the whole queue: each token visits the machine's W
+		// workers in order, then heads for a uniformly chosen peer. Worker
+		// by worker over the queue is exactly token by token over the
+		// workers: an item still meets worker w's ratings before worker
+		// w+1's, each worker's user rows still see the tokens in queue
+		// order (runBlock keeps that order bit for bit), and the route
+		// draws stay one per token in queue order.
+		for w := 0; w < W; w++ {
+			for b := 0; b < len(queue); b += meshBlock {
+				hp[w].runBlock(lrs[w], queue[b:min(b+meshBlock, len(queue))], lanes, begin, finish)
 			}
+		}
+		for _, j := range queue {
 			dst := rank
 			if M > 1 {
 				dst = route.Intn(M - 1)
@@ -516,7 +540,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 					dst++
 				}
 			}
-			outbox[dst] = append(outbox[dst], tok)
+			outbox[dst] = append(outbox[dst], j)
 		}
 		queue = queue[:0]
 
@@ -531,7 +555,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 				outbox[dst] = outbox[dst][:0]
 				continue
 			}
-			if err := shipTokens(link, dst, outbox[dst], cfg.BatchSize, round); err != nil {
+			if err := shipTokens(link, md, dst, outbox[dst], cfg.BatchSize, round); err != nil {
 				return abort(err)
 			}
 			outbox[dst] = outbox[dst][:0]
@@ -544,11 +568,11 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		}
 
 		// Merge the peers' deliveries for this round, rank order.
-		tokens, cums, err := coll.collectRound(round)
+		items, cums, err := coll.collectRound(round)
 		if err != nil {
 			return abort(err)
 		}
-		queue = append(queue, tokens...)
+		queue = append(queue, items...)
 
 		// Stop decision: the coordinator sums the round-end counters;
 		// everyone else obeys its directive.
@@ -601,7 +625,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 	// ends its stream up front — the sim backend's network shutdown
 	// (and hence every drain) waits on all endpoints, this one included.
 	link.CloseSend() //nolint:errcheck
-	res, err := lockstepGather(link, ds, cfg, users, local, md, queue, total, W, rec, root)
+	res, err := lockstepGather(link, coll, ds, cfg, users, local, md, queue, total, W, rec, root)
 	if err != nil {
 		return nil, err
 	}
@@ -613,9 +637,9 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 // its user rows — then drains the link until every stream has ended.
 func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 	users *partition.Partition, local []*localRatings, md *factor.Model,
-	queue []cluster.Token, cum, total int64, rank, W int) (*train.Result, error) {
+	queue []int32, cum, total int64, rank, W int) (*train.Result, error) {
 
-	if err := shipTokens(link, 0, queue, cfg.BatchSize, foldRound); err != nil {
+	if err := shipTokens(link, md, 0, queue, cfg.BatchSize, foldRound); err != nil {
 		return nil, err
 	}
 	var fold [16]byte
@@ -633,8 +657,16 @@ func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Conf
 	if err := link.SendCtl(0, ctlCounts, payload); err != nil {
 		return nil, err
 	}
-	if err := sendUserRows(link, users, md, cfg.K, rank, W); err != nil {
-		return nil, err
+	var rows []int32
+	for w := 0; w < W; w++ {
+		rows = append(rows, users.Part(rank*W+w)...)
+	}
+	for len(rows) > 0 { // 512 rows a frame
+		chunk := rows[:min(len(rows), 512)]
+		rows = rows[len(chunk):]
+		if err := link.SendCtl(0, ctlUserRows, appendUserRows(nil, md, chunk)); err != nil {
+			return nil, err
+		}
 	}
 	link.CloseSend() //nolint:errcheck
 	// Drain until every peer (the coordinator included) ends its
@@ -672,50 +704,17 @@ func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Conf
 	}, nil
 }
 
-// sendUserRows ships this rank's user factor rows in chunks.
-func sendUserRows(link cluster.Link, users *partition.Partition, md *factor.Model, k, rank, W int) error {
-	const rowsPerFrame = 512
-	var rows []int32
-	for w := 0; w < W; w++ {
-		rows = append(rows, users.Part(rank*W+w)...)
-	}
-	for len(rows) > 0 {
-		chunk := rows[:min(len(rows), rowsPerFrame)]
-		rows = rows[len(chunk):]
-		payload := make([]byte, 8+len(chunk)*(4+8*k))
-		binary.LittleEndian.PutUint32(payload, uint32(k))
-		binary.LittleEndian.PutUint32(payload[4:], uint32(len(chunk)))
-		pos := 8
-		for _, i := range chunk {
-			binary.LittleEndian.PutUint32(payload[pos:], uint32(i))
-			pos += 4
-			for _, v := range md.UserRow(int(i)) {
-				binary.LittleEndian.PutUint64(payload[pos:], math.Float64bits(v))
-				pos += 8
-			}
-		}
-		if err := link.SendCtl(0, ctlUserRows, payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// lockstepGather is the coordinator's teardown: fold its own tokens,
-// collect every worker's fold tokens, user rows and step counts,
-// verify exact token conservation, and assemble the final model and
-// resumable state.
-func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
+// lockstepGather is the coordinator's teardown: collect every worker's
+// fold tokens (coll writes their rows, as in a round), user rows and
+// step counts, verify exact token conservation over them and the
+// coordinator's own queue, and assemble the final model and resumable
+// state.
+func lockstepGather(link cluster.Link, coll *lockCollector, ds *dataset.Dataset, cfg train.Config,
 	users *partition.Partition, local []*localRatings, md *factor.Model,
-	queue []cluster.Token, total int64, W int,
+	queue []int32, total int64, W int,
 	rec *train.Recorder, root *rng.Source) (*train.Result, error) {
 
 	n := ds.Cols()
-	items := make([]int32, 0, n)
-	for _, tok := range queue {
-		copy(md.ItemRow(int(tok.Item)), tok.Vec)
-		items = append(items, tok.Item)
-	}
 	declared := int64(len(queue))
 	countsByRank := make(map[int][]int32)
 
@@ -727,16 +726,9 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 				recv = nil
 				continue
 			}
-			if bad := badItem(inb.Batch.Tokens, n); bad >= 0 {
-				err := wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, n)
-				inb.Batch.Release()
+			if err := coll.bin(inb); err != nil {
 				return nil, err
 			}
-			for _, tok := range inb.Batch.Tokens {
-				copy(md.ItemRow(int(tok.Item)), tok.Vec)
-				items = append(items, tok.Item)
-			}
-			inb.Batch.Release()
 		case ct, ok := <-ctl:
 			if !ok {
 				ctl = nil
@@ -761,7 +753,7 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 				}
 				countsByRank[ct.From] = counts
 			case ctlUserRows:
-				if err := applyUserRows(md, ct.Payload); err != nil {
+				if err := decodeUserRows(ct.Payload, md.M, md.K, md.SetUserRowFrom64); err != nil {
 					return nil, fmt.Errorf("core: user rows from machine %d: %w", ct.From, err)
 				}
 			case ctlAbort:
@@ -773,6 +765,7 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 	if err := link.Err(); err != nil {
 		return nil, err
 	}
+	items := append(queue, coll.residual()...)
 	if err := forEachParked([][]int32{items}, n, nil); err != nil {
 		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
@@ -807,31 +800,47 @@ func lockstepGather(link cluster.Link, ds *dataset.Dataset, cfg train.Config,
 	}, nil
 }
 
-// applyUserRows writes a ctlUserRows payload into the model.
-func applyUserRows(md *factor.Model, payload []byte) error {
-	if len(payload) < 8 {
-		return fmt.Errorf("short frame")
-	}
-	k := int(binary.LittleEndian.Uint32(payload))
-	rows := int(binary.LittleEndian.Uint32(payload[4:]))
-	if k != md.K {
-		return fmt.Errorf("rank %d rows for rank-%d model", k, md.K)
-	}
-	if len(payload) != 8+rows*(4+8*k) {
-		return fmt.Errorf("declares %d rank-%d rows in %d bytes", rows, k, len(payload))
-	}
-	pos := 8
-	for r := 0; r < rows; r++ {
-		i := int(int32(binary.LittleEndian.Uint32(payload[pos:])))
-		pos += 4
-		if i < 0 || i >= md.M {
-			return fmt.Errorf("user row %d out of range [0,%d)", i, md.M)
+// appendUserRows appends the wire form of users' factor rows to dst:
+// count uint32 | count × (user int32 | K × float64), widened from md's
+// precision.
+func appendUserRows(dst []byte, md *factor.Model, users []int32) []byte {
+	row := make([]float64, md.K)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(users)))
+	for _, u := range users {
+		md.CopyUserRowTo64(int(u), row)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(u))
+		for _, v := range row {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 		}
-		row := md.UserRow(i)
-		for c := 0; c < k; c++ {
-			row[c] = math.Float64frombits(binary.LittleEndian.Uint64(payload[pos:]))
-			pos += 8
+	}
+	return dst
+}
+
+// decodeUserRows calls put(user, row) for each row of an appendUserRows
+// payload meant for a model of m users and rank k, in order; row is
+// scratch, reused across calls. A payload whose length disagrees with
+// its count, or that names a user outside [0, m), is an error and puts
+// nothing.
+func decodeUserRows(p []byte, m, k int, put func(u int, row []float64)) error {
+	if len(p) < 4 {
+		return fmt.Errorf("short user-row frame (%d bytes)", len(p))
+	}
+	count, per := binary.LittleEndian.Uint32(p), 4+8*k
+	if p = p[4:]; uint64(len(p)) != uint64(count)*uint64(per) {
+		return fmt.Errorf("user-row frame declares %d rank-%d rows in %d bytes", count, k, len(p)+4)
+	}
+	for x := 0; x < int(count); x++ {
+		if u := int32(binary.LittleEndian.Uint32(p[x*per:])); u < 0 || int(u) >= m {
+			return fmt.Errorf("user row %d out of range [0,%d)", u, m)
 		}
+	}
+	row := make([]float64, k)
+	for x := 0; x < int(count); x++ {
+		rec := p[x*per:]
+		for c := range row {
+			row[c] = math.Float64frombits(binary.LittleEndian.Uint64(rec[4+8*c:]))
+		}
+		put(int(binary.LittleEndian.Uint32(rec)), row)
 	}
 	return nil
 }

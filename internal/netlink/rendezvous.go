@@ -199,9 +199,7 @@ func (c *Coordinator) welcomePayload(rank int, addrs []string) []byte {
 	return encodeWelcome(rank, c.machines, c.opts.K, c.configSum, c.owner, addrs, c.state)
 }
 
-// encodeWelcome encodes a Welcome payload — shared by the rendezvous
-// coordinator and the mid-run JoinGate, so a late joiner speaks the
-// exact codec a rendezvous worker does.
+// encodeWelcome encodes a Welcome payload.
 func encodeWelcome(rank, machines, k int, configSum uint64, owner []int32, addrs []string, st *train.State) []byte {
 	var buf bytes.Buffer
 	le := binary.LittleEndian

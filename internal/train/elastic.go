@@ -6,9 +6,8 @@ import (
 )
 
 // ElasticControl is the caller-facing trigger surface of an elastic
-// run: the Session (or a CLI signal handler, or a join gate admitting
-// a late dialer) asks the running cluster to activate a provisioned
-// spare or to drain a member gracefully. The asynchronous runner binds
+// run: the Session (or a CLI signal handler) asks the running cluster
+// to activate a provisioned spare or to drain a member gracefully. The asynchronous runner binds
 // the handlers once the failover runtime exists; triggers before that
 // (or after the run ends) fail with a typed error rather than block.
 type ElasticControl struct {
