@@ -16,10 +16,6 @@
 //	-verify-model m.bin [dataset flags]
 //	                   fails unless sampled responses equal Model.Recommend
 //	                   exactly (items, scores, order)
-//
-// With -bench it instead self-hosts the full serving benchmark
-// protocol (train longtail, measure single-shard and 2-shard
-// loopback) and writes BENCH_serve.json; see EXPERIMENTS.md.
 package main
 
 import (
@@ -59,18 +55,8 @@ func main() {
 		scale     = flag.Float64("scale", 0.002, "synthetic dataset scale")
 		testFrac  = flag.Float64("test", 0.1, "test fraction for -input files")
 		dsSeed    = flag.Uint64("dataset-seed", 42, "dataset seed (must match training)")
-
-		bench      = flag.Bool("bench", false, "self-hosted serving benchmark; writes -out (default BENCH_serve.json)")
-		benchScale = flag.Float64("bench-scale", 1.0, "longtail dataset scale for -bench")
 	)
 	flag.Parse()
-
-	if *bench {
-		if err := runBench(*benchScale, *qps, *duration, *topN, *workers, *out); err != nil {
-			fatal(err)
-		}
-		return
-	}
 
 	if *wait > 0 {
 		if err := awaitServer(*url, *wait); err != nil {

@@ -1,6 +1,6 @@
 // Package benchenv captures the machine environment a benchmark record
-// was measured on, so every BENCH_*.json is self-describing: two
-// records can only be compared meaningfully when their CPU model,
+// was measured on, so nomad-loadgen's -out record is self-describing:
+// two records can only be compared meaningfully when their CPU model,
 // feature flags and runtime configuration are known.
 package benchenv
 
@@ -12,7 +12,7 @@ import (
 	"nomad/internal/vecmath"
 )
 
-// Env is the environment block embedded in every benchmark JSON.
+// Env is the environment block embedded in a benchmark record.
 type Env struct {
 	GoVersion  string `json:"go"`
 	GOOS       string `json:"goos"`

@@ -1,10 +1,9 @@
 package benchenv
 
 // Histogram is the repository's one latency aggregator: an HDR-style
-// log-linear histogram over non-negative nanosecond values, shared by
-// nomad-loadgen (request latency percentiles in BENCH_serve.json) and
-// nomad-bench -dist (failover recovery latency across reps) so the
-// percentile arithmetic exists exactly once.
+// log-linear histogram over non-negative nanosecond values, behind
+// nomad-loadgen's request latency percentiles (its printed p50/p99
+// lines and the -out record).
 //
 // Layout: values below 64ns are exact; above that, each power-of-two
 // range is split into 32 linear sub-buckets, bounding the relative
@@ -18,7 +17,6 @@ package benchenv
 // keeps the hot path free of shared-cacheline contention.
 
 import (
-	"fmt"
 	"math/bits"
 	"time"
 )
@@ -148,8 +146,8 @@ func (h *Histogram) Quantile(q float64) time.Duration {
 }
 
 // LatencySummary is the JSON shape of a summarized Histogram, embedded
-// in benchmark records (microseconds: readable at both the ~100µs
-// loopback-HTTP scale and the multi-second recovery scale).
+// in nomad-loadgen's -out record (microseconds: readable from the
+// ~100µs loopback-HTTP scale up to multi-second stalls).
 type LatencySummary struct {
 	Count  int64   `json:"count"`
 	MeanUs float64 `json:"mean_us"`
@@ -172,11 +170,4 @@ func (h *Histogram) Summary() LatencySummary {
 		P999Us: us(h.Quantile(0.999)),
 		MaxUs:  us(h.Max()),
 	}
-}
-
-// String renders the headline percentiles for log lines.
-func (h *Histogram) String() string {
-	s := h.Summary()
-	return fmt.Sprintf("n=%d p50=%.3fms p99=%.3fms p999=%.3fms max=%.3fms",
-		s.Count, s.P50Us/1e3, s.P99Us/1e3, s.P999Us/1e3, s.MaxUs/1e3)
 }

@@ -176,7 +176,7 @@ func (s *ChaosSpec) normalize() {
 				ev.After = 1
 			}
 		}
-		if ev.P <= 0 || ev.P > 1 {
+		if !(ev.P > 0 && ev.P <= 1) {
 			ev.P = 0.5
 		}
 		if ev.Window <= 0 {
@@ -200,9 +200,9 @@ func (s *ChaosSpec) normalize() {
 // "partition:rank=2,at=mid-epoch,window=100ms" — keys: rank (subject
 // machine; required for kill/partition/delay/drop, -1 = auto for
 // join/drain), at (trigger point, required unless delay is given),
-// after (trigger occurrence count), p (drop probability), window
-// (duration), delay (fires this long after the previous event; sets
-// at=after-delay), seed — or shorthand
+// after (trigger occurrence count), p (drop probability in (0, 1]),
+// window (duration), delay (positive; fires this long after the
+// previous event; sets at=after-delay), seed — or shorthand
 //
 //	op@point        e.g. kill@mid-epoch   (rank auto-resolved)
 //	op@+duration    e.g. join@+2s         (relative-time trigger)
@@ -317,10 +317,16 @@ func parseChaosEvent(s string) (*ChaosSpec, error) {
 			spec.After, err = strconv.Atoi(val)
 		case "p":
 			spec.P, err = strconv.ParseFloat(val, 64)
+			if err == nil && !(spec.P > 0 && spec.P <= 1) { // NaN fails both
+				err = fmt.Errorf("%s is outside (0, 1]", val)
+			}
 		case "window":
 			spec.Window, err = time.ParseDuration(val)
 		case "delay":
 			spec.Delay, err = time.ParseDuration(val)
+			if err == nil && spec.Delay <= 0 {
+				err = fmt.Errorf("%s is not positive", val)
+			}
 			spec.At = PointAfter
 		case "seed":
 			var u uint64

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +49,68 @@ func TestParseChaos(t *testing.T) {
 			t.Errorf("ParseChaos(%q) accepted", bad)
 		}
 	}
+}
+
+// TestParseChaosRejectsOutOfRange: an explicit value the runner would
+// otherwise replace or ignore is a parse error naming its key.
+func TestParseChaosRejectsOutOfRange(t *testing.T) {
+	for _, tc := range []struct{ spec, key string }{
+		{"drop:rank=1,at=snapshot,p=NaN", "p"},
+		{"drop:rank=1,at=snapshot,p=7", "p"},
+		{"join:delay=-3s", "delay"},
+	} {
+		_, err := ParseChaos(tc.spec)
+		if err == nil {
+			t.Errorf("ParseChaos(%q) accepted", tc.spec)
+			continue
+		}
+		if want := ": " + tc.key + ": "; !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseChaos(%q) = %v, want the key %q named", tc.spec, err, tc.key)
+		}
+	}
+}
+
+// FuzzParseChaos: the parser never panics, and every event it accepts
+// is fully normalized — a trigger point, a positive occurrence count,
+// a drop probability in (0, 1], a positive window, a nonzero seed, and
+// a positive offset on a relative-time trigger.
+func FuzzParseChaos(f *testing.F) {
+	for _, s := range []string{
+		"kill:rank=2,at=mid-epoch",
+		"drop:rank=1,at=snapshot,p=0.25,seed=9,after=3",
+		"partition:rank=0,at=barrier,window=120ms",
+		"",
+		"explode:rank=1,at=barrier",
+		"kill",
+		"kill:rank=1",
+		"kill:at=barrier",
+		"kill:rank=1,at=nowhere",
+		"kill:rank=1,at=barrier,after=x",
+		"kill:rank=1,at=barrier,bogus=1",
+		"kill:rank=1,at=mid-epoch,after=3",
+		"delay:rank=0,at=mid-epoch,after=1,window=30ms",
+		"drop:rank=0,at=snapshot,p=1.0,after=1",
+		"kill@mid-epoch;join@+2s;drain@+1s",
+		"drop:rank=1,at=snapshot,p=NaN",
+		"drop:rank=1,at=snapshot,p=7",
+		"join:delay=-3s",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseChaos(s)
+		if err != nil || spec == nil {
+			return
+		}
+		for _, ev := range spec.Events() {
+			if ev.At == 0 || ev.After < 1 || !(ev.P > 0 && ev.P <= 1) || ev.Window <= 0 || ev.Seed == 0 {
+				t.Fatalf("ParseChaos(%q) accepted unnormalized event %+v", s, *ev)
+			}
+			if ev.At == PointAfter && ev.Delay <= 0 {
+				t.Fatalf("ParseChaos(%q) accepted a relative trigger without a positive delay: %+v", s, *ev)
+			}
+		}
+	})
 }
 
 // TestChaosKillDeterministic: the kill fires on exactly the After-th

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nomad/internal/affinity"
 	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/queue"
@@ -227,7 +226,7 @@ func collectParked(queues [][]int32, mesh *queue.Mesh[itemToken], workers []work
 type worker struct {
 	mesh      *queue.Mesh[itemToken]
 	q         int              // this worker's endpoint in mesh
-	gw        int              // global worker id: counter shard and pinned core; 0 may straggle
+	gw        int              // global worker id: counter shard; 0 may straggle
 	port      int              // the machine's network endpoint, or -1 in shared memory
 	plans     *visitPlans      // §3.4 local visit plans; nil when there is never a next stop
 	mc        int              // machine id, for the failover hooks
@@ -250,10 +249,6 @@ func runWorker(w *worker, md *factor.Model, schedule sched.Schedule, cfg train.C
 	counter *train.Counter, stop *atomic.Bool) {
 
 	p, fo := w.mesh.P(), w.fo
-	if cfg.PinWorkers {
-		affinity.Pin(w.gw)
-		defer affinity.Unpin()
-	}
 	hp := newHotPath(md, schedule, cfg)
 	loadBalance := cfg.LoadBalance && p > 1
 	straggler := w.gw == 0 && cfg.Straggle > 1

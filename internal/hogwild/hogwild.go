@@ -14,7 +14,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nomad/internal/affinity"
 	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/loss"
@@ -94,10 +93,6 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		wg.Add(1)
 		go func(q int, r *rng.Source) {
 			defer wg.Done()
-			if cfg.PinWorkers {
-				affinity.Pin(q)
-				defer affinity.Unpin()
-			}
 			var batch int64
 			for !stop.Load() {
 				x := r.Intn(nnz)

@@ -64,19 +64,34 @@ func TestLoopbackCtlAndOrdering(t *testing.T) {
 	if err := links[0].SendCtl(1, 5, []byte("end")); err != nil {
 		t.Fatalf("SendCtl: %v", err)
 	}
+	// The link's one ordering promise is that the reader enqueues every
+	// earlier token before the ctl frame. When both channels are ready,
+	// select picks either, so a ctl that wins must find every token it
+	// followed already buffered in Recv.
 	seen := 0
-	for seen < 10 {
+	next := func(inb cluster.Inbound) {
+		t.Helper()
+		if int(inb.Batch.Tokens[0].Item) != seen {
+			t.Fatalf("token order broken: got %d want %d", inb.Batch.Tokens[0].Item, seen)
+		}
+		seen++
+	}
+	var ct cluster.Ctl
+	got := false
+	for !got {
 		select {
 		case inb := <-links[1].Recv():
-			if int(inb.Batch.Tokens[0].Item) != seen {
-				t.Fatalf("token order broken: got %d want %d", inb.Batch.Tokens[0].Item, seen)
+			next(inb)
+		case ct = <-links[1].Ctl():
+			got = true
+			if n := len(links[1].Recv()); n != 10-seen {
+				t.Fatalf("ctl overtook tokens: %d of %d pending tokens buffered", n, 10-seen)
 			}
-			seen++
-		case <-links[1].Ctl():
-			t.Fatalf("ctl overtook %d pending tokens", 10-seen)
 		}
 	}
-	ct := <-links[1].Ctl()
+	for seen < 10 {
+		next(<-links[1].Recv())
+	}
 	if ct.Kind != 5 || string(ct.Payload) != "end" || ct.From != 0 {
 		t.Fatalf("ctl = %+v", ct)
 	}

@@ -110,12 +110,6 @@ type Config struct {
 	// bulk-synchronous baselines reject it.
 	Precision factor.Precision
 
-	// PinWorkers pins each SGD worker goroutine to its own OS thread
-	// and, on linux, to a distinct CPU core — the placement used by the
-	// multi-core scaling experiments. Best-effort elsewhere (the thread
-	// is still locked, but affinity is left to the scheduler).
-	PinWorkers bool
-
 	// Failover lets a multi-machine asynchronous run survive the death
 	// of a machine: survivors evict it, regenerate the item tokens it
 	// held from its buddy's replicated snapshot, adopt its user rows,

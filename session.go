@@ -84,7 +84,6 @@ type settings struct {
 	lockstep     bool
 	lossName     string
 	precision    *Precision
-	pinWorkers   bool
 	loadBalance  bool
 	balanceUsers bool
 	batchSize    *int
@@ -268,15 +267,6 @@ func WithPrecision(p Precision) Option {
 		st.precision = &p
 		return nil
 	}
-}
-
-// WithPinnedWorkers pins each SGD worker goroutine to its own OS
-// thread and, on linux, to a distinct CPU core. This is the placement
-// the multi-core scaling benchmarks use: it stops the scheduler from
-// migrating workers mid-run, which blurs cache residency and adds
-// variance. Best-effort on other platforms (thread locking only).
-func WithPinnedWorkers() Option {
-	return func(st *settings) error { st.pinWorkers = true; return nil }
 }
 
 // WithLoss selects the per-rating loss: "square" (default, paper
@@ -542,7 +532,6 @@ func (st *settings) trainConfig() (train.Config, error) {
 	if st.precision != nil && *st.precision == Float32 {
 		cfg.Precision = factor.Float32
 	}
-	cfg.PinWorkers = st.pinWorkers
 	cfg.LoadBalance = st.loadBalance
 	cfg.BalanceUsers = st.balanceUsers
 	if st.batchSize != nil {

@@ -61,8 +61,8 @@ func TestFloat32Hogwild(t *testing.T) {
 	runPrecision(t, Float32, WithAlgorithm("hogwild"), WithWorkers(2))
 }
 
-func TestPinnedWorkersRun(t *testing.T) {
-	runPrecision(t, Float64, WithWorkers(2), WithPinnedWorkers())
+func TestFloat64NomadSPSCMesh(t *testing.T) {
+	runPrecision(t, Float64, WithWorkers(2))
 }
 
 // TestFloat32VsFloat64RMSE is the accuracy contract: identical
