@@ -17,7 +17,7 @@ import (
 
 func main() {
 	var (
-		profile = flag.String("profile", "netflix", "profile: netflix, yahoo, hugewiki")
+		profile = flag.String("profile", "netflix", "profile: netflix, yahoo, hugewiki, longtail")
 		scale   = flag.Float64("scale", 0.002, "scale (fraction of the original dataset)")
 		seed    = flag.Uint64("seed", 42, "random seed")
 		out     = flag.String("out", "", "output file (default stdout)")

@@ -54,7 +54,7 @@ func main() {
 		watch    = flag.String("watch", "", "directory of epoch-numbered model files, hot-swapped as they appear")
 		poll     = flag.Duration("poll", 200*time.Millisecond, "watch directory poll interval")
 		input    = flag.String("input", "", "rating matrix file for training-set exclusion")
-		profile  = flag.String("profile", "", "synthetic dataset profile for exclusion (netflix, yahoo, hugewiki); empty = no exclusion")
+		profile  = flag.String("profile", "", "synthetic dataset profile for exclusion (netflix, yahoo, hugewiki, longtail); empty = no exclusion")
 		scale    = flag.Float64("scale", 0.002, "synthetic dataset scale")
 		testFrac = flag.Float64("test", 0.1, "test fraction for -input files")
 		seed     = flag.Uint64("seed", 42, "dataset seed (must match training)")

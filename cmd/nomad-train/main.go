@@ -39,7 +39,7 @@ import (
 func main() {
 	var (
 		input      = flag.String("input", "", "rating matrix file (text format); empty = synthetic")
-		profile    = flag.String("profile", "netflix", "synthetic profile: netflix, yahoo, hugewiki")
+		profile    = flag.String("profile", "netflix", "synthetic profile: netflix, yahoo, hugewiki, longtail")
 		scale      = flag.Float64("scale", 0.002, "synthetic dataset scale")
 		algo       = flag.String("algo", "nomad", "algorithm: "+fmt.Sprint(nomad.Algorithms()))
 		k          = flag.Int("k", 16, "latent dimension")

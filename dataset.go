@@ -63,9 +63,11 @@ func Split(users, items int, ratings []Rating, testFraction float64, seed uint64
 }
 
 // Synthesize generates a dataset with the shape of one of the paper's
-// benchmarks — profile is "netflix", "yahoo" or "hugewiki" — at the
+// benchmarks — profile is "netflix", "yahoo" or "hugewiki" — or of
+// "longtail", a catalog of many items with a few ratings each, at the
 // given scale (fraction of the original size; 0.002 is a comfortable
-// laptop scale).
+// laptop scale). The output depends only on (profile, scale, seed):
+// the same bits at any GOMAXPROCS on a given GOARCH.
 func Synthesize(profile string, scale float64, seed uint64) (*Dataset, error) {
 	spec, err := dataset.ByName(profile, scale)
 	if err != nil {

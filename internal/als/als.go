@@ -127,11 +127,12 @@ func (*ALS) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 			rec.Sample(md, updates.Load())
 		}
 	}
-	rec.Sample(md, updates.Load())
+	rmse := rec.Sample(md, updates.Load())
 
 	return &train.Result{
 		Algorithm: "als",
 		Model:     md,
+		TestRMSE:  rmse,
 		Trace:     rec.Trace(),
 		Updates:   updates.Load(),
 		Elapsed:   rec.Elapsed(),

@@ -186,11 +186,12 @@ func (*CCD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 			rec.Sample(md, updates.Load())
 		}
 	}
-	rec.Sample(md, updates.Load())
+	rmse := rec.Sample(md, updates.Load())
 
 	return &train.Result{
 		Algorithm:    "ccd",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      updates.Load(),
 		Elapsed:      rec.Elapsed(),

@@ -186,7 +186,7 @@ func TestLocalRatingsPartition(t *testing.T) {
 	ds := testData(t)
 	p := 4
 	users := partition.EqualRanges(ds.Rows(), p)
-	local := buildLocalRatings(ds.Train, users)
+	local := buildShards(ds.Train, users, 0, p, nil)
 
 	// Conservation: every rating appears in exactly one worker's store.
 	total := 0
@@ -225,7 +225,7 @@ func TestLocalRatingsSingleWorkerMatchesCSC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := buildLocalRatings(m, partition.EqualRanges(4, 1))
+	local := buildShards(m, partition.EqualRanges(4, 1), 0, 1, nil)
 	if len(local) != 1 || local[0].nnz() != 4 {
 		t.Fatalf("unexpected local store: %d stores", len(local))
 	}

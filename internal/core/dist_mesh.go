@@ -187,7 +187,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	p := Mtot * W
 	m, n := ds.Rows(), ds.Cols()
 	users := partitionUsers(ds, cfg, p) // global worker id = machine*W + worker
-	local := buildLocalRatings(ds.Train, users)
+	local := buildShards(ds.Train, users, 0, p, resumeCounts(cfg.Resume, ds))
 	schedule := cfg.Schedule()
 	fo := newFailoverRuntime(cfg, hooks, n)
 	links, err := buildLinks(ctx, ds, cfg, hooks, fo.detectFunc())
@@ -216,7 +216,6 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	workerRNG := make([]*rng.Source, p)
 	if st := cfg.Resume; st != nil {
 		md = st.Model
-		importCounts(ds.Train, users, local, st.CountsFor(ds.Train.NNZ()))
 		st.RestoreStreams(root, workerRNG)
 	} else {
 		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
@@ -382,12 +381,13 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
 
-	rec.Sample(md, counter.Total())
+	rmse := rec.Sample(md, counter.Total())
 	bytesSent, msgsSent := linkTotals(links)
 	hooks.EmitNetwork(train.NetworkEvent{BytesSent: bytesSent, MessagesSent: msgsSent})
 	return &train.Result{
 		Algorithm:    "nomad",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      counter.Total(),
 		Elapsed:      rec.Elapsed(),
@@ -398,7 +398,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 			Seed:      cfg.Seed,
 			Updates:   counter.Total(),
 			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local, 0, p),
+			Counts:    exportCounts(ds.Train, users, local, 0),
 			RNG:       train.CaptureStreams(root, workerRNG),
 			// Queues deliberately nil: the model rows hold every hⱼ; a
 			// resume re-scatters the tokens.

@@ -33,7 +33,7 @@ func lanesDegree(r *rng.Source, j int) int {
 }
 
 // lanesFixture is one worker's state for the lane tests: a model, and
-// rating lists ascending by user (as buildLocalRatings leaves them) over
+// rating lists ascending by user (as buildShard leaves them) over
 // users [userLo, userHi), cut at midUser.
 func lanesFixture(prec factor.Precision, userLo, userHi, midUser int) (*factor.Model, *localRatings, train.Config) {
 	const k = 16
@@ -277,13 +277,13 @@ func TestLanesOffIsTokenOrder(t *testing.T) {
 	}
 }
 
-// TestMidUserIsTheRatingMassMedian: buildLocalRatings cuts each worker's
+// TestMidUserIsTheRatingMassMedian: buildShard cuts each worker's
 // users where half of its local ratings lie below.
 func TestMidUserIsTheRatingMassMedian(t *testing.T) {
 	ds := testData(t)
 	for _, p := range []int{1, 2, 3} {
 		users := partitionUsers(ds, train.Config{}, p)
-		for q, lr := range buildLocalRatings(ds.Train, users) {
+		for q, lr := range buildShards(ds.Train, users, 0, p, nil) {
 			below := 0
 			for _, u := range lr.users {
 				if u < lr.midUser {

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"sync"
+
+	"nomad/internal/dataset"
 	"nomad/internal/partition"
 	"nomad/internal/sparse"
+	"nomad/internal/train"
 )
 
 // localRatings is one worker's private, item-grouped view of the
@@ -36,57 +40,92 @@ func (lr *localRatings) itemRatings(j int) (users []int32, vals []float64, count
 // nnz returns the number of worker-local ratings.
 func (lr *localRatings) nnz() int { return len(lr.users) }
 
-// buildLocalRatings splits the training matrix by user owner into one
-// item-grouped store per worker. Users' partition `users` has one part
-// per worker (p parts). The split is a two-pass counting sort over the
-// global CSC view, O(nnz + p·n).
-func buildLocalRatings(train *sparse.Matrix, users *partition.Partition) []*localRatings {
-	p := users.P()
+// resumeCounts is the per-rating step counts a run restores: nil for a
+// fresh run, whose shards start at zero.
+func resumeCounts(st *train.State, ds *dataset.Dataset) []int32 {
+	if st == nil {
+		return nil
+	}
+	return st.CountsFor(ds.Train.NNZ())
+}
+
+// buildShards builds the stores of workers [lo, hi) of the users'
+// partition, one goroutine per shard, and returns them indexed from
+// lo. A run builds the shards its own workers train and no other: all
+// p for shared memory and the in-process distributed runner, the W of
+// its own rank for a lockstep machine. With counts set (a checkpoint's
+// canonical CSC-ordered step counts) each shard also restores its own.
+func buildShards(train *sparse.Matrix, users *partition.Partition, lo, hi int, counts []int32) []*localRatings {
+	out := make([]*localRatings, hi-lo)
+	var wg sync.WaitGroup
+	for q := lo; q < hi; q++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[q-lo] = buildShard(train, users, q, counts)
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// buildShard builds worker q's store from the training rows of the
+// users it owns: a two-pass counting sort of those rows by item,
+// O(nnz_q + n). Part(q) lists the users ascending, so every item's
+// list comes out ascending by user.
+func buildShard(train *sparse.Matrix, users *partition.Partition, q int, counts []int32) *localRatings {
 	n := train.Cols()
-	out := make([]*localRatings, p)
-	for q := 0; q < p; q++ {
-		out[q] = &localRatings{colPtr: make([]int32, n+1)}
+	own := users.Part(q)
+	lr := &localRatings{colPtr: make([]int32, n+1)}
+	for _, i := range own {
+		cols, _ := train.Row(int(i))
+		for _, j := range cols {
+			lr.colPtr[j+1]++
+		}
 	}
-	// Pass 1: per-worker, per-item counts.
 	for j := 0; j < n; j++ {
-		rows, _ := train.Col(j)
-		for _, i := range rows {
-			out[users.Owner(int(i))].colPtr[j+1]++
-		}
+		lr.colPtr[j+1] += lr.colPtr[j]
 	}
-	for q := 0; q < p; q++ {
-		lr := out[q]
-		for j := 0; j < n; j++ {
-			lr.colPtr[j+1] += lr.colPtr[j]
-		}
-		total := lr.colPtr[n]
-		lr.users = make([]int32, total)
-		lr.vals = make([]float64, total)
-		lr.counts = make([]int32, total)
-		var below int32
-		for _, i := range users.Part(q) {
-			if 2*below >= total {
-				break
-			}
-			below += int32(train.RowDegree(int(i)))
+	total := lr.colPtr[n]
+	lr.users = make([]int32, total)
+	lr.vals = make([]float64, total)
+	lr.counts = make([]int32, total)
+	next := make([]int32, n)
+	copy(next, lr.colPtr[:n])
+	var below int32
+	for _, i := range own {
+		cols, vals := train.Row(int(i))
+		if 2*below < total {
+			below += int32(len(cols))
 			lr.midUser = i + 1
 		}
-	}
-	// Pass 2: fill, using a moving cursor per worker per item.
-	cursor := make([][]int32, p)
-	for q := 0; q < p; q++ {
-		cursor[q] = make([]int32, n)
-		copy(cursor[q], out[q].colPtr[:n])
-	}
-	for j := 0; j < n; j++ {
-		rows, pos := train.Col(j)
-		for x, i := range rows {
-			q := users.Owner(int(i))
-			c := cursor[q][j]
-			out[q].users[c] = i
-			out[q].vals[c] = train.ValAt(pos[x])
-			cursor[q][j] = c + 1
+		for x, j := range cols {
+			c := next[j]
+			lr.users[c] = i
+			lr.vals[c] = vals[x]
+			next[j] = c + 1
 		}
 	}
-	return out
+	if counts != nil {
+		lr.importCounts(train, users, q, counts)
+	}
+	return lr
+}
+
+// importCounts restores worker q's step counts from canonical
+// CSC-ordered counts (exportCounts' layout): the shard stores its
+// ratings item by item, ascending by user, which is the order the CSC
+// traversal meets them.
+func (lr *localRatings) importCounts(train *sparse.Matrix, users *partition.Partition, q int, counts []int32) {
+	c, g := 0, 0
+	for j := 0; j < train.Cols(); j++ {
+		rows, _ := train.Col(j)
+		for _, i := range rows {
+			if users.Owner(int(i)) == q {
+				lr.counts[c] = counts[g]
+				c++
+			}
+			g++
+		}
+	}
 }

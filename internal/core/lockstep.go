@@ -46,6 +46,7 @@ import (
 	"nomad/internal/cluster"
 	"nomad/internal/dataset"
 	"nomad/internal/factor"
+	"nomad/internal/metrics"
 	"nomad/internal/netlink"
 	"nomad/internal/netsim"
 	"nomad/internal/partition"
@@ -449,7 +450,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		return nil, err
 	}
 	users := partitionUsers(ds, cfg, p)
-	local := buildLocalRatings(ds.Train, users)
+	local := buildShards(ds.Train, users, rank*W, rank*W+W, resumeCounts(st, ds)) // this rank's workers only
 	schedule := cfg.Schedule()
 
 	root := rng.New(cfg.Seed)
@@ -457,7 +458,6 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 	resumeBase := int64(0)
 	if st != nil {
 		md = st.Model.Clone() // every rank mutates its own copy
-		importCounts(ds.Train, users, local, st.CountsFor(ds.Train.NNZ()))
 		st.RestoreStreams(root, nil)
 		resumeBase = st.Updates
 	} else {
@@ -475,10 +475,8 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 	}
 
 	hp := make([]hotPath, W)
-	lrs := make([]*localRatings, W)
 	for w := 0; w < W; w++ {
 		hp[w] = newHotPath(md, schedule, cfg)
-		lrs[w] = local[rank*W+w]
 	}
 	lanes := hp[0].pair != nil // as in runWorker; lockstep has no straggler
 
@@ -529,7 +527,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 		// draws stay one per token in queue order.
 		for w := 0; w < W; w++ {
 			for b := 0; b < len(queue); b += meshBlock {
-				hp[w].runBlock(lrs[w], queue[b:min(b+meshBlock, len(queue))], lanes, begin, finish)
+				hp[w].runBlock(local[w], queue[b:min(b+meshBlock, len(queue))], lanes, begin, finish)
 			}
 		}
 		for _, j := range queue {
@@ -648,7 +646,7 @@ func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Conf
 	if err := link.SendCtl(0, ctlFold, fold[:]); err != nil {
 		return nil, err
 	}
-	counts := exportCounts(ds.Train, users, local, rank*W, rank*W+W)
+	counts := exportCounts(ds.Train, users, local, rank*W)
 	payload := make([]byte, 8+4*len(counts))
 	binary.LittleEndian.PutUint64(payload, uint64(len(counts)))
 	for i, c := range counts {
@@ -695,6 +693,7 @@ func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Conf
 	return &train.Result{
 		Algorithm:    "nomad",
 		Model:        md,
+		TestRMSE:     metrics.RMSE(md, ds.Test), // this rank keeps no trace
 		Updates:      total,
 		Elapsed:      0,
 		BytesSent:    st.BytesSent,
@@ -777,11 +776,12 @@ func lockstepGather(link cluster.Link, coll *lockCollector, ds *dataset.Dataset,
 		return nil, err
 	}
 
-	rec.Sample(md, total)
+	rmse := rec.Sample(md, total)
 	st := link.Stats()
 	return &train.Result{
 		Algorithm:    "nomad",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      total,
 		Elapsed:      rec.Elapsed(),
@@ -846,8 +846,8 @@ func decodeUserRows(p []byte, m, k int, put func(u int, row []float64)) error {
 }
 
 // mergeCounts assembles the canonical CSC-ordered global step counts
-// from the coordinator's own worker stores and each worker machine's
-// exportCounts stream.
+// from the coordinator's own worker shards (workers [0, W)) and each
+// worker machine's exportCounts stream.
 func mergeCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, byRank map[int][]int32, W int) ([]int32, error) {
 	out := make([]int32, 0, tr.NNZ())
 	cur := make([]int32, len(local))
@@ -859,6 +859,7 @@ func mergeCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRa
 			r := q / W
 			if r == 0 {
 				out = append(out, local[q].counts[cur[q]])
+				cur[q]++
 			} else {
 				stream := byRank[r]
 				if pos[r] >= len(stream) {
@@ -867,7 +868,6 @@ func mergeCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRa
 				out = append(out, stream[pos[r]])
 				pos[r]++
 			}
-			cur[q]++
 		}
 	}
 	for r, stream := range byRank {

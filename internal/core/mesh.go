@@ -121,7 +121,8 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	p := cfg.Workers
 	m, n := ds.Rows(), ds.Cols()
 	users := partitionUsers(ds, cfg, p)
-	local := buildLocalRatings(ds.Train, users)
+	st := cfg.Resume
+	local := buildShards(ds.Train, users, 0, p, resumeCounts(st, ds))
 	schedule := cfg.Schedule()
 	root := rng.New(cfg.Seed)
 
@@ -134,10 +135,8 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	var md *factor.Model
 	var saved [][]int32
 	workerRNG := make([]*rng.Source, p)
-	st := cfg.Resume
 	if st != nil {
 		md, saved = st.Model, st.Queues
-		importCounts(ds.Train, users, local, st.CountsFor(ds.Train.NNZ()))
 		st.RestoreStreams(root, workerRNG)
 	} else {
 		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
@@ -179,10 +178,11 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
 
-	rec.Sample(md, counter.Total())
+	rmse := rec.Sample(md, counter.Total())
 	return &train.Result{
 		Algorithm: "nomad",
 		Model:     md,
+		TestRMSE:  rmse,
 		Trace:     rec.Trace(),
 		Updates:   counter.Total(),
 		Elapsed:   rec.Elapsed(),
@@ -191,7 +191,7 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 			Seed:      cfg.Seed,
 			Updates:   counter.Total(),
 			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local, 0, p),
+			Counts:    exportCounts(ds.Train, users, local, 0),
 			RNG:       train.CaptureStreams(root, workerRNG),
 			Queues:    parked,
 		},

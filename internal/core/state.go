@@ -14,43 +14,26 @@ import (
 	"nomad/internal/sparse"
 )
 
-// exportCounts flattens the per-rating update counts of workers
-// [lo, hi) into the training matrix's canonical CSC entry order,
-// restricted to those workers' users — all of them for [0, p), one
-// lockstep machine's stream for mergeCounts otherwise. Worker-local
-// stores are built by one CSC traversal (buildLocalRatings), so
-// replaying that traversal visits each worker's array exactly in
-// storage order.
-func exportCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, lo, hi int) []int32 {
+// exportCounts flattens the per-rating update counts of the shards of
+// workers [lo, lo+len(local)) into the training matrix's canonical CSC
+// entry order, restricted to those workers' users — all of them when
+// local holds every shard, one lockstep machine's stream for
+// mergeCounts otherwise. A shard stores its ratings in the order the
+// CSC traversal meets them (buildShard), so replaying the traversal
+// visits each shard's array in storage order.
+func exportCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, lo int) []int32 {
 	out := make([]int32, 0, tr.NNZ())
 	cur := make([]int32, len(local))
 	for j := 0; j < tr.Cols(); j++ {
 		rows, _ := tr.Col(j)
 		for _, i := range rows {
-			q := users.Owner(int(i))
-			if q >= lo && q < hi {
+			if q := users.Owner(int(i)) - lo; q >= 0 && q < len(local) {
 				out = append(out, local[q].counts[cur[q]])
+				cur[q]++
 			}
-			cur[q]++
 		}
 	}
 	return out
-}
-
-// importCounts is the inverse of exportCounts: it scatters canonical
-// CSC-ordered counts back into the freshly built worker-local stores.
-func importCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, counts []int32) {
-	cur := make([]int32, len(local))
-	x := 0
-	for j := 0; j < tr.Cols(); j++ {
-		rows, _ := tr.Col(j)
-		for _, i := range rows {
-			q := users.Owner(int(i))
-			local[q].counts[cur[q]] = counts[x]
-			cur[q]++
-			x++
-		}
-	}
 }
 
 // forEachParked walks a token-ownership map — a checkpoint's, or what

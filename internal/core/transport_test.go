@@ -118,7 +118,7 @@ func TestMeshTokenConservationDistributed(t *testing.T) {
 // workers, that are at least laneMin long.
 func longLists(ds *dataset.Dataset, p int) float64 {
 	long, lists := 0, 0
-	for _, lr := range buildLocalRatings(ds.Train, partitionUsers(ds, train.Config{}, p)) {
+	for _, lr := range buildShards(ds.Train, partitionUsers(ds, train.Config{}, p), 0, p, nil) {
 		for j := 0; j < ds.Cols(); j++ {
 			if l := lr.colPtr[j+1] - lr.colPtr[j]; l > 0 {
 				lists++

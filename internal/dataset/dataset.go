@@ -16,9 +16,13 @@ package dataset
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
+	"nomad/internal/parallel"
 	"nomad/internal/rng"
 	"nomad/internal/sparse"
+	"nomad/internal/vecmath"
 )
 
 // Dataset is a train/test split over a rating matrix.
@@ -168,10 +172,16 @@ func ByName(name string, scale float64) (Spec, error) {
 	}
 }
 
-// truth deterministically regenerates the ground-truth factor row for
-// index i without storing the full factor matrix: each row is a fresh
-// PRNG stream derived from the dataset seed. Coordinates are scaled so
-// ⟨wᵢ, hⱼ⟩ has unit variance regardless of rank.
+// Sides of the ground truth: truth's stream for user row i and item
+// row j are told apart by these salts.
+const wSide, hSide = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
+
+// truth is the ground-truth factor row for index i of one side, a pure
+// function of (seed, side, i): each row is a fresh PRNG stream derived
+// from the dataset seed, so rows can be generated in any order and on
+// any goroutine. Generate tabulates every row of both sides once.
+// Coordinates are scaled so ⟨wᵢ, hⱼ⟩ has unit variance regardless of
+// rank.
 func truth(seed uint64, side uint64, i int, rank int, out []float64) {
 	r := rng.New(seed ^ side ^ uint64(i)*0x9e3779b97f4a7c15)
 	sd := 1 / math.Sqrt(math.Sqrt(float64(rank))) // (1/⁴√r)² · r = √r... see below
@@ -181,7 +191,28 @@ func truth(seed uint64, side uint64, i int, rank int, out []float64) {
 	}
 }
 
-// Generate synthesizes the dataset described by the spec.
+// tabulate fills tab with truth's rows 0 … n-1 of one side, split
+// over the available cores.
+func tabulate(tab []float64, n int, seed, side uint64, rank int) {
+	parallel.For(runtime.GOMAXPROCS(0), n, func(_, lo, hi int) {
+		for x := lo; x < hi; x++ {
+			truth(seed, side, x, rank, tab[x*rank:(x+1)*rank])
+		}
+	})
+}
+
+// Generate synthesizes the dataset described by the spec, in three
+// phases. Only the first depends on order, and it alone runs serially;
+// the output is the same bit for bit at any GOMAXPROCS.
+//
+//  1. sample draws (i, j) from the degree-skewed alias tables and
+//     keeps the first occurrence of each pair, in attempt order.
+//  2. A value pass gives the k-th kept pair ⟨wᵢ, hⱼ⟩ plus the k-th
+//     draw of the noise stream. The noise draws, and the ground-truth
+//     rows both sides tabulate, depend on nothing phase 1 decides, so
+//     they are made while it runs; the dot products are split over
+//     the cores after it.
+//  3. split holds out the test fraction.
 func (s Spec) Generate() (*Dataset, error) {
 	if s.Rows <= 0 || s.Cols <= 0 || s.NNZ <= 0 {
 		return nil, fmt.Errorf("dataset: invalid spec %+v", s)
@@ -200,66 +231,143 @@ func (s Spec) Generate() (*Dataset, error) {
 	colW := zipfWeights(r, s.Cols, s.ColSkew)
 	rowAlias := rng.NewAlias(r.Split(1), rowW)
 	colAlias := rng.NewAlias(r.Split(2), colW)
-
-	// Sample distinct (i, j) pairs.
-	seen := make(map[uint64]struct{}, s.NNZ)
-	entries := make([]sparse.Entry, 0, s.NNZ)
-	// Ground-truth rows of the smaller side are tabulated once — each
-	// would otherwise be regenerated for every rating that names it —
-	// while the larger side stays on the fly, as truth intends, so the
-	// generator holds O(min(m,n)·rank) floats, not the factor matrices.
-	const wSide, hSide = 0x5555555555555555, 0xaaaaaaaaaaaaaaaa
-	rank := s.TrueRank
-	itemsCached := s.Cols <= s.Rows
-	cachedSide := uint64(wSide)
-	if itemsCached {
-		cachedSide = hSide
-	}
-	cached := make([]float64, min(s.Rows, s.Cols)*rank)
-	for x := 0; x*rank < len(cached); x++ {
-		truth(s.Seed, cachedSide, x, rank, cached[x*rank:(x+1)*rank])
-	}
-	scratch := make([]float64, rank)
 	noise := r.Split(3)
+	splitRNG := r.Split(4)
+
+	// Each entry's Val holds its noise draw until the value pass adds
+	// the dot product.
+	entries := make([]sparse.Entry, s.NNZ)
+	rank := s.TrueRank
+	w := make([]float64, s.Rows*rank)
+	h := make([]float64, s.Cols*rank)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for k := range entries {
+			entries[k].Val = noise.Normal(0, s.NoiseSD)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		tabulate(w, s.Rows, s.Seed, wSide, rank)
+		tabulate(h, s.Cols, s.Seed, hSide, rank)
+	}()
+	err := sample(entries, rowAlias, colAlias, s.NNZ*50)
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+
+	parallel.For(runtime.GOMAXPROCS(0), len(entries), func(_, lo, hi int) {
+		for x := lo; x < hi; x++ {
+			e := &entries[x]
+			wRow := w[int(e.Row)*rank : (int(e.Row)+1)*rank]
+			hRow := h[int(e.Col)*rank : (int(e.Col)+1)*rank]
+			var dot float64
+			for l := 0; l < rank; l++ {
+				dot += wRow[l] * hRow[l]
+			}
+			v := dot + e.Val
+			if s.Quantize {
+				v = math.Round(3.0 + 1.1*v)
+				if v < 1 {
+					v = 1
+				}
+				if v > 5 {
+					v = 5
+				}
+			}
+			e.Val = v
+		}
+	})
+	return split(s.Name, s.Rows, s.Cols, entries, s.TestFrac, splitRNG)
+}
+
+// sampleAhead is how many attempts sample draws before it tests them
+// against the set. The alias draws do not depend on what the set
+// accepts, so drawing early changes no pair; it lets each slot's cache
+// line be prefetched a few microseconds before it is probed. The
+// streams are not read again, so the draws left over at the end are
+// harmless.
+const sampleAhead = 32
+
+// sample fills the Row/Col of entries with distinct (i, j) pairs: each
+// attempt draws i from rows and then j from cols, and the first
+// occurrence of a pair is kept, in attempt order. It fails once more
+// than maxAttempts attempts were needed.
+func sample(entries []sparse.Entry, rows, cols *rng.Alias, maxAttempts int64) error {
+	type attempt struct {
+		i, j int32
+		key  uint64
+		slot int
+	}
+	seen := newPairSet(len(entries))
+	n := uint64(cols.N())
+	var ring [sampleAhead]attempt
+	draw := func(a *attempt) {
+		a.i = int32(rows.Sample())
+		a.j = int32(cols.Sample())
+		a.key = uint64(a.i)*n + uint64(a.j)
+		a.slot = seen.slot(a.key)
+		vecmath.Prefetch(seen.keys, a.slot, 1)
+	}
+	for x := range ring {
+		draw(&ring[x])
+	}
 	attempts := int64(0)
-	maxAttempts := s.NNZ * 50
-	for int64(len(entries)) < s.NNZ {
+	for k, x := 0, 0; k < len(entries); x = (x + 1) % sampleAhead {
 		attempts++
 		if attempts > maxAttempts {
-			return nil, fmt.Errorf("dataset: rejection sampling stalled at %d/%d entries (matrix too dense for skew)", len(entries), s.NNZ)
+			return fmt.Errorf("dataset: rejection sampling stalled at %d/%d entries (matrix too dense for skew)", k, len(entries))
 		}
-		i := rowAlias.Sample()
-		j := colAlias.Sample()
-		key := uint64(i)*uint64(s.Cols) + uint64(j)
-		if _, dup := seen[key]; dup {
-			continue
+		a := ring[x]
+		draw(&ring[x])
+		if seen.insert(a.key, a.slot) {
+			entries[k].Row, entries[k].Col = a.i, a.j
+			k++
 		}
-		seen[key] = struct{}{}
-		wRow, hRow := scratch, scratch
-		if itemsCached {
-			truth(s.Seed, wSide, i, rank, scratch)
-			hRow = cached[j*rank : (j+1)*rank]
-		} else {
-			truth(s.Seed, hSide, j, rank, scratch)
-			wRow = cached[i*rank : (i+1)*rank]
-		}
-		var dot float64
-		for l := 0; l < rank; l++ {
-			dot += wRow[l] * hRow[l]
-		}
-		v := dot + noise.Normal(0, s.NoiseSD)
-		if s.Quantize {
-			v = math.Round(3.0 + 1.1*v)
-			if v < 1 {
-				v = 1
-			}
-			if v > 5 {
-				v = 5
-			}
-		}
-		entries = append(entries, sparse.Entry{Row: int32(i), Col: int32(j), Val: v})
 	}
-	return split(s.Name, s.Rows, s.Cols, entries, s.TestFrac, r.Split(4))
+	return nil
+}
+
+// pairSet is an open-addressing set of uint64 keys, sized once for the
+// number of keys it will hold: linear probing over a power-of-two
+// table kept at most three-quarters full. A slot holds key+1, so zero
+// marks it empty.
+type pairSet struct {
+	keys  []uint64
+	shift uint // 64 - log2(len(keys))
+}
+
+func newPairSet(n int) *pairSet {
+	bits := uint(4)
+	for 3<<bits < 4*n {
+		bits++
+	}
+	return &pairSet{keys: make([]uint64, 1<<bits), shift: 64 - bits}
+}
+
+// slot is key's home slot (Fibonacci hashing: the top bits of a
+// multiplicative hash).
+func (s *pairSet) slot(key uint64) int {
+	return int((key + 1) * 0x9e3779b97f4a7c15 >> s.shift)
+}
+
+// insert adds key, probing from its home slot, and reports whether it
+// was absent.
+func (s *pairSet) insert(key uint64, slot int) bool {
+	mask := len(s.keys) - 1
+	for {
+		switch s.keys[slot] {
+		case key + 1:
+			return false
+		case 0:
+			s.keys[slot] = key + 1
+			return true
+		}
+		slot = (slot + 1) & mask
+	}
 }
 
 // zipfWeights returns n Zipf(s) weights assigned to shuffled ranks.
@@ -276,6 +384,8 @@ func zipfWeights(r *rng.Source, n int, skew float64) []float64 {
 // split partitions entries into train and test. Test entries whose
 // user or item would otherwise be absent from the training set are
 // moved back to train, so every test prediction is over trained rows.
+// The train part is compacted in place, in order, so entries' storage
+// is reused and must not be read afterwards.
 func split(name string, rows, cols int, entries []sparse.Entry, frac float64, r *rng.Source) (*Dataset, error) {
 	trainRowCount := make([]int32, rows)
 	trainColCount := make([]int32, cols)
@@ -288,10 +398,17 @@ func split(name string, rows, cols int, entries []sparse.Entry, frac float64, r 
 			trainColCount[entries[x].Col]++
 		}
 	}
-	var train []sparse.Entry
-	var test []sparse.Entry
+	nTest := 0
 	for x, e := range entries {
-		if isTest[x] && trainRowCount[e.Row] > 0 && trainColCount[e.Col] > 0 {
+		isTest[x] = isTest[x] && trainRowCount[e.Row] > 0 && trainColCount[e.Col] > 0
+		if isTest[x] {
+			nTest++
+		}
+	}
+	test := make([]sparse.Entry, 0, nTest)
+	train := entries[:0]
+	for x, e := range entries {
+		if isTest[x] {
 			test = append(test, e)
 		} else {
 			train = append(train, e)

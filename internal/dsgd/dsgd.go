@@ -134,12 +134,13 @@ func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, h
 			rec.Sample(md, updates.Load())
 		}
 	}
-	rec.Sample(md, updates.Load())
+	rmse := rec.Sample(md, updates.Load())
 
 	boldStep, boldPrev, boldPrimed := driver.Snapshot()
 	return &train.Result{
 		Algorithm:    "dsgd",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      updates.Load(),
 		Elapsed:      rec.Elapsed(),

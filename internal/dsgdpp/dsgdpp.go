@@ -139,12 +139,13 @@ func (*DSGDPP) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config,
 			rec.Sample(md, updates.Load())
 		}
 	}
-	rec.Sample(md, updates.Load())
+	rmse := rec.Sample(md, updates.Load())
 
 	boldStep, boldPrev, boldPrimed := driver.Snapshot()
 	return &train.Result{
 		Algorithm:    "dsgdpp",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      updates.Load(),
 		Elapsed:      rec.Elapsed(),

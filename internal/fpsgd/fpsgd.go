@@ -175,11 +175,12 @@ func (*FPSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 
 	runErr := train.Monitor(ctx, &stop, counter, cfg, rec, md, hooks)
 	wg.Wait()
-	rec.Sample(md, counter.Total())
+	rmse := rec.Sample(md, counter.Total())
 
 	return &train.Result{
 		Algorithm: "fpsgd",
 		Model:     md,
+		TestRMSE:  rmse,
 		Trace:     rec.Trace(),
 		Updates:   counter.Total(),
 		Elapsed:   rec.Elapsed(),

@@ -245,11 +245,12 @@ func (*BiasSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 			rec.Sample(md, updates.Load())
 		}
 	}
-	rec.Sample(md, updates.Load())
+	rmse := rec.Sample(md, updates.Load())
 
 	return &train.Result{
 		Algorithm:    "biassgd",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      updates.Load(),
 		Elapsed:      rec.Elapsed(),

@@ -184,11 +184,12 @@ func (*GLALS) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 			rec.Sample(md, updates.Load())
 		}
 	}
-	rec.Sample(md, updates.Load())
+	rmse := rec.Sample(md, updates.Load())
 
 	return &train.Result{
 		Algorithm:    "glals",
 		Model:        md,
+		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
 		Updates:      updates.Load(),
 		Elapsed:      rec.Elapsed(),

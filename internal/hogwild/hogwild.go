@@ -141,11 +141,12 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 
 	runErr := train.Monitor(ctx, &stop, counter, cfg, rec, md, hooks)
 	wg.Wait()
-	rec.Sample(md, counter.Total())
+	rmse := rec.Sample(md, counter.Total())
 
 	return &train.Result{
 		Algorithm: "hogwild",
 		Model:     md,
+		TestRMSE:  rmse,
 		Trace:     rec.Trace(),
 		Updates:   counter.Total(),
 		Elapsed:   rec.Elapsed(),

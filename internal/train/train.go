@@ -342,9 +342,12 @@ func (c Config) RequireFloat64(algo string) error {
 type Result struct {
 	Algorithm string
 	Model     *factor.Model
-	Trace     metrics.Trace
-	Updates   int64
-	Elapsed   time.Duration
+	// TestRMSE is Model's RMSE on the test split: the value of the run's
+	// final trace sample, taken on the finished model.
+	TestRMSE float64
+	Trace    metrics.Trace
+	Updates  int64
+	Elapsed  time.Duration
 
 	// Network accounting (zero for shared-memory runs).
 	BytesSent    int64
@@ -578,18 +581,21 @@ func (r *Recorder) Due(updates int64) bool {
 }
 
 // Sample evaluates the model and appends a trace point, advancing the
-// next sampling threshold past the given update count.
-func (r *Recorder) Sample(md *factor.Model, updates int64) {
-	r.record(md, updates)
+// next sampling threshold past the given update count. It returns the
+// point's RMSE, which a runner's final sample carries as
+// Result.TestRMSE.
+func (r *Recorder) Sample(md *factor.Model, updates int64) float64 {
+	rmse := r.record(md, updates)
 	for r.next <= updates {
 		r.next += r.step
 	}
 	r.lastSample = time.Now()
+	return rmse
 }
 
 // record evaluates the model, appends the trace point and mirrors it
 // to the hooks as a TraceEvent.
-func (r *Recorder) record(md *factor.Model, updates int64) {
+func (r *Recorder) record(md *factor.Model, updates int64) float64 {
 	e := TraceEvent{
 		Seconds: time.Since(r.start).Seconds(),
 		Updates: updates,
@@ -597,6 +603,7 @@ func (r *Recorder) record(md *factor.Model, updates int64) {
 	}
 	r.trace.Add(e.Seconds, e.Updates, e.RMSE)
 	r.hooks.EmitTrace(e)
+	return e.RMSE
 }
 
 // Elapsed returns the wall-clock time since the recorder was created.

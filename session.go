@@ -11,7 +11,6 @@ import (
 	"nomad/internal/cluster"
 	"nomad/internal/factor"
 	"nomad/internal/loss"
-	"nomad/internal/metrics"
 	"nomad/internal/netsim"
 	"nomad/internal/train"
 )
@@ -602,7 +601,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	s.running = false
 	if res != nil {
 		s.state = res.Final
-		s.result = newResult(res, s.ds)
+		s.result = newResult(res)
 	}
 	out := s.result
 	s.mu.Unlock()
@@ -798,17 +797,18 @@ func (s *Session) Resume(r io.Reader) error {
 	return nil
 }
 
-// newResult converts an internal training result to the public shape,
-// evaluating the final model on the dataset's test split. The model
+// newResult converts an internal training result to the public shape;
+// the runner has already evaluated the final model on the dataset's
+// test split (train.Result.TestRMSE). The model
 // is snapshotted: the session's live training state (which a later
 // Run continues to mutate) and the returned Result.Model are
 // independent, so a caller can keep serving Predict/Recommend from
 // one result while the session trains on.
-func newResult(res *train.Result, d *Dataset) *Result {
+func newResult(res *train.Result) *Result {
 	out := &Result{
 		Algorithm:    res.Algorithm,
 		Model:        &Model{inner: res.Model.Clone()},
-		TestRMSE:     metrics.RMSE(res.Model, d.inner.Test),
+		TestRMSE:     res.TestRMSE,
 		Updates:      res.Updates,
 		Seconds:      res.Elapsed.Seconds(),
 		BytesSent:    res.BytesSent,
