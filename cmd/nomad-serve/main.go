@@ -77,19 +77,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	var ex *exclusion
+	if ds != nil {
+		ex = newExclusion(ds)
+	}
 	validate := func(md *factor.Model) error {
-		if ds == nil {
+		if ex == nil {
 			return nil
 		}
-		if md.M != ds.Users() || md.N != ds.Items() {
+		if md.M != ex.users || md.N != ex.items {
 			return fmt.Errorf("model shape %d×%d does not match exclusion dataset %d×%d (same -profile/-scale/-seed as training?)",
-				md.M, md.N, ds.Users(), ds.Items())
+				md.M, md.N, ex.users, ex.items)
 		}
 		return nil
 	}
 	var rated func(user int32) []int32
-	if ds != nil {
-		rated = func(user int32) []int32 { return ds.RatedItems(int(user)) }
+	if ex != nil {
+		rated = ex.rated
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -320,6 +324,35 @@ func loadDataset(input, profile string, scale, testFrac float64, seed uint64) (*
 	}
 	defer f.Close()
 	return nomad.ReadDataset(f, testFrac, seed)
+}
+
+// exclusion is all serving reads of the training set: each user's
+// ascending rated-item list, packed into one array. The dataset it is
+// cut from (ratings, both sparse layouts) is left to the collector, so
+// the process's live heap, and with it the heap the collector lets
+// grow under load, holds the model and its index and little else.
+type exclusion struct {
+	users, items int
+	start        []int64 // user u's list is lists[start[u]:start[u+1]]
+	lists        []int32
+}
+
+func newExclusion(ds *nomad.Dataset) *exclusion {
+	ex := &exclusion{
+		users: ds.Users(),
+		items: ds.Items(),
+		start: make([]int64, ds.Users()+1),
+		lists: make([]int32, 0, ds.TrainSize()),
+	}
+	for u := 0; u < ex.users; u++ {
+		ex.lists = append(ex.lists, ds.RatedItems(u)...)
+		ex.start[u+1] = int64(len(ex.lists))
+	}
+	return ex
+}
+
+func (ex *exclusion) rated(user int32) []int32 {
+	return ex.lists[ex.start[user]:ex.start[user+1]:ex.start[user+1]]
 }
 
 func fatal(err error) {

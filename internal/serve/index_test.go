@@ -66,9 +66,11 @@ const (
 	shapeShard     = 1 << iota // index owns a subset of a larger model
 	shapeDupRows               // runs of identical rows: exact score ties
 	shapeEqualNorm             // every row has the same norm: the bound never prunes
-	shapeZeroUser              // all-zero user rows: every score ties at 0
+	shapeZeroUser              // all-zero user rows: every score ties at 0 (under shapeAniso, all e₀)
 	shapeNaNScore              // one row of ±Inf: norm +Inf, score NaN
 	shapeNaNRow                // one NaN row: norm NaN, index order undefined
+	shapeAniso                 // lead coordinate ±1, the rest decaying; its sign flips per block of the norm order
+	shapeRotated               // every row turned by one seeded rotation: no axis follows the spectrum
 )
 
 // Exclusion lists a fuzz case picks from.
@@ -101,21 +103,54 @@ func fuzzModel(r *rand.Rand, items, k int, prec factor.Precision, shape uint8) *
 	for c := range base {
 		base[c] = r.NormFloat64()
 	}
+	var rot []float64
+	if shape&shapeRotated != 0 {
+		rot = randomOrthonormal(r, k)
+	}
+	// shaped applies the anisotropic scales and the rotation: the
+	// leading coordinate becomes ±1 and coordinate c > 0 is scaled by
+	// decay^c.
+	shaped := func(row []float64, decay float64) {
+		if shape&shapeAniso != 0 {
+			row[0] = math.Copysign(1, row[0])
+			scale := 1.0
+			for c := 1; c < len(row); c++ {
+				scale *= decay
+				row[c] *= scale
+			}
+		}
+		if rot != nil {
+			turned := make([]float64, k)
+			for a := range turned {
+				for c, v := range row {
+					turned[a] += rot[a*k+c] * v
+				}
+			}
+			copy(row, turned)
+		}
+	}
 	for j := 0; j < items; j++ {
 		if shape&shapeDupRows != 0 && j%4 != 0 {
 			setRow(md, j, row) // items 4i..4i+3 share one row
 			continue
 		}
 		scale := 1 / float64(1+r.Intn(50))
+		if shape&shapeAniso != 0 {
+			scale = 1 // no norm tail: later blocks stay in reach
+		}
 		for c := range row {
 			row[c] = scale * r.NormFloat64()
 			if shape&shapeEqualNorm != 0 {
 				// Sign flips of one vector: the squares, and so the
-				// norms, are equal bit for bit.
+				// norms, are equal bit for bit (unless rotated).
 				row[c] = math.Copysign(base[c], row[c])
 			}
 		}
+		shaped(row, 0.4)
 		setRow(md, j, row)
+	}
+	if shape&shapeAniso != 0 {
+		bandBlocks(md, rot)
 	}
 	if shape&shapeNaNScore != 0 {
 		for c := range row {
@@ -137,6 +172,7 @@ func fuzzModel(r *rand.Rand, items, k int, prec factor.Precision, shape uint8) *
 				row[c] = 0
 			}
 		}
+		shaped(row, 0.5)
 		if prec == factor.Float32 {
 			for c, v := range row {
 				md.UserRow32(u)[c] = float32(v)
@@ -148,16 +184,58 @@ func fuzzModel(r *rand.Rand, items, k int, prec factor.Precision, shape uint8) *
 	return md
 }
 
+// bandBlocks flips item rows (h → −h, which keeps every norm bit for
+// bit) so that along the model's leading direction — e₀, or its image
+// under rot — the rows of even scan blocks of the norm order point one
+// way and those of odd blocks the other. To a user along that
+// direction every other block then scores low although its norms are
+// high: the block the spectral bound skips and the norm bound cannot.
+func bandBlocks(md *factor.Model, rot []float64) {
+	k := md.K
+	order := make([]int, md.N)
+	for j := range order {
+		order[j] = j
+	}
+	sort.SliceStable(order, func(a, b int) bool { return md.ItemNorm(order[a]) > md.ItemNorm(order[b]) })
+	row := make([]float64, k)
+	for rank, j := range order {
+		lead := 0.0
+		for c := range row {
+			if md.Precision() == factor.Float32 {
+				row[c] = float64(md.ItemRow32(j)[c])
+			} else {
+				row[c] = md.ItemRow(j)[c]
+			}
+			if rot != nil {
+				lead += rot[c*k] * row[c]
+			}
+		}
+		if rot == nil {
+			lead = row[0]
+		}
+		if (lead < 0) == (rank/scanBlock%2 == 0) {
+			for c := range row {
+				row[c] = -row[c]
+			}
+			setRow(md, j, row)
+		}
+	}
+}
+
 // FuzzIndexTopNMatchesBruteForce pins Index.TopN to the oracles above
 // over both precisions, ranks on both sides of every kernel boundary,
-// table lengths around the block size, shards, and the exclusion lists
-// and degenerate rows that stress the admit-before-exclude order.
+// table lengths around the block size, shards, the exclusion lists
+// and degenerate rows that stress the admit-before-exclude order, and
+// anisotropic (optionally rotated) models on which the spectral bound
+// skips blocks and stops scans the norm bound would not.
 func FuzzIndexTopNMatchesBruteForce(f *testing.F) {
 	ranks := []uint8{1, 3, 4, 8, 15, 16, 17, 32, 50}
 	lengths := []uint16{0, scanBlock - 1, scanBlock, scanBlock + 1, 3*scanBlock + 7}
 	ns := []uint8{0, 1, 10, 255}
 	shapes := []uint8{0, shapeShard, shapeDupRows, shapeEqualNorm, shapeZeroUser, shapeNaNScore,
-		shapeShard | shapeDupRows, shapeDupRows | shapeEqualNorm, shapeNaNRow}
+		shapeShard | shapeDupRows, shapeDupRows | shapeEqualNorm, shapeNaNRow,
+		shapeAniso, shapeAniso | shapeRotated, shapeAniso | shapeShard, shapeAniso | shapeDupRows | shapeRotated,
+		shapeAniso | shapeNaNScore, shapeAniso | shapeEqualNorm | shapeRotated}
 	i := 0
 	for _, k := range ranks {
 		for _, length := range lengths {
@@ -228,8 +306,11 @@ func FuzzIndexTopNMatchesBruteForce(f *testing.F) {
 			if st.Scanned+st.Pruned != size {
 				t.Fatalf("scanned %d + pruned %d != len %d", st.Scanned, st.Pruned, size)
 			}
-			if st.Pruned > 0 && st.Scanned%scanBlock != 0 {
-				t.Fatalf("pruned mid-block: scanned %d", st.Scanned)
+			// Rows are skipped in whole scan blocks; only the last,
+			// short block can leave a remainder, on one side or the
+			// other.
+			if st.Scanned%scanBlock != 0 && st.Pruned%scanBlock != 0 {
+				t.Fatalf("pruned mid-block: scanned %d, pruned %d", st.Scanned, st.Pruned)
 			}
 			switch {
 			case shape&shapeNaNRow != 0:
@@ -399,60 +480,56 @@ func TestRecommendEmptyItemsEncodeAsArray(t *testing.T) {
 
 // BenchmarkIndexTopN is the serving scan on the benchmark's shape: a
 // 300K × K16 table with decaying norms, 64 users with heavy-tailed
-// exclusion lists, one reused heap.
+// exclusion lists, one reused heap; and the same model under a seeded
+// rotation ("rotated/…"), which the spectral bound must prune alike.
+// ns/query is the figure to compare: ns/row rises as the bounds leave
+// fewer, harder-won rows to score.
 func BenchmarkIndexTopN(b *testing.B) {
 	const items, k = 300000, 16
-	md64 := factor.NewP(64, items, k, factor.Float64)
-	r := rand.New(rand.NewSource(7))
-	sd := 1 / math.Sqrt(k)
-	for u := 0; u < md64.M; u++ {
-		scale := sd
-		for c := range md64.UserRow(u) {
-			md64.UserRow(u)[c] = scale * r.NormFloat64()
-			scale *= 0.95
-		}
-	}
-	for j := 0; j < items; j++ {
-		pop := math.Exp(0.4 * r.NormFloat64())
-		for c := range md64.ItemRow(j) {
-			md64.ItemRow(j)[c] = sd * pop * r.NormFloat64()
-			pop *= 0.4
-		}
-	}
-	lists := heavyTailRated(md64.M, items)
-	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
-		md := md64.Convert(prec)
-		ix := BuildIndex(md, nil)
-		for _, withRated := range []bool{true, false} {
-			name := "f64/"
-			if prec == factor.Float32 {
-				name = "f32/"
-			}
-			if withRated {
-				name += "rated"
-			} else {
-				name += "norated"
-			}
-			b.Run(name, func(b *testing.B) {
-				h := topn.NewHeap(10)
-				scanned := 0
-				for i := 0; i < b.N; i++ {
-					user := i % md.M
-					var rated []int32
-					if withRated {
-						rated = lists[user]
-					}
-					h.Reset(10)
-					var st ScanStats
-					if prec == factor.Float32 {
-						st = ix.TopN(nil, md.UserRow32(user), md.UserNorm(user), rated, h)
-					} else {
-						st = ix.TopN(md.UserRow(user), nil, md.UserNorm(user), rated, h)
-					}
-					scanned += st.Scanned
+	axis := decayModel(rand.New(rand.NewSource(7)), 64, items, k)
+	rotated := axis.Clone()
+	rotateModel(rotated, randomOrthonormal(rand.New(rand.NewSource(8)), k))
+	lists := heavyTailRated(axis.M, items)
+	for _, model := range []struct {
+		prefix string
+		md     *factor.Model
+	}{{"", axis}, {"rotated/", rotated}} {
+		for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
+			md := model.md.Convert(prec)
+			ix := BuildIndex(md, nil)
+			for _, withRated := range []bool{true, false} {
+				name := model.prefix + "f64/"
+				if prec == factor.Float32 {
+					name = model.prefix + "f32/"
 				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(max(scanned, 1)), "ns/row")
-			})
+				if withRated {
+					name += "rated"
+				} else {
+					name += "norated"
+				}
+				b.Run(name, func(b *testing.B) {
+					h := topn.NewHeap(10)
+					scanned := 0
+					for i := 0; i < b.N; i++ {
+						user := i % md.M
+						var rated []int32
+						if withRated {
+							rated = lists[user]
+						}
+						h.Reset(10)
+						var st ScanStats
+						if prec == factor.Float32 {
+							st = ix.TopN(nil, md.UserRow32(user), md.UserNorm(user), rated, h)
+						} else {
+							st = ix.TopN(md.UserRow(user), nil, md.UserNorm(user), rated, h)
+						}
+						scanned += st.Scanned
+					}
+					ns := float64(b.Elapsed().Nanoseconds())
+					b.ReportMetric(ns/float64(b.N), "ns/query")
+					b.ReportMetric(ns/float64(max(scanned, 1)), "ns/row")
+				})
+			}
 		}
 	}
 }

@@ -1,9 +1,14 @@
 package serve
 
 import (
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -355,4 +360,77 @@ func TestEpochSeqParsing(t *testing.T) {
 			t.Fatalf("epochSeq(%q) = %d,%v want %d,%v", c.name, seq, ok, c.seq, c.ok)
 		}
 	}
+}
+
+// FuzzRecommendQuery drives /v1/recommend with arbitrary user and n
+// parameters, against a server with no model yet and one with a model.
+// The handler must never panic, must answer 400, 404 or 503 exactly
+// where strconv's reading of the parameters says, and a 200 must carry
+// the oracle's top-n for a parsed n no larger than MaxN.
+func FuzzRecommendQuery(f *testing.F) {
+	const maxN = 25
+	md := factor.NewInitP(20, 50, 4, 3, factor.Float64)
+	loaded := NewStore()
+	loaded.Promote(&Epoch{Seq: 1, Model: md, Index: BuildIndex(md, nil)})
+	servers := []struct {
+		handler http.Handler
+		model   bool
+	}{
+		{NewServer(Config{Store: NewStore(), MaxN: maxN}).Handler(), false},
+		{NewServer(Config{Store: loaded, MaxN: maxN}).Handler(), true},
+	}
+	for _, seed := range [][2]string{
+		{"7", "10"}, {"7", ""}, {"-1", "3"}, {"20", "1"}, {"19", "25"}, {"0", "26"},
+		{"abc", "5"}, {"3", "-2"}, {"3", "x"}, {"2147483648", "1"}, {"-2147483649", "1"},
+		{" 1", "1"}, {"+3", "+3"}, {"0x10", "1"}, {"3", "1e3"}, {"", ""}, {"3", "0"},
+		{"3", "99999999999999999999"},
+	} {
+		f.Add(seed[0], seed[1])
+	}
+	f.Fuzz(func(t *testing.T, user, n string) {
+		u64, userErr := strconv.ParseInt(user, 10, 32)
+		want, nWant := http.StatusOK, 10
+		if n != "" {
+			var err error
+			if nWant, err = strconv.Atoi(n); err != nil || nWant < 0 {
+				want = http.StatusBadRequest
+			}
+		}
+		switch {
+		case userErr != nil, nWant > maxN:
+			want = http.StatusBadRequest
+		}
+		target := "/v1/recommend?" + url.Values{"user": {user}, "n": {n}}.Encode()
+		for _, srv := range servers {
+			code := want
+			switch {
+			case code != http.StatusOK:
+			case !srv.model:
+				code = http.StatusServiceUnavailable
+			case u64 < 0 || u64 >= int64(md.M):
+				code = http.StatusNotFound
+			}
+			rec := httptest.NewRecorder()
+			srv.handler.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+			if rec.Code != code {
+				t.Fatalf("%s (model %v): status %d, want %d: %s", target, srv.model, rec.Code, code, rec.Body.Bytes())
+			}
+			if code != http.StatusOK {
+				continue
+			}
+			var resp RecResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s: body %q: %v", target, rec.Body.Bytes(), err)
+			}
+			if resp.N != nWant || resp.N > maxN || resp.User != int32(u64) {
+				t.Fatalf("%s: answered user %d n %d, want user %d n %d ≤ %d", target, resp.User, resp.N, u64, nWant, maxN)
+			}
+			oracle := naiveTopN(md, int(u64), nWant, nil)
+			got := make([]topn.Rec, len(resp.Items))
+			for i, it := range resp.Items {
+				got[i] = topn.Rec{Item: it.Item, Score: it.Score}
+			}
+			sameRecs(t, got, oracle)
+		}
+	})
 }
