@@ -74,9 +74,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// Report reports a pre-built finding.
-func (p *Pass) Report(d Diagnostic) { p.report(d) }
-
 // Run applies each analyzer to the loaded packages and returns every
 // diagnostic, sorted by position then analyzer name. An analyzer
 // returning an error aborts the run: analyzer errors are broken

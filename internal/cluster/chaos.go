@@ -5,8 +5,8 @@ package cluster
 // failure half of the failover test matrix. The harness is driven by a
 // ChaosSpec (parsed from the `-chaos=...` flag syntax) and a
 // ChaosController shared by every endpoint of the run: the controller
-// counts protocol events (data sends, replication snapshots, barrier
-// entries, wall-clock delays) and fires each configured fault exactly
+// counts protocol events (data sends, replication snapshots,
+// wall-clock delays) and fires each configured fault exactly
 // once when its trigger point is reached.
 //
 // A spec is a *schedule*: one or more events separated by `;`, fired
@@ -98,8 +98,6 @@ const (
 	// PointMidEpoch triggers on the victim's After-th outbound token
 	// batch, i.e. in the middle of asynchronous circulation.
 	PointMidEpoch
-	// PointBarrier triggers on the victim's After-th Barrier entry.
-	PointBarrier
 	// PointSnapshot triggers on the victim's After-th replication
 	// snapshot send (the control kind registered by the runner).
 	PointSnapshot
@@ -115,8 +113,6 @@ func (p ChaosPoint) String() string {
 		return "rendezvous"
 	case PointMidEpoch:
 		return "mid-epoch"
-	case PointBarrier:
-		return "barrier"
 	case PointSnapshot:
 		return "snapshot"
 	case PointAfter:
@@ -255,8 +251,6 @@ func chaosPointByName(name string) (ChaosPoint, bool) {
 		return PointRendezvous, true
 	case "mid-epoch":
 		return PointMidEpoch, true
-	case "barrier":
-		return PointBarrier, true
 	case "snapshot":
 		return PointSnapshot, true
 	}
@@ -282,7 +276,7 @@ func parseChaosEvent(s string) (*ChaosSpec, error) {
 		}
 		pt, ok := chaosPointByName(at)
 		if !ok {
-			return nil, fmt.Errorf("cluster: chaos event %q: unknown point %q (rendezvous, mid-epoch, barrier, snapshot, +duration)", s, at)
+			return nil, fmt.Errorf("cluster: chaos event %q: unknown point %q (rendezvous, mid-epoch, snapshot, +duration)", s, at)
 		}
 		spec.At = pt
 		return spec, nil
@@ -311,7 +305,7 @@ func parseChaosEvent(s string) (*ChaosSpec, error) {
 		case "at":
 			var ok bool
 			if spec.At, ok = chaosPointByName(val); !ok {
-				err = fmt.Errorf("unknown point %q (rendezvous, mid-epoch, barrier, snapshot)", val)
+				err = fmt.Errorf("unknown point %q (rendezvous, mid-epoch, snapshot; for a +duration trigger set delay instead)", val)
 			}
 		case "after":
 			spec.After, err = strconv.Atoi(val)
@@ -358,15 +352,13 @@ type ChaosController struct {
 	idx    atomic.Int32 // current event index; len(events) = schedule done
 	fired  atomic.Bool  // at least one event has fired
 
-	sends    atomic.Int64 // outbound token batches observed for the current trigger
-	snaps    atomic.Int64 // replication snapshot sends observed
-	barriers atomic.Int64 // Barrier entries observed
+	sends atomic.Int64 // outbound token batches observed for the current trigger
+	snaps atomic.Int64 // replication snapshot sends observed
 
 	// Per-event counter baselines, snapped when an event is armed so a
 	// later event's After counts occurrences after the previous fire.
-	baseSends    atomic.Int64
-	baseSnaps    atomic.Int64
-	baseBarriers atomic.Int64
+	baseSends atomic.Int64
+	baseSnaps atomic.Int64
 
 	snapKind atomic.Uint32 // 1+kind of the replication ctl frames, 0 = unset
 
@@ -453,11 +445,6 @@ func (c *ChaosController) WrapAll(links []Link) []Link {
 	return out
 }
 
-// Wrap wraps a single link.
-func (c *ChaosController) Wrap(l Link) Link {
-	return &ChaosLink{Link: l, ctrl: c, rank: l.Rank()}
-}
-
 // Arm starts the schedule: rendezvous-point first events fire
 // immediately, relative-time ones start their timer. Called by the
 // runner after links are built (pass the run's wrapped links; the kill
@@ -507,7 +494,6 @@ func (c *ChaosController) armCurrent() {
 	}
 	c.baseSends.Store(c.sends.Load())
 	c.baseSnaps.Store(c.snaps.Load())
-	c.baseBarriers.Store(c.barriers.Load())
 	switch ev.At {
 	case PointRendezvous:
 		c.fire(i)
@@ -561,17 +547,6 @@ func (c *ChaosController) onSnap(rank int) {
 		return
 	}
 	if c.snaps.Add(1) == c.baseSnaps.Load()+int64(ev.After) {
-		c.fire(i)
-	}
-}
-
-// onBarrier counts a barrier entry from rank toward a barrier trigger.
-func (c *ChaosController) onBarrier(rank int) {
-	ev, i := c.current()
-	if ev == nil || ev.At != PointBarrier || !chaosObserves(ev, rank) {
-		return
-	}
-	if c.barriers.Add(1) == c.baseBarriers.Load()+int64(ev.After) {
 		c.fire(i)
 	}
 }
@@ -639,9 +614,6 @@ type ChaosLink struct {
 	rank int
 }
 
-// Unwrap exposes the wrapped endpoint (e.g. for Abort on a TCP link).
-func (c *ChaosLink) Unwrap() Link { return c.Link }
-
 // Abort forwards to the underlying link's Abort when it has one, so
 // the in-process kill path works through the wrapper.
 func (c *ChaosLink) Abort() {
@@ -685,12 +657,4 @@ func (c *ChaosLink) SendCtl(dst int, kind uint8, payload []byte) error {
 	}
 	c.stall()
 	return c.Link.SendCtl(dst, kind, payload)
-}
-
-// Barrier implements cluster.Link, counting barrier entries toward a
-// barrier trigger — the victim dies inside the barrier, after peers
-// have started waiting on it.
-func (c *ChaosLink) Barrier() error {
-	c.ctrl.onBarrier(c.rank)
-	return c.Link.Barrier()
 }

@@ -26,27 +26,41 @@ func TestParseChaos(t *testing.T) {
 	if spec.Op != OpDrop || spec.P != 0.25 || spec.Seed != 9 || spec.After != 3 {
 		t.Fatalf("spec = %+v", spec)
 	}
-	spec, err = ParseChaos("partition:rank=0,at=barrier,window=120ms")
+	spec, err = ParseChaos("partition:rank=0,at=rendezvous,window=120ms")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Op != OpPartition || spec.At != PointBarrier || spec.Window != 120*time.Millisecond {
+	if spec.Op != OpPartition || spec.At != PointRendezvous || spec.Window != 120*time.Millisecond {
 		t.Fatalf("spec = %+v", spec)
 	}
 	if spec, err := ParseChaos(""); spec != nil || err != nil {
 		t.Fatalf("empty spec = %+v, %v", spec, err)
 	}
 	for _, bad := range []string{
-		"explode:rank=1,at=barrier", // unknown op
-		"kill",                      // no pairs
-		"kill:rank=1",               // missing at
-		"kill:at=barrier",           // missing rank
-		"kill:rank=1,at=nowhere",    // unknown point
-		"kill:rank=1,at=barrier,after=x",
-		"kill:rank=1,at=barrier,bogus=1",
+		"explode:rank=1,at=snapshot", // unknown op
+		"kill",                       // no pairs
+		"kill:rank=1",                // missing at
+		"kill:at=rendezvous",         // missing rank
+		"kill:rank=1,at=nowhere",     // unknown point
+		"kill:rank=1,at=rendezvous,after=x",
+		"kill:rank=1,at=rendezvous,bogus=1",
 	} {
 		if _, err := ParseChaos(bad); err == nil {
 			t.Errorf("ParseChaos(%q) accepted", bad)
+		}
+	}
+	// No runner has a barrier, so a barrier trigger would never fire:
+	// it is an unknown point, and the error lists the ones that do.
+	for _, bad := range []string{"kill:rank=1,at=barrier", "kill@barrier"} {
+		_, err := ParseChaos(bad)
+		if err == nil {
+			t.Errorf("ParseChaos(%q) accepted a point that never fires", bad)
+			continue
+		}
+		for _, want := range []string{"rendezvous", "mid-epoch", "snapshot", "+duration"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseChaos(%q) = %v, want %q among the points named", bad, err, want)
+			}
 		}
 	}
 }
@@ -71,22 +85,25 @@ func TestParseChaosRejectsOutOfRange(t *testing.T) {
 }
 
 // FuzzParseChaos: the parser never panics, and every event it accepts
-// is fully normalized — a trigger point, a positive occurrence count,
+// is fully normalized — a trigger point that fires (one of the four
+// the controller counts or times), a positive occurrence count,
 // a drop probability in (0, 1], a positive window, a nonzero seed, and
 // a positive offset on a relative-time trigger.
 func FuzzParseChaos(f *testing.F) {
 	for _, s := range []string{
 		"kill:rank=2,at=mid-epoch",
 		"drop:rank=1,at=snapshot,p=0.25,seed=9,after=3",
-		"partition:rank=0,at=barrier,window=120ms",
+		"partition:rank=0,at=rendezvous,window=120ms",
 		"",
-		"explode:rank=1,at=barrier",
+		"explode:rank=1,at=snapshot",
 		"kill",
 		"kill:rank=1",
-		"kill:at=barrier",
+		"kill:at=rendezvous",
 		"kill:rank=1,at=nowhere",
-		"kill:rank=1,at=barrier,after=x",
-		"kill:rank=1,at=barrier,bogus=1",
+		"kill:rank=1,at=rendezvous,after=x",
+		"kill:rank=1,at=rendezvous,bogus=1",
+		"kill:rank=1,at=barrier",
+		"kill@barrier",
 		"kill:rank=1,at=mid-epoch,after=3",
 		"delay:rank=0,at=mid-epoch,after=1,window=30ms",
 		"drop:rank=0,at=snapshot,p=1.0,after=1",
@@ -103,7 +120,12 @@ func FuzzParseChaos(f *testing.F) {
 			return
 		}
 		for _, ev := range spec.Events() {
-			if ev.At == 0 || ev.After < 1 || !(ev.P > 0 && ev.P <= 1) || ev.Window <= 0 || ev.Seed == 0 {
+			switch ev.At {
+			case PointRendezvous, PointMidEpoch, PointSnapshot, PointAfter:
+			default:
+				t.Fatalf("ParseChaos(%q) accepted point %v, which never fires", s, ev.At)
+			}
+			if ev.After < 1 || !(ev.P > 0 && ev.P <= 1) || ev.Window <= 0 || ev.Seed == 0 {
 				t.Fatalf("ParseChaos(%q) accepted unnormalized event %+v", s, *ev)
 			}
 			if ev.At == PointAfter && ev.Delay <= 0 {

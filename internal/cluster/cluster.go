@@ -1,15 +1,13 @@
 // Package cluster provides the machine-level plumbing shared by the
 // distributed algorithms: nomadic token batching (§3.5: accumulate ~100
 // (j, hⱼ) pairs per MPI message), the queue-length gossip payload that
-// powers NOMAD's dynamic load balancing (§3.3), and a reusable barrier
-// for the bulk-synchronous baselines (DSGD, DSGD++, CCD++).
+// powers NOMAD's dynamic load balancing (§3.3), the Link transport
+// interface with its simulated backend, and the chaos wrapper that
+// injects faults into a Link for the failover tests.
 package cluster
 
 import (
 	"errors"
-	"sync"
-
-	"nomad/internal/netsim"
 )
 
 // Token is one nomadic item parameter in flight between machines: the
@@ -144,7 +142,7 @@ func (s *Sender) Add(dst int, t Token) {
 // underlying link reports closure the sender goes inert: the batch is
 // dropped (a closed cluster can never deliver it) and every later
 // Flush/FlushAll is a no-op instead of a panic through the transport —
-// the teardown ordering hazard where a barrier participant has already
+// the teardown ordering hazard where a peer machine has already
 // exited and closed the link under a straggling sender.
 func (s *Sender) Flush(dst int) error {
 	if s.closed {
@@ -218,69 +216,4 @@ func (s *Sender) PendingTotal() int {
 		n += b.Len()
 	}
 	return n
-}
-
-// Barrier is a reusable synchronization barrier for a fixed number of
-// participants, used by the bulk-synchronous baselines to model their
-// per-iteration synchronization points (the "curse of the last
-// reducer" the paper discusses in §4.1 arises exactly here).
-type Barrier struct {
-	mu    sync.Mutex
-	cond  *sync.Cond
-	n     int
-	count int
-	gen   uint64
-}
-
-// NewBarrier returns a barrier for n participants.
-func NewBarrier(n int) *Barrier {
-	if n <= 0 {
-		panic("cluster: barrier needs at least one participant")
-	}
-	b := &Barrier{n: n}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all n participants have called Wait, then releases
-// them together. The barrier resets automatically for reuse.
-func (b *Barrier) Wait() {
-	b.mu.Lock()
-	gen := b.gen
-	b.count++
-	if b.count == b.n {
-		b.count = 0
-		b.gen++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return
-	}
-	for gen == b.gen {
-		b.cond.Wait()
-	}
-	b.mu.Unlock()
-}
-
-// BlockMsg carries a contiguous block of factor rows between machines,
-// as exchanged by DSGD's sub-epoch shuffles and CCD++'s rank
-// broadcasts. Rows are identified by the half-open index range
-// [Lo, Hi) into the item (or user) dimension.
-type BlockMsg struct {
-	Lo, Hi int
-	Data   []float64 // (Hi-Lo)×k row-major copy
-	Tag    int       // protocol-specific (e.g. sub-epoch number or rank index)
-}
-
-// SendBlock copies rows [lo, hi) of the given flat row-major factor
-// array and sends them from machine src to machine dst with the
-// modelled wire size of the block.
-func SendBlock(net *netsim.Network, src, dst int, flat []float64, k, lo, hi, tag int) {
-	data := make([]float64, (hi-lo)*k)
-	copy(data, flat[lo*k:hi*k])
-	net.Send(src, dst, netsim.BlockWireSize(hi-lo, k), BlockMsg{Lo: lo, Hi: hi, Data: data, Tag: tag})
-}
-
-// ApplyBlock copies a received block into the flat factor array.
-func ApplyBlock(flat []float64, k int, b BlockMsg) {
-	copy(flat[b.Lo*k:b.Hi*k], b.Data)
 }

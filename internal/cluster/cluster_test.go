@@ -1,10 +1,7 @@
 package cluster
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"nomad/internal/netsim"
 )
@@ -96,7 +93,7 @@ func TestSenderWireSizeModelled(t *testing.T) {
 
 // TestSenderFlushAfterCloseIsSafe is the regression test for the
 // teardown ordering hazard: a sender flushing after the underlying
-// link has already closed (a barrier participant exited first) must be
+// link has already closed (a peer machine exited first) must be
 // an idempotent no-op, not a panic through the transport.
 func TestSenderFlushAfterCloseIsSafe(t *testing.T) {
 	c := NewSimCluster(2, netsim.Instant(), 2)
@@ -154,134 +151,4 @@ func TestSimLinkCtlRoundTrip(t *testing.T) {
 		t.Fatalf("ctl senders = %v", got)
 	}
 	c.Close()
-}
-
-func TestSimLinkBarrier(t *testing.T) {
-	const n = 3
-	c := NewSimCluster(n, netsim.Instant(), 1)
-	var before, after atomic.Int32
-	var wg sync.WaitGroup
-	for _, l := range c.Links() {
-		wg.Add(1)
-		go func(l Link) {
-			defer wg.Done()
-			before.Add(1)
-			if err := l.Barrier(); err != nil {
-				t.Errorf("Barrier: %v", err)
-			}
-			if got := before.Load(); got != n {
-				t.Errorf("released with only %d arrivals", got)
-			}
-			after.Add(1)
-		}(l)
-	}
-	wg.Wait()
-	if after.Load() != n {
-		t.Fatalf("only %d released", after.Load())
-	}
-	c.Close()
-}
-
-func TestBarrierReleasesTogether(t *testing.T) {
-	const n = 4
-	b := NewBarrier(n)
-	var before, after atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			before.Add(1)
-			b.Wait()
-			// At release, every participant must have arrived.
-			if got := before.Load(); got != n {
-				t.Errorf("released with only %d arrivals", got)
-			}
-			after.Add(1)
-		}()
-	}
-	wg.Wait()
-	if after.Load() != n {
-		t.Fatalf("only %d participants released", after.Load())
-	}
-}
-
-func TestBarrierReusable(t *testing.T) {
-	const n, rounds = 3, 50
-	b := NewBarrier(n)
-	var phase atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				b.Wait()
-				// All goroutines must observe the same round.
-				phase.Add(1)
-				b.Wait()
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("barrier deadlocked on reuse")
-	}
-	if phase.Load() != n*rounds {
-		t.Fatalf("phase = %d, want %d", phase.Load(), n*rounds)
-	}
-}
-
-func TestBarrierPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewBarrier(0)
-}
-
-func TestBlockRoundTrip(t *testing.T) {
-	net := netsim.New(2, netsim.Instant())
-	k := 3
-	src := []float64{
-		0, 0, 0,
-		1, 2, 3,
-		4, 5, 6,
-		0, 0, 0,
-	}
-	SendBlock(net, 0, 1, src, k, 1, 3, 42)
-	msg := <-net.Recv(1)
-	blk := msg.Payload.(BlockMsg)
-	if blk.Lo != 1 || blk.Hi != 3 || blk.Tag != 42 {
-		t.Fatalf("block header: %+v", blk)
-	}
-	dst := make([]float64, len(src))
-	ApplyBlock(dst, k, blk)
-	for i := 3; i < 9; i++ {
-		if dst[i] != src[i] {
-			t.Fatalf("dst[%d] = %v, want %v", i, dst[i], src[i])
-		}
-	}
-	if msg.Size != netsim.BlockWireSize(2, k) {
-		t.Fatalf("modelled size %d, want %d", msg.Size, netsim.BlockWireSize(2, k))
-	}
-	net.Shutdown()
-}
-
-func TestSendBlockCopies(t *testing.T) {
-	// Mutating the source after SendBlock must not affect the message:
-	// the block is a snapshot, as a real network send would be.
-	net := netsim.New(2, netsim.Instant())
-	src := []float64{1, 2}
-	SendBlock(net, 0, 1, src, 1, 0, 2, 0)
-	src[0] = 99
-	msg := <-net.Recv(1)
-	if msg.Payload.(BlockMsg).Data[0] != 1 {
-		t.Fatal("SendBlock aliased caller memory")
-	}
-	net.Shutdown()
 }

@@ -99,9 +99,6 @@ type Link interface {
 	// with Recv.
 	Ctl() <-chan Ctl
 
-	// Barrier blocks until every machine in the cluster has reached it.
-	Barrier() error
-
 	// CloseSend flushes and ends this machine's outbound stream: peers'
 	// Recv channels close once all machines have done so. Idempotent.
 	CloseSend() error
@@ -130,10 +127,9 @@ type ctlMsg struct {
 // which preserves the historical teardown guarantee that no token in
 // flight is lost.
 type SimCluster struct {
-	net     *netsim.Network
-	k       int
-	links   []*SimLink
-	barrier *Barrier
+	net   *netsim.Network
+	k     int
+	links []*SimLink
 
 	closed atomic.Int32 // CloseSend count; == machines triggers Shutdown
 }
@@ -143,10 +139,9 @@ type SimCluster struct {
 // sizes the way the historical netsim path did.
 func NewSimCluster(machines int, p netsim.Profile, k int) *SimCluster {
 	c := &SimCluster{
-		net:     netsim.New(machines, p),
-		k:       k,
-		links:   make([]*SimLink, machines),
-		barrier: NewBarrier(machines),
+		net:   netsim.New(machines, p),
+		k:     k,
+		links: make([]*SimLink, machines),
 	}
 	for i := 0; i < machines; i++ {
 		l := &SimLink{
@@ -277,12 +272,6 @@ func (l *SimLink) SendCtl(dst int, kind uint8, payload []byte) error {
 
 // Ctl implements Link.
 func (l *SimLink) Ctl() <-chan Ctl { return l.ctl }
-
-// Barrier implements Link over the cluster-wide reusable barrier.
-func (l *SimLink) Barrier() error {
-	l.cluster.barrier.Wait()
-	return nil
-}
 
 // CloseSend implements Link. The send side closes immediately; the
 // network-wide shutdown (and hence Recv closure on every endpoint)

@@ -102,7 +102,10 @@ func TestFailoverChaosMatrix(t *testing.T) {
 
 // TestFailoverKillPoints kills machine 2 at the remaining injection
 // points — rendezvous (before any circulation) and snapshot (mid
-// replication stream) — on both backends.
+// replication stream) — on both backends. With mid-epoch (the chaos
+// matrix above) and the relative-time `@+duration` trigger (the
+// elastic tests), every trigger point cluster.ParseChaos accepts is
+// driven by a test here; a point no runner reaches is a parse error.
 func TestFailoverKillPoints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second failover runs")

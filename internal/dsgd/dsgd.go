@@ -1,20 +1,29 @@
-// Package dsgd implements Distributed Stochastic Gradient Descent
-// (Gemulla et al., KDD 2011), the primary bulk-synchronous baseline of
-// the paper's distributed experiments (§4.1, Figs 8, 11, 12, 20).
+// Package dsgd implements the paper's two bulk-synchronous distributed
+// baselines (§4.1, Figs 8, 11, 12, 20):
 //
-// The rating matrix is blocked p×p over p logical workers (machines ×
-// threads). Within sub-epoch s, worker g runs SGD on block
-// (I_g, J_{(g+s) mod p}); the blocks are interchangeable strata, so
-// workers never share a wᵢ or hⱼ. After every sub-epoch all workers
-// synchronize and the item blocks shift one position around the ring,
-// crossing the (simulated) network whenever adjacent workers live on
-// different machines. This bulk synchronization is precisely what NOMAD
-// avoids: computation and communication alternate instead of
-// overlapping, and every sub-epoch waits for its slowest worker (the
-// "curse of the last reducer").
+//   - DSGD, Distributed Stochastic Gradient Descent (Gemulla et al.,
+//     KDD 2011). The rating matrix is blocked p×p over p logical
+//     workers (machines × threads). Within sub-epoch s, worker g runs
+//     SGD on block (I_g, J_{(g+s) mod p}); the blocks are
+//     interchangeable strata, so workers never share a wᵢ or hⱼ. After
+//     every sub-epoch all workers synchronize and the item blocks shift
+//     one position around the ring, crossing the (simulated) network
+//     whenever adjacent workers live on different machines.
+//   - DSGD++ (Teflioudi, Makari & Gemulla, ICDM 2012), which addresses
+//     DSGD's first drawback — network idle while the CPU computes and
+//     vice versa — by splitting the items into 2p blocks instead of p.
+//     At sub-epoch s, worker g computes on block (2g + s) mod 2p while
+//     the block it will need next, (2g + s + 1) mod 2p (which worker
+//     (g+1) mod p finished one sub-epoch earlier), is already in flight
+//     across the network.
 //
-// The step size follows the bold-driver heuristic (§5.1): grow 5% after
-// an epoch whose training loss decreased, halve it otherwise.
+// Both keep the per-sub-epoch synchronization: every sub-epoch waits
+// for its slowest worker (the "curse of the last reducer"). That is
+// precisely what NOMAD avoids.
+//
+// The step size follows the bold-driver heuristic (§5.1): it starts at
+// the run's Alpha, grows 5% after an epoch whose training loss
+// decreased, and halves otherwise.
 package dsgd
 
 import (
@@ -33,14 +42,41 @@ import (
 	"nomad/internal/vecmath"
 )
 
-// DSGD is the solver. The zero value is ready to use.
-type DSGD struct{}
+// DSGD is the solver: DSGD from New, DSGD++ from NewPP.
+type DSGD struct {
+	pp bool // DSGD++: 2p item blocks, next block prefetched during compute
+}
 
 // New returns a DSGD solver.
 func New() *DSGD { return &DSGD{} }
 
+// NewPP returns a DSGD++ solver.
+func NewPP() *DSGD { return &DSGD{pp: true} }
+
 // Name implements train.Algorithm.
-func (*DSGD) Name() string { return "dsgd" }
+func (d *DSGD) Name() string {
+	if d.pp {
+		return "dsgdpp"
+	}
+	return "dsgd"
+}
+
+// itemBlocks is the number of item blocks for p workers: p for DSGD,
+// 2p for DSGD++. One epoch is itemBlocks sub-epochs.
+func (d *DSGD) itemBlocks(p int) int {
+	if d.pp {
+		return 2 * p
+	}
+	return p
+}
+
+// block is the item block worker g computes on at ring position s.
+func (d *DSGD) block(g, s, p int) int {
+	if d.pp {
+		return (2*g + s) % (2 * p)
+	}
+	return (g + s) % p
+}
 
 // stratum is the flat rating store of one (user-block, item-block)
 // cell, with a scratch permutation for randomized visiting order.
@@ -52,31 +88,33 @@ type stratum struct {
 }
 
 // Train implements train.Algorithm.
-func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
+func (d *DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
+	name := d.Name()
 	cfg, err := cfg.Normalize(ds)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.RequireFloat64("dsgd"); err != nil {
+	if err := cfg.RequireFloat64(name); err != nil {
 		return nil, err
 	}
-	if err := cfg.Resume.Validate("dsgd", ds.Rows(), ds.Cols(), cfg.K); err != nil {
+	if err := cfg.Resume.Validate(name, ds.Rows(), ds.Cols(), cfg.K); err != nil {
 		return nil, err
 	}
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	p := cfg.TotalWorkers()
+	bp := d.itemBlocks(p)
 	m, n := ds.Rows(), ds.Cols()
 	userPart := partition.EqualRanges(m, p)
-	itemPart := partition.EqualRanges(n, p)
-	strata := buildStrata(ds, userPart, itemPart, p)
+	itemPart := partition.EqualRanges(n, bp)
+	strata := buildStrata(ds, userPart, itemPart, p, bp)
 
 	net := netsim.New(cfg.Machines, cfg.Profile)
 	defer net.Shutdown()
 	machineOf := func(g int) int { return g / cfg.Workers }
 
-	driver := sched.NewBoldDriver(cfg.BoldStep)
+	driver := sched.NewBoldDriver(cfg.Alpha)
 	root := rng.New(cfg.Seed)
 	workerRNG := make([]*rng.Source, p)
 	var md *factor.Model
@@ -105,11 +143,17 @@ func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, h
 	epoch := cfg.EpochsDone(updates.Load())
 	for !train.StopCheck(ctx, cfg, start, updates.Load()) {
 		var epochLoss float64
-		for sub := 0; sub < p; sub++ {
+		for sub := 0; sub < bp; sub++ {
+			var expected []int
+			if d.pp {
+				// Initiate next-block transfers *before* computing, so
+				// they ride the network while the CPU is busy.
+				expected = d.shipBlocks(net, itemPart, machineOf, p, s, cfg.K)
+			}
 			losses := make([]float64, p)
 			parallel.For(p, p, func(_, lo, hi int) {
 				for g := lo; g < hi; g++ {
-					blk := strata[g*p+(g+s)%p]
+					blk := strata[g*bp+d.block(g, s, p)]
 					losses[g] = sgdPass(blk, md, kern, step, cfg.Lambda, workerRNG[g])
 					counter.Add(g, int64(len(blk.perm)))
 					updates.Add(int64(len(blk.perm)))
@@ -118,7 +162,17 @@ func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, h
 			for _, l := range losses {
 				epochLoss += l
 			}
-			exchangeBlocks(net, md, itemPart, machineOf, p, s, cfg.K)
+			if !d.pp {
+				expected = d.shipBlocks(net, itemPart, machineOf, p, s, cfg.K)
+			}
+			// Synchronization point: every transfer of this sub-epoch
+			// must arrive. DSGD++'s have usually arrived already — that
+			// is the overlap.
+			for mc, count := range expected {
+				for i := 0; i < count; i++ {
+					<-net.Recv(mc)
+				}
+			}
 			s++
 			if train.StopCheck(ctx, cfg, start, updates.Load()) {
 				break
@@ -138,7 +192,7 @@ func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, h
 
 	boldStep, boldPrev, boldPrimed := driver.Snapshot()
 	return &train.Result{
-		Algorithm:    "dsgd",
+		Algorithm:    name,
 		Model:        md,
 		TestRMSE:     rmse,
 		Trace:        rec.Trace(),
@@ -147,7 +201,7 @@ func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, h
 		BytesSent:    net.BytesSent(),
 		MessagesSent: net.MessagesSent(),
 		Final: &train.State{
-			Algorithm: "dsgd",
+			Algorithm: name,
 			Seed:      cfg.Seed,
 			Updates:   updates.Load(),
 			Ring:      int64(s),
@@ -160,7 +214,7 @@ func (*DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, h
 
 // sgdPass runs one randomized SGD sweep over a stratum and returns the
 // sum of squared pre-update errors (the bold driver's loss signal).
-// DSGD implements the paper's square loss, so every update goes
+// Both solvers implement the paper's square loss, so every update goes
 // through the fused kernel.
 func sgdPass(blk *stratum, md *factor.Model, kern vecmath.Kernel, step, lambda float64, r *rng.Source) float64 {
 	for i := range blk.perm {
@@ -176,12 +230,15 @@ func sgdPass(blk *stratum, md *factor.Model, kern vecmath.Kernel, step, lambda f
 	return loss
 }
 
-// exchangeBlocks performs the post-sub-epoch ring shift of item
-// blocks: worker g receives block (g+s+1) mod p from worker (g+1) mod
-// p. Only cross-machine edges touch the network; the coordinator then
-// waits for every transfer to arrive — the bulk-synchronization point.
-func exchangeBlocks(net *netsim.Network, md *factor.Model,
-	itemPart *partition.Partition, machineOf func(int) int, p, s, k int) {
+// shipBlocks starts the ring shift of item blocks at ring position s:
+// worker g receives its next block, block(g, s+1), from worker
+// (g+1) mod p, which computes on it at s. Only cross-machine edges
+// touch the network, with the block's modelled wire size (factor data
+// is shared in-process, so the cost is what matters). It returns the
+// expected arrival count per machine, which the caller waits for — the
+// bulk-synchronization point.
+func (d *DSGD) shipBlocks(net *netsim.Network, itemPart *partition.Partition,
+	machineOf func(int) int, p, s, k int) []int {
 
 	expected := make([]int, net.Machines())
 	for g := 0; g < p; g++ {
@@ -190,43 +247,29 @@ func exchangeBlocks(net *netsim.Network, md *factor.Model,
 		if src == dst {
 			continue
 		}
-		blockIdx := (g + s + 1) % p
-		part := itemPart.Part(blockIdx)
+		part := itemPart.Part(d.block(g, s+1, p))
 		if len(part) == 0 {
 			continue
 		}
-		lo := int(part[0])
-		hi := lo + len(part) // EqualRanges parts are contiguous
-		sendBlock(net, md, src, dst, lo, hi, k, s)
+		net.Send(src, dst, netsim.BlockWireSize(len(part), k), s)
 		expected[dst]++
 	}
-	for mc, count := range expected {
-		for i := 0; i < count; i++ {
-			<-net.Recv(mc)
-		}
-	}
+	return expected
 }
 
-// sendBlock ships rows [lo,hi) of H with their modelled wire size.
-// Factor data is shared in-process, so the payload is only a header;
-// the cost is what matters.
-func sendBlock(net *netsim.Network, md *factor.Model, src, dst, lo, hi, k, tag int) {
-	net.Send(src, dst, netsim.BlockWireSize(hi-lo, k), tag)
-	_ = md
-}
-
-// buildStrata sorts the training ratings into the p×p grid.
-func buildStrata(ds *dataset.Dataset, userPart, itemPart *partition.Partition, p int) []*stratum {
+// buildStrata sorts the training ratings into the p×bp grid of user
+// blocks by item blocks.
+func buildStrata(ds *dataset.Dataset, userPart, itemPart *partition.Partition, p, bp int) []*stratum {
 	tr := ds.Train
-	counts := make([]int, p*p)
+	counts := make([]int, p*bp)
 	for i := 0; i < tr.Rows(); i++ {
 		g := userPart.Owner(i)
 		cols, _ := tr.Row(i)
 		for _, j := range cols {
-			counts[g*p+itemPart.Owner(int(j))]++
+			counts[g*bp+itemPart.Owner(int(j))]++
 		}
 	}
-	strata := make([]*stratum, p*p)
+	strata := make([]*stratum, p*bp)
 	for id := range strata {
 		c := counts[id]
 		strata[id] = &stratum{
@@ -240,7 +283,7 @@ func buildStrata(ds *dataset.Dataset, userPart, itemPart *partition.Partition, p
 		g := userPart.Owner(i)
 		cols, vals := tr.Row(i)
 		for x, j := range cols {
-			blk := strata[g*p+itemPart.Owner(int(j))]
+			blk := strata[g*bp+itemPart.Owner(int(j))]
 			blk.users = append(blk.users, int32(i))
 			blk.items = append(blk.items, j)
 			blk.vals = append(blk.vals, vals[x])

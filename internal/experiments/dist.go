@@ -7,7 +7,6 @@ import (
 	"nomad/internal/core"
 	"nomad/internal/dataset"
 	"nomad/internal/dsgd"
-	"nomad/internal/dsgdpp"
 	"nomad/internal/netsim"
 	"nomad/internal/train"
 )
@@ -30,7 +29,7 @@ var machineSweep = []int{1, 2, 4, 8}
 
 // distAlgos are the four solvers of the distributed comparisons.
 func distAlgos() []train.Algorithm {
-	return []train.Algorithm{core.New(), dsgd.New(), dsgdpp.New(), ccd.New()}
+	return []train.Algorithm{core.New(), dsgd.New(), dsgd.NewPP(), ccd.New()}
 }
 
 // distCompare runs the four-way comparison on every profile over the

@@ -181,7 +181,6 @@ func baseConfig(profile string, o Options) train.Config {
 	cfg.Epochs = o.Epochs
 	cfg.Seed = o.Seed
 	cfg.EvalPoints = 12
-	cfg.BoldStep = cfg.Alpha
 	cfg.Workers = o.Workers
 	cfg.Machines = 1
 	return cfg

@@ -49,14 +49,6 @@ func (p Precision) String() string {
 	}
 }
 
-// Bytes returns the size of one element at this precision.
-func (p Precision) Bytes() int {
-	if p == Float32 {
-		return 4
-	}
-	return 8
-}
-
 // Model is a rank-k factorization candidate: A ≈ W·Hᵀ.
 type Model struct {
 	M, N, K int

@@ -1,13 +1,12 @@
 // Package metrics evaluates matrix-completion models: test RMSE (the
 // paper's comparison metric, §5.1), the regularized training objective
-// J(W,H) of eq. (1) (used by the bold-driver schedule), and time-series
-// traces of RMSE versus wall-clock time and update count, which are the
-// axes of every convergence figure in the paper.
+// J(W,H) of eq. (1) (the oracle the CCD++ and ALS tests check their
+// monotone descent against), and time-series traces of RMSE versus
+// wall-clock time and update count, which are the axes of every
+// convergence figure in the paper.
 package metrics
 
 import (
-	"fmt"
-	"io"
 	"math"
 	"runtime"
 	"sync"
@@ -171,18 +170,6 @@ func Objective(md *factor.Model, train *sparse.Matrix, lambda float64) float64 {
 	return total / 2
 }
 
-// MAE returns the mean absolute error on the test entries.
-func MAE(md *factor.Model, test []sparse.Entry) float64 {
-	if len(test) == 0 {
-		return math.NaN()
-	}
-	var s float64
-	for _, e := range test {
-		s += math.Abs(e.Val - md.Predict(int(e.Row), int(e.Col)))
-	}
-	return s / float64(len(test))
-}
-
 // Point is one sample of a convergence trace.
 type Point struct {
 	Seconds float64 // wall-clock seconds since the run started
@@ -208,42 +195,6 @@ func (t *Trace) Final() Point {
 		return Point{RMSE: math.NaN()}
 	}
 	return t.Points[len(t.Points)-1]
-}
-
-// Best returns the sample with the lowest RMSE, or a zero Point if empty.
-func (t *Trace) Best() Point {
-	if len(t.Points) == 0 {
-		return Point{RMSE: math.NaN()}
-	}
-	best := t.Points[0]
-	for _, p := range t.Points[1:] {
-		if p.RMSE < best.RMSE {
-			best = p
-		}
-	}
-	return best
-}
-
-// TimeToRMSE returns the first wall-clock time at which the trace
-// reached or beat the target RMSE, and whether it ever did. This is the
-// "time to quality" summary used when comparing solvers.
-func (t *Trace) TimeToRMSE(target float64) (float64, bool) {
-	for _, p := range t.Points {
-		if p.RMSE <= target {
-			return p.Seconds, true
-		}
-	}
-	return 0, false
-}
-
-// WriteTSV writes the trace as "seconds<tab>updates<tab>rmse" lines.
-func (t *Trace) WriteTSV(w io.Writer) error {
-	for _, p := range t.Points {
-		if _, err := fmt.Fprintf(w, "%.3f\t%d\t%.6f\n", p.Seconds, p.Updates, p.RMSE); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Throughput summarizes update rates for the scaling figures (6, 10, 16).

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 
 	"nomad/internal/factor"
@@ -150,23 +149,9 @@ func TestObjectiveNonNegative(t *testing.T) {
 	}
 }
 
-func TestMAE(t *testing.T) {
-	md, _ := exactModel(t)
-	test := []sparse.Entry{
-		{Row: 0, Col: 0, Val: 4}, // abs error 2
-		{Row: 1, Col: 1, Val: 2}, // abs error 1
-	}
-	if got := MAE(md, test); math.Abs(got-1.5) > 1e-12 {
-		t.Fatalf("MAE = %v, want 1.5", got)
-	}
-	if !math.IsNaN(MAE(md, nil)) {
-		t.Fatal("MAE on empty set should be NaN")
-	}
-}
-
 func TestTraceFinalBest(t *testing.T) {
 	var tr Trace
-	if !math.IsNaN(tr.Final().RMSE) || !math.IsNaN(tr.Best().RMSE) {
+	if !math.IsNaN(tr.Final().RMSE) {
 		t.Fatal("empty trace should report NaN")
 	}
 	tr.Add(1, 100, 0.95)
@@ -174,34 +159,6 @@ func TestTraceFinalBest(t *testing.T) {
 	tr.Add(3, 300, 0.93)
 	if tr.Final().RMSE != 0.93 {
 		t.Fatalf("Final = %+v", tr.Final())
-	}
-	if tr.Best().RMSE != 0.91 || tr.Best().Seconds != 2 {
-		t.Fatalf("Best = %+v", tr.Best())
-	}
-}
-
-func TestTraceTimeToRMSE(t *testing.T) {
-	var tr Trace
-	tr.Add(1, 0, 0.95)
-	tr.Add(2, 0, 0.92)
-	tr.Add(3, 0, 0.90)
-	if s, ok := tr.TimeToRMSE(0.92); !ok || s != 2 {
-		t.Fatalf("TimeToRMSE(0.92) = %v,%v", s, ok)
-	}
-	if _, ok := tr.TimeToRMSE(0.5); ok {
-		t.Fatal("unreachable target reported reached")
-	}
-}
-
-func TestTraceWriteTSV(t *testing.T) {
-	var tr Trace
-	tr.Add(1.5, 10, 0.9)
-	var sb strings.Builder
-	if err := tr.WriteTSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != "1.500\t10\t0.900000\n" {
-		t.Fatalf("TSV = %q", sb.String())
 	}
 }
 

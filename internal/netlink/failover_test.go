@@ -2,8 +2,6 @@ package netlink
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,104 +61,6 @@ func TestFailoverEvictsDeadPeerOnly(t *testing.T) {
 	}
 	if err := links[0].Err(); err != nil {
 		t.Fatalf("survivor Err after dead-rank send = %v, want nil", err)
-	}
-}
-
-// TestFailoverBarrierQuorumShrinks: a peer that failover evicted is
-// not waited for — survivors' Barrier completes with the shrunken
-// quorum instead of hanging until a timeout.
-func TestFailoverBarrierQuorumShrinks(t *testing.T) {
-	var down atomic.Int32
-	links := testLoopback(t, 3, Options{
-		K:        1,
-		Failover: true,
-		OnPeerDown: func(self, rank int, err error) {
-			down.Add(1)
-		},
-	})
-	links[2].(*TCP).Abort()
-	deadline := time.Now().Add(10 * time.Second)
-	for down.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("eviction never observed")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	errs := make(chan error, 2)
-	for _, i := range []int{0, 1} {
-		go func(i int) { errs <- links[i].Barrier() }(i)
-	}
-	for range 2 {
-		select {
-		case err := <-errs:
-			if err != nil {
-				t.Fatalf("survivor Barrier: %v", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("survivor Barrier hung waiting for the evicted peer")
-		}
-	}
-}
-
-// TestBarrierFailsFastOnPeerDeath: without failover, a peer dying
-// while the others wait inside Barrier must fail the call promptly
-// with a typed *cluster.PeerDownError — death detection, not the
-// barrier watchdog, is what unblocks the waiters.
-func TestBarrierFailsFastOnPeerDeath(t *testing.T) {
-	links := testLoopback(t, 3, Options{K: 1})
-
-	errs := make(chan error, 2)
-	var wg sync.WaitGroup
-	for _, i := range []int{0, 1} {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs <- links[i].Barrier()
-		}(i)
-	}
-	// Give the waiters time to park inside the barrier, then crash the
-	// third member instead of arriving.
-	time.Sleep(100 * time.Millisecond)
-	links[2].(*TCP).Abort()
-
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("Barrier hung after the third member died")
-	}
-	for range 2 {
-		var pd *cluster.PeerDownError
-		if err := <-errs; !errors.As(err, &pd) {
-			t.Fatalf("Barrier = %v, want *cluster.PeerDownError", err)
-		}
-	}
-}
-
-// TestBarrierWatchdogBlamesAbsentee: a member that stays alive but
-// never arrives trips BarrierTimeout, and the error blames it.
-func TestBarrierWatchdogBlamesAbsentee(t *testing.T) {
-	links := testLoopback(t, 3, Options{
-		K:              1,
-		BarrierTimeout: 300 * time.Millisecond,
-	})
-	errs := make(chan error, 2)
-	for _, i := range []int{0, 1} {
-		go func(i int) { errs <- links[i].Barrier() }(i)
-	}
-	// links[2] is healthy but never calls Barrier.
-	for range 2 {
-		select {
-		case err := <-errs:
-			var pd *cluster.PeerDownError
-			if !errors.As(err, &pd) {
-				t.Fatalf("Barrier = %v, want *cluster.PeerDownError", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("BarrierTimeout watchdog never fired")
-		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package netlink
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"sync"
@@ -25,11 +24,6 @@ type Options struct {
 	HeartbeatTimeout time.Duration
 	// RendezvousTimeout bounds the whole handshake (default 60s).
 	RendezvousTimeout time.Duration
-	// BarrierTimeout bounds every Barrier call: a member that waits
-	// longer fails fast with a *cluster.PeerDownError blaming the
-	// missing participant instead of hanging until the silent-peer
-	// timeout (default 30s; 0 keeps the default, negative disables).
-	BarrierTimeout time.Duration
 	// Failover keeps the link alive when a peer dies: the dead peer is
 	// evicted (sends toward it return a per-peer
 	// *cluster.PeerDownError, its stream is treated as ended) while
@@ -64,13 +58,6 @@ func (o Options) rendezvousTimeout() time.Duration {
 	return o.RendezvousTimeout
 }
 
-func (o Options) barrierTimeout() time.Duration {
-	if o.BarrierTimeout == 0 {
-		return 30 * time.Second
-	}
-	return o.BarrierTimeout
-}
-
 // peer is one established connection of the mesh.
 type peer struct {
 	rank     int
@@ -98,7 +85,6 @@ type TCP struct {
 	rank     int
 	machines int
 	opts     Options
-	ctx      context.Context // rendezvous context: cancellation fails barriers fast
 
 	peers []*peer // indexed by rank; self is nil
 
@@ -109,18 +95,9 @@ type TCP struct {
 	sendClosed atomic.Bool
 	failErr    atomic.Pointer[cluster.PeerDownError]
 	eofLeft    atomic.Int32
-	deadPeers  atomic.Int32 // failover: peers evicted so far
-	chanOnce   sync.Once    // closes recv+ctl
-	downOnce   sync.Once    // closes down + conns
-	failOnce   sync.Once    // peer-down reporting
-
-	// Coordinator-mediated barrier state (rank 0 collects arrivals and
-	// releases; see Barrier). gen counts this endpoint's Barrier calls.
-	bmu      sync.Mutex
-	bcond    *sync.Cond
-	gen      uint32
-	arrivals map[uint32]map[int]bool // rank 0: arrived ranks per generation (self included)
-	released map[uint32]bool         // others: releases seen
+	chanOnce   sync.Once // closes recv+ctl
+	downOnce   sync.Once // closes down + conns
+	failOnce   sync.Once // peer-down reporting
 
 	wg        sync.WaitGroup
 	bytesSent atomic.Int64
@@ -130,25 +107,17 @@ type TCP struct {
 var _ cluster.Link = (*TCP)(nil)
 
 // newTCP wires an established mesh into a running link: one reader
-// goroutine per peer plus the heartbeat monitor. ctx is the
-// rendezvous context; its cancellation fails in-flight barriers fast.
-func newTCP(ctx context.Context, rank, machines int, conns map[int]net.Conn, opts Options) *TCP {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// goroutine per peer plus the heartbeat monitor.
+func newTCP(rank, machines int, conns map[int]net.Conn, opts Options) *TCP {
 	l := &TCP{
 		rank:     rank,
 		machines: machines,
 		opts:     opts,
-		ctx:      ctx,
 		peers:    make([]*peer, machines),
 		recv:     make(chan cluster.Inbound, 4*machines),
 		ctl:      make(chan cluster.Ctl, 16*machines),
 		down:     make(chan struct{}),
-		arrivals: make(map[uint32]map[int]bool),
-		released: make(map[uint32]bool),
 	}
-	l.bcond = sync.NewCond(&l.bmu)
 	l.eofLeft.Store(int32(machines - 1))
 	now := time.Now().UnixNano()
 	for r, conn := range conns {
@@ -348,7 +317,6 @@ func (l *TCP) Close() error {
 			}
 		}
 	})
-	l.broadcastBarrier()
 	l.wg.Wait()
 	return nil
 }
@@ -366,18 +334,6 @@ func (l *TCP) Abort() {
 			}
 		}
 	})
-	l.broadcastBarrier()
-}
-
-// broadcastBarrier wakes barrier waiters after a failure or close.
-// The broadcast happens under the condition mutex: waiters evaluate
-// their predicate (released/arrivals, Err, isDown) while holding bmu,
-// so an unlocked broadcast could land between a waiter's predicate
-// check and its Wait registration and be lost forever.
-func (l *TCP) broadcastBarrier() {
-	l.bmu.Lock()
-	l.bcond.Broadcast()
-	l.bmu.Unlock()
 }
 
 // closed reports whether Close/Abort has run.
@@ -412,7 +368,6 @@ func (l *TCP) peerDown(p *peer, cause error) {
 		if !p.dead.CompareAndSwap(false, true) {
 			return // already evicted
 		}
-		l.deadPeers.Add(1)
 		err := &cluster.PeerDownError{Rank: p.rank, Cause: cause}
 		if l.opts.OnPeerDown != nil {
 			l.opts.OnPeerDown(l.rank, p.rank, err)
@@ -423,9 +378,6 @@ func (l *TCP) peerDown(p *peer, cause error) {
 				l.closeChannels()
 			}
 		}
-		// Barrier waiters re-evaluate: the quorum shrank, or their
-		// coordinator died.
-		l.broadcastBarrier()
 		return
 	}
 	l.failOnce.Do(func() {
@@ -448,14 +400,7 @@ func (l *TCP) peerDown(p *peer, cause error) {
 				}
 			}
 		})
-		l.broadcastBarrier()
 	})
-}
-
-// peerDead reports whether failover evicted the given rank.
-func (l *TCP) peerDead(rank int) bool {
-	p := l.peers[rank]
-	return p != nil && p.dead.Load()
 }
 
 // reader drains one peer's connection, dispatching frames onto the
@@ -526,16 +471,6 @@ func (l *TCP) reader(p *peer) {
 			}
 		case FrameHeartbeat:
 			// lastRecv update above is the whole point.
-		case FrameBarrierReq:
-			l.bmu.Lock()
-			l.arriveLocked(barrierGen(f.Payload), p.rank)
-			l.bcond.Broadcast()
-			l.bmu.Unlock()
-		case FrameBarrierRel:
-			l.bmu.Lock()
-			l.released[barrierGen(f.Payload)] = true
-			l.bcond.Broadcast()
-			l.bmu.Unlock()
 		default:
 			l.peerDown(p, fmt.Errorf("unexpected frame type %d on established link", f.Type))
 			return
@@ -584,156 +519,4 @@ func (l *TCP) heartbeat() {
 			}
 		}
 	}
-}
-
-// barrierGen decodes a barrier frame's generation number.
-func barrierGen(payload []byte) uint32 {
-	if len(payload) < 4 {
-		return 0
-	}
-	return uint32(payload[0]) | uint32(payload[1])<<8 | uint32(payload[2])<<16 | uint32(payload[3])<<24
-}
-
-func barrierPayload(gen uint32) []byte {
-	return []byte{byte(gen), byte(gen >> 8), byte(gen >> 16), byte(gen >> 24)}
-}
-
-// arriveLocked records one barrier arrival. Callers hold bmu.
-func (l *TCP) arriveLocked(gen uint32, rank int) {
-	set := l.arrivals[gen]
-	if set == nil {
-		set = make(map[int]bool)
-		l.arrivals[gen] = set
-	}
-	set[rank] = true
-}
-
-// barrierQuorum is how many arrivals rank 0 needs: every machine that
-// failover has not evicted.
-func (l *TCP) barrierQuorum() int {
-	return l.machines - int(l.deadPeers.Load())
-}
-
-// blame picks the rank a stuck barrier is attributed to: rank 0
-// blames the lowest live member that has not arrived; members blame
-// the coordinator they are waiting on.
-func (l *TCP) blame(gen uint32) int {
-	if l.rank != 0 {
-		return 0
-	}
-	l.bmu.Lock()
-	defer l.bmu.Unlock()
-	arrived := l.arrivals[gen]
-	for r, p := range l.peers {
-		if p == nil || p.dead.Load() || arrived[r] {
-			continue
-		}
-		return r
-	}
-	return 0 // everyone arrived or died between the timeout and now
-}
-
-// barrierWatchdog bounds one Barrier call: if the configured timeout
-// elapses or the rendezvous context is canceled before the barrier
-// completes, the blamed peer is taken down — failing the whole link
-// (default mode) or evicting the peer and shrinking the quorum
-// (failover) — so waiters unblock with a typed error instead of
-// hanging until the silent-peer timeout. The returned stop func must
-// run when the barrier completes.
-func (l *TCP) barrierWatchdog(gen uint32) func() {
-	timeout := l.opts.barrierTimeout()
-	if timeout <= 0 && l.ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	go func() {
-		var timerC <-chan time.Time
-		if timeout > 0 {
-			t := time.NewTimer(timeout)
-			defer t.Stop()
-			timerC = t.C
-		}
-		var cause error
-		select {
-		case <-done:
-			return
-		case <-l.down:
-			return
-		case <-timerC:
-			cause = fmt.Errorf("barrier %d timed out after %s", gen, timeout)
-		case <-l.ctx.Done():
-			cause = fmt.Errorf("barrier %d canceled: %w", gen, context.Cause(l.ctx))
-		}
-		if p := l.peers[l.blame(gen)]; p != nil {
-			l.peerDown(p, cause)
-		}
-	}()
-	return func() { close(done) }
-}
-
-// Barrier implements cluster.Link: rank 0 collects one arrival per
-// member (its own included) for the current generation, then releases
-// everyone. Each endpoint must call Barrier the same number of times;
-// concurrent calls on one endpoint are not supported. A member that
-// failover has evicted is not waited for; a barrier that outlives
-// Options.BarrierTimeout or the rendezvous context fails fast with a
-// *cluster.PeerDownError blaming the missing participant.
-func (l *TCP) Barrier() error {
-	l.bmu.Lock()
-	gen := l.gen
-	l.gen++
-	l.bmu.Unlock()
-
-	stop := l.barrierWatchdog(gen)
-	defer stop()
-
-	if l.rank == 0 {
-		l.bmu.Lock()
-		l.arriveLocked(gen, 0) // self
-		for len(l.arrivals[gen]) < l.barrierQuorum() && l.Err() == nil && !l.isDown() {
-			l.bcond.Wait()
-		}
-		delete(l.arrivals, gen)
-		l.bmu.Unlock()
-		if err := l.Err(); err != nil {
-			return err
-		}
-		if l.isDown() {
-			return cluster.ErrLinkClosed
-		}
-		for _, p := range l.peers {
-			if p == nil || p.dead.Load() {
-				continue
-			}
-			if err := l.writeFrame(p, FrameBarrierRel, barrierPayload(gen)); err != nil {
-				if serr := l.sendFailed(p, fmt.Errorf("barrier release: %w", err)); l.Err() != nil || l.isDown() {
-					return serr
-				}
-				// Failover: the member died after arriving; the release
-				// it will never read is not owed to anyone else.
-			}
-		}
-		return nil
-	}
-
-	if err := l.writeFrame(l.peers[0], FrameBarrierReq, barrierPayload(gen)); err != nil {
-		return l.sendFailed(l.peers[0], fmt.Errorf("barrier arrive: %w", err))
-	}
-	l.bmu.Lock()
-	for !l.released[gen] && l.Err() == nil && !l.isDown() && !l.peerDead(0) {
-		l.bcond.Wait()
-	}
-	released := l.released[gen]
-	delete(l.released, gen)
-	l.bmu.Unlock()
-	if err := l.Err(); err != nil {
-		return err
-	}
-	if !released && l.peerDead(0) {
-		return &cluster.PeerDownError{Rank: 0, Cause: fmt.Errorf("barrier coordinator died")}
-	}
-	if !released && l.isDown() {
-		return cluster.ErrLinkClosed
-	}
-	return nil
 }

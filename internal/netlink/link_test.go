@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -123,35 +122,6 @@ func TestLoopbackEOFClosesStreams(t *testing.T) {
 	}
 	if err := links[0].Send(1, cluster.TokenBatch{}); !errors.Is(err, cluster.ErrLinkClosed) {
 		t.Fatalf("Send after CloseSend = %v, want ErrLinkClosed", err)
-	}
-}
-
-func TestLoopbackBarrier(t *testing.T) {
-	const n = 3
-	links := testLoopback(t, n, Options{K: 1})
-	var before, after atomic.Int32
-	var wg sync.WaitGroup
-	for round := 0; round < 3; round++ {
-		before.Store(0)
-		for _, l := range links {
-			wg.Add(1)
-			go func(l cluster.Link) {
-				defer wg.Done()
-				before.Add(1)
-				if err := l.Barrier(); err != nil {
-					t.Errorf("Barrier: %v", err)
-					return
-				}
-				if got := before.Load(); got != n {
-					t.Errorf("released with only %d arrivals", got)
-				}
-				after.Add(1)
-			}(l)
-		}
-		wg.Wait()
-	}
-	if after.Load() != 3*n {
-		t.Fatalf("releases = %d, want %d", after.Load(), 3*n)
 	}
 }
 

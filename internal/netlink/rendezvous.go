@@ -191,7 +191,7 @@ func (c *Coordinator) Run(ctx context.Context) (*TCP, error) {
 	for _, conn := range conns {
 		conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
-	return newTCP(ctx, 0, c.machines, conns, c.opts), nil
+	return newTCP(0, c.machines, conns, c.opts), nil
 }
 
 // welcomePayload encodes the Welcome for one worker.
@@ -468,7 +468,7 @@ func Join(ctx context.Context, join, listen string, configSum uint64, opts Optio
 	for _, conn := range conns {
 		conn.SetDeadline(time.Time{}) //nolint:errcheck
 	}
-	return newTCP(ctx, rank, machines, conns, opts), &Handshake{Owner: owner, State: st}, nil
+	return newTCP(rank, machines, conns, opts), &Handshake{Owner: owner, State: st}, nil
 }
 
 // Loopback builds a whole cluster of real TCP links inside one

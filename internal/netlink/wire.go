@@ -48,20 +48,19 @@ const Version byte = 1
 type FrameType byte
 
 // Frame types. Hello/Welcome/Mesh/Ready/Go belong to the rendezvous;
-// Tokens/Ctl/EOF/Heartbeat/Barrier* to the established link.
+// Tokens/Ctl/EOF/Heartbeat to the established link. Types 7 and 8 are
+// retired; an established link rejects them like any unknown type.
 const (
-	FrameHello      FrameType = 1  // worker → coordinator: config digest + advertised address
-	FrameWelcome    FrameType = 2  // coordinator → worker: rank, cluster map, ownership, resume state
-	FrameTokens     FrameType = 3  // token batch (§3.5 unit of transfer)
-	FrameCtl        FrameType = 4  // opaque control frame (kind byte + payload)
-	FrameEOF        FrameType = 5  // orderly end of the sender's stream
-	FrameHeartbeat  FrameType = 6  // liveness probe
-	FrameBarrierReq FrameType = 7  // member → rank 0: barrier arrival
-	FrameBarrierRel FrameType = 8  // rank 0 → member: barrier release
-	FrameMesh       FrameType = 9  // peer → peer: identifies the dialler's rank
-	FrameReady      FrameType = 10 // worker → coordinator: mesh established
-	FrameGo         FrameType = 11 // coordinator → worker: start training
-	FrameError      FrameType = 12 // handshake rejection, payload is the reason
+	FrameHello     FrameType = 1  // worker → coordinator: config digest + advertised address
+	FrameWelcome   FrameType = 2  // coordinator → worker: rank, cluster map, ownership, resume state
+	FrameTokens    FrameType = 3  // token batch (§3.5 unit of transfer)
+	FrameCtl       FrameType = 4  // opaque control frame (kind byte + payload)
+	FrameEOF       FrameType = 5  // orderly end of the sender's stream
+	FrameHeartbeat FrameType = 6  // liveness probe
+	FrameMesh      FrameType = 9  // peer → peer: identifies the dialler's rank
+	FrameReady     FrameType = 10 // worker → coordinator: mesh established
+	FrameGo        FrameType = 11 // coordinator → worker: start training
+	FrameError     FrameType = 12 // handshake rejection, payload is the reason
 )
 
 // headerSize is the fixed frame-header length.

@@ -39,26 +39,3 @@ func For(workers, n int, body func(worker, lo, hi int)) {
 	}
 	wg.Wait()
 }
-
-// Sum runs body over chunks like For and returns the sum of the
-// per-chunk float64 results.
-func Sum(workers, n int, body func(worker, lo, hi int) float64) float64 {
-	if n <= 0 {
-		return 0
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return body(0, 0, n)
-	}
-	partials := make([]float64, workers)
-	For(workers, n, func(w, lo, hi int) {
-		partials[w] = body(w, lo, hi)
-	})
-	var total float64
-	for _, p := range partials {
-		total += p
-	}
-	return total
-}

@@ -62,23 +62,3 @@ func TestForDistinctWorkerIDs(t *testing.T) {
 		}
 	}
 }
-
-func TestSum(t *testing.T) {
-	got := Sum(4, 1000, func(_, lo, hi int) float64 {
-		var s float64
-		for i := lo; i < hi; i++ {
-			s += float64(i)
-		}
-		return s
-	})
-	want := float64(999 * 1000 / 2)
-	if got != want {
-		t.Fatalf("Sum = %v, want %v", got, want)
-	}
-}
-
-func TestSumEmpty(t *testing.T) {
-	if got := Sum(4, 0, func(_, _, _ int) float64 { return 1 }); got != 0 {
-		t.Fatalf("Sum over empty range = %v", got)
-	}
-}

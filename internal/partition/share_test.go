@@ -2,55 +2,6 @@ package partition
 
 import "testing"
 
-func TestIdentityAssignment(t *testing.T) {
-	a := Identity(4)
-	if a.P() != 4 {
-		t.Fatalf("P = %d, want 4", a.P())
-	}
-	for s := 0; s < 4; s++ {
-		if a.Owner(s) != s {
-			t.Fatalf("Owner(%d) = %d, want %d", s, a.Owner(s), s)
-		}
-	}
-	if err := a.Validate(4); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAssignmentMoveOwner(t *testing.T) {
-	a := Identity(5)
-	a.Assign(4, 2) // shard 4 also lives on owner 2
-	if moved := a.MoveOwner(2, 0); moved != 2 {
-		t.Fatalf("MoveOwner moved %d shards, want 2", moved)
-	}
-	if owned := a.Owned(2); owned != nil {
-		t.Fatalf("owner 2 still owns %v after MoveOwner", owned)
-	}
-	if owned := a.Owned(0); len(owned) != 3 || owned[0] != 0 || owned[1] != 2 || owned[2] != 4 {
-		t.Fatalf("owner 0 owns %v, want [0 2 4]", owned)
-	}
-	// The leaver gone, the remaining owner set [0,1,3] of size 4 is
-	// invalid only if a shard still points at an out-of-range owner.
-	if err := a.Validate(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Validate(3); err == nil {
-		t.Fatal("Validate(3) accepted shard owned by rank 3")
-	}
-}
-
-func TestAssignmentSnapshotIsolated(t *testing.T) {
-	a := Identity(3)
-	snap := a.Snapshot()
-	a.Assign(0, 2)
-	if snap[0] != 0 {
-		t.Fatal("Snapshot aliases the live owner map")
-	}
-	if a.Owner(0) != 2 {
-		t.Fatal("Assign after Snapshot lost")
-	}
-}
-
 func TestCarveShareProportional(t *testing.T) {
 	counts := []int64{600, 300, 100}
 	quota := CarveShare(counts)

@@ -2,90 +2,6 @@ package rng
 
 import "math"
 
-// Zipf samples from a (truncated) Zipf distribution over {1, ..., n}
-// with exponent s > 0: P(X = x) ∝ x^(-s). It uses rejection-inversion
-// (Hörmann & Derflinger), which needs no per-distribution table and is
-// O(1) per sample.
-type Zipf struct {
-	src             *Source
-	n               float64
-	s               float64
-	oneMinusS       float64
-	hX0, hIntegralN float64
-	hIntegralX1     float64
-}
-
-// NewZipf returns a Zipf sampler over {1..n} with exponent s.
-// It panics if n < 1 or s <= 0 or s == 1 is handled via a limit form.
-func NewZipf(src *Source, n int, s float64) *Zipf {
-	if n < 1 {
-		panic("rng: NewZipf requires n >= 1")
-	}
-	if s <= 0 {
-		panic("rng: NewZipf requires s > 0")
-	}
-	z := &Zipf{src: src, n: float64(n), s: s, oneMinusS: 1 - s}
-	z.hX0 = z.h(0.5) - math.Exp(-s*math.Log(1))
-	z.hIntegralN = z.h(z.n + 0.5)
-	z.hIntegralX1 = z.h(1.5) - 1
-	return z
-}
-
-// h is the integral of x^-s: H(x) = (x^(1-s)-1)/(1-s), or log x when s=1.
-func (z *Zipf) h(x float64) float64 {
-	logX := math.Log(x)
-	if z.oneMinusS == 0 {
-		return logX
-	}
-	return helper(z.oneMinusS*logX) * logX
-}
-
-// hInv inverts h.
-func (z *Zipf) hInv(x float64) float64 {
-	if z.oneMinusS == 0 {
-		return math.Exp(x)
-	}
-	t := x * z.oneMinusS
-	if t < -1 {
-		t = -1
-	}
-	return math.Exp(helperInv(t) * x)
-}
-
-// helper computes (exp(x)-1)/x with care near 0.
-func helper(x float64) float64 {
-	if math.Abs(x) > 1e-8 {
-		return math.Expm1(x) / x
-	}
-	return 1 + x/2*(1+x/3*(1+x/4))
-}
-
-// helperInv computes log1p(x)/x with care near 0.
-func helperInv(x float64) float64 {
-	if math.Abs(x) > 1e-8 {
-		return math.Log1p(x) / x
-	}
-	return 1 - x/2 + x*x/3
-}
-
-// Sample draws one value in {1, ..., n}.
-func (z *Zipf) Sample() int {
-	for {
-		u := z.hIntegralN + z.src.Float64()*(z.hX0-z.hIntegralN)
-		x := z.hInv(u)
-		k := math.Floor(x + 0.5)
-		if k < 1 {
-			k = 1
-		} else if k > z.n {
-			k = z.n
-		}
-		if k-x <= z.hX0-z.hIntegralX1 ||
-			u >= z.h(k+0.5)-math.Exp(-z.s*math.Log(k)) {
-			return int(k)
-		}
-	}
-}
-
 // Alias is Walker's alias method for O(1) sampling from an arbitrary
 // discrete distribution over {0, ..., n-1}.
 type Alias struct {

@@ -1,6 +1,6 @@
 // Package rng provides a fast, deterministic pseudo-random number
 // generator with support for independent streams, plus the sampling
-// distributions used across the repository (uniform, normal, Zipf and
+// distributions used across the repository (uniform, normal and
 // arbitrary discrete distributions via the alias method).
 //
 // All stochastic behaviour in this repository — parameter

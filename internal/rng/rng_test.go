@@ -186,59 +186,6 @@ func TestShuffleProperty(t *testing.T) {
 	_ = r
 }
 
-func TestZipfRange(t *testing.T) {
-	r := New(31)
-	z := NewZipf(r, 100, 1.1)
-	for i := 0; i < 10000; i++ {
-		v := z.Sample()
-		if v < 1 || v > 100 {
-			t.Fatalf("Zipf sample out of range: %d", v)
-		}
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	r := New(37)
-	z := NewZipf(r, 1000, 1.2)
-	const n = 100000
-	counts := map[int]int{}
-	for i := 0; i < n; i++ {
-		counts[z.Sample()]++
-	}
-	// Rank 1 must dominate rank 10 which must dominate rank 100.
-	if !(counts[1] > counts[10] && counts[10] > counts[100]) {
-		t.Errorf("Zipf not skewed: c1=%d c10=%d c100=%d", counts[1], counts[10], counts[100])
-	}
-}
-
-func TestZipfExponentOne(t *testing.T) {
-	r := New(41)
-	z := NewZipf(r, 50, 1.0)
-	for i := 0; i < 5000; i++ {
-		v := z.Sample()
-		if v < 1 || v > 50 {
-			t.Fatalf("Zipf(s=1) sample out of range: %d", v)
-		}
-	}
-}
-
-func TestZipfPanics(t *testing.T) {
-	r := New(1)
-	for _, fn := range []func(){
-		func() { NewZipf(r, 0, 1.0) },
-		func() { NewZipf(r, 10, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
 func TestAliasMatchesWeights(t *testing.T) {
 	r := New(43)
 	weights := []float64{1, 2, 3, 4}
@@ -303,15 +250,6 @@ func BenchmarkIntn(b *testing.B) {
 	var sink int
 	for i := 0; i < b.N; i++ {
 		sink = r.Intn(1000)
-	}
-	_ = sink
-}
-
-func BenchmarkZipf(b *testing.B) {
-	z := NewZipf(New(1), 1<<20, 1.1)
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink = z.Sample()
 	}
 	_ = sink
 }

@@ -87,14 +87,6 @@ type Constant float64
 // Step implements Schedule.
 func (c Constant) Step(int) float64 { return float64(c) }
 
-// InverseTime is the classical Robbins-Monro s_t = α/(1+β·t) schedule.
-type InverseTime struct {
-	Alpha, Beta float64
-}
-
-// Step implements Schedule.
-func (s InverseTime) Step(t int) float64 { return s.Alpha / (1 + s.Beta*float64(t)) }
-
 // BoldDriver adapts a global step size from epoch to epoch by watching
 // the training objective: if the objective decreased, the step size is
 // multiplied by Grow (>1); if it increased, by Shrink (<1). This is the

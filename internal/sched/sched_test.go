@@ -45,13 +45,6 @@ func TestConstant(t *testing.T) {
 	}
 }
 
-func TestInverseTime(t *testing.T) {
-	s := InverseTime{Alpha: 1, Beta: 1}
-	if s.Step(0) != 1 || s.Step(1) != 0.5 || s.Step(3) != 0.25 {
-		t.Fatalf("InverseTime wrong: %v %v %v", s.Step(0), s.Step(1), s.Step(3))
-	}
-}
-
 func TestBoldDriverGrowsOnImprovement(t *testing.T) {
 	b := NewBoldDriver(0.1)
 	b.Observe(100) // primes

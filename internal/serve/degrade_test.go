@@ -38,7 +38,6 @@ func (l *downLink) Send(int, cluster.TokenBatch) error { return l.err }
 func (l *downLink) Recv() <-chan cluster.Inbound       { return nil }
 func (l *downLink) SendCtl(int, uint8, []byte) error   { return l.err }
 func (l *downLink) Ctl() <-chan cluster.Ctl            { return l.ctl }
-func (l *downLink) Barrier() error                     { return l.err }
 func (l *downLink) CloseSend() error                   { return nil }
 func (l *downLink) Close() error                       { return nil }
 func (l *downLink) Err() error                         { return l.err }

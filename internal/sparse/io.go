@@ -2,79 +2,10 @@ package sparse
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"strconv"
 )
-
-// Binary format:
-//
-//	magic  uint32 = 0x4e4d4446 ("NMDF")
-//	rows   int64
-//	cols   int64
-//	nnz    int64
-//	then nnz records of (row int32, col int32, val float64)
-//
-// all little-endian.
-const binaryMagic uint32 = 0x4e4d4446
-
-// WriteBinary writes m in the repository's binary matrix format.
-func (m *Matrix) WriteBinary(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<20)
-	hdr := struct {
-		Magic           uint32
-		_               uint32
-		Rows, Cols, NNZ int64
-	}{Magic: binaryMagic, Rows: int64(m.rows), Cols: int64(m.cols), NNZ: int64(m.nnz)}
-	if err := binary.Write(bw, binary.LittleEndian, &hdr); err != nil {
-		return fmt.Errorf("sparse: write header: %w", err)
-	}
-	rec := struct {
-		Row, Col int32
-		Val      float64
-	}{}
-	for i := 0; i < m.rows; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			rec.Row, rec.Col, rec.Val = int32(i), m.colIdx[p], m.vals[p]
-			if err := binary.Write(bw, binary.LittleEndian, &rec); err != nil {
-				return fmt.Errorf("sparse: write entry: %w", err)
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadBinary reads a Matrix written by WriteBinary.
-func ReadBinary(r io.Reader) (*Matrix, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	var hdr struct {
-		Magic           uint32
-		_               uint32
-		Rows, Cols, NNZ int64
-	}
-	if err := binary.Read(br, binary.LittleEndian, &hdr); err != nil {
-		return nil, fmt.Errorf("sparse: read header: %w", err)
-	}
-	if hdr.Magic != binaryMagic {
-		return nil, fmt.Errorf("sparse: bad magic %#x", hdr.Magic)
-	}
-	if hdr.Rows <= 0 || hdr.Cols <= 0 || hdr.NNZ < 0 {
-		return nil, fmt.Errorf("sparse: corrupt header %d×%d nnz=%d", hdr.Rows, hdr.Cols, hdr.NNZ)
-	}
-	entries := make([]Entry, hdr.NNZ)
-	var rec struct {
-		Row, Col int32
-		Val      float64
-	}
-	for i := range entries {
-		if err := binary.Read(br, binary.LittleEndian, &rec); err != nil {
-			return nil, fmt.Errorf("sparse: read entry %d: %w", i, err)
-		}
-		entries[i] = Entry{Row: rec.Row, Col: rec.Col, Val: rec.Val}
-	}
-	return FromEntries(int(hdr.Rows), int(hdr.Cols), entries)
-}
 
 // WriteText writes m as "row col value" lines, one entry per line,
 // preceded by a "%d %d %d" header line of rows, cols, nnz.

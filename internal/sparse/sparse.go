@@ -246,22 +246,6 @@ func (m *Matrix) At(i, j int) (float64, bool) {
 	return 0, false
 }
 
-// Transpose returns a new Matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	entries := make([]Entry, 0, m.nnz)
-	for i := 0; i < m.rows; i++ {
-		for p := m.rowPtr[i]; p < m.rowPtr[i+1]; p++ {
-			entries = append(entries, Entry{Row: m.colIdx[p], Col: int32(i), Val: m.vals[p]})
-		}
-	}
-	t, err := FromEntries(m.cols, m.rows, entries)
-	if err != nil {
-		// Impossible: entries come from a valid matrix.
-		panic("sparse: transpose of valid matrix failed: " + err.Error())
-	}
-	return t
-}
-
 // Vals returns the CSR-ordered value array. The slice aliases internal
 // storage; callers that need per-entry scratch state (e.g. CCD++
 // residuals) should copy it.

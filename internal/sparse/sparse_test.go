@@ -138,21 +138,6 @@ func TestBuilder(t *testing.T) {
 	}
 }
 
-func TestTranspose(t *testing.T) {
-	m := smallMatrix(t)
-	tr := m.Transpose()
-	if tr.Rows() != m.Cols() || tr.Cols() != m.Rows() || tr.NNZ() != m.NNZ() {
-		t.Fatal("transpose shape wrong")
-	}
-	ents := m.Entries(nil)
-	for _, e := range ents {
-		v, ok := tr.At(int(e.Col), int(e.Row))
-		if !ok || v != e.Val {
-			t.Fatalf("transpose missing (%d,%d)", e.Col, e.Row)
-		}
-	}
-}
-
 // TestCSRandCSCConsistency is the central invariant: both layouts must
 // describe exactly the same set of entries, checked on random matrices.
 func TestCSRandCSCConsistency(t *testing.T) {
@@ -196,19 +181,6 @@ func TestCSRandCSCConsistency(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	m := smallMatrix(t)
-	var buf bytes.Buffer
-	if err := m.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ReadBinary(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertEqualMatrices(t, m, m2)
-}
-
 func TestTextRoundTrip(t *testing.T) {
 	m := smallMatrix(t)
 	var buf bytes.Buffer
@@ -220,12 +192,6 @@ func TestTextRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertEqualMatrices(t, m, m2)
-}
-
-func TestReadBinaryRejectsGarbage(t *testing.T) {
-	if _, err := ReadBinary(bytes.NewReader([]byte("not a matrix file at all"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
 }
 
 func TestReadTextRejectsBadLines(t *testing.T) {

@@ -30,10 +30,8 @@ type Config struct {
 	Lambda float64 // regularization λ
 
 	// SGD step-size schedule (paper eq. 11) for NOMAD/FPSGD**/Hogwild.
+	// DSGD and DSGD++ start their bold-driver schedule (§5.1) at Alpha.
 	Alpha, Beta float64
-	// BoldStep is the initial step size of the bold-driver schedule
-	// used by DSGD and DSGD++ (§5.1).
-	BoldStep float64
 
 	// Parallelism: Workers compute threads on each of Machines
 	// machines, connected by the given network profile.
@@ -160,9 +158,6 @@ func (c Config) Normalize(ds *dataset.Dataset) (Config, error) {
 	}
 	if c.Beta < 0 {
 		return c, fmt.Errorf("train: negative beta %v", c.Beta)
-	}
-	if c.BoldStep <= 0 {
-		c.BoldStep = c.Alpha
 	}
 	if c.Machines <= 0 {
 		c.Machines = 1

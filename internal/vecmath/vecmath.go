@@ -49,15 +49,6 @@ func Axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies every element of x by alpha in place.
-//
-//nomad:noalloc
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // SGDUpdate performs one stochastic gradient step for the square-loss
 // matrix-completion objective on a single rating, updating the user row
 // w and item row h in place:

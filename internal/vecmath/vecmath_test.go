@@ -46,17 +46,6 @@ func TestAxpy(t *testing.T) {
 	}
 }
 
-func TestScale(t *testing.T) {
-	x := []float64{1, -2, 4}
-	Scale(0.5, x)
-	want := []float64{0.5, -1, 2}
-	for i := range x {
-		if x[i] != want[i] {
-			t.Fatalf("Scale = %v, want %v", x, want)
-		}
-	}
-}
-
 // TestSGDUpdateReducesError checks the defining property of the SGD
 // step: for a small enough step size, the squared prediction error on
 // the touched rating decreases. The quick.Check rand is pinned — the

@@ -27,7 +27,6 @@ import (
 	"nomad/internal/ccd"
 	"nomad/internal/core"
 	"nomad/internal/dsgd"
-	"nomad/internal/dsgdpp"
 	"nomad/internal/fpsgd"
 	"nomad/internal/glals"
 	"nomad/internal/hogwild"
@@ -59,7 +58,7 @@ type Result struct {
 // registry returns a fresh instance of each solver.
 func registry() map[string]train.Algorithm {
 	algos := []train.Algorithm{
-		core.New(), dsgd.New(), dsgdpp.New(), fpsgd.New(),
+		core.New(), dsgd.New(), dsgd.NewPP(), fpsgd.New(),
 		ccd.New(), als.New(), glals.New(), glals.NewBiasSGD(), hogwild.New(),
 	}
 	m := make(map[string]train.Algorithm, len(algos))
