@@ -119,7 +119,7 @@ func (d *Dataset) Rated(user, item int) bool {
 
 // RMSE evaluates a model on this dataset's test split.
 func (d *Dataset) RMSE(m *Model) float64 {
-	return metrics.RMSE(m.inner, d.inner.Test)
+	return metrics.RMSE(m.inner, d.inner.TestByUser())
 }
 
 // RankingQuality summarizes top-K recommendation quality on the test

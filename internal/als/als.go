@@ -66,7 +66,7 @@ func (*ALS) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 	tr := ds.Train
 
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	start := time.Now()
 	var updates atomic.Int64
 	updates.Store(resumed)

@@ -1,7 +1,8 @@
 // Package kerneldispatch protects the PR 6 dispatch seam: every
 // SGD/eval call site must obtain its arithmetic through
 // vecmath.KernelFor / KernelFor32 / DotKernel / DotKernel32 /
-// DotRowsKernel / DotRowsKernel32 — the functions that consult the
+// DotRowsKernel / DotRowsKernel32 / DotGatherKernel /
+// DotGatherKernel32 — the functions that consult the
 // reference/SIMD/portable dispatch — and never invoke the scalar
 // reference kernels directly. A direct
 // vecmath.Dot in an eval loop silently pins that path to scalar code

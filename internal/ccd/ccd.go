@@ -98,7 +98,7 @@ func (*CCD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 	w := md.WData()
 	h := md.HData()
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	start := time.Now()
 	var updates atomic.Int64
 	updates.Store(resumed)

@@ -287,7 +287,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	// now that the membership controls are bound: a subscriber reacting
 	// to that event may already resize the run.
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 
 	// Compute workers: global worker gw is worker gw mod W of machine
 	// gw / W.

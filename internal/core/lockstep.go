@@ -484,7 +484,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 	var epochSize, epoch int64
 	start := time.Now()
 	if rank == 0 {
-		rec = train.NewRecorderFor(cfg, ds.Test, md, hooks)
+		rec = train.NewRecorderFor(cfg, ds, md, hooks)
 		if cfg.Epochs > 0 && cfg.MaxUpdates < math.MaxInt64 {
 			epochSize = cfg.MaxUpdates / int64(cfg.Epochs)
 		}
@@ -693,7 +693,7 @@ func lockstepWorkerFinish(link cluster.Link, ds *dataset.Dataset, cfg train.Conf
 	return &train.Result{
 		Algorithm:    "nomad",
 		Model:        md,
-		TestRMSE:     metrics.RMSE(md, ds.Test), // this rank keeps no trace
+		TestRMSE:     metrics.RMSE(md, ds.TestByUser()), // this rank keeps no trace
 		Updates:      total,
 		Elapsed:      0,
 		BytesSent:    st.BytesSent,

@@ -153,7 +153,7 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	}
 
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	var stop atomic.Bool
 	workers := make([]worker, p)
 	var wg sync.WaitGroup

@@ -30,6 +30,17 @@ type Dataset struct {
 	Name  string
 	Train *sparse.Matrix
 	Test  []sparse.Entry
+
+	testOnce   sync.Once
+	testByUser *TestIndex
+}
+
+// TestByUser returns the user-major view of Test, built by the first
+// call and shared by every later one. Test must not change after that
+// first call.
+func (d *Dataset) TestByUser() *TestIndex {
+	d.testOnce.Do(func() { d.testByUser = IndexTest(d.Rows(), d.Test) })
+	return d.testByUser
 }
 
 // Rows returns the number of users.
@@ -420,6 +431,54 @@ func split(name string, rows, cols int, entries []sparse.Entry, frac float64, r 
 	}
 	return &Dataset{Name: name, Train: tm, Test: test}, nil
 }
+
+// TestIndex is a test split in user-major order: user u's entries are
+// Items[Offsets[u]:Offsets[u+1]] with values Vals at the same
+// positions, in the order they have in the split. Duplicate entries are
+// kept. Evaluating in this order keeps a user's row in registers while
+// its entries are scored, instead of fetching a random user's row for
+// every entry.
+type TestIndex struct {
+	Offsets []int32 // users+1 entries, Offsets[0] = 0
+	Items   []int32
+	Vals    []float64
+	MaxRow  int // most entries any one user has
+}
+
+// IndexTest builds the user-major view of test over users rows with a
+// stable counting sort. It panics if an entry names a user outside
+// [0, users) or the split has more than MaxInt32 entries.
+func IndexTest(users int, test []sparse.Entry) *TestIndex {
+	if int64(len(test)) > math.MaxInt32 {
+		panic("dataset: test split too large for an int32 index")
+	}
+	ix := &TestIndex{
+		Offsets: make([]int32, users+1),
+		Items:   make([]int32, len(test)),
+		Vals:    make([]float64, len(test)),
+	}
+	for _, e := range test {
+		ix.Offsets[e.Row+1]++
+	}
+	for u := 0; u < users; u++ {
+		ix.MaxRow = max(ix.MaxRow, int(ix.Offsets[u+1]))
+		ix.Offsets[u+1] += ix.Offsets[u]
+	}
+	next := make([]int32, users)
+	copy(next, ix.Offsets)
+	for _, e := range test {
+		x := next[e.Row]
+		next[e.Row]++
+		ix.Items[x], ix.Vals[x] = e.Col, e.Val
+	}
+	return ix
+}
+
+// Users returns the number of user rows the index spans.
+func (ix *TestIndex) Users() int { return len(ix.Offsets) - 1 }
+
+// Len returns the number of test entries.
+func (ix *TestIndex) Len() int { return len(ix.Items) }
 
 // FromMatrix builds a Dataset by randomly splitting an existing rating
 // matrix into train and test portions.

@@ -137,7 +137,7 @@ func (d *DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config,
 	step := driver.Step
 	kern := vecmath.KernelFor(cfg.K) // square loss: fused kernel, chosen once
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	start := time.Now()
 
 	epoch := cfg.EpochsDone(updates.Load())

@@ -161,7 +161,7 @@ func (*FPSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 	}
 
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	kern := vecmath.KernelFor(cfg.K) // square loss: fused kernel, chosen once
 	var stop atomic.Bool
 	var wg sync.WaitGroup

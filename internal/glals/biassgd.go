@@ -155,7 +155,7 @@ func (*BiasSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	dotKK := vecmath.DotKernel(kk)
 	gradK := vecmath.KernelFor(k).Grad
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	start := time.Now()
 	var updates atomic.Int64
 	updates.Store(resumed)

@@ -153,7 +153,7 @@ func (*GLALS) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 	defer net.Shutdown()
 
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	start := time.Now()
 	var updates atomic.Int64
 	updates.Store(resumed)

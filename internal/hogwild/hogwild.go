@@ -86,7 +86,7 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	lambda := cfg.Lambda
 	lambda32 := float32(cfg.Lambda)
 	counter := train.NewCounterFor(cfg, p)
-	rec := train.NewRecorderFor(cfg, ds.Test, md, hooks)
+	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for q := 0; q < p; q++ {

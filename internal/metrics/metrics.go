@@ -9,97 +9,92 @@ package metrics
 import (
 	"math"
 	"runtime"
+	"sort"
 	"sync"
-	"unsafe"
 
+	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/sparse"
 	"nomad/internal/vecmath"
 )
 
-// rmseAhead is how many test entries ahead of the one being scored RMSE
-// prefetches the rows the entry names. Test entries come in no order
-// the hardware can predict, so on a table larger than the cache every
-// entry is a row miss; the hint changes which lines are resident, never
-// a sum. Like vecmath's item-pass look-ahead (same value) the gain is a
-// plateau: 4, 8 and 16 measured alike (EXPERIMENTS.md "Where the kernel
-// waits on itself").
-const rmseAhead = 8
-
-// residentBytes is the factor-table size up to which RMSE leaves a
-// table to the cache: a table that fits a core's private cache stays
-// resident under evaluation, and hinting it costs a call per entry for
-// nothing (netflix's 888 item rows; measured +10 %). The tables of the
-// shapes this repository runs are a factor of ten away on either side.
-const residentBytes = 1 << 20
-
-// RMSE returns the root-mean-square error of the model on the given
-// rating entries, computed in parallel. It returns NaN for an empty
-// test set.
-func RMSE(md *factor.Model, test []sparse.Entry) float64 {
-	if len(test) == 0 {
+// RMSE returns the root-mean-square error of the model on a test split
+// in user-major order, or NaN for an empty split.
+//
+// The users are cut into GOMAXPROCS contiguous ranges of about equal
+// entry counts, one goroutine each. A range scores each user's entries
+// with one gathering kernel call, the user row held in registers, then
+// adds their squared errors in index order; the range partials are
+// added in range order. Every prediction is bit-identical to
+// DotKernel(k) (DotKernel32(k) for float32 models, whose predictions
+// accumulate in float32 as their training kernels do); only the
+// squared-error sum is float64.
+func RMSE(md *factor.Model, ix *dataset.TestIndex) float64 {
+	n := ix.Len()
+	if n == 0 {
 		return math.NaN()
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(test) {
-		workers = 1
-	}
-	// Specialized prediction kernel, chosen once. The float32 path
-	// predicts with float32 accumulation — the same arithmetic its
-	// training kernels use — and only the squared-error sum is float64.
-	var sum func(part []sparse.Entry) float64
-	if md.Precision() == factor.Float32 {
-		w, h, dot := md.WData32(), md.HData32(), vecmath.DotKernel32(md.K)
-		sum = func(part []sparse.Entry) float64 { return squaredError(part, w, h, md.K, dot) }
-	} else {
-		w, h, dot := md.WData(), md.HData(), vecmath.DotKernel(md.K)
-		sum = func(part []sparse.Entry) float64 { return squaredError(part, w, h, md.K, dot) }
-	}
-	partials := make([]float64, workers)
+	bounds := userRanges(ix, runtime.GOMAXPROCS(0))
+	partials := make([]float64, len(bounds)-1)
 	var wg sync.WaitGroup
-	chunk := (len(test) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(test) {
-			hi = len(test)
-		}
-		if lo >= hi {
+	for r := range partials {
+		lo, hi := bounds[r], bounds[r+1]
+		if lo == hi {
 			continue
 		}
 		wg.Add(1)
-		go func(w, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			partials[w] = sum(test[lo:hi])
-		}(w, lo, hi)
+			if md.Precision() == factor.Float32 {
+				out := make([]float32, ix.MaxRow)
+				partials[r] = squaredError(ix, lo, hi, md.WData32(), md.HData32(), md.K, vecmath.DotGatherKernel32(md.K), out)
+			} else {
+				out := make([]float64, ix.MaxRow)
+				partials[r] = squaredError(ix, lo, hi, md.WData(), md.HData(), md.K, vecmath.DotGatherKernel(md.K), out)
+			}
+		}()
 	}
 	wg.Wait()
 	var total float64
 	for _, p := range partials {
 		total += p
 	}
-	return math.Sqrt(total / float64(len(test)))
+	return math.Sqrt(total / float64(n))
 }
 
-// squaredError sums (value − prediction)² over part, in order, against
-// the flat row-major tables w and h of rank k.
-func squaredError[T float32 | float64](part []sparse.Entry, w, h []T, k int, dot func(a, b []T) T) float64 {
-	size := int(unsafe.Sizeof(w[0]))
-	aheadW, aheadH := len(w)*size > residentBytes, len(h)*size > residentBytes
+// userRanges cuts ix's users into parts contiguous ranges of about
+// equal entry counts: range r is users [b[r], b[r+1]), where b[r] is
+// the first user whose entries start at or past r·len/parts. A user
+// with more entries than a share leaves the ranges after it empty.
+func userRanges(ix *dataset.TestIndex, parts int) []int {
+	users, n := ix.Users(), ix.Len()
+	b := make([]int, parts+1)
+	for r := 1; r < parts; r++ {
+		at := int32(int64(r) * int64(n) / int64(parts))
+		b[r] = sort.Search(users, func(u int) bool { return ix.Offsets[u] >= at })
+	}
+	b[parts] = users
+	return b
+}
+
+// squaredError sums (value − prediction)² over users [lo, hi) of ix, in
+// index order, against the flat row-major tables w and h of rank k.
+// out holds at least ix.MaxRow predictions.
+//
+//nomad:noalloc
+func squaredError[T float32 | float64](ix *dataset.TestIndex, lo, hi int, w, h []T, k int, dot func(user, table []T, idx []int32, out []T), out []T) float64 {
 	var s float64
-	for x, e := range part {
-		if x+rmseAhead < len(part) {
-			a := part[x+rmseAhead]
-			if aheadW {
-				vecmath.Prefetch(w, int(a.Row)*k, k)
-			}
-			if aheadH {
-				vecmath.Prefetch(h, int(a.Col)*k, k)
-			}
+	for u := lo; u < hi; u++ {
+		a, b := ix.Offsets[u], ix.Offsets[u+1]
+		if a == b {
+			continue
 		}
-		i, j := int(e.Row)*k, int(e.Col)*k
-		d := e.Val - float64(dot(w[i:i+k], h[j:j+k]))
-		s += d * d
+		pred := out[:b-a]
+		dot(w[u*k:(u+1)*k], h, ix.Items[a:b], pred)
+		for x, v := range ix.Vals[a:b] {
+			d := v - float64(pred[x])
+			s += d * d
+		}
 	}
 	return s
 }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/sparse"
 	"nomad/internal/vecmath"
@@ -26,7 +27,7 @@ func exactModel(t *testing.T) (*factor.Model, []sparse.Entry) {
 
 func TestRMSEZeroForExactModel(t *testing.T) {
 	md, test := exactModel(t)
-	if got := RMSE(md, test); got != 0 {
+	if got := RMSE(md, dataset.IndexTest(md.M, test)); got != 0 {
 		t.Fatalf("RMSE = %v, want 0", got)
 	}
 }
@@ -38,14 +39,14 @@ func TestRMSEKnownValue(t *testing.T) {
 		{Row: 1, Col: 1, Val: 3}, // error 0
 	}
 	want := math.Sqrt((4.0 + 0.0) / 2.0)
-	if got := RMSE(md, test); math.Abs(got-want) > 1e-12 {
+	if got := RMSE(md, dataset.IndexTest(md.M, test)); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("RMSE = %v, want %v", got, want)
 	}
 }
 
 func TestRMSEEmptyTestSet(t *testing.T) {
 	md, _ := exactModel(t)
-	if got := RMSE(md, nil); !math.IsNaN(got) {
+	if got := RMSE(md, dataset.IndexTest(md.M, nil)); !math.IsNaN(got) {
 		t.Fatalf("RMSE on empty set = %v, want NaN", got)
 	}
 }
@@ -64,58 +65,148 @@ func TestRMSELargeParallelMatchesSerial(t *testing.T) {
 		serial += d * d
 	}
 	serial = math.Sqrt(serial / float64(len(test)))
-	if got := RMSE(md, test); math.Abs(got-serial) > 1e-12 {
+	if got := RMSE(md, dataset.IndexTest(md.M, test)); math.Abs(got-serial) > 1e-12 {
 		t.Fatalf("parallel RMSE %v != serial %v", got, serial)
 	}
 }
 
-// TestRMSELookAheadChangesNoBit holds RMSE to the loop it was before
-// the row look-ahead, written out here: same chunks, same entries in
-// the same order through the same dispatched dot, same partial sums
-// added in the same order — so the result is equal to the last bit, in
-// both precisions, with the user table, the item table or neither past
-// residentBytes, for test sets shorter than, as long as and longer than
-// the look-ahead, naming the first and the last row of both tables.
-func TestRMSELookAheadChangesNoBit(t *testing.T) {
+// TestRMSEUserMajorBitExact holds RMSE to its documented order,
+// written out here with the per-entry kernel: users cut into
+// GOMAXPROCS ranges of about equal entry counts, each range summing
+// (v − DotKernel(k))² user by user in split order, the partials added
+// in range order. The result is equal to the last bit in both
+// precisions, under several GOMAXPROCS settings, on tables with many
+// users and few items and the reverse, for test sets of 1 to 1000
+// entries that name the first and last row of both tables, include
+// users with no entries and repeat entries. It also stays within
+// 1e-12 relative of the sum in the split's own entry order.
+func TestRMSEUserMajorBitExact(t *testing.T) {
 	const k = 16
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
 		for _, shape := range [][2]int{{300, 40}, {20000, 40}, {40, 20000}} {
 			m, n := shape[0], shape[1]
 			md := factor.NewInitP(m, n, k, 5, prec)
-			for _, size := range []int{1, rmseAhead - 1, rmseAhead, rmseAhead + 1, 1000} {
+			predict := func(e sparse.Entry) float64 {
+				if prec == factor.Float32 {
+					return float64(vecmath.DotKernel32(k)(md.UserRow32(int(e.Row)), md.ItemRow32(int(e.Col))))
+				}
+				return vecmath.DotKernel(k)(md.UserRow(int(e.Row)), md.ItemRow(int(e.Col)))
+			}
+			for _, size := range []int{1, 7, 8, 9, 1000} {
 				test := make([]sparse.Entry, size)
 				for x := range test {
 					test[x] = sparse.Entry{Row: int32((x * 131) % m), Col: int32((x * 7) % n), Val: float64(1 + x%5)}
 				}
 				test[0].Row, test[0].Col = 0, int32(n-1)
 				test[size-1].Row, test[size-1].Col = int32(m-1), 0
+				test = append(test, test[:min(size, 5)]...) // duplicates
+				ix := dataset.IndexTest(m, test)
 
-				workers := runtime.GOMAXPROCS(0)
-				if workers > size {
-					workers = 1
+				var entryOrder float64
+				for _, e := range test {
+					d := e.Val - predict(e)
+					entryOrder += d * d
 				}
-				chunk := (size + workers - 1) / workers
-				var total float64
-				for lo := 0; lo < size; lo += chunk {
-					var part float64
-					for _, e := range test[lo:min(lo+chunk, size)] {
-						var pred float64
-						if prec == factor.Float32 {
-							pred = float64(vecmath.DotKernel32(k)(md.UserRow32(int(e.Row)), md.ItemRow32(int(e.Col))))
-						} else {
-							pred = vecmath.DotKernel(k)(md.UserRow(int(e.Row)), md.ItemRow(int(e.Col)))
-						}
-						d := e.Val - pred
-						part += d * d
+				entryOrder = math.Sqrt(entryOrder / float64(len(test)))
+
+				for _, procs := range []int{1, 2, 3, 8} {
+					runtime.GOMAXPROCS(procs)
+					byUser := make([][]sparse.Entry, m)
+					for _, e := range test {
+						byUser[e.Row] = append(byUser[e.Row], e)
 					}
-					total += part
-				}
-				if got, want := RMSE(md, test), math.Sqrt(total/float64(size)); got != want {
-					t.Errorf("%v, %d×%d, %d entries: RMSE %v, the loop without look-ahead %v", prec, m, n, size, got, want)
+					var total float64
+					first := 0 // first user of the current range
+					for r := 1; r <= procs; r++ {
+						end := m
+						if r < procs {
+							// The first user whose entries start at or
+							// past r·len/procs.
+							at, seen := r*len(test)/procs, 0
+							for end = 0; end < m && seen < at; end++ {
+								seen += len(byUser[end])
+							}
+						}
+						var part float64
+						for u := first; u < end; u++ {
+							for _, e := range byUser[u] {
+								d := e.Val - predict(e)
+								part += d * d
+							}
+						}
+						total += part
+						first = max(first, end)
+					}
+					want := math.Sqrt(total / float64(len(test)))
+					got := RMSE(md, ix)
+					if got != want {
+						t.Errorf("%v, %d×%d, %d entries, GOMAXPROCS %d: RMSE %v, the user-major loop %v", prec, m, n, len(test), procs, got, want)
+					}
+					if math.Abs(got-entryOrder) > 1e-12*entryOrder {
+						t.Errorf("%v, %d×%d, %d entries, GOMAXPROCS %d: RMSE %v, entry-order sum %v", prec, m, n, len(test), procs, got, entryOrder)
+					}
 				}
 			}
 		}
 	}
+	md := factor.NewInit(3, 3, k, 5)
+	if got := RMSE(md, dataset.IndexTest(3, nil)); !math.IsNaN(got) {
+		t.Errorf("RMSE on an empty split = %v, want NaN", got)
+	}
+}
+
+// TestRMSEAllocs: the user-major index is built once per dataset, and
+// an evaluation after that allocates per goroutine, never per user:
+// a constant count at GOMAXPROCS 1 (where AllocsPerRun measures), and
+// at GOMAXPROCS 4 a count and a byte total far below one per user.
+func TestRMSEAllocs(t *testing.T) {
+	const m, n, k = 20000, 40, 16
+	b := sparse.NewBuilder(m, n, m)
+	test := make([]sparse.Entry, 0, 2*m)
+	for i := 0; i < m; i++ {
+		b.Add(i, i%n, 1)
+		test = append(test, sparse.Entry{Row: int32(i), Col: int32((i + 1) % n), Val: 2})
+		if i%3 == 0 {
+			test = append(test, sparse.Entry{Row: int32(i), Col: int32((i + 2) % n), Val: 3})
+		}
+	}
+	train, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &dataset.Dataset{Train: train, Test: test}
+	md := factor.NewInit(m, n, k, 5)
+	ix := ds.TestByUser()
+	eval := func() { RMSE(md, ds.TestByUser()) }
+
+	allocs := testing.AllocsPerRun(20, eval)
+	if allocs > 8 {
+		t.Errorf("%v allocations per evaluation at GOMAXPROCS 1, ceiling 8", allocs)
+	}
+
+	const procs, runs = 4, 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	eval()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := 0; r < runs; r++ {
+		eval()
+	}
+	runtime.ReadMemStats(&after)
+	if ds.TestByUser() != ix {
+		t.Fatal("a later evaluation rebuilt the index")
+	}
+	mallocs := (after.Mallocs - before.Mallocs) / runs
+	if mallocs > 4*procs+4 {
+		t.Errorf("%d allocations per evaluation at GOMAXPROCS %d, ceiling %d", mallocs, procs, 4*procs+4)
+	}
+	indexBytes := uint64(4*(m+1) + 12*len(test))
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	if bytes > indexBytes/8 {
+		t.Errorf("%d bytes allocated per evaluation at GOMAXPROCS %d; the index alone is %d", bytes, procs, indexBytes)
+	}
+	t.Logf("per evaluation: %v allocations at GOMAXPROCS 1; %d allocations, %d bytes at GOMAXPROCS %d", allocs, mallocs, bytes, procs)
 }
 
 func TestObjectiveHandComputed(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 
+	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/sparse"
 )
@@ -28,23 +29,29 @@ func Ranking(md *factor.Model, train *sparse.Matrix, test []sparse.Entry, k int,
 	if k <= 0 {
 		k = 10
 	}
-	// Group relevant test items per user.
-	relevantBy := make(map[int32][]int32)
-	for _, e := range test {
-		if e.Val >= relevant {
-			relevantBy[e.Row] = append(relevantBy[e.Row], e.Col)
-		}
-	}
+	// Users in ascending order, each one's relevant items in split
+	// order, so the report's float sums run in one order every call.
+	ix := dataset.IndexTest(train.Rows(), test)
 	rep := RankingReport{K: k}
 	type scored struct {
 		item  int32
 		score float64
 	}
 	candidates := make([]scored, 0, md.N)
-	for user, rel := range relevantBy {
+	var rel []int32
+	for user := 0; user < ix.Users(); user++ {
+		rel = rel[:0]
+		for x := ix.Offsets[user]; x < ix.Offsets[user+1]; x++ {
+			if ix.Vals[x] >= relevant {
+				rel = append(rel, ix.Items[x])
+			}
+		}
+		if len(rel) == 0 {
+			continue
+		}
 		// Rank all items the user has not rated in training.
 		candidates = candidates[:0]
-		trainCols, _ := train.Row(int(user))
+		trainCols, _ := train.Row(user)
 		rated := make(map[int32]bool, len(trainCols))
 		for _, j := range trainCols {
 			rated[j] = true
@@ -53,7 +60,7 @@ func Ranking(md *factor.Model, train *sparse.Matrix, test []sparse.Entry, k int,
 			if rated[int32(j)] {
 				continue
 			}
-			candidates = append(candidates, scored{item: int32(j), score: md.Predict(int(user), j)})
+			candidates = append(candidates, scored{item: int32(j), score: md.Predict(user, j)})
 		}
 		if len(candidates) == 0 {
 			continue

@@ -101,3 +101,35 @@ func TestRankingDefaultK(t *testing.T) {
 		t.Fatalf("default K = %d", rep.K)
 	}
 }
+
+// TestRankingDeterministic: the report is a float sum over users, so
+// it must visit them in one order. Two calls on one model and split
+// with hundreds of test users return the same bits.
+func TestRankingDeterministic(t *testing.T) {
+	const m, n = 600, 60
+	md := factor.NewInit(m, n, 8, 3)
+	b := sparse.NewBuilder(m, n, 0)
+	var test []sparse.Entry
+	for i := 0; i < m; i++ {
+		for x := 0; x < 3; x++ {
+			b.Add(i, (i*7+x)%n, 3)
+			test = append(test, sparse.Entry{Row: int32(i), Col: int32((i*11 + 20 + x) % n), Val: float64(3 + x)})
+		}
+	}
+	train, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := Ranking(md, train, test, 5, 4.0)
+	if first.Users < 500 {
+		t.Fatalf("only %d users with relevant items", first.Users)
+	}
+	for call := 0; call < 4; call++ {
+		rep := Ranking(md, train, test, 5, 4.0)
+		if math.Float64bits(rep.PrecisionK) != math.Float64bits(first.PrecisionK) ||
+			math.Float64bits(rep.RecallK) != math.Float64bits(first.RecallK) ||
+			math.Float64bits(rep.NDCGK) != math.Float64bits(first.NDCGK) {
+			t.Fatalf("call %d: %+v, first call %+v", call+2, rep, first)
+		}
+	}
+}

@@ -283,7 +283,9 @@ func (g *Gateway) Gather(user int32, n int, row []float64, rated []int32) (Gathe
 
 	parts := make([][]topn.Rec, 0, peers+1)
 	if g.local != nil {
-		part, err := answerLocal(g.local, req)
+		sc := localPool.Get().(*localScratch)
+		defer localPool.Put(sc) // part.recs is read until the merge
+		part, err := answerLocal(g.local, req, sc)
 		if err != nil {
 			return res, err
 		}
@@ -340,10 +342,23 @@ gather:
 	return res, nil
 }
 
+// localScratch is the per-query state answerLocal reuses: the top-N
+// heap, whose storage the answer's recs alias, and the narrowed query
+// row of float32 epochs.
+type localScratch struct {
+	heap  *topn.Heap
+	row32 []float32
+}
+
+// localPool serves the gateway's own shard scans, which run on every
+// HTTP handler goroutine at once.
+var localPool = sync.Pool{New: func() any { return &localScratch{heap: topn.NewHeap(0)} }}
+
 // answerLocal scans one store's shard for a request. The epoch
 // reference is held across the scan, so a concurrent promotion never
-// yanks the index mid-read.
-func answerLocal(store *Store, req shardReq) (shardResp, error) {
+// yanks the index mid-read. The answer's recs live in sc and are valid
+// until sc is reused.
+func answerLocal(store *Store, req shardReq, sc *localScratch) (shardResp, error) {
 	resp := shardResp{id: req.id}
 	ep := store.Acquire()
 	if ep == nil {
@@ -356,18 +371,19 @@ func answerLocal(store *Store, req shardReq) (shardResp, error) {
 		return resp, fmt.Errorf("serve: query rank %d does not match epoch rank %d", len(req.row), ep.Index.K())
 	}
 	resp.epoch = ep.Seq
-	h := topn.NewHeap(int(req.n))
+	sc.heap.Reset(int(req.n))
 	var row32 []float32
 	if ep.Index.Precision() == factor.Float32 {
 		// The row was widened float32→float64 for the wire, which is
 		// exact, so narrowing recovers the original bits.
-		row32 = make([]float32, len(req.row))
-		for i, v := range req.row {
-			row32[i] = float32(v)
+		sc.row32 = sc.row32[:0]
+		for _, v := range req.row {
+			sc.row32 = append(sc.row32, float32(v))
 		}
+		row32 = sc.row32
 	}
-	resp.stats = ep.Index.TopN(req.row, row32, norm64(req.row), req.rated, h)
-	resp.recs = h.Sorted()
+	resp.stats = ep.Index.TopN(req.row, row32, norm64(req.row), req.rated, sc.heap)
+	resp.recs = sc.heap.Sorted()
 	resp.status = shardOK
 	return resp, nil
 }
@@ -375,6 +391,7 @@ func answerLocal(store *Store, req shardReq) (shardResp, error) {
 // ServeShard answers scatter queries on link until ctx is cancelled
 // or the link's control channel closes. Each shard process runs one.
 func ServeShard(ctx context.Context, link cluster.Link, store *Store) error {
+	sc := localScratch{heap: topn.NewHeap(0)}
 	for {
 		select {
 		case <-ctx.Done():
@@ -391,7 +408,7 @@ func ServeShard(ctx context.Context, link cluster.Link, store *Store) error {
 				// Can't even recover the id; nothing to NACK.
 				continue
 			}
-			resp, err := answerLocal(store, req)
+			resp, err := answerLocal(store, req, &sc)
 			_ = err // status byte carries the failure to the gateway
 			if err := link.SendCtl(ct.From, ctlServeResp, encodeShardResp(nil, resp)); err != nil {
 				return fmt.Errorf("serve: shard reply: %w", err)

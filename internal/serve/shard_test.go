@@ -118,3 +118,41 @@ func TestGatherEmptyShard(t *testing.T) {
 		t.Fatal("gather over an empty shard succeeded")
 	}
 }
+
+// TestAnswerLocalAllocCeiling: a shard scan through a pooled scratch
+// allocates nothing in steady state — not the top-N heap, and not the
+// narrowed query row of a float32 epoch — and its answer matches a
+// fresh heap's bit for bit.
+func TestAnswerLocalAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector drops sync.Pool entries on purpose; the ceiling is the plain build's")
+	}
+	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
+		md := longTailModel(5000, 16, prec)
+		store := NewStore()
+		store.Promote(&Epoch{Seq: 1, Model: md, Index: BuildIndex(md, nil)})
+		rated := heavyTailRated(md.M, md.N)
+		req := shardReq{id: 1, user: 7, n: 10, row: wireUserRow(md, 7), rated: rated[7]}
+		want, err := answerLocal(store, req, &localScratch{heap: topn.NewHeap(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got shardResp
+		allocs := testing.AllocsPerRun(200, func() {
+			sc := localPool.Get().(*localScratch)
+			got, err = answerLocal(store, req, sc)
+			localPool.Put(sc)
+		})
+		if err != nil || len(got.recs) != len(want.recs) || len(want.recs) != 10 {
+			t.Fatalf("%v: answer %+v (%v), want %+v", prec, got, err, want)
+		}
+		for i := range want.recs {
+			if got.recs[i] != want.recs[i] {
+				t.Fatalf("%v: rec %d = %+v, want %+v", prec, i, got.recs[i], want.recs[i])
+			}
+		}
+		if allocs > 0 {
+			t.Errorf("%v: %v allocations per shard scan, ceiling 0", prec, allocs)
+		}
+	}
+}

@@ -121,14 +121,15 @@ func (h *Heap) Offer(rec Rec) {
 }
 
 // Sorted pops the heap into best-first order, consuming it: the heap
-// is empty afterwards and the returned slice aliases its storage.
+// is empty afterwards and keeps its capacity, and the returned slice
+// aliases its storage, valid until the next Offer or Reset.
 func (h *Heap) Sorted() []Rec {
 	s := h.recs
 	for n := len(s) - 1; n > 0; n-- {
 		s[0], s[n] = s[n], s[0]
 		siftDown(s[:n], 0)
 	}
-	h.recs = h.recs[len(s):]
+	h.recs = s[:0]
 	return s
 }
 

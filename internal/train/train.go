@@ -18,7 +18,6 @@ import (
 	"nomad/internal/metrics"
 	"nomad/internal/netsim"
 	"nomad/internal/sched"
-	"nomad/internal/sparse"
 	"nomad/internal/vecmath"
 )
 
@@ -504,7 +503,7 @@ func (c *Counter) Total() int64 {
 // so reported end-of-run RMSE values are race-free.
 type Recorder struct {
 	start time.Time
-	test  []sparse.Entry
+	ds    *dataset.Dataset
 	trace metrics.Trace
 	hooks *Hooks // trace points double as streamed TraceEvents
 
@@ -519,11 +518,11 @@ type Recorder struct {
 }
 
 // NewRecorder returns a recorder that will take about points samples
-// over a run of totalUpdates updates, evaluating on the test set. It
+// over a run of totalUpdates updates, evaluating on ds's test split. It
 // records the model's initial RMSE as the trace's first point, so every
 // trace starts at (0s, 0 updates, RMSE of the random init) the way the
 // paper's convergence figures do.
-func NewRecorder(test []sparse.Entry, totalUpdates int64, points int, md *factor.Model) *Recorder {
+func NewRecorder(ds *dataset.Dataset, totalUpdates int64, points int, md *factor.Model) *Recorder {
 	if points < 1 {
 		points = 1
 	}
@@ -531,9 +530,9 @@ func NewRecorder(test []sparse.Entry, totalUpdates int64, points int, md *factor
 	if step < 1 {
 		step = 1
 	}
-	r := &Recorder{start: time.Now(), test: test, next: step, step: step, total: totalUpdates}
+	r := &Recorder{start: time.Now(), ds: ds, next: step, step: step, total: totalUpdates}
 	if md != nil {
-		r.trace.Add(0, 0, metrics.RMSE(md, test))
+		r.trace.Add(0, 0, metrics.RMSE(md, ds.TestByUser()))
 	}
 	return r
 }
@@ -544,8 +543,8 @@ func NewRecorder(test []sparse.Entry, totalUpdates int64, points int, md *factor
 // Trace points are mirrored to hooks as TraceEvents. For resumed runs
 // the first sample is taken at the restored update count and the
 // thresholds continue from there; the wall clock restarts at zero.
-func NewRecorderFor(cfg Config, test []sparse.Entry, md *factor.Model, hooks *Hooks) *Recorder {
-	r := NewRecorder(test, cfg.MaxUpdates, cfg.EvalPoints, nil)
+func NewRecorderFor(cfg Config, ds *dataset.Dataset, md *factor.Model, hooks *Hooks) *Recorder {
+	r := NewRecorder(ds, cfg.MaxUpdates, cfg.EvalPoints, nil)
 	r.hooks = hooks
 	if start := cfg.StartUpdates(); start > 0 {
 		for r.next <= start {
@@ -594,7 +593,7 @@ func (r *Recorder) record(md *factor.Model, updates int64) float64 {
 	e := TraceEvent{
 		Seconds: time.Since(r.start).Seconds(),
 		Updates: updates,
-		RMSE:    metrics.RMSE(md, r.test),
+		RMSE:    metrics.RMSE(md, r.ds.TestByUser()),
 	}
 	r.trace.Add(e.Seconds, e.Updates, e.RMSE)
 	r.hooks.EmitTrace(e)

@@ -138,8 +138,12 @@ func TestCounterShards(t *testing.T) {
 
 func TestRecorderThresholds(t *testing.T) {
 	md := factor.NewInit(4, 4, 2, 1)
-	test := []sparse.Entry{{Row: 0, Col: 0, Val: 1}}
-	r := NewRecorder(test, 100, 4, nil) // thresholds at 25, 50, 75, 100
+	train, err := sparse.FromEntries(4, 4, []sparse.Entry{{Row: 0, Col: 1, Val: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := &dataset.Dataset{Train: train, Test: []sparse.Entry{{Row: 0, Col: 0, Val: 1}}}
+	r := NewRecorder(ds, 100, 4, nil) // thresholds at 25, 50, 75, 100
 	if r.Due(10) {
 		t.Fatal("Due too early")
 	}

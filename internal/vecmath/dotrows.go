@@ -1,9 +1,10 @@
 package vecmath
 
-// Batched inner products for scan-shaped callers (the serving index):
-// one call scores a whole block of contiguous rows against one user
+// Batched inner products: one call scores many rows against one user
 // row, hoisting the per-row dispatch, slice header and call overhead
-// out of the scan the way ItemPass does for training.
+// out of the loop the way ItemPass does for training. DotRows scores a
+// block of contiguous rows (the serving scan); DotGather scores rows
+// picked from a table by index (the test-split evaluator).
 //
 // Every score is bit-identical to DotKernel(k) / DotKernel32(k) on the
 // same row under the same dispatch switches: the assembly path
@@ -40,6 +41,52 @@ func DotRowsKernel32(k int) DotRowsFunc32 {
 	}
 	dot := DotKernel32(k)
 	return func(user, rows, out []float32) { dotRowsEach32(dot, user, rows, out) }
+}
+
+// DotGatherFunc computes out[x] = ⟨user, table[idx[x]·k:(idx[x]+1)·k]⟩
+// for every x, with k = len(user). It panics unless len(idx) == len(out)
+// and every idx[x] names a whole row of table.
+type DotGatherFunc func(user, table []float64, idx []int32, out []float64)
+
+// DotGatherFunc32 is the float32 twin of DotGatherFunc.
+type DotGatherFunc32 func(user, table []float32, idx []int32, out []float32)
+
+// DotGatherKernel returns the gathering twin of DotRowsKernel(k), with
+// the same dispatch and the same bit-for-bit contract per row.
+func DotGatherKernel(k int) DotGatherFunc {
+	if !referenceOnly.Load() && simdOn.Load() {
+		if gather, ok := simdDotGather(k); ok {
+			return gather
+		}
+	}
+	dot := DotKernel(k)
+	return func(user, table []float64, idx []int32, out []float64) { dotGatherEach(dot, user, table, idx, out) }
+}
+
+// DotGatherKernel32 is the float32 twin of DotGatherKernel.
+func DotGatherKernel32(k int) DotGatherFunc32 {
+	if !referenceOnly.Load() && simdOn.Load() {
+		if gather, ok := simdDotGather32(k); ok {
+			return gather
+		}
+	}
+	dot := DotKernel32(k)
+	return func(user, table []float32, idx []int32, out []float32) { dotGatherEach(dot, user, table, idx, out) }
+}
+
+// dotGatherEach scores the gathered rows one at a time with dot; the
+// slice expression panics on an index that names no whole row.
+//
+//nomad:noalloc
+func dotGatherEach[T float32 | float64](dot func(a, b []T) T, user, table []T, idx []int32, out []T) {
+	if len(idx) != len(out) {
+		panic("vecmath: DotGather length mismatch")
+	}
+	k := len(user)
+	for x, i := range idx {
+		r := int(i) * k
+		out[x] = dot(user, table[r:r+k])
+	}
 }
 
 // dotRowsEach scores the block one row at a time with dot.

@@ -34,7 +34,7 @@
 // fallback for every other GOARCH and whenever SIMD is switched off.
 //
 // Two environment switches control dispatch, both overridable at run
-// time for in-process A/B benchmarking:
+// time by tests:
 //
 //   - NOMAD_REFERENCE_KERNELS=1 forces the reference implementations
 //     (and the raw schedule / Grad-dispatch paths in the solvers),
@@ -51,9 +51,8 @@ import (
 )
 
 // referenceOnly pins every kernel selector to the reference
-// implementations. Atomic because cmd/nomad-bench flips it between
-// interleaved A/B measurements in one process (and the -race CI job
-// covers that interleaving).
+// implementations. Atomic because tests flip it at run time (and the
+// -race CI job covers a flip beside running selections).
 var referenceOnly atomic.Bool
 
 // simdOn gates dispatch to the assembly kernels. True only when the
@@ -73,9 +72,8 @@ func init() {
 func ReferenceOnly() bool { return referenceOnly.Load() }
 
 // SetReferenceOnly overrides the NOMAD_REFERENCE_KERNELS switch at
-// run time. cmd/nomad-bench uses it to measure both sides of the A/B
-// interleaved in one process, so machine noise hits them equally. The
-// switch is consulted when a run selects its kernels and schedule —
+// run time; only tests call it, to run one check under every dispatch.
+// The switch is consulted when a run selects its kernels and schedule —
 // never flip it while a training run is active.
 func SetReferenceOnly(v bool) { referenceOnly.Store(v) }
 

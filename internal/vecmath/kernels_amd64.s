@@ -382,241 +382,282 @@ TEXT ·fstepAVX32(SB), NOSPLIT, $0-44
 // batched dots (scan-shaped callers: the serving index)
 // ---------------------------------------------------------------------
 
-// func dotRowsAVX(user, rows, out *float64, k, n int)
+// The batched dots come in two addressings of one body: dotRowsAVX
+// scores contiguous rows, dotGatherAVX rows picked from a table by
+// index. ROW is the only difference: it runs at the head of every row
+// and leaves DI at that row. CONTIGUOUS is empty, because scoring a row
+// leaves DI at the next one. GATHER64/GATHER32 load the index idx[x]
+// at AX, step AX to idx[x+1], and set DI = table + idx[x]·k·size
+// (R14 = table, BX = k); an offset idx[x]·k past R15 = len(table) − k,
+// compared unsigned so a negative index fails too, jumps to the
+// function's gbad label instead.
+#define CONTIGUOUS
+
+#define GATHER64                                      \
+	MOVLQSX (AX), DI                              \
+	ADDQ $4, AX                                   \
+	IMULQ BX, DI                                  \
+	CMPQ DI, R15                                  \
+	JHI  gbad                                     \
+	LEAQ (R14)(DI*8), DI
+
+#define GATHER32                                      \
+	MOVLQSX (AX), DI                              \
+	ADDQ $4, AX                                   \
+	IMULQ BX, DI                                  \
+	CMPQ DI, R15                                  \
+	JHI  gbad                                     \
+	LEAQ (R14)(DI*4), DI
+
+// out[r] = ⟨user[0:k], row r⟩ for r in [0, n), n ≥ 1, each bit-identical
+// to dotAVX on the same row. For k ≤ 32 the user row is loaded into
+// Y8-Y15 once and every row is one pass of FMAs against memory; each
+// user chunk feeds the accumulator DOT64 would have given it
+// (16-blocks → Y0-Y3, the 8-wide stage → Y0,Y1, the 4-wide stage → Y0)
+// and the reduction is DOT64's, so only the loads moved. Larger k runs
+// DOT64 itself per row.
 //
-// out[r] = ⟨user[0:k], rows[r·k:(r+1)·k]⟩ for r in [0, n), n ≥ 1, each
-// bit-identical to dotAVX on the same row. For k ≤ 32 the user row is
-// loaded into Y8-Y15 once and every row is one pass of FMAs against
-// memory; each user chunk feeds the accumulator DOT64 would have given
-// it (16-blocks → Y0-Y3, the 8-wide stage → Y0,Y1, the 4-wide stage →
-// Y0) and the reduction is DOT64's, so only the loads moved. Larger k
-// runs DOT64 itself per row.
-//
+// Expects SI = user, DX = out, BX = k, R8 = n and whatever ROW reads;
+// USER is the frame slot of the user pointer.
 // Register roles on the k ≤ 32 path: R11 = k/16 (16-blocks: Y8-Y11,
 // and Y12-Y15 when k = 32), R12 = 8-wide stage present (Y12,Y13),
 // R13 = 4-wide stage present (Y14), R9/R10 = pointer to and count of
 // the ≤ 3 scalar-tail user elements (read from memory).
+#define DOTROWS64(ROW, USER)                          \
+	CMPQ BX, $32                                  \
+	JGT  rmem                                     \
+	MOVQ BX, R11                                  \
+	SHRQ $4, R11                                  \
+	MOVQ BX, CX                                   \
+	ANDQ $15, CX                                  \
+	XORQ R12, R12                                 \
+	XORQ R13, R13                                 \
+	TESTQ R11, R11                                \
+	JEQ  rloct                                    \
+	VMOVUPD (SI), Y8                              \
+	VMOVUPD 32(SI), Y9                            \
+	VMOVUPD 64(SI), Y10                           \
+	VMOVUPD 96(SI), Y11                           \
+	ADDQ $128, SI                                 \
+	CMPQ R11, $2                                  \
+	JLT  rloct                                    \
+	VMOVUPD (SI), Y12                             \
+	VMOVUPD 32(SI), Y13                           \
+	VMOVUPD 64(SI), Y14                           \
+	VMOVUPD 96(SI), Y15                           \
+	JMP  rloaded                                  \
+rloct:                                                \
+	CMPQ CX, $8                                   \
+	JLT  rlquad                                   \
+	VMOVUPD (SI), Y12                             \
+	VMOVUPD 32(SI), Y13                           \
+	ADDQ $64, SI                                  \
+	SUBQ $8, CX                                   \
+	MOVQ $1, R12                                  \
+rlquad:                                               \
+	CMPQ CX, $4                                   \
+	JLT  rloaded                                  \
+	VMOVUPD (SI), Y14                             \
+	ADDQ $32, SI                                  \
+	SUBQ $4, CX                                   \
+	MOVQ $1, R13                                  \
+rloaded:                                              \
+	MOVQ SI, R9                                   \
+	MOVQ CX, R10                                  \
+	PCALIGN $32                                   \
+rrow:                                                 \
+	ROW                                           \
+	VXORPD X0, X0, X0                             \
+	VXORPD X1, X1, X1                             \
+	VXORPD X2, X2, X2                             \
+	VXORPD X3, X3, X3                             \
+	TESTQ R11, R11                                \
+	JEQ  roct                                     \
+	VFMADD231PD (DI), Y8, Y0                      \
+	VFMADD231PD 32(DI), Y9, Y1                    \
+	VFMADD231PD 64(DI), Y10, Y2                   \
+	VFMADD231PD 96(DI), Y11, Y3                   \
+	ADDQ $128, DI                                 \
+	CMPQ R11, $2                                  \
+	JLT  roct                                     \
+	VFMADD231PD (DI), Y12, Y0                     \
+	VFMADD231PD 32(DI), Y13, Y1                   \
+	VFMADD231PD 64(DI), Y14, Y2                   \
+	VFMADD231PD 96(DI), Y15, Y3                   \
+	ADDQ $128, DI                                 \
+	JMP  rred                                     \
+roct:                                                 \
+	TESTQ R12, R12                                \
+	JEQ  rquad                                    \
+	VFMADD231PD (DI), Y12, Y0                     \
+	VFMADD231PD 32(DI), Y13, Y1                   \
+	ADDQ $64, DI                                  \
+rquad:                                                \
+	TESTQ R13, R13                                \
+	JEQ  rred                                     \
+	VFMADD231PD (DI), Y14, Y0                     \
+	ADDQ $32, DI                                  \
+rred:                                                 \
+	VADDPD Y1, Y0, Y0                             \
+	VADDPD Y3, Y2, Y2                             \
+	VADDPD Y2, Y0, Y0                             \
+	VEXTRACTF128 $1, Y0, X1                       \
+	VADDPD X1, X0, X0                             \
+	VHADDPD X0, X0, X0                            \
+	MOVQ R9, SI                                   \
+	MOVQ R10, CX                                  \
+rsca:                                                 \
+	TESTQ CX, CX                                  \
+	JEQ  rstore                                   \
+	VMOVSD (SI), X4                               \
+	VFMADD231SD (DI), X4, X0                      \
+	ADDQ $8, SI                                   \
+	ADDQ $8, DI                                   \
+	DECQ CX                                       \
+	JMP  rsca                                     \
+rstore:                                               \
+	VMOVSD X0, (DX)                               \
+	ADDQ $8, DX                                   \
+	DECQ R8                                       \
+	JNZ  rrow                                     \
+	VZEROUPPER                                    \
+	RET                                           \
+rmem:                                                 \
+	ROW                                           \
+	MOVQ USER, SI                                 \
+	MOVQ BX, CX                                   \
+	DOT64(mblk, moct, mquad, mred, msca, mdone)   \
+	VMOVSD X0, (DX)                               \
+	ADDQ $8, DX                                   \
+	DECQ R8                                       \
+	JNZ  rmem                                     \
+	VZEROUPPER                                    \
+	RET
+
+// The float32 twin of DOTROWS64, bit-identical to dotAVX32 per row.
+// Register roles on the k ≤ 32 path: R11 = k/32 (the one 32-block:
+// Y8-Y11), R12 = 16-wide stage present (Y12,Y13), R13 = 8-wide stage
+// present (Y14), R9/R10 = pointer to and count of the ≤ 7 scalar-tail
+// user elements.
+#define DOTROWS32(ROW, USER)                          \
+	CMPQ BX, $32                                  \
+	JGT  rmem32                                   \
+	MOVQ BX, R11                                  \
+	SHRQ $5, R11                                  \
+	MOVQ BX, CX                                   \
+	ANDQ $31, CX                                  \
+	XORQ R12, R12                                 \
+	XORQ R13, R13                                 \
+	TESTQ R11, R11                                \
+	JEQ  rlhex32                                  \
+	VMOVUPS (SI), Y8                              \
+	VMOVUPS 32(SI), Y9                            \
+	VMOVUPS 64(SI), Y10                           \
+	VMOVUPS 96(SI), Y11                           \
+	JMP  rloaded32                                \
+rlhex32:                                              \
+	CMPQ CX, $16                                  \
+	JLT  rloct32                                  \
+	VMOVUPS (SI), Y12                             \
+	VMOVUPS 32(SI), Y13                           \
+	ADDQ $64, SI                                  \
+	SUBQ $16, CX                                  \
+	MOVQ $1, R12                                  \
+rloct32:                                              \
+	CMPQ CX, $8                                   \
+	JLT  rloaded32                                \
+	VMOVUPS (SI), Y14                             \
+	ADDQ $32, SI                                  \
+	SUBQ $8, CX                                   \
+	MOVQ $1, R13                                  \
+rloaded32:                                            \
+	MOVQ SI, R9                                   \
+	MOVQ CX, R10                                  \
+	PCALIGN $32                                   \
+rrow32:                                               \
+	ROW                                           \
+	VXORPS X0, X0, X0                             \
+	VXORPS X1, X1, X1                             \
+	VXORPS X2, X2, X2                             \
+	VXORPS X3, X3, X3                             \
+	TESTQ R11, R11                                \
+	JEQ  rhex32                                   \
+	VFMADD231PS (DI), Y8, Y0                      \
+	VFMADD231PS 32(DI), Y9, Y1                    \
+	VFMADD231PS 64(DI), Y10, Y2                   \
+	VFMADD231PS 96(DI), Y11, Y3                   \
+	ADDQ $128, DI                                 \
+	JMP  rred32                                   \
+rhex32:                                               \
+	TESTQ R12, R12                                \
+	JEQ  roct32                                   \
+	VFMADD231PS (DI), Y12, Y0                     \
+	VFMADD231PS 32(DI), Y13, Y1                   \
+	ADDQ $64, DI                                  \
+roct32:                                               \
+	TESTQ R13, R13                                \
+	JEQ  rred32                                   \
+	VFMADD231PS (DI), Y14, Y0                     \
+	ADDQ $32, DI                                  \
+rred32:                                               \
+	VADDPS Y1, Y0, Y0                             \
+	VADDPS Y3, Y2, Y2                             \
+	VADDPS Y2, Y0, Y0                             \
+	VEXTRACTF128 $1, Y0, X1                       \
+	VADDPS X1, X0, X0                             \
+	VHADDPS X0, X0, X0                            \
+	VHADDPS X0, X0, X0                            \
+	MOVQ R9, SI                                   \
+	MOVQ R10, CX                                  \
+rsca32:                                               \
+	TESTQ CX, CX                                  \
+	JEQ  rstore32                                 \
+	VMOVSS (SI), X4                               \
+	VFMADD231SS (DI), X4, X0                      \
+	ADDQ $4, SI                                   \
+	ADDQ $4, DI                                   \
+	DECQ CX                                       \
+	JMP  rsca32                                   \
+rstore32:                                             \
+	VMOVSS X0, (DX)                               \
+	ADDQ $4, DX                                   \
+	DECQ R8                                       \
+	JNZ  rrow32                                   \
+	VZEROUPPER                                    \
+	RET                                           \
+rmem32:                                               \
+	ROW                                           \
+	MOVQ USER, SI                                 \
+	MOVQ BX, CX                                   \
+	DOT32(mblk32, mhex32, moct32, mred32, msca32, mdone32) \
+	VMOVSS X0, (DX)                               \
+	ADDQ $4, DX                                   \
+	DECQ R8                                       \
+	JNZ  rmem32                                   \
+	VZEROUPPER                                    \
+	RET
+
+// func dotRowsAVX(user, rows, out *float64, k, n int)
+//
+// out[r] = ⟨user[0:k], rows[r·k:(r+1)·k]⟩ for r in [0, n), n ≥ 1.
 TEXT ·dotRowsAVX(SB), NOSPLIT, $0-40
 	MOVQ user+0(FP), SI
 	MOVQ rows+8(FP), DI
 	MOVQ out+16(FP), DX
 	MOVQ k+24(FP), BX
 	MOVQ n+32(FP), R8
-	CMPQ BX, $32
-	JGT  rmem
-	MOVQ BX, R11
-	SHRQ $4, R11
-	MOVQ BX, CX
-	ANDQ $15, CX
-	XORQ R12, R12
-	XORQ R13, R13
-	TESTQ R11, R11
-	JEQ  rloct
-	VMOVUPD (SI), Y8
-	VMOVUPD 32(SI), Y9
-	VMOVUPD 64(SI), Y10
-	VMOVUPD 96(SI), Y11
-	ADDQ $128, SI
-	CMPQ R11, $2
-	JLT  rloct
-	VMOVUPD (SI), Y12
-	VMOVUPD 32(SI), Y13
-	VMOVUPD 64(SI), Y14
-	VMOVUPD 96(SI), Y15
-	JMP  rloaded
-rloct:
-	CMPQ CX, $8
-	JLT  rlquad
-	VMOVUPD (SI), Y12
-	VMOVUPD 32(SI), Y13
-	ADDQ $64, SI
-	SUBQ $8, CX
-	MOVQ $1, R12
-rlquad:
-	CMPQ CX, $4
-	JLT  rloaded
-	VMOVUPD (SI), Y14
-	ADDQ $32, SI
-	SUBQ $4, CX
-	MOVQ $1, R13
-rloaded:
-	MOVQ SI, R9
-	MOVQ CX, R10
-	PCALIGN $32
-rrow:
-	VXORPD X0, X0, X0
-	VXORPD X1, X1, X1
-	VXORPD X2, X2, X2
-	VXORPD X3, X3, X3
-	TESTQ R11, R11
-	JEQ  roct
-	VFMADD231PD (DI), Y8, Y0
-	VFMADD231PD 32(DI), Y9, Y1
-	VFMADD231PD 64(DI), Y10, Y2
-	VFMADD231PD 96(DI), Y11, Y3
-	ADDQ $128, DI
-	CMPQ R11, $2
-	JLT  roct
-	VFMADD231PD (DI), Y12, Y0
-	VFMADD231PD 32(DI), Y13, Y1
-	VFMADD231PD 64(DI), Y14, Y2
-	VFMADD231PD 96(DI), Y15, Y3
-	ADDQ $128, DI
-	JMP  rred
-roct:
-	TESTQ R12, R12
-	JEQ  rquad
-	VFMADD231PD (DI), Y12, Y0
-	VFMADD231PD 32(DI), Y13, Y1
-	ADDQ $64, DI
-rquad:
-	TESTQ R13, R13
-	JEQ  rred
-	VFMADD231PD (DI), Y14, Y0
-	ADDQ $32, DI
-rred:
-	VADDPD Y1, Y0, Y0
-	VADDPD Y3, Y2, Y2
-	VADDPD Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPD X1, X0, X0
-	VHADDPD X0, X0, X0
-	MOVQ R9, SI
-	MOVQ R10, CX
-rsca:
-	TESTQ CX, CX
-	JEQ  rstore
-	VMOVSD (SI), X4
-	VFMADD231SD (DI), X4, X0
-	ADDQ $8, SI
-	ADDQ $8, DI
-	DECQ CX
-	JMP  rsca
-rstore:
-	VMOVSD X0, (DX)
-	ADDQ $8, DX
-	DECQ R8
-	JNZ  rrow
-	VZEROUPPER
-	RET
-rmem:
-	MOVQ user+0(FP), SI
-	MOVQ BX, CX
-	DOT64(mblk, moct, mquad, mred, msca, mdone)
-	VMOVSD X0, (DX)
-	ADDQ $8, DX
-	DECQ R8
-	JNZ  rmem
-	VZEROUPPER
-	RET
+	DOTROWS64(CONTIGUOUS, user+0(FP))
 
 // func dotRowsAVX32(user, rows, out *float32, k, n int)
 //
-// The float32 twin of dotRowsAVX, bit-identical to dotAVX32 per row.
-// Register roles on the k ≤ 32 path: R11 = k/32 (the one 32-block:
-// Y8-Y11), R12 = 16-wide stage present (Y12,Y13), R13 = 8-wide stage
-// present (Y14), R9/R10 = pointer to and count of the ≤ 7 scalar-tail
-// user elements.
+// The float32 twin of dotRowsAVX.
 TEXT ·dotRowsAVX32(SB), NOSPLIT, $0-40
 	MOVQ user+0(FP), SI
 	MOVQ rows+8(FP), DI
 	MOVQ out+16(FP), DX
 	MOVQ k+24(FP), BX
 	MOVQ n+32(FP), R8
-	CMPQ BX, $32
-	JGT  rmem32
-	MOVQ BX, R11
-	SHRQ $5, R11
-	MOVQ BX, CX
-	ANDQ $31, CX
-	XORQ R12, R12
-	XORQ R13, R13
-	TESTQ R11, R11
-	JEQ  rlhex32
-	VMOVUPS (SI), Y8
-	VMOVUPS 32(SI), Y9
-	VMOVUPS 64(SI), Y10
-	VMOVUPS 96(SI), Y11
-	JMP  rloaded32
-rlhex32:
-	CMPQ CX, $16
-	JLT  rloct32
-	VMOVUPS (SI), Y12
-	VMOVUPS 32(SI), Y13
-	ADDQ $64, SI
-	SUBQ $16, CX
-	MOVQ $1, R12
-rloct32:
-	CMPQ CX, $8
-	JLT  rloaded32
-	VMOVUPS (SI), Y14
-	ADDQ $32, SI
-	SUBQ $8, CX
-	MOVQ $1, R13
-rloaded32:
-	MOVQ SI, R9
-	MOVQ CX, R10
-	PCALIGN $32
-rrow32:
-	VXORPS X0, X0, X0
-	VXORPS X1, X1, X1
-	VXORPS X2, X2, X2
-	VXORPS X3, X3, X3
-	TESTQ R11, R11
-	JEQ  rhex32
-	VFMADD231PS (DI), Y8, Y0
-	VFMADD231PS 32(DI), Y9, Y1
-	VFMADD231PS 64(DI), Y10, Y2
-	VFMADD231PS 96(DI), Y11, Y3
-	ADDQ $128, DI
-	JMP  rred32
-rhex32:
-	TESTQ R12, R12
-	JEQ  roct32
-	VFMADD231PS (DI), Y12, Y0
-	VFMADD231PS 32(DI), Y13, Y1
-	ADDQ $64, DI
-roct32:
-	TESTQ R13, R13
-	JEQ  rred32
-	VFMADD231PS (DI), Y14, Y0
-	ADDQ $32, DI
-rred32:
-	VADDPS Y1, Y0, Y0
-	VADDPS Y3, Y2, Y2
-	VADDPS Y2, Y0, Y0
-	VEXTRACTF128 $1, Y0, X1
-	VADDPS X1, X0, X0
-	VHADDPS X0, X0, X0
-	VHADDPS X0, X0, X0
-	MOVQ R9, SI
-	MOVQ R10, CX
-rsca32:
-	TESTQ CX, CX
-	JEQ  rstore32
-	VMOVSS (SI), X4
-	VFMADD231SS (DI), X4, X0
-	ADDQ $4, SI
-	ADDQ $4, DI
-	DECQ CX
-	JMP  rsca32
-rstore32:
-	VMOVSS X0, (DX)
-	ADDQ $4, DX
-	DECQ R8
-	JNZ  rrow32
-	VZEROUPPER
-	RET
-rmem32:
-	MOVQ user+0(FP), SI
-	MOVQ BX, CX
-	DOT32(mblk32, mhex32, moct32, mred32, msca32, mdone32)
-	VMOVSS X0, (DX)
-	ADDQ $4, DX
-	DECQ R8
-	JNZ  rmem32
-	VZEROUPPER
-	RET
+	DOTROWS32(CONTIGUOUS, user+0(FP))
 
 // ---------------------------------------------------------------------
 // prefetch
@@ -964,4 +1005,49 @@ TEXT ·itemPassPair16AVX32(SB), NOSPLIT, $0-128
 	VMOVUPS Y11, 32(SI)
 	VZEROUPPER
 	MOVQ AX, ret+120(FP)
+	RET
+
+// ---------------------------------------------------------------------
+// gathered batched dots (the test-split evaluator)
+// ---------------------------------------------------------------------
+
+// func dotGatherAVX(user, table *float64, idx *int32, out *float64, k, n, last int) bool
+//
+// out[x] = ⟨user[0:k], table[idx[x]·k:(idx[x]+1)·k]⟩ for x in [0, n),
+// n ≥ 1: dotRowsAVX's body on rows picked by index. last = len(table)
+// − k ≥ 0 bounds the offsets. Returns false, with out filled only up
+// to the first bad index, if an index names no whole row of the table.
+// R14 and R15 are scratch here: ABI0 code may clobber them, and the
+// function touches no global.
+TEXT ·dotGatherAVX(SB), NOSPLIT, $0-57
+	MOVB $1, ret+56(FP)
+	MOVQ user+0(FP), SI
+	MOVQ table+8(FP), R14
+	MOVQ idx+16(FP), AX
+	MOVQ out+24(FP), DX
+	MOVQ k+32(FP), BX
+	MOVQ n+40(FP), R8
+	MOVQ last+48(FP), R15
+	DOTROWS64(GATHER64, user+0(FP))
+gbad:
+	MOVB $0, ret+56(FP)
+	VZEROUPPER
+	RET
+
+// func dotGatherAVX32(user, table *float32, idx *int32, out *float32, k, n, last int) bool
+//
+// The float32 twin of dotGatherAVX.
+TEXT ·dotGatherAVX32(SB), NOSPLIT, $0-57
+	MOVB $1, ret+56(FP)
+	MOVQ user+0(FP), SI
+	MOVQ table+8(FP), R14
+	MOVQ idx+16(FP), AX
+	MOVQ out+24(FP), DX
+	MOVQ k+32(FP), BX
+	MOVQ n+40(FP), R8
+	MOVQ last+48(FP), R15
+	DOTROWS32(GATHER32, user+0(FP))
+gbad:
+	MOVB $0, ret+56(FP)
+	VZEROUPPER
 	RET

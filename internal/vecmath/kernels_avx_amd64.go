@@ -39,6 +39,12 @@ func dotRowsAVX(user, rows, out *float64, k, n int)
 func dotRowsAVX32(user, rows, out *float32, k, n int)
 
 //go:noescape
+func dotGatherAVX(user, table *float64, idx *int32, out *float64, k, n, last int) bool
+
+//go:noescape
+func dotGatherAVX32(user, table *float32, idx *int32, out *float32, k, n, last int) bool
+
+//go:noescape
 func prefetchT0(p unsafe.Pointer, n uintptr)
 
 //go:noescape
@@ -116,6 +122,46 @@ func dotRowsSIMD32(user, rows, out []float32) {
 		return
 	}
 	dotRowsAVX32(&user[0], &rows[0], &out[0], len(user), len(out))
+}
+
+// simdDotGather returns the AVX2 gathering dot for rank k, or ok=false
+// when the hardware lacks AVX2/FMA.
+func simdDotGather(k int) (DotGatherFunc, bool) {
+	return dotGatherSIMD, simdAvailable && k > 0
+}
+
+// simdDotGather32 is the float32 twin of simdDotGather.
+func simdDotGather32(k int) (DotGatherFunc32, bool) {
+	return dotGatherSIMD32, simdAvailable && k > 0
+}
+
+// dotGatherSIMD leaves the index check to the assembly, which makes
+// it on every row it addresses; an empty table has no row to name.
+//
+//nomad:noalloc
+func dotGatherSIMD(user, table []float64, idx []int32, out []float64) {
+	if len(idx) != len(out) {
+		panic("vecmath: DotGather length mismatch")
+	}
+	if len(out) == 0 {
+		return
+	}
+	if len(table) < len(user) || !dotGatherAVX(&user[0], &table[0], &idx[0], &out[0], len(user), len(out), len(table)-len(user)) {
+		panic("vecmath: DotGather index out of range")
+	}
+}
+
+//nomad:noalloc
+func dotGatherSIMD32(user, table []float32, idx []int32, out []float32) {
+	if len(idx) != len(out) {
+		panic("vecmath: DotGather length mismatch")
+	}
+	if len(out) == 0 {
+		return
+	}
+	if len(table) < len(user) || !dotGatherAVX32(&user[0], &table[0], &idx[0], &out[0], len(user), len(out), len(table)-len(user)) {
+		panic("vecmath: DotGather index out of range")
+	}
 }
 
 func dotSIMD(a, b []float64) float64 {

@@ -20,4 +20,8 @@ func simdDotRows(k int) (DotRowsFunc, bool) { return nil, false }
 
 func simdDotRows32(k int) (DotRowsFunc32, bool) { return nil, false }
 
+func simdDotGather(k int) (DotGatherFunc, bool) { return nil, false }
+
+func simdDotGather32(k int) (DotGatherFunc32, bool) { return nil, false }
+
 func prefetchT0(unsafe.Pointer, uintptr) {}
