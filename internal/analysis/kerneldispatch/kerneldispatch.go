@@ -2,13 +2,11 @@
 // SGD/eval call site must obtain its arithmetic through
 // vecmath.KernelFor / KernelFor32 / DotKernel / DotKernel32 /
 // DotRowsKernel / DotRowsKernel32 / DotGatherKernel /
-// DotGatherKernel32 — the functions that consult the
-// reference/SIMD/portable dispatch — and never invoke the scalar
-// reference kernels directly. A direct
-// vecmath.Dot in an eval loop silently pins that path to scalar code
-// on every machine and escapes all three A/B switches
-// (NOMAD_REFERENCE_KERNELS, NOMAD_NO_SIMD, SetSIMD), which is how a
-// 1.5× SIMD win quietly rots.
+// DotGatherKernel32 — the functions that consult the SIMD/portable
+// dispatch — and never invoke the scalar reference kernels directly. A
+// direct vecmath.Dot in an eval loop silently pins that path to scalar
+// code on every machine and escapes the dispatch switch
+// (NOMAD_NO_SIMD, SetSIMD), which is how a 1.5× SIMD win quietly rots.
 //
 // Both calling and capturing a kernel as a value
 // (`dot := vecmath.Dot`) are flagged; vecmath itself is exempt (it IS

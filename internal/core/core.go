@@ -76,19 +76,17 @@ func (*NOMAD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 }
 
 // hotPath is the per-run selection every SGD worker loop shares:
-// kernels, the devirtualized loss fast-path, the tabulated schedule
-// and the batched item-pass kernel — all chosen once per run, never
-// per rating. Each worker builds one and trains its tokens with
-// runBlock, on the item rows in the model.
+// kernels, the tabulated schedule and, for the square loss, the
+// batched item-pass kernel — all chosen once per run, never per
+// rating. Each worker builds one and trains its tokens with runBlock,
+// on the item rows in the model.
 type hotPath struct {
-	md       *factor.Model
-	schedule sched.Schedule
-	table    *sched.Table // non-nil when schedule is tabulated
-	lossFn   loss.Loss
-	fused    bool // square loss: skip Grad dispatch entirely
-	steps    []float64
-	slow     func(int) float64
-	lambda   float64
+	md     *factor.Model
+	table  *sched.Table
+	lossFn loss.Loss // non-square losses only: the square loss runs the item pass
+	steps  []float64
+	slow   func(int) float64
+	lambda float64
 
 	// Float64 models.
 	wData    []float64
@@ -107,47 +105,26 @@ type hotPath struct {
 	lambda32   float32
 }
 
-func newHotPath(md *factor.Model, schedule sched.Schedule, cfg train.Config) hotPath {
-	hp := hotPath{
-		md:       md,
-		schedule: schedule,
-		lossFn:   cfg.Loss,
-		fused:    loss.UseFused(cfg.Loss),
-		lambda:   cfg.Lambda,
-	}
-	hp.table, _ = schedule.(*sched.Table)
-	var batched bool
+func newHotPath(md *factor.Model, cfg train.Config) hotPath {
+	hp := hotPath{md: md, table: cfg.Schedule(), lossFn: cfg.Loss, lambda: cfg.Lambda}
+	hp.steps, hp.slow = hp.table.Steps(), hp.table.Fallback().Step
+	square := loss.IsSquare(cfg.Loss)
 	if md.Precision() == factor.Float32 {
 		hp.f32 = true
 		hp.wData32, hp.hData32 = md.WData32(), md.HData32()
 		hp.kern32 = vecmath.KernelFor32(cfg.K)
 		hp.lambda32 = float32(cfg.Lambda)
-		batched = hp.kern32.ItemPass != nil
+		if square {
+			hp.itemPass32, hp.pair32 = hp.kern32.ItemPass, hp.kern32.ItemPassPair
+		}
 	} else {
 		hp.wData, hp.hData = md.WData(), md.HData()
 		hp.kern = vecmath.KernelFor(cfg.K)
-		batched = hp.kern.ItemPass != nil
-	}
-	// Square loss with a tabulated schedule takes the batched kernel:
-	// one call per token covers the item's whole rating list.
-	if hp.fused && hp.table != nil && batched {
-		if hp.f32 {
-			hp.itemPass32, hp.pair32 = hp.kern32.ItemPass, hp.kern32.ItemPassPair
-		} else {
+		if square {
 			hp.itemPass, hp.pair = hp.kern.ItemPass, hp.kern.ItemPassPair
 		}
-		hp.steps = hp.table.Steps()
-		hp.slow = hp.table.Fallback().Step
 	}
 	return hp
-}
-
-// stepFor returns the schedule step for a rating at per-rating count t.
-func (hp *hotPath) stepFor(t int32) float64 {
-	if hp.table != nil {
-		return hp.table.Step(int(t)) // direct, inlinable lookup
-	}
-	return hp.schedule.Step(int(t))
 }
 
 // prefetchRows is how many leading user rows of the next token the
@@ -206,14 +183,9 @@ func (hp *hotPath) itemSGD(usersJ []int32, vals []float64, counts []int32, hRow 
 	for x, u := range usersJ {
 		t := counts[x]
 		counts[x] = t + 1
-		step := hp.stepFor(t)
 		wRow := hp.md.UserRow(int(u))
-		if hp.fused {
-			hp.kern.Step(wRow, hRow, vals[x], step, hp.lambda)
-		} else {
-			g := hp.lossFn.Grad(hp.kern.Dot(wRow, hRow), vals[x])
-			hp.kern.Grad(wRow, hRow, g, step, hp.lambda)
-		}
+		g := hp.lossFn.Grad(hp.kern.Dot(wRow, hRow), vals[x])
+		hp.kern.Grad(wRow, hRow, g, hp.table.Step(int(t)), hp.lambda)
 	}
 }
 
@@ -228,14 +200,9 @@ func (hp *hotPath) itemSGD32(usersJ []int32, vals []float64, counts []int32, hRo
 	for x, u := range usersJ {
 		t := counts[x]
 		counts[x] = t + 1
-		step := hp.stepFor(t)
 		wRow := hp.md.UserRow32(int(u))
-		if hp.fused {
-			hp.kern32.Step(wRow, hRow, float32(vals[x]), float32(step), hp.lambda32)
-		} else {
-			g := hp.lossFn.Grad(float64(hp.kern32.Dot(wRow, hRow)), vals[x])
-			hp.kern32.Grad(wRow, hRow, float32(g), float32(step), hp.lambda32)
-		}
+		g := hp.lossFn.Grad(float64(hp.kern32.Dot(wRow, hRow)), vals[x])
+		hp.kern32.Grad(wRow, hRow, float32(g), float32(hp.table.Step(int(t))), hp.lambda32)
 	}
 }
 

@@ -188,7 +188,6 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	m, n := ds.Rows(), ds.Cols()
 	users := partitionUsers(ds, cfg, p) // global worker id = machine*W + worker
 	local := buildShards(ds.Train, users, 0, p, resumeCounts(cfg.Resume, ds))
-	schedule := cfg.Schedule()
 	fo := newFailoverRuntime(cfg, hooks, n)
 	links, err := buildLinks(ctx, ds, cfg, hooks, fo.detectFunc())
 	if err != nil {
@@ -300,7 +299,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		workerWG.Add(1)
 		go func(w *worker) {
 			defer workerWG.Done()
-			runWorker(w, md, schedule, cfg, counter, &stop)
+			runWorker(w, md, cfg, counter, &stop)
 		}(&workers[gw])
 	}
 

@@ -152,9 +152,9 @@ func TestLanesEqualTokenOrder(t *testing.T) {
 		} {
 			for name, block := range lanesBlocks() {
 				md, lr, cfg := lanesFixture(prec, cut.lo, cut.hi, cut.midUser)
-				hp := newHotPath(md, cfg.Schedule(), cfg)
+				hp := newHotPath(md, cfg)
 				mdRef, lrRef, _ := lanesFixture(prec, cut.lo, cut.hi, cut.midUser)
-				hpRef := newHotPath(mdRef, cfg.Schedule(), cfg)
+				hpRef := newHotPath(mdRef, cfg)
 				pairs := 0
 				withPair(&hp, &pairs)
 
@@ -216,7 +216,7 @@ func TestLanesStopLeavesWholeTokens(t *testing.T) {
 		for _, fromBegin := range []bool{false, true} {
 			for at := range block {
 				md, lr, cfg := lanesFixture(prec, 0, lanesUsers, lanesUsers/3)
-				hp := newHotPath(md, cfg.Schedule(), cfg)
+				hp := newHotPath(md, cfg)
 				pairs := 0
 				withPair(&hp, &pairs)
 
@@ -240,7 +240,7 @@ func TestLanesStopLeavesWholeTokens(t *testing.T) {
 					t.Errorf("%v begin=%v stop at %d: finish order %v, %d done", prec, fromBegin, at, finished, done)
 				}
 				mdRef, lrRef, _ := lanesFixture(prec, 0, lanesUsers, lanesUsers/3)
-				hpRef := newHotPath(mdRef, cfg.Schedule(), cfg)
+				hpRef := newHotPath(mdRef, cfg)
 				tokenOrder(&hpRef, lrRef, block[:done])
 				if !bytes.Equal(laneState(t, md, lr), laneState(t, mdRef, lrRef)) {
 					t.Errorf("%v begin=%v stop at %d: state is not that of tokens [0, %d) applied whole", prec, fromBegin, at, done)
@@ -257,11 +257,11 @@ func TestLanesOffIsTokenOrder(t *testing.T) {
 	block := lanesBlocks()["full block"]
 	for _, lanes := range []bool{false, true} {
 		md, lr, cfg := lanesFixture(factor.Float64, 0, lanesUsers, lanesUsers/2)
-		hp := newHotPath(md, cfg.Schedule(), cfg)
+		hp := newHotPath(md, cfg)
 		pairs := 0
 		withPair(&hp, &pairs)
 		mdRef, lrRef, _ := lanesFixture(factor.Float64, 0, lanesUsers, lanesUsers/2)
-		hpRef := newHotPath(mdRef, cfg.Schedule(), cfg)
+		hpRef := newHotPath(mdRef, cfg)
 		tokenOrder(&hpRef, lrRef, block)
 		begin, finish := func(int) bool { return true }, func(int, int) bool { return false }
 		hp.runBlock(lr, block, lanes, begin, finish)

@@ -451,7 +451,6 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 	}
 	users := partitionUsers(ds, cfg, p)
 	local := buildShards(ds.Train, users, rank*W, rank*W+W, resumeCounts(st, ds)) // this rank's workers only
-	schedule := cfg.Schedule()
 
 	root := rng.New(cfg.Seed)
 	var md *factor.Model
@@ -476,7 +475,7 @@ func lockstepMachine(ctx context.Context, link cluster.Link, ds *dataset.Dataset
 
 	hp := make([]hotPath, W)
 	for w := 0; w < W; w++ {
-		hp[w] = newHotPath(md, schedule, cfg)
+		hp[w] = newHotPath(md, cfg)
 	}
 	lanes := hp[0].pair != nil // as in runWorker; lockstep has no straggler
 

@@ -31,7 +31,7 @@ func TestLockstepModelDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("trains 2 M updates per run")
 	}
-	if !vecmath.SIMDEnabled() || vecmath.ReferenceOnly() {
+	if !vecmath.SIMDEnabled() {
 		t.Skip("the digests are the AVX2/FMA kernels'; other dispatches round differently")
 	}
 	spec := dataset.NetflixLike(0.01)

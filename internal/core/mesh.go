@@ -24,7 +24,6 @@ import (
 	"nomad/internal/factor"
 	"nomad/internal/queue"
 	"nomad/internal/rng"
-	"nomad/internal/sched"
 	"nomad/internal/train"
 )
 
@@ -123,7 +122,6 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	users := partitionUsers(ds, cfg, p)
 	st := cfg.Resume
 	local := buildShards(ds.Train, users, 0, p, resumeCounts(st, ds))
-	schedule := cfg.Schedule()
 	root := rng.New(cfg.Seed)
 
 	mesh := queue.NewMesh[itemToken](p, meshRingCap(n, p))
@@ -163,7 +161,7 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
-			runWorker(w, md, schedule, cfg, counter, &stop)
+			runWorker(w, md, cfg, counter, &stop)
 		}(&workers[q])
 	}
 
@@ -245,11 +243,11 @@ type worker struct {
 // port (shared memory), to a worker drawn uniformly or by §3.3
 // two-choice — through per-destination out-buffers flushed in blocks.
 // At stop it leaves what it still holds in w.res.
-func runWorker(w *worker, md *factor.Model, schedule sched.Schedule, cfg train.Config,
+func runWorker(w *worker, md *factor.Model, cfg train.Config,
 	counter *train.Counter, stop *atomic.Bool) {
 
 	p, fo := w.mesh.P(), w.fo
-	hp := newHotPath(md, schedule, cfg)
+	hp := newHotPath(md, cfg)
 	loadBalance := cfg.LoadBalance && p > 1
 	straggler := w.gw == 0 && cfg.Straggle > 1
 	route := tokenRouter{r: w.r, p: p}

@@ -81,7 +81,7 @@ func TestPrefetchAheadTouchesNothing(t *testing.T) {
 		var models [2]bytes.Buffer
 		for side, ahead := range []bool{false, true} {
 			md, lr, cfg := prefetchFixture(prec)
-			hp := newHotPath(md, cfg.Schedule(), cfg)
+			hp := newHotPath(md, cfg)
 			for _, block := range blocks {
 				trainBlock(&hp, lr, block, ahead)
 			}

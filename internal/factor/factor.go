@@ -372,8 +372,15 @@ func (md *Model) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
+// slabChunk bounds what ReadBinary allocates ahead of the data: a slab
+// of up to this many values is read in one piece, a larger one in
+// pieces of this size as they arrive.
+const slabChunk = 1 << 23
+
 // ReadBinary deserializes a model written by WriteBinary, restoring its
-// precision.
+// precision. A header whose shape overflows is rejected, and one that
+// declares more values than the stream holds fails on EOF after at most
+// one slabChunk per slab.
 func ReadBinary(r io.Reader) (*Model, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	var hdr binHeader
@@ -386,17 +393,23 @@ func ReadBinary(r io.Reader) (*Model, error) {
 	if hdr.Prec > uint32(Float32) {
 		return nil, fmt.Errorf("factor: unknown precision %d", hdr.Prec)
 	}
-	if hdr.M <= 0 || hdr.N <= 0 || hdr.K <= 0 {
+	const maxVals = math.MaxInt / 8 // a slab's byte size must fit in an int
+	if hdr.M <= 0 || hdr.N <= 0 || hdr.K <= 0 || hdr.M > maxVals/hdr.K || hdr.N > maxVals/hdr.K {
 		return nil, fmt.Errorf("factor: corrupt header m=%d n=%d k=%d", hdr.M, hdr.N, hdr.K)
 	}
-	md := NewP(int(hdr.M), int(hdr.N), int(hdr.K), Precision(hdr.Prec))
+	m, n, k := int(hdr.M), int(hdr.N), int(hdr.K)
+	md := &Model{M: m, N: n, K: k, prec: Precision(hdr.Prec)}
 	var werr, herr error
 	if md.prec == Float32 {
-		werr = binary.Read(br, binary.LittleEndian, md.w32)
-		herr = binary.Read(br, binary.LittleEndian, md.h32)
+		w, h := make([]float32, 0, min(m*k, slabChunk)), make([]float32, 0, min(n*k, slabChunk))
+		if md.w32, werr = ReadSlab(br, w, m*k); werr == nil {
+			md.h32, herr = ReadSlab(br, h, n*k)
+		}
 	} else {
-		werr = binary.Read(br, binary.LittleEndian, md.w)
-		herr = binary.Read(br, binary.LittleEndian, md.h)
+		w, h := make([]float64, 0, min(m*k, slabChunk)), make([]float64, 0, min(n*k, slabChunk))
+		if md.w, werr = ReadSlab(br, w, m*k); werr == nil {
+			md.h, herr = ReadSlab(br, h, n*k)
+		}
 	}
 	if werr != nil {
 		return nil, fmt.Errorf("factor: read W: %w", werr)
@@ -405,4 +418,24 @@ func ReadBinary(r io.Reader) (*Model, error) {
 		return nil, fmt.Errorf("factor: read H: %w", herr)
 	}
 	return md, nil
+}
+
+// ReadSlab reads n little-endian values into the empty slab s, in
+// pieces of at most cap(s), growing the slab (to exactly n) only as the
+// data arrives — so a length read from a file costs at most cap(s)
+// values before the data behind it is confirmed. The checkpoint reader
+// shares it.
+func ReadSlab[T int32 | float32 | float64](r io.Reader, s []T, n int) ([]T, error) {
+	chunk := max(cap(s), 1)
+	for len(s) < n {
+		c := min(n-len(s), chunk)
+		if cap(s)-len(s) < c {
+			s = append(make([]T, 0, min(n, 2*cap(s))), s...)
+		}
+		if err := binary.Read(r, binary.LittleEndian, s[len(s):len(s)+c]); err != nil {
+			return nil, err
+		}
+		s = s[:len(s)+c]
+	}
+	return s, nil
 }

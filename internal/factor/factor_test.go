@@ -2,7 +2,10 @@ package factor
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -139,4 +142,90 @@ func TestReadBinaryRejectsGarbage(t *testing.T) {
 	if _, err := ReadBinary(bytes.NewReader([]byte("garbage here not a model"))); err == nil {
 		t.Fatal("garbage accepted")
 	}
+}
+
+// header returns a model file header declaring the given shape.
+func header(prec Precision, m, n, k int64) []byte {
+	var buf bytes.Buffer
+	binary.Write(&buf, binary.LittleEndian, binHeader{Magic: modelMagic, Prec: uint32(prec), M: m, N: n, K: k})
+	return buf.Bytes()
+}
+
+// TestReadBinaryRejectsOverflowingShape: M·K = 2⁶²·4 wraps to 0, which
+// must not load as a model with 2⁶² users and an empty W slab.
+func TestReadBinaryRejectsOverflowingShape(t *testing.T) {
+	raw := append(header(Float64, 1<<62, 1, 4), make([]byte, 4*8)...)
+	if len(raw) != 64 {
+		t.Fatalf("file is %d bytes, want 64", len(raw))
+	}
+	if md, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+		t.Fatalf("loaded a %d×%d×%d model from 64 bytes", md.M, md.N, md.K)
+	}
+}
+
+// TestReadBinaryShortStreamAllocationBound: a header declaring 64 GiB
+// of factors over a stream of a few bytes fails on EOF having
+// allocated at most a chunk or two, not the declared slab.
+func TestReadBinaryShortStreamAllocationBound(t *testing.T) {
+	raw := append(header(Float64, 1<<33, 1, 1), make([]byte, 100)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadBinary(bytes.NewReader(raw)); err == nil {
+		t.Fatal("short stream accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4*slabChunk*8 {
+		t.Fatalf("allocated %d bytes for a %d-byte stream", got, len(raw))
+	}
+}
+
+// TestReadSlabGrowsInChunks: a slab larger than the chunk arrives
+// intact, its capacity is exactly its length, and a stream that ends
+// early fails.
+func TestReadSlabGrowsInChunks(t *testing.T) {
+	var buf bytes.Buffer
+	want := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	binary.Write(&buf, binary.LittleEndian, want)
+	got, err := ReadSlab(bytes.NewReader(buf.Bytes()), make([]float64, 0, 3), len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("got %v (cap %d), want %v", got, cap(got), want)
+	}
+	if _, err := ReadSlab(bytes.NewReader(buf.Bytes()), make([]float64, 0, 3), len(want)+1); err == nil {
+		t.Fatal("short stream accepted")
+	}
+}
+
+// FuzzReadBinary: arbitrary bytes never panic the reader, and whatever
+// it accepts has slabs of its declared shape and writes back as the
+// bytes it was read from.
+func FuzzReadBinary(f *testing.F) {
+	for _, prec := range []Precision{Float64, Float32} {
+		var buf bytes.Buffer
+		if err := NewInitP(3, 2, 4, 7, prec).WriteBinary(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(append(header(Float64, 1<<62, 1, 4), make([]byte, 4*8)...))
+	f.Add(append(header(Float32, 1<<33, 1, 1), make([]byte, 100)...))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		md, err := ReadBinary(bytes.NewReader(raw))
+		if err != nil {
+			return
+		}
+		w, h := len(md.w)+len(md.w32), len(md.h)+len(md.h32)
+		if w != md.M*md.K || h != md.N*md.K {
+			t.Fatalf("%d×%d×%d model with slabs of %d and %d", md.M, md.N, md.K, w, h)
+		}
+		var out bytes.Buffer
+		if err := md.WriteBinary(&out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(raw, out.Bytes()) {
+			t.Fatal("model does not write back as the bytes it was read from")
+		}
+	})
 }

@@ -199,11 +199,10 @@ func (*FPSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 // one randomized SGD pass over it. FPSGD** implements the paper's
 // square loss, so every update goes through the fused kernel.
 func runWorker(q int, md *factor.Model, blocks []*block, tm *manager,
-	kern vecmath.Kernel, schedule sched.Schedule, cfg train.Config,
+	kern vecmath.Kernel, schedule *sched.Table, cfg train.Config,
 	counter *train.Counter, stop *atomic.Bool, r *rng.Source) {
 
 	lambda := cfg.Lambda
-	table, _ := schedule.(*sched.Table)
 	for !stop.Load() {
 		id := tm.acquire(r)
 		if id < 0 {
@@ -219,14 +218,8 @@ func runWorker(q int, md *factor.Model, blocks []*block, tm *manager,
 		for _, x := range blk.perm {
 			t := blk.counts[x]
 			blk.counts[x] = t + 1
-			var step float64
-			if table != nil {
-				step = table.Step(int(t)) // direct, inlinable lookup
-			} else {
-				step = schedule.Step(int(t))
-			}
 			kern.Step(md.UserRow(int(blk.users[x])), md.ItemRow(int(blk.items[x])),
-				blk.vals[x], step, lambda)
+				blk.vals[x], schedule.Step(int(t)), lambda)
 		}
 		counter.Add(q, int64(len(blk.perm)))
 		// Worker-side budget check: stop promptly at a block boundary

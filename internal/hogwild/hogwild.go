@@ -18,7 +18,6 @@ import (
 	"nomad/internal/factor"
 	"nomad/internal/loss"
 	"nomad/internal/rng"
-	"nomad/internal/sched"
 	"nomad/internal/train"
 	"nomad/internal/vecmath"
 )
@@ -81,8 +80,7 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	} else {
 		kern = vecmath.KernelFor(cfg.K)
 	}
-	fused := loss.UseFused(lossFn) // devirtualize the default loss
-	table, _ := schedule.(*sched.Table)
+	fused := loss.IsSquare(lossFn) // devirtualize the default loss
 	lambda := cfg.Lambda
 	lambda32 := float32(cfg.Lambda)
 	counter := train.NewCounterFor(cfg, p)
@@ -99,12 +97,7 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 				e := entries[x]
 				t := counts[x]
 				counts[x] = t + 1 // racy by design
-				var step float64
-				if table != nil {
-					step = table.Step(int(t)) // direct, inlinable lookup
-				} else {
-					step = schedule.Step(int(t))
-				}
+				step := schedule.Step(int(t))
 				if f32 {
 					wRow := md.UserRow32(int(e.Row))
 					hRow := md.ItemRow32(int(e.Col))

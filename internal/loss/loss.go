@@ -14,8 +14,6 @@ package loss
 import (
 	"fmt"
 	"math"
-
-	"nomad/internal/vecmath"
 )
 
 // Loss is a separable per-rating loss f(pred, actual) with the scalar
@@ -115,16 +113,6 @@ func IsSquare(l Loss) bool {
 	}
 	_, ok := l.(Square)
 	return ok
-}
-
-// UseFused is the one predicate behind the square-loss fast path: the
-// fused kernels replace Grad dispatch only for the square loss, and
-// never when the reference hot path is forced (the A/B baseline must
-// pay the dispatch cost the fused path eliminates). Every solver that
-// devirtualizes consults this, so the switch semantics live in one
-// place.
-func UseFused(l Loss) bool {
-	return IsSquare(l) && !vecmath.ReferenceOnly()
 }
 
 // ByName returns the named loss.

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 )
 
@@ -35,7 +36,12 @@ func ReadText(r io.Reader) (*Matrix, error) {
 	if _, err := fmt.Sscanf(sc.Text(), "%d %d %d", &rows, &cols, &nnz); err != nil {
 		return nil, fmt.Errorf("sparse: bad header %q: %w", sc.Text(), err)
 	}
-	entries := make([]Entry, 0, nnz)
+	if nnz < 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
+		return nil, fmt.Errorf("sparse: bad header %q: want int32 ids and a non-negative entry count", sc.Text())
+	}
+	// The header's count is trusted only as far as the data bears it
+	// out: the entries start at a bounded capacity and double toward it.
+	entries := make([]Entry, 0, min(nnz, 1<<20))
 	line := 1
 	for sc.Scan() {
 		line++
@@ -58,6 +64,16 @@ func ReadText(r io.Reader) (*Matrix, error) {
 		}
 		if v, err = strconv.ParseFloat(f3, 64); err != nil {
 			return nil, fmt.Errorf("sparse: line %d val: %w", line, err)
+		}
+		// Checked here, before the int32 conversion could wrap them.
+		if uint(i) >= uint(rows) || uint(j) >= uint(cols) {
+			return nil, fmt.Errorf("sparse: line %d: entry (%d,%d) out of range for %d×%d", line, i, j, rows, cols)
+		}
+		if len(entries) == nnz {
+			return nil, fmt.Errorf("sparse: line %d: more entries than the header's %d", line, nnz)
+		}
+		if len(entries) == cap(entries) {
+			entries = append(make([]Entry, 0, min(nnz, 2*cap(entries))), entries...)
 		}
 		entries = append(entries, Entry{Row: int32(i), Col: int32(j), Val: v})
 	}

@@ -2,6 +2,10 @@ package sparse
 
 import (
 	"bytes"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -199,7 +203,12 @@ func TestReadTextRejectsBadLines(t *testing.T) {
 		"",
 		"1 1 1\n0 0\n",
 		"1 1 1\nx 0 1\n",
-		"1 1 2\n0 0 1\n", // nnz mismatch
+		"1 1 2\n0 0 1\n",            // nnz mismatch
+		"3 3 1\n4294967297 1 2.5\n", // row id wraps to 1 as an int32
+		"3 3 1\n1 4294967297 2.5\n", // so does the column id
+		"3 3 -1\n",                  // negative entry count
+		"4294967297 3 1\n0 0 1\n",   // shape beyond int32 ids
+		"2 2 1\n0 0 1\n1 1 1\n",     // more entries than declared
 	} {
 		if _, err := ReadText(bytes.NewReader([]byte(in))); err == nil {
 			t.Fatalf("input %q accepted", in)
@@ -215,9 +224,10 @@ func assertEqualMatrices(t *testing.T, a, b *Matrix) {
 	}
 	ae := a.Entries(nil)
 	be := b.Entries(nil)
-	for i := range ae {
-		if ae[i] != be[i] {
-			t.Fatalf("entry %d differs: %+v vs %+v", i, ae[i], be[i])
+	for i, e := range ae {
+		f := be[i]
+		if e.Row != f.Row || e.Col != f.Col || math.Float64bits(e.Val) != math.Float64bits(f.Val) {
+			t.Fatalf("entry %d differs: %+v vs %+v", i, e, f)
 		}
 	}
 }
@@ -340,4 +350,76 @@ func BenchmarkFromEntries(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// TestReadTextBoundsPreallocation: a header that declares a huge entry
+// count over a one-entry body is rejected without allocating the
+// declared count.
+func TestReadTextBoundsPreallocation(t *testing.T) {
+	in := []byte("3 3 1000000000000\n0 0 1\n")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadText(bytes.NewReader(in)); err == nil {
+		t.Fatal("entry-count mismatch accepted")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 64<<20 {
+		t.Fatalf("allocated %d bytes for a %d-byte input", got, len(in))
+	}
+}
+
+// TestReadTextGrowsPastItsFirstCapacity: a matrix with more entries
+// than ReadText first allocates for reads back whole.
+func TestReadTextGrowsPastItsFirstCapacity(t *testing.T) {
+	const rows, cols, n = 2048, 1024, 1<<20 + 3
+	var b strings.Builder
+	fmt.Fprintf(&b, "%d %d %d\n", rows, cols, n)
+	for x := 0; x < n; x++ {
+		fmt.Fprintf(&b, "%d %d %d\n", x/cols, x%cols, x%7)
+	}
+	m, err := ReadText(strings.NewReader(b.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.NNZ() != n {
+		t.Fatalf("read %d entries, want %d", m.NNZ(), n)
+	}
+}
+
+// FuzzReadText: arbitrary text never panics the reader, and what it
+// accepts writes back and reads again as the same matrix.
+func FuzzReadText(f *testing.F) {
+	var buf bytes.Buffer
+	m, err := FromEntries(3, 4, []Entry{{0, 1, 2.5}, {2, 3, -1}, {1, 0, 4}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := m.WriteText(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Add("3 3 1\n4294967297 1 2.5\n")
+	f.Add("3 3 -1\n")
+	f.Add("3 3 1000000000000\n0 0 1\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		// A legitimately large shape allocates its row index up front;
+		// that is not what this target looks for.
+		var rows, cols int
+		if _, err := fmt.Sscanf(in, "%d %d", &rows, &cols); err == nil && (rows > 1<<16 || cols > 1<<16) {
+			t.Skip()
+		}
+		m, err := ReadText(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := m.WriteText(&out); err != nil {
+			t.Fatal(err)
+		}
+		m2, err := ReadText(&out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEqualMatrices(t, m, m2)
+	})
 }

@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"nomad/internal/factor"
 	"nomad/internal/rng"
@@ -202,8 +203,9 @@ func (s *State) WriteBinary(w io.Writer) error {
 	return bw.Flush()
 }
 
-// maxStateSection bounds length prefixes read from a checkpoint.
-const maxStateSection = 1 << 31
+// maxStateSection bounds length prefixes read from a checkpoint; it
+// fits an int on every platform.
+const maxStateSection = math.MaxInt32
 
 // readInt32Section reads an n-entry int32 section in bounded chunks,
 // growing the result as data actually arrives — so a corrupt length
@@ -213,23 +215,9 @@ func readInt32Section(br io.Reader, n uint64, what string) ([]int32, error) {
 	if n > maxStateSection {
 		return nil, fmt.Errorf("train: corrupt checkpoint (%s length %d)", what, n)
 	}
-	const chunk = 1 << 20
-	cap0 := n
-	if cap0 > chunk {
-		cap0 = chunk
-	}
-	out := make([]int32, 0, cap0)
-	buf := make([]int32, chunk)
-	for remaining := n; remaining > 0; {
-		c := remaining
-		if c > chunk {
-			c = chunk
-		}
-		if err := binary.Read(br, binary.LittleEndian, buf[:c]); err != nil {
-			return nil, fmt.Errorf("train: read %s: %w", what, err)
-		}
-		out = append(out, buf[:c]...)
-		remaining -= c
+	out, err := factor.ReadSlab(br, make([]int32, 0, min(n, 1<<20)), int(n))
+	if err != nil {
+		return nil, fmt.Errorf("train: read %s: %w", what, err)
 	}
 	return out, nil
 }

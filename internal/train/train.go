@@ -18,7 +18,6 @@ import (
 	"nomad/internal/metrics"
 	"nomad/internal/netsim"
 	"nomad/internal/sched"
-	"nomad/internal/vecmath"
 )
 
 // Config carries every tunable of a training run. Zero values are
@@ -304,15 +303,9 @@ const stepTableSize = 4096
 
 // Schedule returns the per-rating SGD step-size schedule of eq. (11),
 // precomputed into a sched.Table so the hot path replaces the
-// per-update Sqrt with a slice load. With NOMAD_REFERENCE_KERNELS set
-// the raw Power schedule is returned instead, alongside the reference
-// vecmath kernels (the in-tree A/B switch for benchmarking).
-func (c Config) Schedule() sched.Schedule {
-	p := sched.Power{Alpha: c.Alpha, Beta: c.Beta}
-	if vecmath.ReferenceOnly() {
-		return p
-	}
-	return sched.NewTable(p, stepTableSize)
+// per-update Sqrt with a slice load.
+func (c Config) Schedule() *sched.Table {
+	return sched.NewTable(sched.Power{Alpha: c.Alpha, Beta: c.Beta}, stepTableSize)
 }
 
 // TotalWorkers returns machines × workers-per-machine.

@@ -138,9 +138,6 @@ func BenchmarkItemPassCold(b *testing.B) {
 	const k = 16
 	b.Run("f64", func(b *testing.B) {
 		kn := KernelFor(k)
-		if kn.ItemPass == nil {
-			b.Skip("no batched item pass under NOMAD_REFERENCE_KERNELS")
-		}
 		benchItemPassRows(b, k, func(w []float64, a, c ItemList[float64], steps []float64) {
 			kn.ItemPass(w, a.Users, a.Vals, a.Counts, a.H, 1e-3, steps, nil)
 			kn.ItemPass(w, c.Users, c.Vals, c.Counts, c.H, 1e-3, steps, nil)
@@ -150,9 +147,6 @@ func BenchmarkItemPassCold(b *testing.B) {
 	})
 	b.Run("f32", func(b *testing.B) {
 		kn := KernelFor32(k)
-		if kn.ItemPass == nil {
-			b.Skip("no batched item pass under NOMAD_REFERENCE_KERNELS")
-		}
 		benchItemPassRows(b, k, func(w []float32, a, c ItemList[float32], steps []float64) {
 			kn.ItemPass(w, a.Users, a.Vals, a.Counts, a.H, 1e-3, steps, nil)
 			kn.ItemPass(w, c.Users, c.Vals, c.Counts, c.H, 1e-3, steps, nil)

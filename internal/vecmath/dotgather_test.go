@@ -42,7 +42,7 @@ func gatherIndices(r *rng.Source, n, rows int) []int32 {
 }
 
 // TestDotGatherBitIdentical pins the gathering kernels to the per-row
-// kernels bit for bit under all three dispatches, the property that
+// kernels bit for bit under both dispatches, the property that
 // lets the evaluator score a user's test items in one call without
 // moving a prediction. The user row and the table sit at every element
 // offset 0..3 of their backing arrays, some table entries are
@@ -52,7 +52,7 @@ func TestDotGatherBitIdentical(t *testing.T) {
 	const rows, guard = 13, -12345.5
 	for _, mode := range dotRowsModes {
 		t.Run(mode.name, func(t *testing.T) {
-			setDotRowsMode(t, mode.ref, mode.simd)
+			setDotRowsMode(t, mode.simd)
 			r := rng.New(52)
 			for _, k := range dotGatherRanks {
 				dot, gather := DotKernel(k), DotGatherKernel(k)
@@ -121,7 +121,7 @@ func TestDotGatherBitIdentical(t *testing.T) {
 func TestDotGatherRejectsBadIndices(t *testing.T) {
 	for _, mode := range dotRowsModes {
 		t.Run(mode.name, func(t *testing.T) {
-			setDotRowsMode(t, mode.ref, mode.simd)
+			setDotRowsMode(t, mode.simd)
 			for _, k := range []int{5, 16, 48} {
 				for _, c := range []struct {
 					name    string

@@ -7,9 +7,9 @@ package vecmath
 // picked from a table by index (the test-split evaluator).
 //
 // Every score is bit-identical to DotKernel(k) / DotKernel32(k) on the
-// same row under the same dispatch switches: the assembly path
+// same row under the same dispatch: the assembly path
 // reproduces DOT64/DOT32's accumulator assignment and reduction order,
-// and the portable and reference paths loop the per-row kernel itself.
+// and the portable path loops the per-row kernel itself.
 
 // DotRowsFunc computes out[r] = ⟨user, rows[r·k:(r+1)·k]⟩ for every r,
 // with k = len(user). It panics unless len(rows) == len(out)·len(user).
@@ -23,7 +23,7 @@ type DotRowsFunc32 func(user, rows, out []float32)
 // dispatched like KernelFor: AVX2/FMA assembly when allowed, otherwise
 // a loop over the per-row kernel DotKernel(k) selects.
 func DotRowsKernel(k int) DotRowsFunc {
-	if !referenceOnly.Load() && simdOn.Load() {
+	if simdOn.Load() {
 		if rows, ok := simdDotRows(k); ok {
 			return rows
 		}
@@ -34,7 +34,7 @@ func DotRowsKernel(k int) DotRowsFunc {
 
 // DotRowsKernel32 is the float32 twin of DotRowsKernel.
 func DotRowsKernel32(k int) DotRowsFunc32 {
-	if !referenceOnly.Load() && simdOn.Load() {
+	if simdOn.Load() {
 		if rows, ok := simdDotRows32(k); ok {
 			return rows
 		}
@@ -54,7 +54,7 @@ type DotGatherFunc32 func(user, table []float32, idx []int32, out []float32)
 // DotGatherKernel returns the gathering twin of DotRowsKernel(k), with
 // the same dispatch and the same bit-for-bit contract per row.
 func DotGatherKernel(k int) DotGatherFunc {
-	if !referenceOnly.Load() && simdOn.Load() {
+	if simdOn.Load() {
 		if gather, ok := simdDotGather(k); ok {
 			return gather
 		}
@@ -65,7 +65,7 @@ func DotGatherKernel(k int) DotGatherFunc {
 
 // DotGatherKernel32 is the float32 twin of DotGatherKernel.
 func DotGatherKernel32(k int) DotGatherFunc32 {
-	if !referenceOnly.Load() && simdOn.Load() {
+	if simdOn.Load() {
 		if gather, ok := simdDotGather32(k); ok {
 			return gather
 		}

@@ -7,27 +7,25 @@ import (
 	"nomad/internal/rng"
 )
 
-// dotRowsModes are the three dispatch states the batched kernel must
-// agree with the per-row kernel under. Each sets both switches, so the
+// dotRowsModes are the two dispatch states the batched kernel must
+// agree with the per-row kernel under. Each sets the switch, so the
 // table works whatever the environment started the process with.
 var dotRowsModes = []struct {
-	name      string
-	ref, simd bool
+	name string
+	simd bool
 }{
-	{"avx", false, true},
-	{"portable", false, false}, // what NOMAD_NO_SIMD selects
-	{"reference", true, false}, // what NOMAD_REFERENCE_KERNELS selects
+	{"avx", true},
+	{"portable", false}, // what NOMAD_NO_SIMD selects
 }
 
-func setDotRowsMode(t *testing.T, ref, simd bool) {
+func setDotRowsMode(t *testing.T, simd bool) {
 	t.Helper()
 	if simd && !SIMDAvailable() {
 		t.Skip("no AVX2/FMA on this machine")
 	}
-	oldRef, oldSIMD := ReferenceOnly(), SIMDEnabled()
-	SetReferenceOnly(ref)
+	old := SIMDEnabled()
 	SetSIMD(simd)
-	t.Cleanup(func() { SetReferenceOnly(oldRef); SetSIMD(oldSIMD) })
+	t.Cleanup(func() { SetSIMD(old) })
 }
 
 // dotRowsCounts are the block lengths exercised: one row, the scan's
@@ -43,7 +41,7 @@ var dotRowsCounts = []int{1, 2, 7, 63, 64, 65}
 func TestDotRowsBitIdentical(t *testing.T) {
 	for _, mode := range dotRowsModes {
 		t.Run(mode.name, func(t *testing.T) {
-			setDotRowsMode(t, mode.ref, mode.simd)
+			setDotRowsMode(t, mode.simd)
 			r := rng.New(51)
 			for k := 1; k <= 64; k++ {
 				dot, rows := DotKernel(k), DotRowsKernel(k)
@@ -109,7 +107,7 @@ func TestDotRowsBitIdentical(t *testing.T) {
 func TestDotRowsEmptyAndMismatch(t *testing.T) {
 	for _, mode := range dotRowsModes {
 		t.Run(mode.name, func(t *testing.T) {
-			setDotRowsMode(t, mode.ref, mode.simd)
+			setDotRowsMode(t, mode.simd)
 			user := make([]float64, 16)
 			DotRowsKernel(16)(user, nil, nil)
 			DotRowsKernel32(16)(make([]float32, 16), nil, nil)

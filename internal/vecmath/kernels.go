@@ -33,15 +33,10 @@
 // of the unrolled Go ones (kernels_amd64.s); the Go kernels remain the
 // fallback for every other GOARCH and whenever SIMD is switched off.
 //
-// Two environment switches control dispatch, both overridable at run
-// time by tests:
-//
-//   - NOMAD_REFERENCE_KERNELS=1 forces the reference implementations
-//     (and the raw schedule / Grad-dispatch paths in the solvers),
-//     for bisecting numerical differences.
-//   - NOMAD_NO_SIMD=1 keeps the portable unrolled Go kernels but skips
-//     the assembly, so CI can exercise the fallback path on hardware
-//     that would normally dispatch to asm.
+// One environment switch controls dispatch, overridable at run time by
+// tests: NOMAD_NO_SIMD=1 keeps the portable unrolled Go kernels but
+// skips the assembly, so CI can exercise the fallback path on hardware
+// that would normally dispatch to asm.
 package vecmath
 
 import (
@@ -50,32 +45,15 @@ import (
 	"unsafe"
 )
 
-// referenceOnly pins every kernel selector to the reference
-// implementations. Atomic because tests flip it at run time (and the
-// -race CI job covers a flip beside running selections).
-var referenceOnly atomic.Bool
-
 // simdOn gates dispatch to the assembly kernels. True only when the
 // hardware supports them (simdAvailable) and NOMAD_NO_SIMD is unset.
+// Atomic because tests flip it at run time (and the -race CI job
+// covers a flip beside running selections).
 var simdOn atomic.Bool
 
 func init() {
-	referenceOnly.Store(os.Getenv("NOMAD_REFERENCE_KERNELS") != "")
 	simdOn.Store(simdAvailable && os.Getenv("NOMAD_NO_SIMD") == "")
 }
-
-// ReferenceOnly reports whether the reference hot path is forced:
-// reference kernels here, the raw Power schedule in internal/train,
-// and the square loss's original Grad-dispatch path in the solvers.
-// Worker-loop restructuring (token routing, hoisted lookups) is
-// structural and is not reverted.
-func ReferenceOnly() bool { return referenceOnly.Load() }
-
-// SetReferenceOnly overrides the NOMAD_REFERENCE_KERNELS switch at
-// run time; only tests call it, to run one check under every dispatch.
-// The switch is consulted when a run selects its kernels and schedule —
-// never flip it while a training run is active.
-func SetReferenceOnly(v bool) { referenceOnly.Store(v) }
 
 // SIMDAvailable reports whether this CPU and OS support the assembly
 // kernels (AVX2+FMA with YMM state saved, amd64 only).
@@ -86,9 +64,8 @@ func SIMDAvailable() bool { return simdAvailable }
 func SIMDEnabled() bool { return simdOn.Load() }
 
 // SetSIMD switches assembly dispatch on or off at run time; enabling is
-// a no-op on hardware without the features. Like SetReferenceOnly it is
-// consulted at kernel selection, never per rating — don't flip it while
-// a run is active.
+// a no-op on hardware without the features. It is consulted at kernel
+// selection, never per rating — don't flip it while a run is active.
 func SetSIMD(v bool) { simdOn.Store(v && simdAvailable) }
 
 // Features names the vector features the dispatcher can use here
@@ -173,11 +150,10 @@ type Kernel struct {
 	Step StepFunc
 	Grad GradFunc
 	// ItemPass is the batched fused square-loss kernel; see
-	// ItemPassFunc. It is nil under NOMAD_REFERENCE_KERNELS (callers
-	// fall back to their per-rating loops).
+	// ItemPassFunc.
 	ItemPass ItemPassFunc
 	// ItemPassPair is nil wherever there is no two-list kernel (every
-	// rank but 16, every GOARCH but amd64, either switch set): callers
+	// rank but 16, every GOARCH but amd64, NOMAD_NO_SIMD set): callers
 	// run the lists one after the other.
 	ItemPassPair ItemPassPairFunc
 }
@@ -185,13 +161,8 @@ type Kernel struct {
 // KernelFor returns the kernels specialized for rank k: AVX2/FMA
 // assembly when the dispatcher allows (amd64 with the features, SIMD
 // not disabled), otherwise fully unrolled Go variants for K = 8, 16
-// and 32 and unrolled-by-4 generic fallbacks. With
-// NOMAD_REFERENCE_KERNELS set it returns the reference
-// implementations.
+// and 32 and unrolled-by-4 generic fallbacks.
 func KernelFor(k int) Kernel {
-	if referenceOnly.Load() {
-		return Kernel{K: k, Dot: Dot, Step: SGDUpdate, Grad: SGDUpdateGrad}
-	}
 	if simdOn.Load() {
 		if kn, ok := simdKernelFor(k); ok {
 			return kn

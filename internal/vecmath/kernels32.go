@@ -40,23 +40,18 @@ type ItemPassPairFunc32 func(wData []float32, a, b ItemList[float32],
 
 // Kernel32 bundles the float32 hot-path kernels for one rank.
 type Kernel32 struct {
-	K    int
-	Dot  DotFunc32
-	Step StepFunc32
-	Grad GradFunc32
-	// ItemPass is nil under NOMAD_REFERENCE_KERNELS, like Kernel.ItemPass.
+	K        int
+	Dot      DotFunc32
+	Step     StepFunc32
+	Grad     GradFunc32
 	ItemPass ItemPassFunc32
 	// ItemPassPair is nil wherever Kernel.ItemPassPair is.
 	ItemPassPair ItemPassPairFunc32
 }
 
 // KernelFor32 is the float32 twin of KernelFor: AVX2 kernels when the
-// dispatcher allows, portable unrolled kernels otherwise, reference
-// implementations under NOMAD_REFERENCE_KERNELS.
+// dispatcher allows, portable unrolled kernels otherwise.
 func KernelFor32(k int) Kernel32 {
-	if referenceOnly.Load() {
-		return Kernel32{K: k, Dot: Dot32, Step: SGDUpdate32, Grad: SGDUpdateGrad32}
-	}
 	if simdOn.Load() {
 		if kn, ok := simdKernelFor32(k); ok {
 			return kn

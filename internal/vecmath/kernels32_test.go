@@ -133,9 +133,6 @@ func TestKernel32GradMatchesReference(t *testing.T) {
 // batched float32 pass is the same arithmetic as per-rating Step calls
 // and must match bit for bit on whichever kernel set is dispatched.
 func TestItemPass32BitMatchesStep(t *testing.T) {
-	if ReferenceOnly() {
-		t.Skip("reference mode has no batched kernel by design")
-	}
 	r := rng.New(54)
 	for _, k := range []int{8, 16, 32, 17} {
 		slowCalls := 0
@@ -187,17 +184,19 @@ func TestItemPass32BitMatchesStep(t *testing.T) {
 	}
 }
 
-func TestKernelFor32ReferenceMode(t *testing.T) {
-	old := ReferenceOnly()
-	SetReferenceOnly(true)
-	t.Cleanup(func() { SetReferenceOnly(old) })
-	kern := KernelFor32(8)
-	if kern.ItemPass != nil {
-		t.Fatal("reference mode must not provide a batched kernel")
-	}
-	a := []float32{1, 2, 3, 4, 5, 6, 7, 8}
-	if got, want := kern.Dot(a, a), Dot32(a, a); got != want {
-		t.Fatalf("reference dot %v, want %v", got, want)
+// TestKernelForHasItemPass: every rank gets a batched item pass at
+// both precisions under both dispatches, which is what lets the
+// trainers drop their per-rating square-loss loops.
+func TestKernelForHasItemPass(t *testing.T) {
+	old := SIMDEnabled()
+	t.Cleanup(func() { SetSIMD(old) })
+	for _, simd := range []bool{true, false} {
+		SetSIMD(simd)
+		for k := 1; k <= 130; k++ {
+			if KernelFor(k).ItemPass == nil || KernelFor32(k).ItemPass == nil {
+				t.Fatalf("simd=%v K=%d: ItemPass missing", simd, k)
+			}
+		}
 	}
 }
 

@@ -40,18 +40,16 @@ import (
 // the NOMAD_NO_SIMD test pass covers the fallback dispatch on hardware
 // that has the features.
 
-// forceSIMD pins dispatch to the assembly kernels for one test
-// (clearing reference mode, which would shadow them), skipping when
-// the hardware cannot run them.
+// forceSIMD pins dispatch to the assembly kernels for one test,
+// skipping when the hardware cannot run them.
 func forceSIMD(t *testing.T) {
 	t.Helper()
 	if !SIMDAvailable() {
 		t.Skip("no AVX2/FMA on this machine")
 	}
-	oldRef, oldSIMD := ReferenceOnly(), SIMDEnabled()
-	SetReferenceOnly(false)
+	old := SIMDEnabled()
 	SetSIMD(true)
-	t.Cleanup(func() { SetReferenceOnly(oldRef); SetSIMD(oldSIMD) })
+	t.Cleanup(func() { SetSIMD(old) })
 }
 
 // asmLengths covers every asm loop boundary: the 16/32-wide blocks, the
@@ -612,21 +610,19 @@ func FuzzSIMDDot(f *testing.F) {
 	})
 }
 
-// TestKernelSwitchesAreRaceSafe hammers the two dispatch switches from
+// TestKernelSwitchesAreRaceSafe hammers the dispatch switch from
 // concurrent goroutines while readers select kernels — the -race CI
-// job turns any non-atomic access here into a failure. (This is the
-// regression test for SetReferenceOnly's former plain-bool write.)
+// job turns any non-atomic access here into a failure.
 func TestKernelSwitchesAreRaceSafe(t *testing.T) {
-	oldRef, oldSIMD := ReferenceOnly(), SIMDEnabled()
-	t.Cleanup(func() { SetReferenceOnly(oldRef); SetSIMD(oldSIMD) })
+	old := SIMDEnabled()
+	t.Cleanup(func() { SetSIMD(old) })
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(2)
 		go func(flip bool) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				SetReferenceOnly(flip)
-				SetSIMD(!flip)
+				SetSIMD(flip)
 			}
 		}(i%2 == 0)
 		go func() {
@@ -634,7 +630,6 @@ func TestKernelSwitchesAreRaceSafe(t *testing.T) {
 			a := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 			for j := 0; j < 200; j++ {
 				_ = KernelFor(8).Dot(a, a)
-				_ = ReferenceOnly()
 				_ = SIMDEnabled()
 			}
 		}()

@@ -225,9 +225,6 @@ func TestFusedSGDStepGeneric(t *testing.T) {
 // list length of itemPassLens and down to how often the slow closure
 // runs.
 func TestItemPassMatchesPerRatingLoop(t *testing.T) {
-	if ReferenceOnly() {
-		t.Skip("reference mode has no batched kernel by design")
-	}
 	r := rng.New(16)
 	for _, k := range kernelWidths {
 		kern := KernelFor(k)

@@ -66,37 +66,13 @@ var ErrRunning = errors.New("nomad: session is running")
 // resumable state.
 var ErrNoState = errors.New("nomad: session has no training state yet (Run first)")
 
-// settings is the resolved form of the functional options. Pointer
-// fields distinguish "never set" from "explicitly zero" — the
-// ambiguity that made the flat Config struct rewrite Lambda: 0 into
-// 0.05 behind the caller's back.
+// settings is the resolved form of the functional options: the run's
+// train.Config, which starts at the facade's defaults and which every
+// option writes directly — so WithLambda(0) means λ = 0.
 type settings struct {
-	algorithm    string
-	rank         *int
-	lambda       *float64
-	alpha, beta  *float64
-	workers      *int
-	machines     *int
-	network      string
-	role         string
-	listen, join string
-	lockstep     bool
-	lossName     string
-	precision    *Precision
-	loadBalance  bool
-	balanceUsers bool
-	batchSize    *int
-	straggle     *float64
-	seed         *uint64
-	evalPoints   *int
-	epochs       *int
-	maxDuration  *time.Duration
-	maxUpdates   *int64
-	failover     bool
-	elastic      *int
-	chaos        string
-	hbInterval   *time.Duration
-	hbTimeout    *time.Duration
+	algorithm string
+	elastic   bool // WithElastic was given, even with 0 spares
+	cfg       train.Config
 }
 
 // Option configures a Session at construction. Options are applied in
@@ -121,7 +97,7 @@ func WithRank(k int) Option {
 		if k <= 0 {
 			return fmt.Errorf("nomad: rank must be positive, got %d", k)
 		}
-		st.rank = &k
+		st.cfg.K = k
 		return nil
 	}
 }
@@ -133,7 +109,7 @@ func WithLambda(l float64) Option {
 		if l < 0 {
 			return fmt.Errorf("nomad: lambda must be non-negative, got %v", l)
 		}
-		st.lambda = &l
+		st.cfg.Lambda = l
 		return nil
 	}
 }
@@ -149,7 +125,7 @@ func WithSchedule(alpha, beta float64) Option {
 		if beta < 0 {
 			return fmt.Errorf("nomad: schedule beta must be non-negative, got %v", beta)
 		}
-		st.alpha, st.beta = &alpha, &beta
+		st.cfg.Alpha, st.cfg.Beta = alpha, beta
 		return nil
 	}
 }
@@ -160,7 +136,7 @@ func WithWorkers(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("nomad: workers must be positive, got %d", n)
 		}
-		st.workers = &n
+		st.cfg.Workers = n
 		return nil
 	}
 }
@@ -185,36 +161,42 @@ func WithWorkers(n int) Option {
 // size from the coordinator's welcome.
 func WithCluster(machines int, network string, addrs ...string) Option {
 	return func(st *settings) error {
+		profile, backend := netsim.Instant(), ""
 		switch network {
-		case "", "instant", "hpc", "commodity":
-			if len(addrs) > 0 {
-				return fmt.Errorf("nomad: address list needs the \"tcp\" network, got %q", network)
-			}
+		case "", "instant":
+		case "hpc":
+			profile = netsim.HPC()
+		case "commodity":
+			profile = netsim.Commodity()
 		case "tcp":
+			backend = "tcp" // the profile goes unused: real sockets carry the traffic
 		default:
 			return fmt.Errorf("nomad: unknown network %q (instant, hpc, commodity, tcp)", network)
 		}
+		if backend == "" && len(addrs) > 0 {
+			return fmt.Errorf("nomad: address list needs the \"tcp\" network, got %q", network)
+		}
+		c := &st.cfg
 		switch len(addrs) {
 		case 0:
 			if machines <= 0 {
 				return fmt.Errorf("nomad: machines must be positive, got %d", machines)
 			}
-			st.role, st.listen, st.join = "", "", ""
+			c.Role, c.Listen, c.Join = "", "", ""
 		case 1:
 			if machines < 2 {
 				return fmt.Errorf("nomad: a coordinator needs at least 2 machines, got %d", machines)
 			}
-			st.role, st.listen, st.join = "coordinator", addrs[0], ""
+			c.Role, c.Listen, c.Join = "coordinator", addrs[0], ""
 		case 2:
 			if machines < 0 {
 				return fmt.Errorf("nomad: machines must be non-negative, got %d", machines)
 			}
-			st.role, st.listen, st.join = "worker", addrs[0], addrs[1]
+			c.Role, c.Listen, c.Join = "worker", addrs[0], addrs[1]
 		default:
 			return fmt.Errorf("nomad: at most two addresses (listen[, join]), got %d", len(addrs))
 		}
-		st.machines = &machines
-		st.network = network
+		c.Machines, c.Profile, c.Backend = machines, profile, backend
 		return nil
 	}
 }
@@ -228,7 +210,7 @@ func WithCluster(machines int, network string, addrs ...string) Option {
 // is the asynchronous overlap the paper advocates, so this is a
 // verification mode, not the fast path.
 func WithLockstep() Option {
-	return func(st *settings) error { st.lockstep = true; return nil }
+	return func(st *settings) error { st.cfg.Lockstep = true; return nil }
 }
 
 // Precision selects the element type of the factor model; see
@@ -263,7 +245,7 @@ func WithPrecision(p Precision) Option {
 		if p != Float64 && p != Float32 {
 			return fmt.Errorf("nomad: unknown precision %d", p)
 		}
-		st.precision = &p
+		st.cfg.Precision = factor.Precision(p) // the constants mirror factor's
 		return nil
 	}
 }
@@ -273,23 +255,24 @@ func WithPrecision(p Precision) Option {
 // generalization). Honoured by "nomad" and "hogwild".
 func WithLoss(name string) Option {
 	return func(st *settings) error {
-		if _, err := loss.ByName(name); err != nil {
+		l, err := loss.ByName(name)
+		if err != nil {
 			return fmt.Errorf("nomad: %w", err)
 		}
-		st.lossName = name
+		st.cfg.Loss = l
 		return nil
 	}
 }
 
 // WithLoadBalance enables NOMAD's §3.3 dynamic load balancing.
 func WithLoadBalance() Option {
-	return func(st *settings) error { st.loadBalance = true; return nil }
+	return func(st *settings) error { st.cfg.LoadBalance = true; return nil }
 }
 
 // WithBalancedUsers partitions users by rating volume instead of by
 // count (the paper's footnote-1 alternative).
 func WithBalancedUsers() Option {
-	return func(st *settings) error { st.balanceUsers = true; return nil }
+	return func(st *settings) error { st.cfg.BalanceUsers = true; return nil }
 }
 
 // WithBatchSize sets the tokens-per-message accumulation of §3.5.
@@ -299,7 +282,7 @@ func WithBatchSize(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("nomad: batch size must be positive, got %d", n)
 		}
-		st.batchSize = &n
+		st.cfg.BatchSize = n
 		return nil
 	}
 }
@@ -311,7 +294,7 @@ func WithStraggler(factor float64) Option {
 		if factor < 1 {
 			return fmt.Errorf("nomad: straggle factor must be ≥ 1, got %v", factor)
 		}
-		st.straggle = &factor
+		st.cfg.Straggle = factor
 		return nil
 	}
 }
@@ -333,7 +316,8 @@ func WithElastic(spares int) Option {
 		if spares < 0 {
 			return fmt.Errorf("nomad: elastic spares must be non-negative, got %d", spares)
 		}
-		st.elastic = &spares
+		st.elastic = true
+		st.cfg.ElasticSpares, st.cfg.Failover = spares, true
 		return nil
 	}
 }
@@ -348,7 +332,7 @@ func WithElastic(spares int) Option {
 // asynchronous distributed runners (not lockstep or multi-process
 // roles).
 func WithFailover() Option {
-	return func(st *settings) error { st.failover = true; return nil }
+	return func(st *settings) error { st.cfg.Failover = true; return nil }
 }
 
 // WithHeartbeat tunes the tcp backend's failure detector: interval
@@ -362,7 +346,7 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 		if interval > 0 && timeout > 0 && timeout <= interval {
 			return fmt.Errorf("nomad: heartbeat timeout %v must exceed the interval %v", timeout, interval)
 		}
-		st.hbInterval, st.hbTimeout = &interval, &timeout
+		st.cfg.HeartbeatInterval, st.cfg.HeartbeatTimeout = interval, timeout
 		return nil
 	}
 }
@@ -374,17 +358,18 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 // partition faults imply WithFailover.
 func WithChaos(spec string) Option {
 	return func(st *settings) error {
-		if _, err := cluster.ParseChaos(spec); err != nil {
+		c, err := cluster.ParseChaos(spec)
+		if err != nil {
 			return fmt.Errorf("nomad: %w", err)
 		}
-		st.chaos = spec
+		st.cfg.Chaos = c
 		return nil
 	}
 }
 
 // WithSeed fixes the run's random seed. Default 1.
 func WithSeed(seed uint64) Option {
-	return func(st *settings) error { st.seed = &seed; return nil }
+	return func(st *settings) error { st.cfg.Seed = seed; return nil }
 }
 
 // WithEvalPoints sets how many RMSE samples the convergence trace
@@ -394,7 +379,7 @@ func WithEvalPoints(n int) Option {
 		if n <= 0 {
 			return fmt.Errorf("nomad: eval points must be positive, got %d", n)
 		}
-		st.evalPoints = &n
+		st.cfg.EvalPoints = n
 		return nil
 	}
 }
@@ -404,18 +389,18 @@ type StopCondition func(*settings)
 
 // MaxEpochs stops after about n sweeps over the training ratings.
 func MaxEpochs(n int) StopCondition {
-	return func(st *settings) { st.epochs = &n }
+	return func(st *settings) { st.cfg.Epochs = n }
 }
 
 // MaxDuration stops after the given wall-clock budget.
 func MaxDuration(d time.Duration) StopCondition {
-	return func(st *settings) { st.maxDuration = &d }
+	return func(st *settings) { st.cfg.Deadline = d }
 }
 
 // MaxUpdates stops after the given number of SGD updates (cumulative
 // across resumed segments).
 func MaxUpdates(n int64) StopCondition {
-	return func(st *settings) { st.maxUpdates = &n }
+	return func(st *settings) { st.cfg.MaxUpdates = n }
 }
 
 // WithStopConditions bounds the run: it ends when any of the given
@@ -425,7 +410,7 @@ func WithStopConditions(conds ...StopCondition) Option {
 		if len(conds) == 0 {
 			return fmt.Errorf("nomad: WithStopConditions needs at least one condition")
 		}
-		st.epochs, st.maxDuration, st.maxUpdates = nil, nil, nil
+		st.cfg.Epochs, st.cfg.Deadline, st.cfg.MaxUpdates = 0, 0, 0
 		for _, c := range conds {
 			c(st)
 		}
@@ -442,32 +427,32 @@ func NewSession(ds *Dataset, opts ...Option) (*Session, error) {
 	if ds.inner.Train == nil || ds.inner.Train.NNZ() == 0 {
 		return nil, fmt.Errorf("nomad: empty dataset (no training ratings)")
 	}
-	st := settings{algorithm: "nomad"}
+	st := settings{algorithm: "nomad", cfg: train.Config{
+		K: 16, Lambda: 0.05, Alpha: 0.05, Beta: 0.02,
+		Profile: netsim.Instant(), Loss: loss.Square{},
+	}}
 	for _, opt := range opts {
 		if err := opt(&st); err != nil {
 			return nil, err
 		}
 	}
-	if st.algorithm != "nomad" && (st.network == "tcp" || st.role != "" || st.lockstep) {
+	cfg := st.cfg
+	if st.algorithm != "nomad" && (cfg.Backend == "tcp" || cfg.Role != "" || cfg.Lockstep) {
 		// Only the nomad solver implements the real-socket backend and
 		// the lockstep/multi-process runners; accepting the options for
 		// the baselines would silently train independent local runs.
 		return nil, fmt.Errorf("nomad: the tcp backend, cluster roles and lockstep are only implemented by the %q solver (got %q)", "nomad", st.algorithm)
 	}
-	if st.elastic != nil && (st.algorithm != "nomad" || st.lockstep || st.role != "") {
+	if st.elastic && (st.algorithm != "nomad" || cfg.Lockstep || cfg.Role != "") {
 		return nil, fmt.Errorf("nomad: elastic membership is only implemented by the %q solver's asynchronous runners (not lockstep or multi-process roles)", "nomad")
 	}
-	if st.precision != nil && *st.precision == Float32 {
+	if cfg.Precision == factor.Float32 {
 		if st.algorithm != "nomad" && st.algorithm != "hogwild" {
 			return nil, fmt.Errorf("nomad: float32 precision is only implemented by the SGD solvers %q and %q (got %q)", "nomad", "hogwild", st.algorithm)
 		}
-		if st.lockstep || st.role != "" {
+		if cfg.Lockstep || cfg.Role != "" {
 			return nil, fmt.Errorf("nomad: float32 precision is not supported by the lockstep/multi-process runners")
 		}
-	}
-	cfg, err := st.trainConfig()
-	if err != nil {
-		return nil, err
 	}
 	// Every session owns a membership-control endpoint; the asynchronous
 	// runners bind its handlers while an elastic run is live, so Resize
@@ -482,97 +467,6 @@ func NewSession(ds *Dataset, opts ...Option) (*Session, error) {
 		elastic:   ec,
 		subs:      make(map[int]chan Event),
 	}, nil
-}
-
-// trainConfig resolves the settings into the internal configuration,
-// applying facade-level defaults for anything unset.
-func (st *settings) trainConfig() (train.Config, error) {
-	cfg := train.Config{
-		K:      16,
-		Lambda: 0.05,
-		Alpha:  0.05,
-		Beta:   0.02,
-	}
-	if st.rank != nil {
-		cfg.K = *st.rank
-	}
-	if st.lambda != nil {
-		cfg.Lambda = *st.lambda
-	}
-	if st.alpha != nil {
-		cfg.Alpha, cfg.Beta = *st.alpha, *st.beta
-	}
-	if st.workers != nil {
-		cfg.Workers = *st.workers
-	}
-	if st.machines != nil {
-		cfg.Machines = *st.machines
-	}
-	switch st.network {
-	case "", "instant":
-		cfg.Profile = netsim.Instant()
-	case "hpc":
-		cfg.Profile = netsim.HPC()
-	case "commodity":
-		cfg.Profile = netsim.Commodity()
-	case "tcp":
-		cfg.Profile = netsim.Instant() // unused: real sockets carry the traffic
-		cfg.Backend = "tcp"
-	}
-	cfg.Role = st.role
-	cfg.Listen = st.listen
-	cfg.Join = st.join
-	cfg.Lockstep = st.lockstep || st.role != ""
-	lossFn, err := loss.ByName(st.lossName)
-	if err != nil {
-		return cfg, fmt.Errorf("nomad: %w", err)
-	}
-	cfg.Loss = lossFn
-	if st.precision != nil && *st.precision == Float32 {
-		cfg.Precision = factor.Float32
-	}
-	cfg.LoadBalance = st.loadBalance
-	cfg.BalanceUsers = st.balanceUsers
-	if st.batchSize != nil {
-		cfg.BatchSize = *st.batchSize
-	}
-	if st.straggle != nil {
-		cfg.Straggle = *st.straggle
-	}
-	if st.seed != nil {
-		cfg.Seed = *st.seed
-	}
-	if st.evalPoints != nil {
-		cfg.EvalPoints = *st.evalPoints
-	}
-	if st.epochs != nil {
-		cfg.Epochs = *st.epochs
-	}
-	if st.maxDuration != nil {
-		cfg.Deadline = *st.maxDuration
-	}
-	if st.maxUpdates != nil {
-		cfg.MaxUpdates = *st.maxUpdates
-	}
-	cfg.Failover = st.failover
-	if st.elastic != nil {
-		cfg.ElasticSpares = *st.elastic
-		cfg.Failover = true
-	}
-	if st.chaos != "" {
-		spec, err := cluster.ParseChaos(st.chaos)
-		if err != nil {
-			return cfg, fmt.Errorf("nomad: %w", err)
-		}
-		cfg.Chaos = spec
-	}
-	if st.hbInterval != nil {
-		cfg.HeartbeatInterval = *st.hbInterval
-	}
-	if st.hbTimeout != nil {
-		cfg.HeartbeatTimeout = *st.hbTimeout
-	}
-	return cfg, nil
 }
 
 // Run trains until a stop condition is met or ctx ends the run. It

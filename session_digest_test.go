@@ -22,7 +22,7 @@ func TestSingleWorkerModelDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes 4.5 M ratings")
 	}
-	if !vecmath.SIMDEnabled() || vecmath.ReferenceOnly() {
+	if !vecmath.SIMDEnabled() {
 		t.Skip("the digest is the AVX2/FMA kernels'; other dispatches round differently")
 	}
 	const (
@@ -58,7 +58,7 @@ func TestSingleWorkerModelDigest(t *testing.T) {
 // bold-driver state, and the simulated network's byte and message
 // counts.
 func TestDSGDFamilyModelDigest(t *testing.T) {
-	if !vecmath.SIMDEnabled() || vecmath.ReferenceOnly() {
+	if !vecmath.SIMDEnabled() {
 		t.Skip("the digest is the AVX2/FMA kernels'; other dispatches round differently")
 	}
 	want := map[string]string{
