@@ -52,7 +52,7 @@ func main() {
 		role       = flag.String("role", "", "multi-process cluster role: coordinator or worker")
 		listen     = flag.String("listen", "", "address this process listens on (coordinator: required; worker: default :0)")
 		join       = flag.String("join", "", "coordinator address a worker joins")
-		lockstep   = flag.Bool("lockstep", false, "deterministic round-based distributed runner (bitwise-reproducible across backends)")
+		replay     = flag.Bool("replay", false, "log every item visit and check that a serial replay reproduces the run bit for bit (nomad; every process of a cluster)")
 		balance    = flag.Bool("balance", false, "enable §3.3 dynamic load balancing")
 		failover   = flag.Bool("failover", false, "survive a machine death: buddy replication + token-ownership failover")
 		elastic    = flag.Int("elastic", 0, "provision this many spare machine slots for mid-run scale-out (implies -failover)")
@@ -106,8 +106,8 @@ func main() {
 	default:
 		fatal(fmt.Errorf("unknown -role %q (coordinator, worker)", *role))
 	}
-	if *lockstep {
-		opts = append(opts, nomad.WithLockstep())
+	if *replay {
+		opts = append(opts, nomad.WithReplayCheck())
 	}
 	if *balance {
 		opts = append(opts, nomad.WithLoadBalance())
@@ -155,15 +155,24 @@ func main() {
 	cancelSub := func() {}
 	recoveryMs := -1.0                 // set by the printer goroutine, read after <-done
 	resizeMs := map[string][]float64{} // per-kind commit latencies, same discipline
-	if *quiet {
+	replayed := int64(-1)              // visits the replay check reproduced, same discipline
+	if *quiet && !*replay {
 		close(done)
 	} else {
 		var events <-chan nomad.Event
 		events, cancelSub = s.Subscribe(256)
-		fmt.Printf("%-10s %-12s %s\n", "seconds", "updates", "testRMSE")
+		if !*quiet {
+			fmt.Printf("%-10s %-12s %s\n", "seconds", "updates", "testRMSE")
+		}
 		go func() {
 			defer close(done)
 			for e := range events {
+				if ev, ok := e.(nomad.ReplayEvent); ok {
+					replayed = ev.Visits
+				}
+				if *quiet {
+					continue
+				}
 				switch ev := e.(type) {
 				case nomad.TraceEvent:
 					fmt.Printf("%-10.3f %-12d %.6f\n", ev.Seconds, ev.Updates, ev.RMSE)
@@ -224,7 +233,7 @@ func main() {
 	}
 	if res == nil {
 		// Cancelled before any trainable progress existed — e.g. a
-		// worker stopped mid-rendezvous, or a lockstep rank aborted.
+		// worker stopped mid-rendezvous, or a cluster rank aborted.
 		fatal(fmt.Errorf("interrupted before any progress was made: %w", err))
 	}
 	cancel()
@@ -253,9 +262,15 @@ func main() {
 		}
 		fmt.Println()
 		// Machine-readable lines for scripts (the CI distributed job
-		// asserts RMSE parity across backends on the rmse line; the
-		// fault-injection job asserts recovery on recovery_ms).
+		// compares the rmse line across process layouts and asserts the
+		// replay line; the fault-injection job asserts recovery on
+		// recovery_ms).
 		fmt.Printf("rmse: %.12f\n", res.TestRMSE)
+		if replayed >= 0 {
+			// Reaching this line means the replay matched: a difference
+			// fails the run.
+			fmt.Printf("replay: bit-identical (%d item visits replayed serially)\n", replayed)
+		}
 		if recoveryMs >= 0 {
 			fmt.Printf("recovery_ms: %.3f\n", recoveryMs)
 		}

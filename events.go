@@ -18,6 +18,7 @@ package nomad
 //	case nomad.BalanceEvent:  // §3.3 load-balance routing decision
 //	case nomad.NetworkEvent:  // network accounting (sim or tcp)
 //	case nomad.PeerDownEvent: // cluster machine failure (tcp backend)
+//	case nomad.ReplayEvent:   // the run's serial replay matched (WithReplayCheck)
 //	}
 type Event interface {
 	event() // sealed: only this package defines events
@@ -92,6 +93,13 @@ type ResizeEvent struct {
 	Seconds  float64
 }
 
+// ReplayEvent reports a run checked with WithReplayCheck: replaying
+// its Visits item visits serially reproduced the run's final factors
+// and step counts bit for bit.
+type ReplayEvent struct {
+	Visits int64
+}
+
 func (TraceEvent) event()         {}
 func (EpochEvent) event()         {}
 func (BalanceEvent) event()       {}
@@ -99,3 +107,4 @@ func (NetworkEvent) event()       {}
 func (PeerDownEvent) event()      {}
 func (PeerRecoveredEvent) event() {}
 func (ResizeEvent) event()        {}
+func (ReplayEvent) event()        {}

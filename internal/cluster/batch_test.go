@@ -105,7 +105,7 @@ func TestSenderCopiesOnAdd(t *testing.T) {
 
 // TestSimLinkSendClonesBatch pins the boundary rule on the simulated
 // network, which delivers payloads by reference: the caller's batch
-// (a sender arena, a lockstep outbox) must be reusable the moment
+// (a sender arena) must be reusable the moment
 // Send returns.
 func TestSimLinkSendClonesBatch(t *testing.T) {
 	c := NewSimCluster(2, netsim.Instant(), 1)

@@ -10,9 +10,9 @@ package cluster
 //
 // A Link is one machine's endpoint. Data plane: Send/Recv move
 // TokenBatch frames (the §3.5 unit of transfer). Control plane:
-// SendCtl/Ctl move small opaque frames used by the deterministic
-// lockstep runner (round markers, directives, model-gather blocks) and
-// by anything else that needs ordered sideband messages. Per-peer FIFO
+// SendCtl/Ctl move small opaque frames used by the multi-process
+// runner (progress, stop, the teardown gather), by failover and by
+// anything else that needs ordered sideband messages. Per-peer FIFO
 // ordering holds within each plane and, for in-order backends (TCP,
 // netsim's instant profile), across both planes of one peer.
 
@@ -80,7 +80,7 @@ type Link interface {
 	// Ownership: the batch and its token vectors remain the caller's;
 	// implementations copy or encode them before returning, so the
 	// caller may reuse the backing arrays (a Sender's per-destination
-	// arena, a lockstep outbox) as soon as Send returns.
+	// arena, an end-of-circulation marker) as soon as Send returns.
 	Send(dst int, batch TokenBatch) error
 	// Recv returns the inbound token-batch channel. It is closed once
 	// every peer has ended its stream (CloseSend) and all in-flight

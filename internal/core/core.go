@@ -21,14 +21,16 @@
 //
 // Inside a machine a token is only the item index: hⱼ stays in the
 // model row, which ownership transfer keeps free of data races. Every
-// runner trains tokens with one trainer (hotPath.runBlock): the
-// asynchronous runners' workers call it from one loop (runWorker), the
-// lockstep runner once per worker per round. A distributed run copies
-// hⱼ out of the row only onto the wire, and back in on arrival.
+// runner's workers train tokens with one trainer (hotPath.runBlock)
+// from one loop (runWorker), and every distributed machine — one of M
+// in this process, or the one machine of a multi-process rank — is
+// started by runMachine. A distributed run copies hⱼ out of the row
+// only onto the wire, and back in on arrival.
 package core
 
 import (
 	"context"
+	"fmt"
 
 	"nomad/internal/dataset"
 	"nomad/internal/factor"
@@ -60,19 +62,33 @@ func (*NOMAD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if cfg.Role != "" {
-		// One machine of a real multi-process cluster (deterministic
-		// lockstep rounds over TCP); cfg.Machines is the coordinator's
-		// cluster size and is learned at the handshake by workers.
-		return trainMultiProcess(ctx, ds, cfg, hooks)
+	var vl *visitLog
+	if hooks.Replaying() {
+		if cfg.Failover || cfg.Chaos != nil {
+			return nil, fmt.Errorf("core: the replay check does not cover failover, elastic or chaos runs")
+		}
+		vl = &visitLog{}
+		if cfg.Resume != nil {
+			vl.start = cfg.Resume.Model.Clone() // the run trains on it in place
+		}
 	}
-	if cfg.Machines == 1 {
-		return trainShared(ctx, ds, cfg, hooks)
+	runner := trainDistributed
+	switch {
+	case cfg.Role != "":
+		runner = trainMultiProcess // workers learn cfg.Machines at the handshake
+	case cfg.Machines == 1:
+		runner = trainShared
 	}
-	if cfg.Lockstep {
-		return trainLockstep(ctx, ds, cfg, hooks)
+	res, err := runner(ctx, ds, cfg, hooks, vl)
+	if vl == nil || res == nil || res.Final == nil {
+		return res, err // no log, no result, or a multi-process worker: rank 0 replays
 	}
-	return trainDistributed(ctx, ds, cfg, hooks)
+	visits, rerr := vl.replay(ds, cfg, res)
+	if rerr != nil {
+		return res, rerr
+	}
+	hooks.EmitReplay(train.ReplayEvent{Visits: visits})
+	return res, err
 }
 
 // hotPath is the per-run selection every SGD worker loop shares:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -13,10 +14,11 @@ import (
 // level of the runner, where the codec's own alloc tests cannot see:
 // once a distributed run is warm, moving a token from one machine to
 // the next — row into batch, encode, write, read, decode, delivery
-// into the row, re-plan, lane hand-off — allocates nothing. The
-// lockstep runner's hop (row into batch, wire, binned into the row)
-// allocates nothing per token either; its per-round bins and slices
-// spread over every token of the round.
+// into the row, re-plan, lane hand-off — allocates nothing. With the
+// replay check on (the _replay case) each hop also appends to the
+// visit log, whose streams grow by doubling, so it stays amortised
+// allocation-free as well; the replay at the end costs the same in
+// both runs.
 //
 // A short and a long run of one configuration differ only in how many
 // tokens crossed the wire: set-up, the initial placement, link boot
@@ -30,26 +32,31 @@ func TestDistributedTokenPathAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		backend  string
-		workers  int
-		lockstep bool
-	}{{"sim", 1, false}, {"tcp", 1, false}, {"sim", 2, false}, {"sim", 2, true}, {"tcp", 2, true}} {
+		backend string
+		workers int
+		replay  bool
+	}{{"sim", 1, false}, {"tcp", 1, false}, {"sim", 2, false}, {"tcp", 2, false}, {"sim", 2, true}} {
 		name := fmt.Sprintf("%s_w%d", tc.backend, tc.workers)
-		if tc.lockstep {
-			name = "lockstep_" + name
+		var hooks *train.Hooks
+		if tc.replay {
+			name += "_replay"
+			hooks = &train.Hooks{Replay: func(train.ReplayEvent) {}}
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := train.Config{
 				K: 16, Lambda: 0.05, Alpha: 0.01, Beta: 0.01,
 				Machines: 2, Workers: tc.workers, Backend: tc.backend,
-				Lockstep: tc.lockstep, EvalPoints: 2, Seed: 7,
+				EvalPoints: 2, Seed: 7,
 			}
 			run := func(epochs int) (mallocs uint64, wireTokens float64) {
 				cfg.Epochs = epochs
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				res := runNomad(t, ds, cfg)
+				res, err := New().Train(context.Background(), ds, cfg, hooks)
+				if err != nil {
+					t.Fatal(err)
+				}
 				runtime.ReadMemStats(&after)
 				return after.Mallocs - before.Mallocs, float64(res.BytesSent) / float64(4+8*cfg.K)
 			}

@@ -1,7 +1,7 @@
 package core
 
 // The (sim | tcp) backend matrix over the asynchronous distributed
-// runner, the bitwise parity guarantees of the lockstep runner, and
+// runner, the multi-process runner with its gather and its replay, and
 // the failure semantics of the real-network backend.
 
 import (
@@ -15,9 +15,10 @@ import (
 	"time"
 
 	"nomad/internal/cluster"
+	"nomad/internal/dataset"
 	"nomad/internal/factor"
+	"nomad/internal/metrics"
 	"nomad/internal/netlink"
-	"nomad/internal/netsim"
 	"nomad/internal/train"
 )
 
@@ -41,45 +42,10 @@ func TestDistributedBackendMatrix(t *testing.T) {
 	}
 }
 
-// modelsEqual compares two models bitwise.
-func modelsEqual(t *testing.T, a, b *train.Result) {
-	t.Helper()
-	if a.Model.M != b.Model.M || a.Model.N != b.Model.N || a.Model.K != b.Model.K {
-		t.Fatalf("shape mismatch: %d×%d×%d vs %d×%d×%d",
-			a.Model.M, a.Model.N, a.Model.K, b.Model.M, b.Model.N, b.Model.K)
-	}
-	aw, bw := a.Model.WData(), b.Model.WData()
-	for i := range aw {
-		if aw[i] != bw[i] {
-			t.Fatalf("W diverges at %d: %v vs %v", i, aw[i], bw[i])
-		}
-	}
-	ah, bh := a.Model.HData(), b.Model.HData()
-	for i := range ah {
-		if ah[i] != bh[i] {
-			t.Fatalf("H diverges at %d: %v vs %v", i, ah[i], bh[i])
-		}
-	}
-}
-
-func lockstepConfig() train.Config {
-	cfg := baseConfig()
-	cfg.Machines, cfg.Workers = 3, 2
-	cfg.Lockstep = true
-	cfg.Epochs = 4
-	return cfg
-}
-
-// TestSingleMachineRejectsDistModes: explicitly requested lockstep or
-// tcp with one machine must error, not silently fall back to the
-// nondeterministic shared-memory path.
+// TestSingleMachineRejectsDistModes: the tcp backend with one machine
+// must error, not silently fall back to the shared-memory path.
 func TestSingleMachineRejectsDistModes(t *testing.T) {
 	ds := testData(t)
-	lk := baseConfig()
-	lk.Lockstep = true
-	if _, err := New().Train(context.Background(), ds, lk, nil); err == nil {
-		t.Error("lockstep with 1 machine accepted")
-	}
 	tc := baseConfig()
 	tc.Backend = "tcp"
 	if _, err := New().Train(context.Background(), ds, tc, nil); err == nil {
@@ -87,113 +53,19 @@ func TestSingleMachineRejectsDistModes(t *testing.T) {
 	}
 }
 
-func TestLockstepConverges(t *testing.T) {
-	ds := testData(t)
-	res := runNomad(t, ds, lockstepConfig())
-	requireConverged(t, res)
-	if res.Updates < res.Trace.Points[0].Updates {
-		t.Fatalf("updates went backwards")
+// TestGatherRejectsOutOfRangeItem: a peer's fold frame naming an item
+// past the dataset fails the gather with an error naming the peer,
+// and folds nothing — not the good row ahead of the bad one either.
+func TestGatherRejectsOutOfRangeItem(t *testing.T) {
+	const n, k = 10, 2
+	g := &gather{md: factor.New(1, n, k)}
+	fold := appendRows(nil, []int32{4, n}, k, func(_ int, row []float64) { row[0], row[1] = 1, 2 })
+	err := g.add(cluster.Ctl{From: 1, Kind: ctlFold, Payload: fold})
+	if err == nil || !strings.Contains(err.Error(), "machine 1") || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("gather = %v, want the out-of-range item from machine 1 rejected", err)
 	}
-}
-
-// TestLockstepDeterministicRerun: the whole point of the mode — two
-// runs of the same configuration produce bitwise-identical models.
-func TestLockstepDeterministicRerun(t *testing.T) {
-	ds := testData(t)
-	a := runNomad(t, ds, lockstepConfig())
-	b := runNomad(t, ds, lockstepConfig())
-	modelsEqual(t, a, b)
-	if a.Updates != b.Updates {
-		t.Fatalf("updates differ: %d vs %d", a.Updates, b.Updates)
-	}
-}
-
-// TestLockstepBackendParity: the simulated network and a real TCP
-// loopback mesh produce bitwise-identical models — the single-process
-// side of the cross-backend guarantee the CI distributed job asserts
-// against real processes.
-func TestLockstepBackendParity(t *testing.T) {
-	ds := testData(t)
-	sim := lockstepConfig()
-	sim.Backend = "sim"
-	tcp := lockstepConfig()
-	tcp.Backend = "tcp"
-	a := runNomad(t, ds, sim)
-	b := runNomad(t, ds, tcp)
-	modelsEqual(t, a, b)
-	if a.Updates != b.Updates {
-		t.Fatalf("updates differ: %d vs %d", a.Updates, b.Updates)
-	}
-	if a.Trace.Final().RMSE != b.Trace.Final().RMSE {
-		t.Fatalf("final RMSE differs: %v vs %v", a.Trace.Final().RMSE, b.Trace.Final().RMSE)
-	}
-}
-
-// TestLockstepResumeBackendParity: a checkpoint taken from a sim
-// lockstep run continues identically over sim and over TCP — the
-// "checkpoint/resume across process boundaries" guarantee, in its
-// single-process form.
-func TestLockstepResumeBackendParity(t *testing.T) {
-	ds := testData(t)
-	first := lockstepConfig()
-	first.Epochs = 0
-	first.MaxUpdates = int64(ds.Train.NNZ()) // ~1 epoch, stops at a round boundary
-	head := runNomad(t, ds, first)
-	if head.Final == nil {
-		t.Fatal("lockstep coordinator produced no resumable state")
-	}
-	// Serialize/deserialize so the continuation uses exactly what a
-	// checkpoint file would carry.
-	var buf bytes.Buffer
-	if err := head.Final.WriteBinary(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restore := func() *train.State {
-		st, err := train.ReadState(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	cont := lockstepConfig()
-	cont.Epochs = 0
-	cont.MaxUpdates = 3 * int64(ds.Train.NNZ())
-	simCfg := cont
-	simCfg.Backend = "sim"
-	simCfg.Resume = restore()
-	tcpCfg := cont
-	tcpCfg.Backend = "tcp"
-	tcpCfg.Resume = restore()
-	a := runNomad(t, ds, simCfg)
-	b := runNomad(t, ds, tcpCfg)
-	modelsEqual(t, a, b)
-	if a.Updates != b.Updates {
-		t.Fatalf("updates differ: %d vs %d", a.Updates, b.Updates)
-	}
-	if a.Updates <= head.Updates {
-		t.Fatalf("continuation did not progress: %d after %d", a.Updates, head.Updates)
-	}
-}
-
-// TestLockstepRejectsOutOfRangeItem: a peer's round batch naming an
-// item past the dataset fails the round with an error naming the peer,
-// instead of binning a token that would later index a model row.
-func TestLockstepRejectsOutOfRangeItem(t *testing.T) {
-	const n = 10
-	links := cluster.NewSimCluster(2, netsim.Instant(), 2).Links()
-	coll := newLockCollector(links[0], factor.New(1, n, 2))
-	bad := cluster.TokenBatch{Tokens: []cluster.Token{{Item: 4, Vec: []float64{1, 2}}, {Item: n, Vec: []float64{3, 4}}}}
-	if err := links[1].Send(0, bad); err != nil {
-		t.Fatal(err)
-	}
-	if err := links[1].SendCtl(0, ctlRoundEnd, make([]byte, 12)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := coll.collectRound(0); err == nil || !strings.Contains(err.Error(), "machine 1 sent item token 10") {
-		t.Fatalf("collectRound = %v, want the out-of-range item from machine 1 rejected", err)
-	}
-	for _, l := range links {
-		l.Close() //nolint:errcheck
+	if len(g.items) != 0 || g.md.ItemRow(4)[0] != 0 {
+		t.Fatal("the rejected frame's first token was folded")
 	}
 }
 
@@ -210,29 +82,41 @@ func freePort(t *testing.T) string {
 	return addr
 }
 
-// TestMultiProcessLockstepParity drives the real multi-process entry
-// points (Role = coordinator/worker, rendezvous and all) in-process
-// and requires bitwise parity with the single-process runner.
-func TestMultiProcessLockstepParity(t *testing.T) {
-	ds := testData(t)
-	single := runNomad(t, ds, lockstepConfig())
+// clusterConfig is the multi-process tests' shape: 3 machines of 2
+// workers, K = 16 so the workers run their two-list lanes.
+func clusterConfig() train.Config {
+	cfg := baseConfig()
+	cfg.K, cfg.Machines, cfg.Workers, cfg.Epochs = 16, 3, 2, 4
+	return cfg
+}
 
+// runCluster drives the real multi-process entry points (Role,
+// rendezvous and all) as goroutine ranks over loopback TCP, each rank
+// with a private model, and returns every rank's result. With replay
+// set every rank keeps its visit log and rank 0 replays the merged
+// logs; the returned count is what it replayed.
+func runCluster(t *testing.T, ds *dataset.Dataset, cfg train.Config, replay bool) ([]*train.Result, int64) {
+	t.Helper()
 	addr := freePort(t)
-	const M = 3
-	results := make([]*train.Result, M)
-	errs := make([]error, M)
+	M := cfg.Machines
+	results, errs := make([]*train.Result, M), make([]error, M)
+	var visits int64
 	var wg sync.WaitGroup
 	for r := 0; r < M; r++ {
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
-			cfg := lockstepConfig()
-			if r == 0 {
-				cfg.Role, cfg.Listen = "coordinator", addr
-			} else {
-				cfg.Role, cfg.Listen, cfg.Join = "worker", "127.0.0.1:0", addr
+			c := cfg
+			var hooks *train.Hooks
+			if replay {
+				hooks = &train.Hooks{Replay: func(e train.ReplayEvent) { visits = e.Visits }}
 			}
-			results[r], errs[r] = New().Train(context.Background(), ds, cfg, nil)
+			if r == 0 {
+				c.Role, c.Listen = "coordinator", addr
+			} else {
+				c.Role, c.Listen, c.Join, c.Machines, c.Resume = "worker", "127.0.0.1:0", addr, 0, nil
+			}
+			results[r], errs[r] = New().Train(context.Background(), ds, c, hooks)
 		}(r)
 	}
 	wg.Wait()
@@ -241,18 +125,126 @@ func TestMultiProcessLockstepParity(t *testing.T) {
 			t.Fatalf("rank %d: %v", r, err)
 		}
 	}
-	modelsEqual(t, single, results[0])
-	if single.Updates != results[0].Updates {
-		t.Fatalf("updates differ: %d vs %d", single.Updates, results[0].Updates)
+	return results, visits
+}
+
+// TestMultiProcessConverges: with no visit log — the path a production
+// cluster runs — a 1 + 3 cluster of goroutine ranks trains to a
+// converged model on rank 0 within its update budget, its trace start
+// and final, and every token folded back: the coordinator's gathered
+// model scores the same RMSE its trace reports.
+func TestMultiProcessConverges(t *testing.T) {
+	ds := testData(t)
+	cfg := clusterConfig()
+	cfg.Machines, cfg.Epochs = 4, 6
+	results, visits := runCluster(t, ds, cfg, false)
+	res := results[0]
+	requireConverged(t, res)
+	if visits != 0 {
+		t.Errorf("replayed %d visits with the check off", visits)
 	}
-	// Workers return their partial model and no resumable state.
-	for r := 1; r < M; r++ {
-		if results[r].Final != nil {
-			t.Fatalf("worker %d returned resumable state", r)
-		}
-		if results[r].Updates != results[0].Updates {
-			t.Fatalf("worker %d sees %d global updates, coordinator %d", r, results[r].Updates, results[0].Updates)
-		}
+	if n := len(res.Trace.Points); n != 2 {
+		t.Errorf("multi-process trace has %d points, want start and final", n)
+	}
+	if budget := int64(cfg.Epochs * ds.Train.NNZ()); res.Updates < budget || res.Final.Updates != res.Updates {
+		t.Errorf("%d updates (state %d) for a budget of %d", res.Updates, res.Final.Updates, budget)
+	}
+	if got, want := metrics.RMSE(res.Model, ds.TestByUser()), res.Trace.Final().RMSE; got != want {
+		t.Errorf("the gathered model scores %.6f, the trace's final point %.6f", got, want)
+	}
+}
+
+// TestMultiProcessReplay: a 1 + 2 cluster of goroutine ranks runs the
+// asynchronous machine with a private model per rank, in both
+// precisions; it converges, its trace is start and final, rank 0's
+// serial replay of the merged visit logs is bit-equal, and workers
+// return no resumable state. CI runs it under -race.
+func TestMultiProcessReplay(t *testing.T) {
+	ds := testData(t)
+	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
+		t.Run(prec.String(), func(t *testing.T) {
+			cfg := clusterConfig()
+			cfg.Precision = prec
+			results, visits := runCluster(t, ds, cfg, true)
+			requireConverged(t, results[0])
+			if n := len(results[0].Trace.Points); n != 2 {
+				t.Errorf("multi-process trace has %d points, want start and final", n)
+			}
+			if visits == 0 || results[0].Final == nil {
+				t.Fatalf("rank 0 replayed %d visits, final state %v", visits, results[0].Final)
+			}
+			if results[0].Updates < int64(cfg.Epochs*ds.Train.NNZ()) {
+				t.Errorf("%d updates, budget %d", results[0].Updates, cfg.Epochs*ds.Train.NNZ())
+			}
+			for r := 1; r < cfg.Machines; r++ {
+				if results[r].Final != nil {
+					t.Fatalf("worker %d returned resumable state", r)
+				}
+			}
+		})
+	}
+}
+
+// TestMultiProcessResume: a multi-process checkpoint, serialized as a
+// file would carry it, continues in a second 1 + 2 cluster — the
+// coordinator ships it at the rendezvous — whose update totals span
+// both segments and whose replay, from the resumed state, is bit-equal.
+func TestMultiProcessResume(t *testing.T) {
+	ds := testData(t)
+	first := clusterConfig()
+	first.Epochs, first.MaxUpdates = 0, int64(ds.Train.NNZ())
+	head, _ := runCluster(t, ds, first, false)
+	if head[0].Final == nil {
+		t.Fatal("coordinator produced no resumable state")
+	}
+	var buf bytes.Buffer
+	if err := head[0].Final.WriteBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	st, err := train.ReadState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cont := clusterConfig()
+	cont.Epochs, cont.MaxUpdates, cont.Resume = 0, 3*int64(ds.Train.NNZ()), st
+	res, visits := runCluster(t, ds, cont, true)
+	if visits == 0 {
+		t.Fatal("the resumed segment was not replayed")
+	}
+	if first := res[0].Trace.Points[0].Updates; first != head[0].Updates {
+		t.Errorf("the resumed trace starts at %d updates, the checkpoint holds %d", first, head[0].Updates)
+	}
+	if res[0].Updates < cont.MaxUpdates || res[0].Final.Updates != res[0].Updates {
+		t.Errorf("%d updates (state %d) for a cumulative budget of %d", res[0].Updates, res[0].Final.Updates, cont.MaxUpdates)
+	}
+}
+
+// TestMultiProcessRejectsPrecisionMismatch: precision is part of the
+// config digest, so a float32 worker cannot join a float64
+// coordinator — the handshake refuses it before any training.
+func TestMultiProcessRejectsPrecisionMismatch(t *testing.T) {
+	ds := testData(t)
+	addr := freePort(t)
+	cfg := clusterConfig()
+	cfg.Machines = 2
+	var coordErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		c := cfg
+		c.Role, c.Listen = "coordinator", addr
+		_, coordErr = New().Train(context.Background(), ds, c, nil)
+	}()
+	w := cfg
+	w.Role, w.Listen, w.Join, w.Precision = "worker", "127.0.0.1:0", addr, factor.Float32
+	_, workerErr := New().Train(context.Background(), ds, w, nil)
+	<-done
+	var rej *netlink.RejectedError
+	if !errors.As(workerErr, &rej) {
+		t.Errorf("float32 worker: err = %v, want a handshake rejection", workerErr)
+	}
+	if !errors.Is(coordErr, netlink.ErrConfigMismatch) {
+		t.Errorf("coordinator: err = %v, want ErrConfigMismatch", coordErr)
 	}
 }
 
@@ -267,8 +259,8 @@ func TestMultiProcessWorkerKillAborts(t *testing.T) {
 	const M = 3 // coordinator + 1 honest worker + 1 saboteur
 
 	mkCfg := func(role string) train.Config {
-		cfg := lockstepConfig()
-		cfg.Epochs = 50 // long enough that the kill lands mid-run
+		cfg := clusterConfig()
+		cfg.Epochs = 100000 // the saboteur absorbs tokens: the budget is never reached
 		if role == "coordinator" {
 			cfg.Role, cfg.Listen = "coordinator", addr
 		} else {
@@ -297,30 +289,33 @@ func TestMultiProcessWorkerKillAborts(t *testing.T) {
 		_, workerErr = New().Train(context.Background(), ds, mkCfg("worker"), nil)
 	}()
 
-	// The saboteur joins like a real worker (same digest), plays two
-	// rounds by the book, then dies without a goodbye.
+	// The saboteur joins like a real worker (same digest), takes in
+	// tokens until one arrives — the run is mid-circulation — then dies
+	// without a goodbye.
 	wcfg, err := mkCfg("worker").Normalize(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	digest := configDigest(ds, wcfg)
-	link, _, err := netlink.Join(context.Background(), addr, "127.0.0.1:0", digest, netlink.Options{K: wcfg.K})
+	link, _, err := netlink.Join(context.Background(), addr, "127.0.0.1:0", configDigest(ds, wcfg, false), netlink.Options{K: wcfg.K})
 	if err != nil {
 		t.Fatalf("saboteur join: %v", err)
 	}
-	coll := newLockCollector(link, factor.New(ds.Rows(), ds.Cols(), wcfg.K))
-	for round := uint32(0); round < 2; round++ {
-		end := make([]byte, 12)
-		end[0] = byte(round)
-		if err := link.SendCtl(-1, ctlRoundEnd, end); err != nil {
-			t.Fatalf("saboteur round end: %v", err)
+	arrived := make(chan struct{})
+	go func() {
+		var once sync.Once
+		for inb := range link.Recv() {
+			inb.Batch.Release()
+			once.Do(func() { close(arrived) })
 		}
-		if _, _, err := coll.collectRound(round); err != nil {
-			t.Fatalf("saboteur collect: %v", err)
+	}()
+	go func() {
+		for range link.Ctl() {
 		}
-		if _, err := coll.awaitDirective(round); err != nil {
-			t.Fatalf("saboteur directive: %v", err)
-		}
+	}()
+	select {
+	case <-arrived:
+	case <-time.After(60 * time.Second):
+		t.Fatal("no token ever reached the saboteur")
 	}
 	link.Abort()
 

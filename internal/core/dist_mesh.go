@@ -100,6 +100,14 @@ type meshMachine struct {
 	// lastKnown[r] is the most recent queue-length gossip received
 	// from machine r (§3.3).
 	lastKnown []atomic.Int64
+
+	log *machineLog // the replay check's; nil when it is off
+
+	// The threads runMachine starts, joined by joinMachines in the
+	// order of wg: the workers, the sender, the receiver.
+	ws          []worker
+	wg          [3]sync.WaitGroup
+	workersDone atomic.Bool
 }
 
 // newMeshMachine returns the machine of rank id in a cluster with
@@ -173,12 +181,107 @@ func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng
 	}
 }
 
-// trainDistributed runs NOMAD across cfg.Machines machines connected
-// by the configured link backend (simulated network or TCP). Resume
-// restores the model, per-rating schedule counts and RNG streams;
-// tokens (whose vectors never left the model rows at teardown) are
-// re-scattered.
-func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
+// place starts every token owner assigns to this machine with a
+// fresh local visit plan drawn from r (Algorithm 1 lines 6–10), before
+// any of its threads runs.
+func (mc *meshMachine) place(owner []int32, r *rng.Source, fo *failoverRuntime) {
+	for j, o := range owner {
+		if int(o) != mc.id {
+			continue
+		}
+		if fo != nil {
+			fo.noteOwned(mc.id, int32(j))
+		}
+		if mc.log != nil {
+			mc.log.arrived(-1, int32(j))
+		}
+		mc.pendingN.Add(1)
+		mc.stageLocal(int32(j), r)
+		mc.retryPending()
+	}
+}
+
+// machineRun is what the machines of one run share: its config and its
+// controls. A launcher fills one in and hands it, with each machine's
+// own model, shards, mesh and link, to runMachine.
+type machineRun struct {
+	cfg     train.Config
+	hooks   *train.Hooks
+	counter *train.Counter
+	stop    *atomic.Bool
+	fo      *failoverRuntime // in-process failover; nil without it
+	reject  func(error)      // a peer sent a token that cannot exist
+	linkErr func()           // the machine's link failed
+	// markers, in a multi-process run, is each machine's peer count:
+	// senders end circulation in-band and leave the link open for the
+	// gather, receivers stop at that many end-of-circulation markers.
+	markers int
+}
+
+// runMachine starts machine mc — its W workers over the shards local,
+// whose global worker ids begin at gw0, its sender and its receiver on
+// link — and returns; the launcher raises stop and then calls
+// joinMachines.
+func (mr *machineRun) runMachine(mc *meshMachine, link cluster.Link, local []*localRatings, gw0 int, sendRNG, recvRNG *rng.Source) {
+	threshold := meshFlushThreshold(mc.md.N, mr.cfg.Machines*mc.workers)
+	mc.ws = make([]worker, mc.workers)
+	for q := range mc.ws {
+		mc.ws[q] = worker{mesh: mc.mesh, q: q, gw: gw0 + q, port: mc.port(), plans: mc.plans,
+			mc: mc.id, fo: mr.fo, lr: local[q], threshold: threshold, log: mc.log}
+		mc.wg[0].Add(1)
+		go func(w *worker) {
+			defer mc.wg[0].Done()
+			runWorker(w, mc.md, mr.cfg, mr.counter, mr.stop)
+		}(&mc.ws[q])
+	}
+	mc.wg[1].Add(1)
+	mc.wg[2].Add(1)
+	go func() {
+		defer mc.wg[1].Done()
+		runMeshSender(mc, link, mr.cfg, sendRNG, mr.hooks, mr.markers > 0, mr.fo)
+	}()
+	go func() {
+		defer mc.wg[2].Done()
+		runMeshReceiver(mc, link, recvRNG, mr.markers, mr.fo, mr.reject)
+		if link.Err() != nil && !mr.fo.machineGone(mc.id) {
+			mr.linkErr()
+		}
+	}()
+}
+
+// joinMachines waits for the machines' threads in teardown order:
+// workers, then senders, then receivers. A machine's workers have all
+// exited and flushed before its sender is told so, so a sender that
+// then finds its port row dry has drained it for good.
+func joinMachines(machines []*meshMachine) {
+	for phase := range 3 {
+		for _, mc := range machines {
+			mc.wg[phase].Wait()
+			mc.workersDone.Store(true)
+		}
+	}
+}
+
+// held lists, per mesh endpoint, every token a stopped machine still
+// holds: worker residuals, mesh lanes and receiver overflow. Each hⱼ is
+// in its model row.
+func (mc *meshMachine) held() [][]int32 {
+	queues := make([][]int32, mc.workers+1)
+	collectParked(queues, mc.mesh, mc.ws)
+	for d, toks := range mc.pending {
+		for _, tok := range toks {
+			queues[d] = append(queues[d], tok.item)
+		}
+	}
+	return queues
+}
+
+// trainDistributed runs NOMAD across cfg.Machines machines in this
+// process, connected by the configured link backend (simulated network
+// or TCP), over one shared model. Resume restores the model, per-rating
+// schedule counts and RNG streams; tokens (whose vectors never left the
+// model rows at teardown) are re-scattered.
+func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks, vl *visitLog) (*train.Result, error) {
 	// M counts the initial members; Mtot adds the provisioned elastic
 	// spares, which run their communication threads from the start but
 	// stay latent (no tokens, gossip-poisoned) until a join round.
@@ -212,39 +315,32 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	root := rng.New(cfg.Seed)
 
 	var md *factor.Model
-	workerRNG := make([]*rng.Source, p)
 	if st := cfg.Resume; st != nil {
 		md = st.Model
-		st.RestoreStreams(root, workerRNG)
+		st.RestoreStreams(root, nil)
 	} else {
 		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
-		for q := 0; q < p; q++ {
-			workerRNG[q] = root.Split(uint64(q))
-		}
 	}
+	sendRNG, recvRNG := machineStreams(root, Mtot)
 
+	// Every item token starts at its initial machine (the spares own
+	// none) with a fresh local visit plan.
+	owner := initialOwner(cfg.Seed, n, M)
 	machines := make([]*meshMachine, Mtot)
-	for mcID := 0; mcID < Mtot; mcID++ {
+	for mcID := range machines {
 		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), Mtot, md, cfg.Circulate)
 		// Latent spares lose every least-loaded comparison until a join
 		// activates them (and clears the poison).
 		for r := M; r < Mtot; r++ {
 			mc.lastKnown[r].Store(poisonedQueueLen)
 		}
-		fo.setRetryFn(mcID, mc.retryPending)
-		machines[mcID] = mc
-	}
-
-	// Initial placement: every item token starts at a uniformly random
-	// machine with a fresh local visit plan (Algorithm 1 lines 6–10).
-	for j := 0; j < n; j++ {
-		mc := machines[root.Intn(M)]
-		if fo != nil {
-			fo.noteOwned(mc.id, int32(j))
+		if vl != nil {
+			mc.log = newMachineLog(n, W)
+			vl.machines = append(vl.machines, mc.log)
 		}
-		mc.pendingN.Add(1)
-		mc.stageLocal(int32(j), root)
-		mc.retryPending()
+		fo.setRetryFn(mcID, mc.retryPending)
+		mc.place(owner, recvRNG[mcID], fo)
+		machines[mcID] = mc
 	}
 
 	var stop atomic.Bool
@@ -287,60 +383,20 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	// to that event may already resize the run.
 	counter := train.NewCounterFor(cfg, p)
 	rec := train.NewRecorderFor(cfg, ds, md, hooks)
-
-	// Compute workers: global worker gw is worker gw mod W of machine
-	// gw / W.
-	workers := make([]worker, p)
-	var workerWG sync.WaitGroup
-	for gw := range workers {
-		mc := machines[gw/W]
-		workers[gw] = worker{mesh: mc.mesh, q: gw % W, gw: gw, port: mc.port(), plans: mc.plans,
-			mc: mc.id, fo: fo, lr: local[gw], threshold: meshFlushThreshold(n, M*W), r: workerRNG[gw]}
-		workerWG.Add(1)
-		go func(w *worker) {
-			defer workerWG.Done()
-			runWorker(w, md, cfg, counter, &stop)
-		}(&workers[gw])
-	}
-
-	// Sender and receiver threads, one of each per machine. Senders
-	// exit once workersDone is raised and their port row is dry.
-	var workersDone atomic.Bool
-	var senderWG, receiverWG sync.WaitGroup
-	for mcID := 0; mcID < Mtot; mcID++ {
-		// Split before the goroutines start: Split advances the parent
-		// stream and is not safe concurrently.
-		senderRNG := root.Split(uint64(1000 + mcID))
-		receiverRNG := root.Split(uint64(2000 + mcID))
-		senderWG.Add(1)
-		go func(mc *meshMachine) {
-			defer senderWG.Done()
-			runMeshSender(mc, links[mc.id], cfg, senderRNG, hooks, &workersDone, fo)
-		}(machines[mcID])
-		receiverWG.Add(1)
-		go func(mc *meshMachine) {
-			defer receiverWG.Done()
-			runMeshReceiver(mc, links[mc.id], receiverRNG, fo, reject)
-			if links[mc.id].Err() != nil && !fo.machineGone(mc.id) {
-				cancelRun()
-			}
-		}(machines[mcID])
+	mr := &machineRun{cfg: cfg, hooks: hooks, counter: counter, stop: &stop, fo: fo, reject: reject, linkErr: cancelRun}
+	for mcID, mc := range machines {
+		mr.runMachine(mc, links[mcID], local[mcID*W:(mcID+1)*W], mcID*W, sendRNG[mcID], recvRNG[mcID])
 	}
 
 	runErr := train.Monitor(runCtx, &stop, counter, cfg, rec, md, hooks)
 
 	// Orderly teardown: workers → senders (flush + end-of-stream) →
-	// receivers (drain until every peer's stream has ended). The
-	// workers' exit flushes are published by workerWG.Wait, so a sender
-	// observing workersDone drains a complete port row.
+	// receivers (drain until every peer's stream has ended).
 	if chaos != nil {
 		chaos.Stop()
 	}
 	fo.shutdown()
-	workerWG.Wait()
-	workersDone.Store(true)
-	senderWG.Wait()
-	receiverWG.Wait()
+	joinMachines(machines)
 	for _, l := range links {
 		l.Close() //nolint:errcheck // idempotent release
 	}
@@ -358,51 +414,25 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		runErr = nil // monitor cancelled by teardown plumbing, not the caller
 	}
 
-	// Every token still held anywhere — worker residuals, mesh lanes,
-	// receiver overflow — must name each item exactly once; each hⱼ is
-	// already in its model row. A dead machine's holdings are skipped
-	// (regenerated on the buddy).
+	// Every token still held anywhere must name each item exactly once.
+	// A dead machine's holdings are skipped (regenerated on the buddy).
 	var held [][]int32
 	for _, mc := range machines {
-		if fo.machineGone(mc.id) {
-			continue
+		if !fo.machineGone(mc.id) {
+			held = append(held, mc.held()...)
 		}
-		queues := make([][]int32, W+1)
-		collectParked(queues, mc.mesh, workers[mc.id*W:(mc.id+1)*W])
-		for d, toks := range mc.pending {
-			for _, tok := range toks {
-				queues[d] = append(queues[d], tok.item)
-			}
-		}
-		held = append(held, queues...)
 	}
 	if err := forEachParked(held, n, nil); err != nil {
 		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
 
-	rmse := rec.Sample(md, counter.Total())
-	bytesSent, msgsSent := linkTotals(links)
-	hooks.EmitNetwork(train.NetworkEvent{BytesSent: bytesSent, MessagesSent: msgsSent})
-	return &train.Result{
-		Algorithm:    "nomad",
-		Model:        md,
-		TestRMSE:     rmse,
-		Trace:        rec.Trace(),
-		Updates:      counter.Total(),
-		Elapsed:      rec.Elapsed(),
-		BytesSent:    bytesSent,
-		MessagesSent: msgsSent,
-		Final: &train.State{
-			Algorithm: "nomad",
-			Seed:      cfg.Seed,
-			Updates:   counter.Total(),
-			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local, 0),
-			RNG:       train.CaptureStreams(root, workerRNG),
-			// Queues deliberately nil: the model rows hold every hⱼ; a
-			// resume re-scatters the tokens.
-		},
-	}, runErr
+	res := finalResult(cfg, md, rec, counter.Total(), exportCounts(ds.Train, users, local, 0), root, nil, nil)
+	for _, l := range links {
+		res.BytesSent += l.Stats().BytesSent
+		res.MessagesSent += l.Stats().MessagesSent
+	}
+	hooks.EmitNetwork(train.NetworkEvent{BytesSent: res.BytesSent, MessagesSent: res.MessagesSent})
+	return res, runErr
 }
 
 // stageLocal plans a token's visits through mc's workers and parks it
@@ -439,12 +469,18 @@ func wireItemErr(from int, item int32, n int) error {
 // — hⱼ's only home while the token is on this machine — and the token
 // staged, all before retryPending lets any of them into a lane. A token
 // naming an item outside [0, n) fails the batch before anything is
-// touched: deliverBatch returns its index, or -1.
+// touched: deliverBatch returns its index, or -1. from is the sending
+// machine, logged with each arrival when the replay check is on.
 //
 //nomad:noalloc
-func (mc *meshMachine) deliverBatch(toks []cluster.Token, fo *failoverRuntime, r *rng.Source) int {
+func (mc *meshMachine) deliverBatch(from int, toks []cluster.Token, fo *failoverRuntime, r *rng.Source) int {
 	if bad := badItem(toks, mc.md.N); bad >= 0 {
 		return bad
+	}
+	if mc.log != nil {
+		for _, t := range toks {
+			mc.log.arrived(from, t.Item)
+		}
 	}
 	mc.pendingN.Add(int64(len(toks)))
 	for _, t := range toks {
@@ -474,9 +510,11 @@ func wireToken(md *factor.Model, j int32, scratch []float64) cluster.Token {
 // tokens per destination machine (§3.5) and flushing opportunistically
 // whenever the row runs dry so tokens never linger under low traffic.
 // On exit it ends the machine's outbound stream so peers' receivers
-// know the drain is complete.
+// know the drain is complete — or, with markers, sends every peer an
+// end-of-circulation marker behind its last token and leaves the link
+// open.
 func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.Source,
-	hooks *train.Hooks, workersDone *atomic.Bool, fo *failoverRuntime) {
+	hooks *train.Hooks, markers bool, fo *failoverRuntime) {
 
 	// The gossiped backlog (§3.3) is the mesh's: single atomic loads,
 	// never a lock.
@@ -490,6 +528,9 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			// The token is leaving this machine: clear its ownership bit
 			// before it becomes observable anywhere else.
 			fo.noteSent(mc.id, d, tok.item)
+		}
+		if mc.log != nil {
+			mc.log.departed(d, tok.item)
 		}
 		s.Add(d, wireToken(mc.md, tok.item, scratch))
 	}
@@ -553,7 +594,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		// Read before the sweep: once every worker has exited and
 		// flushed, nothing produces into the port row, so a row this
 		// sweep finds dry is drained for good.
-		done := workersDone.Load()
+		done := mc.workersDone.Load()
 		k := mc.mesh.RecvBatch(port, buf[:])
 		for _, tok := range buf[:k] {
 			add(tok)
@@ -561,6 +602,15 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		if k > 0 {
 			idle.reset()
 			continue
+		}
+		if done && markers {
+			s.FlushAll() //nolint:errcheck // link failure surfaces via link.Err
+			for d := 0; d < link.Machines(); d++ {
+				if d != mc.id {
+					link.Send(d, cluster.TokenBatch{QueueLen: endOfCirculation}) //nolint:errcheck // as above
+				}
+			}
+			return
 		}
 		if done {
 			s.Close() //nolint:errcheck
@@ -577,9 +627,11 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 // (deliverBatch), then releases the arena back to the link's pool. A
 // batch naming an item that does not exist is rejected — reject names
 // the peer and ends the run — and everything after it is discarded. It
-// runs until every peer has ended its stream (or the link fails).
-func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, fo *failoverRuntime, reject func(error)) {
-	deliver := func(toks []cluster.Token) { mc.deliverBatch(toks, fo, r) }
+// runs until it holds markers end-of-circulation markers, when markers
+// is positive, or else until every peer has ended its stream (or the
+// link fails).
+func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers int, fo *failoverRuntime, reject func(error)) {
+	deliver := func(toks []cluster.Token) { mc.deliverBatch(-1, toks, fo, r) }
 	cmds := fo.recvCmds(mc.id) // nil (never ready) without failover
 	recv := link.Recv()
 	rejected := false
@@ -599,8 +651,17 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, fo *fail
 				inb.Batch.Release()
 				continue
 			}
+			if inb.Batch.QueueLen == endOfCirculation {
+				// Behind the peer's last token: everything it sent here has
+				// landed.
+				inb.Batch.Release()
+				if markers--; markers == 0 {
+					return
+				}
+				continue
+			}
 			mc.lastKnown[inb.From].Store(int64(inb.Batch.QueueLen))
-			if bad := mc.deliverBatch(inb.Batch.Tokens, fo, r); bad >= 0 {
+			if bad := mc.deliverBatch(inb.From, inb.Batch.Tokens, fo, r); bad >= 0 {
 				rejected = true
 				reject(wireItemErr(inb.From, inb.Batch.Tokens[bad].Item, mc.md.N))
 				inb.Batch.Release()

@@ -110,7 +110,7 @@ func TestMeshDeliveryOverflowSequential(t *testing.T) {
 		if i%2 == 0 {
 			mc.retryPending()
 		}
-		if bad := mc.deliverBatch(b, nil, r); bad >= 0 {
+		if bad := mc.deliverBatch(1, b, nil, r); bad >= 0 {
 			t.Fatalf("batch %d: token %d rejected", i, bad)
 		}
 		parked := 0
@@ -161,7 +161,7 @@ func TestMeshDeliveryOverflowConcurrent(t *testing.T) {
 	r := rng.New(6)
 	for _, b := range deliveryBatches() {
 		mc.retryPending()
-		mc.deliverBatch(b, nil, r)
+		mc.deliverBatch(1, b, nil, r)
 	}
 	for mc.pendingN.Load() > 0 {
 		mc.retryPending()
@@ -207,7 +207,7 @@ func TestVisitPlansFollowedConcurrently(t *testing.T) {
 	}
 	r := rng.New(7)
 	for _, b := range deliveryBatches() {
-		mc.deliverBatch(b, nil, r)
+		mc.deliverBatch(1, b, nil, r)
 	}
 	wg.Wait()
 	for w := range visits {
@@ -242,7 +242,7 @@ func TestReceiverRejectsOutOfRangeItem(t *testing.T) {
 	links[0].CloseSend() //nolint:errcheck
 
 	var errs []error
-	runMeshReceiver(mc, links[0], rng.New(1), nil, func(err error) { errs = append(errs, err) })
+	runMeshReceiver(mc, links[0], rng.New(1), 0, nil, func(err error) { errs = append(errs, err) })
 	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "machine 1 sent item token 1005") {
 		t.Fatalf("reject called with %v, want one error naming machine 1 and item 1005", errs)
 	}

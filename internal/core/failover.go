@@ -10,9 +10,9 @@ package core
 // regenerate what must move, and resume.
 //
 // The protocol is arbiter-driven over the links' control plane (frame
-// kinds ≥ 16; the lockstep runner owns 1..6) and runs in a per-machine
-// "agent" goroutine alongside the sender/receiver pair. All three
-// reconfiguration rounds share one skeleton:
+// kinds ≥ 16; the multi-process runner owns 1..7) and runs in a
+// per-machine "agent" goroutine alongside the sender/receiver pair.
+// All three reconfiguration rounds share one skeleton:
 //
 //	start      the arbiter — the lowest live rank — bumps the
 //	           membership epoch and broadcasts the round (evict /
@@ -77,7 +77,7 @@ import (
 	"nomad/internal/train"
 )
 
-// Failover control-frame kinds. The lockstep protocol owns 1..6;
+// Failover control-frame kinds. The multi-process runner owns 1..7;
 // everything here lives at 16+ so the planes can never collide.
 const (
 	ctlFoSuspect   = uint8(16) + iota // survivor → arbiter: victim rank
@@ -786,8 +786,8 @@ func (fo *failoverRuntime) flushReplication(i int, link cluster.Link) {
 	// The rows are being written by this machine's own workers; the
 	// torn-read risk is the same one the unlocked monitor sampling
 	// accepts, and a torn replica row only costs replication fidelity.
-	rows = appendUserRows(rows, fo.md, chunk) //nomad:racy-read replication snapshot of live rows
-	link.SendCtl(buddy, ctlFoReplRows, rows)  //nolint:errcheck // lossy-tolerant plane
+	rows = appendRows(rows, chunk, fo.md.K, fo.md.CopyUserRowTo64) //nomad:racy-read replication snapshot of live rows
+	link.SendCtl(buddy, ctlFoReplRows, rows)                       //nolint:errcheck // lossy-tolerant plane
 }
 
 // ---- responsibility table ----

@@ -163,10 +163,10 @@ func TestFailoverConfigValidation(t *testing.T) {
 	if _, err := twoMachines.Normalize(ds); err == nil {
 		t.Error("failover with 2 machines accepted")
 	}
-	lockstep := failoverConfig("sim")
-	lockstep.Lockstep = true
-	if _, err := lockstep.Normalize(ds); err == nil {
-		t.Error("failover with lockstep accepted")
+	role := failoverConfig("sim")
+	role.Role, role.Listen = "coordinator", "127.0.0.1:0"
+	if _, err := role.Normalize(ds); err == nil {
+		t.Error("failover with a multi-process role accepted")
 	}
 	badRank := failoverConfig("sim")
 	spec, err := cluster.ParseChaos("kill:rank=9,at=mid-epoch")

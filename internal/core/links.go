@@ -18,19 +18,20 @@ import (
 )
 
 // configDigest fingerprints everything two processes must agree on
-// before training together: dataset shape, seed, hyper-parameters and
-// the stop budget. The rendezvous refuses a worker whose digest
-// differs from the coordinator's.
-func configDigest(ds *dataset.Dataset, cfg train.Config) uint64 {
+// before training together: dataset shape, seed, hyper-parameters,
+// precision, routing, the stop budget and whether every rank keeps a
+// visit log for the replay check. The rendezvous refuses a worker whose
+// digest differs from the coordinator's.
+func configDigest(ds *dataset.Dataset, cfg train.Config, replay bool) uint64 {
 	lossName := "square"
 	if cfg.Loss != nil {
 		lossName = cfg.Loss.Name()
 	}
 	h := fnv.New64a()
-	fmt.Fprintf(h, "nomad|seed=%d|k=%d|lambda=%g|alpha=%g|beta=%g|workers=%d|batch=%d|maxupdates=%d|epochs=%d|m=%d|n=%d|nnz=%d|balance=%t|circulate=%d|lockstep=%t|loss=%s",
+	fmt.Fprintf(h, "nomad|seed=%d|k=%d|lambda=%g|alpha=%g|beta=%g|workers=%d|batch=%d|maxupdates=%d|epochs=%d|m=%d|n=%d|nnz=%d|balance=%t|circulate=%d|loss=%s|precision=%v|loadbalance=%t|replay=%t",
 		cfg.Seed, cfg.K, cfg.Lambda, cfg.Alpha, cfg.Beta, cfg.Workers, cfg.BatchSize,
 		cfg.MaxUpdates, cfg.Epochs, ds.Rows(), ds.Cols(), ds.Train.NNZ(),
-		cfg.BalanceUsers, cfg.Circulate, cfg.Lockstep, lossName)
+		cfg.BalanceUsers, cfg.Circulate, lossName, cfg.Precision, cfg.LoadBalance, replay)
 	return h.Sum64()
 }
 
@@ -67,17 +68,7 @@ func buildLinks(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hook
 		// every slot that could ever join, latent ranks included.
 		return cluster.NewSimCluster(cfg.TotalMachines(), cfg.Profile, cfg.K).Links(), nil
 	case "tcp":
-		return netlink.Loopback(ctx, cfg.TotalMachines(), configDigest(ds, cfg), nil, nil, netlinkOptions(cfg, hooks, onPeerDown))
+		return netlink.Loopback(ctx, cfg.TotalMachines(), configDigest(ds, cfg, false), nil, nil, netlinkOptions(cfg, hooks, onPeerDown))
 	}
 	return nil, fmt.Errorf("core: unknown distributed backend %q (sim, tcp)", cfg.Backend)
-}
-
-// linkTotals sums send-side accounting over a run's endpoints.
-func linkTotals(links []cluster.Link) (bytes, msgs int64) {
-	for _, l := range links {
-		st := l.Stats()
-		bytes += st.BytesSent
-		msgs += st.MessagesSent
-	}
-	return bytes, msgs
 }

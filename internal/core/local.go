@@ -53,7 +53,7 @@ func resumeCounts(st *train.State, ds *dataset.Dataset) []int32 {
 // partition, one goroutine per shard, and returns them indexed from
 // lo. A run builds the shards its own workers train and no other: all
 // p for shared memory and the in-process distributed runner, the W of
-// its own rank for a lockstep machine. With counts set (a checkpoint's
+// its own rank for a multi-process rank. With counts set (a checkpoint's
 // canonical CSC-ordered step counts) each shard also restores its own.
 func buildShards(train *sparse.Matrix, users *partition.Partition, lo, hi int, counts []int32) []*localRatings {
 	out := make([]*localRatings, hi-lo)

@@ -52,10 +52,10 @@ func stepCount(i, j int32) int32 { return i*1009 + j + 1 }
 // partitions over 1, 2, 3 and 5 workers: same item offsets, same users
 // in the same (ascending) order, bit-equal values, the rating-mass
 // median, zero counts on a fresh build, and checkpoint counts that
-// survive exportCounts → buildShards. A lockstep rank's build of only
-// its own workers must equal those workers' shards of the full build,
-// and its exportCounts stream must be the full stream restricted to
-// its users.
+// survive exportCounts → buildShards. A multi-process rank's build of
+// only its own workers must equal those workers' shards of the full
+// build, and its exportCounts stream must be the full stream with the
+// other ranks' users zeroed.
 func TestShardsMatchFilterOracle(t *testing.T) {
 	ds := testData(t)
 	tr := ds.Train
@@ -112,7 +112,7 @@ func TestShardsMatchFilterOracle(t *testing.T) {
 					}
 				}
 
-				// A lockstep cluster of p/W ranks with W workers each:
+				// A multi-process cluster of p/W ranks with W workers each:
 				// a rank builds workers [rank·W, rank·W+W) only.
 				for W := 1; W <= p; W++ {
 					if p%W != 0 {
@@ -134,14 +134,16 @@ func TestShardsMatchFilterOracle(t *testing.T) {
 						for j := 0; j < tr.Cols(); j++ {
 							rows, _ := tr.Col(j)
 							for _, i := range rows {
+								c := int32(0)
 								if users.Owner(int(i))/W == rank {
-									want = append(want, canon[g])
+									c = canon[g]
 								}
+								want = append(want, c)
 								g++
 							}
 						}
 						if got := exportCounts(tr, users, own, rank*W); !slices.Equal(got, want) {
-							t.Fatalf("W=%d rank %d: its exportCounts stream is not the full stream restricted to its users", W, rank)
+							t.Fatalf("W=%d rank %d: its exportCounts stream is not the full stream with other ranks' users zeroed", W, rank)
 						}
 					}
 				}

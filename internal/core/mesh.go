@@ -116,7 +116,7 @@ func meshFlushThreshold(n, p int) int { return min(max(n/(4*p), 1), meshBlock) }
 // bit-compatible with an uninterrupted run: token order is FIFO, the
 // stop decision happens at a deterministic counter-flush boundary, and
 // the drained ownership map reconstructs the logical queue exactly.
-func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks) (*train.Result, error) {
+func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks, vl *visitLog) (*train.Result, error) {
 	p := cfg.Workers
 	m, n := ds.Rows(), ds.Cols()
 	users := partitionUsers(ds, cfg, p)
@@ -150,6 +150,15 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 		}
 	}
 
+	var lg *machineLog // the replay check's: one machine, every token placed on it
+	if vl != nil {
+		lg = newMachineLog(n, p)
+		for j := range int32(n) {
+			lg.arrived(-1, j)
+		}
+		vl.machines = []*machineLog{lg}
+	}
+
 	counter := train.NewCounterFor(cfg, p)
 	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	var stop atomic.Bool
@@ -157,7 +166,7 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	var wg sync.WaitGroup
 	for q := range workers {
 		workers[q] = worker{mesh: mesh, q: q, gw: q, port: -1, lr: local[q],
-			threshold: meshFlushThreshold(n, p), r: workerRNG[q], preload: preload[q]}
+			threshold: meshFlushThreshold(n, p), r: workerRNG[q], preload: preload[q], log: lg}
 		wg.Add(1)
 		go func(w *worker) {
 			defer wg.Done()
@@ -176,24 +185,7 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 		return nil, fmt.Errorf("core: token conservation violated: %w", err)
 	}
 
-	rmse := rec.Sample(md, counter.Total())
-	return &train.Result{
-		Algorithm: "nomad",
-		Model:     md,
-		TestRMSE:  rmse,
-		Trace:     rec.Trace(),
-		Updates:   counter.Total(),
-		Elapsed:   rec.Elapsed(),
-		Final: &train.State{
-			Algorithm: "nomad",
-			Seed:      cfg.Seed,
-			Updates:   counter.Total(),
-			Model:     md,
-			Counts:    exportCounts(ds.Train, users, local, 0),
-			RNG:       train.CaptureStreams(root, workerRNG),
-			Queues:    parked,
-		},
-	}, runErr
+	return finalResult(cfg, md, rec, counter.Total(), exportCounts(ds.Train, users, local, 0), root, workerRNG, parked), runErr
 }
 
 // collectParked appends to queues[d] every token a stopped mesh holds
@@ -220,7 +212,7 @@ func collectParked(queues [][]int32, mesh *queue.Mesh[itemToken], workers []work
 
 // worker is one compute thread of Algorithm 1: a mesh endpoint, the
 // ratings it trains and where its tokens go next. trainShared and
-// trainDistributed fill one in per thread; runWorker drives it.
+// runMachine fill one in per thread; runWorker drives it.
 type worker struct {
 	mesh      *queue.Mesh[itemToken]
 	q         int              // this worker's endpoint in mesh
@@ -233,6 +225,7 @@ type worker struct {
 	threshold int         // out-buffer flush size
 	r         *rng.Source // route draws, made only where there is no port
 	preload   []itemToken // placed here but refused by the lanes; flushed behind them
+	log       *machineLog // the replay check's; nil when it is off
 	res       meshResidual
 }
 
@@ -322,6 +315,9 @@ func runWorker(w *worker, md *factor.Model, cfg train.Config,
 			usersJ, vals, counts := ex.itemRatings(j)
 			hp.itemSGDItem(j, usersJ, vals, counts)
 			batch += int64(len(usersJ))
+		}
+		if w.log != nil {
+			w.log.visited(w.q, in[i].item)
 		}
 		if batch >= 256 {
 			counter.Add(w.gw, batch)

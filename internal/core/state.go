@@ -8,18 +8,34 @@ package core
 import (
 	"fmt"
 
+	"nomad/internal/factor"
 	"nomad/internal/partition"
 	"nomad/internal/queue"
 	"nomad/internal/rng"
 	"nomad/internal/sparse"
+	"nomad/internal/train"
 )
+
+// finalResult assembles a stopped run's result around its finished
+// model md: the recorder's final sample and trace, and the resumable
+// state — the step counts, the RNG positions and, for shared memory,
+// the parked tokens (a distributed resume re-scatters them instead).
+func finalResult(cfg train.Config, md *factor.Model, rec *train.Recorder, total int64, counts []int32,
+	root *rng.Source, workerRNG []*rng.Source, queues [][]int32) *train.Result {
+	rmse := rec.Sample(md, total)
+	return &train.Result{
+		Algorithm: "nomad", Model: md, TestRMSE: rmse, Trace: rec.Trace(), Updates: total, Elapsed: rec.Elapsed(),
+		Final: &train.State{Algorithm: "nomad", Seed: cfg.Seed, Updates: total, Model: md, Counts: counts,
+			RNG: train.CaptureStreams(root, workerRNG), Queues: queues},
+	}
+}
 
 // exportCounts flattens the per-rating update counts of the shards of
 // workers [lo, lo+len(local)) into the training matrix's canonical CSC
-// entry order, restricted to those workers' users — all of them when
-// local holds every shard, one lockstep machine's stream for
-// mergeCounts otherwise. A shard stores its ratings in the order the
-// CSC traversal meets them (buildShard), so replaying the traversal
+// entry order, zero for the ratings of other workers' users: all of
+// them when local holds every shard, one multi-process rank's share
+// otherwise, which rank 0 sums. A shard stores its ratings in the order
+// the CSC traversal meets them (buildShard), so replaying the traversal
 // visits each shard's array in storage order.
 func exportCounts(tr *sparse.Matrix, users *partition.Partition, local []*localRatings, lo int) []int32 {
 	out := make([]int32, 0, tr.NNZ())
@@ -27,10 +43,12 @@ func exportCounts(tr *sparse.Matrix, users *partition.Partition, local []*localR
 	for j := 0; j < tr.Cols(); j++ {
 		rows, _ := tr.Col(j)
 		for _, i := range rows {
+			c := int32(0)
 			if q := users.Owner(int(i)) - lo; q >= 0 && q < len(local) {
-				out = append(out, local[q].counts[cur[q]])
+				c = local[q].counts[cur[q]]
 				cur[q]++
 			}
+			out = append(out, c)
 		}
 	}
 	return out

@@ -16,7 +16,7 @@ import (
 )
 
 // Control-frame kinds for the serving scatter/gather plane. The
-// trainer's lockstep runner owns 1-6 and failover owns 16+, so
+// trainer's multi-process runner owns 1-7 and failover owns 16+, so
 // serving takes a disjoint high block.
 const (
 	ctlServeReq  uint8 = 0x40 // gateway → shard: top-N query

@@ -74,6 +74,14 @@ type ResizeEvent struct {
 	Seconds  float64
 }
 
+// ReplayEvent reports a run's serializability witness: the run logged
+// every item visit, and replaying the log serially on one model
+// reproduced its final factors and step counts bit for bit. A replay
+// that differs is not an event but the run's error.
+type ReplayEvent struct {
+	Visits int64 // item visits replayed
+}
+
 // Hooks carries the event callbacks a training run reports through.
 // A nil *Hooks, or any nil callback, disables that event — solvers
 // always emit through the nil-safe Emit helpers. Callbacks are invoked
@@ -88,6 +96,21 @@ type Hooks struct {
 	Peer          func(PeerEvent)
 	PeerRecovered func(PeerRecoveredEvent)
 	Resize        func(ResizeEvent)
+	// Replay, when set, also turns the check on: a NOMAD run keeps a
+	// visit log and replays it at teardown (solvers without a log
+	// ignore it).
+	Replay func(ReplayEvent)
+}
+
+// Replaying reports whether the run should keep a visit log for the
+// replay check; safe on a nil receiver.
+func (h *Hooks) Replaying() bool { return h != nil && h.Replay != nil }
+
+// EmitReplay reports a bit-identical replay; safe on a nil receiver.
+func (h *Hooks) EmitReplay(e ReplayEvent) {
+	if h.Replaying() {
+		h.Replay(e)
+	}
 }
 
 // EmitResize reports a completed membership change; safe on a nil

@@ -46,19 +46,12 @@ type Config struct {
 	// single-process runs, "coordinator" (rank 0, listens on Listen and
 	// waits for Machines-1 workers) or "worker" (joins the coordinator
 	// at Join, listening on Listen — may be ":0" — for peer
-	// connections). Multi-process runs use the deterministic lockstep
-	// runner, so Role implies Lockstep.
+	// connections). Each process runs one machine of the asynchronous
+	// distributed runner over a private model, so Role implies the tcp
+	// backend; rank 0 gathers the model at the end.
 	Role   string
 	Listen string
 	Join   string
-	// Lockstep selects the deterministic round-based distributed
-	// runner: machines process their whole token queue, exchange
-	// tokens at a synchronization point, and the coordinator decides
-	// stop at round boundaries. Bitwise-identical results across
-	// backends and process placements — the property the cross-backend
-	// parity CI asserts — at the cost of the asynchronous overlap the
-	// paper advocates.
-	Lockstep bool
 
 	// NOMAD-specific knobs.
 	BatchSize   int  // tokens per network message (§3.5, default 100)
@@ -87,7 +80,8 @@ type Config struct {
 	Deadline   time.Duration // wall-clock limit (0 = none)
 
 	// EvalPoints is how many RMSE samples the convergence trace should
-	// hold (sampled evenly over the run; default 16).
+	// hold (sampled evenly over the run; default 16). Single-process
+	// runs only: a multi-process trace is its start and final points.
 	EvalPoints int
 
 	// Resume, when non-nil, continues a previous run from its captured
@@ -102,15 +96,14 @@ type Config struct {
 	// zero value) is supported everywhere; Float32 halves model memory
 	// and bandwidth and is honoured by the NOMAD shared-memory and
 	// asynchronous distributed runners and by Hogwild (see DESIGN.md
-	// §9). The deterministic lockstep/multi-process runners and the
-	// bulk-synchronous baselines reject it.
+	// §9). The bulk-synchronous baselines reject it.
 	Precision factor.Precision
 
 	// Failover lets a multi-machine asynchronous run survive the death
 	// of a machine: survivors evict it, regenerate the item tokens it
 	// held from its buddy's replicated snapshot, adopt its user rows,
 	// and resume the epoch (DESIGN.md §11). Only the asynchronous
-	// runners support it; lockstep and multi-process runs reject it.
+	// single-process runners support it; multi-process runs reject it.
 	Failover bool
 
 	// ElasticSpares provisions this many extra machine slots beyond
@@ -204,41 +197,26 @@ func (c Config) Normalize(ds *dataset.Dataset) (Config, error) {
 			return c, fmt.Errorf("train: coordinator role needs a listen address")
 		}
 		c.Backend = "tcp"
-		c.Lockstep = true
 	case "worker":
 		if c.Join == "" {
 			return c, fmt.Errorf("train: worker role needs the coordinator address to join")
 		}
 		c.Backend = "tcp"
-		c.Lockstep = true
 	default:
 		return c, fmt.Errorf("train: unknown role %q (coordinator, worker)", c.Role)
 	}
 	if c.Precision > factor.Float32 {
 		return c, fmt.Errorf("train: unknown precision %d", c.Precision)
 	}
-	if c.Precision != factor.Float64 && (c.Lockstep || c.Role != "") {
-		// The lockstep runner's contract is bitwise-identical results
-		// across backends and process placements; its wire format and
-		// parity tests are float64. Keep float32 out rather than
-		// weakening the guarantee.
-		return c, fmt.Errorf("train: %v precision is not supported by the lockstep/multi-process runner", c.Precision)
-	}
 	if st := c.Resume; st != nil && st.Model != nil && st.Model.Precision() != c.Precision {
 		return c, fmt.Errorf("train: resume state is %v but the run is configured for %v",
 			st.Model.Precision(), c.Precision)
 	}
-	if c.Role == "" && c.Machines == 1 {
+	if c.Role == "" && c.Machines == 1 && c.Backend == "tcp" {
 		// A single machine has no cluster: silently falling back to the
-		// shared-memory path would hand the caller a nondeterministic
-		// async run after they explicitly asked for the reproducible
-		// (lockstep) or real-socket (tcp) distributed mode.
-		if c.Lockstep {
-			return c, fmt.Errorf("train: lockstep needs at least 2 machines, got %d", c.Machines)
-		}
-		if c.Backend == "tcp" {
-			return c, fmt.Errorf("train: the tcp backend needs at least 2 machines, got %d", c.Machines)
-		}
+		// shared-memory path would hand the caller something other than
+		// the real-socket run they explicitly asked for.
+		return c, fmt.Errorf("train: the tcp backend needs at least 2 machines, got %d", c.Machines)
 	}
 	if c.ElasticSpares < 0 {
 		return c, fmt.Errorf("train: negative elastic spares %d", c.ElasticSpares)
@@ -273,8 +251,8 @@ func (c Config) Normalize(ds *dataset.Dataset) (Config, error) {
 		c.Failover = true
 	}
 	if c.Failover {
-		if c.Lockstep || c.Role != "" {
-			return c, fmt.Errorf("train: failover is only supported by the asynchronous single-process runners (not lockstep or multi-process)")
+		if c.Role != "" {
+			return c, fmt.Errorf("train: failover is only supported by the single-process distributed runner (not multi-process roles)")
 		}
 		if c.Machines < 3 {
 			// Two survivors minimum: the arbiter and the buddy must
@@ -605,7 +583,9 @@ func (r *Recorder) Trace() metrics.Trace { return r.trace }
 // stop flag and returns — ctx.Err() if the context ended the run, nil
 // otherwise. Asynchronous algorithms run their workers concurrently
 // with this loop; the model reads used for trace samples are
-// deliberately unlocked progress snapshots.
+// deliberately unlocked progress snapshots. A nil md takes no mid-run
+// sample: a coordinator whose peers hold most of the model records
+// only the trace's start and final points.
 func Monitor(ctx context.Context, stop *atomic.Bool, counter *Counter, cfg Config, rec *Recorder, md *factor.Model, hooks *Hooks) error {
 	deadline := time.Time{}
 	if cfg.Deadline > 0 {
@@ -638,7 +618,7 @@ func Monitor(ctx context.Context, stop *atomic.Bool, counter *Counter, cfg Confi
 			stop.Store(true)
 			return nil
 		}
-		if rec.Due(total) {
+		if md != nil && rec.Due(total) {
 			rec.Sample(md, total)
 		}
 		time.Sleep(200 * time.Microsecond)

@@ -49,6 +49,7 @@ type Session struct {
 	algo      train.Algorithm
 	base      train.Config
 	elastic   *train.ElasticControl
+	replay    bool // WithReplayCheck
 
 	mu      sync.Mutex
 	running bool
@@ -72,6 +73,7 @@ var ErrNoState = errors.New("nomad: session has no training state yet (Run first
 type settings struct {
 	algorithm string
 	elastic   bool // WithElastic was given, even with 0 spares
+	replay    bool // WithReplayCheck
 	cfg       train.Config
 }
 
@@ -154,11 +156,15 @@ func WithWorkers(n int) Option {
 //	WithCluster(4, "tcp", ":7070")                 // coordinator: listen, wait for 3 workers
 //	WithCluster(0, "tcp", ":0", "host0:7070")      // worker: listen addr, coordinator to join
 //
-// Multi-process runs use the deterministic lockstep rounds (see
-// WithLockstep); every process must be invoked with the same dataset,
-// seed and hyper-parameters, which the rendezvous verifies with a
-// config digest. A worker may pass machines 0 — it learns the cluster
-// size from the coordinator's welcome.
+// Each process of a multi-process run is one machine of the
+// asynchronous algorithm over its own share of the model; the
+// coordinator gathers the model at the end and owns the result. Its
+// trace holds the run's start and final points only (WithEvalPoints
+// applies to single-process runs). Every process must be invoked with
+// the same dataset, seed, hyper-parameters and precision, which the
+// rendezvous verifies with a config digest. A worker may pass
+// machines 0 — it learns the cluster size from the coordinator's
+// welcome.
 func WithCluster(machines int, network string, addrs ...string) Option {
 	return func(st *settings) error {
 		profile, backend := netsim.Instant(), ""
@@ -201,16 +207,15 @@ func WithCluster(machines int, network string, addrs ...string) Option {
 	}
 }
 
-// WithLockstep selects the deterministic round-based distributed
-// runner: machines exchange tokens at synchronized round boundaries
-// and the result is bitwise-identical for a given (dataset, seed,
-// machines, workers) whatever the backend or process layout — the
-// property the cross-backend CI parity check asserts. Multi-process
-// clusters (WithCluster with addresses) always run lockstep. The cost
-// is the asynchronous overlap the paper advocates, so this is a
-// verification mode, not the fast path.
-func WithLockstep() Option {
-	return func(st *settings) error { st.cfg.Lockstep = true; return nil }
+// WithReplayCheck makes a "nomad" run prove itself serializable
+// (paper §3.1–3.2): it logs every item visit, and at the end replays
+// the log serially on one model. The replay must reproduce the run's
+// final factors and step counts bit for bit; it reports a ReplayEvent
+// when it does and fails the run when it does not. In a multi-process
+// cluster every process must pass it, and the coordinator replays.
+// Runs with failover, elasticity or chaos are not covered.
+func WithReplayCheck() Option {
+	return func(st *settings) error { st.replay = true; return nil }
 }
 
 // Precision selects the element type of the factor model; see
@@ -238,8 +243,7 @@ func (p Precision) String() string {
 
 // WithPrecision selects the factor-model element type. Default
 // Float64. Float32 is rejected for solvers and modes without a
-// single-precision hot path (the bulk-synchronous baselines, lockstep
-// and multi-process clusters).
+// single-precision hot path (the bulk-synchronous baselines).
 func WithPrecision(p Precision) Option {
 	return func(st *settings) error {
 		if p != Float64 && p != Float32 {
@@ -309,8 +313,8 @@ func WithStraggler(factor float64) Option {
 // buddy with zero lost updates. Every membership change conserves all
 // n item tokens exactly, which the run's teardown asserts. Implies
 // WithFailover, with the same constraints: at least 3 machines and the
-// asynchronous distributed runners (not lockstep or multi-process
-// roles). spares may be 0 for a run that only ever shrinks.
+// single-process distributed runner (not multi-process roles). spares
+// may be 0 for a run that only ever shrinks.
 func WithElastic(spares int) Option {
 	return func(st *settings) error {
 		if spares < 0 {
@@ -329,8 +333,7 @@ func WithElastic(spares int) Option {
 // dead machine's state), and resume mid-epoch without restarting. The
 // run emits a PeerDownEvent at detection and a PeerRecoveredEvent once
 // circulation has resumed. Requires at least 3 machines and the
-// asynchronous distributed runners (not lockstep or multi-process
-// roles).
+// single-process distributed runner (not multi-process roles).
 func WithFailover() Option {
 	return func(st *settings) error { st.cfg.Failover = true; return nil }
 }
@@ -373,7 +376,9 @@ func WithSeed(seed uint64) Option {
 }
 
 // WithEvalPoints sets how many RMSE samples the convergence trace
-// holds (default 16).
+// holds (default 16). A multi-process run's trace is its start and
+// final points whatever the setting: no rank can read the whole model
+// mid-run.
 func WithEvalPoints(n int) Option {
 	return func(st *settings) error {
 		if n <= 0 {
@@ -437,22 +442,18 @@ func NewSession(ds *Dataset, opts ...Option) (*Session, error) {
 		}
 	}
 	cfg := st.cfg
-	if st.algorithm != "nomad" && (cfg.Backend == "tcp" || cfg.Role != "" || cfg.Lockstep) {
-		// Only the nomad solver implements the real-socket backend and
-		// the lockstep/multi-process runners; accepting the options for
-		// the baselines would silently train independent local runs.
-		return nil, fmt.Errorf("nomad: the tcp backend, cluster roles and lockstep are only implemented by the %q solver (got %q)", "nomad", st.algorithm)
+	if st.algorithm != "nomad" && (cfg.Backend == "tcp" || cfg.Role != "" || st.replay) {
+		// Only the nomad solver implements the real-socket backend, the
+		// multi-process runner and the visit log; accepting the options
+		// for the baselines would silently train independent local runs
+		// or skip the check.
+		return nil, fmt.Errorf("nomad: the tcp backend, cluster roles and the replay check are only implemented by the %q solver (got %q)", "nomad", st.algorithm)
 	}
-	if st.elastic && (st.algorithm != "nomad" || cfg.Lockstep || cfg.Role != "") {
-		return nil, fmt.Errorf("nomad: elastic membership is only implemented by the %q solver's asynchronous runners (not lockstep or multi-process roles)", "nomad")
+	if st.elastic && (st.algorithm != "nomad" || cfg.Role != "") {
+		return nil, fmt.Errorf("nomad: elastic membership is only implemented by the %q solver's single-process distributed runner (not multi-process roles)", "nomad")
 	}
-	if cfg.Precision == factor.Float32 {
-		if st.algorithm != "nomad" && st.algorithm != "hogwild" {
-			return nil, fmt.Errorf("nomad: float32 precision is only implemented by the SGD solvers %q and %q (got %q)", "nomad", "hogwild", st.algorithm)
-		}
-		if cfg.Lockstep || cfg.Role != "" {
-			return nil, fmt.Errorf("nomad: float32 precision is not supported by the lockstep/multi-process runners")
-		}
+	if cfg.Precision == factor.Float32 && st.algorithm != "nomad" && st.algorithm != "hogwild" {
+		return nil, fmt.Errorf("nomad: float32 precision is only implemented by the SGD solvers %q and %q (got %q)", "nomad", "hogwild", st.algorithm)
 	}
 	// Every session owns a membership-control endpoint; the asynchronous
 	// runners bind its handlers while an elastic run is live, so Resize
@@ -465,6 +466,7 @@ func NewSession(ds *Dataset, opts ...Option) (*Session, error) {
 		algo:      registry()[st.algorithm],
 		base:      cfg,
 		elastic:   ec,
+		replay:    st.replay,
 		subs:      make(map[int]chan Event),
 	}, nil
 }
@@ -590,7 +592,7 @@ func (s *Session) publish(e Event) {
 
 // hooks bridges the internal training events to the public ones.
 func (s *Session) hooks() *train.Hooks {
-	return &train.Hooks{
+	h := &train.Hooks{
 		Trace: func(e train.TraceEvent) {
 			s.publish(TraceEvent{Seconds: e.Seconds, Updates: e.Updates, RMSE: e.RMSE})
 		},
@@ -613,6 +615,10 @@ func (s *Session) hooks() *train.Hooks {
 			s.publish(ResizeEvent{Kind: e.Kind, Rank: e.Rank, Machines: e.Machines, Seconds: e.Seconds})
 		},
 	}
+	if s.replay {
+		h.Replay = func(e train.ReplayEvent) { s.publish(ReplayEvent{Visits: e.Visits}) }
+	}
+	return h
 }
 
 // PeerError is the typed error Run returns when a machine of a real

@@ -2,12 +2,13 @@ package nomad
 
 // Session-level coverage of the real-network cluster surface: option
 // validation for the tcp backend and address lists, loopback runs
-// (async and lockstep) through the public API, cross-backend RMSE
-// parity, and the typed peer-failure error.
+// through the public API, the replay check of a multi-process run, and
+// the typed peer-failure error.
 
 import (
 	"context"
 	"errors"
+	"net"
 	"testing"
 
 	"nomad/internal/cluster"
@@ -38,12 +39,12 @@ func TestWithClusterAddressValidation(t *testing.T) {
 		}
 	}
 	// Only the nomad solver implements the real-socket backend and the
-	// lockstep runners — accepting them for a baseline would silently
-	// train independent local runs instead of a cluster.
+	// replay check — accepting them for a baseline would silently train
+	// independent local runs instead of a cluster, or skip the check.
 	for name, opts := range map[string][]Option{
 		"dsgd over tcp":       {WithAlgorithm("dsgd"), WithCluster(3, "tcp")},
 		"dsgd as coordinator": {WithAlgorithm("dsgd"), WithCluster(4, "tcp", ":7070")},
-		"hogwild lockstep":    {WithAlgorithm("hogwild"), WithLockstep()},
+		"hogwild replay":      {WithAlgorithm("hogwild"), WithReplayCheck()},
 	} {
 		if _, err := NewSession(d, opts...); err == nil {
 			t.Errorf("%s accepted", name)
@@ -76,33 +77,49 @@ func TestSessionTCPLoopbackRun(t *testing.T) {
 	}
 }
 
-// TestSessionLockstepParityAcrossBackends is the public-API version of
-// the cross-backend guarantee: identical RMSE from the simulated
-// network and from real TCP sockets under WithLockstep.
-func TestSessionLockstepParityAcrossBackends(t *testing.T) {
+// TestSessionReplayAcrossProcesses is the public-API face of the
+// serializability witness: a coordinator and a worker session, each
+// one machine of the asynchronous algorithm over its own share of the
+// model, both with WithReplayCheck; the coordinator replays the merged
+// visit logs bit for bit and reports it as a ReplayEvent, and its trace
+// is the run's start and final points. CI runs it under -race.
+func TestSessionReplayAcrossProcesses(t *testing.T) {
 	d := synthSmall(t)
-	run := func(network string) float64 {
-		t.Helper()
-		s, err := NewSession(d,
-			WithCluster(3, network),
-			WithWorkers(2),
-			WithLockstep(),
-			WithSeed(5),
-			WithStopConditions(MaxEpochs(2)),
-		)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TestRMSE
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sim := run("instant")
-	tcp := run("tcp")
-	if sim != tcp {
-		t.Fatalf("lockstep RMSE differs across backends: sim %v, tcp %v", sim, tcp)
+	addr := ln.Addr().String()
+	ln.Close()
+	common := []Option{WithWorkers(2), WithSeed(5), WithReplayCheck(), WithStopConditions(MaxEpochs(2))}
+	coord, err := NewSession(d, append(common, WithCluster(2, "tcp", addr))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	events, cancel := coord.Subscribe(64)
+	var workerErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, workerErr = runSession(d, append(common, WithCluster(0, "tcp", "127.0.0.1:0", addr))...)
+	}()
+	res, err := coord.Run(context.Background())
+	<-done
+	cancel()
+	if err != nil || workerErr != nil {
+		t.Fatalf("coordinator: %v; worker: %v", err, workerErr)
+	}
+	var visits int64
+	for e := range events {
+		if r, ok := e.(ReplayEvent); ok {
+			visits = r.Visits
+		}
+	}
+	if visits == 0 {
+		t.Fatal("no ReplayEvent from the coordinator")
+	}
+	if len(res.Trace) != 2 {
+		t.Errorf("multi-process trace has %d points, want start and final", len(res.Trace))
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 func TestWithElasticValidation(t *testing.T) {
 	d := synthSmall(t)
 	bad := map[string][]Option{
-		"negative spares":  {WithElastic(-1)},
-		"elastic lockstep": {WithElastic(1), WithLockstep()},
-		"elastic baseline": {WithAlgorithm("dsgd"), WithElastic(1)},
-		"elastic worker":   {WithElastic(1), WithCluster(0, "tcp", ":0", "host:7070")},
+		"negative spares":     {WithElastic(-1)},
+		"elastic coordinator": {WithElastic(1), WithCluster(3, "tcp", ":7070")},
+		"elastic baseline":    {WithAlgorithm("dsgd"), WithElastic(1)},
+		"elastic worker":      {WithElastic(1), WithCluster(0, "tcp", ":0", "host:7070")},
 	}
 	for name, opts := range bad {
 		if _, err := NewSession(d, opts...); err == nil {

@@ -77,17 +77,17 @@ func TestOptionResolution(t *testing.T) {
 		{"cluster hpc one address", []Option{WithCluster(4, "hpc", ":7070")}, "reject: NewSession"},
 		{"cluster commodity two addresses", []Option{WithCluster(0, "commodity", ":0", "h:7070")}, "reject: NewSession"},
 		{"cluster default network two addresses", []Option{WithCluster(0, "", ":0", "h:7070")}, "reject: NewSession"},
-		{"cluster tcp coordinator", []Option{WithCluster(4, "tcp", ":7070")}, "Machines=4; Backend=tcp; Role=coordinator; Listen=:7070; Lockstep=true"},
-		{"cluster tcp worker", []Option{WithCluster(0, "tcp", ":0", "h:7070")}, "Backend=tcp; Role=worker; Listen=:0; Join=h:7070; Lockstep=true"},
-		{"cluster tcp worker sized", []Option{WithCluster(3, "tcp", ":0", "h:7070")}, "Machines=3; Backend=tcp; Role=worker; Listen=:0; Join=h:7070; Lockstep=true"},
+		{"cluster tcp coordinator", []Option{WithCluster(4, "tcp", ":7070")}, "Machines=4; Backend=tcp; Role=coordinator; Listen=:7070"},
+		{"cluster tcp worker", []Option{WithCluster(0, "tcp", ":0", "h:7070")}, "Backend=tcp; Role=worker; Listen=:0; Join=h:7070"},
+		{"cluster tcp worker sized", []Option{WithCluster(3, "tcp", ":0", "h:7070")}, "Machines=3; Backend=tcp; Role=worker; Listen=:0; Join=h:7070"},
 		{"cluster tcp three addresses", []Option{WithCluster(4, "tcp", "a", "b", "c")}, "reject: NewSession"},
 		{"cluster zero machines", []Option{WithCluster(0, "hpc")}, "reject: NewSession"},
 		{"cluster coordinator of one", []Option{WithCluster(1, "tcp", ":7070")}, "reject: NewSession"},
 		{"cluster worker negative machines", []Option{WithCluster(-1, "tcp", ":0", "h:7070")}, "reject: NewSession"},
 		{"cluster unknown network", []Option{WithCluster(2, "infiniband")}, "reject: NewSession"},
 		{"cluster one machine tcp", []Option{WithCluster(1, "tcp")}, "reject: Normalize"},
-		{"lockstep", []Option{WithCluster(2, "hpc"), WithLockstep()}, "Machines=2; Profile={hpc 5µs 3e+09}; Lockstep=true"},
-		{"lockstep single machine", []Option{WithLockstep()}, "reject: Normalize"},
+		{"replay check", []Option{WithCluster(2, "hpc"), WithReplayCheck()}, "Machines=2; Profile={hpc 5µs 3e+09}; Replay=true"},
+		{"replay check single machine", []Option{WithReplayCheck()}, "Replay=true"},
 		{"precision float32", []Option{WithPrecision(Float32)}, "Precision=float32"},
 		{"precision float64 after float32", []Option{WithPrecision(Float32), WithPrecision(Float64)}, ""},
 		{"loss logistic", []Option{WithLoss("logistic")}, "Loss=logistic"},
@@ -122,7 +122,7 @@ func TestOptionResolution(t *testing.T) {
 		{"later cluster drops tcp", []Option{WithCluster(4, "tcp"), WithCluster(2, "hpc")}, "Machines=2; Profile={hpc 5µs 3e+09}"},
 		{"later cluster drops role", []Option{WithCluster(4, "tcp", ":7070"), WithCluster(3, "commodity")}, "Machines=3; Profile={commodity 300µs 1.25e+08}"},
 		{"later schedule overrides", []Option{WithSchedule(0.2, 0.1), WithSchedule(0.03, 0.5)}, "Alpha=0.03; Beta=0.5"},
-		{"later algorithm overrides", []Option{WithAlgorithm("dsgd"), WithAlgorithm("nomad"), WithLockstep(), WithCluster(2, "tcp")}, "Machines=2; Backend=tcp; Lockstep=true"},
+		{"later algorithm overrides", []Option{WithAlgorithm("dsgd"), WithAlgorithm("nomad"), WithReplayCheck(), WithCluster(2, "tcp")}, "Machines=2; Backend=tcp; Replay=true"},
 		{"everything", []Option{
 			WithAlgorithm("nomad"), WithRank(32), WithLambda(0.1), WithSchedule(0.02, 0.05),
 			WithWorkers(2), WithCluster(4, "hpc"), WithPrecision(Float32), WithLoss("absolute"),
@@ -150,16 +150,16 @@ func TestOptionResolution(t *testing.T) {
 		{"bad eval points", []Option{WithEvalPoints(0)}, "reject: NewSession"},
 		{"no stop conditions", []Option{WithStopConditions()}, "reject: NewSession"},
 		{"baseline on tcp", []Option{WithAlgorithm("fpsgd"), WithCluster(2, "tcp")}, "reject: NewSession"},
-		{"baseline lockstep", []Option{WithAlgorithm("dsgd"), WithCluster(2, "hpc"), WithLockstep()}, "reject: NewSession"},
+		{"baseline replay check", []Option{WithAlgorithm("dsgd"), WithCluster(2, "hpc"), WithReplayCheck()}, "reject: NewSession"},
 		{"baseline coordinator", []Option{WithAlgorithm("als"), WithCluster(2, "tcp", ":7070")}, "reject: NewSession"},
 		{"elastic baseline", []Option{WithAlgorithm("hogwild"), WithCluster(3, "instant"), WithElastic(0)}, "reject: NewSession"},
-		{"elastic lockstep", []Option{WithCluster(3, "instant"), WithLockstep(), WithElastic(1)}, "reject: NewSession"},
+		{"elastic coordinator role", []Option{WithCluster(3, "tcp", ":7070"), WithElastic(1)}, "reject: NewSession"},
 		{"elastic worker role", []Option{WithCluster(3, "tcp", ":0", "h:7070"), WithElastic(1)}, "reject: NewSession"},
-		{"failover lockstep", []Option{WithCluster(3, "instant"), WithLockstep(), WithFailover()}, "reject: Normalize"},
+		{"failover coordinator role", []Option{WithCluster(3, "tcp", ":7070"), WithFailover()}, "reject: Normalize"},
 		{"float32 hogwild", []Option{WithAlgorithm("hogwild"), WithPrecision(Float32)}, "algo=hogwild; Precision=float32"},
 		{"float32 baseline", []Option{WithAlgorithm("ccd"), WithPrecision(Float32)}, "reject: NewSession"},
-		{"float32 lockstep", []Option{WithCluster(2, "hpc"), WithLockstep(), WithPrecision(Float32)}, "reject: NewSession"},
-		{"float32 coordinator", []Option{WithCluster(2, "tcp", ":7070"), WithPrecision(Float32)}, "reject: NewSession"},
+		{"float32 replay check", []Option{WithCluster(2, "hpc"), WithReplayCheck(), WithPrecision(Float32)}, "Machines=2; Profile={hpc 5µs 3e+09}; Precision=float32; Replay=true"},
+		{"float32 coordinator", []Option{WithCluster(2, "tcp", ":7070"), WithPrecision(Float32)}, "Machines=2; Backend=tcp; Role=coordinator; Listen=:7070; Precision=float32"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -171,6 +171,9 @@ func TestOptionResolution(t *testing.T) {
 				got = rejectNormalize
 			} else {
 				got = pinConfig(s.algorithm, cfg)
+				if s.replay {
+					got += "; Replay=true"
+				}
 			}
 			if strings.HasPrefix(got, "reject") || strings.HasPrefix(tc.want, "reject") {
 				if got != tc.want {

@@ -127,8 +127,6 @@ func TestFloat32Rejections(t *testing.T) {
 		"batch solver als":   {WithPrecision(Float32), WithAlgorithm("als")},
 		"batch solver dsgd":  {WithPrecision(Float32), WithAlgorithm("dsgd")},
 		"batch solver fpsgd": {WithPrecision(Float32), WithAlgorithm("fpsgd")},
-		"lockstep":           {WithPrecision(Float32), WithCluster(2, "hpc"), WithLockstep()},
-		"multi-process role": {WithPrecision(Float32), WithCluster(2, "tcp", ":0")},
 		"unknown precision":  {WithPrecision(Precision(9))},
 	}
 	for name, opts := range cases {

@@ -11,7 +11,7 @@ import (
 // runner's final trace sample instead of evaluating the model again, so
 // for every solver and runner that value must be bit-equal to the
 // returned model's RMSE on the test split — including both sides of a
-// multi-process lockstep cluster, whose worker rank keeps no trace.
+// multi-process cluster, whose worker rank keeps no trace.
 func TestResultRMSEIsTheFinalModels(t *testing.T) {
 	d := synthSmall(t)
 	check := func(t *testing.T, res *Result) {
@@ -22,17 +22,17 @@ func TestResultRMSEIsTheFinalModels(t *testing.T) {
 	}
 	epochs := WithStopConditions(MaxEpochs(2))
 	cases := map[string][]Option{
-		"nomad":             nil,
-		"dsgd":              {WithAlgorithm("dsgd")},
-		"dsgdpp":            {WithAlgorithm("dsgdpp")},
-		"fpsgd":             {WithAlgorithm("fpsgd")},
-		"ccd":               {WithAlgorithm("ccd")},
-		"als":               {WithAlgorithm("als")},
-		"glals":             {WithAlgorithm("glals")},
-		"biassgd":           {WithAlgorithm("biassgd")},
-		"hogwild":           {WithAlgorithm("hogwild")},
-		"nomad distributed": {WithCluster(2, "instant")},
-		"nomad lockstep":    {WithCluster(2, "instant"), WithLockstep()},
+		"nomad":              nil,
+		"dsgd":               {WithAlgorithm("dsgd")},
+		"dsgdpp":             {WithAlgorithm("dsgdpp")},
+		"fpsgd":              {WithAlgorithm("fpsgd")},
+		"ccd":                {WithAlgorithm("ccd")},
+		"als":                {WithAlgorithm("als")},
+		"glals":              {WithAlgorithm("glals")},
+		"biassgd":            {WithAlgorithm("biassgd")},
+		"hogwild":            {WithAlgorithm("hogwild")},
+		"nomad distributed":  {WithCluster(2, "instant")},
+		"nomad replay check": {WithCluster(2, "instant"), WithReplayCheck()},
 	}
 	for name, opts := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -44,7 +44,7 @@ func TestResultRMSEIsTheFinalModels(t *testing.T) {
 		})
 	}
 
-	t.Run("multi-process lockstep", func(t *testing.T) {
+	t.Run("multi-process", func(t *testing.T) {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
