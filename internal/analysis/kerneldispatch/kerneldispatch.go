@@ -1,17 +1,18 @@
 // Package kerneldispatch protects the PR 6 dispatch seam: every
-// SGD/eval call site must obtain its arithmetic through
-// vecmath.KernelFor / KernelFor32 / DotKernel / DotKernel32 /
-// DotRowsKernel / DotRowsKernel32 / DotGatherKernel /
-// DotGatherKernel32 — the functions that consult the SIMD/portable
-// dispatch — and never invoke the scalar reference kernels directly. A
-// direct vecmath.Dot in an eval loop silently pins that path to scalar
-// code on every machine and escapes the dispatch switch
+// SGD/eval call site must obtain its arithmetic through the functions
+// that consult the SIMD/portable dispatch — vecmath.KernelOf /
+// KernelFor / DotKernelOf / DotKernel / DotRowsKernel /
+// DotGatherKernel — and never invoke the scalar reference kernels
+// directly. A direct vecmath.Dot in an eval loop silently pins that
+// path to scalar code on every machine and escapes the dispatch switch
 // (NOMAD_NO_SIMD, SetSIMD), which is how a 1.5× SIMD win quietly rots.
+// Each reference kernel is one generic body over both precisions, so
+// its one name covers a float64 and a float32 call alike.
 //
 // Both calling and capturing a kernel as a value
-// (`dot := vecmath.Dot`) are flagged; vecmath itself is exempt (it IS
-// the dispatcher), and deliberate direct use — a cold path that wants
-// the reference scalar on purpose — is annotated
+// (`dot := vecmath.Dot[float64]`) are flagged; vecmath itself is exempt
+// (it IS the dispatcher), and deliberate direct use — a cold path that
+// wants the reference scalar on purpose — is annotated
 //
 //	//nomad:direct-kernel <why>
 package kerneldispatch
@@ -27,7 +28,7 @@ import (
 // Analyzer is the kerneldispatch pass.
 var Analyzer = &framework.Analyzer{
 	Name: "kerneldispatch",
-	Doc:  "route SGD/eval arithmetic through KernelFor/KernelFor32 instead of direct scalar kernels",
+	Doc:  "route SGD/eval arithmetic through KernelOf/DotKernelOf instead of direct scalar kernels",
 	Run:  run,
 }
 
@@ -36,15 +37,16 @@ var Analyzer = &framework.Analyzer{
 const vecmathPath = "nomad/internal/vecmath"
 
 // directKernels are the width-agnostic scalar kernels the dispatch
-// seam wraps. Everything else vecmath exports (Axpy, CholeskySolve,
-// Norm2Sq, the batch-solver linear algebra) is general vector math
-// with no dispatched counterpart and stays fair game.
+// seam wraps, each one generic body for both precisions. Everything
+// else vecmath exports (Axpy, CholeskySolve, Norm2Sq, the batch-solver
+// linear algebra) is general vector math with no dispatched
+// counterpart and stays fair game.
 var directKernels = map[string]bool{
-	"Dot": true, "Dot32": true,
-	"DotUnrolled": true, "DotUnrolled32": true,
-	"SGDUpdate": true, "SGDUpdate32": true,
-	"SGDUpdateGrad": true, "SGDUpdateGrad32": true,
-	"FusedSGDStep": true, "FusedSGDStep32": true,
+	"Dot":           true,
+	"DotUnrolled":   true,
+	"SGDUpdate":     true,
+	"SGDUpdateGrad": true,
+	"FusedSGDStep":  true,
 }
 
 func run(pass *framework.Pass) error {
@@ -67,7 +69,7 @@ func run(pass *framework.Pass) error {
 					return true
 				}
 				pass.Reportf(id.Pos(),
-					"direct use of vecmath.%s bypasses the kernel dispatch; route through vecmath.KernelFor/DotKernel (or annotate //nomad:direct-kernel)",
+					"direct use of vecmath.%s bypasses the kernel dispatch; route through vecmath.KernelOf/DotKernelOf (or annotate //nomad:direct-kernel)",
 					fn.Name())
 				return true
 			})

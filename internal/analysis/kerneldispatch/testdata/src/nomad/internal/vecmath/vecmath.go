@@ -1,46 +1,46 @@
 // Package vecmath is a fixture stub of nomad/internal/vecmath: the
 // scalar reference kernels the analyzer bans and the dispatch entry
-// points it blesses, with the real package's import path.
+// points it blesses, with the real package's import path. As in the
+// real package, each reference kernel is one generic body over both
+// precisions.
 package vecmath
 
-// Dot is a banned scalar reference kernel.
-func Dot(a, b []float64) float64 { return 0 }
+// Float is the element type of a factor row.
+type Float interface{ float32 | float64 }
 
-// Dot32 is a banned scalar reference kernel.
-func Dot32(a, b []float32) float32 { return 0 }
+// Dot is a banned scalar reference kernel.
+func Dot[T Float](a, b []T) T { return 0 }
 
 // DotUnrolled is a banned scalar reference kernel.
-func DotUnrolled(a, b []float64) float64 { return 0 }
+func DotUnrolled[T Float](a, b []T) T { return 0 }
 
 // SGDUpdate is a banned scalar reference kernel.
-func SGDUpdate(w, h []float64, err, step, lambda float64) {}
+func SGDUpdate[T Float](w, h []T, err, step, lambda T) {}
 
-// FusedSGDStep32 is a banned scalar reference kernel.
-func FusedSGDStep32(w, h []float32, rating, step, lambda float32) float32 { return 0 }
+// FusedSGDStep is a banned scalar reference kernel.
+func FusedSGDStep[T Float](w, h []T, rating, step, lambda T) T { return 0 }
 
 // Axpy has no dispatched counterpart and is always fine.
 func Axpy(alpha float64, x, y []float64) {}
 
-// DotKernel is the blessed dispatcher for float64 dots.
-func DotKernel() func(a, b []float64) float64 { return Dot }
+// DotKernelOf is the blessed dispatcher for dots.
+func DotKernelOf[T Float](rank int) func(a, b []T) T { return Dot[T] }
 
-// DotKernel32 is the blessed dispatcher for float32 dots.
-func DotKernel32() func(a, b []float32) float32 { return Dot32 }
+// DotKernel is the blessed float64 dispatcher for dots.
+func DotKernel(rank int) func(a, b []float64) float64 { return Dot[float64] }
 
-// DotRowsKernel is the blessed dispatcher for batched float64 dots.
-func DotRowsKernel(rank int) func(user, rows, out []float64) {
-	return func(user, rows, out []float64) {}
-}
-
-// DotRowsKernel32 is the blessed dispatcher for batched float32 dots.
-func DotRowsKernel32(rank int) func(user, rows, out []float32) {
-	return func(user, rows, out []float32) {}
+// DotRowsKernel is the blessed dispatcher for batched dots.
+func DotRowsKernel[T Float](rank int) func(user, rows, out []T) {
+	return func(user, rows, out []T) {}
 }
 
 // SGDKernels is the blessed dispatch bundle.
-type SGDKernels struct {
-	Step func(w, h []float64, err, step, lambda float64)
+type SGDKernels[T Float] struct {
+	Step func(w, h []T, err, step, lambda T)
 }
 
-// KernelFor is the blessed dispatcher for SGD kernels.
-func KernelFor(rank int) SGDKernels { return SGDKernels{Step: SGDUpdate} }
+// KernelOf is the blessed dispatcher for SGD kernels.
+func KernelOf[T Float](rank int) SGDKernels[T] { return SGDKernels[T]{Step: SGDUpdate[T]} }
+
+// KernelFor is the blessed float64 dispatcher for SGD kernels.
+func KernelFor(rank int) SGDKernels[float64] { return KernelOf[float64](rank) }

@@ -29,6 +29,7 @@ import (
 	"nomad/internal/parallel"
 	"nomad/internal/partition"
 	"nomad/internal/train"
+	"nomad/internal/vecmath"
 )
 
 // CCD is the solver. The zero value is ready to use.
@@ -85,12 +86,14 @@ func (*CCD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 	// Residual in CSR order: R = A − W Hᵀ.
 	residual := make([]float64, tr.NNZ())
 	copy(residual, tr.Vals())
+	dot := vecmath.DotKernel(md.K)
 	parallel.For(p, m, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			cols, _ := tr.Row(i)
 			rowBase, _ := tr.RowRange(i)
+			wRow := md.UserRow(i)
 			for x, j := range cols {
-				residual[rowBase+int64(x)] -= md.Predict(i, int(j))
+				residual[rowBase+int64(x)] -= dot(wRow, md.ItemRow(int(j)))
 			}
 		}
 	})

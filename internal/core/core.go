@@ -91,56 +91,45 @@ func (*NOMAD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 	return res, err
 }
 
-// hotPath is the per-run selection every SGD worker loop shares:
-// kernels, the tabulated schedule and, for the square loss, the
-// batched item-pass kernel — all chosen once per run, never per
-// rating. Each worker builds one and trains its tokens with runBlock,
-// on the item rows in the model.
-type hotPath struct {
-	md     *factor.Model
-	table  *sched.Table
-	lossFn loss.Loss // non-square losses only: the square loss runs the item pass
-	steps  []float64
-	slow   func(int) float64
-	lambda float64
-
-	// Float64 models.
-	wData    []float64
-	hData    []float64
-	kern     vecmath.Kernel
-	itemPass vecmath.ItemPassFunc
-	pair     vecmath.ItemPassPairFunc // nil: no two-list kernel, runBlock keeps to token order
-
-	// Float32 models.
-	f32        bool
-	wData32    []float32
-	hData32    []float32
-	kern32     vecmath.Kernel32
-	itemPass32 vecmath.ItemPassFunc32
-	pair32     vecmath.ItemPassPairFunc32
-	lambda32   float32
+// hotPath is the per-run selection every SGD worker loop shares, at the
+// model's precision T: the flat factor rows, kernels, the tabulated
+// schedule and, for the square loss, the batched item-pass kernel — all
+// chosen once per run, never per rating. Each worker builds one and
+// trains its tokens with runBlock, on the item rows in the model.
+// Ratings, step sizes and loss gradients stay float64 at either
+// precision; only the factor rows and the arithmetic on them are T (the
+// precision contract of DESIGN.md §9).
+type hotPath[T vecmath.Float] struct {
+	k            int
+	wData, hData []T
+	table        *sched.Table
+	lossFn       loss.Loss // non-square losses only: the square loss runs the item pass
+	steps        []float64
+	slow         func(int) float64
+	lambda       T
+	kern         vecmath.Kernel[T]
+	itemPass     vecmath.ItemPassFunc[T]
+	pair         vecmath.ItemPassPairFunc[T] // nil: no two-list kernel, runBlock keeps to token order
 }
 
-func newHotPath(md *factor.Model, cfg train.Config) hotPath {
-	hp := hotPath{md: md, table: cfg.Schedule(), lossFn: cfg.Loss, lambda: cfg.Lambda}
+func newHotPath[T vecmath.Float](md *factor.Model, cfg train.Config) *hotPath[T] {
+	hp := &hotPath[T]{k: cfg.K, table: cfg.Schedule(), lossFn: cfg.Loss, lambda: T(cfg.Lambda)}
+	hp.wData, hp.hData = factor.Flat[T](md)
 	hp.steps, hp.slow = hp.table.Steps(), hp.table.Fallback().Step
-	square := loss.IsSquare(cfg.Loss)
-	if md.Precision() == factor.Float32 {
-		hp.f32 = true
-		hp.wData32, hp.hData32 = md.WData32(), md.HData32()
-		hp.kern32 = vecmath.KernelFor32(cfg.K)
-		hp.lambda32 = float32(cfg.Lambda)
-		if square {
-			hp.itemPass32, hp.pair32 = hp.kern32.ItemPass, hp.kern32.ItemPassPair
-		}
-	} else {
-		hp.wData, hp.hData = md.WData(), md.HData()
-		hp.kern = vecmath.KernelFor(cfg.K)
-		if square {
-			hp.itemPass, hp.pair = hp.kern.ItemPass, hp.kern.ItemPassPair
-		}
+	hp.kern = vecmath.KernelOf[T](cfg.K)
+	if loss.IsSquare(cfg.Loss) {
+		hp.itemPass, hp.pair = hp.kern.ItemPass, hp.kern.ItemPassPair
 	}
 	return hp
+}
+
+// itemTrainer returns itemSGDItem of a hot path at md's precision, for
+// the replay, which trains one visit at a time.
+func itemTrainer(md *factor.Model, cfg train.Config) func(j int, usersJ []int32, vals []float64, counts []int32) {
+	if md.Precision() == factor.Float32 {
+		return newHotPath[float32](md, cfg).itemSGDItem
+	}
+	return newHotPath[float64](md, cfg).itemSGDItem
 }
 
 // prefetchRows is how many leading user rows of the next token the
@@ -160,7 +149,7 @@ const prefetchRows = 8
 // another worker.
 //
 //nomad:noalloc
-func (hp *hotPath) prefetchAhead(lr *localRatings, j1, j2, j3 int) {
+func (hp *hotPath[T]) prefetchAhead(lr *localRatings, j1, j2, j3 int) {
 	n := len(lr.colPtr) - 1
 	vecmath.Prefetch(lr.colPtr, j3, 1)
 	if uint(j2) < uint(n) {
@@ -168,30 +157,22 @@ func (hp *hotPath) prefetchAhead(lr *localRatings, j1, j2, j3 int) {
 		vecmath.Prefetch(lr.users, lo, 1)
 		vecmath.Prefetch(lr.vals, lo, 1)
 		vecmath.Prefetch(lr.counts, lo, 1)
-		hp.prefetchRow(hp.hData, hp.hData32, j2)
+		vecmath.Prefetch(hp.hData, j2*hp.k, hp.k)
 	}
 	if uint(j1) < uint(n) {
 		lo, hi := lr.colPtr[j1], lr.colPtr[j1+1]
 		for _, u := range lr.users[lo:min(hi, lo+prefetchRows)] {
-			hp.prefetchRow(hp.wData, hp.wData32, int(u))
+			vecmath.Prefetch(hp.wData, int(u)*hp.k, hp.k)
 		}
 	}
 }
 
-// prefetchRow prefetches row r of a factor matrix held as d64 or d32,
-// whichever the model's precision uses.
-func (hp *hotPath) prefetchRow(d64 []float64, d32 []float32, r int) {
-	if k := hp.md.K; hp.f32 {
-		vecmath.Prefetch(d32, r*k, k)
-	} else {
-		vecmath.Prefetch(d64, r*k, k)
-	}
-}
+// itemRow is item j's row hⱼ.
+func (hp *hotPath[T]) itemRow(j int) []T { return hp.hData[j*hp.k : (j+1)*hp.k] }
 
 // itemSGD runs the SGD updates for one item's rating list (hRow is the
-// item row, shared across the list). Float64 models only; the
-// precision-agnostic entry point is itemSGDItem.
-func (hp *hotPath) itemSGD(usersJ []int32, vals []float64, counts []int32, hRow []float64) {
+// item row, shared across the list).
+func (hp *hotPath[T]) itemSGD(usersJ []int32, vals []float64, counts []int32, hRow []T) {
 	if hp.itemPass != nil {
 		hp.itemPass(hp.wData, usersJ, vals, counts, hRow, hp.lambda, hp.steps, hp.slow)
 		return
@@ -199,37 +180,16 @@ func (hp *hotPath) itemSGD(usersJ []int32, vals []float64, counts []int32, hRow 
 	for x, u := range usersJ {
 		t := counts[x]
 		counts[x] = t + 1
-		wRow := hp.md.UserRow(int(u))
-		g := hp.lossFn.Grad(hp.kern.Dot(wRow, hRow), vals[x])
-		hp.kern.Grad(wRow, hRow, g, hp.table.Step(int(t)), hp.lambda)
-	}
-}
-
-// itemSGD32 is itemSGD for Float32 models. Ratings, step sizes and loss
-// gradients stay float64 — only the factor rows and the arithmetic on
-// them narrow (the precision contract of DESIGN.md §9).
-func (hp *hotPath) itemSGD32(usersJ []int32, vals []float64, counts []int32, hRow []float32) {
-	if hp.itemPass32 != nil {
-		hp.itemPass32(hp.wData32, usersJ, vals, counts, hRow, hp.lambda32, hp.steps, hp.slow)
-		return
-	}
-	for x, u := range usersJ {
-		t := counts[x]
-		counts[x] = t + 1
-		wRow := hp.md.UserRow32(int(u))
-		g := hp.lossFn.Grad(float64(hp.kern32.Dot(wRow, hRow)), vals[x])
-		hp.kern32.Grad(wRow, hRow, float32(g), float32(hp.table.Step(int(t))), hp.lambda32)
+		wRow := hp.wData[int(u)*hp.k : (int(u)+1)*hp.k]
+		g := hp.lossFn.Grad(float64(hp.kern.Dot(wRow, hRow)), vals[x])
+		hp.kern.Grad(wRow, hRow, T(g), T(hp.table.Step(int(t))), hp.lambda)
 	}
 }
 
 // itemSGDItem trains one item's rating list on its model row, which
 // the token's holder owns.
-func (hp *hotPath) itemSGDItem(j int, usersJ []int32, vals []float64, counts []int32) {
-	if hp.f32 {
-		hp.itemSGD32(usersJ, vals, counts, hp.md.ItemRow32(j))
-		return
-	}
-	hp.itemSGD(usersJ, vals, counts, hp.md.ItemRow(j))
+func (hp *hotPath[T]) itemSGDItem(j int, usersJ []int32, vals []float64, counts []int32) {
+	hp.itemSGD(usersJ, vals, counts, hp.itemRow(j))
 }
 
 // partitionUsers splits users across p workers: equal user counts by

@@ -48,7 +48,7 @@ const laneMin = 16
 // token order.
 //
 //nomad:noalloc
-func (hp *hotPath) runBlock(lr *localRatings, items []int32, lanes bool,
+func (hp *hotPath[T]) runBlock(lr *localRatings, items []int32, lanes bool,
 	begin func(n int) bool, finish func(i, n int) bool) int {
 	var (
 		split        [meshBlock]int32 // token → where in lr.users its high half starts
@@ -119,16 +119,9 @@ func (hp *hotPath) runBlock(lr *localRatings, items []int32, lanes bool,
 // itemSGDPair advances item jA's ratings [aLo, aHi) and item jB's
 // [bLo, bHi) of lr in lockstep, for as many ratings as the shorter
 // segment has.
-func (hp *hotPath) itemSGDPair(lr *localRatings, jA, aLo, aHi, jB, bLo, bHi int) {
-	if hp.f32 {
-		hp.pair32(hp.wData32,
-			vecmath.ItemList[float32]{Users: lr.users[aLo:aHi], Vals: lr.vals[aLo:aHi], Counts: lr.counts[aLo:aHi], H: hp.md.ItemRow32(jA)},
-			vecmath.ItemList[float32]{Users: lr.users[bLo:bHi], Vals: lr.vals[bLo:bHi], Counts: lr.counts[bLo:bHi], H: hp.md.ItemRow32(jB)},
-			hp.lambda32, hp.steps, hp.slow)
-		return
-	}
+func (hp *hotPath[T]) itemSGDPair(lr *localRatings, jA, aLo, aHi, jB, bLo, bHi int) {
 	hp.pair(hp.wData,
-		vecmath.ItemList[float64]{Users: lr.users[aLo:aHi], Vals: lr.vals[aLo:aHi], Counts: lr.counts[aLo:aHi], H: hp.md.ItemRow(jA)},
-		vecmath.ItemList[float64]{Users: lr.users[bLo:bHi], Vals: lr.vals[bLo:bHi], Counts: lr.counts[bLo:bHi], H: hp.md.ItemRow(jB)},
+		vecmath.ItemList[T]{Users: lr.users[aLo:aHi], Vals: lr.vals[aLo:aHi], Counts: lr.counts[aLo:aHi], H: hp.itemRow(jA)},
+		vecmath.ItemList[T]{Users: lr.users[bLo:bHi], Vals: lr.vals[bLo:bHi], Counts: lr.counts[bLo:bHi], H: hp.itemRow(jB)},
 		hp.lambda, hp.steps, hp.slow)
 }

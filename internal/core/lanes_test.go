@@ -62,9 +62,9 @@ func lanesFixture(prec factor.Precision, userLo, userHi, midUser int) (*factor.M
 // where the dispatch has none (other GOARCHes, either kernel switch) a
 // stand-in that alternates single ratings through hp's own item pass,
 // which is all runBlock needs of it — and counts the calls.
-func withPair(hp *hotPath, calls *int) {
-	pair, pair32 := hp.pair, hp.pair32
-	hp.pair = func(w []float64, a, b vecmath.ItemList[float64], lambda float64, steps []float64, slow func(int) float64) {
+func withPair[T vecmath.Float](hp *hotPath[T], calls *int) {
+	pair := hp.pair
+	hp.pair = func(w []T, a, b vecmath.ItemList[T], lambda T, steps []float64, slow func(int) float64) {
 		*calls++
 		if pair != nil {
 			pair(w, a, b, lambda, steps, slow)
@@ -75,22 +75,11 @@ func withPair(hp *hotPath, calls *int) {
 			hp.itemSGD(b.Users[x:x+1], b.Vals[x:x+1], b.Counts[x:x+1], b.H)
 		}
 	}
-	hp.pair32 = func(w []float32, a, b vecmath.ItemList[float32], lambda float32, steps []float64, slow func(int) float64) {
-		*calls++
-		if pair32 != nil {
-			pair32(w, a, b, lambda, steps, slow)
-			return
-		}
-		for x := 0; x < min(len(a.Users), len(b.Users)); x++ {
-			hp.itemSGD32(a.Users[x:x+1], a.Vals[x:x+1], a.Counts[x:x+1], a.H)
-			hp.itemSGD32(b.Users[x:x+1], b.Vals[x:x+1], b.Counts[x:x+1], b.H)
-		}
-	}
 }
 
 // tokenOrder is the oracle: the block loop as it was before the lanes,
 // one token after the other, each list whole.
-func tokenOrder(hp *hotPath, lr *localRatings, block []int32) {
+func tokenOrder[T vecmath.Float](hp *hotPath[T], lr *localRatings, block []int32) {
 	for _, j := range block {
 		usersJ, vals, counts := lr.itemRatings(int(j))
 		hp.itemSGDItem(int(j), usersJ, vals, counts)
@@ -140,62 +129,65 @@ func lanesBlocks() map[string][]int32 {
 // shapes include users all on one side of midUser (either side), where
 // one lane has nothing to do.
 func TestLanesEqualTokenOrder(t *testing.T) {
-	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
-		for _, cut := range []struct {
-			name            string
-			lo, hi, midUser int
-		}{
-			{"median", 0, lanesUsers, lanesUsers / 2},
-			{"skewed", 0, lanesUsers, lanesUsers / 10},
-			{"all high", 100, lanesUsers, 100},
-			{"all low", 0, lanesUsers - 50, lanesUsers},
-		} {
-			for name, block := range lanesBlocks() {
-				md, lr, cfg := lanesFixture(prec, cut.lo, cut.hi, cut.midUser)
-				hp := newHotPath(md, cfg)
-				mdRef, lrRef, _ := lanesFixture(prec, cut.lo, cut.hi, cut.midUser)
-				hpRef := newHotPath(mdRef, cfg)
-				pairs := 0
-				withPair(&hp, &pairs)
+	testLanesEqualTokenOrder[float64](t, factor.Float64)
+	testLanesEqualTokenOrder[float32](t, factor.Float32)
+}
 
-				var begun, finished []int
-				long := 0
-				// Twice over the same block: the second pass meets moved counts.
-				for pass := 0; pass < 2; pass++ {
-					tokenOrder(&hpRef, lrRef, block)
-					done := hp.runBlock(lr, block, true, func(n int) bool {
-						begun = append(begun, n)
-						return true
-					}, func(i, n int) bool {
-						finished = append(finished, i, n)
-						return false
-					})
-					if done != len(block) {
-						t.Fatalf("%v %s %q: %d of %d tokens done with no stop", prec, cut.name, name, done, len(block))
+func testLanesEqualTokenOrder[T vecmath.Float](t *testing.T, prec factor.Precision) {
+	for _, cut := range []struct {
+		name            string
+		lo, hi, midUser int
+	}{
+		{"median", 0, lanesUsers, lanesUsers / 2},
+		{"skewed", 0, lanesUsers, lanesUsers / 10},
+		{"all high", 100, lanesUsers, 100},
+		{"all low", 0, lanesUsers - 50, lanesUsers},
+	} {
+		for name, block := range lanesBlocks() {
+			md, lr, cfg := lanesFixture(prec, cut.lo, cut.hi, cut.midUser)
+			hp := newHotPath[T](md, cfg)
+			mdRef, lrRef, _ := lanesFixture(prec, cut.lo, cut.hi, cut.midUser)
+			hpRef := newHotPath[T](mdRef, cfg)
+			pairs := 0
+			withPair(hp, &pairs)
+
+			var begun, finished []int
+			long := 0
+			// Twice over the same block: the second pass meets moved counts.
+			for pass := 0; pass < 2; pass++ {
+				tokenOrder(hpRef, lrRef, block)
+				done := hp.runBlock(lr, block, true, func(n int) bool {
+					begun = append(begun, n)
+					return true
+				}, func(i, n int) bool {
+					finished = append(finished, i, n)
+					return false
+				})
+				if done != len(block) {
+					t.Fatalf("%v %s %q: %d of %d tokens done with no stop", prec, cut.name, name, done, len(block))
+				}
+			}
+			var wantBegun, wantFinished []int
+			for pass := 0; pass < 2; pass++ {
+				for i, j := range block {
+					n := int(lr.colPtr[j+1] - lr.colPtr[j])
+					if wantBegun, wantFinished = append(wantBegun, n), append(wantFinished, i, n); n >= laneMin {
+						long++
 					}
 				}
-				var wantBegun, wantFinished []int
-				for pass := 0; pass < 2; pass++ {
-					for i, j := range block {
-						n := int(lr.colPtr[j+1] - lr.colPtr[j])
-						if wantBegun, wantFinished = append(wantBegun, n), append(wantFinished, i, n); n >= laneMin {
-							long++
-						}
-					}
-				}
-				if !slices.Equal(begun, wantBegun) || !slices.Equal(finished, wantFinished) {
-					t.Errorf("%v %s %q: begin %v finish %v, want %v and %v", prec, cut.name, name, begun, finished, wantBegun, wantFinished)
-				}
-				if !bytes.Equal(laneState(t, md, lr), laneState(t, mdRef, lrRef)) {
-					t.Errorf("%v %s %q: factors or counts differ from the token-by-token loop", prec, cut.name, name)
-				}
-				if adjacentLong := name == "full block" || name == "all long" || name == "barrier amid"; adjacentLong && cut.name == "median" && pairs == 0 {
-					t.Errorf("%v %s %q: long tokens next to each other and nothing ran paired", prec, cut.name, name)
-				}
-				if cut.name == "all high" || cut.name == "all low" || long == 0 {
-					if pairs != 0 {
-						t.Errorf("%v %s %q: %d paired calls with one lane empty", prec, cut.name, name, pairs)
-					}
+			}
+			if !slices.Equal(begun, wantBegun) || !slices.Equal(finished, wantFinished) {
+				t.Errorf("%v %s %q: begin %v finish %v, want %v and %v", prec, cut.name, name, begun, finished, wantBegun, wantFinished)
+			}
+			if !bytes.Equal(laneState(t, md, lr), laneState(t, mdRef, lrRef)) {
+				t.Errorf("%v %s %q: factors or counts differ from the token-by-token loop", prec, cut.name, name)
+			}
+			if adjacentLong := name == "full block" || name == "all long" || name == "barrier amid"; adjacentLong && cut.name == "median" && pairs == 0 {
+				t.Errorf("%v %s %q: long tokens next to each other and nothing ran paired", prec, cut.name, name)
+			}
+			if cut.name == "all high" || cut.name == "all low" || long == 0 {
+				if pairs != 0 {
+					t.Errorf("%v %s %q: %d paired calls with one lane empty", prec, cut.name, name, pairs)
 				}
 			}
 		}
@@ -211,40 +203,43 @@ func TestLanesEqualTokenOrder(t *testing.T) {
 // over that prefix — so nothing is half-applied and no parked token was
 // touched — and finish ran once for each, in order.
 func TestLanesStopLeavesWholeTokens(t *testing.T) {
-	block := []int32{0, 1, 5, 2, 4, 3, 6, 8, 13, 9, 10, 12, 7, 14}
-	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
-		for _, fromBegin := range []bool{false, true} {
-			for at := range block {
-				md, lr, cfg := lanesFixture(prec, 0, lanesUsers, lanesUsers/3)
-				hp := newHotPath(md, cfg)
-				pairs := 0
-				withPair(&hp, &pairs)
+	testLanesStopLeavesWholeTokens[float64](t, factor.Float64)
+	testLanesStopLeavesWholeTokens[float32](t, factor.Float32)
+}
 
-				begun := 0
-				var finished []int
-				done := hp.runBlock(lr, block, true, func(int) bool {
-					begun++
-					return !fromBegin || begun <= at+1 // token `at` is the last to start
-				}, func(i, _ int) bool {
-					finished = append(finished, i)
-					return !fromBegin && i >= at
-				})
-				if done <= at || done > len(block) || (fromBegin && done != at+1) {
-					t.Fatalf("%v begin=%v stop at %d: %d tokens done", prec, fromBegin, at, done)
-				}
-				want := make([]int, done)
-				for i := range want {
-					want[i] = i
-				}
-				if !slices.Equal(finished, want) {
-					t.Errorf("%v begin=%v stop at %d: finish order %v, %d done", prec, fromBegin, at, finished, done)
-				}
-				mdRef, lrRef, _ := lanesFixture(prec, 0, lanesUsers, lanesUsers/3)
-				hpRef := newHotPath(mdRef, cfg)
-				tokenOrder(&hpRef, lrRef, block[:done])
-				if !bytes.Equal(laneState(t, md, lr), laneState(t, mdRef, lrRef)) {
-					t.Errorf("%v begin=%v stop at %d: state is not that of tokens [0, %d) applied whole", prec, fromBegin, at, done)
-				}
+func testLanesStopLeavesWholeTokens[T vecmath.Float](t *testing.T, prec factor.Precision) {
+	block := []int32{0, 1, 5, 2, 4, 3, 6, 8, 13, 9, 10, 12, 7, 14}
+	for _, fromBegin := range []bool{false, true} {
+		for at := range block {
+			md, lr, cfg := lanesFixture(prec, 0, lanesUsers, lanesUsers/3)
+			hp := newHotPath[T](md, cfg)
+			pairs := 0
+			withPair(hp, &pairs)
+
+			begun := 0
+			var finished []int
+			done := hp.runBlock(lr, block, true, func(int) bool {
+				begun++
+				return !fromBegin || begun <= at+1 // token `at` is the last to start
+			}, func(i, _ int) bool {
+				finished = append(finished, i)
+				return !fromBegin && i >= at
+			})
+			if done <= at || done > len(block) || (fromBegin && done != at+1) {
+				t.Fatalf("%v begin=%v stop at %d: %d tokens done", prec, fromBegin, at, done)
+			}
+			want := make([]int, done)
+			for i := range want {
+				want[i] = i
+			}
+			if !slices.Equal(finished, want) {
+				t.Errorf("%v begin=%v stop at %d: finish order %v, %d done", prec, fromBegin, at, finished, done)
+			}
+			mdRef, lrRef, _ := lanesFixture(prec, 0, lanesUsers, lanesUsers/3)
+			hpRef := newHotPath[T](mdRef, cfg)
+			tokenOrder(hpRef, lrRef, block[:done])
+			if !bytes.Equal(laneState(t, md, lr), laneState(t, mdRef, lrRef)) {
+				t.Errorf("%v begin=%v stop at %d: state is not that of tokens [0, %d) applied whole", prec, fromBegin, at, done)
 			}
 		}
 	}
@@ -257,12 +252,12 @@ func TestLanesOffIsTokenOrder(t *testing.T) {
 	block := lanesBlocks()["full block"]
 	for _, lanes := range []bool{false, true} {
 		md, lr, cfg := lanesFixture(factor.Float64, 0, lanesUsers, lanesUsers/2)
-		hp := newHotPath(md, cfg)
+		hp := newHotPath[float64](md, cfg)
 		pairs := 0
-		withPair(&hp, &pairs)
+		withPair(hp, &pairs)
 		mdRef, lrRef, _ := lanesFixture(factor.Float64, 0, lanesUsers, lanesUsers/2)
-		hpRef := newHotPath(mdRef, cfg)
-		tokenOrder(&hpRef, lrRef, block)
+		hpRef := newHotPath[float64](mdRef, cfg)
+		tokenOrder(hpRef, lrRef, block)
 		begin, finish := func(int) bool { return true }, func(int, int) bool { return false }
 		hp.runBlock(lr, block, lanes, begin, finish)
 		if !bytes.Equal(laneState(t, md, lr), laneState(t, mdRef, lrRef)) {

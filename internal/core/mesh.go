@@ -25,6 +25,7 @@ import (
 	"nomad/internal/queue"
 	"nomad/internal/rng"
 	"nomad/internal/train"
+	"nomad/internal/vecmath"
 )
 
 // itemToken is the nomadic token inside a machine: just the item
@@ -235,12 +236,24 @@ type worker struct {
 // plan; when the plan is done, out through the machine's port; with no
 // port (shared memory), to a worker drawn uniformly or by §3.3
 // two-choice — through per-destination out-buffers flushed in blocks.
-// At stop it leaves what it still holds in w.res.
+// At stop it leaves what it still holds in w.res. The model's precision
+// is chosen here, once: below it the loop is one generic body, whose
+// calls into the hot path stay static (through an interface, begin and
+// finish would escape, and with them the loop's per-token counters,
+// which then cost shm-longtail a fifth of its throughput).
 func runWorker(w *worker, md *factor.Model, cfg train.Config,
+	counter *train.Counter, stop *atomic.Bool) {
+	if md.Precision() == factor.Float32 {
+		runWorkerOf(newHotPath[float32](md, cfg), w, cfg, counter, stop)
+		return
+	}
+	runWorkerOf(newHotPath[float64](md, cfg), w, cfg, counter, stop)
+}
+
+func runWorkerOf[T vecmath.Float](hp *hotPath[T], w *worker, cfg train.Config,
 	counter *train.Counter, stop *atomic.Bool) {
 
 	p, fo := w.mesh.P(), w.fo
-	hp := newHotPath(md, cfg)
 	loadBalance := cfg.LoadBalance && p > 1
 	straggler := w.gw == 0 && cfg.Straggle > 1
 	route := tokenRouter{r: w.r, p: p}
@@ -357,7 +370,7 @@ func runWorker(w *worker, md *factor.Model, cfg train.Config,
 
 	// The simulated straggler times each token, so it keeps to token
 	// order; so does a hot path without a two-list kernel.
-	lanes := !straggler && (hp.pair != nil || hp.pair32 != nil)
+	lanes := !straggler && hp.pair != nil
 	var items [meshBlock]int32
 	var idle idleBackoff
 	for !stop.Load() && !fo.machineGone(w.mc) {

@@ -7,6 +7,7 @@ import (
 	"nomad/internal/factor"
 	"nomad/internal/loss"
 	"nomad/internal/train"
+	"nomad/internal/vecmath"
 )
 
 // prefetchFixture is one worker's state over a shape chosen for the
@@ -47,7 +48,7 @@ func prefetchFixture(prec factor.Precision) (*factor.Model, *localRatings, train
 // trainBlock runs one popped block the way the block loop does — look
 // ahead, then SGD on the token's model row — with the look-ahead
 // optionally left out.
-func trainBlock(hp *hotPath, lr *localRatings, block []int, ahead bool) {
+func trainBlock[T vecmath.Float](hp *hotPath[T], lr *localRatings, block []int, ahead bool) {
 	item := func(i int) int {
 		if i < len(block) {
 			return block[i]
@@ -70,6 +71,11 @@ func trainBlock(hp *hotPath, lr *localRatings, block []int, ahead bool) {
 // no allocation, and factors bit-identical to the same blocks trained
 // without it.
 func TestPrefetchAheadTouchesNothing(t *testing.T) {
+	testPrefetchAheadTouchesNothing[float64](t, factor.Float64)
+	testPrefetchAheadTouchesNothing[float32](t, factor.Float32)
+}
+
+func testPrefetchAheadTouchesNothing[T vecmath.Float](t *testing.T, prec factor.Precision) {
 	n := meshBlock + 6
 	full := make([]int, meshBlock)
 	for i := range full {
@@ -77,29 +83,27 @@ func TestPrefetchAheadTouchesNothing(t *testing.T) {
 	}
 	blocks := [][]int{{5}, {n - 1}, full, {0, 3, n - 1}, {n - 1, 10, 0, 5, 5, 2}}
 
-	for _, prec := range []factor.Precision{factor.Float64, factor.Float32} {
-		var models [2]bytes.Buffer
-		for side, ahead := range []bool{false, true} {
-			md, lr, cfg := prefetchFixture(prec)
-			hp := newHotPath(md, cfg)
-			for _, block := range blocks {
-				trainBlock(&hp, lr, block, ahead)
-			}
-			if err := md.WriteBinary(&models[side]); err != nil {
-				t.Fatal(err)
-			}
-			if !ahead {
-				continue
-			}
-			// Items past either end are "no such token", not an index.
-			hp.prefetchAhead(lr, n, n+1, 1<<30)
-			hp.prefetchAhead(lr, -1, -1, -1)
-			if a := testing.AllocsPerRun(10, func() { trainBlock(&hp, lr, full, true) }); a != 0 {
-				t.Errorf("%v: block pipeline allocates %.1f times per block", prec, a)
-			}
+	var models [2]bytes.Buffer
+	for side, ahead := range []bool{false, true} {
+		md, lr, cfg := prefetchFixture(prec)
+		hp := newHotPath[T](md, cfg)
+		for _, block := range blocks {
+			trainBlock(hp, lr, block, ahead)
 		}
-		if !bytes.Equal(models[0].Bytes(), models[1].Bytes()) {
-			t.Errorf("%v: factors differ with the look-ahead on", prec)
+		if err := md.WriteBinary(&models[side]); err != nil {
+			t.Fatal(err)
 		}
+		if !ahead {
+			continue
+		}
+		// Items past either end are "no such token", not an index.
+		hp.prefetchAhead(lr, n, n+1, 1<<30)
+		hp.prefetchAhead(lr, -1, -1, -1)
+		if a := testing.AllocsPerRun(10, func() { trainBlock(hp, lr, full, true) }); a != 0 {
+			t.Errorf("%v: block pipeline allocates %.1f times per block", prec, a)
+		}
+	}
+	if !bytes.Equal(models[0].Bytes(), models[1].Bytes()) {
+		t.Errorf("%v: factors differ with the look-ahead on", prec)
 	}
 }

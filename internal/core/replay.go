@@ -74,11 +74,11 @@ func (vl *visitLog) replay(ds *dataset.Dataset, cfg train.Config, res *train.Res
 	}
 	users := partitionUsers(ds, cfg, p)
 	local := buildShards(ds.Train, users, 0, p, resumeCounts(cfg.Resume, ds))
-	hp := newHotPath(md, cfg)
+	trainItem := itemTrainer(md, cfg)
 	var visits, updates int64
 	err := serialOrder(vl.machines, n, func(w int, j int32) {
 		usersJ, vals, counts := local[w].itemRatings(int(j))
-		hp.itemSGDItem(int(j), usersJ, vals, counts)
+		trainItem(int(j), usersJ, vals, counts)
 		visits, updates = visits+1, updates+int64(len(usersJ))
 	})
 	if err != nil {

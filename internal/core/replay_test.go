@@ -134,10 +134,10 @@ func TestReplayOrderIndependent(t *testing.T) {
 	md := factor.NewInitP(ds.Rows(), n, cfg.K, cfg.Seed, cfg.Precision)
 	users := partitionUsers(ds, cfg, p)
 	local := buildShards(ds.Train, users, 0, p, nil)
-	hp := newHotPath(md, cfg)
+	trainItem := itemTrainer(md, cfg)
 	for _, v := range alt {
 		usersJ, vals, counts := local[v.peer].itemRatings(int(v.item))
-		hp.itemSGDItem(int(v.item), usersJ, vals, counts)
+		trainItem(int(v.item), usersJ, vals, counts)
 	}
 	if !sameBits(md, res.Model) {
 		t.Error("the reordered replay's factors differ from the run's")

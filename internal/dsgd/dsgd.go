@@ -216,7 +216,7 @@ func (d *DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config,
 // sum of squared pre-update errors (the bold driver's loss signal).
 // Both solvers implement the paper's square loss, so every update goes
 // through the fused kernel.
-func sgdPass(blk *stratum, md *factor.Model, kern vecmath.Kernel, step, lambda float64, r *rng.Source) float64 {
+func sgdPass(blk *stratum, md *factor.Model, kern vecmath.Kernel[float64], step, lambda float64, r *rng.Source) float64 {
 	for i := range blk.perm {
 		blk.perm[i] = int32(i)
 	}

@@ -10,10 +10,10 @@
 // default and what every solver supports; Float32 halves the model's
 // memory traffic for the SGD-family hot paths that opt in (see
 // DESIGN.md §9 for the precision contract). The two precisions use
-// disjoint storage and disjoint accessors — UserRow vs UserRow32 —
-// and the accessors panic on a precision mismatch rather than
-// silently converting: every conversion in the system is explicit, at
-// a token or checkpoint boundary.
+// disjoint storage and disjoint accessors — UserRow vs UserRow32,
+// Flat[float64] vs Flat[float32] — and the accessors panic on a
+// precision mismatch rather than silently converting: every conversion
+// in the system is explicit, at a token or checkpoint boundary.
 package factor
 
 import (
@@ -155,11 +155,12 @@ func (md *Model) ItemRow32(j int) []float32 {
 // Float32 models the product accumulates in float32 — the same
 // arithmetic the float32 training kernels use. The dot goes through
 // the rank-dispatched kernel, so Predict sees the same SIMD/scalar
-// selection as training; eval loops that predict in bulk should hoist
-// vecmath.DotKernel(md.K) out of the loop instead.
+// selection as training, and selecting it allocates nothing; eval
+// loops that predict in bulk should still hoist vecmath.DotKernelOf
+// out of the loop.
 func (md *Model) Predict(i, j int) float64 {
 	if md.prec == Float32 {
-		return float64(vecmath.DotKernel32(md.K)(md.UserRow32(i), md.ItemRow32(j)))
+		return float64(vecmath.DotKernelOf[float32](md.K)(md.UserRow32(i), md.ItemRow32(j)))
 	}
 	return vecmath.DotKernel(md.K)(md.UserRow(i), md.ItemRow(j))
 }
@@ -230,16 +231,16 @@ func (md *Model) HData() []float64 {
 	return md.h
 }
 
-// WData32 is WData for Float32 models.
-func (md *Model) WData32() []float32 {
-	md.need(Float32, "WData32")
-	return md.w32
-}
-
-// HData32 is HData for Float32 models.
-func (md *Model) HData32() []float32 {
-	md.need(Float32, "HData32")
-	return md.h32
+// Flat returns the flat W and H arrays (m×k and n×k row-major) of a
+// model whose precision is T, with the ownership discipline of WData.
+// It panics on a precision mismatch, like every typed accessor.
+func Flat[T vecmath.Float](md *Model) (w, h []T) {
+	if w, ok := any(md.w).([]T); ok {
+		md.need(Float64, "Flat[float64]")
+		return w, any(md.h).([]T)
+	}
+	md.need(Float32, "Flat[float32]")
+	return any(md.w32).([]T), any(md.h32).([]T)
 }
 
 // CopyItemRowTo64 widens item j's row into dst (length K), whatever the

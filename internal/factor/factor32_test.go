@@ -37,12 +37,12 @@ func TestPrecisionMismatchPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"UserRow32 on f64": func() { md64.UserRow32(0) },
 		"ItemRow32 on f64": func() { md64.ItemRow32(0) },
-		"WData32 on f64":   func() { md64.WData32() },
-		"HData32 on f64":   func() { md64.HData32() },
+		"Flat32 on f64":    func() { Flat[float32](md64) },
 		"UserRow on f32":   func() { md32.UserRow(0) },
 		"ItemRow on f32":   func() { md32.ItemRow(0) },
 		"WData on f32":     func() { md32.WData() },
 		"HData on f32":     func() { md32.HData() },
+		"Flat64 on f32":    func() { Flat[float64](md32) },
 		"CopyFrom mixed":   func() { md64.CopyFrom(md32.Convert(Float64).Convert(Float32)) },
 	} {
 		func() {
@@ -120,13 +120,15 @@ func TestBinaryRoundTripFloat32(t *testing.T) {
 	if got.M != md.M || got.N != md.N || got.K != md.K {
 		t.Fatalf("shape changed: %dx%dx%d", got.M, got.N, got.K)
 	}
-	for i := range md.WData32() {
-		if md.WData32()[i] != got.WData32()[i] {
+	w, h := Flat[float32](md)
+	gw, gh := Flat[float32](got)
+	for i := range w {
+		if w[i] != gw[i] {
 			t.Fatalf("w[%d] changed in round trip", i)
 		}
 	}
-	for i := range md.HData32() {
-		if md.HData32()[i] != got.HData32()[i] {
+	for i := range h {
+		if h[i] != gh[i] {
 			t.Fatalf("h[%d] changed in round trip", i)
 		}
 	}

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"nomad/internal/vecmath"
 )
 
 func TestNewShape(t *testing.T) {
@@ -75,6 +77,25 @@ func TestPredict(t *testing.T) {
 	copy(md.ItemRow(1), []float64{3, 4})
 	if got := md.Predict(0, 1); got != 11 {
 		t.Fatalf("Predict = %v, want 11", got)
+	}
+}
+
+// TestPredictAllocatesNothing: Predict selects its dot per call, and
+// selecting one builds nothing, at every rank, under either dispatch,
+// at either precision — eval loops call it once per prediction.
+func TestPredictAllocatesNothing(t *testing.T) {
+	old := vecmath.SIMDEnabled()
+	t.Cleanup(func() { vecmath.SetSIMD(old) })
+	for _, simd := range []bool{true, false} {
+		vecmath.SetSIMD(simd)
+		for _, prec := range []Precision{Float64, Float32} {
+			for _, k := range []int{8, 16, 32, 100} {
+				md := NewInitP(3, 3, k, 1, prec)
+				if n := testing.AllocsPerRun(20, func() { md.Predict(1, 2) }); n != 0 {
+					t.Errorf("simd=%v %v K=%d: Predict allocates %.1f times", vecmath.SIMDEnabled(), prec, k, n)
+				}
+			}
+		}
 	}
 }
 

@@ -199,7 +199,7 @@ func (*FPSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 // one randomized SGD pass over it. FPSGD** implements the paper's
 // square loss, so every update goes through the fused kernel.
 func runWorker(q int, md *factor.Model, blocks []*block, tm *manager,
-	kern vecmath.Kernel, schedule *sched.Table, cfg train.Config,
+	kern vecmath.Kernel[float64], schedule *sched.Table, cfg train.Config,
 	counter *train.Counter, stop *atomic.Bool, r *rng.Source) {
 
 	lambda := cfg.Lambda

@@ -18,6 +18,8 @@ import (
 	"nomad/internal/factor"
 	"nomad/internal/loss"
 	"nomad/internal/rng"
+	"nomad/internal/sched"
+	"nomad/internal/sparse"
 	"nomad/internal/train"
 	"nomad/internal/vecmath"
 )
@@ -71,18 +73,10 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		}
 	}
 
-	lossFn := cfg.Loss
-	f32 := md.Precision() == factor.Float32
-	var kern vecmath.Kernel
-	var kern32 vecmath.Kernel32
-	if f32 {
-		kern32 = vecmath.KernelFor32(cfg.K)
-	} else {
-		kern = vecmath.KernelFor(cfg.K)
+	worker := work[float64]
+	if md.Precision() == factor.Float32 {
+		worker = work[float32]
 	}
-	fused := loss.IsSquare(lossFn) // devirtualize the default loss
-	lambda := cfg.Lambda
-	lambda32 := float32(cfg.Lambda)
 	counter := train.NewCounterFor(cfg, p)
 	rec := train.NewRecorderFor(cfg, ds, md, hooks)
 	var stop atomic.Bool
@@ -91,44 +85,7 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		wg.Add(1)
 		go func(q int, r *rng.Source) {
 			defer wg.Done()
-			var batch int64
-			for !stop.Load() {
-				x := r.Intn(nnz)
-				e := entries[x]
-				t := counts[x]
-				counts[x] = t + 1 // racy by design
-				step := schedule.Step(int(t))
-				if f32 {
-					wRow := md.UserRow32(int(e.Row))
-					hRow := md.ItemRow32(int(e.Col))
-					if fused {
-						kern32.Step(wRow, hRow, float32(e.Val), float32(step), lambda32)
-					} else {
-						g := lossFn.Grad(float64(kern32.Dot(wRow, hRow)), e.Val)
-						kern32.Grad(wRow, hRow, float32(g), float32(step), lambda32)
-					}
-				} else {
-					wRow := md.UserRow(int(e.Row))
-					hRow := md.ItemRow(int(e.Col))
-					if fused {
-						kern.Step(wRow, hRow, e.Val, step, lambda)
-					} else {
-						g := lossFn.Grad(kern.Dot(wRow, hRow), e.Val)
-						kern.Grad(wRow, hRow, g, step, lambda)
-					}
-				}
-				batch++
-				if batch >= 256 {
-					counter.Add(q, batch)
-					batch = 0
-					// Worker-side budget check: stop promptly once the
-					// flushed total crosses the update budget.
-					if counter.Total() >= cfg.MaxUpdates {
-						stop.Store(true)
-					}
-				}
-			}
-			counter.Add(q, batch)
+			worker(md, cfg, schedule, entries, counts, counter, &stop, q, r)
 		}(q, workerRNG[q])
 	}
 
@@ -152,4 +109,43 @@ func (*Hogwild) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 			RNG:       train.CaptureStreams(root, workerRNG),
 		},
 	}, runErr
+}
+
+// work is Hogwild worker q on a model of precision T: until stop, draw
+// a training rating uniformly with r and step its two rows, counting
+// updates into counter and stopping the run at the update budget.
+func work[T vecmath.Float](md *factor.Model, cfg train.Config, schedule *sched.Table, entries []sparse.Entry,
+	counts []int32, counter *train.Counter, stop *atomic.Bool, q int, r *rng.Source) {
+	wData, hData := factor.Flat[T](md)
+	k, lambda := cfg.K, T(cfg.Lambda)
+	kern := vecmath.KernelOf[T](k)
+	lossFn := cfg.Loss
+	fused := loss.IsSquare(lossFn) // devirtualize the default loss
+	var batch int64
+	for !stop.Load() {
+		x := r.Intn(len(entries))
+		e := entries[x]
+		t := counts[x]
+		counts[x] = t + 1 // racy by design
+		step := T(schedule.Step(int(t)))
+		wRow := wData[int(e.Row)*k:][:k]
+		hRow := hData[int(e.Col)*k:][:k]
+		if fused {
+			kern.Step(wRow, hRow, T(e.Val), step, lambda)
+		} else {
+			g := lossFn.Grad(float64(kern.Dot(wRow, hRow)), e.Val)
+			kern.Grad(wRow, hRow, T(g), step, lambda)
+		}
+		batch++
+		if batch >= 256 {
+			counter.Add(q, batch)
+			batch = 0
+			// Worker-side budget check: stop promptly once the
+			// flushed total crosses the update budget.
+			if counter.Total() >= cfg.MaxUpdates {
+				stop.Store(true)
+			}
+		}
+	}
+	counter.Add(q, batch)
 }

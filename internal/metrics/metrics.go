@@ -26,13 +26,17 @@ import (
 // with one gathering kernel call, the user row held in registers, then
 // adds their squared errors in index order; the range partials are
 // added in range order. Every prediction is bit-identical to
-// DotKernel(k) (DotKernel32(k) for float32 models, whose predictions
-// accumulate in float32 as their training kernels do); only the
-// squared-error sum is float64.
+// DotKernelOf at the model's precision (float32 predictions accumulate
+// in float32, as their training kernels do); only the squared-error sum
+// is float64.
 func RMSE(md *factor.Model, ix *dataset.TestIndex) float64 {
 	n := ix.Len()
 	if n == 0 {
 		return math.NaN()
+	}
+	partial := rangeError[float64]
+	if md.Precision() == factor.Float32 {
+		partial = rangeError[float32]
 	}
 	bounds := userRanges(ix, runtime.GOMAXPROCS(0))
 	partials := make([]float64, len(bounds)-1)
@@ -45,13 +49,7 @@ func RMSE(md *factor.Model, ix *dataset.TestIndex) float64 {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if md.Precision() == factor.Float32 {
-				out := make([]float32, ix.MaxRow)
-				partials[r] = squaredError(ix, lo, hi, md.WData32(), md.HData32(), md.K, vecmath.DotGatherKernel32(md.K), out)
-			} else {
-				out := make([]float64, ix.MaxRow)
-				partials[r] = squaredError(ix, lo, hi, md.WData(), md.HData(), md.K, vecmath.DotGatherKernel(md.K), out)
-			}
+			partials[r] = partial(md, ix, lo, hi)
 		}()
 	}
 	wg.Wait()
@@ -77,12 +75,19 @@ func userRanges(ix *dataset.TestIndex, parts int) []int {
 	return b
 }
 
+// rangeError is squaredError over users [lo, hi) of ix for a model of
+// precision T, with its own prediction buffer.
+func rangeError[T vecmath.Float](md *factor.Model, ix *dataset.TestIndex, lo, hi int) float64 {
+	w, h := factor.Flat[T](md)
+	return squaredError(ix, lo, hi, w, h, md.K, vecmath.DotGatherKernel[T](md.K), make([]T, ix.MaxRow))
+}
+
 // squaredError sums (value − prediction)² over users [lo, hi) of ix, in
 // index order, against the flat row-major tables w and h of rank k.
 // out holds at least ix.MaxRow predictions.
 //
 //nomad:noalloc
-func squaredError[T float32 | float64](ix *dataset.TestIndex, lo, hi int, w, h []T, k int, dot func(user, table []T, idx []int32, out []T), out []T) float64 {
+func squaredError[T vecmath.Float](ix *dataset.TestIndex, lo, hi int, w, h []T, k int, dot vecmath.DotGatherFunc[T], out []T) float64 {
 	var s float64
 	for u := lo; u < hi; u++ {
 		a, b := ix.Offsets[u], ix.Offsets[u+1]
@@ -107,6 +112,10 @@ func squaredError[T float32 | float64](ix *dataset.TestIndex, lo, hi int, w, h [
 // which is exactly the weighted-regularization objective because each
 // row's regularizer is counted once per rating.
 func Objective(md *factor.Model, train *sparse.Matrix, lambda float64) float64 {
+	partial := rowsObjective[float64]
+	if md.Precision() == factor.Float32 {
+		partial = rowsObjective[float32]
+	}
 	workers := runtime.GOMAXPROCS(0)
 	rows := train.Rows()
 	if workers > rows {
@@ -127,34 +136,7 @@ func Objective(md *factor.Model, train *sparse.Matrix, lambda float64) float64 {
 		wg.Add(1)
 		go func(w, lo, hi int) {
 			defer wg.Done()
-			var s float64
-			if md.Precision() == factor.Float32 {
-				// Norms accumulate in float64 (Norm2Sq32) — the objective
-				// is a global sum and should not inherit the row kernels'
-				// float32 accumulation error.
-				dot := vecmath.DotKernel32(md.K)
-				for i := lo; i < hi; i++ {
-					wRow := md.UserRow32(i)
-					wNorm := vecmath.Norm2Sq32(wRow)
-					cols, vals := train.Row(i)
-					for x, j := range cols {
-						d := vals[x] - float64(dot(wRow, md.ItemRow32(int(j))))
-						s += d*d + lambda*(wNorm+vecmath.Norm2Sq32(md.ItemRow32(int(j))))
-					}
-				}
-			} else {
-				dot := vecmath.DotKernel(md.K)
-				for i := lo; i < hi; i++ {
-					wRow := md.UserRow(i)
-					wNorm := vecmath.Norm2Sq(wRow)
-					cols, vals := train.Row(i)
-					for x, j := range cols {
-						d := vals[x] - dot(wRow, md.ItemRow(int(j)))
-						s += d*d + lambda*(wNorm+vecmath.Norm2Sq(md.ItemRow(int(j))))
-					}
-				}
-			}
-			partials[w] = s
+			partials[w] = partial(md, train, lambda, lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
@@ -163,6 +145,29 @@ func Objective(md *factor.Model, train *sparse.Matrix, lambda float64) float64 {
 		total += p
 	}
 	return total / 2
+}
+
+// rowsObjective sums the eq. (1) terms of users [lo, hi) for a model of
+// precision T. Predictions accumulate at T's precision, as training's
+// do; the norms accumulate in float64 (Norm2Sq), because the objective
+// is a global sum and should not inherit the row kernels' float32
+// accumulation error.
+func rowsObjective[T vecmath.Float](md *factor.Model, train *sparse.Matrix, lambda float64, lo, hi int) float64 {
+	wData, hData := factor.Flat[T](md)
+	k := md.K
+	dot := vecmath.DotKernelOf[T](k)
+	var s float64
+	for i := lo; i < hi; i++ {
+		wRow := wData[i*k : (i+1)*k]
+		wNorm := vecmath.Norm2Sq(wRow)
+		cols, vals := train.Row(i)
+		for x, j := range cols {
+			hRow := hData[int(j)*k : (int(j)+1)*k]
+			d := vals[x] - float64(dot(wRow, hRow))
+			s += d*d + lambda*(wNorm+vecmath.Norm2Sq(hRow))
+		}
+	}
+	return s
 }
 
 // Point is one sample of a convergence trace.

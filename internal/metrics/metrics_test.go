@@ -89,7 +89,7 @@ func TestRMSEUserMajorBitExact(t *testing.T) {
 			md := factor.NewInitP(m, n, k, 5, prec)
 			predict := func(e sparse.Entry) float64 {
 				if prec == factor.Float32 {
-					return float64(vecmath.DotKernel32(k)(md.UserRow32(int(e.Row)), md.ItemRow32(int(e.Col))))
+					return float64(vecmath.DotKernelOf[float32](k)(md.UserRow32(int(e.Row)), md.ItemRow32(int(e.Col))))
 				}
 				return vecmath.DotKernel(k)(md.UserRow(int(e.Row)), md.ItemRow(int(e.Col)))
 			}

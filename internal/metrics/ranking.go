@@ -7,6 +7,7 @@ import (
 	"nomad/internal/dataset"
 	"nomad/internal/factor"
 	"nomad/internal/sparse"
+	"nomad/internal/vecmath"
 )
 
 // RankingReport summarizes top-N recommendation quality on a test set:
@@ -33,6 +34,11 @@ func Ranking(md *factor.Model, train *sparse.Matrix, test []sparse.Entry, k int,
 	// order, so the report's float sums run in one order every call.
 	ix := dataset.IndexTest(train.Rows(), test)
 	rep := RankingReport{K: k}
+	predict := predictor[float64]
+	if md.Precision() == factor.Float32 {
+		predict = predictor[float32]
+	}
+	score := predict(md)
 	type scored struct {
 		item  int32
 		score float64
@@ -60,7 +66,7 @@ func Ranking(md *factor.Model, train *sparse.Matrix, test []sparse.Entry, k int,
 			if rated[int32(j)] {
 				continue
 			}
-			candidates = append(candidates, scored{item: int32(j), score: md.Predict(user, j)})
+			candidates = append(candidates, scored{item: int32(j), score: score(user, j)})
 		}
 		if len(candidates) == 0 {
 			continue
@@ -108,4 +114,12 @@ func Ranking(md *factor.Model, train *sparse.Matrix, test []sparse.Entry, k int,
 		rep.NDCGK /= float64(rep.Users)
 	}
 	return rep
+}
+
+// predictor returns md.Predict for a model of precision T with the dot
+// kernel selected once, for loops that predict in bulk.
+func predictor[T vecmath.Float](md *factor.Model) func(i, j int) float64 {
+	w, h := factor.Flat[T](md)
+	k, dot := md.K, vecmath.DotKernelOf[T](md.K)
+	return func(i, j int) float64 { return float64(dot(w[i*k:(i+1)*k], h[j*k:(j+1)*k])) }
 }

@@ -58,7 +58,7 @@ const eigMaxK = 128
 // bound is off) does nothing.
 type boundBuilder struct {
 	ix  *Index
-	dot vecmath.DotRowsFunc
+	dot vecmath.DotRowsFunc[float64]
 	buf []float64 // one block widened to float64 (float32 indexes)
 }
 
@@ -92,7 +92,7 @@ func (ix *Index) newBoundBuilder(md *factor.Model) *boundBuilder {
 	blocks := (n + scanBlock - 1) / scanBlock
 	ix.blockMax = make([]float64, blocks*eigStride)
 	ix.suffixMax = make([]float64, blocks*eigStride)
-	bb := &boundBuilder{ix: ix, dot: vecmath.DotRowsKernel(k)}
+	bb := &boundBuilder{ix: ix, dot: vecmath.DotRowsKernel[float64](k)}
 	if ix.prec == factor.Float32 {
 		bb.buf = make([]float64, scanBlock*k)
 	}

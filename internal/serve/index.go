@@ -39,8 +39,8 @@ type Index struct {
 	norms []float64 // ‖hⱼ‖ in items order, accumulated in float64
 	vec64 []float64 // len(items)×k contiguous rows, items order
 	vec32 []float32
-	dot64 vecmath.DotRowsFunc
-	dot32 vecmath.DotRowsFunc32
+	dot64 vecmath.DotRowsFunc[float64]
+	dot32 vecmath.DotRowsFunc[float32]
 	slack float64
 
 	// The spectral block bound (bound.go); ed == 0 switches it off.
@@ -89,10 +89,10 @@ func BuildIndex(md *factor.Model, owned []int32) *Index {
 	f32 := ix.prec == factor.Float32
 	if f32 {
 		ix.slack = indexSlack32
-		ix.dot32 = vecmath.DotRowsKernel32(k)
+		ix.dot32 = vecmath.DotRowsKernel[float32](k)
 		ix.vec32 = make([]float32, n*k)
 	} else {
-		ix.dot64 = vecmath.DotRowsKernel(k)
+		ix.dot64 = vecmath.DotRowsKernel[float64](k)
 		ix.vec64 = make([]float64, n*k)
 	}
 	bb := ix.newBoundBuilder(md)

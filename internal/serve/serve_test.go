@@ -56,8 +56,8 @@ func TestIndexMatchesNaiveScan(t *testing.T) {
 		md := factor.NewInitP(40, 500, 8, 11, prec)
 		if prec == factor.Float32 {
 			// Duplicate rows to force exact score ties across item ids.
-			copy(md.HData32()[10*8:11*8], md.HData32()[200*8:201*8])
-			copy(md.HData32()[11*8:12*8], md.HData32()[200*8:201*8])
+			copy(md.ItemRow32(10), md.ItemRow32(200))
+			copy(md.ItemRow32(11), md.ItemRow32(200))
 		} else {
 			copy(md.HData()[10*8:11*8], md.HData()[200*8:201*8])
 			copy(md.HData()[11*8:12*8], md.HData()[200*8:201*8])

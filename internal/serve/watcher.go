@@ -38,42 +38,35 @@ func LoadEpoch(path string, seq uint64, owned []int32) (*Epoch, error) {
 	return &Epoch{Seq: seq, Path: path, Model: md, Index: BuildIndex(md, owned)}, nil
 }
 
-// readModel sniffs the container magic and decodes either format.
+// readModel sniffs the container magic and decodes either format. Both
+// decoders fail on a payload that ends short; readModel also rejects
+// bytes after the payload, in either format, rather than serve a file
+// that is not what was written.
 func readModel(r io.Reader) (*factor.Model, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
+	br := bufio.NewReaderSize(r, 1<<20) // the decoders' own size: they read br itself
 	head, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("unreadable header: %w", err)
 	}
+	var md *factor.Model
 	switch magic := binary.LittleEndian.Uint32(head); magic {
 	case 0x4e4d444d: // "NMDM": bare factor model
-		md, err := factor.ReadBinary(br)
-		if err != nil {
+		if md, err = factor.ReadBinary(br); err != nil {
 			return nil, err
 		}
-		return ensureComplete(br, md)
 	case 0x4e4d434b: // "NMCK": train.State checkpoint
 		st, err := train.ReadState(br)
 		if err != nil {
 			return nil, err
 		}
-		if st.Model == nil {
+		if md = st.Model; md == nil {
 			return nil, fmt.Errorf("checkpoint has no model")
 		}
-		return st.Model, nil
 	default:
 		return nil, fmt.Errorf("not a model or checkpoint (magic %#x)", magic)
 	}
-}
-
-// ensureComplete rejects a model file that decoded but ended short —
-// binary.Read fills what it can, so a truncated tail must be caught
-// here rather than served as zero factors.
-func ensureComplete(br *bufio.Reader, md *factor.Model) (*factor.Model, error) {
-	// factor.ReadBinary errors on short reads itself; this guards the
-	// inverse: trailing garbage appended to a model file.
 	if _, err := br.Peek(1); err != io.EOF {
-		return nil, fmt.Errorf("trailing bytes after model payload")
+		return nil, fmt.Errorf("trailing bytes after the payload")
 	}
 	return md, nil
 }

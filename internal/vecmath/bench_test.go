@@ -65,7 +65,7 @@ func BenchmarkDotRowsKernel(b *testing.B) {
 		out := make([]float64, block)
 		fill(r, user)
 		fill(r, rows)
-		dotRows := DotRowsKernel(k)
+		dotRows := DotRowsKernel[float64](k)
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i += block {
 				dotRows(user, rows, out)
@@ -146,7 +146,7 @@ func BenchmarkItemPassCold(b *testing.B) {
 		}, kn.ItemPassPair != nil)
 	})
 	b.Run("f32", func(b *testing.B) {
-		kn := KernelFor32(k)
+		kn := KernelOf[float32](k)
 		benchItemPassRows(b, k, func(w []float32, a, c ItemList[float32], steps []float64) {
 			kn.ItemPass(w, a.Users, a.Vals, a.Counts, a.H, 1e-3, steps, nil)
 			kn.ItemPass(w, c.Users, c.Vals, c.Counts, c.H, 1e-3, steps, nil)
@@ -159,7 +159,7 @@ func BenchmarkItemPassCold(b *testing.B) {
 // benchItemPassRows times single (two lists, one after the other) and,
 // when the dispatch has a two-list kernel, pair (the same two lists in
 // lockstep) on each table shape.
-func benchItemPassRows[T float32 | float64](b *testing.B, k int,
+func benchItemPassRows[T Float](b *testing.B, k int,
 	single, pair func(w []T, a, c ItemList[T], steps []float64), havePair bool) {
 	const (
 		coldRows     = 1 << 20 // 128 MB of float64 rows at K=16, 64 MB of float32

@@ -55,8 +55,8 @@ func TestDotGatherBitIdentical(t *testing.T) {
 			setDotRowsMode(t, mode.simd)
 			r := rng.New(52)
 			for _, k := range dotGatherRanks {
-				dot, gather := DotKernel(k), DotGatherKernel(k)
-				dot32, gather32 := DotKernel32(k), DotGatherKernel32(k)
+				dot, gather := DotKernel(k), DotGatherKernel[float64](k)
+				dot32, gather32 := DotKernelOf[float32](k), DotGatherKernel[float32](k)
 				for _, n := range dotGatherLens {
 					off := r.Intn(4)
 					user := make([]float64, off+k)[off:]
@@ -143,9 +143,9 @@ func TestDotGatherRejectsBadIndices(t *testing.T) {
 								}
 							}()
 							if prec == "f64" {
-								DotGatherKernel(k)(make([]float64, k), make([]float64, c.entries), c.idx, make([]float64, c.out))
+								DotGatherKernel[float64](k)(make([]float64, k), make([]float64, c.entries), c.idx, make([]float64, c.out))
 							} else {
-								DotGatherKernel32(k)(make([]float32, k), make([]float32, c.entries), c.idx, make([]float32, c.out))
+								DotGatherKernel[float32](k)(make([]float32, k), make([]float32, c.entries), c.idx, make([]float32, c.out))
 							}
 						}()
 					}

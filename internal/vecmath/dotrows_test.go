@@ -44,8 +44,8 @@ func TestDotRowsBitIdentical(t *testing.T) {
 			setDotRowsMode(t, mode.simd)
 			r := rng.New(51)
 			for k := 1; k <= 64; k++ {
-				dot, rows := DotKernel(k), DotRowsKernel(k)
-				dot32, rows32 := DotKernel32(k), DotRowsKernel32(k)
+				dot, rows := DotKernel(k), DotRowsKernel[float64](k)
+				dot32, rows32 := DotKernelOf[float32](k), DotRowsKernel[float32](k)
 				for _, n := range dotRowsCounts {
 					off := r.Intn(4)
 					user := make([]float64, off+k)[off:]
@@ -109,14 +109,14 @@ func TestDotRowsEmptyAndMismatch(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			setDotRowsMode(t, mode.simd)
 			user := make([]float64, 16)
-			DotRowsKernel(16)(user, nil, nil)
-			DotRowsKernel32(16)(make([]float32, 16), nil, nil)
+			DotRowsKernel[float64](16)(user, nil, nil)
+			DotRowsKernel[float32](16)(make([]float32, 16), nil, nil)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("mismatched rows/out lengths did not panic")
 				}
 			}()
-			DotRowsKernel(16)(user, make([]float64, 31), make([]float64, 2))
+			DotRowsKernel[float64](16)(user, make([]float64, 31), make([]float64, 2))
 		})
 	}
 }

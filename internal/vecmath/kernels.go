@@ -11,17 +11,19 @@
 //   - Multi-accumulator dot products break the sequential-add
 //     dependency chain of the reference Dot, letting the CPU retire
 //     several multiply-adds per cycle.
-//   - Fully unrolled variants for the common ranks K = 8, 16 and 32
-//     work through slice→array-pointer conversion, which proves the
-//     width to the compiler: one length check per call, zero
-//     per-element bounds checks, zero loop overhead.
+//   - Fully unrolled float64 variants for the common ranks K = 8, 16
+//     and 32 work through slice→array-pointer conversion, which proves
+//     the width to the compiler: one length check per call, zero
+//     per-element bounds checks, zero loop overhead. float32 has none:
+//     its portable reduction order is the generic one.
 //   - FusedSGDStep folds residual computation and the simultaneous
 //     row update into one call, replacing the reference path's
 //     Dot + loss.Grad + SGDUpdateGrad triple (two slice traversals,
 //     one interface dispatch) for the square loss.
 //
-// A solver selects its kernels once per run with KernelFor(k) — never
-// per rating — and calls through plain function values from then on.
+// Every kernel is one generic body over Float; a solver selects its
+// kernels once per run with KernelOf[T](k) — never per rating — and
+// calls through plain function values from then on.
 //
 // Reassociated summation changes low-order bits: the specialized dots
 // agree with the reference Dot to within standard summation error
@@ -29,9 +31,10 @@
 // is kept expression-for-expression identical to the reference so
 // that, at equal residual, updates match bit for bit.
 //
-// On amd64 with AVX2+FMA, KernelFor returns assembly kernels instead
-// of the unrolled Go ones (kernels_amd64.s); the Go kernels remain the
-// fallback for every other GOARCH and whenever SIMD is switched off.
+// On amd64 with AVX2+FMA, the dispatchers return assembly kernels
+// instead of the portable Go ones (kernels_amd64.s, reached through one
+// seam per precision); the Go kernels remain the fallback for every
+// other GOARCH and whenever SIMD is switched off.
 //
 // One environment switch controls dispatch, overridable at run time by
 // tests: NOMAD_NO_SIMD=1 keeps the portable unrolled Go kernels but
@@ -59,7 +62,7 @@ func init() {
 // kernels (AVX2+FMA with YMM state saved, amd64 only).
 func SIMDAvailable() bool { return simdAvailable }
 
-// SIMDEnabled reports whether KernelFor currently dispatches to the
+// SIMDEnabled reports whether the dispatchers currently select the
 // assembly kernels.
 func SIMDEnabled() bool { return simdOn.Load() }
 
@@ -73,16 +76,16 @@ func SetSIMD(v bool) { simdOn.Store(v && simdAvailable) }
 func Features() string { return featureList() }
 
 // DotFunc computes the inner product of two equal-length rows.
-type DotFunc func(a, b []float64) float64
+type DotFunc[T Float] func(a, b []T) T
 
 // StepFunc performs one fused square-loss SGD step on rows w and h
 // (the update of SGDUpdate) and returns the pre-update residual
 // e = rating − ⟨w, h⟩.
-type StepFunc func(w, h []float64, rating, step, lambda float64) float64
+type StepFunc[T Float] func(w, h []T, rating, step, lambda T) T
 
 // GradFunc applies the generic separable-loss step of SGDUpdateGrad
 // with the negative-gradient scalar g already computed by a loss.Loss.
-type GradFunc func(w, h []float64, g, step, lambda float64)
+type GradFunc[T Float] func(w, h []T, g, step, lambda T)
 
 // ItemPassFunc is the batched fused kernel shaped for NOMAD's
 // owner-computes discipline: one call runs the square-loss step over
@@ -92,16 +95,18 @@ type GradFunc func(w, h []float64, g, step, lambda float64)
 // is its rating and counts[x] its per-rating update count t, which is
 // incremented in place. The step size for count t is steps[t], falling
 // back to slow(t) past the table (sched.Table supplies both halves).
+// Ratings and step sizes are float64 at either precision and narrowed
+// per rating.
 //
 // Batching the whole item pass hoists every per-rating overhead the
 // caller would otherwise pay — kernel dispatch, schedule branch, row
 // slicing — out of the inner loop.
-type ItemPassFunc func(wData []float64, users []int32, vals []float64,
-	counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64)
+type ItemPassFunc[T Float] func(wData []T, users []int32, vals []float64,
+	counts []int32, h []T, lambda T, steps []float64, slow func(int) float64)
 
 // ItemList is one item's rating list as ItemPassPairFunc takes it: the
 // ItemPassFunc arguments that differ between two items.
-type ItemList[T float32 | float64] struct {
+type ItemList[T Float] struct {
 	Users  []int32
 	Vals   []float64
 	Counts []int32
@@ -115,8 +120,8 @@ type ItemList[T float32 | float64] struct {
 // which one list never offers (DESIGN.md §4 piece 5). The result is
 // that of ItemPassFunc on the same ratings in the same alternating
 // order; a.H and b.H must be different rows.
-type ItemPassPairFunc func(wData []float64, a, b ItemList[float64],
-	lambda float64, steps []float64, slow func(int) float64)
+type ItemPassPairFunc[T Float] func(wData []T, a, b ItemList[T],
+	lambda T, steps []float64, slow func(int) float64)
 
 // itemPassAhead is how many ratings ahead of the one being stepped the
 // SIMD item passes prefetch the user row. An item's rating list names
@@ -143,50 +148,100 @@ func Prefetch[T any](s []T, i, n int) {
 }
 
 // Kernel bundles the hot-path kernels specialized for one rank. Select
-// it once per run with KernelFor and reuse it for every rating.
-type Kernel struct {
+// it once per run with KernelOf and reuse it for every rating.
+type Kernel[T Float] struct {
 	K    int
-	Dot  DotFunc
-	Step StepFunc
-	Grad GradFunc
+	Dot  DotFunc[T]
+	Step StepFunc[T]
+	Grad GradFunc[T]
 	// ItemPass is the batched fused square-loss kernel; see
 	// ItemPassFunc.
-	ItemPass ItemPassFunc
+	ItemPass ItemPassFunc[T]
 	// ItemPassPair is nil wherever there is no two-list kernel (every
 	// rank but 16, every GOARCH but amd64, NOMAD_NO_SIMD set): callers
 	// run the lists one after the other.
-	ItemPassPair ItemPassPairFunc
+	ItemPassPair ItemPassPairFunc[T]
 }
 
-// KernelFor returns the kernels specialized for rank k: AVX2/FMA
-// assembly when the dispatcher allows (amd64 with the features, SIMD
-// not disabled), otherwise fully unrolled Go variants for K = 8, 16
-// and 32 and unrolled-by-4 generic fallbacks.
-func KernelFor(k int) Kernel {
-	if simdOn.Load() {
-		if kn, ok := simdKernelFor(k); ok {
+// seam is one precision's kernels as func values taken once: the
+// assembly wrappers of that precision (asmSeam, amd64 only) or its
+// instance of the portable generic bodies (portable64, portable32).
+// The dispatchers copy out of a seam instead of taking a generic body's
+// value at T, which builds a closure per call: DotKernelOf must not
+// allocate, because Model.Predict selects a dot per prediction.
+type seam[T Float] struct {
+	dot  DotFunc[T]
+	step StepFunc[T]
+	grad GradFunc[T]
+	pass func(k int) ItemPassFunc[T]
+	// The assembly seams only: the K = 16 whole-list and two-list item
+	// passes, and the batched dots (portably, a loop over dot).
+	pass16 ItemPassFunc[T]
+	pair16 ItemPassPairFunc[T]
+	rows   DotRowsFunc[T]
+	gather DotGatherFunc[T]
+}
+
+var (
+	portable64 = &seam[float64]{dot: DotUnrolled[float64], step: FusedSGDStep[float64], grad: gradAny[float64], pass: itemPassGeneric[float64]}
+	portable32 = &seam[float32]{dot: DotUnrolled[float32], step: FusedSGDStep[float32], grad: gradAny[float32], pass: itemPassGeneric[float32]}
+)
+
+// pick returns s64 or s32, whichever is T's.
+func pick[T Float](s64 *seam[float64], s32 *seam[float32]) *seam[T] {
+	if s, ok := any(s64).(*seam[T]); ok {
+		return s
+	}
+	return any(s32).(*seam[T])
+}
+
+// seamFor returns the seam dispatch selects for rank k, and whether it
+// is the assembly's: AVX2/FMA when the dispatcher allows (amd64 with
+// the features, SIMD not disabled, k ≥ 1), the portable bodies
+// otherwise.
+func seamFor[T Float](k int) (s *seam[T], simd bool) {
+	if simdOn.Load() && k > 0 {
+		return asmSeam[T](), true
+	}
+	return pick[T](portable64, portable32), false
+}
+
+// KernelOf returns the kernels specialized for rank k at precision T:
+// the assembly seam when the dispatcher allows, otherwise the portable
+// Go bodies — for float64 at K = 8, 16 and 32 fully unrolled.
+func KernelOf[T Float](k int) Kernel[T] {
+	s, simd := seamFor[T](k)
+	if simd && k == 16 {
+		return Kernel[T]{K: k, Dot: s.dot, Step: s.step, Grad: s.grad, ItemPass: s.pass16, ItemPassPair: s.pair16}
+	}
+	if !simd {
+		if kn, ok := any(unrolled64(k)).(Kernel[T]); ok && kn.K == k {
 			return kn
 		}
 	}
-	switch k {
-	case 8:
-		return Kernel{K: 8, Dot: dot8, Step: step8, Grad: gradAny, ItemPass: itemPass8}
-	case 16:
-		return Kernel{K: 16, Dot: dot16, Step: step16, Grad: gradAny, ItemPass: itemPass16}
-	case 32:
-		return Kernel{K: 32, Dot: dot32, Step: step32, Grad: gradAny, ItemPass: itemPass32}
-	default:
-		return Kernel{K: k, Dot: DotUnrolled, Step: FusedSGDStep, Grad: gradAny,
-			ItemPass: itemPassGeneric(k)}
-	}
+	return Kernel[T]{K: k, Dot: s.dot, Step: s.step, Grad: s.grad, ItemPass: s.pass(k)}
 }
 
-// DotKernel returns just the inner-product kernel for rank k, for
-// callers (model evaluation, the bias-augmented solvers) that need fast
-// predictions without the update half.
-func DotKernel(k int) DotFunc {
-	return KernelFor(k).Dot
+// DotKernelOf returns just KernelOf[T](k).Dot, for callers (model
+// evaluation, the bias-augmented solvers) that need fast predictions
+// without the update half. It builds nothing, so it costs no
+// allocation.
+func DotKernelOf[T Float](k int) DotFunc[T] {
+	s, simd := seamFor[T](k)
+	if !simd {
+		if dot, ok := any(unrolled64(k).Dot).(DotFunc[T]); ok && dot != nil {
+			return dot
+		}
+	}
+	return s.dot
 }
+
+// KernelFor is KernelOf[float64], the float64 solvers' (and the
+// benchmark's) entry point.
+func KernelFor(k int) Kernel[float64] { return KernelOf[float64](k) }
+
+// DotKernel is DotKernelOf[float64].
+func DotKernel(k int) DotFunc[float64] { return DotKernelOf[float64](k) }
 
 // FusedSGDStep is the generic-width fused square-loss kernel: one call
 // computes the residual with the unrolled dot and applies the
@@ -194,7 +249,7 @@ func DotKernel(k int) DotFunc {
 // product's summation order and returns the residual e.
 //
 //nomad:noalloc
-func FusedSGDStep(w, h []float64, rating, step, lambda float64) float64 {
+func FusedSGDStep[T Float](w, h []T, rating, step, lambda T) T {
 	if len(w) != len(h) {
 		panic("vecmath: FusedSGDStep length mismatch")
 	}
@@ -208,14 +263,14 @@ func FusedSGDStep(w, h []float64, rating, step, lambda float64) float64 {
 // scalar tail. It panics if lengths differ.
 //
 //nomad:noalloc
-func DotUnrolled(a, b []float64) float64 {
+func DotUnrolled[T Float](a, b []T) T {
 	if len(a) != len(b) {
 		panic("vecmath: Dot length mismatch")
 	}
-	var s0, s1, s2, s3 float64
+	var s0, s1, s2, s3 T
 	for len(a) >= 4 && len(b) >= 4 {
-		aa := (*[4]float64)(a)
-		bb := (*[4]float64)(b)
+		aa := (*[4]T)(a)
+		bb := (*[4]T)(b)
 		s0 += aa[0] * bb[0]
 		s1 += aa[1] * bb[1]
 		s2 += aa[2] * bb[2]
@@ -230,9 +285,9 @@ func DotUnrolled(a, b []float64) float64 {
 	return s
 }
 
-// gradAny is Kernel.Grad for every width: the reference per-element
-// arithmetic, unrolled by 4.
-func gradAny(w, h []float64, g, step, lambda float64) {
+// gradAny is Kernel.Grad for every portable width: the reference
+// per-element arithmetic, unrolled by 4.
+func gradAny[T Float](w, h []T, g, step, lambda T) {
 	if len(w) != len(h) {
 		panic("vecmath: SGDUpdateGrad length mismatch")
 	}
@@ -247,10 +302,10 @@ func gradAny(w, h []float64, g, step, lambda float64) {
 // in 4-wide array-pointer chunks. The expressions are kept identical
 // to the reference SGDUpdate/SGDUpdateGrad loops so that, given the
 // same sg and sl, the results agree bit for bit.
-func applyStep(w, h []float64, sg, sl float64) {
+func applyStep[T Float](w, h []T, sg, sl T) {
 	for len(w) >= 4 && len(h) >= 4 {
-		ww := (*[4]float64)(w)
-		hh := (*[4]float64)(h)
+		ww := (*[4]T)(w)
+		hh := (*[4]T)(h)
 		upd4(ww, hh, sg, sl)
 		w = w[4:]
 		h = h[4:]
@@ -263,7 +318,7 @@ func applyStep(w, h []float64, sg, sl float64) {
 }
 
 // upd4 updates one 4-element block of both rows.
-func upd4(w, h *[4]float64, sg, sl float64) {
+func upd4[T Float](w, h *[4]T, sg, sl T) {
 	w0, h0 := w[0], h[0]
 	w1, h1 := w[1], h[1]
 	w2, h2 := w[2], h[2]
@@ -315,11 +370,11 @@ func stepAt(t int32, steps []float64, slow func(int) float64) float64 {
 	return slow(int(t))
 }
 
-// itemPassGeneric returns the batched fused kernel for an uncommon
-// width k.
-func itemPassGeneric(k int) ItemPassFunc {
-	return func(wData []float64, users []int32, vals []float64,
-		counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64) {
+// itemPassGeneric returns the portable batched fused kernel for width
+// k.
+func itemPassGeneric[T Float](k int) ItemPassFunc[T] {
+	return func(wData []T, users []int32, vals []float64,
+		counts []int32, h []T, lambda T, steps []float64, slow func(int) float64) {
 		if len(h) != k {
 			panic("vecmath: ItemPass width mismatch")
 		}
@@ -328,13 +383,26 @@ func itemPassGeneric(k int) ItemPassFunc {
 		for x := range users {
 			t := counts[x]
 			counts[x] = t + 1
-			step := stepAt(t, steps, slow)
-			o := int(users[x]) * k
-			w := wData[o : o+k]
-			e := vals[x] - DotUnrolled(w, h)
+			step := T(stepAt(t, steps, slow))
+			w := wData[int(users[x])*k:][:k]
+			e := T(vals[x]) - DotUnrolled(w, h)
 			applyStep(w, h, step*e, step*lambda)
 		}
 	}
+}
+
+// unrolled64 returns float64's fully unrolled portable kernels at
+// K = 8, 16 and 32, and a zero Kernel at every other rank.
+func unrolled64(k int) Kernel[float64] {
+	switch k {
+	case 8:
+		return Kernel[float64]{K: 8, Dot: dot8, Step: step8, Grad: gradAny[float64], ItemPass: itemPass8}
+	case 16:
+		return Kernel[float64]{K: 16, Dot: dot16, Step: step16, Grad: gradAny[float64], ItemPass: itemPass16}
+	case 32:
+		return Kernel[float64]{K: 32, Dot: dot32, Step: step32, Grad: gradAny[float64], ItemPass: itemPass32}
+	}
+	return Kernel[float64]{}
 }
 
 // --- K = 8 ----------------------------------------------------------

@@ -58,26 +58,31 @@ var asmLengths = []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 20, 31, 32, 33, 48, 6
 
 // updTolerance is the fused-vs-separate rounding bound for one updated
 // element (see the error model above).
-func updTolerance(w, partner, sg, sl float64) float64 {
-	const u, c = 0x1p-53, 8
-	return c * u * (math.Abs(w) + math.Abs(sg*partner) + math.Abs(sl*w))
+func updTolerance[T Float](w, partner, sg, sl T) float64 {
+	const c = 8
+	return c * unit[T]() * (abs(w) + math.Abs(float64(sg)*float64(partner)) + math.Abs(float64(sl)*float64(w)))
 }
 
 func TestSIMDDotMatchesReference(t *testing.T) {
 	forceSIMD(t)
+	t.Run("f64", testSIMDDotMatchesReference[float64])
+	t.Run("f32", testSIMDDotMatchesReference[float32])
+}
+
+func testSIMDDotMatchesReference[T Float](t *testing.T) {
 	r := rng.New(41)
 	for _, n := range asmLengths {
-		kern := KernelFor(n)
+		kern := KernelOf[T](n)
 		for trial := 0; trial < 100; trial++ {
-			a := make([]float64, n)
-			b := make([]float64, n)
+			a := make([]T, n)
+			b := make([]T, n)
 			fill(r, a)
 			fill(r, b)
 			want := Dot(a, b)
 			got := kern.Dot(a, b)
-			if tol := dotTolerance(a, b); math.Abs(got-want) > tol {
+			if tol := dotTolerance(a, b); abs(got-want) > tol {
 				t.Fatalf("n=%d trial %d: asm dot %v, reference %v, |diff| %g > tol %g",
-					n, trial, got, want, math.Abs(got-want), tol)
+					n, trial, got, want, abs(got-want), tol)
 			}
 		}
 	}
@@ -85,37 +90,41 @@ func TestSIMDDotMatchesReference(t *testing.T) {
 
 func TestSIMDStepMatchesReference(t *testing.T) {
 	forceSIMD(t)
+	t.Run("f64", testSIMDStepMatchesReference[float64])
+	t.Run("f32", testSIMDStepMatchesReference[float32])
+}
+
+func testSIMDStepMatchesReference[T Float](t *testing.T) {
 	r := rng.New(42)
 	for _, n := range asmLengths {
-		kern := KernelFor(n)
+		kern := KernelOf[T](n)
 		for trial := 0; trial < 100; trial++ {
-			w := make([]float64, n)
-			h := make([]float64, n)
+			w := make([]T, n)
+			h := make([]T, n)
 			fill(r, w)
 			fill(r, h)
-			wRef := append([]float64(nil), w...)
-			hRef := append([]float64(nil), h...)
-			rating := r.Uniform(-5, 5)
-			step := r.Uniform(0, 0.1)
-			lambda := r.Uniform(0, 0.2)
+			wRef, hRef := clone(w), clone(h)
+			rating := T(r.Uniform(-5, 5))
+			step := T(r.Uniform(0, 0.1))
+			lambda := T(r.Uniform(0, 0.2))
 
 			// δe ≤ δdot plus one rounding of the subtraction
 			// rating − dot on each side.
 			eRef := SGDUpdate(wRef, hRef, rating, step, lambda)
-			deltaE := dotTolerance(w, h) + 2*math.Abs(eRef)*0x1p-53
+			deltaE := dotTolerance(w, h) + 2*abs(eRef)*unit[T]()
 			e := kern.Step(w, h, rating, step, lambda)
-			if math.Abs(e-eRef) > deltaE {
+			if abs(e-eRef) > deltaE {
 				t.Fatalf("n=%d: asm residual %v vs reference %v beyond dot tolerance %g",
 					n, e, eRef, deltaE)
 			}
-			sg, sl := step*math.Max(math.Abs(e), math.Abs(eRef)), step*lambda
+			sg, sl := step*T(math.Max(abs(e), abs(eRef))), step*lambda
 			for l := 0; l < n; l++ {
-				tol := step*deltaE*(math.Abs(hRef[l])+1) + updTolerance(wRef[l], hRef[l], sg, sl)
-				if math.Abs(w[l]-wRef[l]) > tol {
+				tol := float64(step)*deltaE*(abs(hRef[l])+1) + updTolerance(wRef[l], hRef[l], sg, sl)
+				if abs(w[l]-wRef[l]) > tol {
 					t.Fatalf("n=%d elem %d: asm w %v vs reference %v (tol %g)", n, l, w[l], wRef[l], tol)
 				}
-				tol = step*deltaE*(math.Abs(wRef[l])+1) + updTolerance(hRef[l], wRef[l], sg, sl)
-				if math.Abs(h[l]-hRef[l]) > tol {
+				tol = float64(step)*deltaE*(abs(wRef[l])+1) + updTolerance(hRef[l], wRef[l], sg, sl)
+				if abs(h[l]-hRef[l]) > tol {
 					t.Fatalf("n=%d elem %d: asm h %v vs reference %v (tol %g)", n, l, h[l], hRef[l], tol)
 				}
 			}
@@ -125,27 +134,31 @@ func TestSIMDStepMatchesReference(t *testing.T) {
 
 func TestSIMDGradMatchesReference(t *testing.T) {
 	forceSIMD(t)
+	t.Run("f64", testSIMDGradMatchesReference[float64])
+	t.Run("f32", testSIMDGradMatchesReference[float32])
+}
+
+func testSIMDGradMatchesReference[T Float](t *testing.T) {
 	r := rng.New(43)
 	for _, n := range asmLengths {
-		kern := KernelFor(n)
+		kern := KernelOf[T](n)
 		for trial := 0; trial < 100; trial++ {
-			w := make([]float64, n)
-			h := make([]float64, n)
+			w := make([]T, n)
+			h := make([]T, n)
 			fill(r, w)
 			fill(r, h)
-			wRef := append([]float64(nil), w...)
-			hRef := append([]float64(nil), h...)
-			g := r.Uniform(-2, 2)
-			step := r.Uniform(0, 0.1)
-			lambda := r.Uniform(0, 0.2)
+			wRef, hRef := clone(w), clone(h)
+			g := T(r.Uniform(-2, 2))
+			step := T(r.Uniform(0, 0.1))
+			lambda := T(r.Uniform(0, 0.2))
 			SGDUpdateGrad(wRef, hRef, g, step, lambda)
 			kern.Grad(w, h, g, step, lambda)
 			sg, sl := step*g, step*lambda
 			for l := 0; l < n; l++ {
-				if tol := updTolerance(wRef[l], hRef[l], sg, sl); math.Abs(w[l]-wRef[l]) > tol {
+				if tol := updTolerance(wRef[l], hRef[l], sg, sl); abs(w[l]-wRef[l]) > tol {
 					t.Fatalf("n=%d elem %d: asm w %v vs reference %v (tol %g)", n, l, w[l], wRef[l], tol)
 				}
-				if tol := updTolerance(hRef[l], wRef[l], sg, sl); math.Abs(h[l]-hRef[l]) > tol {
+				if tol := updTolerance(hRef[l], wRef[l], sg, sl); abs(h[l]-hRef[l]) > tol {
 					t.Fatalf("n=%d elem %d: asm h %v vs reference %v (tol %g)", n, l, h[l], hRef[l], tol)
 				}
 			}
@@ -185,15 +198,20 @@ func itemPassUsers(r *rng.Source, n, nUsers int) []int32 {
 // touch cache lines but never the arithmetic.
 func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 	forceSIMD(t)
+	t.Run("f64", testSIMDItemPassBitMatchesStep[float64])
+	t.Run("f32", testSIMDItemPassBitMatchesStep[float32])
+}
+
+func testSIMDItemPassBitMatchesStep[T Float](t *testing.T) {
 	r := rng.New(44)
 	for _, k := range []int{8, 16, 32, 17} {
 		for _, nRatings := range itemPassLens {
-			kern := KernelFor(k)
+			kern := KernelOf[T](k)
 			const nUsers = 10
 			steps := []float64{0.05, 0.04, 0.03}
 			slow := func(t int) float64 { return 0.02 / float64(t+1) }
-			wData := make([]float64, nUsers*k)
-			h := make([]float64, k)
+			wData := make([]T, nUsers*k)
+			h := make([]T, k)
 			fill(r, wData)
 			fill(r, h)
 			users := itemPassUsers(r, nRatings, nUsers)
@@ -203,8 +221,7 @@ func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 				vals[x] = r.Uniform(-3, 3)
 				counts[x] = int32(r.Intn(6))
 			}
-			wRef := append([]float64(nil), wData...)
-			hRef := append([]float64(nil), h...)
+			wRef, hRef := clone(wData), clone(h)
 			for x := range users {
 				tc := counts[x]
 				step := slow(int(tc))
@@ -212,7 +229,7 @@ func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 					step = steps[tc]
 				}
 				o := int(users[x]) * k
-				kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
+				kern.Step(wRef[o:o+k], hRef, T(vals[x]), T(step), 0.02)
 			}
 			kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
 			for i := range wData {
@@ -230,11 +247,11 @@ func TestSIMDItemPassBitMatchesStep(t *testing.T) {
 }
 
 // stepList is the oracle of the batched item passes, written out here:
-// ratings [from, to) of one list, one Kernel.Step (Kernel32.Step) call
+// ratings [from, to) of one list, one Kernel.Step call
 // each, the count moved and the step looked up the way every per-rating
 // loop does it. A user index outside wData panics on the row slice,
 // after the count moved and before any row is written.
-func stepList[T float32 | float64](step func(w, h []T, rating, step, lambda T) T, k int,
+func stepList[T Float](step func(w, h []T, rating, step, lambda T) T, k int,
 	wData []T, l ItemList[T], from, to int, lambda T, steps []float64, slow func(int) float64) {
 	for x := from; x < to; x++ {
 		tc := l.Counts[x]
@@ -254,12 +271,12 @@ func stepList[T float32 | float64](step func(w, h []T, rating, step, lambda T) T
 // (itemPassUsers' shape: rows 0 and nUsers−1, a repeated user) with
 // counts straddling the end of a table of tableLen steps, and a deep
 // copy of both for the oracle.
-type passFixture[T float32 | float64] struct {
+type passFixture[T Float] struct {
 	w, wRef []T
 	l, lRef ItemList[T]
 }
 
-func newPassFixture[T float32 | float64](r *rng.Source, k, nUsers, n, tableLen int) passFixture[T] {
+func newPassFixture[T Float](r *rng.Source, k, nUsers, n, tableLen int) passFixture[T] {
 	var f passFixture[T]
 	f.w = make([]T, nUsers*k)
 	for i := range f.w {
@@ -316,7 +333,7 @@ func panics(fn func()) (did bool) {
 // the per-rating loop, at the same rating, with the same rows, item row
 // and counts left behind — every earlier rating applied, the bad one's
 // count moved, no row written for it.
-func testItemPassStops[T float32 | float64](t *testing.T,
+func testItemPassStops[T Float](t *testing.T,
 	step func(w, h []T, rating, step, lambda T) T,
 	pass func(wData []T, users []int32, vals []float64, counts []int32, h []T, lambda T, steps []float64, slow func(int) float64)) {
 	const k, nUsers = 16, 10
@@ -363,7 +380,7 @@ func testItemPassStops[T float32 | float64](t *testing.T,
 func TestSIMDItemPassStopsWhereThePerRatingLoopChecks(t *testing.T) {
 	forceSIMD(t)
 	t.Run("f64", func(t *testing.T) { testItemPassStops(t, KernelFor(16).Step, KernelFor(16).ItemPass) })
-	t.Run("f32", func(t *testing.T) { testItemPassStops(t, KernelFor32(16).Step, KernelFor32(16).ItemPass) })
+	t.Run("f32", func(t *testing.T) { testItemPassStops(t, KernelOf[float32](16).Step, KernelOf[float32](16).ItemPass) })
 }
 
 // testItemPassPair: the two-list kernel against the order it promises —
@@ -372,7 +389,7 @@ func TestSIMDItemPassStopsWhereThePerRatingLoopChecks(t *testing.T) {
 // (both open on row 0 and close on the last row), with a short step
 // table so the checked path is taken mid-pair, and with a bad user
 // index in either list (the alternation's panic, and its state).
-func testItemPassPair[T float32 | float64](t *testing.T,
+func testItemPassPair[T Float](t *testing.T,
 	step func(w, h []T, rating, step, lambda T) T,
 	pass func(wData []T, users []int32, vals []float64, counts []int32, h []T, lambda T, steps []float64, slow func(int) float64),
 	pair func(wData []T, a, b ItemList[T], lambda T, steps []float64, slow func(int) float64)) {
@@ -437,14 +454,14 @@ func TestItemPassPairMatchesAlternation(t *testing.T) {
 		testItemPassPair(t, kn.Step, kn.ItemPass, kn.ItemPassPair)
 	})
 	t.Run("f32", func(t *testing.T) {
-		kn := KernelFor32(16)
+		kn := KernelOf[float32](16)
 		testItemPassPair(t, kn.Step, kn.ItemPass, kn.ItemPassPair)
 	})
-	if KernelFor(8).ItemPassPair != nil || KernelFor32(17).ItemPassPair != nil {
+	if KernelFor(8).ItemPassPair != nil || KernelOf[float32](17).ItemPassPair != nil {
 		t.Fatal("a two-list kernel for a rank that has none")
 	}
 	SetSIMD(false)
-	if KernelFor(16).ItemPassPair != nil || KernelFor32(16).ItemPassPair != nil {
+	if KernelFor(16).ItemPassPair != nil || KernelOf[float32](16).ItemPassPair != nil {
 		t.Fatal("a two-list kernel with the assembly switched off")
 	}
 }
@@ -586,7 +603,7 @@ func FuzzSIMDDot(f *testing.F) {
 			}
 			user, table := vals[:m], vals[m:m+(len(vals)-m)/m*m]
 			out := make([]float64, len(table)/m)
-			DotRowsKernel(m)(user, table, out)
+			DotRowsKernel[float64](m)(user, table, out)
 			for i, v := range out {
 				if w := KernelFor(m).Dot(user, table[i*m:(i+1)*m]); math.Float64bits(v) != math.Float64bits(w) {
 					t.Fatalf("batched dot row %d width %d: %v (%#x), per-row %v (%#x)",

@@ -1,11 +1,13 @@
 package vecmath
 
 // Go-side surface of the AVX2/FMA kernels in kernels_amd64.s: argument
-// declarations, bounds-checked slice wrappers, and the Kernel/Kernel32
-// constructors the dispatcher in kernels.go consults. The wrappers do
-// the length checks the asm cannot (the kernels trust n), so asm sees
-// only in-bounds base pointers; zero-length rows never reach asm at
-// all.
+// declarations, bounds-checked slice wrappers, and the two seams (one
+// per precision) the dispatchers in kernels.go copy from. The wrappers
+// do the length checks the asm cannot (the kernels trust n), so asm
+// sees only in-bounds base pointers; zero-length rows never reach asm
+// at all. Each wrapper calls one precision's own symbol directly, so a
+// float32 twin is a copy rather than a generic body over an asm func
+// value: the direct call is what the hot path pays per rating or row.
 
 import "unsafe"
 
@@ -59,46 +61,17 @@ func itemPassPair16AVX(w *float64, rows int, steps *float64, nsteps int, lambda 
 //go:noescape
 func itemPassPair16AVX32(w *float32, rows int, steps *float64, nsteps int, lambda float32, usersA *int32, valsA *float64, countsA *int32, hA *float32, nA int, usersB *int32, valsB *float64, countsB *int32, hB *float32, nB int) int
 
-// simdKernelFor returns the AVX2 kernel bundle for rank k, or ok=false
-// when the hardware lacks AVX2/FMA (the caller then falls through to
-// the portable kernels).
-func simdKernelFor(k int) (Kernel, bool) {
-	if !simdAvailable || k <= 0 {
-		return Kernel{}, false
-	}
-	kn := Kernel{K: k, Dot: dotSIMD, Step: stepSIMD, Grad: gradSIMD}
-	if k == 16 {
-		kn.ItemPass, kn.ItemPassPair = itemPassSIMD16, itemPassPairSIMD16
-	} else {
-		kn.ItemPass = itemPassSIMD(k)
-	}
-	return kn, true
-}
+// The assembly seams, one per precision.
+var (
+	asm64 = &seam[float64]{dot: dotSIMD, step: stepSIMD, grad: gradSIMD, pass: itemPassSIMD,
+		pass16: itemPassSIMD16, pair16: itemPassPairSIMD16, rows: dotRowsSIMD, gather: dotGatherSIMD}
+	asm32 = &seam[float32]{dot: dotSIMD32, step: stepSIMD32, grad: gradSIMD32, pass: itemPassSIMD32,
+		pass16: itemPassSIMD16x32, pair16: itemPassPairSIMD16x32, rows: dotRowsSIMD32, gather: dotGatherSIMD32}
+)
 
-// simdKernelFor32 is the float32 twin of simdKernelFor.
-func simdKernelFor32(k int) (Kernel32, bool) {
-	if !simdAvailable || k <= 0 {
-		return Kernel32{}, false
-	}
-	kn := Kernel32{K: k, Dot: dotSIMD32, Step: stepSIMD32, Grad: gradSIMD32}
-	if k == 16 {
-		kn.ItemPass, kn.ItemPassPair = itemPassSIMD16x32, itemPassPairSIMD16x32
-	} else {
-		kn.ItemPass = itemPassSIMD32(k)
-	}
-	return kn, true
-}
-
-// simdDotRows returns the AVX2 batched dot for rank k, or ok=false
-// when the hardware lacks AVX2/FMA.
-func simdDotRows(k int) (DotRowsFunc, bool) {
-	return dotRowsSIMD, simdAvailable && k > 0
-}
-
-// simdDotRows32 is the float32 twin of simdDotRows.
-func simdDotRows32(k int) (DotRowsFunc32, bool) {
-	return dotRowsSIMD32, simdAvailable && k > 0
-}
+// asmSeam returns T's assembly seam; seamFor consults it only when
+// simdOn, which implies simdAvailable.
+func asmSeam[T Float]() *seam[T] { return pick[T](asm64, asm32) }
 
 //nomad:noalloc
 func dotRowsSIMD(user, rows, out []float64) {
@@ -122,17 +95,6 @@ func dotRowsSIMD32(user, rows, out []float32) {
 		return
 	}
 	dotRowsAVX32(&user[0], &rows[0], &out[0], len(user), len(out))
-}
-
-// simdDotGather returns the AVX2 gathering dot for rank k, or ok=false
-// when the hardware lacks AVX2/FMA.
-func simdDotGather(k int) (DotGatherFunc, bool) {
-	return dotGatherSIMD, simdAvailable && k > 0
-}
-
-// simdDotGather32 is the float32 twin of simdDotGather.
-func simdDotGather32(k int) (DotGatherFunc32, bool) {
-	return dotGatherSIMD32, simdAvailable && k > 0
 }
 
 // dotGatherSIMD leaves the index check to the assembly, which makes
@@ -197,7 +159,7 @@ func gradSIMD(w, h []float64, g, step, lambda float64) {
 // itemPassSIMD returns the batched item pass for rank k ≠ 16 with the
 // fused step in assembly and the loop in Go (K = 16, the rank every
 // benchmark runs, has the whole list in assembly: itemPassSIMD16).
-func itemPassSIMD(k int) ItemPassFunc {
+func itemPassSIMD(k int) ItemPassFunc[float64] {
 	return func(wData []float64, users []int32, vals []float64,
 		counts []int32, h []float64, lambda float64, steps []float64, slow func(int) float64) {
 		if len(h) != k {
@@ -249,7 +211,7 @@ func gradSIMD32(w, h []float32, g, step, lambda float32) {
 	sgdAVX32(&w[0], &h[0], len(w), step*g, step*lambda)
 }
 
-func itemPassSIMD32(k int) ItemPassFunc32 {
+func itemPassSIMD32(k int) ItemPassFunc[float32] {
 	return func(wData []float32, users []int32, vals []float64,
 		counts []int32, h []float32, lambda float32, steps []float64, slow func(int) float64) {
 		if len(h) != k {

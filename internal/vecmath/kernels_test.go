@@ -13,11 +13,25 @@ var kernelWidths = []int{1, 7, 8, 15, 16, 32, 33}
 
 // fill populates a with uniform values in [-1, 1), the magnitude range
 // of factor entries in this repository.
-func fill(r *rng.Source, a []float64) {
+func fill[T Float](r *rng.Source, a []T) {
 	for i := range a {
-		a[i] = r.Uniform(-1, 1)
+		a[i] = T(r.Uniform(-1, 1))
 	}
 }
+
+// unit is T's unit roundoff u: 2⁻⁵³ for float64, 2⁻²⁴ for float32.
+func unit[T Float]() float64 {
+	if _, ok := any(T(0)).(float32); ok {
+		return 0x1p-24
+	}
+	return 0x1p-53
+}
+
+// clone returns a copy of a.
+func clone[T any](a []T) []T { return append([]T(nil), a...) }
+
+// abs is |v| widened to float64.
+func abs[T Float](v T) float64 { return math.Abs(float64(v)) }
 
 // forcePortable pins kernel dispatch to the portable Go kernels for
 // one test. The bit-exactness tests below state the *portable* kernels'
@@ -33,16 +47,16 @@ func forcePortable(t *testing.T) {
 
 // dotTolerance bounds how far a reassociated dot product may sit from
 // the reference sequential one. Both orderings have forward error at
-// most (n−1)·u·Σ|aᵢbᵢ| with u = 2⁻⁵³ (standard recursive-summation
+// most (n−1)·u·Σ|aᵢbᵢ| with u = unit[T]() (standard recursive-summation
 // analysis, e.g. Higham, "Accuracy and Stability of Numerical
 // Algorithms", §4.2 — blocked summation is strictly tighter), so their
 // difference is at most twice that. The bound is exact arithmetic, not
 // a fudge factor: a kernel that reorders products any further fails.
-func dotTolerance(a, b []float64) float64 {
-	const u = 0x1p-53
+func dotTolerance[T Float](a, b []T) float64 {
+	u := unit[T]()
 	var s float64
 	for i := range a {
-		s += math.Abs(a[i] * b[i])
+		s += math.Abs(float64(a[i]) * float64(b[i]))
 	}
 	return 2 * float64(len(a)) * u * s
 }
@@ -50,29 +64,35 @@ func dotTolerance(a, b []float64) float64 {
 // TestDotKernelsMatchReference checks every specialized dot against
 // the reference Dot across widths and random inputs, within the
 // summation-error tolerance above (bit-for-bit equality is not
-// required only because the accumulators reassociate the sum).
+// required only because the accumulators reassociate the sum), at both
+// precisions under the ambient dispatch.
 func TestDotKernelsMatchReference(t *testing.T) {
+	t.Run("f64", testDotKernelsMatchReference[float64])
+	t.Run("f32", testDotKernelsMatchReference[float32])
+}
+
+func testDotKernelsMatchReference[T Float](t *testing.T) {
 	r := rng.New(11)
 	for _, k := range kernelWidths {
-		kern := KernelFor(k)
+		kern := KernelOf[T](k)
 		if kern.K != k {
-			t.Fatalf("KernelFor(%d).K = %d", k, kern.K)
+			t.Fatalf("KernelOf(%d).K = %d", k, kern.K)
 		}
 		for trial := 0; trial < 200; trial++ {
-			a := make([]float64, k)
-			b := make([]float64, k)
+			a := make([]T, k)
+			b := make([]T, k)
 			fill(r, a)
 			fill(r, b)
 			want := Dot(a, b)
 			got := kern.Dot(a, b)
-			if tol := dotTolerance(a, b); math.Abs(got-want) > tol {
+			if tol := dotTolerance(a, b); abs(got-want) > tol {
 				t.Fatalf("K=%d trial %d: kernel dot %v, reference %v, |diff| %g > tol %g",
-					k, trial, got, want, math.Abs(got-want), tol)
+					k, trial, got, want, abs(got-want), tol)
 			}
-			if g2 := DotKernel(k)(a, b); g2 != got {
-				t.Fatalf("K=%d: DotKernel disagrees with KernelFor.Dot", k)
+			if g2 := DotKernelOf[T](k)(a, b); g2 != got {
+				t.Fatalf("K=%d: DotKernelOf disagrees with KernelOf.Dot", k)
 			}
-			if gen := DotUnrolled(a, b); math.Abs(gen-want) > dotTolerance(a, b) {
+			if gen := DotUnrolled(a, b); abs(gen-want) > dotTolerance(a, b) {
 				t.Fatalf("K=%d: DotUnrolled %v vs reference %v", k, gen, want)
 			}
 		}
@@ -86,19 +106,23 @@ func TestDotKernelsMatchReference(t *testing.T) {
 // match bit for bit.
 func TestGradKernelBitIdentical(t *testing.T) {
 	forcePortable(t)
+	t.Run("f64", testGradKernelBitIdentical[float64])
+	t.Run("f32", testGradKernelBitIdentical[float32])
+}
+
+func testGradKernelBitIdentical[T Float](t *testing.T) {
 	r := rng.New(12)
 	for _, k := range kernelWidths {
-		kern := KernelFor(k)
+		kern := KernelOf[T](k)
 		for trial := 0; trial < 100; trial++ {
-			w := make([]float64, k)
-			h := make([]float64, k)
+			w := make([]T, k)
+			h := make([]T, k)
 			fill(r, w)
 			fill(r, h)
-			wRef := append([]float64(nil), w...)
-			hRef := append([]float64(nil), h...)
-			g := r.Uniform(-2, 2)
-			step := r.Uniform(0, 0.1)
-			lambda := r.Uniform(0, 0.2)
+			wRef, hRef := clone(w), clone(h)
+			g := T(r.Uniform(-2, 2))
+			step := T(r.Uniform(0, 0.1))
+			lambda := T(r.Uniform(0, 0.2))
 			SGDUpdateGrad(wRef, hRef, g, step, lambda)
 			kern.Grad(w, h, g, step, lambda)
 			for l := 0; l < k; l++ {
@@ -116,19 +140,23 @@ func TestGradKernelBitIdentical(t *testing.T) {
 // update is bit-identical to SGDUpdateGrad applied with that residual.
 func TestFusedStepDecomposition(t *testing.T) {
 	forcePortable(t)
+	t.Run("f64", testFusedStepDecomposition[float64])
+	t.Run("f32", testFusedStepDecomposition[float32])
+}
+
+func testFusedStepDecomposition[T Float](t *testing.T) {
 	r := rng.New(13)
 	for _, k := range kernelWidths {
-		kern := KernelFor(k)
+		kern := KernelOf[T](k)
 		for trial := 0; trial < 100; trial++ {
-			w := make([]float64, k)
-			h := make([]float64, k)
+			w := make([]T, k)
+			h := make([]T, k)
 			fill(r, w)
 			fill(r, h)
-			wRef := append([]float64(nil), w...)
-			hRef := append([]float64(nil), h...)
-			rating := r.Uniform(-5, 5)
-			step := r.Uniform(0, 0.1)
-			lambda := r.Uniform(0, 0.2)
+			wRef, hRef := clone(w), clone(h)
+			rating := T(r.Uniform(-5, 5))
+			step := T(r.Uniform(0, 0.1))
+			lambda := T(r.Uniform(0, 0.2))
 
 			wantE := rating - kern.Dot(w, h)
 			e := kern.Step(w, h, rating, step, lambda)
@@ -152,24 +180,29 @@ func TestFusedStepDecomposition(t *testing.T) {
 // step·|δe|·|partner| plus one rounding of that perturbation.
 func TestFusedStepMatchesSGDUpdate(t *testing.T) {
 	forcePortable(t)
+	t.Run("f64", testFusedStepMatchesSGDUpdate[float64])
+	t.Run("f32", testFusedStepMatchesSGDUpdate[float32])
+}
+
+func testFusedStepMatchesSGDUpdate[T Float](t *testing.T) {
 	r := rng.New(14)
+	u := unit[T]()
 	for _, k := range kernelWidths {
-		kern := KernelFor(k)
+		kern := KernelOf[T](k)
 		for trial := 0; trial < 100; trial++ {
-			w := make([]float64, k)
-			h := make([]float64, k)
+			w := make([]T, k)
+			h := make([]T, k)
 			fill(r, w)
 			fill(r, h)
-			wRef := append([]float64(nil), w...)
-			hRef := append([]float64(nil), h...)
-			rating := r.Uniform(-5, 5)
-			step := r.Uniform(0, 0.1)
-			lambda := r.Uniform(0, 0.2)
+			wRef, hRef := clone(w), clone(h)
+			rating := T(r.Uniform(-5, 5))
+			step := T(r.Uniform(0, 0.1))
+			lambda := T(r.Uniform(0, 0.2))
 
 			deltaE := dotTolerance(w, h)
 			eRef := SGDUpdate(wRef, hRef, rating, step, lambda)
 			e := kern.Step(w, h, rating, step, lambda)
-			if math.Abs(e-eRef) > deltaE {
+			if abs(e-eRef) > deltaE {
 				t.Fatalf("K=%d: fused residual %v vs reference %v beyond dot tolerance %g",
 					k, e, eRef, deltaE)
 			}
@@ -177,12 +210,12 @@ func TestFusedStepMatchesSGDUpdate(t *testing.T) {
 				// |w − wRef| ≤ step·δe·|h_old| + rounding; h_old here is
 				// bounded by the post-update value's neighbourhood, so a
 				// couple of ULPs of headroom covers the final rounding.
-				tol := step*deltaE*(math.Abs(hRef[l])+1) + 4*math.Abs(wRef[l])*0x1p-53
-				if math.Abs(w[l]-wRef[l]) > tol {
+				tol := float64(step)*deltaE*(abs(hRef[l])+1) + 4*abs(wRef[l])*u
+				if abs(w[l]-wRef[l]) > tol {
 					t.Fatalf("K=%d elem %d: fused w %v vs reference %v (tol %g)", k, l, w[l], wRef[l], tol)
 				}
-				tol = step*deltaE*(math.Abs(wRef[l])+1) + 4*math.Abs(hRef[l])*0x1p-53
-				if math.Abs(h[l]-hRef[l]) > tol {
+				tol = float64(step)*deltaE*(abs(wRef[l])+1) + 4*abs(hRef[l])*u
+				if abs(h[l]-hRef[l]) > tol {
 					t.Fatalf("K=%d elem %d: fused h %v vs reference %v (tol %g)", k, l, h[l], hRef[l], tol)
 				}
 			}
@@ -191,18 +224,22 @@ func TestFusedStepMatchesSGDUpdate(t *testing.T) {
 }
 
 // TestFusedSGDStepGeneric covers the exported generic fused kernel on
-// its own (KernelFor routes non-common widths to it, but it is part of
+// its own (KernelOf routes non-common widths to it, but it is part of
 // the public surface and must hold for the common widths too).
 func TestFusedSGDStepGeneric(t *testing.T) {
+	t.Run("f64", testFusedSGDStepGeneric[float64])
+	t.Run("f32", testFusedSGDStepGeneric[float32])
+}
+
+func testFusedSGDStepGeneric[T Float](t *testing.T) {
 	r := rng.New(15)
 	for _, k := range kernelWidths {
-		w := make([]float64, k)
-		h := make([]float64, k)
+		w := make([]T, k)
+		h := make([]T, k)
 		fill(r, w)
 		fill(r, h)
-		wRef := append([]float64(nil), w...)
-		hRef := append([]float64(nil), h...)
-		rating := r.Uniform(-5, 5)
+		wRef, hRef := clone(w), clone(h)
+		rating := T(r.Uniform(-5, 5))
 
 		wantE := rating - DotUnrolled(w, h)
 		e := FusedSGDStep(w, h, rating, 0.05, 0.01)
@@ -223,11 +260,16 @@ func TestFusedSGDStepGeneric(t *testing.T) {
 // looked up from the same table — it is the same arithmetic with the
 // per-rating overheads hoisted, so exact equality is required, at every
 // list length of itemPassLens and down to how often the slow closure
-// runs.
+// runs. It runs at both precisions under the ambient dispatch.
 func TestItemPassMatchesPerRatingLoop(t *testing.T) {
+	t.Run("f64", testItemPassMatchesPerRatingLoop[float64])
+	t.Run("f32", testItemPassMatchesPerRatingLoop[float32])
+}
+
+func testItemPassMatchesPerRatingLoop[T Float](t *testing.T) {
 	r := rng.New(16)
 	for _, k := range kernelWidths {
-		kern := KernelFor(k)
+		kern := KernelOf[T](k)
 		if kern.ItemPass == nil {
 			t.Fatalf("K=%d: ItemPass missing", k)
 		}
@@ -240,8 +282,8 @@ func TestItemPassMatchesPerRatingLoop(t *testing.T) {
 			slowCalls, wantSlow := 0, 0
 			slow := func(t int) float64 { slowCalls++; return 0.01 / float64(t+1) }
 
-			wData := make([]float64, nUsers*k)
-			h := make([]float64, k)
+			wData := make([]T, nUsers*k)
+			h := make([]T, k)
 			fill(r, wData)
 			fill(r, h)
 			users := itemPassUsers(r, nRatings, nUsers)
@@ -252,9 +294,7 @@ func TestItemPassMatchesPerRatingLoop(t *testing.T) {
 				counts[x] = int32(r.Intn(8)) // some past the table boundary
 			}
 
-			wRef := append([]float64(nil), wData...)
-			hRef := append([]float64(nil), h...)
-			countsRef := append([]int32(nil), counts...)
+			wRef, hRef, countsRef := clone(wData), clone(h), clone(counts)
 			for x := range users {
 				tc := countsRef[x]
 				countsRef[x] = tc + 1
@@ -266,7 +306,7 @@ func TestItemPassMatchesPerRatingLoop(t *testing.T) {
 					step = 0.01 / float64(int(tc)+1)
 				}
 				o := int(users[x]) * k
-				kern.Step(wRef[o:o+k], hRef, vals[x], step, 0.02)
+				kern.Step(wRef[o:o+k], hRef, T(vals[x]), T(step), 0.02)
 			}
 
 			kern.ItemPass(wData, users, vals, counts, h, 0.02, steps, slow)
@@ -292,15 +332,47 @@ func TestItemPassMatchesPerRatingLoop(t *testing.T) {
 	}
 }
 
+// TestKernelForHasItemPass: every rank gets a batched item pass at
+// both precisions under both dispatches, which is what lets the
+// trainers drop their per-rating square-loss loops.
+func TestKernelForHasItemPass(t *testing.T) {
+	old := SIMDEnabled()
+	t.Cleanup(func() { SetSIMD(old) })
+	for _, simd := range []bool{true, false} {
+		SetSIMD(simd)
+		for k := 1; k <= 130; k++ {
+			if KernelFor(k).ItemPass == nil || KernelOf[float32](k).ItemPass == nil {
+				t.Fatalf("simd=%v K=%d: ItemPass missing", simd, k)
+			}
+		}
+	}
+}
+
 func TestKernelPanicsOnMismatch(t *testing.T) {
-	for _, fn := range []func(){
+	expectPanics(t, []func(){
 		func() { dot8(make([]float64, 7), make([]float64, 8)) },
 		func() { dot16(make([]float64, 16), make([]float64, 15)) },
 		func() { dot32(make([]float64, 31), make([]float64, 32)) },
 		func() { DotUnrolled(make([]float64, 3), make([]float64, 4)) },
 		func() { FusedSGDStep(make([]float64, 3), make([]float64, 4), 1, 0.1, 0.1) },
 		func() { gradAny(make([]float64, 3), make([]float64, 4), 1, 0.1, 0.1) },
-	} {
+	})
+}
+
+func TestKernel32PanicsOnMismatch(t *testing.T) {
+	expectPanics(t, []func(){
+		func() { Dot(make([]float32, 3), make([]float32, 4)) },
+		func() { DotUnrolled(make([]float32, 3), make([]float32, 4)) },
+		func() { SGDUpdate(make([]float32, 3), make([]float32, 4), 1, 0.1, 0.1) },
+		func() { FusedSGDStep(make([]float32, 3), make([]float32, 4), 1, 0.1, 0.1) },
+		func() { gradAny(make([]float32, 3), make([]float32, 4), 1, 0.1, 0.1) },
+	})
+}
+
+// expectPanics fails t unless every fn panics.
+func expectPanics(t *testing.T, fns []func()) {
+	t.Helper()
+	for _, fn := range fns {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -3,8 +3,22 @@
 // factor rows, Gram-matrix accumulation and a small Cholesky solver for
 // the alternating-least-squares baselines.
 //
-// All kernels operate on float64 slices. Hot paths avoid bounds checks
-// where the compiler can prove lengths and never allocate.
+// A factor row is float64 or float32 (Float). Every SGD and inner-product
+// kernel is one generic body over Float, so float32 models run the same
+// update rule, the same reduction order and the same dispatch as float64
+// ones; only the assembly (kernels_amd64.s) and the thin wrappers that
+// call it are per precision. The batch-solver linear algebra is float64.
+// Hot paths avoid bounds checks where the compiler can prove lengths and
+// never allocate.
+//
+// The float32 contract: ratings, step-size tables and the schedule's slow
+// path stay float64 — they are shared with the rest of the system
+// (dataset, sched.Table), and narrowing one scalar per rating is free next
+// to the O(K) row work. All row arithmetic, dot-product accumulation
+// included, runs at the row's precision: that is what WithPrecision(Float32)
+// documents, and it keeps the portable and AVX2 kernels in the same error
+// class. Norm2Sq is the exception: it feeds the global objective, which
+// sums over every row, so it accumulates in float64 at either precision.
 package vecmath
 
 import (
@@ -12,27 +26,43 @@ import (
 	"math"
 )
 
-// Dot returns the inner product of a and b. It panics if lengths differ.
+// Float is the element type of a factor row.
+type Float interface{ float32 | float64 }
+
+// A generic body is compiled only where it is instantiated, and
+// nomadlint checks a //nomad:noalloc claim in its own package's
+// compile: the marked bodies nothing here instantiates at both
+// precisions are instantiated here.
+var _ = [...]any{
+	Dot[float32], Norm2Sq[float64], Norm2Sq[float32],
+	SGDUpdate[float64], SGDUpdate[float32], SGDUpdateGrad[float64], SGDUpdateGrad[float32],
+	dotRowsEach[float64], dotRowsEach[float32], dotGatherEach[float64], dotGatherEach[float32],
+}
+
+// Dot returns the inner product of a and b, accumulated strictly in
+// order at T's precision: the reference the dispatched dots are checked
+// against. It panics if lengths differ.
 //
 //nomad:noalloc
-func Dot(a, b []float64) float64 {
+func Dot[T Float](a, b []T) T {
 	if len(a) != len(b) {
 		panic("vecmath: Dot length mismatch")
 	}
-	var s float64
+	var s T
 	for i, av := range a {
 		s += av * b[i]
 	}
 	return s
 }
 
-// Norm2Sq returns the squared Euclidean norm of a.
+// Norm2Sq returns the squared Euclidean norm of a, accumulated in
+// float64 at either precision.
 //
 //nomad:noalloc
-func Norm2Sq(a []float64) float64 {
+func Norm2Sq[T Float](a []T) float64 {
 	var s float64
 	for _, v := range a {
-		s += v * v
+		s += float64(v) * float64(v)
 	}
 	return s
 }
@@ -63,7 +93,7 @@ func Axpy(alpha float64, x, y []float64) {
 // simultaneous update requires. It returns the prediction error e.
 //
 //nomad:noalloc
-func SGDUpdate(w, h []float64, rating, step, lambda float64) float64 {
+func SGDUpdate[T Float](w, h []T, rating, step, lambda T) T {
 	if len(w) != len(h) {
 		panic("vecmath: SGDUpdate length mismatch")
 	}
@@ -88,7 +118,7 @@ func SGDUpdate(w, h []float64, rating, step, lambda float64) float64 {
 // With g = rating − ⟨w,h⟩ this is exactly SGDUpdate.
 //
 //nomad:noalloc
-func SGDUpdateGrad(w, h []float64, g, step, lambda float64) {
+func SGDUpdateGrad[T Float](w, h []T, g, step, lambda T) {
 	if len(w) != len(h) {
 		panic("vecmath: SGDUpdateGrad length mismatch")
 	}

@@ -15,7 +15,7 @@ func TestDot(t *testing.T) {
 	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Fatalf("Dot = %v, want 32", got)
 	}
-	if got := Dot(nil, nil); got != 0 {
+	if got := Dot[float64](nil, nil); got != 0 {
 		t.Fatalf("Dot(nil,nil) = %v, want 0", got)
 	}
 }
@@ -30,9 +30,16 @@ func TestDotPanicsOnMismatch(t *testing.T) {
 }
 
 func TestNorm2Sq(t *testing.T) {
-	if got := Norm2Sq([]float64{3, 4}); got != 25 {
-		t.Fatalf("Norm2Sq = %v, want 25", got)
-	}
+	t.Run("f64", func(t *testing.T) {
+		if got := Norm2Sq([]float64{3, 4}); got != 25 {
+			t.Fatalf("Norm2Sq = %v, want 25", got)
+		}
+	})
+	t.Run("f32", func(t *testing.T) {
+		if got := Norm2Sq([]float32{1, -2, 3}); got != 14 {
+			t.Fatalf("Norm2Sq = %v, want 14", got)
+		}
+	})
 }
 
 func TestAxpy(t *testing.T) {

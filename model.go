@@ -54,7 +54,7 @@ func (m *Model) Recommend(d *Dataset, user, topN int) []Recommendation {
 	md := m.inner
 	var score func(j int) float64
 	if md.Precision() == factor.Float32 {
-		dot, w := vecmath.DotKernel32(md.K), md.UserRow32(user)
+		dot, w := vecmath.DotKernelOf[float32](md.K), md.UserRow32(user)
 		score = func(j int) float64 { return float64(dot(w, md.ItemRow32(j))) }
 	} else {
 		dot, w := vecmath.DotKernel(md.K), md.UserRow(user)

@@ -6,47 +6,84 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"nomad/internal/vecmath"
 )
 
 // TestSingleWorkerModelDigest pins the benchmark's own shape end to
-// end: one worker, three epochs of Synthesize("netflix", 0.05, 7), and
-// the saved model must hash to what the commit before the two-lane
-// schedule produced (recorded there with this same test). One worker
-// pops its tokens in FIFO order and stops on a deterministic token, so
-// any reordering of updates that is not exact — inside a list, between
-// the lanes, or at the stop — changes the digest.
+// end: one worker on Synthesize("netflix", 0.05, 7), and the saved
+// model must hash to what was recorded with this same test — the
+// float64/avx2/k16 row before the two-lane schedule, every other row at
+// the commit before the two precisions shared one body per kernel. One
+// worker pops its tokens in FIFO order and stops on a deterministic
+// token, so any reordering of updates that is not exact — inside a
+// list, between the lanes, or at the stop — changes the digest. The
+// table crosses both precisions with both dispatches and two ranks:
+// K = 16 runs the whole-list and two-list assembly, K = 12 the generic
+// portable item pass and the per-rating assembly loop. A SIMD row runs
+// only where SIMD is enabled at test start; a portable row forces the
+// portable kernels, and runs on amd64 only, because off amd64 the Go
+// compiler may fuse multiply-adds.
 func TestSingleWorkerModelDigest(t *testing.T) {
 	if testing.Short() {
 		t.Skip("synthesizes 4.5 M ratings")
 	}
-	if !vecmath.SIMDEnabled() {
-		t.Skip("the digest is the AVX2/FMA kernels'; other dispatches round differently")
+	simd := vecmath.SIMDEnabled()
+	rows := []struct {
+		prec    Precision
+		simd    bool
+		k       int
+		epochs  int
+		updates int64
+		digest  string
+	}{
+		{Float64, true, 16, 3, 13375920, "410deabd4f390baedb8081ff0e778627096c499200d0575fa552a8e199fd98bf"},
+		{Float64, true, 12, 1, 4458640, "40daf88949b967665e5d88475b67ba1f1758eabc95729c29f09747037da4cb76"},
+		{Float64, false, 16, 1, 4458640, "cb6c361b2c0c8a5028ffc32e22e306a28c2df7476fd3231e1a3bc38d1c728d3c"},
+		{Float64, false, 12, 1, 4458640, "48063c872be39d9c473418350cfa7af535a1e15ee2414ed310d67d8a28f8e3c0"},
+		{Float32, true, 16, 1, 4458640, "424eab9765e54ec64c21822818a16b503a464f3031c8e27b85e9ee878e37474e"},
+		{Float32, true, 12, 1, 4458640, "3088bf034a0e4721ae30d5bd188fe8fcf29b225e4b817b2544f3ab1d2bf3ff9d"},
+		{Float32, false, 16, 1, 4458640, "17ea915ad0155a467990eebc72890bffd2b508769441930aad1b4c5eb99bbe5d"},
+		{Float32, false, 12, 1, 4458640, "30d3a60d95b2eb2aaa748ed18d70ac6f4a3740333c45ca0c91ecf88fce748d36"},
 	}
-	const (
-		wantUpdates = 13375920
-		wantDigest  = "410deabd4f390baedb8081ff0e778627096c499200d0575fa552a8e199fd98bf"
-	)
 	d, err := Synthesize("netflix", 0.05, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewSession(d, WithWorkers(1), WithSeed(7), WithEvalPoints(1), WithStopConditions(MaxEpochs(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := sha256.New()
-	if err := res.Model.Save(h); err != nil {
-		t.Fatal(err)
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != wantDigest || res.Updates != wantUpdates {
-		t.Fatalf("model sha256 %s after %d updates, want %s after %d", got, res.Updates, wantDigest, wantUpdates)
+	for _, row := range rows {
+		dispatch := "avx2"
+		if !row.simd {
+			dispatch = "portable"
+		}
+		t.Run(fmt.Sprintf("%s/%s/k%d", row.prec, dispatch, row.k), func(t *testing.T) {
+			switch {
+			case row.simd && !simd:
+				t.Skip("the digest is the AVX2/FMA kernels'; SIMD is off here")
+			case !row.simd && runtime.GOARCH != "amd64":
+				t.Skip("the Go compiler may fuse multiply-adds off amd64")
+			case !row.simd:
+				vecmath.SetSIMD(false)
+				t.Cleanup(func() { vecmath.SetSIMD(simd) })
+			}
+			s, err := NewSession(d, WithWorkers(1), WithSeed(7), WithRank(row.k), WithPrecision(row.prec),
+				WithEvalPoints(1), WithStopConditions(MaxEpochs(row.epochs)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.New()
+			if err := res.Model.Save(h); err != nil {
+				t.Fatal(err)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != row.digest || res.Updates != row.updates {
+				t.Fatalf("model sha256 %s after %d updates, want %s after %d", got, res.Updates, row.digest, row.updates)
+			}
+		})
 	}
 }
 
