@@ -6,13 +6,21 @@
 //
 // is asserting the PR 5 steady-state discipline: no heap allocation
 // per call once buffers are warm. The analyzer replays
-// `go build -gcflags=-m` for the package (served from the build cache
+// `go build -gcflags=-m=2` for the package (served from the build cache
 // on a warm tree) and reports every "escapes to heap" / "moved to
 // heap" site the compiler attributes to a line inside a marked
 // function. Deliberate allocations — pool misses, one-time arena
 // growth, error paths — are waived per statement with
 //
 //	//nomad:alloc-ok <why>
+//
+// A generic body is compiled only where it is instantiated, so a
+// marked generic function or method that its own package never
+// instantiates has no output to check. The build runs at -m=2, whose
+// inlining verdict ("can inline" / "cannot inline") names every
+// function the compile built, and a marked generic declaration with no
+// verdict is reported as unchecked: instantiate it in the package, in
+// a blank `var _ =` if nothing else does.
 //
 // What -m cannot see, this checker cannot either: growth inside a
 // plain `append(s, x)` is an amortized runtime reallocation, not a
@@ -42,13 +50,19 @@ import (
 // Analyzer is the noallochot pass.
 var Analyzer = &framework.Analyzer{
 	Name: "noallochot",
-	Doc:  "check //nomad:noalloc functions against go build -gcflags=-m escape analysis",
+	Doc:  "check //nomad:noalloc functions against go build -gcflags=-m=2 escape analysis",
 	Run:  run,
 }
 
 // escapeLine matches the two -m diagnostics that are real heap
-// allocations; inline reports and parameter-leak notes are noise.
+// allocations; inline reports and parameter-leak notes are noise. At
+// -m=2 each is also preceded by an explanation whose head ends in a
+// colon; run skips those, which leaves exactly the -m verdicts.
 var escapeLine = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*(?:escapes to heap|moved to heap).*)$`)
+
+// inlineVerdict matches the -m=2 line the compiler prints for every
+// function it compiled, inlinable or not, at the declaration's line.
+var inlineVerdict = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (?:can|cannot) inline `)
 
 // constStringEscape matches a string literal escaping on its own —
 // the compiler's note for boxing a constant into an interface, as in
@@ -62,6 +76,8 @@ var constStringEscape = regexp.MustCompile(`^"(?:[^"\\]|\\.)*" escapes to heap$`
 type markedFn struct {
 	name       string
 	start, end int
+	generic    token.Pos // the name of a generic function or method; NoPos otherwise
+	compiled   bool      // the compile printed an inlining verdict at start
 }
 
 func run(pass *framework.Pass) error {
@@ -82,11 +98,15 @@ func run(pass *framework.Pass) error {
 				if _, ok := directive.FuncMark(fd); !ok {
 					continue
 				}
-				marked[base] = append(marked[base], markedFn{
+				mf := markedFn{
 					name:  fd.Name.Name,
 					start: pass.Fset.Position(fd.Pos()).Line,
 					end:   pass.Fset.Position(fd.End()).Line,
-				})
+				}
+				if isGeneric(fd) {
+					mf.generic = fd.Name.Pos()
+				}
+				marked[base] = append(marked[base], mf)
 				total++
 			}
 		}
@@ -100,6 +120,19 @@ func run(pass *framework.Pass) error {
 		}
 		indexes := make(map[string]*directive.Index)
 		for _, line := range strings.Split(out, "\n") {
+			if v := inlineVerdict.FindStringSubmatch(line); v != nil {
+				lineNo, _ := strconv.Atoi(v[2])
+				fns := marked[filepath.Base(v[1])]
+				for i := range fns {
+					if fns[i].start == lineNo {
+						fns[i].compiled = true
+					}
+				}
+				continue
+			}
+			if strings.HasSuffix(line, ":") {
+				continue // an -m=2 explanation; its verdict follows
+			}
 			m := escapeLine.FindStringSubmatch(line)
 			if m == nil || constStringEscape.MatchString(m[4]) {
 				continue
@@ -133,8 +166,35 @@ func run(pass *framework.Pass) error {
 			pass.Reportf(pos, "%s inside //nomad:noalloc function %s; hoist the allocation or waive it with //nomad:alloc-ok <why>",
 				m[4], fn.name)
 		}
+		for _, fns := range marked {
+			for _, mf := range fns {
+				if mf.generic.IsValid() && !mf.compiled {
+					pass.Reportf(mf.generic, "//nomad:noalloc generic function %s is never instantiated in its package, so its claim goes unchecked; instantiate it in a blank var _ =", mf.name)
+				}
+			}
+		}
 	}
 	return nil
+}
+
+// isGeneric reports whether fd declares type parameters, itself or
+// through its receiver's type.
+func isGeneric(fd *ast.FuncDecl) bool {
+	if fd.Type.TypeParams != nil {
+		return true
+	}
+	if fd.Recv == nil || len(fd.Recv.List) == 0 {
+		return false
+	}
+	recv := fd.Recv.List[0].Type
+	if star, ok := recv.(*ast.StarExpr); ok {
+		recv = star.X
+	}
+	switch recv.(type) {
+	case *ast.IndexExpr, *ast.IndexListExpr:
+		return true
+	}
+	return false
 }
 
 // posAt converts a compiler file:line:col back into a token.Pos in f.
@@ -150,18 +210,18 @@ func posAt(fset *token.FileSet, f *ast.File, line, col int) token.Pos {
 	return p
 }
 
-// escapeOutput obtains the compiler's -m output for pkg. Module
+// escapeOutput obtains the compiler's -m=2 output for pkg. Module
 // packages are built in place, flags scoped to the one package so
 // dependency noise is excluded. Out-of-module fixture packages are
 // copied into a throwaway module first: `go build` refuses ad-hoc
 // directories, and fixtures are plain directories under testdata.
 func escapeOutput(pkg *framework.Package) (string, error) {
 	if pkg.InModule {
-		cmd := exec.Command("go", "build", "-gcflags="+pkg.ImportPath+"=-m", pkg.ImportPath)
+		cmd := exec.Command("go", "build", "-gcflags="+pkg.ImportPath+"=-m=2", pkg.ImportPath)
 		cmd.Dir = pkg.Dir
 		out, err := cmd.CombinedOutput()
 		if err != nil {
-			return "", fmt.Errorf("go build -gcflags=-m: %v\n%s", err, out)
+			return "", fmt.Errorf("go build -gcflags=-m=2: %v\n%s", err, out)
 		}
 		return string(out), nil
 	}
@@ -190,11 +250,11 @@ func escapeOutput(pkg *framework.Package) (string, error) {
 	if err := os.WriteFile(filepath.Join(tmp, "go.mod"), []byte("module noallocfixture\n\ngo 1.24\n"), 0o644); err != nil {
 		return "", err
 	}
-	cmd := exec.Command("go", "build", "-gcflags=-m", ".")
+	cmd := exec.Command("go", "build", "-gcflags=-m=2", ".")
 	cmd.Dir = tmp
 	out, err := cmd.CombinedOutput()
 	if err != nil {
-		return "", fmt.Errorf("go build -gcflags=-m (fixture copy): %v\n%s", err, out)
+		return "", fmt.Errorf("go build -gcflags=-m=2 (fixture copy): %v\n%s", err, out)
 	}
 	return string(out), nil
 }

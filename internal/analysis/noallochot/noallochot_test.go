@@ -8,5 +8,5 @@ import (
 )
 
 func TestNoAllocHot(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(t), noallochot.Analyzer, "noallochot/a")
+	analysistest.Run(t, analysistest.TestData(t), noallochot.Analyzer, "noallochot/a", "noallochot/generic")
 }

@@ -2,14 +2,13 @@ package cluster
 
 // Arena-backed token batches: the allocation-free representation of
 // the §3.5 unit of network transfer. A BatchBuf is one flat []float64
-// payload plus the token indices; materializing it as a TokenBatch
-// hands out Token structs whose Vec fields are views into the flat
-// array, so building, encoding and decoding a batch never allocates
-// per token. Senders keep one BatchBuf per destination and Reset it
-// after every flush; receivers decode into pooled BatchBufs that the
-// consumer returns with TokenBatch.Release once the tokens have been
-// copied out — the explicit hand-off that lets one arena cycle
-// between a connection's reader and the training runner forever.
+// payload plus one Token per vector whose Vec is a view into it, so
+// building, encoding and decoding a batch never allocates per token.
+// Senders keep one BatchBuf per destination and Reset it after every
+// flush; receivers decode into pooled BatchBufs that the consumer
+// returns with TokenBatch.Release once the tokens have been copied
+// out — the explicit hand-off that lets one arena cycle between a
+// connection's reader and the training runner forever.
 //
 // Ownership rules (see also Link.Send):
 //
@@ -22,16 +21,16 @@ package cluster
 
 import "sync"
 
-// BatchBuf is a reusable arena for one TokenBatch: the token item
-// indices plus one flat float64 payload every token vector is a view
-// into. The zero value is ready to use. A BatchBuf is not safe for
-// concurrent use; the hand-off between goroutines is sequential
-// (build → send → Release).
+// BatchBuf is a reusable arena for one TokenBatch: one flat float64
+// payload every token vector is a view into, and those views, each
+// carrying its item. AddVec appends a token's view as it fills the
+// arena and re-points every view only when the payload reallocates, so
+// Batch and HandOff hand the views out as they stand. The zero value
+// is ready to use. A BatchBuf is not safe for concurrent use; the
+// hand-off between goroutines is sequential (build → send → Release).
 type BatchBuf struct {
-	items []int32
-	ends  []int32 // ends[i] is the end offset of token i's vector in vals
-	vals  []float64
-	toks  []Token // materialized views, rebuilt by Batch/HandOff
+	vals []float64
+	toks []Token // toks[i].Vec is token i's stretch of vals, in order
 }
 
 // NewBatchBuf returns an empty, unpooled arena (senders keep theirs
@@ -60,83 +59,62 @@ func (b *BatchBuf) Release() { batchPool.Put(b) }
 //
 //nomad:noalloc
 func (b *BatchBuf) Reset() {
-	b.items = b.items[:0]
-	b.ends = b.ends[:0]
 	b.vals = b.vals[:0]
+	b.toks = b.toks[:0]
 }
 
 // Len returns the number of tokens accumulated.
-func (b *BatchBuf) Len() int { return len(b.items) }
+func (b *BatchBuf) Len() int { return len(b.toks) }
 
 // Add copies one token into the arena.
 //
 //nomad:noalloc
 func (b *BatchBuf) Add(item int32, vec []float64) {
-	copy(b.AddVec(item, len(vec)), vec) //nomad:alloc-ok arena warm-up growth, amortized away on reuse
+	copy(b.AddVec(item, len(vec)), vec)
 }
 
 // AddVec appends a token with an uninitialized k-coordinate vector
 // and returns that vector for the caller to fill in place — the
 // decode path writes wire floats straight into the arena through it.
 // The caller must overwrite all k coordinates (reused arena capacity
-// holds stale values). The returned slice is only valid until the
-// next Add/AddVec.
+// holds stale values).
 //
 //nomad:noalloc
 func (b *BatchBuf) AddVec(item int32, k int) []float64 {
-	b.items = append(b.items, item)
 	start := len(b.vals)
-	b.vals = grow(b.vals, start+k) //nomad:alloc-ok arena warm-up growth, amortized away on reuse
-	b.ends = append(b.ends, int32(start+k))
-	return b.vals[start : start+k]
-}
-
-// grow extends s to length n, reallocating amortized-doubling like
-// append so steady-state reuse never allocates.
-func grow(s []float64, n int) []float64 {
-	if n <= cap(s) {
-		return s[:n]
+	if start+k > cap(b.vals) {
+		b.vals = append(b.vals, make([]float64, k)...) //nomad:alloc-ok arena warm-up growth, amortized away on reuse
+		// The payload moved: every earlier view follows it.
+		off := 0
+		for i := range b.toks {
+			n := len(b.toks[i].Vec)
+			b.toks[i].Vec = b.vals[off : off+n : off+n]
+			off += n
+		}
 	}
-	return append(s, make([]float64, n-len(s))...)
+	b.vals = b.vals[:start+k]
+	vec := b.vals[start : start+k : start+k]
+	b.toks = append(b.toks, Token{Item: item, Vec: vec})
+	return vec
 }
 
-// Batch materializes the arena as a TokenBatch whose token vectors
-// are views into the flat payload. The arena retains ownership: the
-// caller may Reset and refill it as soon as the batch's consumer
-// returns (Link.Send copies or encodes before returning).
+// Batch returns the arena's tokens as a TokenBatch of views into the
+// flat payload. The arena retains ownership: the caller may Reset and
+// refill it as soon as the batch's consumer returns (Link.Send copies
+// or encodes before returning).
 //
 //nomad:noalloc
 func (b *BatchBuf) Batch(queueLen int) TokenBatch {
-	return TokenBatch{Tokens: b.views(), QueueLen: queueLen} //nomad:alloc-ok token-view warm-up growth on cap miss
+	return TokenBatch{Tokens: b.toks, QueueLen: queueLen}
 }
 
-// HandOff materializes like Batch but transfers ownership to the
-// batch: the consumer that finishes with the tokens calls
-// TokenBatch.Release, which returns the arena to the shared pool.
+// HandOff is Batch that transfers ownership to the batch: the consumer
+// that finishes with the tokens calls TokenBatch.Release, which
+// returns the arena to the shared pool.
 //
 //nomad:noalloc
 func (b *BatchBuf) HandOff(queueLen int) TokenBatch {
-	return TokenBatch{Tokens: b.views(), QueueLen: queueLen, buf: b} //nomad:alloc-ok token-view warm-up growth on cap miss
-}
-
-// views rebuilds the token view slice over the current arena state.
-func (b *BatchBuf) views() []Token {
-	if cap(b.toks) < len(b.items) {
-		b.toks = make([]Token, len(b.items))
-	} else {
-		b.toks = b.toks[:len(b.items)]
-	}
-	start := int32(0)
-	for i, item := range b.items {
-		end := b.ends[i]
-		var vec []float64
-		if end > start {
-			vec = b.vals[start:end:end]
-		}
-		b.toks[i] = Token{Item: item, Vec: vec}
-		start = end
-	}
-	return b.toks
+	return TokenBatch{Tokens: b.toks, QueueLen: queueLen, buf: b}
 }
 
 // CloneBatch deep-copies a batch — vectors included — into a pooled

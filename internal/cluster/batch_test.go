@@ -120,3 +120,107 @@ func TestSimLinkSendClonesBatch(t *testing.T) {
 		t.Fatalf("delivered batch saw the caller's reuse: %+v", batches)
 	}
 }
+
+// TestBatchBufViewsFollowGrowth: the arena keeps each token's view as
+// it fills and re-points the views when the payload reallocates, so
+// tokens added across any number of reallocations each view exactly
+// their own vector, at their own offset of the current payload —
+// fresh, after Reset and reuse, and in an arena recycled through
+// HandOff → Release → GetBatchBuf.
+func TestBatchBufViewsFollowGrowth(t *testing.T) {
+	const k = 3
+	vec := func(item int32) []float64 { return []float64{float64(item), float64(item) + 0.5, -float64(item)} }
+	fill := func(b *BatchBuf, first, n int32) {
+		for i := first; i < first+n; i++ {
+			if i%2 == 0 {
+				b.Add(i, vec(i))
+			} else {
+				copy(b.AddVec(i, k), vec(i))
+			}
+		}
+	}
+	check := func(what string, b *BatchBuf, batch TokenBatch, first, n int32) {
+		t.Helper()
+		if len(batch.Tokens) != int(n) {
+			t.Fatalf("%s: %d tokens, want %d", what, len(batch.Tokens), n)
+		}
+		for x, tok := range batch.Tokens {
+			want := vec(first + int32(x))
+			if tok.Item != first+int32(x) || len(tok.Vec) != k || cap(tok.Vec) != k {
+				t.Fatalf("%s: token %d = %+v (cap %d), want item %d with a capped %d-vector",
+					what, x, tok, cap(tok.Vec), first+int32(x), k)
+			}
+			if &tok.Vec[0] != &b.vals[x*k] {
+				t.Fatalf("%s: token %d does not view the arena's current payload at offset %d", what, x, x*k)
+			}
+			for c := range want {
+				if tok.Vec[c] != want[c] {
+					t.Fatalf("%s: token %d coord %d = %v, want %v", what, x, c, tok.Vec[c], want[c])
+				}
+			}
+		}
+	}
+
+	b := NewBatchBuf()
+	fill(b, 0, 1)
+	first := &b.vals[0]
+	fill(b, 1, 200) // many reallocations of vals
+	if &b.vals[0] == first {
+		t.Fatal("the payload never reallocated: the test proves nothing")
+	}
+	check("across growth", b, b.Batch(0), 0, 201)
+
+	b.Reset()
+	if b.Len() != 0 {
+		t.Fatalf("Len after Reset = %d", b.Len())
+	}
+	fill(b, 1000, 300) // reuse past the warm capacity: grows again
+	check("after Reset", b, b.Batch(0), 1000, 300)
+
+	owned := b.HandOff(9)
+	if owned.QueueLen != 9 {
+		t.Fatalf("QueueLen = %d", owned.QueueLen)
+	}
+	check("handed off", b, owned, 1000, 300)
+	owned.Release()
+	b = GetBatchBuf()
+	if b.Len() != 0 {
+		t.Fatalf("pooled arena holds %d tokens", b.Len())
+	}
+	fill(b, 7, 50)
+	check("recycled", b, b.HandOff(0), 7, 50)
+	b.Release()
+}
+
+// TestSenderRedirectKeepsVectors: tokens pending for a dead
+// destination are re-added to a live one with their own vectors.
+func TestSenderRedirectKeepsVectors(t *testing.T) {
+	c := NewSimCluster(3, netsim.Instant(), 2)
+	links := c.Links()
+	s := NewSender(links[0], 100, nil)
+	for i := int32(0); i < 40; i++ {
+		s.Add(1, Token{Item: i, Vec: []float64{float64(i), -float64(i)}})
+	}
+	s.Redirect(1, func() int { return 2 })
+	if err := s.FlushAll(); err != nil {
+		t.Fatalf("FlushAll: %v", err)
+	}
+	for _, l := range links {
+		l.CloseSend() //nolint:errcheck
+	}
+	var got []Token
+	for inb := range links[2].Recv() {
+		got = append(got, inb.Batch.Tokens...)
+	}
+	for range links[1].Recv() {
+		t.Fatal("the dead destination received a batch")
+	}
+	if len(got) != 40 {
+		t.Fatalf("%d tokens redirected, want 40", len(got))
+	}
+	for x, tok := range got {
+		if tok.Item != int32(x) || tok.Vec[0] != float64(x) || tok.Vec[1] != -float64(x) {
+			t.Fatalf("redirected token %d = %+v", x, tok)
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"nomad/internal/dataset"
+	"nomad/internal/factor"
 	"nomad/internal/train"
 )
 
@@ -18,7 +19,8 @@ import (
 // replay check on (the _replay case) each hop also appends to the
 // visit log, whose streams grow by doubling, so it stays amortised
 // allocation-free as well; the replay at the end costs the same in
-// both runs.
+// both runs. The float32 row (_f32) widens every departing row into
+// the sender's scratch, which Add then copies into the batch arena.
 //
 // A short and a long run of one configuration differ only in how many
 // tokens crossed the wire: set-up, the initial placement, link boot
@@ -35,8 +37,13 @@ func TestDistributedTokenPathAllocFree(t *testing.T) {
 		backend string
 		workers int
 		replay  bool
-	}{{"sim", 1, false}, {"tcp", 1, false}, {"sim", 2, false}, {"tcp", 2, false}, {"sim", 2, true}} {
+		prec    factor.Precision
+	}{{"sim", 1, false, factor.Float64}, {"tcp", 1, false, factor.Float64}, {"sim", 2, false, factor.Float64},
+		{"tcp", 2, false, factor.Float64}, {"sim", 2, true, factor.Float64}, {"tcp", 1, false, factor.Float32}} {
 		name := fmt.Sprintf("%s_w%d", tc.backend, tc.workers)
+		if tc.prec == factor.Float32 {
+			name += "_f32"
+		}
 		var hooks *train.Hooks
 		if tc.replay {
 			name += "_replay"
@@ -46,7 +53,7 @@ func TestDistributedTokenPathAllocFree(t *testing.T) {
 			cfg := train.Config{
 				K: 16, Lambda: 0.05, Alpha: 0.01, Beta: 0.01,
 				Machines: 2, Workers: tc.workers, Backend: tc.backend,
-				EvalPoints: 2, Seed: 7,
+				EvalPoints: 2, Seed: 7, Precision: tc.prec,
 			}
 			run := func(epochs int) (mallocs uint64, wireTokens float64) {
 				cfg.Epochs = epochs

@@ -467,7 +467,10 @@ func wireItemErr(from int, item int32, n int) error {
 // deliverBatch is the receiver's delivery of one inbound batch: each
 // token's ownership bit is set, its vector written into its model row
 // — hⱼ's only home while the token is on this machine — and the token
-// staged, all before retryPending lets any of them into a lane. A token
+// staged, all before retryPending lets any of them into a lane. The
+// batch's rows are all prefetched before the first is written, so
+// their misses overlap; each is the row of a token the receiver is
+// about to hold. A token
 // naming an item outside [0, n) fails the batch before anything is
 // touched: deliverBatch returns its index, or -1. from is the sending
 // machine, logged with each arrival when the replay check is on.
@@ -481,6 +484,9 @@ func (mc *meshMachine) deliverBatch(from int, toks []cluster.Token, fo *failover
 		for _, t := range toks {
 			mc.log.arrived(from, t.Item)
 		}
+	}
+	for _, t := range toks {
+		mc.md.PrefetchItemRow(int(t.Item))
 	}
 	mc.pendingN.Add(int64(len(toks)))
 	for _, t := range toks {
@@ -596,6 +602,12 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		// sweep finds dry is drained for good.
 		done := mc.workersDone.Load()
 		k := mc.mesh.RecvBatch(port, buf[:])
+		// The block's rows, which the sender now holds, are all
+		// prefetched before the first is copied out, so their misses
+		// overlap.
+		for _, tok := range buf[:k] {
+			mc.md.PrefetchItemRow(int(tok.item))
+		}
 		for _, tok := range buf[:k] {
 			add(tok)
 		}

@@ -270,6 +270,20 @@ func (md *Model) SetItemRowFrom64(j int, src []float64) {
 	copy(md.ItemRow(j), src)
 }
 
+// PrefetchItemRow hints item j's row toward the cache, whatever the
+// model's precision (vecmath.Prefetch: nothing is read, so it cannot
+// race). The token boundary hints a whole batch of rows before it
+// copies any of them, so their misses overlap.
+//
+//nomad:noalloc
+func (md *Model) PrefetchItemRow(j int) {
+	if md.prec == Float32 {
+		vecmath.Prefetch(md.h32, j*md.K, md.K)
+		return
+	}
+	vecmath.Prefetch(md.h, j*md.K, md.K)
+}
+
 // CopyUserRowTo64 widens user i's row into dst (length K), whatever
 // the model's precision. The replication plane ships user rows as
 // float64 regardless of model precision, mirroring the token wire

@@ -1,6 +1,7 @@
 package netlink
 
 import (
+	"bufio"
 	"fmt"
 	"net"
 	"sync"
@@ -403,19 +404,28 @@ func (l *TCP) peerDown(p *peer, cause error) {
 	})
 }
 
+// readBufSize is the reader's per-connection buffer: one read syscall
+// takes in as many frames as have arrived, up to 128 KiB, instead of
+// two reads (header, payload) per frame.
+const readBufSize = 128 << 10
+
 // reader drains one peer's connection, dispatching frames onto the
-// typed channels until the stream ends. The connection owns one payload buffer that every frame is read into
+// typed channels until the stream ends. Frames come through a
+// buffered reader made here, after the rendezvous has handed the
+// connection over unbuffered, so nothing else ever read ahead of it.
+// The connection owns one payload buffer that every frame is read into
 // (ReadFrameReuse) and token batches are decoded into pooled arenas
 // whose ownership travels with the Inbound — the consumer Releases
 // them; control payloads, which may sit in the ctl channel across
 // many frames, are copied out of the read buffer instead.
 func (l *TCP) reader(p *peer) {
 	defer l.wg.Done()
+	in := bufio.NewReaderSize(p.conn, readBufSize)
 	var rbuf []byte // connection-owned payload arena
 	for {
 		var f Frame
 		var err error
-		f, rbuf, err = ReadFrameReuse(p.conn, rbuf)
+		f, rbuf, err = ReadFrameReuse(in, rbuf)
 		if err != nil {
 			if p.eof.Load() || l.isDown() {
 				return // orderly: stream already ended, or we tore down

@@ -1,9 +1,11 @@
 package netlink
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -238,4 +240,30 @@ func FuzzDecodeTokenBatch(f *testing.F) {
 			t.Fatalf("accepted batch does not re-encode to its wire form")
 		}
 	})
+}
+
+// TestBufferedReadMatchesUnbuffered: a frame read through a
+// bufio.Reader, as the link's reader reads, whether or not the frame
+// fits the buffer, is accepted or rejected exactly as through the bare
+// stream: the same payload, or the same error for every truncation
+// point and for a bad CRC.
+func TestBufferedReadMatchesUnbuffered(t *testing.T) {
+	good := AppendFrame(nil, FrameTokens, 2, bytes.Repeat([]byte("q"), 100))
+	badCRC := append([]byte(nil), good...)
+	badCRC[headerSize+7] ^= 0x01
+	inputs := [][]byte{good, badCRC}
+	for cut := 0; cut < len(good); cut++ {
+		inputs = append(inputs, good[:cut])
+	}
+	for _, size := range []int{16, 64, readBufSize} {
+		for _, raw := range inputs {
+			want, wantErr := ReadFrame(bytes.NewReader(raw))
+			got, gotErr := ReadFrame(bufio.NewReaderSize(bytes.NewReader(raw), size))
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || got.Type != want.Type || got.From != want.From ||
+				!bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("buffer %d, %d bytes: got (%+v, %v), unbuffered (%+v, %v)",
+					size, len(raw), got, gotErr, want, wantErr)
+			}
+		}
+	}
 }

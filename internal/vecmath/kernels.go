@@ -139,13 +139,22 @@ const itemPassAhead = 8
 // path only prefetches what the issuing worker owns. A window that is
 // not wholly inside s is ignored, which lets look-ahead callers pass
 // indices past the end unclamped (n < 1 touches the one line at s[i]).
-// A window that does not start on a line boundary leaves its last
-// partial line to the hardware's adjacent-line prefetcher.
+// Every line the window overlaps is prefetched, also when it starts
+// mid-line (prefetchSpan).
 func Prefetch[T any](s []T, i, n int) {
 	if uint(i) < uint(len(s)) && i+n <= len(s) {
-		prefetchT0(unsafe.Pointer(&s[i]), uintptr(n)*unsafe.Sizeof(s[0]))
+		p := unsafe.Pointer(&s[i])
+		prefetchT0(p, prefetchSpan(uintptr(p), uintptr(max(n, 0))*unsafe.Sizeof(s[0])))
 	}
 }
+
+// prefetchSpan is the length to hand prefetchT0 for the size bytes at
+// addr. prefetchT0 issues one prefetch per 64 bytes from its start, so
+// a window that starts off a line boundary would lose its last line:
+// the length is extended by the start's offset within its line, which
+// covers exactly the lines a start rounded down to its line would.
+// The start itself stays put, inside the slice.
+func prefetchSpan(addr, size uintptr) uintptr { return size + addr&63 }
 
 // Kernel bundles the hot-path kernels specialized for one rank. Select
 // it once per run with KernelOf and reuse it for every rating.

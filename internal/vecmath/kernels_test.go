@@ -392,9 +392,53 @@ func expectPanics(t *testing.T, fns []func()) {
 func TestPrefetchIgnoresWindowsOutsideTheSlice(t *testing.T) {
 	s := make([]float64, 16)
 	for _, w := range [][2]int{{-1, 1}, {16, 1}, {15, 2}, {0, 17}, {1 << 30, 1}, {-1 << 30, 8},
-		{0, 16}, {8, 8}, {15, 1}, {3, 0}} {
+		{0, 16}, {8, 8}, {15, 1}, {3, 0}, {3, -1}} {
 		Prefetch(s, w[0], w[1])
 	}
 	Prefetch([]int32(nil), 0, 1)
 	Prefetch([]float32{}, 0, 0)
+}
+
+// TestPrefetchSpanCoversEveryLine replays prefetchT0's loop (one line
+// at start, start+64, … while bytes remain) over the span Prefetch
+// hands it, and checks that exactly the lines under [addr, addr+size)
+// are issued: none lost at the end of a window that starts mid-line,
+// none added for the line-aligned rows and one-element heads the hot
+// path prefetched correctly before.
+func TestPrefetchSpanCoversEveryLine(t *testing.T) {
+	issued := func(addr, n uintptr) []uintptr {
+		var lines []uintptr
+		for p, left := addr, int(n); ; p, left = p+64, left-64 {
+			lines = append(lines, p/64)
+			if left-64 <= 0 {
+				return lines
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name              string
+		addr, size        uintptr
+		lines, unextended int // lines under the window; lines the unextended length issues
+	}{
+		{"f32 K=12 row 1 (bytes 48-95)", 48, 48, 2, 1},
+		{"f32 K=12 row 0", 0, 48, 1, 1},
+		{"f32 K=12 row 5 (bytes 240-287)", 240, 48, 2, 1},
+		{"f64 K=12 row 1 (bytes 96-191)", 96, 96, 2, 2},
+		{"f64 K=16 row off its line", 32, 128, 3, 2},
+		{"f32 K=16 row off its line", 16, 64, 2, 1},
+		{"f64 K=16 row", 1 << 20, 128, 2, 2},
+		{"f32 K=16 row", 1<<20 + 64, 64, 1, 1},
+		{"int32 head at byte 60", 60, 4, 1, 1},
+		{"float64 head at byte 56", 56, 8, 1, 1},
+		{"n < 1 at byte 40", 40, 0, 1, 1},
+	} {
+		got := issued(tc.addr, prefetchSpan(tc.addr, tc.size))
+		first, last := tc.addr/64, (tc.addr+max(tc.size, 1)-1)/64
+		if len(got) != tc.lines || got[0] != first || got[len(got)-1] != last {
+			t.Errorf("%s: lines %v, want %d lines %d..%d", tc.name, got, tc.lines, first, last)
+		}
+		if n := len(issued(tc.addr, tc.size)); n != tc.unextended {
+			t.Errorf("%s: the unextended length issues %d lines, want %d", tc.name, n, tc.unextended)
+		}
+	}
 }
