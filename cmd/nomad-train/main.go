@@ -48,7 +48,7 @@ func main() {
 		beta       = flag.Float64("beta", 0.02, "step decay β (eq. 11)")
 		workers    = flag.Int("workers", 4, "worker threads per machine")
 		machines   = flag.Int("machines", 1, "machines (simulated, loopback, or real cluster size)")
-		network    = flag.String("network", "instant", "network backend: instant, hpc, commodity (simulated) or tcp (real sockets)")
+		network    = flag.String("network", "instant", "network backend: instant, hpc, commodity (paced in-memory connections) or tcp (real sockets)")
 		role       = flag.String("role", "", "multi-process cluster role: coordinator or worker")
 		listen     = flag.String("listen", "", "address this process listens on (coordinator: required; worker: default :0)")
 		join       = flag.String("join", "", "coordinator address a worker joins")

@@ -52,8 +52,9 @@ type BalanceEvent struct {
 }
 
 // NetworkEvent reports cumulative network accounting for
-// multi-machine runs: modelled bytes on the simulated backend, real
-// wire bytes on the TCP backend.
+// multi-machine runs: for NOMAD the wire bytes and frames of its link,
+// over in-memory connections or TCP alike; for the baselines the
+// modelled bytes of their simulated block network.
 type NetworkEvent struct {
 	BytesSent    int64
 	MessagesSent int64

@@ -116,16 +116,3 @@ func (b *BatchBuf) Batch(queueLen int) TokenBatch {
 func (b *BatchBuf) HandOff(queueLen int) TokenBatch {
 	return TokenBatch{Tokens: b.toks, QueueLen: queueLen, buf: b}
 }
-
-// CloneBatch deep-copies a batch — vectors included — into a pooled
-// arena and returns the owning copy. It is the boundary copy of
-// by-reference transports: the simulated network delivers payloads
-// without serializing them, so it clones at Send and the receiver
-// Releases after unpacking, exactly like a decoded wire batch.
-func CloneBatch(src TokenBatch) TokenBatch {
-	buf := GetBatchBuf()
-	for _, t := range src.Tokens {
-		buf.Add(t.Item, t.Vec)
-	}
-	return buf.HandOff(src.QueueLen)
-}

@@ -1,10 +1,6 @@
 package cluster
 
-import (
-	"testing"
-
-	"nomad/internal/netsim"
-)
+import "testing"
 
 func TestBatchBufViews(t *testing.T) {
 	b := NewBatchBuf()
@@ -65,59 +61,25 @@ func TestBatchBufSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-func TestCloneBatchIsDeep(t *testing.T) {
-	src := TokenBatch{QueueLen: 5, Tokens: []Token{{Item: 1, Vec: []float64{10, 20}}}}
-	clone := CloneBatch(src)
-	src.Tokens[0].Vec[0] = -1 // mutate the original after the boundary copy
-	src.Tokens[0].Item = 99
-	if clone.QueueLen != 5 || clone.Tokens[0].Item != 1 || clone.Tokens[0].Vec[0] != 10 {
-		t.Fatalf("clone shares storage with its source: %+v", clone)
-	}
-	clone.Release()
-	if clone.Tokens != nil {
-		t.Fatal("Release must invalidate the clone's views")
-	}
-	// Double Release on the same value is a no-op, not a double-free.
-	clone.Release()
-}
-
 // TestSenderCopiesOnAdd pins the ownership rule: the caller may reuse
 // a token's vector as soon as Add returns, because the sender copied
 // it into its per-destination arena.
 func TestSenderCopiesOnAdd(t *testing.T) {
-	c := NewSimCluster(2, netsim.Instant(), 2)
-	s := NewSender(c.Links()[0], 10, nil)
+	fakes, links := fakeLinks(2)
+	s := NewSender(links[0], 10, nil)
 	vec := []float64{1, 2}
 	s.Add(1, Token{Item: 4, Vec: vec})
 	vec[0], vec[1] = -7, -8 // recycled by the caller
 	if err := s.FlushAll(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
-	batches := drainBatches(t, c)
+	batches := fakes[0].sent[1]
 	if len(batches) != 1 || len(batches[0].Tokens) != 1 {
 		t.Fatalf("batches = %+v", batches)
 	}
 	got := batches[0].Tokens[0]
 	if got.Item != 4 || got.Vec[0] != 1 || got.Vec[1] != 2 {
 		t.Fatalf("delivered token %+v, want the pre-mutation values {4 [1 2]}", got)
-	}
-}
-
-// TestSimLinkSendClonesBatch pins the boundary rule on the simulated
-// network, which delivers payloads by reference: the caller's batch
-// (a sender arena) must be reusable the moment
-// Send returns.
-func TestSimLinkSendClonesBatch(t *testing.T) {
-	c := NewSimCluster(2, netsim.Instant(), 1)
-	links := c.Links()
-	vec := []float64{3}
-	if err := links[0].Send(1, TokenBatch{Tokens: []Token{{Item: 2, Vec: vec}}}); err != nil {
-		t.Fatalf("Send: %v", err)
-	}
-	vec[0] = -1 // reuse the backing array immediately
-	batches := drainBatches(t, c)
-	if len(batches) != 1 || batches[0].Tokens[0].Vec[0] != 3 {
-		t.Fatalf("delivered batch saw the caller's reuse: %+v", batches)
 	}
 }
 
@@ -195,8 +157,7 @@ func TestBatchBufViewsFollowGrowth(t *testing.T) {
 // TestSenderRedirectKeepsVectors: tokens pending for a dead
 // destination are re-added to a live one with their own vectors.
 func TestSenderRedirectKeepsVectors(t *testing.T) {
-	c := NewSimCluster(3, netsim.Instant(), 2)
-	links := c.Links()
+	fakes, links := fakeLinks(3)
 	s := NewSender(links[0], 100, nil)
 	for i := int32(0); i < 40; i++ {
 		s.Add(1, Token{Item: i, Vec: []float64{float64(i), -float64(i)}})
@@ -205,14 +166,11 @@ func TestSenderRedirectKeepsVectors(t *testing.T) {
 	if err := s.FlushAll(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
-	for _, l := range links {
-		l.CloseSend() //nolint:errcheck
-	}
 	var got []Token
-	for inb := range links[2].Recv() {
-		got = append(got, inb.Batch.Tokens...)
+	for _, b := range fakes[0].sent[2] {
+		got = append(got, b.Tokens...)
 	}
-	for range links[1].Recv() {
+	if len(fakes[0].sent[1]) != 0 {
 		t.Fatal("the dead destination received a batch")
 	}
 	if len(got) != 40 {

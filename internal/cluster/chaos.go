@@ -376,7 +376,6 @@ type ChaosController struct {
 	rnd     *rng.Source      // deterministic drop decisions
 	dropP   float64
 	timer   *time.Timer // pending PointAfter trigger
-	links   []Link      // armed endpoints (kill fallback)
 	stopped bool
 }
 
@@ -391,16 +390,8 @@ func NewChaosController(spec *ChaosSpec) *ChaosController {
 	return c
 }
 
-// Spec returns the (normalized) description of the schedule's first
-// event.
-func (c *ChaosController) Spec() ChaosSpec { return *c.events[0] }
-
-// Len returns the number of events in the schedule.
-func (c *ChaosController) Len() int { return len(c.events) }
-
 // OnKill installs the kill function the runner uses to stop the
-// victim machine in-process. Without one, a fired kill falls back to
-// aborting the victim's link (netlink-level tests).
+// victim machine in-process. Without one, a fired kill does nothing.
 func (c *ChaosController) OnKill(fn func(victim int)) {
 	c.mu.Lock()
 	c.kill = fn
@@ -445,17 +436,6 @@ func (c *ChaosController) WrapAll(links []Link) []Link {
 	return out
 }
 
-// Arm starts the schedule: rendezvous-point first events fire
-// immediately, relative-time ones start their timer. Called by the
-// runner after links are built (pass the run's wrapped links; the kill
-// fallback and effect routing use them).
-func (c *ChaosController) Arm(links []Link) {
-	c.mu.Lock()
-	c.links = links
-	c.mu.Unlock()
-	c.armCurrent()
-}
-
 // Stop cancels any pending relative-time trigger; remaining events
 // never fire. Called at teardown.
 func (c *ChaosController) Stop() {
@@ -471,9 +451,6 @@ func (c *ChaosController) Stop() {
 // Fired reports whether any event of the schedule has triggered.
 func (c *ChaosController) Fired() bool { return c.fired.Load() }
 
-// Done reports whether every event of the schedule has triggered.
-func (c *ChaosController) Done() bool { return int(c.idx.Load()) >= len(c.events) }
-
 // current returns the awaiting event and its index, or nil when the
 // schedule is exhausted.
 func (c *ChaosController) current() (*ChaosSpec, int32) {
@@ -484,10 +461,11 @@ func (c *ChaosController) current() (*ChaosSpec, int32) {
 	return c.events[i], i
 }
 
-// armCurrent prepares the awaiting event: counter baselines are
-// snapped, immediate (rendezvous) events fire now, relative-time
-// events start their timer.
-func (c *ChaosController) armCurrent() {
+// Arm prepares the awaiting event: counter baselines are snapped,
+// immediate (rendezvous) events fire now, relative-time events start
+// their timer. The runner calls it once its links are built and its
+// kill function installed; each fired event arms the next.
+func (c *ChaosController) Arm() {
 	ev, i := c.current()
 	if ev == nil {
 		return
@@ -566,16 +544,6 @@ func (c *ChaosController) fire(i int32) {
 		c.mu.Unlock()
 		if kill != nil {
 			kill(ev.Rank)
-		} else if ev.Rank >= 0 {
-			// Netlink-level fallback: sever the victim's connections.
-			c.mu.Lock()
-			links := c.links
-			c.mu.Unlock()
-			if ev.Rank < len(links) {
-				if a, ok := links[ev.Rank].(interface{ Abort() }); ok {
-					a.Abort()
-				}
-			}
 		}
 	case OpPartition:
 		c.until.Store(time.Now().Add(ev.Window).UnixNano())
@@ -603,7 +571,7 @@ func (c *ChaosController) fire(i int32) {
 			drain(ev.Rank)
 		}
 	}
-	c.armCurrent()
+	c.Arm()
 }
 
 // ChaosLink wraps one endpoint, feeding the controller's trigger
@@ -612,14 +580,6 @@ type ChaosLink struct {
 	Link
 	ctrl *ChaosController
 	rank int
-}
-
-// Abort forwards to the underlying link's Abort when it has one, so
-// the in-process kill path works through the wrapper.
-func (c *ChaosLink) Abort() {
-	if a, ok := c.Link.(interface{ Abort() }); ok {
-		a.Abort()
-	}
 }
 
 // stall applies a fired partition/delay window to this rank's send.

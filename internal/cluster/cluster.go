@@ -2,8 +2,8 @@
 // distributed algorithms: nomadic token batching (§3.5: accumulate ~100
 // (j, hⱼ) pairs per MPI message), the queue-length gossip payload that
 // powers NOMAD's dynamic load balancing (§3.3), the Link transport
-// interface with its simulated backend, and the chaos wrapper that
-// injects faults into a Link for the failover tests.
+// interface, and the chaos wrapper that injects faults into a Link for
+// the failover tests.
 package cluster
 
 import (

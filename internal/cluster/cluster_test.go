@@ -1,29 +1,69 @@
 package cluster
 
-import (
-	"testing"
+import "testing"
 
-	"nomad/internal/netsim"
-)
+// fakeLink records what is sent through it, so the sender and chaos
+// tests need no transport (the real one, internal/netlink, imports this
+// package). Send deep-copies each batch, as the Link boundary rule
+// requires of every implementation; methods no test calls are left to
+// the embedded nil Link.
+type fakeLink struct {
+	Link
+	rank, machines int
+	closed         bool
+	sent           [][]TokenBatch // per destination
+	ctl            []Ctl          // sent control frames; From holds the destination
+}
 
-// drainBatches closes the receiving side of a two-link sim cluster and
-// collects everything machine 1 received. Both endpoints' send sides
-// are closed first so the simulated network drains and shuts down.
-func drainBatches(t *testing.T, c *SimCluster) []TokenBatch {
-	t.Helper()
-	links := c.Links()
-	links[0].CloseSend() //nolint:errcheck
-	links[1].CloseSend() //nolint:errcheck
-	var batches []TokenBatch
-	for inb := range links[1].Recv() {
-		batches = append(batches, inb.Batch)
+// fakeLinks returns a cluster of recording endpoints, indexed by rank.
+func fakeLinks(machines int) ([]*fakeLink, []Link) {
+	fakes, links := make([]*fakeLink, machines), make([]Link, machines)
+	for r := range fakes {
+		fakes[r] = &fakeLink{rank: r, machines: machines, sent: make([][]TokenBatch, machines)}
+		links[r] = fakes[r]
 	}
-	return batches
+	return fakes, links
+}
+
+func (l *fakeLink) Rank() int     { return l.rank }
+func (l *fakeLink) Machines() int { return l.machines }
+
+func (l *fakeLink) Send(dst int, batch TokenBatch) error {
+	if l.closed {
+		return ErrLinkClosed
+	}
+	buf := GetBatchBuf()
+	for _, t := range batch.Tokens {
+		buf.Add(t.Item, t.Vec)
+	}
+	l.sent[dst] = append(l.sent[dst], buf.HandOff(batch.QueueLen))
+	return nil
+}
+
+func (l *fakeLink) SendCtl(dst int, kind uint8, payload []byte) error {
+	if l.closed {
+		return ErrLinkClosed
+	}
+	l.ctl = append(l.ctl, Ctl{From: dst, Kind: kind, Payload: append([]byte(nil), payload...)})
+	return nil
+}
+
+func (l *fakeLink) CloseSend() error {
+	l.closed = true
+	return nil
+}
+
+func (l *fakeLink) Stats() LinkStats {
+	var st LinkStats
+	for _, bs := range l.sent {
+		st.MessagesSent += int64(len(bs))
+	}
+	return st
 }
 
 func TestSenderBatches(t *testing.T) {
-	c := NewSimCluster(2, netsim.Instant(), 4)
-	s := NewSender(c.Links()[0], 3, func() int { return 7 })
+	fakes, links := fakeLinks(2)
+	s := NewSender(links[0], 3, func() int { return 7 })
 	for i := 0; i < 7; i++ {
 		s.Add(1, Token{Item: int32(i), Vec: make([]float64, 4)})
 	}
@@ -37,7 +77,7 @@ func TestSenderBatches(t *testing.T) {
 	if s.PendingTotal() != 0 {
 		t.Fatalf("pending after FlushAll = %d", s.PendingTotal())
 	}
-	batches := drainBatches(t, c)
+	batches := fakes[0].sent[1]
 	if len(batches) != 3 {
 		t.Fatalf("got %d batches, want 3", len(batches))
 	}
@@ -60,35 +100,38 @@ func TestSenderBatches(t *testing.T) {
 }
 
 func TestSenderFlushEmptyIsNoop(t *testing.T) {
-	c := NewSimCluster(2, netsim.Instant(), 4)
-	s := NewSender(c.Links()[0], 3, nil)
+	_, links := fakeLinks(2)
+	s := NewSender(links[0], 3, nil)
 	if err := s.Flush(1); err != nil {
 		t.Fatalf("Flush: %v", err)
 	}
 	if err := s.FlushAll(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
-	if st := c.Links()[0].Stats(); st.MessagesSent != 0 {
+	if st := links[0].Stats(); st.MessagesSent != 0 {
 		t.Fatal("empty flush sent messages")
 	}
-	c.Close()
 }
 
+// TestSenderWireSizeModelled: one flush is one message on the link,
+// carrying every pending token with its k coordinates — what the
+// codec then sizes on the wire.
 func TestSenderWireSizeModelled(t *testing.T) {
 	k := 10
-	c := NewSimCluster(2, netsim.Instant(), k)
-	link := c.Links()[0]
-	s := NewSender(link, 100, nil)
+	fakes, links := fakeLinks(2)
+	s := NewSender(links[0], 100, nil)
 	s.Add(1, Token{Item: 1, Vec: make([]float64, k)})
 	s.Add(1, Token{Item: 2, Vec: make([]float64, k)})
 	if err := s.FlushAll(); err != nil {
 		t.Fatalf("FlushAll: %v", err)
 	}
-	want := int64(8 + 2*netsim.VectorWireSize(k))
-	if st := link.Stats(); st.BytesSent != want {
-		t.Fatalf("BytesSent = %d, want %d", st.BytesSent, want)
+	if st := links[0].Stats(); st.MessagesSent != 1 {
+		t.Fatalf("MessagesSent = %d, want 1", st.MessagesSent)
 	}
-	c.Close()
+	b := fakes[0].sent[1][0]
+	if len(b.Tokens) != 2 || len(b.Tokens[0].Vec) != k || len(b.Tokens[1].Vec) != k {
+		t.Fatalf("message = %+v, want two tokens of %d coordinates", b, k)
+	}
 }
 
 // TestSenderFlushAfterCloseIsSafe is the regression test for the
@@ -96,8 +139,8 @@ func TestSenderWireSizeModelled(t *testing.T) {
 // link has already closed (a peer machine exited first) must be
 // an idempotent no-op, not a panic through the transport.
 func TestSenderFlushAfterCloseIsSafe(t *testing.T) {
-	c := NewSimCluster(2, netsim.Instant(), 2)
-	link := c.Links()[0]
+	_, links := fakeLinks(2)
+	link := links[0]
 	s := NewSender(link, 10, nil)
 	s.Add(1, Token{Item: 1, Vec: make([]float64, 2)})
 	link.CloseSend() //nolint:errcheck // close under the sender's feet
@@ -114,41 +157,4 @@ func TestSenderFlushAfterCloseIsSafe(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close after close: %v", err)
 	}
-	c.Close()
-}
-
-func TestSimLinkSendAfterCloseSendFails(t *testing.T) {
-	c := NewSimCluster(2, netsim.Instant(), 1)
-	link := c.Links()[0]
-	link.CloseSend() //nolint:errcheck
-	if err := link.Send(1, TokenBatch{}); err != ErrLinkClosed {
-		t.Fatalf("Send after CloseSend = %v, want ErrLinkClosed", err)
-	}
-	if err := link.CloseSend(); err != nil {
-		t.Fatalf("second CloseSend: %v", err)
-	}
-	c.Close()
-}
-
-func TestSimLinkCtlRoundTrip(t *testing.T) {
-	c := NewSimCluster(3, netsim.Instant(), 1)
-	links := c.Links()
-	if err := links[0].SendCtl(2, 7, []byte("payload")); err != nil {
-		t.Fatalf("SendCtl: %v", err)
-	}
-	if err := links[1].SendCtl(-1, 9, nil); err != nil {
-		t.Fatalf("broadcast SendCtl: %v", err)
-	}
-	got := map[uint8]int{}
-	for i := 0; i < 2; i++ {
-		ct := <-links[2].Ctl()
-		got[ct.Kind] = ct.From
-		if ct.Kind == 7 && string(ct.Payload) != "payload" {
-			t.Fatalf("payload = %q", ct.Payload)
-		}
-	}
-	if got[7] != 0 || got[9] != 1 {
-		t.Fatalf("ctl senders = %v", got)
-	}
-	c.Close()
 }

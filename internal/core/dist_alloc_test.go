@@ -26,8 +26,8 @@ import (
 // tokens crossed the wire: set-up, the initial placement, link boot
 // and buffer growth to the machines' peak holdings are paid in both.
 // So the difference in mallocs over the difference in wire tokens is
-// the steady-state cost of one hop; what remains is the sim link's one
-// clone arena per message.
+// the steady-state cost of one hop. Both backends run the same codec,
+// the sim rows over in-memory connections.
 func TestDistributedTokenPathAllocFree(t *testing.T) {
 	ds, err := dataset.LongtailLike(0.01).Generate()
 	if err != nil {

@@ -23,8 +23,8 @@ import (
 )
 
 // TestDistributedBackendMatrix runs the async distributed runner over
-// both link backends: the simulated network and a real TCP loopback
-// mesh speaking the netlink wire protocol.
+// both backends: the netlink wire protocol over paced in-memory
+// connections and over a real TCP loopback mesh.
 func TestDistributedBackendMatrix(t *testing.T) {
 	ds := testData(t)
 	for _, backend := range []string{"sim", "tcp"} {

@@ -277,8 +277,8 @@ func (mc *meshMachine) held() [][]int32 {
 }
 
 // trainDistributed runs NOMAD across cfg.Machines machines in this
-// process, connected by the configured link backend (simulated network
-// or TCP), over one shared model. Resume restores the model, per-rating
+// process, connected by the link over the configured connections
+// (in-memory or TCP), over one shared model. Resume restores the model, per-rating
 // schedule counts and RNG streams; tokens (whose vectors never left the
 // model rows at teardown) are re-scattered.
 func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks, vl *visitLog) (*train.Result, error) {
@@ -375,7 +375,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		cfg.Elastic.Bind(fo.requestJoin, fo.requestDrain)
 	}
 	if chaos != nil {
-		chaos.Arm(links)
+		chaos.Arm()
 	}
 
 	// The recorder publishes the first TraceEvent, so it starts only
@@ -584,11 +584,13 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 	var idle idleBackoff
 	for {
 		if fo.machineGone(mc.id) {
-			// A killed (or fully drained) machine's sender winds down like
-			// a crashed process: nothing pending is flushed (a victim's
-			// tokens are exactly what failover regenerates; a leaver's are
-			// already streamed out) and the outbound stream just ends.
-			link.CloseSend() //nolint:errcheck // aborted transport: best-effort
+			// A killed or fully drained machine's sender winds down without
+			// flushing (failover regenerates a victim's tokens; a leaver's
+			// are streamed out). Only a leaver ends its stream in order: a
+			// victim's ends with its link's abort, as a crash's does.
+			if !fo.dead[mc.id].Load() {
+				link.CloseSend() //nolint:errcheck // best effort
+			}
 			return
 		}
 		select {

@@ -10,6 +10,7 @@ import (
 
 	"nomad/internal/cluster"
 	"nomad/internal/factor"
+	"nomad/internal/netlink"
 	"nomad/internal/netsim"
 	"nomad/internal/rng"
 )
@@ -220,13 +221,19 @@ func TestVisitPlansFollowedConcurrently(t *testing.T) {
 }
 
 // TestReceiverRejectsOutOfRangeItem sends the real receiver, through a
-// sim link, a batch whose second token names an item past the model.
+// link over in-memory connections, a batch whose second token names an
+// item past the model.
 // The run must be failed with an error naming the sending machine —
 // not a panic on a model row, a rating list or an ownership bitmap —
 // nothing of that batch may be delivered, and the receiver must keep
 // draining until the stream ends.
 func TestReceiverRejectsOutOfRangeItem(t *testing.T) {
-	links := cluster.NewSimCluster(2, netsim.Instant(), deliveryK).Links()
+	links := netlink.Pipe(2, netsim.Instant(), netlink.Options{K: deliveryK})
+	defer func() {
+		for _, l := range links {
+			l.Close() //nolint:errcheck
+		}
+	}()
 	mc := deliveryMachine(1, 64, 2, 1)
 	batches := [][]cluster.Token{
 		{{Item: 3, Vec: deliveryVec(3)}},

@@ -210,7 +210,6 @@ type foMachine struct {
 type failoverRuntime struct {
 	M, W, K, n int // M counts every provisioned slot, spares included
 	activeN    int // initial member count (ranks < activeN start active)
-	backendTCP bool
 
 	hooks *train.Hooks
 
@@ -286,22 +285,21 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 	words := (n + 63) / 64
 	fo := &failoverRuntime{
 		M: M, W: W, K: cfg.K, n: n,
-		activeN:    cfg.Machines,
-		backendTCP: cfg.Backend == "tcp",
-		hooks:      hooks,
-		m:          make([]*foMachine, M),
-		dead:       make([]atomic.Bool, M),
-		parted:     make([]atomic.Bool, M),
-		active:     make([]atomic.Bool, M),
-		owned:      make([][]atomic.Uint64, M),
-		sent:       make([][]atomic.Int64, M),
-		rcvd:       make([][]atomic.Int64, M),
-		donate:     make([]atomic.Int64, M),
-		widle:      make([][]atomic.Bool, M),
-		claimed:    make([]bool, M),
-		drainReq:   make([]bool, M),
-		deathAt:    map[int]int64{},
-		stopping:   make(chan struct{}),
+		activeN:  cfg.Machines,
+		hooks:    hooks,
+		m:        make([]*foMachine, M),
+		dead:     make([]atomic.Bool, M),
+		parted:   make([]atomic.Bool, M),
+		active:   make([]atomic.Bool, M),
+		owned:    make([][]atomic.Uint64, M),
+		sent:     make([][]atomic.Int64, M),
+		rcvd:     make([][]atomic.Int64, M),
+		donate:   make([]atomic.Int64, M),
+		widle:    make([][]atomic.Bool, M),
+		claimed:  make([]bool, M),
+		drainReq: make([]bool, M),
+		deathAt:  map[int]int64{},
+		stopping: make(chan struct{}),
 	}
 	fo.donateTo.Store(-1)
 	fo.drainTarget.Store(-1)
@@ -503,10 +501,9 @@ func (fo *failoverRuntime) noteRecovered(victim int) {
 // killMachine is the chaos controller's kill function: machine victim
 // (-1 = highest selectable rank) dies in-process. Its workers, sender
 // and receiver observe the dead flag and wind down like a crashed
-// process would; on TCP the victim's link is additionally severed so
-// the survivors' transports see a real failure. The direct
-// notifications double as netsim's failure detector — the simulated
-// network has no failure semantics of its own.
+// process would, and its link is aborted, so the survivors learn of
+// the death the way they would of a real one: their links report it
+// through OnPeerDown, on both backends.
 func (fo *failoverRuntime) killMachine(victim int) {
 	if fo == nil {
 		return
@@ -523,20 +520,7 @@ func (fo *failoverRuntime) killMachine(victim int) {
 		return
 	}
 	fo.noteDeath(victim, "chaos kill")
-	if fo.backendTCP && fo.links != nil {
-		if a, ok := fo.links[victim].(interface{ Abort() }); ok {
-			a.Abort()
-		}
-	}
-	for s := 0; s < fo.M; s++ {
-		if s == victim || fo.gone(s) {
-			continue
-		}
-		select {
-		case fo.m[s].notify <- foEvent{kind: evDetect, victim: victim, cause: "chaos kill"}:
-		default:
-		}
-	}
+	fo.links[victim].Abort()
 }
 
 // ---- elastic membership requests ----
@@ -725,8 +709,9 @@ func (fo *failoverRuntime) noteSent(i, dst int, item int32) {
 
 // acceptBatch reports whether machine i's receiver should deliver a
 // batch from src: a dead or drained machine discards everything (it
-// must keep draining — the netsim courier stalls network-wide
-// otherwise), and survivors drop frames from evicted peers.
+// must keep draining — its link's reader, and behind it the peer's
+// writer, would stall otherwise), and survivors drop frames from
+// evicted peers.
 func (fo *failoverRuntime) acceptBatch(i, src int) bool {
 	if fo == nil {
 		return true

@@ -94,9 +94,9 @@ func (fo *failoverRuntime) runAgent(i int) {
 			a.checkFences()
 		case <-fo.stopping:
 			// Abandon the protocol but keep the ctl channel draining: a
-			// blocked channel would wedge the transport (the netsim
-			// courier and the TCP readers both block on it) and deadlock
-			// the teardown this shutdown is part of.
+			// blocked channel would wedge the transport (the link's
+			// readers block on it) and deadlock the teardown this
+			// shutdown is part of.
 			for range ctl { //nolint:revive // drain until closed
 			}
 			return

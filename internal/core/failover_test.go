@@ -7,8 +7,11 @@ package core
 
 import (
 	"context"
+	"maps"
 	"math"
+	"sync"
 	"testing"
+	"time"
 
 	"nomad/internal/cluster"
 	"nomad/internal/train"
@@ -120,6 +123,62 @@ func TestFailoverKillPoints(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestSimKillDetectedThroughLink: on the sim backend a chaos kill
+// reaches the survivors the way a real death does. With the links a
+// run builds and the failover runtime's kill function behind the chaos
+// controller, every survivor's link reports the victim exactly once
+// through OnPeerDown, and the victim's own link reports nothing; a
+// whole run with that kill recovers exactly once.
+func TestSimKillDetectedThroughLink(t *testing.T) {
+	cfg, ds := failoverConfig("sim"), testData(t)
+	const victim = 2
+	want := map[[2]int]int{{0, victim}: 1, {1, victim}: 1, {3, victim}: 1}
+	var mu sync.Mutex
+	reports := map[[2]int]int{} // (observer, reported rank) → count
+	all := make(chan struct{})  // closed once every survivor has reported
+	links, err := buildLinks(context.Background(), ds, cfg, nil, func(self, rank int, _ error) {
+		mu.Lock()
+		reports[[2]int{self, rank}]++
+		if len(reports) == len(want) {
+			close(all)
+		}
+		mu.Unlock()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo := newFailoverRuntime(cfg, nil, ds.Cols())
+	fo.links = links
+	spec, err := cluster.ParseChaos("kill:rank=2,at=mid-epoch,after=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chaos := cluster.NewChaosController(spec)
+	chaos.OnKill(fo.killMachine)
+	// The send fires the kill before it reaches the link, which the
+	// kill has just aborted: its error is the victim's, not the test's.
+	chaos.WrapAll(links)[victim].Send(0, cluster.TokenBatch{}) //nolint:errcheck
+	if !chaos.Fired() {
+		t.Fatal("the kill did not fire on the victim's first send")
+	}
+	select {
+	case <-all:
+	case <-time.After(5 * time.Second):
+	}
+	for _, l := range links {
+		l.Close() //nolint:errcheck
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !maps.Equal(reports, want) {
+		t.Fatalf("OnPeerDown reports (observer, rank) → count = %v, want %v", reports, want)
+	}
+
+	res, downs, recovs := runFailover(t, cfg, "kill:rank=2,at=mid-epoch")
+	requireRecovered(t, downs, recovs, victim)
+	requireConverged(t, res)
 }
 
 // TestFailoverPartitionHeals: a partition (stalled victim) is not a

@@ -1,10 +1,10 @@
 package core
 
 // Backend selection for distributed runs: the token runners are
-// written against cluster.Link, and this file decides which transport
-// stands behind it — the modelled in-process network (netsim) or real
-// TCP sockets (netlink), as a loopback mesh in this process or a true
-// multi-process cluster.
+// written against cluster.Link, whose one implementation is netlink's
+// TCP link, and this file decides which connections stand under it —
+// netsim's paced in-memory connections (sim) or real sockets (tcp), as
+// a loopback mesh in this process or a true multi-process cluster.
 
 import (
 	"context"
@@ -35,7 +35,7 @@ func configDigest(ds *dataset.Dataset, cfg train.Config, replay bool) uint64 {
 	return h.Sum64()
 }
 
-// netlinkOptions builds the TCP link options for a run, wiring peer
+// netlinkOptions builds the link options for a run, wiring peer
 // failures into the typed event stream. onPeerDown, when non-nil,
 // overrides the default whole-run reporting — the failover runtime
 // installs its detection entry point there and enables per-peer
@@ -57,18 +57,17 @@ func netlinkOptions(cfg train.Config, hooks *train.Hooks, onPeerDown func(self, 
 }
 
 // buildLinks returns one Link per machine for a single-process
-// distributed run: netsim endpoints for the sim backend, or a real TCP
-// loopback mesh (full rendezvous, wire protocol and failure detection
-// on 127.0.0.1) for the tcp backend. onPeerDown is the failover
-// detection sink (nil without failover).
+// distributed run: the TCP link over cfg.Profile's paced in-memory
+// connections (sim) or over a loopback mesh with full rendezvous (tcp).
+// onPeerDown is the failover detection sink (nil without failover).
+// The mesh spans every slot that could ever join, latent spares too.
 func buildLinks(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks, onPeerDown func(self, rank int, err error)) ([]cluster.Link, error) {
+	opts := netlinkOptions(cfg, hooks, onPeerDown)
 	switch cfg.Backend {
 	case "", "sim":
-		// Elastic spares are provisioned up front: the mesh is built for
-		// every slot that could ever join, latent ranks included.
-		return cluster.NewSimCluster(cfg.TotalMachines(), cfg.Profile, cfg.K).Links(), nil
+		return netlink.Pipe(cfg.TotalMachines(), cfg.Profile, opts), nil
 	case "tcp":
-		return netlink.Loopback(ctx, cfg.TotalMachines(), configDigest(ds, cfg, false), nil, nil, netlinkOptions(cfg, hooks, onPeerDown))
+		return netlink.Loopback(ctx, cfg.TotalMachines(), configDigest(ds, cfg, false), nil, nil, opts)
 	}
 	return nil, fmt.Errorf("core: unknown distributed backend %q (sim, tcp)", cfg.Backend)
 }

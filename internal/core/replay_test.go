@@ -22,7 +22,7 @@ func replayHooks(visits *int64) *train.Hooks {
 // serially through the worker's hot path, reproduce the run's factors,
 // step counts and update total bit for bit — shared memory at p = 2
 // with the lanes on (K = 16), in both precisions, and the in-process
-// distributed runner at M = 4, W = 2 over the simulated network and
+// distributed runner at M = 4, W = 2 over in-memory connections and
 // over TCP, with the lanes on and, at K = 8, which has no two-list
 // kernel, off. A difference fails Train itself.
 func TestReplayBitEqual(t *testing.T) {
@@ -54,7 +54,7 @@ func TestReplayBitEqual(t *testing.T) {
 	}
 }
 
-// TestReplayBackendParity: one configuration over the simulated network
+// TestReplayBackendParity: one configuration over in-memory connections
 // and over TCP — each run replayed bit for bit — lands at the same
 // final RMSE within 0.04. Over 16 seeded runs of each on this dataset
 // the two backends differed by at most 0.012; the asynchronous

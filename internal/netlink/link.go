@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"nomad/internal/cluster"
+	"nomad/internal/netsim"
 )
 
 // Options tunes a TCP link and its rendezvous.
@@ -144,6 +145,18 @@ func newTCP(rank, machines int, conns map[int]net.Conn, opts Options) *TCP {
 		l.closeChannels()
 	}()
 	return l
+}
+
+// Pipe builds a whole cluster of TCP links in one process over
+// netsim's paced in-memory connections (the sim backend): Loopback's
+// codec, heartbeats and eviction without sockets, and without a
+// rendezvous, since one process has one config. Indexed by rank.
+func Pipe(machines int, p netsim.Profile, opts Options) []cluster.Link {
+	links := make([]cluster.Link, machines)
+	for r, conns := range netsim.Mesh(machines, p) {
+		links[r] = newTCP(r, machines, conns, opts)
+	}
+	return links
 }
 
 // Rank implements cluster.Link.
@@ -310,23 +323,21 @@ func (l *TCP) CloseSend() error {
 // Close implements cluster.Link.
 func (l *TCP) Close() error {
 	l.CloseSend() //nolint:errcheck // best-effort EOF first
-	l.downOnce.Do(func() {
-		close(l.down)
-		for _, p := range l.peers {
-			if p != nil {
-				p.conn.Close()
-			}
-		}
-	})
+	l.teardown()
 	l.wg.Wait()
 	return nil
 }
 
-// Abort kills every connection immediately, without the orderly EOF.
-// Peers observe it as this machine failing — exactly what a crashed
-// process looks like. It exists for failure-injection tests.
+// Abort implements cluster.Link: every connection closes at once,
+// without the orderly EOF.
 func (l *TCP) Abort() {
 	l.sendClosed.Store(true)
+	l.teardown()
+}
+
+// teardown closes the down channel and every connection, once, so
+// all blocked I/O unwinds.
+func (l *TCP) teardown() {
 	l.downOnce.Do(func() {
 		close(l.down)
 		for _, p := range l.peers {
@@ -393,14 +404,7 @@ func (l *TCP) peerDown(p *peer, cause error) {
 				l.writeFrame(q, FrameEOF, nil) //nolint:errcheck // best effort
 			}
 		}
-		l.downOnce.Do(func() {
-			close(l.down)
-			for _, q := range l.peers {
-				if q != nil {
-					q.conn.Close()
-				}
-			}
-		})
+		l.teardown()
 	})
 }
 

@@ -475,51 +475,41 @@ func Join(ctx context.Context, join, listen string, configSum uint64, opts Optio
 // process, every machine on 127.0.0.1 with an ephemeral port — the
 // same wire protocol, rendezvous and failure detection as a
 // multi-process run, minus the processes. It is the tcp backend of
-// single-process distributed training and the workhorse of the
-// (sim | tcp) test matrix. The returned links are indexed by rank.
+// single-process distributed training (Pipe is the sim one). The
+// returned links are indexed by rank.
 func Loopback(ctx context.Context, machines int, configSum uint64, owner []int32, st *train.State, opts Options) ([]cluster.Link, error) {
 	coord, err := NewCoordinator("127.0.0.1:0", machines, configSum, owner, st, opts)
 	if err != nil {
 		return nil, err
 	}
 	links := make([]cluster.Link, machines)
-	errc := make(chan error, machines)
-	var mu sync.Mutex
-	go func() {
-		l, err := coord.Run(ctx)
-		if err == nil {
-			mu.Lock()
-			links[0] = l
-			mu.Unlock()
-		}
-		errc <- err
-	}()
-	for i := 1; i < machines; i++ {
+	errs := make([]error, machines)
+	var wg sync.WaitGroup
+	for i := range machines {
+		wg.Add(1)
 		go func() {
-			l, _, err := Join(ctx, coord.Addr(), "127.0.0.1:0", configSum, opts)
-			if err == nil {
-				mu.Lock()
-				links[l.Rank()] = l
-				mu.Unlock()
+			defer wg.Done()
+			var l *TCP
+			if i == 0 {
+				l, errs[i] = coord.Run(ctx)
+			} else {
+				l, _, errs[i] = Join(ctx, coord.Addr(), "127.0.0.1:0", configSum, opts)
 			}
-			errc <- err
+			if l != nil {
+				links[l.Rank()] = l // ranks are distinct: one writer per slot
+			}
 		}()
 	}
-	var firstErr error
-	for i := 0; i < machines; i++ {
-		if err := <-errc; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		mu.Lock()
-		for _, l := range links {
-			if l != nil {
-				l.Close() //nolint:errcheck
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			for _, l := range links {
+				if l != nil {
+					l.Close() //nolint:errcheck
+				}
 			}
+			return nil, err
 		}
-		mu.Unlock()
-		return nil, firstErr
 	}
 	return links, nil
 }

@@ -1,10 +1,10 @@
-// Package netlink is the real-network backend of NOMAD's distributed
-// mode: a length-prefixed binary wire protocol over TCP, a coordinator
-// rendezvous that assigns machine ranks and broadcasts the item
-// (column) ownership map, and a mesh Link with heartbeat-based peer
-// failure detection. It implements cluster.Link, so the training
-// runners in internal/core are identical over netsim and over real
-// sockets.
+// Package netlink is NOMAD's machine link: a length-prefixed binary
+// wire protocol, a coordinator rendezvous that assigns machine ranks
+// and broadcasts the item (column) ownership map, and a mesh Link with
+// heartbeat-based peer failure detection. It implements cluster.Link
+// over real TCP sockets (Loopback, Coordinator, Join) or over netsim's
+// paced in-memory connections (Pipe), so both backends of internal/core
+// run one link.
 //
 // Every frame on the wire is:
 //

@@ -7,10 +7,13 @@
 // latency plus a serialization delay (size ÷ link bandwidth) on the
 // sender's egress link, so senders with more outbound traffic really do
 // fall behind, exactly the effect that separates the commodity-cluster
-// results (Fig 11) from the HPC results (Fig 8).
+// results (Fig 11) from the HPC results (Fig 8). It comes in two forms
+// with one pacer: Mesh's in-memory connections, which NOMAD's TCP link
+// runs over on the sim backend, and Network, which carries the
+// bulk-synchronous baselines' factor blocks.
 //
-// Delays shorter than a scheduling quantum are accumulated as debt and
-// slept in batches, so modelled bandwidth stays accurate even when
+// Delays shorter than a scheduling quantum are accumulated as a backlog
+// and slept in batches, so modelled bandwidth stays accurate even when
 // individual messages are microseconds long.
 package netsim
 
@@ -86,24 +89,42 @@ func New(machines int, p Profile) *Network {
 	return n
 }
 
+// pacer is one machine's egress link: each message occupies it for
+// size ÷ bandwidth after everything charged before it, which is through
+// at free. A sender sleeps that backlog off, its own message included,
+// once it reaches a quantum, outside the lock.
+type pacer struct {
+	mu   sync.Mutex
+	bw   float64 // bytes per second; 0 = infinite
+	free time.Time
+}
+
+func (p *pacer) charge(size int) {
+	if p.bw <= 0 {
+		return
+	}
+	const quantum = 200 * time.Microsecond
+	p.mu.Lock()
+	now := time.Now()
+	if p.free.Before(now) {
+		p.free = now
+	}
+	p.free = p.free.Add(time.Duration(float64(size) / p.bw * float64(time.Second)))
+	backlog := p.free.Sub(now)
+	p.mu.Unlock()
+	if backlog >= quantum {
+		time.Sleep(backlog)
+	}
+}
+
 // courier serializes machine id's outbound messages onto its egress
 // link, then schedules delivery after the propagation latency.
 func (n *Network) courier(id int) {
 	defer n.wg.Done()
-	var debt time.Duration // accumulated un-slept serialization time
-	const quantum = 200 * time.Microsecond
+	egress := pacer{bw: n.profile.Bandwidth}
 	for msg := range n.egress[id] {
-		if n.profile.Bandwidth > 0 {
-			debt += time.Duration(float64(msg.Size) / n.profile.Bandwidth * float64(time.Second))
-			if debt >= quantum {
-				time.Sleep(debt)
-				debt = 0
-			}
-		}
+		egress.charge(msg.Size)
 		n.deliver(msg)
-	}
-	if debt > 0 {
-		time.Sleep(debt)
 	}
 }
 
@@ -165,11 +186,6 @@ func (n *Network) BytesSent() int64 { return n.bytesSent.Load() }
 
 // MessagesSent returns the cumulative number of messages sent.
 func (n *Network) MessagesSent() int64 { return n.msgsSent.Load() }
-
-// VectorWireSize returns the modelled wire size of one nomadic (j, hⱼ)
-// token of rank k: a 4-byte item index, a 4-byte queue-length payload
-// (the §3.3 load-balancing hint) and k float64 coordinates.
-func VectorWireSize(k int) int { return 8 + 8*k }
 
 // BlockWireSize returns the modelled wire size of a factor block of
 // rows×k float64s plus a small header, as exchanged by the

@@ -160,9 +160,6 @@ func TestManySendersNoLoss(t *testing.T) {
 }
 
 func TestWireSizes(t *testing.T) {
-	if VectorWireSize(100) != 808 {
-		t.Fatalf("VectorWireSize(100) = %d", VectorWireSize(100))
-	}
 	if BlockWireSize(10, 100) != 16+8000 {
 		t.Fatalf("BlockWireSize(10,100) = %d", BlockWireSize(10, 100))
 	}

@@ -40,6 +40,7 @@ func (l *downLink) SendCtl(int, uint8, []byte) error   { return l.err }
 func (l *downLink) Ctl() <-chan cluster.Ctl            { return l.ctl }
 func (l *downLink) CloseSend() error                   { return nil }
 func (l *downLink) Close() error                       { return nil }
+func (l *downLink) Abort()                             {}
 func (l *downLink) Err() error                         { return l.err }
 func (l *downLink) Stats() cluster.LinkStats           { return cluster.LinkStats{} }
 

@@ -7,6 +7,7 @@ import (
 
 	"nomad/internal/cluster"
 	"nomad/internal/factor"
+	"nomad/internal/netlink"
 	"nomad/internal/netsim"
 	"nomad/internal/partition"
 	"nomad/internal/topn"
@@ -56,13 +57,24 @@ func TestShardWireRoundTrip(t *testing.T) {
 	}
 }
 
+// pipeLinks is a cluster of links over in-memory connections.
+func pipeLinks(machines, k int) []cluster.Link {
+	return netlink.Pipe(machines, netsim.Instant(), netlink.Options{K: k})
+}
+
+// closeAll closes every link of a cluster.
+func closeAll(links []cluster.Link) {
+	for _, l := range links {
+		l.Close() //nolint:errcheck
+	}
+}
+
 // gatherHarness boots a gateway plus shards-1 peer shard servers over
-// an in-process simulated cluster, each owning one contiguous item
-// range of md — the same partition.EqualRanges split training uses.
+// an in-process cluster, each owning one contiguous item range of md —
+// the same partition.EqualRanges split training uses.
 func gatherHarness(t *testing.T, md *factor.Model, shards int) (*Gateway, func()) {
 	t.Helper()
-	sim := cluster.NewSimCluster(shards, netsim.Instant(), md.K)
-	links := sim.Links()
+	links := pipeLinks(shards, md.K)
 	parts := partition.EqualRanges(md.N, shards)
 	localStore := NewStore()
 	localStore.Promote(&Epoch{Seq: 1, Model: md, Index: BuildIndex(md, parts.Part(0))})
@@ -77,7 +89,7 @@ func gatherHarness(t *testing.T, md *factor.Model, shards int) (*Gateway, func()
 	}
 	return gw, func() {
 		cancel()
-		sim.Close()
+		closeAll(links)
 	}
 }
 
@@ -104,9 +116,8 @@ func TestGatherMatchesSingleShard(t *testing.T) {
 
 func TestGatherEmptyShard(t *testing.T) {
 	md := factor.NewInitP(4, 60, 4, 2, factor.Float64)
-	sim := cluster.NewSimCluster(2, netsim.Instant(), md.K)
-	links := sim.Links()
-	defer sim.Close()
+	links := pipeLinks(2, md.K)
+	defer closeAll(links)
 	localStore := NewStore()
 	localStore.Promote(&Epoch{Seq: 1, Model: md, Index: BuildIndex(md, nil)})
 	gw := NewGateway(links[0], localStore, time.Second)

@@ -35,8 +35,10 @@ type BalanceEvent struct {
 	QueueLen int64
 }
 
-// NetworkEvent reports cumulative simulated-network accounting. Zero
-// for single-machine runs.
+// NetworkEvent reports cumulative network accounting: for NOMAD the
+// wire bytes and frames its link wrote, on both backends; for the
+// bulk-synchronous baselines the modelled bytes and messages of their
+// simulated block network. Zero for single-machine runs.
 type NetworkEvent struct {
 	BytesSent    int64
 	MessagesSent int64

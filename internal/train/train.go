@@ -37,10 +37,12 @@ type Config struct {
 	Workers  int
 	Profile  netsim.Profile
 
-	// Backend selects the machine-to-machine transport for distributed
-	// runs: "" or "sim" for the modelled in-process network (netsim),
-	// "tcp" for real TCP sockets — a loopback mesh inside one process,
-	// or a true multi-process cluster when Role is set.
+	// Backend selects the connections under the machine link of
+	// distributed runs: "" or "sim" for netsim's paced in-memory
+	// connections (priced by Profile), "tcp" for real TCP sockets — a
+	// loopback mesh inside one process, or a true multi-process cluster
+	// when Role is set. Both run the same wire protocol, heartbeats and
+	// failure detection.
 	Backend string
 	// Role places this process in a multi-process cluster: "" for
 	// single-process runs, "coordinator" (rank 0, listens on Listen and

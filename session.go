@@ -144,10 +144,12 @@ func WithWorkers(n int) Option {
 }
 
 // WithCluster runs on `machines` machines. network selects the
-// backend: "instant", "hpc" or "commodity" are profiles of the
-// in-process simulated network; "tcp" is the real-socket backend
-// (netlink wire protocol, rendezvous, heartbeat failure detection).
-// Default is a single machine (no network).
+// backend: "instant", "hpc" or "commodity" price paced in-memory
+// connections with a latency and a bandwidth; "tcp" uses real sockets
+// with a rendezvous. Both carry NOMAD's one link (netlink wire
+// protocol, heartbeat failure detection); the baselines use the
+// profile's simulated block network. Default is a single machine (no
+// network).
 //
 // The optional address list places the run in a real multi-process
 // cluster (network "tcp" only):
