@@ -67,7 +67,7 @@ func main() {
 		modelOut   = flag.String("model", "", "write the trained model to this file")
 		checkpoint = flag.String("checkpoint", "", "write the full training state to this file on exit")
 		resume     = flag.String("resume", "", "resume from a checkpoint written by -checkpoint")
-		quiet      = flag.Bool("quiet", false, "suppress the live event stream")
+		quiet      = flag.Bool("quiet", false, "suppress the live event lines (the summary's machine-readable lines stay)")
 	)
 	flag.Parse()
 
@@ -150,52 +150,48 @@ func main() {
 	}
 
 	// Stream events live: trace samples as they are taken, epoch
-	// boundaries, network accounting for distributed runs.
+	// boundaries, cluster membership changes. -quiet silences the
+	// per-event lines; the summary's machine-readable lines (replay:,
+	// recovery_ms:, resize_ms:) come from events, so the run is always
+	// subscribed.
 	done := make(chan struct{})
-	cancelSub := func() {}
 	recoveryMs := -1.0                 // set by the printer goroutine, read after <-done
 	resizeMs := map[string][]float64{} // per-kind commit latencies, same discipline
 	replayed := int64(-1)              // visits the replay check reproduced, same discipline
-	if *quiet && !*replay {
-		close(done)
-	} else {
-		var events <-chan nomad.Event
-		events, cancelSub = s.Subscribe(256)
+	events, cancelSub := s.Subscribe(256)
+	say := func(format string, args ...any) {
 		if !*quiet {
-			fmt.Printf("%-10s %-12s %s\n", "seconds", "updates", "testRMSE")
+			fmt.Printf(format, args...)
 		}
-		go func() {
-			defer close(done)
-			for e := range events {
-				if ev, ok := e.(nomad.ReplayEvent); ok {
-					replayed = ev.Visits
-				}
-				if *quiet {
-					continue
-				}
-				switch ev := e.(type) {
-				case nomad.TraceEvent:
-					fmt.Printf("%-10.3f %-12d %.6f\n", ev.Seconds, ev.Updates, ev.RMSE)
-				case nomad.EpochEvent:
-					fmt.Printf("          [epoch %d complete at %d updates]\n", ev.Epoch, ev.Updates)
-				case nomad.PeerDownEvent:
-					fmt.Printf("          [machine %d DOWN: %s]\n", ev.Rank, ev.Reason)
-				case nomad.PeerRecoveredEvent:
-					fmt.Printf("          [machine %d recovered by failover in %.1fms]\n",
-						ev.Rank, ev.RecoverySeconds*1e3)
-					recoveryMs = ev.RecoverySeconds * 1e3
-				case nomad.ResizeEvent:
-					verb := "joined"
-					if ev.Kind == "drain" {
-						verb = "drained"
-					}
-					fmt.Printf("          [machine %d %s in %.1fms; %d machines active]\n",
-						ev.Rank, verb, ev.Seconds*1e3, ev.Machines)
-					resizeMs[ev.Kind] = append(resizeMs[ev.Kind], ev.Seconds*1e3)
-				}
-			}
-		}()
 	}
+	say("%-10s %-12s %s\n", "seconds", "updates", "testRMSE")
+	go func() {
+		defer close(done)
+		for e := range events {
+			switch ev := e.(type) {
+			case nomad.TraceEvent:
+				say("%-10.3f %-12d %.6f\n", ev.Seconds, ev.Updates, ev.RMSE)
+			case nomad.EpochEvent:
+				say("          [epoch %d complete at %d updates]\n", ev.Epoch, ev.Updates)
+			case nomad.PeerDownEvent:
+				say("          [machine %d DOWN: %s]\n", ev.Rank, ev.Reason)
+			case nomad.PeerRecoveredEvent:
+				say("          [machine %d recovered by failover in %.1fms]\n",
+					ev.Rank, ev.RecoverySeconds*1e3)
+				recoveryMs = ev.RecoverySeconds * 1e3
+			case nomad.ResizeEvent:
+				verb := "joined"
+				if ev.Kind == "drain" {
+					verb = "drained"
+				}
+				say("          [machine %d %s in %.1fms; %d machines active]\n",
+					ev.Rank, verb, ev.Seconds*1e3, ev.Machines)
+				resizeMs[ev.Kind] = append(resizeMs[ev.Kind], ev.Seconds*1e3)
+			case nomad.ReplayEvent:
+				replayed = ev.Visits
+			}
+		}
+	}()
 
 	// Ctrl-C (or SIGTERM) cancels the run's context; every solver
 	// stops promptly and hands back its partial state. With -drain the

@@ -122,7 +122,7 @@ func (*ALS) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 			updates.Add(touched)
 		})
 		sweeps++
-		hooks.EmitEpoch(train.EpochEvent{Epoch: sweeps, Updates: updates.Load()})
+		hooks.Emit(train.EpochEvent{Epoch: sweeps, Updates: updates.Load()})
 		if rec.Due(updates.Load()) {
 			rec.Sample(md, updates.Load())
 		}

@@ -181,9 +181,9 @@ func (*CCD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, ho
 			}
 		}
 		outer++
-		hooks.EmitEpoch(train.EpochEvent{Epoch: outer, Updates: updates.Load()})
+		hooks.Emit(train.EpochEvent{Epoch: outer, Updates: updates.Load()})
 		if cfg.Machines > 1 {
-			hooks.EmitNetwork(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
+			hooks.Emit(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
 		}
 		if rec.Due(updates.Load()) {
 			rec.Sample(md, updates.Load())

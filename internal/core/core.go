@@ -87,7 +87,7 @@ func (*NOMAD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 	if rerr != nil {
 		return res, rerr
 	}
-	hooks.EmitReplay(train.ReplayEvent{Visits: visits})
+	hooks.Emit(train.ReplayEvent{Visits: visits})
 	return res, err
 }
 

@@ -47,7 +47,7 @@ func TestDistributedTokenPathAllocFree(t *testing.T) {
 		var hooks *train.Hooks
 		if tc.replay {
 			name += "_replay"
-			hooks = &train.Hooks{Replay: func(train.ReplayEvent) {}}
+			hooks = &train.Hooks{Replay: true}
 		}
 		t.Run(name, func(t *testing.T) {
 			cfg := train.Config{

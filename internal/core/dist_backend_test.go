@@ -109,7 +109,7 @@ func runCluster(t *testing.T, ds *dataset.Dataset, cfg train.Config, replay bool
 			c := cfg
 			var hooks *train.Hooks
 			if replay {
-				hooks = &train.Hooks{Replay: func(e train.ReplayEvent) { visits = e.Visits }}
+				hooks = replayHooks(&visits)
 			}
 			if r == 0 {
 				c.Role, c.Listen = "coordinator", addr
@@ -269,11 +269,13 @@ func TestMultiProcessWorkerKillAborts(t *testing.T) {
 		return cfg
 	}
 
-	peerEvents := make(chan train.PeerEvent, 8)
-	hooks := &train.Hooks{Peer: func(e train.PeerEvent) {
-		select {
-		case peerEvents <- e:
-		default:
+	peerEvents := make(chan train.PeerDownEvent, 8)
+	hooks := &train.Hooks{Sink: func(e train.Event) {
+		if e, ok := e.(train.PeerDownEvent); ok {
+			select {
+			case peerEvents <- e:
+			default:
+			}
 		}
 	}}
 
@@ -340,6 +342,6 @@ func TestMultiProcessWorkerKillAborts(t *testing.T) {
 			t.Fatalf("peer event blames the coordinator: %+v", e)
 		}
 	default:
-		t.Fatal("no PeerEvent emitted")
+		t.Fatal("no PeerDownEvent emitted")
 	}
 }

@@ -17,6 +17,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,8 +98,8 @@ type meshMachine struct {
 	pending  [][]itemToken
 	pendingN atomic.Int64
 
-	// lastKnown[r] is the most recent queue-length gossip received
-	// from machine r (§3.3).
+	// lastKnown[r] is the queue length machine r reported with its
+	// latest batch to this machine (§3.3); only the receiver writes it.
 	lastKnown []atomic.Int64
 
 	log *machineLog // the replay check's; nil when it is off
@@ -148,15 +149,18 @@ func (mc *meshMachine) retryPending() {
 }
 
 // machinePicker returns the sender's outbound-destination chooser:
-// uniform over peers, or the §3.3 least-loaded known peer with random
-// tie-break, reported as a BalanceEvent.
-func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng.Source, hooks *train.Hooks) func() int {
-	return func() int {
-		if loadBalance {
-			best, bestLen := -1, int64(1<<62)
+// uniform over peers, or the §3.3 least-loaded peer by last gossiped
+// queue length with random tie-break. member is the failover view's
+// membership predicate; nil makes every peer a member. The least-loaded
+// picker skips non-members; the uniform picker draws once per token and
+// redraws only a non-member. At least one peer must be a member.
+func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng.Source, member func(int) bool) func() int {
+	if loadBalance {
+		return func() int {
+			best, bestLen := -1, int64(math.MaxInt64)
 			ties := 0
 			for dst := 0; dst < M; dst++ {
-				if dst == id {
+				if dst == id || member != nil && !member(dst) {
 					continue
 				}
 				l := lastKnown[dst].Load()
@@ -170,14 +174,19 @@ func machinePicker(id, M int, loadBalance bool, lastKnown []atomic.Int64, r *rng
 					}
 				}
 			}
-			hooks.EmitBalance(train.BalanceEvent{From: id, To: best, QueueLen: bestLen})
 			return best
 		}
-		dst := r.Intn(M - 1)
-		if dst >= id {
-			dst++
+	}
+	return func() int {
+		for {
+			dst := r.Intn(M - 1)
+			if dst >= id {
+				dst++
+			}
+			if member == nil || member(dst) {
+				return dst
+			}
 		}
-		return dst
 	}
 }
 
@@ -206,7 +215,6 @@ func (mc *meshMachine) place(owner []int32, r *rng.Source, fo *failoverRuntime) 
 // own model, shards, mesh and link, to runMachine.
 type machineRun struct {
 	cfg     train.Config
-	hooks   *train.Hooks
 	counter *train.Counter
 	stop    *atomic.Bool
 	fo      *failoverRuntime // in-process failover; nil without it
@@ -238,7 +246,7 @@ func (mr *machineRun) runMachine(mc *meshMachine, link cluster.Link, local []*lo
 	mc.wg[2].Add(1)
 	go func() {
 		defer mc.wg[1].Done()
-		runMeshSender(mc, link, mr.cfg, sendRNG, mr.hooks, mr.markers > 0, mr.fo)
+		runMeshSender(mc, link, mr.cfg, sendRNG, mr.markers > 0, mr.fo)
 	}()
 	go func() {
 		defer mc.wg[2].Done()
@@ -284,7 +292,7 @@ func (mc *meshMachine) held() [][]int32 {
 func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hooks *train.Hooks, vl *visitLog) (*train.Result, error) {
 	// M counts the initial members; Mtot adds the provisioned elastic
 	// spares, which run their communication threads from the start but
-	// stay latent (no tokens, gossip-poisoned) until a join round.
+	// stay latent (no tokens, not members) until a join round.
 	M, W := cfg.Machines, cfg.Workers
 	Mtot := cfg.TotalMachines()
 	p := Mtot * W
@@ -329,11 +337,6 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	machines := make([]*meshMachine, Mtot)
 	for mcID := range machines {
 		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), Mtot, md, cfg.Circulate)
-		// Latent spares lose every least-loaded comparison until a join
-		// activates them (and clears the poison).
-		for r := M; r < Mtot; r++ {
-			mc.lastKnown[r].Store(poisonedQueueLen)
-		}
 		if vl != nil {
 			mc.log = newMachineLog(n, W)
 			vl.machines = append(vl.machines, mc.log)
@@ -358,18 +361,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		cancelRun()
 	}
 
-	// gossip(v) sets every machine's view of a rank's queue length to v:
-	// poisoned, every §3.3 least-loaded picker shuns a dead or drained
-	// machine from its next decision on; cleared, pickers can route to a
-	// spare that just activated.
-	gossip := func(v int64) func(rank int) {
-		return func(rank int) {
-			for _, mc := range machines {
-				mc.lastKnown[rank].Store(v)
-			}
-		}
-	}
-	fo.bind(links, md, local, users, gossip(poisonedQueueLen), gossip(0), &stop, cancelRun)
+	fo.bind(links, md, local, users, &stop, cancelRun)
 	fo.startAgents()
 	if cfg.Elastic != nil && fo != nil {
 		cfg.Elastic.Bind(fo.requestJoin, fo.requestDrain)
@@ -383,7 +375,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	// to that event may already resize the run.
 	counter := train.NewCounterFor(cfg, p)
 	rec := train.NewRecorderFor(cfg, ds, md, hooks)
-	mr := &machineRun{cfg: cfg, hooks: hooks, counter: counter, stop: &stop, fo: fo, reject: reject, linkErr: cancelRun}
+	mr := &machineRun{cfg: cfg, counter: counter, stop: &stop, fo: fo, reject: reject, linkErr: cancelRun}
 	for mcID, mc := range machines {
 		mr.runMachine(mc, links[mcID], local[mcID*W:(mcID+1)*W], mcID*W, sendRNG[mcID], recvRNG[mcID])
 	}
@@ -431,7 +423,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		res.BytesSent += l.Stats().BytesSent
 		res.MessagesSent += l.Stats().MessagesSent
 	}
-	hooks.EmitNetwork(train.NetworkEvent{BytesSent: res.BytesSent, MessagesSent: res.MessagesSent})
+	hooks.Emit(train.NetworkEvent{BytesSent: res.BytesSent, MessagesSent: res.MessagesSent})
 	return res, runErr
 }
 
@@ -519,13 +511,13 @@ func wireToken(md *factor.Model, j int32, scratch []float64) cluster.Token {
 // know the drain is complete — or, with markers, sends every peer an
 // end-of-circulation marker behind its last token and leaves the link
 // open.
-func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.Source,
-	hooks *train.Hooks, markers bool, fo *failoverRuntime) {
+func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.Source, markers bool, fo *failoverRuntime) {
 
 	// The gossiped backlog (§3.3) is the mesh's: single atomic loads,
 	// never a lock.
 	s := cluster.NewSender(link, cfg.BatchSize, mc.mesh.TotalLen)
-	pick := fo.wrapPick(machinePicker(mc.id, link.Machines(), cfg.LoadBalance, mc.lastKnown, r, hooks))
+	member := fo.memberFunc()
+	pick := machinePicker(mc.id, link.Machines(), cfg.LoadBalance, mc.lastKnown, r, member)
 	cmds := fo.sendCmds(mc.id) // nil (never ready) without failover
 	port := mc.port()
 	scratch := make([]float64, cfg.K)
@@ -581,6 +573,12 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
+	// A queue length travels only with a token batch, so a machine that
+	// has emptied would go unheard and least-loaded peers would keep
+	// routing by the stale length it last sent them: with load
+	// balancing, its sender says it is empty once, in a token-less batch
+	// to every member peer.
+	announced := false
 	var idle idleBackoff
 	for {
 		if fo.machineGone(mc.id) {
@@ -615,6 +613,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		}
 		if k > 0 {
 			idle.reset()
+			announced = false
 			continue
 		}
 		if done && markers {
@@ -632,6 +631,14 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		}
 		// Row dry: push out partial batches, then back off.
 		s.FlushAll() //nolint:errcheck // link failure surfaces via link.Err
+		if cfg.LoadBalance && !announced && mc.mesh.TotalLen() == 0 {
+			for d := 0; d < link.Machines(); d++ {
+				if d != mc.id && (member == nil || member(d)) {
+					link.Send(d, cluster.TokenBatch{}) //nolint:errcheck // as above
+				}
+			}
+			announced = true
+		}
 		idle.wait()
 	}
 }

@@ -34,15 +34,23 @@ func runElastic(t *testing.T, cfg train.Config, chaos string) (*train.Result, []
 	cfg.Chaos = spec
 	var recovs []train.PeerRecoveredEvent
 	var resizes []train.ResizeEvent
-	hooks := &train.Hooks{
-		PeerRecovered: func(e train.PeerRecoveredEvent) { recovs = append(recovs, e) },
-		Resize:        func(e train.ResizeEvent) { resizes = append(resizes, e) },
-	}
-	res, err := New().Train(t.Context(), testData(t), cfg, hooks)
+	res, err := New().Train(t.Context(), testData(t), cfg, membershipHooks(&recovs, &resizes))
 	if err != nil {
 		t.Fatalf("elastic run failed: %v", err)
 	}
 	return res, recovs, resizes
+}
+
+// membershipHooks appends the recoveries and resizes a run emits.
+func membershipHooks(recovs *[]train.PeerRecoveredEvent, resizes *[]train.ResizeEvent) *train.Hooks {
+	return &train.Hooks{Sink: func(e train.Event) {
+		switch e := e.(type) {
+		case train.PeerRecoveredEvent:
+			*recovs = append(*recovs, e)
+		case train.ResizeEvent:
+			*resizes = append(*resizes, e)
+		}
+	}}
 }
 
 // requireResized asserts one committed resize of the given kind and

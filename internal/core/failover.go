@@ -52,10 +52,15 @@ package core
 //
 // Elastic spares are provisioned up front: links, partitions and
 // worker/sender/receiver/agent goroutines exist for Machines +
-// ElasticSpares ranks from the start, but a spare is latent — gossip
-// poison keeps every picker away from it, it owns no tokens, and its
+// ElasticSpares ranks from the start, but a spare is latent — it is not
+// a member, so no picker routes to it, it owns no tokens, and its
 // user-rating shards are fostered by active workers through the
 // responsibility table — until a join round activates it.
+//
+// Routing reads the same membership: every sender's picker skips a
+// rank that is not selectable (dead, drained or latent). The §3.3
+// queue-length gossip stays what the paper makes it, a load hint, and
+// carries no liveness.
 //
 // Buddy replication is receiver-driven and lossy-tolerant: every
 // machine streams the tokens it delivers (and rotating chunks of its
@@ -109,9 +114,6 @@ const (
 	// replRowChunk is how many user-factor rows ride along with each
 	// token snapshot (rotating cursor over the machine's users).
 	replRowChunk = 128
-	// poisonedQueueLen makes a dead or latent machine lose every §3.3
-	// least-loaded comparison without disturbing the gossip table's type.
-	poisonedQueueLen = int64(1) << 60
 )
 
 // Agent phases.
@@ -263,11 +265,9 @@ type failoverRuntime struct {
 	stopping chan struct{}
 	stopOnce sync.Once
 
-	fatal    atomic.Pointer[foFatal]
-	stop     *atomic.Bool
-	cancel   func()
-	poison   func(victim int) // poisons gossip tables so pickers shun the rank
-	unpoison func(rank int)   // clears the poison when a spare activates
+	fatal  atomic.Pointer[foFatal]
+	stop   *atomic.Bool
+	cancel func()
 
 	agentWG sync.WaitGroup
 }
@@ -339,14 +339,14 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 // bind attaches the run's shared objects once they exist: the (possibly
 // chaos-wrapped) links, the model, the per-worker rating shards, the
 // user partition (p = M·W parts, machine i owns parts i·W..(i+1)·W-1)
-// and the teardown/gossip levers.
+// and the teardown levers.
 func (fo *failoverRuntime) bind(links []cluster.Link, md *factor.Model, local []*localRatings,
-	users *partition.Partition, poison, unpoison func(rank int), stop *atomic.Bool, cancel func()) {
+	users *partition.Partition, stop *atomic.Bool, cancel func()) {
 	if fo == nil {
 		return
 	}
 	fo.links, fo.md, fo.local = links, md, local
-	fo.poison, fo.unpoison, fo.stop, fo.cancel = poison, unpoison, stop, cancel
+	fo.stop, fo.cancel = stop, cancel
 	fo.userLists = make([][]int32, fo.M)
 	for mc := 0; mc < fo.M; mc++ {
 		var list []int32
@@ -372,6 +372,15 @@ func (fo *failoverRuntime) machineGone(i int) bool { return fo != nil && fo.gone
 // member that has not left.
 func (fo *failoverRuntime) selectable(i int) bool {
 	return fo.active[i].Load() && !fo.gone(i)
+}
+
+// memberFunc is the senders' membership predicate: selectable, or nil
+// without failover, when every peer is a member.
+func (fo *failoverRuntime) memberFunc() func(int) bool {
+	if fo == nil {
+		return nil
+	}
+	return fo.selectable
 }
 
 // activeCount is the current working-set size.
@@ -464,8 +473,8 @@ func (fo *failoverRuntime) detect(self, rank int, err error) {
 }
 
 // noteDeath records a machine death exactly once: the global dead flag
-// (the in-process failure detector every picker consults), the gossip
-// poison, the detection timestamp and the PeerDown event.
+// (the in-process failure detector every picker consults), the
+// detection timestamp and the PeerDown event.
 func (fo *failoverRuntime) noteDeath(rank int, cause string) {
 	if !fo.dead[rank].CompareAndSwap(false, true) {
 		return
@@ -475,10 +484,7 @@ func (fo *failoverRuntime) noteDeath(rank int, cause string) {
 	fo.deathMu.Lock()
 	fo.deathAt[rank] = time.Now().UnixNano()
 	fo.deathMu.Unlock()
-	if fo.poison != nil {
-		fo.poison(rank)
-	}
-	fo.hooks.EmitPeer(train.PeerEvent{Rank: rank, Reason: cause})
+	fo.hooks.Emit(train.PeerDownEvent{Rank: rank, Reason: cause})
 }
 
 // noteRecovered records a completed eviction round (once per victim)
@@ -495,26 +501,29 @@ func (fo *failoverRuntime) noteRecovered(victim int) {
 	}
 	fo.evictDone.Add(1)
 	d := time.Duration(time.Now().UnixNano() - t0)
-	fo.hooks.EmitPeerRecovered(train.PeerRecoveredEvent{Rank: victim, Recovery: d.Seconds()})
+	fo.hooks.Emit(train.PeerRecoveredEvent{Rank: victim, RecoverySeconds: d.Seconds()})
 }
 
 // killMachine is the chaos controller's kill function: machine victim
-// (-1 = highest selectable rank) dies in-process. Its workers, sender
-// and receiver observe the dead flag and wind down like a crashed
-// process would, and its link is aborted, so the survivors learn of
-// the death the way they would of a real one: their links report it
-// through OnPeerDown, on both backends.
+// dies in-process. -1 picks the highest selectable rank without a
+// drain requested, so a kill is never a second fault inside a leaver's
+// own round. The victim's workers, sender and receiver observe the dead
+// flag and wind down like a crashed process would, and its link is
+// aborted, so the survivors learn of the death the way they would of a
+// real one: their links report it through OnPeerDown, on both backends.
 func (fo *failoverRuntime) killMachine(victim int) {
 	if fo == nil {
 		return
 	}
 	if victim < 0 {
+		fo.elasticMu.Lock()
 		for r := fo.M - 1; r >= 0; r-- {
-			if fo.selectable(r) {
+			if fo.selectable(r) && !fo.drainReq[r] {
 				victim = r
 				break
 			}
 		}
+		fo.elasticMu.Unlock()
 	}
 	if victim < 0 {
 		return
@@ -527,7 +536,7 @@ func (fo *failoverRuntime) killMachine(victim int) {
 
 // requestJoin asks the arbiter to activate a provisioned spare (rank
 // -1 = lowest unclaimed spare). It returns once the round is enqueued;
-// completion is observable through Hooks.Resize.
+// completion is reported as a ResizeEvent.
 func (fo *failoverRuntime) requestJoin(rank int) error {
 	if fo == nil {
 		return fmt.Errorf("core: join requested but failover is disabled")
@@ -620,27 +629,10 @@ func (fo *failoverRuntime) noteResized(kind string, rank int) {
 	if start := fo.resizeStart.Swap(0); start > 0 {
 		secs = time.Duration(time.Now().UnixNano() - start).Seconds()
 	}
-	fo.hooks.EmitResize(train.ResizeEvent{Kind: kind, Rank: rank, Machines: fo.activeCount(), Seconds: secs})
+	fo.hooks.Emit(train.ResizeEvent{Kind: kind, Rank: rank, Machines: fo.activeCount(), Seconds: secs})
 }
 
-// ---- hot-path hooks (pickers, ownership, donation) ----
-
-// wrapPick makes a destination picker membership-aware: dead, drained
-// and latent machines are re-drawn (the gossip poison makes the
-// least-loaded picker avoid them on its own; the uniform picker needs
-// the retry).
-func (fo *failoverRuntime) wrapPick(pick func() int) func() int {
-	if fo == nil {
-		return pick
-	}
-	return func() int {
-		for {
-			if d := pick(); fo.selectable(d) {
-				return d
-			}
-		}
-	}
-}
+// ---- hot-path hooks (ownership, donation) ----
 
 // donationDest returns the machine sender i should hand its next token
 // to in service of a scale-out rebalance, or -1 to route normally. The

@@ -559,9 +559,6 @@ func (a *foAgent) finishJoin() {
 	fo.donateTo.Store(int64(J))
 	fo.active[J].Store(true)
 	fo.lastJoined.Store(int64(J))
-	if fo.unpoison != nil {
-		fo.unpoison(J)
-	}
 	fo.respActivate(J)
 	fo.noteResized("join", J)
 	a.link.SendCtl(-1, ctlFoResume, foSeal(a.roundEpoch, foEncodeVictim(J))) //nolint:errcheck
@@ -580,9 +577,6 @@ func (a *foAgent) finishDrain() {
 	}
 	fo.parted[D].Store(true)
 	fo.active[D].Store(false)
-	if fo.poison != nil {
-		fo.poison(D)
-	}
 	fo.drainTarget.Store(-1)
 	fo.noteResized("drain", D)
 	a.link.SendCtl(-1, ctlFoResume, foSeal(a.roundEpoch, foEncodeVictim(D))) //nolint:errcheck

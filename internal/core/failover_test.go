@@ -10,10 +10,12 @@ import (
 	"maps"
 	"math"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nomad/internal/cluster"
+	"nomad/internal/rng"
 	"nomad/internal/train"
 )
 
@@ -30,7 +32,7 @@ func failoverConfig(backend string) train.Config {
 // peer events, and requires the run to finish without error (token
 // conservation is checked inside the runner's teardown and would
 // surface here).
-func runFailover(t *testing.T, cfg train.Config, chaos string) (*train.Result, []train.PeerEvent, []train.PeerRecoveredEvent) {
+func runFailover(t *testing.T, cfg train.Config, chaos string) (*train.Result, []train.PeerDownEvent, []train.PeerRecoveredEvent) {
 	t.Helper()
 	if chaos != "" {
 		spec, err := cluster.ParseChaos(chaos)
@@ -39,12 +41,16 @@ func runFailover(t *testing.T, cfg train.Config, chaos string) (*train.Result, [
 		}
 		cfg.Chaos = spec
 	}
-	var downs []train.PeerEvent
+	var downs []train.PeerDownEvent
 	var recovs []train.PeerRecoveredEvent
-	hooks := &train.Hooks{
-		Peer:          func(e train.PeerEvent) { downs = append(downs, e) },
-		PeerRecovered: func(e train.PeerRecoveredEvent) { recovs = append(recovs, e) },
-	}
+	hooks := &train.Hooks{Sink: func(e train.Event) {
+		switch e := e.(type) {
+		case train.PeerDownEvent:
+			downs = append(downs, e)
+		case train.PeerRecoveredEvent:
+			recovs = append(recovs, e)
+		}
+	}}
 	res, err := New().Train(context.Background(), testData(t), cfg, hooks)
 	if err != nil {
 		t.Fatalf("failover run failed: %v", err)
@@ -55,14 +61,14 @@ func runFailover(t *testing.T, cfg train.Config, chaos string) (*train.Result, [
 // requireRecovered asserts the typed event sequence of one survived
 // failure of the given rank: PeerDown then PeerRecovered, with a
 // plausible recovery latency.
-func requireRecovered(t *testing.T, downs []train.PeerEvent, recovs []train.PeerRecoveredEvent, victim int) {
+func requireRecovered(t *testing.T, downs []train.PeerDownEvent, recovs []train.PeerRecoveredEvent, victim int) {
 	t.Helper()
 	if len(downs) == 0 {
-		t.Fatal("no PeerEvent emitted for the killed machine")
+		t.Fatal("no PeerDownEvent emitted for the killed machine")
 	}
 	for _, e := range downs {
 		if e.Rank != victim {
-			t.Fatalf("PeerEvent blames rank %d, killed %d", e.Rank, victim)
+			t.Fatalf("PeerDownEvent blames rank %d, killed %d", e.Rank, victim)
 		}
 	}
 	if len(recovs) != 1 {
@@ -71,8 +77,8 @@ func requireRecovered(t *testing.T, downs []train.PeerEvent, recovs []train.Peer
 	if recovs[0].Rank != victim {
 		t.Fatalf("PeerRecoveredEvent names rank %d, killed %d", recovs[0].Rank, victim)
 	}
-	if recovs[0].Recovery <= 0 || recovs[0].Recovery > 30 {
-		t.Fatalf("implausible recovery latency %v s", recovs[0].Recovery)
+	if recovs[0].RecoverySeconds <= 0 || recovs[0].RecoverySeconds > 30 {
+		t.Fatalf("implausible recovery latency %v s", recovs[0].RecoverySeconds)
 	}
 }
 
@@ -100,6 +106,44 @@ func TestFailoverChaosMatrix(t *testing.T) {
 					res.Trace.Final().RMSE, d, baseline)
 			}
 		})
+	}
+}
+
+// TestPickerSkipsNonMembers gives each sender picker a dead rank and a
+// latent spare that hold the smallest gossiped queue lengths — a
+// receiver keeps the queue length of a batch the victim sent before it
+// died, and a spare never sends one — and requires every pick to be a
+// live member before a deadline; the least-loaded picker must also take
+// the least-loaded member.
+func TestPickerSkipsNonMembers(t *testing.T) {
+	const self, dead = 0, 2
+	cfg := elasticConfig("sim") // rank 4 is the latent spare
+	fo := newFailoverRuntime(cfg, nil, 64)
+	fo.noteDeath(dead, "test")
+	M := cfg.TotalMachines()
+	for _, balance := range []bool{false, true} {
+		lastKnown := make([]atomic.Int64, M)
+		lastKnown[1].Store(50)
+		lastKnown[3].Store(100)
+		pick := machinePicker(self, M, balance, lastKnown, rng.New(1), fo.memberFunc())
+		done := make(chan []int, 1)
+		go func() {
+			got := make([]int, 1000)
+			for x := range got {
+				got[x] = pick()
+			}
+			done <- got
+		}()
+		select {
+		case got := <-done:
+			for _, d := range got {
+				if d != 1 && (balance || d != 3) {
+					t.Fatalf("balance %v: picked rank %d; members are 1 and 3 (1 least loaded)", balance, d)
+				}
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("balance %v: no pick within 5 s: the picker spins on a non-member", balance)
+		}
 	}
 }
 

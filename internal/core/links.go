@@ -50,7 +50,7 @@ func netlinkOptions(cfg train.Config, hooks *train.Hooks, onPeerDown func(self, 
 	}
 	if opts.OnPeerDown == nil {
 		opts.OnPeerDown = func(self, rank int, err error) {
-			hooks.EmitPeer(train.PeerEvent{Rank: rank, Reason: err.Error()})
+			hooks.Emit(train.PeerDownEvent{Rank: rank, Reason: err.Error()})
 		}
 	}
 	return opts

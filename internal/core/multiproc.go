@@ -159,7 +159,7 @@ func trainMultiProcess(ctx context.Context, ds *dataset.Dataset, cfg train.Confi
 		defer close(ctlDone)
 		kept = controlLoop(link, counter, W, &stop, &stopTotal, cancelRun, fail)
 	}()
-	mr := &machineRun{cfg: cfg, hooks: hooks, counter: counter, stop: &stop, reject: fail,
+	mr := &machineRun{cfg: cfg, counter: counter, stop: &stop, reject: fail,
 		linkErr: func() { fail(link.Err()) }, markers: M - 1}
 	mr.runMachine(mc, link, local, rank*W, sendRNG[rank], recvRNG[rank])
 
@@ -218,7 +218,7 @@ func trainMultiProcess(ctx context.Context, ds *dataset.Dataset, cfg train.Confi
 	}
 	res := finalResult(cfg, md, rec, counter.Total(), g.counts, root, nil, nil)
 	res.BytesSent, res.MessagesSent = bytesSent, msgsSent
-	hooks.EmitNetwork(train.NetworkEvent{BytesSent: bytesSent, MessagesSent: msgsSent})
+	hooks.Emit(train.NetworkEvent{BytesSent: bytesSent, MessagesSent: msgsSent})
 	return res, runErr
 }
 

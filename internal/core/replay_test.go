@@ -15,7 +15,11 @@ import (
 
 // replayHooks turns the replay check on and records what it replayed.
 func replayHooks(visits *int64) *train.Hooks {
-	return &train.Hooks{Replay: func(e train.ReplayEvent) { *visits = e.Visits }}
+	return &train.Hooks{Replay: true, Sink: func(e train.Event) {
+		if e, ok := e.(train.ReplayEvent); ok {
+			*visits = e.Visits
+		}
+	}}
 }
 
 // TestReplayBitEqual: the asynchronous runners' visit logs, replayed

@@ -180,9 +180,9 @@ func (d *DSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config,
 		}
 		step = driver.Observe(epochLoss)
 		epoch++
-		hooks.EmitEpoch(train.EpochEvent{Epoch: epoch, Updates: updates.Load()})
+		hooks.Emit(train.EpochEvent{Epoch: epoch, Updates: updates.Load()})
 		if cfg.Machines > 1 {
-			hooks.EmitNetwork(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
+			hooks.Emit(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
 		}
 		if rec.Due(updates.Load()) {
 			rec.Sample(md, updates.Load())

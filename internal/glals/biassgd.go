@@ -237,9 +237,9 @@ func (*BiasSGD) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 				updates.Add(touched)
 			}
 		})
-		hooks.EmitEpoch(train.EpochEvent{Epoch: pass, Updates: updates.Load()})
+		hooks.Emit(train.EpochEvent{Epoch: pass, Updates: updates.Load()})
 		if M > 1 {
-			hooks.EmitNetwork(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
+			hooks.Emit(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
 		}
 		if rec.Due(updates.Load()) {
 			rec.Sample(md, updates.Load())

@@ -176,9 +176,9 @@ func (*GLALS) Train(ctx context.Context, ds *dataset.Dataset, cfg train.Config, 
 		sweep(f, md, tr, itemPart, userPart, M, W, false, cfg.Lambda, k,
 			grams, rhss, rows, counter, &updates)
 		sweeps++
-		hooks.EmitEpoch(train.EpochEvent{Epoch: sweeps, Updates: updates.Load()})
+		hooks.Emit(train.EpochEvent{Epoch: sweeps, Updates: updates.Load()})
 		if M > 1 {
-			hooks.EmitNetwork(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
+			hooks.Emit(train.NetworkEvent{BytesSent: net.BytesSent(), MessagesSent: net.MessagesSent()})
 		}
 		if rec.Due(updates.Load()) {
 			rec.Sample(md, updates.Load())

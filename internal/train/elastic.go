@@ -26,7 +26,7 @@ func (ec *ElasticControl) Bind(join, drain func(rank int) error) {
 
 // Join asks the run to activate a provisioned spare machine. rank -1
 // picks the lowest idle spare. The call returns once the join round is
-// enqueued; completion is reported through Hooks.Resize.
+// enqueued; completion is reported as a ResizeEvent.
 func (ec *ElasticControl) Join(rank int) error {
 	ec.mu.Lock()
 	fn := ec.join

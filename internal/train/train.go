@@ -125,9 +125,10 @@ type Config struct {
 	// partition, join and drain imply Failover.
 	Chaos *cluster.ChaosSpec
 
-	// HeartbeatInterval and HeartbeatTimeout tune the tcp backend's
-	// liveness probes and silent-peer detection (defaults 500ms / 10s;
-	// zero keeps the default, negative timeout disables detection).
+	// HeartbeatInterval and HeartbeatTimeout tune the link's liveness
+	// probes and silent-peer detection on every NOMAD backend (defaults
+	// 500ms / 10s; zero keeps the default, negative timeout disables
+	// detection).
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 
@@ -569,7 +570,7 @@ func (r *Recorder) record(md *factor.Model, updates int64) float64 {
 		RMSE:    metrics.RMSE(md, r.ds.TestByUser()),
 	}
 	r.trace.Add(e.Seconds, e.Updates, e.RMSE)
-	r.hooks.EmitTrace(e)
+	r.hooks.Emit(e)
 	return e.RMSE
 }
 
@@ -614,7 +615,7 @@ func Monitor(ctx context.Context, stop *atomic.Bool, counter *Counter, cfg Confi
 		total := counter.Total()
 		for epochSize > 0 && (epoch+1)*epochSize <= total {
 			epoch++
-			hooks.EmitEpoch(EpochEvent{Epoch: int(epoch), Updates: total})
+			hooks.Emit(EpochEvent{Epoch: int(epoch), Updates: total})
 		}
 		if total >= cfg.MaxUpdates || (!deadline.IsZero() && time.Now().After(deadline)) {
 			stop.Store(true)

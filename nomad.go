@@ -33,12 +33,9 @@ import (
 	"nomad/internal/train"
 )
 
-// TracePoint is one sample of the convergence trace.
-type TracePoint struct {
-	Seconds float64
-	Updates int64
-	RMSE    float64
-}
+// TracePoint is one sample of the convergence trace: the TraceEvent
+// the run streamed when it took the sample.
+type TracePoint = TraceEvent
 
 // Result reports a completed training run.
 type Result struct {

@@ -49,7 +49,7 @@ type Session struct {
 	algo      train.Algorithm
 	base      train.Config
 	elastic   *train.ElasticControl
-	replay    bool // WithReplayCheck
+	hooks     train.Hooks // Sink publishes; Replay is WithReplayCheck
 
 	mu      sync.Mutex
 	running bool
@@ -72,8 +72,8 @@ var ErrNoState = errors.New("nomad: session has no training state yet (Run first
 // option writes directly — so WithLambda(0) means λ = 0.
 type settings struct {
 	algorithm string
-	elastic   bool // WithElastic was given, even with 0 spares
-	replay    bool // WithReplayCheck
+	elastic   bool        // WithElastic was given, even with 0 spares
+	hooks     train.Hooks // Replay is WithReplayCheck
 	cfg       train.Config
 }
 
@@ -217,7 +217,7 @@ func WithCluster(machines int, network string, addrs ...string) Option {
 // cluster every process must pass it, and the coordinator replays.
 // Runs with failover, elasticity or chaos are not covered.
 func WithReplayCheck() Option {
-	return func(st *settings) error { st.replay = true; return nil }
+	return func(st *settings) error { st.hooks.Replay = true; return nil }
 }
 
 // Precision selects the element type of the factor model; see
@@ -340,9 +340,11 @@ func WithFailover() Option {
 	return func(st *settings) error { st.cfg.Failover = true; return nil }
 }
 
-// WithHeartbeat tunes the tcp backend's failure detector: interval
-// between heartbeat frames and the silent-peer timeout after which a
-// peer is declared dead. Zero keeps a parameter's default (1s / 5s).
+// WithHeartbeat tunes the failure detector of NOMAD's link, which
+// every multi-machine network runs (the paced in-memory connections as
+// well as "tcp"): the interval between heartbeat frames and the
+// silent-peer timeout after which a peer is declared dead. Zero keeps
+// a parameter's default (500ms / 10s).
 func WithHeartbeat(interval, timeout time.Duration) Option {
 	return func(st *settings) error {
 		if interval < 0 || timeout < 0 {
@@ -356,11 +358,15 @@ func WithHeartbeat(interval, timeout time.Duration) Option {
 	}
 }
 
-// WithChaos injects one deterministic, seeded fault into the run for
-// resilience testing — the same injection points the failover test
-// matrix uses. The spec reads op:rank=N,at=point[,after=N,p=F,
-// window=D,seed=N], e.g. "kill:rank=2,at=mid-epoch". Kill and
-// partition faults imply WithFailover.
+// WithChaos injects a deterministic, seeded fault schedule into the
+// run for resilience testing — the same injection points the failover
+// test matrix uses. The schedule is one or more events separated by
+// ";" and fired in order; an event reads op:rank=N,at=point[,after=N,
+// p=F,window=D,seed=N] or the shorthand op@point or op@+duration, e.g.
+// "kill:rank=2,at=mid-epoch" or "join@mid-epoch;drain@+1s". The ops
+// are kill, partition, delay, drop, join and drain. Kill, partition,
+// join and drain imply WithFailover, and each join provisions a spare
+// slot when WithElastic provides too few.
 func WithChaos(spec string) Option {
 	return func(st *settings) error {
 		c, err := cluster.ParseChaos(spec)
@@ -444,7 +450,7 @@ func NewSession(ds *Dataset, opts ...Option) (*Session, error) {
 		}
 	}
 	cfg := st.cfg
-	if st.algorithm != "nomad" && (cfg.Backend == "tcp" || cfg.Role != "" || st.replay) {
+	if st.algorithm != "nomad" && (cfg.Backend == "tcp" || cfg.Role != "" || st.hooks.Replay) {
 		// Only the nomad solver implements the real-socket backend, the
 		// multi-process runner and the visit log; accepting the options
 		// for the baselines would silently train independent local runs
@@ -462,15 +468,17 @@ func NewSession(ds *Dataset, opts ...Option) (*Session, error) {
 	// triggers fail with a typed error outside one instead of blocking.
 	ec := &train.ElasticControl{}
 	cfg.Elastic = ec
-	return &Session{
+	s := &Session{
 		ds:        ds,
 		algorithm: st.algorithm,
 		algo:      registry()[st.algorithm],
 		base:      cfg,
 		elastic:   ec,
-		replay:    st.replay,
+		hooks:     st.hooks,
 		subs:      make(map[int]chan Event),
-	}, nil
+	}
+	s.hooks.Sink = s.publish
+	return s, nil
 }
 
 // Run trains until a stop condition is met or ctx ends the run. It
@@ -492,7 +500,7 @@ func (s *Session) Run(ctx context.Context) (*Result, error) {
 	cfg.Resume = s.state
 	s.mu.Unlock()
 
-	res, err := s.algo.Train(ctx, s.ds.inner, cfg, s.hooks())
+	res, err := s.algo.Train(ctx, s.ds.inner, cfg, &s.hooks)
 	err = publicError(err)
 
 	s.mu.Lock()
@@ -592,37 +600,6 @@ func (s *Session) publish(e Event) {
 	}
 }
 
-// hooks bridges the internal training events to the public ones.
-func (s *Session) hooks() *train.Hooks {
-	h := &train.Hooks{
-		Trace: func(e train.TraceEvent) {
-			s.publish(TraceEvent{Seconds: e.Seconds, Updates: e.Updates, RMSE: e.RMSE})
-		},
-		Epoch: func(e train.EpochEvent) {
-			s.publish(EpochEvent{Epoch: e.Epoch, Updates: e.Updates})
-		},
-		Balance: func(e train.BalanceEvent) {
-			s.publish(BalanceEvent{From: e.From, To: e.To, QueueLen: e.QueueLen})
-		},
-		Network: func(e train.NetworkEvent) {
-			s.publish(NetworkEvent{BytesSent: e.BytesSent, MessagesSent: e.MessagesSent})
-		},
-		Peer: func(e train.PeerEvent) {
-			s.publish(PeerDownEvent{Rank: e.Rank, Reason: e.Reason})
-		},
-		PeerRecovered: func(e train.PeerRecoveredEvent) {
-			s.publish(PeerRecoveredEvent{Rank: e.Rank, RecoverySeconds: e.Recovery})
-		},
-		Resize: func(e train.ResizeEvent) {
-			s.publish(ResizeEvent{Kind: e.Kind, Rank: e.Rank, Machines: e.Machines, Seconds: e.Seconds})
-		},
-	}
-	if s.replay {
-		h.Replay = func(e train.ReplayEvent) { s.publish(ReplayEvent{Visits: e.Visits}) }
-	}
-	return h
-}
-
 // PeerError is the typed error Run returns when a machine of a real
 // multi-process cluster stops responding mid-run (its connection broke
 // without an orderly end-of-stream, or its heartbeats timed out).
@@ -717,7 +694,7 @@ func newResult(res *train.Result) *Result {
 		MessagesSent: res.MessagesSent,
 	}
 	for _, p := range res.Trace.Points {
-		out.Trace = append(out.Trace, TracePoint{Seconds: p.Seconds, Updates: p.Updates, RMSE: p.RMSE})
+		out.Trace = append(out.Trace, TracePoint(p))
 	}
 	return out
 }

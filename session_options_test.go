@@ -171,7 +171,7 @@ func TestOptionResolution(t *testing.T) {
 				got = rejectNormalize
 			} else {
 				got = pinConfig(s.algorithm, cfg)
-				if s.replay {
+				if s.hooks.Replay {
 					got += "; Replay=true"
 				}
 			}
