@@ -95,8 +95,9 @@ const (
 	// PointRendezvous triggers as soon as the cluster is armed, before
 	// any token circulates — the victim dies on the starting line.
 	PointRendezvous ChaosPoint = iota + 1
-	// PointMidEpoch triggers on the victim's After-th outbound token
-	// batch, i.e. in the middle of asynchronous circulation.
+	// PointMidEpoch triggers on the victim's After-th outbound batch
+	// that carries tokens, i.e. in the middle of asynchronous
+	// circulation.
 	PointMidEpoch
 	// PointSnapshot triggers on the victim's After-th replication
 	// snapshot send (the control kind registered by the runner).
@@ -599,9 +600,13 @@ func (c *ChaosLink) stall() {
 }
 
 // Send implements cluster.Link, counting outbound token batches toward
-// a mid-epoch trigger and applying stall windows.
+// a mid-epoch trigger and applying stall windows. A batch that carries
+// no token (a queue-length announce or a marker) does not count, so the
+// protocol traffic a fired event causes cannot fire the next one.
 func (c *ChaosLink) Send(dst int, batch TokenBatch) error {
-	c.ctrl.onSend(c.rank)
+	if len(batch.Tokens) > 0 {
+		c.ctrl.onSend(c.rank)
+	}
 	c.stall()
 	return c.Link.Send(dst, batch)
 }

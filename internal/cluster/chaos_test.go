@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -133,6 +134,9 @@ func FuzzParseChaos(f *testing.F) {
 	})
 }
 
+// oneToken is a batch that counts toward a mid-epoch trigger.
+var oneToken = TokenBatch{Tokens: []Token{{Item: 1, Vec: []float64{0.5}}}}
+
 // TestChaosKillDeterministic: the kill fires on exactly the After-th
 // victim send, exactly once, on every run with the same spec.
 func TestChaosKillDeterministic(t *testing.T) {
@@ -148,7 +152,7 @@ func TestChaosKillDeterministic(t *testing.T) {
 		ctrl.OnKill(func(v int) { victim = v })
 		links := ctrl.WrapAll(base)
 		for s := 1; s <= 5; s++ {
-			if err := links[1].Send(0, TokenBatch{}); err != nil {
+			if err := links[1].Send(0, oneToken); err != nil {
 				t.Fatal(err)
 			}
 			if ctrl.Fired() && killedAt < 0 {
@@ -168,6 +172,41 @@ func TestChaosKillDeterministic(t *testing.T) {
 	}
 }
 
+// TestChaosMidEpochCountsTokenBatches: a mid-epoch trigger counts only
+// batches that carry tokens. Token-less batches — a queue-length
+// announce, an end-of-circulation or fence marker — never advance it,
+// so a fired event's protocol traffic cannot fire the next event.
+func TestChaosMidEpochCountsTokenBatches(t *testing.T) {
+	spec, err := ParseChaos("kill:rank=1,at=mid-epoch,after=2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, base := fakeLinks(2)
+	ctrl := NewChaosController(spec)
+	links := ctrl.WrapAll(base)
+	send := func(b TokenBatch) {
+		t.Helper()
+		if err := links[1].Send(0, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, q := range []int{0, 7, math.MinInt32, math.MinInt32 + 3} {
+		send(TokenBatch{QueueLen: q})
+	}
+	send(oneToken)
+	if ctrl.Fired() {
+		t.Fatal("the trigger fired on a token-less batch")
+	}
+	send(TokenBatch{})
+	if ctrl.Fired() {
+		t.Fatal("the trigger fired on a token-less batch")
+	}
+	send(oneToken)
+	if !ctrl.Fired() {
+		t.Fatal("the trigger did not fire on the second token batch")
+	}
+}
+
 // TestChaosDelaySlowsVictimSends: after the trigger, every victim
 // send stalls by the window; other ranks are untouched.
 func TestChaosDelaySlowsVictimSends(t *testing.T) {
@@ -178,7 +217,7 @@ func TestChaosDelaySlowsVictimSends(t *testing.T) {
 	_, base := fakeLinks(2)
 	ctrl := NewChaosController(spec)
 	links := ctrl.WrapAll(base)
-	if err := links[0].Send(1, TokenBatch{}); err != nil { // fires the trigger
+	if err := links[0].Send(1, oneToken); err != nil { // fires the trigger
 		t.Fatal(err)
 	}
 	start := time.Now()

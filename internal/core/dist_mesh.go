@@ -101,6 +101,11 @@ type meshMachine struct {
 	// lastKnown[r] is the queue length machine r reported with its
 	// latest batch to this machine (§3.3); only the receiver writes it.
 	lastKnown []atomic.Int64
+	// fenced[r] is the epoch of the latest failover fence marker machine
+	// r sent this machine, and dropFrom[r] whether r was evicted; only
+	// the receiver writes either.
+	fenced   []atomic.Uint64
+	dropFrom []bool
 
 	log *machineLog // the replay check's; nil when it is off
 
@@ -124,6 +129,8 @@ func newMeshMachine(id, workers, ringCap, machines int, md *factor.Model, circul
 		plans:     newVisitPlans(md.N, workers, circulate),
 		pending:   make([][]itemToken, workers+1),
 		lastKnown: make([]atomic.Int64, machines),
+		fenced:    make([]atomic.Uint64, machines),
+		dropFrom:  make([]bool, machines),
 	}
 }
 
@@ -341,7 +348,6 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 			mc.log = newMachineLog(n, W)
 			vl.machines = append(vl.machines, mc.log)
 		}
-		fo.setRetryFn(mcID, mc.retryPending)
 		mc.place(owner, recvRNG[mcID], fo)
 		machines[mcID] = mc
 	}
@@ -362,7 +368,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	}
 
 	fo.bind(links, md, local, users, &stop, cancelRun)
-	fo.startAgents()
+	fo.startAgents(machines)
 	if cfg.Elastic != nil && fo != nil {
 		cfg.Elastic.Bind(fo.requestJoin, fo.requestDrain)
 	}
@@ -504,6 +510,29 @@ func wireToken(md *factor.Model, j int32, scratch []float64) cluster.Token {
 	return cluster.Token{Item: j, Vec: md.ItemRow(int(j))}
 }
 
+// A marker is a token-less batch whose gossip slot lies in
+// [endOfCirculation, markerCeiling), far below anything a queue length
+// can read as (the lock-free gossip can dip a little below zero while a
+// lane hand-off is half done). Its offset from endOfCirculation is an
+// epoch: 0 ends a multi-process run's circulation, and e > 0 fences the
+// failover round of membership epoch e. A token cannot overtake a
+// marker on its connection, so a receiver that holds a peer's marker
+// holds everything that peer sent it before.
+const (
+	endOfCirculation = math.MinInt32
+	markerCeiling    = endOfCirculation / 2
+)
+
+// sendMarkers puts an epoch-ep marker behind the last token from link's
+// machine to every peer to admits (nil admits all).
+func sendMarkers(link cluster.Link, ep uint64, to func(peer int) bool) {
+	for d := 0; d < link.Machines(); d++ {
+		if d != link.Rank() && (to == nil || to(d)) {
+			link.Send(d, cluster.TokenBatch{QueueLen: endOfCirculation + int(ep)}) //nolint:errcheck // a failure surfaces via link.Err
+		}
+	}
+}
+
 // runMeshSender drains the machine's port row in blocks, batching
 // tokens per destination machine (§3.5) and flushing opportunistically
 // whenever the row runs dry so tokens never linger under low traffic.
@@ -525,7 +554,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		if fo != nil {
 			// The token is leaving this machine: clear its ownership bit
 			// before it becomes observable anywhere else.
-			fo.noteSent(mc.id, d, tok.item)
+			fo.noteSent(mc.id, tok.item)
 		}
 		if mc.log != nil {
 			mc.log.departed(d, tok.item)
@@ -593,7 +622,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		}
 		select {
 		case cmd := <-cmds:
-			fo.runSenderCmd(mc.id, cmd, s, pick, drainAll)
+			fo.runSenderCmd(mc.id, cmd, s, link, pick, drainAll)
 			continue
 		default:
 		}
@@ -618,11 +647,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 		}
 		if done && markers {
 			s.FlushAll() //nolint:errcheck // link failure surfaces via link.Err
-			for d := 0; d < link.Machines(); d++ {
-				if d != mc.id {
-					link.Send(d, cluster.TokenBatch{QueueLen: endOfCirculation}) //nolint:errcheck // as above
-				}
-			}
+			sendMarkers(link, 0, nil)
 			return
 		}
 		if done {
@@ -647,36 +672,39 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 // gossip and starts each token's local circulation through the mesh
 // (deliverBatch), then releases the arena back to the link's pool. A
 // batch naming an item that does not exist is rejected — reject names
-// the peer and ends the run — and everything after it is discarded. It
-// runs until it holds markers end-of-circulation markers, when markers
-// is positive, or else until every peer has ended its stream (or the
-// link fails).
+// the peer and ends the run — and everything after it is discarded. A
+// failover fence marker is filed under its peer in fenced, for the
+// agent. It runs until it holds markers end-of-circulation markers,
+// when markers is positive, or else until every peer has ended its
+// stream (or the link fails).
 func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers int, fo *failoverRuntime, reject func(error)) {
-	deliver := func(toks []cluster.Token) { mc.deliverBatch(-1, toks, fo, r) }
 	cmds := fo.recvCmds(mc.id) // nil (never ready) without failover
 	recv := link.Recv()
 	rejected := false
 	for {
 		select {
 		case cmd := <-cmds:
-			fo.handleRecvCmd(mc.id, cmd, deliver)
+			fo.handleRecvCmd(mc, cmd, r)
 		case inb, ok := <-recv:
 			if !ok {
 				// A late injection racing teardown must still land.
-				fo.drainRecvCmds(mc.id, deliver)
+				fo.drainRecvCmds(mc, r)
 				return
 			}
-			if rejected || fo != nil && !fo.acceptBatch(mc.id, inb.From) {
+			if rejected || fo != nil && !fo.acceptBatch(mc, inb.From) {
 				// Discard, but keep draining — a stalled receive channel
 				// wedges the transport.
 				inb.Batch.Release()
 				continue
 			}
-			if inb.Batch.QueueLen == endOfCirculation {
-				// Behind the peer's last token: everything it sent here has
-				// landed.
+			if q := inb.Batch.QueueLen; q < markerCeiling {
+				// Behind the peer's last token: everything it sent here
+				// before the marker has landed.
 				inb.Batch.Release()
-				if markers--; markers == 0 {
+				if ep := uint64(q - endOfCirculation); ep > 0 {
+					mc.fenced[inb.From].Store(ep)
+					fo.noteMarker(mc.id)
+				} else if markers--; markers == 0 {
 					return
 				}
 				continue
@@ -689,9 +717,7 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers 
 				continue
 			}
 			if fo != nil {
-				// Strictly after the delivery: a satisfied fence implies the
-				// batch is in the lanes or counted in pendingN.
-				fo.afterDeliver(mc.id, inb.From, inb.Batch.Tokens, link)
+				fo.afterDeliver(mc.id, inb.Batch.Tokens, link)
 			}
 			inb.Batch.Release() // the vectors were copied into the model above
 		}

@@ -262,3 +262,37 @@ func TestReceiverRejectsOutOfRangeItem(t *testing.T) {
 		t.Fatal("the rejected batch's first token reached its model row")
 	}
 }
+
+// TestReceiverFilesMarkers sends the real receiver, in a multi-process
+// run without failover, a token batch, a failover fence marker for
+// epoch 3 and an end-of-circulation marker. The fence marker must be
+// filed under its peer, neither marker may be stored as the peer's
+// queue length, and the receiver must stop at the end-of-circulation
+// marker.
+func TestReceiverFilesMarkers(t *testing.T) {
+	links := netlink.Pipe(2, netsim.Instant(), netlink.Options{K: deliveryK})
+	defer func() {
+		for _, l := range links {
+			l.Close() //nolint:errcheck
+		}
+	}()
+	mc := deliveryMachine(1, 64, 2, 1)
+	if err := links[1].Send(0, cluster.TokenBatch{Tokens: []cluster.Token{{Item: 3, Vec: deliveryVec(3)}}, QueueLen: 42}); err != nil {
+		t.Fatal(err)
+	}
+	sendMarkers(links[1], 3, nil)
+	sendMarkers(links[1], 0, nil)
+
+	runMeshReceiver(mc, links[0], rng.New(1), 1, nil, func(err error) { t.Errorf("reject: %v", err) })
+	if got := mc.fenced[1].Load(); got != 3 {
+		t.Errorf("fence marker filed as epoch %d, want 3", got)
+	}
+	if got := mc.lastKnown[1].Load(); got != 42 {
+		t.Errorf("peer's queue length is %d, want 42 from its token batch", got)
+	}
+	var got []int32
+	mc.mesh.Drain(0, func(tok itemToken) { got = append(got, tok.item) })
+	if !slices.Equal(got, []int32{3}) {
+		t.Fatalf("delivered %v, want [3]", got)
+	}
+}

@@ -78,7 +78,9 @@ func requireResized(t *testing.T, resizes []train.ResizeEvent, kind string, rank
 // member — on both link backends. The run must
 // survive all three membership changes, conserve every item token
 // (checked by the runner's teardown) and converge to within 1e-2 of
-// the undisturbed run's final RMSE.
+// the undisturbed run's final RMSE. A second run requests a join and a
+// drain back to back; every resize of both runs must be timed from its
+// own request.
 func TestElasticKillJoinDrain(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second elasticity matrix")
@@ -110,7 +112,28 @@ func TestElasticKillJoinDrain(t *testing.T) {
 				t.Errorf("final RMSE %.4f drifted %.4f from undisturbed %.4f (> 1e-2)",
 					res.Trace.Final().RMSE, drift, baseline)
 			}
+			requireTimed(t, resizes)
+
+			// A join and a drain requested back to back, the drain
+			// before the join commits: each resize is timed from its
+			// own request.
+			res, _, resizes = runElastic(t, elasticConfig(backend), "join@mid-epoch;drain@mid-epoch")
+			requireResized(t, resizes, "join", 4)
+			requireResized(t, resizes, "drain", 3)
+			requireTimed(t, resizes)
+			requireConverged(t, res)
 		})
+	}
+}
+
+// requireTimed asserts that every resize reports a positive
+// request→commit latency.
+func requireTimed(t *testing.T, resizes []train.ResizeEvent) {
+	t.Helper()
+	for _, e := range resizes {
+		if e.Seconds <= 0 {
+			t.Errorf("%s of rank %d reports %v s since its request, want > 0", e.Kind, e.Rank, e.Seconds)
+		}
 	}
 }
 

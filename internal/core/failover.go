@@ -10,7 +10,8 @@ package core
 // regenerate what must move, and resume.
 //
 // The protocol is arbiter-driven over the links' control plane (frame
-// kinds ≥ 16; the multi-process runner owns 1..7) and runs in a
+// kinds ≥ 16; the multi-process runner owns 1..7), except for its
+// fence, which rides the data plane behind the tokens, and runs in a
 // per-machine "agent" goroutine alongside the sender/receiver pair.
 // All three reconfiguration rounds share one skeleton:
 //
@@ -19,9 +20,11 @@ package core
 //	           join / drain, with its subject rank)
 //	fence      senders park (an eviction first redirects the victim's
 //	           pending batch; a drain's leaver instead flushes forward,
-//	           see below) and each machine announces its cumulative
-//	           per-peer send counts; a peer's fence is satisfied when
-//	           the local receive counter catches up — nothing in flight
+//	           see below) and put a fence marker, stamped with the
+//	           round's epoch, behind their last token to every peer
+//	           (the multi-process stop's quiesce marker); a peer is
+//	           fenced once its marker has reached the local receiver,
+//	           so nothing it sent here is still in flight
 //	report     with the network quiescent, each machine snapshots its
 //	           token-ownership bitmap and reports it to the arbiter
 //	commit     the arbiter unions the reports (a duplicate bit is a
@@ -38,15 +41,16 @@ package core
 // A drain differs in one step: the leaver's workers stop training and
 // flush their queues forward, and its sender streams every remaining
 // token to the leaver's ring buddy (zero lost updates — state is
-// moved, not reconstructed) before it announces its fence.
+// moved, not reconstructed) before it sends its fence markers.
 //
 // Sequential faults are survivable while at least two machines remain:
 // a death detected mid-round is queued and handled in its own round
 // after resume, and if the arbiter itself dies mid-round the next
 // lowest live rank takes over — survivors re-aim their buffered
 // reports at the successor, so the round completes without restarting.
-// Every control frame carries the membership epoch it was sealed
-// under; stale-epoch frames (from rounds already finished) are
+// Every control frame has one shape, foFrame: the membership epoch it
+// was sent under and the round's subject rank, then the kind's
+// payload. Stale-epoch frames (from rounds already finished) are
 // dropped, with suspect and resume exempt so late detections and late
 // resumes are never lost.
 //
@@ -79,6 +83,7 @@ import (
 	"nomad/internal/factor"
 	"nomad/internal/netlink"
 	"nomad/internal/partition"
+	"nomad/internal/rng"
 	"nomad/internal/train"
 )
 
@@ -87,9 +92,8 @@ import (
 const (
 	ctlFoSuspect   = uint8(16) + iota // survivor → arbiter: victim rank
 	ctlFoEvict                        // arbiter broadcast: victim rank (round start)
-	ctlFoFence                        // peer → peer: subject, cumulative send count
 	ctlFoReport                       // peer → arbiter: subject, ownership bitmap
-	ctlFoRemap                        // arbiter → buddy: victim, missing item list
+	ctlFoRemap                        // arbiter → buddy: victim, bitmap of the missing items
 	ctlFoRegenDone                    // buddy → arbiter: victim
 	ctlFoResume                       // arbiter broadcast: subject (round end)
 	ctlFoReplToks                     // replication: delivered-token snapshot (AppendTokenBatch payload)
@@ -105,8 +109,8 @@ const (
 var foFenceTimeout = 5 * time.Second
 
 const (
-	// foFencePoll is the agent's receive-counter polling cadence while
-	// fencing.
+	// foFencePoll is the agent's polling cadence for its peers' fence
+	// markers while fencing.
 	foFencePoll = 200 * time.Microsecond
 	// replEveryTokens is the replication snapshot cadence: one ctl frame
 	// to the ring buddy per this many delivered tokens.
@@ -135,7 +139,8 @@ const (
 // notifications).
 const (
 	evDetect = iota // a peer died (victim, cause)
-	evFenced        // own sender flushed and parked
+	evFenced        // own sender flushed, sent its fence markers and parked
+	evMarker        // own receiver filed a peer's fence marker
 	evJoin          // activate spare (victim = spare rank)
 	evDrain         // graceful leave (victim = leaver rank)
 )
@@ -158,6 +163,7 @@ const (
 type foSendCmd struct {
 	kind   int
 	victim int
+	ep     uint64 // the round's epoch, stamped on the fence markers
 }
 
 // foRecvCmd kinds (agent → receiver goroutine). The command channel is
@@ -186,27 +192,24 @@ type replicaStore struct {
 	users map[int32][]float64 // last replicated user-factor rows
 }
 
-// foMachine is the per-machine mailbox set.
+// foMachine is the per-machine mailbox set. A machine's per-peer
+// state (fence markers, evicted sources) is its receiver's and lives
+// on the meshMachine.
 type foMachine struct {
 	notify  chan foEvent
 	sendCmd chan foSendCmd
 	recvCmd chan foRecvCmd
 
-	// retry, when set (mesh runner), re-attempts the receiver's pending
-	// SPSC deliveries; invoked on the receiver goroutine via recvRetry.
-	retry func()
-
 	// Receiver-goroutine-owned state (no locks needed).
-	dropFrom []bool            // evicted sources
-	repl     *cluster.BatchBuf // pending replication snapshot
-	replN    int               // tokens accumulated in repl
-	rowCur   int               // rotating cursor into the machine's user list
+	repl   *cluster.BatchBuf // pending replication snapshot
+	replN  int               // tokens accumulated in repl
+	rowCur int               // rotating cursor into the machine's user list
 }
 
 // failoverRuntime is the shared state of one failover-enabled run: the
-// ownership bitmaps, fence counters, membership flags and mailboxes of
-// every provisioned machine, plus the global death/recovery record. A
-// nil receiver is valid everywhere and means "failover disabled" — the
+// ownership bitmaps, membership flags and mailboxes of every
+// provisioned machine, plus the global death/recovery record. A nil
+// receiver is valid everywhere and means "failover disabled" — the
 // runners call straight through without guards on their hot paths
 // beyond a nil check and, on the data planes, one atomic op per token.
 type failoverRuntime struct {
@@ -227,8 +230,6 @@ type failoverRuntime struct {
 	active []atomic.Bool // member of the working set (false = latent spare)
 
 	owned [][]atomic.Uint64 // [machine][word]: token-ownership bitmaps
-	sent  [][]atomic.Int64  // [src][dst] cumulative tokens handed to the sender
-	rcvd  [][]atomic.Int64  // [dst][src] cumulative tokens delivered
 
 	epoch  atomic.Uint64 // membership epoch, bumped at each round start
 	paused atomic.Bool   // replication paused during reconfiguration
@@ -257,9 +258,9 @@ type failoverRuntime struct {
 	lastVictim atomic.Int64
 
 	elasticMu   sync.Mutex
-	claimed     []bool // spare ranks with a join requested
-	drainReq    []bool // ranks with a drain requested
-	resizeStart atomic.Int64
+	claimed     []bool         // spare ranks with a join requested
+	drainReq    []bool         // ranks with a drain requested
+	resizeStart []atomic.Int64 // subject rank → its pending request's nanos
 	lastJoined  atomic.Int64
 
 	stopping chan struct{}
@@ -285,21 +286,20 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 	words := (n + 63) / 64
 	fo := &failoverRuntime{
 		M: M, W: W, K: cfg.K, n: n,
-		activeN:  cfg.Machines,
-		hooks:    hooks,
-		m:        make([]*foMachine, M),
-		dead:     make([]atomic.Bool, M),
-		parted:   make([]atomic.Bool, M),
-		active:   make([]atomic.Bool, M),
-		owned:    make([][]atomic.Uint64, M),
-		sent:     make([][]atomic.Int64, M),
-		rcvd:     make([][]atomic.Int64, M),
-		donate:   make([]atomic.Int64, M),
-		widle:    make([][]atomic.Bool, M),
-		claimed:  make([]bool, M),
-		drainReq: make([]bool, M),
-		deathAt:  map[int]int64{},
-		stopping: make(chan struct{}),
+		activeN:     cfg.Machines,
+		hooks:       hooks,
+		m:           make([]*foMachine, M),
+		dead:        make([]atomic.Bool, M),
+		parted:      make([]atomic.Bool, M),
+		active:      make([]atomic.Bool, M),
+		owned:       make([][]atomic.Uint64, M),
+		donate:      make([]atomic.Int64, M),
+		widle:       make([][]atomic.Bool, M),
+		claimed:     make([]bool, M),
+		drainReq:    make([]bool, M),
+		resizeStart: make([]atomic.Int64, M),
+		deathAt:     map[int]int64{},
+		stopping:    make(chan struct{}),
 	}
 	fo.donateTo.Store(-1)
 	fo.drainTarget.Store(-1)
@@ -307,15 +307,12 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 	fo.lastJoined.Store(-1)
 	for i := 0; i < M; i++ {
 		fo.m[i] = &foMachine{
-			notify:   make(chan foEvent, 4*M+16),
-			sendCmd:  make(chan foSendCmd, 4),
-			recvCmd:  make(chan foRecvCmd, 8),
-			dropFrom: make([]bool, M),
-			repl:     cluster.NewBatchBuf(),
+			notify:  make(chan foEvent, 4*M+16),
+			sendCmd: make(chan foSendCmd, 4),
+			recvCmd: make(chan foRecvCmd, 8),
+			repl:    cluster.NewBatchBuf(),
 		}
 		fo.owned[i] = make([]atomic.Uint64, words)
-		fo.sent[i] = make([]atomic.Int64, M)
-		fo.rcvd[i] = make([]atomic.Int64, M)
 		fo.widle[i] = make([]atomic.Bool, W)
 		fo.active[i].Store(i < fo.activeN)
 	}
@@ -561,7 +558,7 @@ func (fo *failoverRuntime) requestJoin(rank int) error {
 	}
 	fo.claimed[rank] = true
 	fo.elasticMu.Unlock()
-	fo.resizeStart.Store(time.Now().UnixNano())
+	fo.resizeStart[rank].Store(time.Now().UnixNano())
 	return fo.enqueueArbiter(foEvent{kind: evJoin, victim: rank})
 }
 
@@ -608,7 +605,7 @@ func (fo *failoverRuntime) requestDrain(rank int) error {
 	}
 	fo.drainReq[rank] = true
 	fo.elasticMu.Unlock()
-	fo.resizeStart.Store(time.Now().UnixNano())
+	fo.resizeStart[rank].Store(time.Now().UnixNano())
 	return fo.enqueueArbiter(foEvent{kind: evDrain, victim: rank})
 }
 
@@ -623,10 +620,12 @@ func (fo *failoverRuntime) enqueueArbiter(ev foEvent) error {
 	}
 }
 
-// noteResized emits the resize event for a committed membership change.
-func (fo *failoverRuntime) noteResized(kind string, rank int) {
+// noteResized emits the resize event for a committed membership change
+// of rank, timed from start, the nanos of that rank's own request
+// (taken from resizeStart).
+func (fo *failoverRuntime) noteResized(kind string, rank int, start int64) {
 	secs := 0.0
-	if start := fo.resizeStart.Swap(0); start > 0 {
+	if start > 0 {
 		secs = time.Duration(time.Now().UnixNano() - start).Seconds()
 	}
 	fo.hooks.Emit(train.ResizeEvent{Kind: kind, Rank: rank, Machines: fo.activeCount(), Seconds: secs})
@@ -670,13 +669,6 @@ func (fo *failoverRuntime) recvCmds(i int) chan foRecvCmd {
 	return fo.m[i].recvCmd
 }
 
-// setRetryFn installs the mesh receiver's pending-delivery retry hook.
-func (fo *failoverRuntime) setRetryFn(i int, fn func()) {
-	if fo != nil {
-		fo.m[i].retry = fn
-	}
-}
-
 // noteOwned sets item's ownership bit for machine i: called at initial
 // placement and on every delivery, injections included, before the
 // token enters the worker queues. A token must never be observable by
@@ -688,37 +680,46 @@ func (fo *failoverRuntime) noteOwned(i int, item int32) {
 	fo.owned[i][item>>6].Or(1 << uint(item&63))
 }
 
-// noteSent records a token handed to machine i's sender toward dst:
-// the ownership bit clears (the token is leaving; if it never arrives
-// anywhere it is "missing" and the protocol regenerates it) and the
-// per-destination fence counter advances.
+// noteSent records a token handed to machine i's sender: the ownership
+// bit clears (the token is leaving; if it never arrives anywhere it is
+// "missing" and the protocol regenerates it).
 //
 //nomad:noalloc
-func (fo *failoverRuntime) noteSent(i, dst int, item int32) {
+func (fo *failoverRuntime) noteSent(i int, item int32) {
 	fo.owned[i][item>>6].And(^(uint64(1) << uint(item&63)))
-	fo.sent[i][dst].Add(1)
 }
 
-// acceptBatch reports whether machine i's receiver should deliver a
+// acceptBatch reports whether machine mc's receiver should deliver a
 // batch from src: a dead or drained machine discards everything (it
 // must keep draining — its link's reader, and behind it the peer's
 // writer, would stall otherwise), and survivors drop frames from
 // evicted peers.
-func (fo *failoverRuntime) acceptBatch(i, src int) bool {
+func (fo *failoverRuntime) acceptBatch(mc *meshMachine, src int) bool {
 	if fo == nil {
 		return true
 	}
-	if fo.gone(i) {
+	if fo.gone(mc.id) {
 		return false
 	}
-	return !fo.m[i].dropFrom[src]
+	return !mc.dropFrom[src]
 }
 
-// afterDeliver completes a delivery's accounting: the fence counter
-// (strictly after the bits, so a satisfied fence implies the bits are
-// visible) and the replication stream to the ring buddy.
-func (fo *failoverRuntime) afterDeliver(i, src int, toks []cluster.Token, link cluster.Link) {
-	fo.rcvd[i][src].Add(int64(len(toks)))
+// noteMarker wakes machine i's agent to check its fence now that the
+// receiver has filed a peer's marker; when the mailbox is full, the
+// agent's poll finds the marker instead. Without failover nothing
+// waits for a fence marker, and one from a peer is ignored.
+func (fo *failoverRuntime) noteMarker(i int) {
+	if fo == nil {
+		return
+	}
+	select {
+	case fo.m[i].notify <- foEvent{kind: evMarker}:
+	default:
+	}
+}
+
+// afterDeliver streams a delivered batch to the ring buddy's replica.
+func (fo *failoverRuntime) afterDeliver(i int, toks []cluster.Token, link cluster.Link) {
 	m := fo.m[i]
 	for x := range toks {
 		m.repl.Add(toks[x].Item, toks[x].Vec)
@@ -744,9 +745,7 @@ func (fo *failoverRuntime) flushReplication(i int, link cluster.Link) {
 		return
 	}
 	ep := fo.epoch.Load()
-	hdr := make([]byte, 4)
-	binary.LittleEndian.PutUint32(hdr, uint32(ep))
-	payload, err := netlink.AppendTokenBatch(hdr, m.repl.Batch(0), fo.K)
+	payload, err := netlink.AppendTokenBatch(foAppend(nil, ep, i, nil), m.repl.Batch(0), fo.K)
 	if err == nil {
 		link.SendCtl(buddy, ctlFoReplToks, payload) //nolint:errcheck // lossy-tolerant plane
 	}
@@ -759,7 +758,7 @@ func (fo *failoverRuntime) flushReplication(i int, link cluster.Link) {
 	}
 	chunk := users[m.rowCur:min(m.rowCur+replRowChunk, len(users))]
 	m.rowCur = (m.rowCur + len(chunk)) % len(users)
-	rows := binary.LittleEndian.AppendUint32(make([]byte, 0, 8+len(chunk)*(4+8*fo.K)), uint32(ep))
+	rows := foAppend(make([]byte, 0, foHeader+4+len(chunk)*(4+8*fo.K)), ep, i, nil)
 	// The rows are being written by this machine's own workers; the
 	// torn-read risk is the same one the unlocked monitor sampling
 	// accepts, and a torn replica row only costs replication fidelity.
@@ -828,71 +827,64 @@ func (fo *failoverRuntime) respActivate(J int) {
 
 // ---- goroutine command execution ----
 
-// handleRecvCmd executes an agent command on the receiver goroutine.
-// deliver is the runner's delivery closure (shared with the normal
-// inbound path so injection uses the same ownership bits, row writes
-// and visit planning).
-func (fo *failoverRuntime) handleRecvCmd(i int, cmd foRecvCmd, deliver func([]cluster.Token)) {
+// handleRecvCmd executes an agent command on machine mc's receiver
+// goroutine. An injection is delivered like an inbound batch, with the
+// same ownership bits, row writes and visit planning.
+func (fo *failoverRuntime) handleRecvCmd(mc *meshMachine, cmd foRecvCmd, r *rng.Source) {
 	switch cmd.kind {
 	case recvMarkDead:
-		fo.m[i].dropFrom[cmd.victim] = true
+		mc.dropFrom[cmd.victim] = true
 	case recvSnapshot:
-		bm := make([]uint64, len(fo.owned[i]))
+		bm := make([]uint64, len(fo.owned[mc.id]))
 		for w := range bm {
-			bm[w] = fo.owned[i][w].Load()
+			bm[w] = fo.owned[mc.id][w].Load()
 		}
 		cmd.reply <- bm
 	case recvInject:
-		deliver(cmd.toks)
+		mc.deliverBatch(-1, cmd.toks, fo, r)
 	case recvRetry:
-		if fo.m[i].retry != nil {
-			fo.m[i].retry()
-		}
+		mc.retryPending()
 	}
 }
 
 // drainRecvCmds runs any still-queued commands before a receiver
 // returns, so a late injection racing teardown is not lost.
-func (fo *failoverRuntime) drainRecvCmds(i int, deliver func([]cluster.Token)) {
+func (fo *failoverRuntime) drainRecvCmds(mc *meshMachine, r *rng.Source) {
 	if fo == nil {
 		return
 	}
 	for {
 		select {
-		case cmd := <-fo.m[i].recvCmd:
-			fo.handleRecvCmd(i, cmd, deliver)
+		case cmd := <-fo.m[mc.id].recvCmd:
+			fo.handleRecvCmd(mc, cmd, r)
 		default:
 			return
 		}
 	}
 }
 
-// runSenderCmd executes a failover command on the sender goroutine.
-// Every round variant ends the same way: flush (making the fence
-// counters final), notify the local agent, and park until resume —
+// runSenderCmd executes a failover command on machine i's sender
+// goroutine. Every round variant ends the same way: flush, put a fence
+// marker for the round's epoch behind the last token to every peer
+// still in the cluster, notify the local agent, and park until resume —
 // this machine's share of token circulation pauses, which is what lets
 // the snapshot see a quiescent network. drainAll is the runner's
-// flush-forward closure: stream every token still on this machine to
-// dest (nil on runners that never drain).
-func (fo *failoverRuntime) runSenderCmd(i int, cmd foSendCmd, s *cluster.Sender, pick func() int, drainAll func(dest int)) {
+// flush-forward: stream every token still on this machine to dest.
+func (fo *failoverRuntime) runSenderCmd(i int, cmd foSendCmd, s *cluster.Sender, link cluster.Link, pick func() int, drainAll func(dest int)) {
 	switch cmd.kind {
 	case sendEvict:
-		counting := func() int {
-			d := pick()
-			fo.sent[i][d].Add(1)
-			return d
-		}
-		s.Redirect(cmd.victim, counting)
+		s.Redirect(cmd.victim, pick)
 	case sendPark:
 		// Nothing to redirect: just flush and park.
 	case sendDrain:
-		if dest := fo.buddyOf(i); dest >= 0 && drainAll != nil {
+		if dest := fo.buddyOf(i); dest >= 0 {
 			drainAll(dest)
 		}
 	default:
 		return // stray resume from an abandoned protocol
 	}
 	s.FlushAll() //nolint:errcheck // a real failure surfaces via link.Err
+	sendMarkers(link, cmd.ep, func(p int) bool { return !fo.gone(p) })
 	select {
 	case fo.m[i].notify <- foEvent{kind: evFenced}:
 	case <-fo.stopping:
@@ -989,93 +981,70 @@ func (fo *failoverRuntime) failErr() error {
 	return nil
 }
 
-// ---- frame codecs ----
+// ---- the control frame ----
 
-// seal prepends the membership epoch to a control payload; foOpen
-// strips and returns it. Every fo-plane frame is sealed so receivers
-// can reject frames from rounds already finished.
-func foSeal(ep uint64, payload []byte) []byte {
-	b := make([]byte, 4+len(payload))
-	binary.LittleEndian.PutUint32(b, uint32(ep))
-	copy(b[4:], payload)
-	return b
+// foFrame is the one shape of every failover control frame: a header of
+// the membership epoch it was sent under and the round's subject rank
+// (the replicating machine on the replication plane), then the kind's
+// payload — an ownership bitmap of exactly ⌈n/64⌉ words for a report
+// or a remap, the replication payload for ctlFoReplToks and
+// ctlFoReplRows, nothing for the rest. The epoch lets receivers reject
+// frames from rounds already finished.
+type foFrame struct {
+	epoch   uint64
+	subject int
+	bm      []uint64 // ctlFoReport, ctlFoRemap
+	body    []byte   // ctlFoReplToks, ctlFoReplRows
 }
 
-func foOpen(p []byte) (uint64, []byte, bool) {
-	if len(p) < 4 {
-		return 0, nil, false
+// foHeader is the frame header's size: epoch and subject, uint32 each.
+const foHeader = 8
+
+// foAppend appends a frame's header and bitmap to dst; a replication
+// frame's payload is appended behind them by its own encoder.
+func foAppend(dst []byte, ep uint64, subject int, bm []uint64) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(ep))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(int32(subject)))
+	for _, w := range bm {
+		dst = binary.LittleEndian.AppendUint64(dst, w)
 	}
-	return uint64(binary.LittleEndian.Uint32(p)), p[4:], true
+	return dst
 }
 
-func foEncodeVictim(v int) []byte {
-	b := make([]byte, 4)
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	return b
-}
-
-func foDecodeVictim(p []byte) (int, bool) {
-	if len(p) < 4 {
-		return 0, false
+// foDecode parses a control frame of the given kind from a peer, for a
+// run of n items over machines ranks. It accepts only a failover kind,
+// a subject in [0, machines), and the kind's exact payload: a bitmap of
+// ⌈n/64⌉ words with no bit at or above n, no payload at all, or a
+// replication payload, which its own decoder checks. So every item a
+// remap names is a model row.
+func foDecode(kind uint8, p []byte, n, machines int) (foFrame, bool) {
+	if kind < ctlFoSuspect || kind > ctlFoDrain || len(p) < foHeader {
+		return foFrame{}, false
 	}
-	return int(int32(binary.LittleEndian.Uint32(p))), true
-}
-
-func foEncodeFence(v int, count int64) []byte {
-	b := make([]byte, 12)
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	binary.LittleEndian.PutUint64(b[4:], uint64(count))
-	return b
-}
-
-func foDecodeFence(p []byte) (int, int64, bool) {
-	if len(p) < 12 {
-		return 0, 0, false
+	f := foFrame{epoch: uint64(binary.LittleEndian.Uint32(p)), subject: int(int32(binary.LittleEndian.Uint32(p[4:])))}
+	if f.subject < 0 || f.subject >= machines {
+		return foFrame{}, false
 	}
-	return int(binary.LittleEndian.Uint32(p)), int64(binary.LittleEndian.Uint64(p[4:])), true
-}
-
-func foEncodeReport(v int, bm []uint64) []byte {
-	b := make([]byte, 4+8*len(bm))
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	for w, x := range bm {
-		binary.LittleEndian.PutUint64(b[4+8*w:], x)
+	body := p[foHeader:]
+	switch kind {
+	case ctlFoReport, ctlFoRemap:
+		words := (n + 63) / 64
+		if len(body) != 8*words {
+			return foFrame{}, false
+		}
+		f.bm = make([]uint64, words)
+		for w := range f.bm {
+			f.bm[w] = binary.LittleEndian.Uint64(body[8*w:])
+		}
+		if n%64 != 0 && f.bm[words-1]>>(n%64) != 0 {
+			return foFrame{}, false
+		}
+	case ctlFoReplToks, ctlFoReplRows:
+		f.body = body
+	default:
+		if len(body) != 0 {
+			return foFrame{}, false
+		}
 	}
-	return b
-}
-
-func foDecodeReport(p []byte) (int, []uint64, bool) {
-	if len(p) < 4 || (len(p)-4)%8 != 0 {
-		return 0, nil, false
-	}
-	bm := make([]uint64, (len(p)-4)/8)
-	for w := range bm {
-		bm[w] = binary.LittleEndian.Uint64(p[4+8*w:])
-	}
-	return int(binary.LittleEndian.Uint32(p)), bm, true
-}
-
-func foEncodeRemap(v int, items []int32) []byte {
-	b := make([]byte, 8+4*len(items))
-	binary.LittleEndian.PutUint32(b, uint32(v))
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(items)))
-	for x, j := range items {
-		binary.LittleEndian.PutUint32(b[8+4*x:], uint32(j))
-	}
-	return b
-}
-
-func foDecodeRemap(p []byte) (int, []int32, bool) {
-	if len(p) < 8 {
-		return 0, nil, false
-	}
-	count := int(binary.LittleEndian.Uint32(p[4:]))
-	if count < 0 || len(p)-8 != 4*count {
-		return 0, nil, false
-	}
-	items := make([]int32, count)
-	for x := range items {
-		items[x] = int32(binary.LittleEndian.Uint32(p[8+4*x:]))
-	}
-	return int(binary.LittleEndian.Uint32(p)), items, true
+	return f, true
 }

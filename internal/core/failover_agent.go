@@ -15,15 +15,15 @@ import (
 )
 
 // startAgents launches one protocol agent per provisioned machine;
-// latent spares participate fully (their fences are trivially
-// satisfied and their reports are empty bitmaps).
-func (fo *failoverRuntime) startAgents() {
+// latent spares participate fully (they fence like members, and their
+// reports are empty bitmaps).
+func (fo *failoverRuntime) startAgents(machines []*meshMachine) {
 	if fo == nil {
 		return
 	}
-	for i := 0; i < fo.M; i++ {
+	for _, mc := range machines {
 		fo.agentWG.Add(1)
-		go fo.runAgent(i)
+		go fo.runAgent(mc)
 	}
 }
 
@@ -32,6 +32,7 @@ func (fo *failoverRuntime) startAgents() {
 type foAgent struct {
 	fo   *failoverRuntime
 	i    int
+	mc   *meshMachine // its receiver holds the peers' fence markers
 	link cluster.Link
 
 	phase      int
@@ -48,25 +49,19 @@ type foAgent struct {
 	done      map[int]bool
 	pending   []foEvent // faults/requests arriving mid-round, replayed after resume
 
-	// fences is keyed by round epoch because fence frames can arrive
-	// before the local round start (there is no cross-sender FIFO):
-	// they are buffered under their epoch and found when the round
-	// begins. Each round deletes its key at resume.
-	fences map[uint64]map[int]int64
-
 	reports    map[int][]uint64 // arbiter: rank → ownership bitmap
 	lastReport []uint64         // own last snapshot, resent on arbiter succession
 	replicas   map[int]*replicaStore
 }
 
-func (fo *failoverRuntime) runAgent(i int) {
+func (fo *failoverRuntime) runAgent(mc *meshMachine) {
 	defer fo.agentWG.Done()
+	i := mc.id
 	a := &foAgent{
-		fo: fo, i: i, link: fo.links[i],
+		fo: fo, i: i, mc: mc, link: fo.links[i],
 		subject:   -1,
 		suspected: map[int]bool{},
 		done:      map[int]bool{},
-		fences:    map[uint64]map[int]int64{},
 		reports:   map[int][]uint64{},
 		replicas:  map[int]*replicaStore{},
 	}
@@ -162,21 +157,17 @@ func (a *foAgent) handleEvent(ev foEvent) {
 		if arb := fo.arbiter(); arb == a.i {
 			a.onSuspect(v)
 		} else {
-			a.link.SendCtl(arb, ctlFoSuspect, foSeal(fo.epoch.Load(), foEncodeVictim(v))) //nolint:errcheck // loss → fence timeout → typed abort
+			a.link.SendCtl(arb, ctlFoSuspect, foAppend(nil, fo.epoch.Load(), v, nil)) //nolint:errcheck // loss → fence timeout → typed abort
 		}
 	case evFenced:
 		if a.phase != foFencing {
 			return
 		}
+		// The sender is parked, and its fence markers are behind its
+		// last tokens.
 		a.senderAcked = true
-		// The sender is parked and flushed: the per-peer counts are
-		// final. Announce them so every peer can quiesce.
-		for p := 0; p < fo.M; p++ {
-			if p == a.i || fo.gone(p) {
-				continue
-			}
-			a.link.SendCtl(p, ctlFoFence, foSeal(a.roundEpoch, foEncodeFence(a.subject, fo.sent[a.i][p].Load()))) //nolint:errcheck
-		}
+		a.checkFences()
+	case evMarker:
 		a.checkFences()
 	case evJoin, evDrain:
 		if ev.ep != 0 {
@@ -198,7 +189,7 @@ func (a *foAgent) handleEvent(ev foEvent) {
 		if ev.kind == evDrain {
 			kind = ctlFoDrain
 		}
-		a.link.SendCtl(-1, kind, foSeal(ep, foEncodeVictim(ev.victim))) //nolint:errcheck
+		a.link.SendCtl(-1, kind, foAppend(nil, ep, ev.victim, nil)) //nolint:errcheck
 		if ev.kind == evJoin {
 			a.onJoinStart(ev.victim, ep)
 		} else {
@@ -221,20 +212,17 @@ func (a *foAgent) resendRoundState() {
 		if arb == a.i {
 			a.onReport(a.i, a.lastReport)
 		} else {
-			a.link.SendCtl(arb, ctlFoReport, foSeal(a.roundEpoch, foEncodeReport(a.subject, a.lastReport))) //nolint:errcheck
+			a.link.SendCtl(arb, ctlFoReport, foAppend(nil, a.roundEpoch, a.subject, a.lastReport)) //nolint:errcheck
 		}
 	}
 	if a.regenSent && arb != a.i {
-		a.link.SendCtl(arb, ctlFoRegenDone, foSeal(a.roundEpoch, foEncodeVictim(a.subject))) //nolint:errcheck
+		a.link.SendCtl(arb, ctlFoRegenDone, foAppend(nil, a.roundEpoch, a.subject, nil)) //nolint:errcheck
 	}
 }
 
 func (a *foAgent) handleCtl(ct cluster.Ctl) {
 	fo := a.fo
-	if ct.Kind < ctlFoSuspect || ct.Kind > ctlFoDrain {
-		return
-	}
-	ep, rest, ok := foOpen(ct.Payload)
+	f, ok := foDecode(ct.Kind, ct.Payload, fo.n, fo.M)
 	if !ok {
 		return
 	}
@@ -242,71 +230,49 @@ func (a *foAgent) handleCtl(ct cluster.Ctl) {
 		// A dead machine drains and ignores; a drained (parted) machine
 		// still honours its own round's resume so its parked sender can
 		// unpark and close before teardown.
-		if ct.Kind == ctlFoResume {
-			if v, ok := foDecodeVictim(rest); ok && v == a.i {
-				a.onResume(v)
-			}
+		if ct.Kind == ctlFoResume && f.subject == a.i {
+			a.onResume(f.subject)
 		}
 		return
 	}
 	if ct.From >= 0 && ct.From < fo.M && fo.gone(ct.From) && ct.Kind != ctlFoResume {
 		return // stale frame from a member that already left
 	}
-	if ep < fo.epoch.Load() && ct.Kind != ctlFoSuspect && ct.Kind != ctlFoResume {
+	if f.epoch < fo.epoch.Load() && ct.Kind != ctlFoSuspect && ct.Kind != ctlFoResume {
 		return // a finished round's frame
 	}
 	switch ct.Kind {
 	case ctlFoSuspect:
-		if v, ok := foDecodeVictim(rest); ok && a.i == fo.arbiter() {
-			a.onSuspect(v)
+		if a.i == fo.arbiter() {
+			a.onSuspect(f.subject)
 		}
 	case ctlFoEvict:
-		if v, ok := foDecodeVictim(rest); ok {
-			a.onEvict(v, "evicted by arbiter", ep)
-		}
+		a.onEvict(f.subject, "evicted by arbiter", f.epoch)
 	case ctlFoJoin:
-		if v, ok := foDecodeVictim(rest); ok {
-			a.onJoinStart(v, ep)
-		}
+		a.onJoinStart(f.subject, f.epoch)
 	case ctlFoDrain:
-		if v, ok := foDecodeVictim(rest); ok {
-			a.onDrainStart(v, ep)
-		}
-	case ctlFoFence:
-		if _, count, ok := foDecodeFence(rest); ok {
-			fs := a.fences[ep]
-			if fs == nil {
-				fs = map[int]int64{}
-				a.fences[ep] = fs
-			}
-			fs[ct.From] = count
-			a.checkFences()
-		}
+		a.onDrainStart(f.subject, f.epoch)
 	case ctlFoReport:
-		if _, bm, ok := foDecodeReport(rest); ok {
-			a.onReport(ct.From, bm)
-		}
+		a.onReport(ct.From, f.bm)
 	case ctlFoRemap:
-		if v, items, ok := foDecodeRemap(rest); ok && v == a.subject && a.phase != foIdle {
-			a.onRemap(items)
+		if f.subject == a.subject && a.phase != foIdle {
+			a.onRemap(f.bm)
 		}
 	case ctlFoRegenDone:
-		if _, ok := foDecodeVictim(rest); ok && a.i == fo.arbiter() {
+		if a.i == fo.arbiter() {
 			a.onRegenDone()
 		}
 	case ctlFoResume:
-		if v, ok := foDecodeVictim(rest); ok {
-			a.onResume(v)
-		}
+		a.onResume(f.subject)
 	case ctlFoReplToks:
-		if b, err := netlink.DecodeTokenBatch(rest, fo.K); err == nil {
+		if b, err := netlink.DecodeTokenBatch(f.body, fo.K); err == nil {
 			rs := a.replica(ct.From)
 			for _, t := range b.Tokens {
 				rs.items[t.Item] = t.Vec // freshly allocated by the decode
 			}
 		}
 	case ctlFoReplRows:
-		a.storeReplRows(ct.From, rest) //nolint:errcheck // lossy-tolerant plane
+		a.storeReplRows(ct.From, f.body) //nolint:errcheck // lossy-tolerant plane
 	}
 }
 
@@ -325,7 +291,7 @@ func (a *foAgent) onSuspect(v int) {
 	}
 	a.suspected[v] = true
 	ep := fo.epoch.Add(1)
-	a.link.SendCtl(-1, ctlFoEvict, foSeal(ep, foEncodeVictim(v))) //nolint:errcheck // dead peers are skipped/harmless
+	a.link.SendCtl(-1, ctlFoEvict, foAppend(nil, ep, v, nil)) //nolint:errcheck // dead peers are skipped/harmless
 	a.onEvict(v, "evicted by arbiter", ep)
 }
 
@@ -349,7 +315,7 @@ func (a *foAgent) onEvict(v int, cause string, ep uint64) {
 	if !a.sendRecvCmd(foRecvCmd{kind: recvMarkDead, victim: v}) {
 		return
 	}
-	a.sendSendCmd(foSendCmd{kind: sendEvict, victim: v})
+	a.sendSendCmd(foSendCmd{kind: sendEvict, victim: v, ep: ep})
 }
 
 // onJoinStart enters a scale-out round: every sender (the joiner's
@@ -365,7 +331,7 @@ func (a *foAgent) onJoinStart(v int, ep uint64) {
 		return
 	}
 	a.beginRound(roundJoin, v, ep)
-	a.sendSendCmd(foSendCmd{kind: sendPark})
+	a.sendSendCmd(foSendCmd{kind: sendPark, ep: ep})
 }
 
 // onDrainStart enters a scale-in round. The leaver does not park: its
@@ -385,7 +351,7 @@ func (a *foAgent) onDrainStart(v int, ep uint64) {
 	if a.i == v {
 		fo.drainTarget.Store(int64(v))
 	} else {
-		a.sendSendCmd(foSendCmd{kind: sendPark})
+		a.sendSendCmd(foSendCmd{kind: sendPark, ep: ep})
 	}
 }
 
@@ -401,8 +367,8 @@ func (a *foAgent) pumpRetry() {
 
 // checkFences advances from fencing to reporting once the network is
 // quiescent from this machine's point of view: its own sender is
-// parked, and every present peer's announced send count has been
-// matched by the local receive counter (nothing in flight toward us).
+// parked, and the receiver has read every present peer's fence marker
+// for this round (nothing in flight toward us).
 // The drain leaver additionally orders its own flush-forward after all
 // inbound has landed, so no token can arrive behind its back.
 func (a *foAgent) checkFences() {
@@ -411,13 +377,8 @@ func (a *foAgent) checkFences() {
 		return
 	}
 	peersOK := true
-	fs := a.fences[a.roundEpoch]
 	for p := 0; p < fo.M; p++ {
-		if p == a.i || fo.gone(p) {
-			continue
-		}
-		c, ok := fs[p]
-		if !ok || fo.rcvd[a.i][p].Load() < c {
+		if p != a.i && !fo.gone(p) && a.mc.fenced[p].Load() < a.roundEpoch {
 			peersOK = false
 			break
 		}
@@ -425,7 +386,7 @@ func (a *foAgent) checkFences() {
 	if a.round == roundDrain && a.subject == a.i {
 		if peersOK && !a.drainCmdSent {
 			a.drainCmdSent = true
-			a.sendSendCmd(foSendCmd{kind: sendDrain, victim: a.subject})
+			a.sendSendCmd(foSendCmd{kind: sendDrain, victim: a.subject, ep: a.roundEpoch})
 		}
 		if !a.senderAcked {
 			a.pumpRetry()
@@ -454,7 +415,7 @@ func (a *foAgent) checkFences() {
 	if arb := fo.arbiter(); arb == a.i {
 		a.onReport(a.i, bm)
 	} else {
-		a.link.SendCtl(arb, ctlFoReport, foSeal(a.roundEpoch, foEncodeReport(a.subject, bm))) //nolint:errcheck
+		a.link.SendCtl(arb, ctlFoReport, foAppend(nil, a.roundEpoch, a.subject, bm)) //nolint:errcheck
 	}
 }
 
@@ -480,25 +441,24 @@ func (a *foAgent) onReport(from int, bm []uint64) {
 	if got < need {
 		return
 	}
-	words := (fo.n + 63) / 64
-	union := make([]uint64, words)
+	// missing starts as every item, and each report takes its owned
+	// items out.
+	missing := make([]uint64, (fo.n+63)/64)
+	for j := 0; j < fo.n; j++ {
+		missing[j>>6] |= 1 << uint(j&63)
+	}
+	held := 0
 	for r := 0; r < fo.M; r++ {
 		if fo.gone(r) || a.reports[r] == nil {
 			continue
 		}
-		rep := a.reports[r]
-		for w := 0; w < words && w < len(rep); w++ {
-			if union[w]&rep[w] != 0 {
+		for w, x := range a.reports[r] {
+			if missing[w]&x != x {
 				fo.fail(fmt.Errorf("core: failover conservation broken: an item token is owned by two machines"))
 				return
 			}
-			union[w] |= rep[w]
-		}
-	}
-	missing := make([]int32, 0, 64)
-	for j := 0; j < fo.n; j++ {
-		if union[j>>6]&(1<<uint(j&63)) == 0 {
-			missing = append(missing, int32(j))
+			missing[w] &^= x
+			held += bits.OnesCount64(x)
 		}
 	}
 	switch a.round {
@@ -514,11 +474,11 @@ func (a *foAgent) onReport(from int, bm []uint64) {
 		if buddy == a.i {
 			a.onRemap(missing)
 		} else {
-			a.link.SendCtl(buddy, ctlFoRemap, foSeal(a.roundEpoch, foEncodeRemap(a.subject, missing))) //nolint:errcheck
+			a.link.SendCtl(buddy, ctlFoRemap, foAppend(nil, a.roundEpoch, a.subject, missing)) //nolint:errcheck
 		}
 	case roundJoin, roundDrain:
-		if len(missing) > 0 && fo.deaths.Load() == fo.evictDone.Load() {
-			fo.fail(fmt.Errorf("core: %d item tokens missing after a resize with no unrecovered failure", len(missing)))
+		if held < fo.n && fo.deaths.Load() == fo.evictDone.Load() {
+			fo.fail(fmt.Errorf("core: %d item tokens missing after a resize with no unrecovered failure", fo.n-held))
 			return
 		}
 		// Any missing tokens belong to a mid-round death; its queued
@@ -537,6 +497,8 @@ func (a *foAgent) onReport(from int, bm []uint64) {
 func (a *foAgent) finishJoin() {
 	fo := a.fo
 	J := a.subject
+	// Taken before J becomes a member that a drain may name.
+	start := fo.resizeStart[J].Swap(0)
 	var donors []int
 	var counts []int64
 	for r := 0; r < fo.M; r++ {
@@ -560,8 +522,8 @@ func (a *foAgent) finishJoin() {
 	fo.active[J].Store(true)
 	fo.lastJoined.Store(int64(J))
 	fo.respActivate(J)
-	fo.noteResized("join", J)
-	a.link.SendCtl(-1, ctlFoResume, foSeal(a.roundEpoch, foEncodeVictim(J))) //nolint:errcheck
+	fo.noteResized("join", J, start)
+	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, J, nil)) //nolint:errcheck
 	a.onResume(J)
 }
 
@@ -578,32 +540,35 @@ func (a *foAgent) finishDrain() {
 	fo.parted[D].Store(true)
 	fo.active[D].Store(false)
 	fo.drainTarget.Store(-1)
-	fo.noteResized("drain", D)
-	a.link.SendCtl(-1, ctlFoResume, foSeal(a.roundEpoch, foEncodeVictim(D))) //nolint:errcheck
+	fo.noteResized("drain", D, fo.resizeStart[D].Swap(0))
+	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, D, nil)) //nolint:errcheck
 	a.onResume(D)
 }
 
-// onRemap (buddy only): regenerate the missing tokens — replica first,
-// model row (hⱼ's home, so the victim's last completed update) as
-// fallback — install the victim's replicated user rows, take over its
-// rating shards, report regeneration done.
-func (a *foAgent) onRemap(missing []int32) {
+// onRemap (buddy only): regenerate the missing tokens, a bitmap over
+// the items — replica first, model row (hⱼ's home, so the victim's last
+// completed update) as fallback — install the victim's replicated user
+// rows, take over its rating shards, report regeneration done.
+func (a *foAgent) onRemap(missing []uint64) {
 	fo := a.fo
 	rs := a.replicas[a.subject]
-	toks := make([]cluster.Token, 0, len(missing))
-	for _, j := range missing {
+	var toks []cluster.Token
+	for j := range fo.n {
+		if missing[j>>6]&(1<<uint(j&63)) == 0 {
+			continue
+		}
 		var vec []float64
 		if rs != nil {
-			if rv, ok := rs.items[j]; ok {
+			if rv, ok := rs.items[int32(j)]; ok {
 				vec = make([]float64, len(rv))
 				copy(vec, rv)
 			}
 		}
 		if vec == nil {
 			vec = make([]float64, fo.K)
-			fo.md.CopyItemRowTo64(int(j), vec)
+			fo.md.CopyItemRowTo64(j, vec)
 		}
-		toks = append(toks, cluster.Token{Item: j, Vec: vec})
+		toks = append(toks, cluster.Token{Item: int32(j), Vec: vec})
 	}
 	if rs != nil {
 		// The victim's workers are dead and its shards not yet moved:
@@ -625,7 +590,7 @@ func (a *foAgent) onRemap(missing []int32) {
 	if arb := fo.arbiter(); arb == a.i {
 		a.onRegenDone()
 	} else {
-		a.link.SendCtl(arb, ctlFoRegenDone, foSeal(a.roundEpoch, foEncodeVictim(a.subject))) //nolint:errcheck
+		a.link.SendCtl(arb, ctlFoRegenDone, foAppend(nil, a.roundEpoch, a.subject, nil)) //nolint:errcheck
 	}
 }
 
@@ -636,7 +601,7 @@ func (a *foAgent) onRegenDone() {
 		return
 	}
 	a.fo.noteRecovered(a.subject)
-	a.link.SendCtl(-1, ctlFoResume, foSeal(a.roundEpoch, foEncodeVictim(a.subject))) //nolint:errcheck
+	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, a.subject, nil)) //nolint:errcheck
 	a.onResume(a.subject)
 }
 
@@ -649,7 +614,6 @@ func (a *foAgent) onResume(v int) {
 	if a.round == roundEvict {
 		a.done[v] = true
 	}
-	delete(a.fences, a.roundEpoch)
 	a.phase, a.round, a.subject = foIdle, roundNone, -1
 	a.fo.paused.Store(false)
 	a.sendSendCmd(foSendCmd{kind: sendResume})

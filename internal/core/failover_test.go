@@ -6,9 +6,11 @@ package core
 // conserving all n item tokens through the remap.
 
 import (
+	"bytes"
 	"context"
 	"maps"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,7 +205,8 @@ func TestSimKillDetectedThroughLink(t *testing.T) {
 	chaos.OnKill(fo.killMachine)
 	// The send fires the kill before it reaches the link, which the
 	// kill has just aborted: its error is the victim's, not the test's.
-	chaos.WrapAll(links)[victim].Send(0, cluster.TokenBatch{}) //nolint:errcheck
+	tok := cluster.TokenBatch{Tokens: []cluster.Token{{Item: 0, Vec: make([]float64, cfg.K)}}}
+	chaos.WrapAll(links)[victim].Send(0, tok) //nolint:errcheck
 	if !chaos.Fired() {
 		t.Fatal("the kill did not fire on the victim's first send")
 	}
@@ -294,4 +297,104 @@ func TestFailoverConfigValidation(t *testing.T) {
 	if !norm.Failover {
 		t.Error("kill chaos did not imply failover")
 	}
+}
+
+// The run shape of foFrameCases' frames: 100 items, so two bitmap
+// words with bits 100..127 out of range, over 5 ranks.
+const foFrameN, foFrameM = 100, 5
+
+type foFrameCase struct {
+	name    string
+	kind    uint8
+	payload []byte
+}
+
+// foFrameCases returns a well-formed frame of every failover kind and
+// frames broken the ways a peer could break them.
+func foFrameCases() (good, bad []foFrameCase) {
+	bm := []uint64{1<<63 | 5, 1<<35 | 1}
+	report := foAppend(nil, 7, 2, bm)
+	good = []foFrameCase{
+		{"suspect", ctlFoSuspect, foAppend(nil, 3, 1, nil)},
+		{"evict", ctlFoEvict, foAppend(nil, 4, 4, nil)},
+		{"report", ctlFoReport, report},
+		{"remap", ctlFoRemap, foAppend(nil, 7, 0, make([]uint64, 2))},
+		{"regen_done", ctlFoRegenDone, foAppend(nil, 7, 2, nil)},
+		{"resume", ctlFoResume, foAppend(nil, 7, 2, nil)},
+		{"repl_toks", ctlFoReplToks, append(foAppend(nil, 1, 3, nil), 1, 2, 3)},
+		{"repl_rows", ctlFoReplRows, foAppend(nil, 1, 3, nil)},
+		{"join", ctlFoJoin, foAppend(nil, 9, 4, nil)},
+		{"drain", ctlFoDrain, foAppend(nil, 9, 3, nil)},
+	}
+	bad = []foFrameCase{
+		{"truncated_header", ctlFoResume, foAppend(nil, 7, 2, nil)[:foHeader-1]},
+		{"empty", ctlFoSuspect, nil},
+		{"bitmap_one_word_short", ctlFoReport, report[:len(report)-8]},
+		{"bitmap_one_word_long", ctlFoRemap, foAppend(nil, 7, 2, append(bm, 0))},
+		{"bitmap_one_byte_short", ctlFoReport, report[:len(report)-1]},
+		{"bit_n", ctlFoRemap, foAppend(nil, 7, 2, []uint64{0, 1 << (foFrameN - 64)})},
+		{"bit_127", ctlFoReport, foAppend(nil, 7, 2, []uint64{0, 1 << 63})},
+		{"subject_M", ctlFoEvict, foAppend(nil, 4, foFrameM, nil)},
+		{"subject_-1", ctlFoJoin, foAppend(nil, 4, -1, nil)},
+		{"trailing_byte", ctlFoResume, append(foAppend(nil, 7, 2, nil), 0)},
+		{"multiprocess_kind", ctlStop, foAppend(nil, 7, 2, nil)},
+		{"kind_past_drain", ctlFoDrain + 1, foAppend(nil, 7, 2, nil)},
+	}
+	return good, bad
+}
+
+// TestFoDecodeRejects: the failover frame decoder accepts a well-formed
+// frame of every kind and refuses each broken one — a bitmap of the
+// wrong length or with a bit at or above n (a remap must never name an
+// item outside the model), a subject outside the ranks, a truncated
+// header, trailing bytes, a kind that is not failover's.
+func TestFoDecodeRejects(t *testing.T) {
+	good, bad := foFrameCases()
+	for _, tc := range good {
+		if _, ok := foDecode(tc.kind, tc.payload, foFrameN, foFrameM); !ok {
+			t.Errorf("%s: rejected a well-formed frame", tc.name)
+		}
+	}
+	for _, tc := range bad {
+		if _, ok := foDecode(tc.kind, tc.payload, foFrameN, foFrameM); ok {
+			t.Errorf("%s: accepted a broken frame", tc.name)
+		}
+	}
+}
+
+// FuzzFoFrame feeds the failover frame decoder arbitrary bytes for a
+// run of up to 300 items over up to 8 ranks. It must never panic; an
+// accepted frame must name a rank, carry a bitmap of exactly ⌈n/64⌉
+// words with no bit at or above n where its kind has one, and re-encode
+// to the same bytes.
+func FuzzFoFrame(f *testing.F) {
+	good, bad := foFrameCases()
+	for _, tc := range append(good, bad...) {
+		f.Add(tc.kind, tc.payload, uint16(foFrameN), uint8(foFrameM))
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, p []byte, n16 uint16, m8 uint8) {
+		n, machines := int(n16%300), 1+int(m8%8)
+		fr, ok := foDecode(kind, p, n, machines)
+		if !ok {
+			return
+		}
+		if fr.subject < 0 || fr.subject >= machines {
+			t.Fatalf("accepted subject %d outside [0,%d)", fr.subject, machines)
+		}
+		if kind == ctlFoReport || kind == ctlFoRemap {
+			if len(fr.bm) != (n+63)/64 {
+				t.Fatalf("accepted a bitmap of %d words for %d items", len(fr.bm), n)
+			}
+			for w, x := range fr.bm {
+				for ; x != 0; x &= x - 1 {
+					if j := w<<6 | bits.TrailingZeros64(x); j >= n {
+						t.Fatalf("accepted item %d outside [0,%d)", j, n)
+					}
+				}
+			}
+		}
+		if re := append(foAppend(nil, fr.epoch, fr.subject, fr.bm), fr.body...); !bytes.Equal(re, p) {
+			t.Fatalf("frame re-encodes to %x, payload is %x", re, p)
+		}
+	})
 }

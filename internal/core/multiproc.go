@@ -41,12 +41,6 @@ const (
 	ctlLog      uint8 = 7 // peer → 0: one chunk of its visit log (appendLogChunk)
 )
 
-// endOfCirculation is the gossip slot of a sender's last batch to a
-// peer in a multi-process run: empty, and far below anything a queue
-// length can read as (the lock-free gossip can dip a little below
-// zero while a lane hand-off is half done).
-const endOfCirculation = math.MinInt32
-
 // progressEvery is how often a peer reports its update total.
 const progressEvery = time.Millisecond
 
