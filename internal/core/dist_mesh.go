@@ -20,7 +20,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nomad/internal/cluster"
 	"nomad/internal/dataset"
@@ -97,6 +96,10 @@ type meshMachine struct {
 	// tokens parked here.
 	pending  [][]itemToken
 	pendingN atomic.Int64
+	// retry is the receiver's one-slot wake for pending: a worker that
+	// parks while tokens are pending signals it, since the lanes it
+	// emptied may now take them.
+	retry chan struct{}
 
 	// lastKnown[r] is the queue length machine r reported with its
 	// latest batch to this machine (§3.3); only the receiver writes it.
@@ -128,6 +131,7 @@ func newMeshMachine(id, workers, ringCap, machines int, md *factor.Model, circul
 		mesh:      queue.NewMesh[itemToken](workers+1, ringCap),
 		plans:     newVisitPlans(md.N, workers, circulate),
 		pending:   make([][]itemToken, workers+1),
+		retry:     make(chan struct{}, 1),
 		lastKnown: make([]atomic.Int64, machines),
 		fenced:    make([]atomic.Uint64, machines),
 		dropFrom:  make([]bool, machines),
@@ -136,6 +140,29 @@ func newMeshMachine(id, workers, ringCap, machines int, md *factor.Model, circul
 
 // port is the mesh endpoint owned by the communication threads.
 func (mc *meshMachine) port() int { return mc.workers }
+
+// wake wakes every thread of mc that parks on its mesh, after a change
+// to what they wait on: a stop, the machine's death or its drain.
+func (mc *meshMachine) wake() {
+	for d := 0; d <= mc.port(); d++ {
+		mc.mesh.Wake(d)
+	}
+}
+
+// parking is a worker's last act before it blocks: the receiver
+// retries its overflow, and a draining machine's leaver re-checks its
+// quiesce, which reads the parked worker as idle.
+func (mc *meshMachine) parking(draining bool) {
+	if mc.pendingN.Load() > 0 {
+		select {
+		case mc.retry <- struct{}{}:
+		default:
+		}
+	}
+	if draining {
+		mc.mesh.Wake(mc.port())
+	}
+}
 
 // retryPending offers every pending token to its lane, oldest first.
 //
@@ -242,7 +269,7 @@ func (mr *machineRun) runMachine(mc *meshMachine, link cluster.Link, local []*lo
 	mc.ws = make([]worker, mc.workers)
 	for q := range mc.ws {
 		mc.ws[q] = worker{mesh: mc.mesh, q: q, gw: gw0 + q, port: mc.port(), plans: mc.plans,
-			mc: mc.id, fo: mr.fo, lr: local[q], threshold: threshold, log: mc.log}
+			mc: mc.id, home: mc, fo: mr.fo, lr: local[q], threshold: threshold, log: mc.log}
 		mc.wg[0].Add(1)
 		go func(w *worker) {
 			defer mc.wg[0].Done()
@@ -264,15 +291,22 @@ func (mr *machineRun) runMachine(mc *meshMachine, link cluster.Link, local []*lo
 	}()
 }
 
-// joinMachines waits for the machines' threads in teardown order:
-// workers, then senders, then receivers. A machine's workers have all
-// exited and flushed before its sender is told so, so a sender that
-// then finds its port row dry has drained it for good.
+// joinMachines, called once stop is raised, wakes the machines'
+// parked threads and waits for them in teardown order: workers, then
+// senders, then receivers. A machine's workers have all exited and
+// flushed before its sender is told so, so a sender that then finds
+// its port row dry has drained it for good.
 func joinMachines(machines []*meshMachine) {
+	for _, mc := range machines {
+		mc.wake()
+	}
 	for phase := range 3 {
 		for _, mc := range machines {
 			mc.wg[phase].Wait()
-			mc.workersDone.Store(true)
+			if phase == 0 {
+				mc.workersDone.Store(true)
+				mc.mesh.Wake(mc.port())
+			}
 		}
 	}
 }
@@ -306,7 +340,25 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	m, n := ds.Rows(), ds.Cols()
 	users := partitionUsers(ds, cfg, p) // global worker id = machine*W + worker
 	local := buildShards(ds.Train, users, 0, p, resumeCounts(cfg.Resume, ds))
-	fo := newFailoverRuntime(cfg, hooks, n)
+	root := rng.New(cfg.Seed)
+	var md *factor.Model
+	if st := cfg.Resume; st != nil {
+		md = st.Model
+		st.RestoreStreams(root, nil)
+	} else {
+		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
+	}
+	sendRNG, recvRNG := machineStreams(root, Mtot)
+	machines := make([]*meshMachine, Mtot)
+	for mcID := range machines {
+		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), Mtot, md, cfg.Circulate)
+		if vl != nil {
+			mc.log = newMachineLog(n, W)
+			vl.machines = append(vl.machines, mc.log)
+		}
+		machines[mcID] = mc
+	}
+	fo := newFailoverRuntime(cfg, hooks, n, machines)
 	links, err := buildLinks(ctx, ds, cfg, hooks, fo.detectFunc())
 	if err != nil {
 		return nil, err
@@ -327,29 +379,12 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 		chaos.OnDrain(failOn(fo.requestDrain))
 		links = chaos.WrapAll(links)
 	}
-	root := rng.New(cfg.Seed)
-
-	var md *factor.Model
-	if st := cfg.Resume; st != nil {
-		md = st.Model
-		st.RestoreStreams(root, nil)
-	} else {
-		md = factor.NewInitP(m, n, cfg.K, cfg.Seed, cfg.Precision)
-	}
-	sendRNG, recvRNG := machineStreams(root, Mtot)
 
 	// Every item token starts at its initial machine (the spares own
 	// none) with a fresh local visit plan.
 	owner := initialOwner(cfg.Seed, n, M)
-	machines := make([]*meshMachine, Mtot)
-	for mcID := range machines {
-		mc := newMeshMachine(mcID, W, meshRingCap(n, M*W), Mtot, md, cfg.Circulate)
-		if vl != nil {
-			mc.log = newMachineLog(n, W)
-			vl.machines = append(vl.machines, mc.log)
-		}
-		mc.place(owner, recvRNG[mcID], fo)
-		machines[mcID] = mc
+	for _, mc := range machines {
+		mc.place(owner, recvRNG[mc.id], fo)
 	}
 
 	var stop atomic.Bool
@@ -368,7 +403,7 @@ func trainDistributed(ctx context.Context, ds *dataset.Dataset, cfg train.Config
 	}
 
 	fo.bind(links, md, local, users, &stop, cancelRun)
-	fo.startAgents(machines)
+	fo.startAgents()
 	if cfg.Elastic != nil && fo != nil {
 		cfg.Elastic.Bind(fo.requestJoin, fo.requestDrain)
 	}
@@ -574,15 +609,15 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 	// drainAll is the scale-in hand-off: stream every token still on
 	// this machine to dest (the ring buddy) until it is demonstrably
 	// empty. The quiesce check reads the stations in token-flow order —
-	// receiver pending, mesh lanes, worker idle flags, then one final
-	// port sweep — so a token in flight downstream of one read is
+	// receiver pending, mesh lanes, the workers' waiter flags, then one
+	// final port sweep — so a token in flight downstream of one read is
 	// always caught by a later one (tokens only move downstream; no new
-	// ones arrive, the peers are parked).
+	// ones arrive, the peers are parked). Until it passes, the sender
+	// parks on the port: a token for it, a worker parking idle and a
+	// stop each wake it.
 	drainAll := func(dest int) {
-		for {
-			if fo.isStopping() || fo.dead[mc.id].Load() {
-				return // killed or torn down mid-drain: hand over to evict/teardown
-			}
+		// Killed or torn down mid-drain: hand over to evict/teardown.
+		for !fo.isStopping() && !fo.dead[mc.id].Load() {
 			k := mc.mesh.RecvBatch(port, buf[:])
 			for _, tok := range buf[:k] {
 				send(dest, tok)
@@ -590,7 +625,11 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			if k > 0 {
 				continue
 			}
-			if mc.pendingN.Load() == 0 && mc.mesh.TotalLen() == 0 && fo.drainIdleAll(mc.id) {
+			idle := mc.pendingN.Load() == 0 && mc.mesh.TotalLen() == 0
+			for q := 0; idle && q < mc.workers; q++ {
+				idle = mc.mesh.Idle(q) // parked, holding nothing
+			}
+			if idle {
 				if k := mc.mesh.RecvBatch(port, buf[:]); k > 0 {
 					for _, tok := range buf[:k] {
 						send(dest, tok)
@@ -599,7 +638,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 				}
 				return
 			}
-			time.Sleep(20 * time.Microsecond)
+			mc.mesh.Park(port, false, nil)
 		}
 	}
 	// A queue length travels only with a token batch, so a machine that
@@ -608,7 +647,6 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 	// balancing, its sender says it is empty once, in a token-less batch
 	// to every member peer.
 	announced := false
-	var idle idleBackoff
 	for {
 		if fo.machineGone(mc.id) {
 			// A killed or fully drained machine's sender winds down without
@@ -641,7 +679,6 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			add(tok)
 		}
 		if k > 0 {
-			idle.reset()
 			announced = false
 			continue
 		}
@@ -654,7 +691,8 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			s.Close() //nolint:errcheck
 			return
 		}
-		// Row dry: push out partial batches, then back off.
+		// Row dry: push out partial batches, then park until a token, a
+		// command, the workers' exit or the machine's end wakes the port.
 		s.FlushAll() //nolint:errcheck // link failure surfaces via link.Err
 		if cfg.LoadBalance && !announced && mc.mesh.TotalLen() == 0 {
 			for d := 0; d < link.Machines(); d++ {
@@ -664,7 +702,7 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 			}
 			announced = true
 		}
-		idle.wait()
+		mc.mesh.Park(port, false, nil)
 	}
 }
 
@@ -685,6 +723,8 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers 
 		select {
 		case cmd := <-cmds:
 			fo.handleRecvCmd(mc, cmd, r)
+		case <-mc.retry:
+			mc.retryPending()
 		case inb, ok := <-recv:
 			if !ok {
 				// A late injection racing teardown must still land.
@@ -703,7 +743,7 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers 
 				inb.Batch.Release()
 				if ep := uint64(q - endOfCirculation); ep > 0 {
 					mc.fenced[inb.From].Store(ep)
-					fo.noteMarker(mc.id)
+					fo.wakeAgent(mc.id)
 				} else if markers--; markers == 0 {
 					return
 				}

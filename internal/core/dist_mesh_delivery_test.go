@@ -1,18 +1,21 @@
 package core
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"nomad/internal/cluster"
 	"nomad/internal/factor"
 	"nomad/internal/netlink"
 	"nomad/internal/netsim"
 	"nomad/internal/rng"
+	"nomad/internal/train"
 )
 
 // The receiver's delivery on lanes far too small for its batches, so
@@ -295,4 +298,52 @@ func TestReceiverFilesMarkers(t *testing.T) {
 	if !slices.Equal(got, []int32{3}) {
 		t.Fatalf("delivered %v, want [3]", got)
 	}
+}
+
+// TestReceiverOverflowTrainsWithoutNextBatch delivers one batch, over a
+// link, to a running machine whose lanes take two tokens, and sends
+// nothing after it. The tokens the lane refused wait in the receiver's
+// overflow; the worker that empties its lane and parks must have the
+// receiver retry them, with no further batch to trigger it, so every
+// token is trained and leaves through the port to the peer.
+func TestReceiverOverflowTrainsWithoutNextBatch(t *testing.T) {
+	const tokens = 16
+	links := netlink.Pipe(2, netsim.Instant(), netlink.Options{K: deliveryK})
+	defer func() {
+		for _, l := range links {
+			l.Close() //nolint:errcheck
+		}
+	}()
+	mc := deliveryMachine(1, 2, 2, 1)
+	var batch []cluster.Token
+	for j := range tokens {
+		batch = append(batch, cluster.Token{Item: int32(j), Vec: deliveryVec(j)})
+	}
+	if err := links[1].Send(0, cluster.TokenBatch{Tokens: batch}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig()
+	cfg.Machines, cfg.K, cfg.MaxUpdates = 2, deliveryK, math.MaxInt64
+	var stop atomic.Bool
+	mr := &machineRun{cfg: cfg, counter: train.NewCounter(2), stop: &stop,
+		reject: func(err error) { t.Errorf("reject: %v", err) }, linkErr: func() {}}
+	empty := &localRatings{colPtr: make([]int32, deliveryTokens+1)}
+	mr.runMachine(mc, links[0], []*localRatings{empty}, 0, rng.New(1), rng.New(2))
+
+	seen := map[int32]bool{}
+	deadline := time.After(10 * time.Second)
+	for len(seen) < tokens {
+		select {
+		case inb := <-links[1].Recv():
+			for _, tok := range inb.Batch.Tokens {
+				seen[tok.Item] = true
+			}
+			inb.Batch.Release()
+		case <-deadline:
+			t.Fatalf("%d of %d tokens left the machine; %d still wait in its overflow", len(seen), tokens, mc.pendingN.Load())
+		}
+	}
+	stop.Store(true)
+	links[1].CloseSend() //nolint:errcheck
+	joinMachines([]*meshMachine{mc})
 }

@@ -105,13 +105,10 @@ const (
 // foFenceTimeout bounds the quiesce wait; a fence that cannot be
 // satisfied (a peer that never parks, or frames lost forever) aborts
 // the run with a typed error instead of hanging. A variable so the
-// fence-timeout test can shrink it.
+// wall-clock fence-timeout test can shrink it.
 var foFenceTimeout = 5 * time.Second
 
 const (
-	// foFencePoll is the agent's polling cadence for its peers' fence
-	// markers while fencing.
-	foFencePoll = 200 * time.Microsecond
 	// replEveryTokens is the replication snapshot cadence: one ctl frame
 	// to the ring buddy per this many delivered tokens.
 	replEveryTokens = 64
@@ -138,11 +135,11 @@ const (
 // foEvent kinds (runner/transport/elastic requests → agent
 // notifications).
 const (
-	evDetect = iota // a peer died (victim, cause)
-	evFenced        // own sender flushed, sent its fence markers and parked
-	evMarker        // own receiver filed a peer's fence marker
-	evJoin          // activate spare (victim = spare rank)
-	evDrain         // graceful leave (victim = leaver rank)
+	evDetect  = iota // a peer died (victim, cause)
+	evFenced         // own sender flushed, sent its fence markers and parked
+	evRecheck        // a fence input changed: a peer's marker was filed, or a peer left
+	evJoin           // activate spare (victim = spare rank)
+	evDrain          // graceful leave (victim = leaver rank)
 )
 
 type foEvent struct {
@@ -175,7 +172,6 @@ const (
 	recvMarkDead = iota
 	recvSnapshot
 	recvInject
-	recvRetry // re-attempt pending SPSC deliveries (mesh drain quiesce)
 )
 
 type foRecvCmd struct {
@@ -223,7 +219,8 @@ type failoverRuntime struct {
 	local     []*localRatings
 	userLists [][]int32 // per machine: global user ids its workers own
 
-	m []*foMachine
+	m   []*foMachine
+	mcs []*meshMachine // every provisioned machine, for its wakes
 
 	dead   []atomic.Bool // crashed (kill / transport failure)
 	parted []atomic.Bool // left gracefully via a drain round
@@ -248,8 +245,7 @@ type failoverRuntime struct {
 	donate   []atomic.Int64
 	donateTo atomic.Int64
 
-	drainTarget atomic.Int64    // rank mid-drain, -1 otherwise
-	widle       [][]atomic.Bool // [machine][worker]: drain-forward idle flags
+	drainTarget atomic.Int64 // rank mid-drain, -1 otherwise
 
 	deaths     atomic.Int64
 	evictDone  atomic.Int64
@@ -275,10 +271,11 @@ type failoverRuntime struct {
 
 type foFatal struct{ err error }
 
-// newFailoverRuntime allocates the runtime, or returns nil when the
-// config does not enable failover. Allocation is split from bind so
-// the detection callback can be wired into the links at build time.
-func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRuntime {
+// newFailoverRuntime allocates the runtime over the run's machines, or
+// returns nil when the config does not enable failover. Allocation is
+// split from bind so the detection callback can be wired into the
+// links at build time.
+func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int, machines []*meshMachine) *failoverRuntime {
 	if !cfg.Failover {
 		return nil
 	}
@@ -289,12 +286,12 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 		activeN:     cfg.Machines,
 		hooks:       hooks,
 		m:           make([]*foMachine, M),
+		mcs:         machines,
 		dead:        make([]atomic.Bool, M),
 		parted:      make([]atomic.Bool, M),
 		active:      make([]atomic.Bool, M),
 		owned:       make([][]atomic.Uint64, M),
 		donate:      make([]atomic.Int64, M),
-		widle:       make([][]atomic.Bool, M),
 		claimed:     make([]bool, M),
 		drainReq:    make([]bool, M),
 		resizeStart: make([]atomic.Int64, M),
@@ -313,7 +310,6 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int) *failoverRu
 			repl:    cluster.NewBatchBuf(),
 		}
 		fo.owned[i] = make([]atomic.Uint64, words)
-		fo.widle[i] = make([]atomic.Bool, W)
 		fo.active[i].Store(i < fo.activeN)
 	}
 	// Initial responsibility table: identity for active members, latent
@@ -422,25 +418,6 @@ func (fo *failoverRuntime) drainingMachine(i int) bool {
 	return fo != nil && fo.drainTarget.Load() == int64(i)
 }
 
-// setDrainIdle publishes worker w of machine i's drain-forward idle
-// flag (true = its queue was empty on the last pass).
-func (fo *failoverRuntime) setDrainIdle(i, w int, idle bool) {
-	if fo != nil {
-		fo.widle[i][w].Store(idle)
-	}
-}
-
-// drainIdleAll reports whether every worker of machine i is idle in
-// drain-forward mode.
-func (fo *failoverRuntime) drainIdleAll(i int) bool {
-	for w := range fo.widle[i] {
-		if !fo.widle[i][w].Load() {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- detection and death accounting ----
 
 // detectFunc returns the OnPeerDown sink wired into the TCP links, or
@@ -471,10 +448,16 @@ func (fo *failoverRuntime) detect(self, rank int, err error) {
 
 // noteDeath records a machine death exactly once: the global dead flag
 // (the in-process failure detector every picker consults), the
-// detection timestamp and the PeerDown event.
+// detection timestamp and the PeerDown event. The victim's parked
+// threads wake to wind down, and every agent re-checks its fence,
+// which no longer waits for the victim's marker.
 func (fo *failoverRuntime) noteDeath(rank int, cause string) {
 	if !fo.dead[rank].CompareAndSwap(false, true) {
 		return
+	}
+	fo.mcs[rank].wake()
+	for i := range fo.m {
+		fo.wakeAgent(i)
 	}
 	fo.deaths.Add(1)
 	fo.lastVictim.Store(int64(rank))
@@ -704,16 +687,17 @@ func (fo *failoverRuntime) acceptBatch(mc *meshMachine, src int) bool {
 	return !mc.dropFrom[src]
 }
 
-// noteMarker wakes machine i's agent to check its fence now that the
-// receiver has filed a peer's marker; when the mailbox is full, the
-// agent's poll finds the marker instead. Without failover nothing
-// waits for a fence marker, and one from a peer is ignored.
-func (fo *failoverRuntime) noteMarker(i int) {
+// wakeAgent wakes machine i's agent to re-check its fence: its receiver
+// has filed a peer's marker, or a peer has left. When the mailbox is
+// full the agent has inputs queued, and it checks its fence after
+// each. Without failover nothing waits for a fence marker, and one
+// from a peer is ignored.
+func (fo *failoverRuntime) wakeAgent(i int) {
 	if fo == nil {
 		return
 	}
 	select {
-	case fo.m[i].notify <- foEvent{kind: evMarker}:
+	case fo.m[i].notify <- foEvent{kind: evRecheck}:
 	default:
 	}
 }
@@ -842,8 +826,6 @@ func (fo *failoverRuntime) handleRecvCmd(mc *meshMachine, cmd foRecvCmd, r *rng.
 		cmd.reply <- bm
 	case recvInject:
 		mc.deliverBatch(-1, cmd.toks, fo, r)
-	case recvRetry:
-		mc.retryPending()
 	}
 }
 
@@ -923,15 +905,20 @@ func (fo *failoverRuntime) fail(err error) {
 }
 
 // shutdown releases the protocol's blocking points for teardown:
-// parked senders unpark, agents abandon any half-finished
-// reconfiguration (they keep draining their ctl channels so the
-// transports never stall). Idempotent; the runners call it as soon as
-// the monitor returns.
+// parked senders unpark (a draining one wakes from its port), agents
+// abandon any half-finished reconfiguration (they keep draining their
+// ctl channels so the transports never stall). Idempotent; the runners
+// call it as soon as the monitor returns.
 func (fo *failoverRuntime) shutdown() {
 	if fo == nil {
 		return
 	}
-	fo.stopOnce.Do(func() { close(fo.stopping) })
+	fo.stopOnce.Do(func() {
+		close(fo.stopping)
+		for _, mc := range fo.mcs {
+			mc.mesh.Wake(mc.port())
+		}
+	})
 }
 
 // isStopping reports whether shutdown has begun.

@@ -1,8 +1,9 @@
 package core
 
 // The per-machine protocol agent: one goroutine per provisioned rank,
-// driven by its ctl channel and notify mailbox, running the
-// evict/join/drain round state machine described in failover.go.
+// driven by its ctl channel, its notify mailbox and one fence-timeout
+// timer, running the evict/join/drain round state machine described in
+// failover.go.
 
 import (
 	"fmt"
@@ -17,11 +18,11 @@ import (
 // startAgents launches one protocol agent per provisioned machine;
 // latent spares participate fully (they fence like members, and their
 // reports are empty bitmaps).
-func (fo *failoverRuntime) startAgents(machines []*meshMachine) {
+func (fo *failoverRuntime) startAgents() {
 	if fo == nil {
 		return
 	}
-	for _, mc := range machines {
+	for _, mc := range fo.mcs {
 		fo.agentWG.Add(1)
 		go fo.runAgent(mc)
 	}
@@ -43,7 +44,7 @@ type foAgent struct {
 	senderAcked  bool
 	drainCmdSent bool
 	regenSent    bool
-	fenceStart   time.Time
+	fence        *time.Timer // the round's fence timeout, running only while fencing
 
 	suspected map[int]bool
 	done      map[int]bool
@@ -60,22 +61,16 @@ func (fo *failoverRuntime) runAgent(mc *meshMachine) {
 	a := &foAgent{
 		fo: fo, i: i, mc: mc, link: fo.links[i],
 		subject:   -1,
+		fence:     time.NewTimer(foFenceTimeout),
 		suspected: map[int]bool{},
 		done:      map[int]bool{},
 		reports:   map[int][]uint64{},
 		replicas:  map[int]*replicaStore{},
 	}
+	a.fence.Stop()
+	defer a.fence.Stop()
 	notify := fo.m[i].notify
 	ctl := a.link.Ctl()
-	var tick *time.Ticker
-	var tickC <-chan time.Time
-	stopTick := func() {
-		if tick != nil {
-			tick.Stop()
-			tick, tickC = nil, nil
-		}
-	}
-	defer stopTick()
 	for {
 		select {
 		case ev := <-notify:
@@ -85,8 +80,8 @@ func (fo *failoverRuntime) runAgent(mc *meshMachine) {
 				return
 			}
 			a.handleCtl(ct)
-		case <-tickC:
-			a.checkFences()
+		case <-a.fence.C:
+			fo.fail(fmt.Errorf("core: failover fence timed out after %v on machine %d", foFenceTimeout, a.i))
 		case <-fo.stopping:
 			// Abandon the protocol but keep the ctl channel draining: a
 			// blocked channel would wedge the transport (the link's
@@ -96,21 +91,21 @@ func (fo *failoverRuntime) runAgent(mc *meshMachine) {
 			}
 			return
 		}
-		if a.phase == foFencing && tickC == nil {
-			tick = time.NewTicker(foFencePoll)
-			tickC = tick.C
-		} else if a.phase != foFencing {
-			stopTick()
+		// Each input may be one the fence waits for: the sender's ack, a
+		// peer's marker, a peer leaving.
+		a.checkFences()
+		if a.phase != foFencing {
+			a.fence.Stop()
 		}
 	}
 }
 
 // beginRound enters a reconfiguration round: senders will park, the
-// fence clock starts, replication pauses.
+// fence timeout is armed, replication pauses.
 func (a *foAgent) beginRound(round, subject int, ep uint64) {
 	a.round, a.subject = round, subject
 	a.phase = foFencing
-	a.fenceStart = time.Now()
+	a.fence.Reset(foFenceTimeout)
 	a.senderAcked = false
 	a.drainCmdSent = false
 	a.regenSent = false
@@ -166,9 +161,6 @@ func (a *foAgent) handleEvent(ev foEvent) {
 		// The sender is parked, and its fence markers are behind its
 		// last tokens.
 		a.senderAcked = true
-		a.checkFences()
-	case evMarker:
-		a.checkFences()
 	case evJoin, evDrain:
 		if ev.ep != 0 {
 			// Re-queued broadcast: re-enter the round under its
@@ -350,18 +342,9 @@ func (a *foAgent) onDrainStart(v int, ep uint64) {
 	a.beginRound(roundDrain, v, ep)
 	if a.i == v {
 		fo.drainTarget.Store(int64(v))
+		a.mc.wake() // parked workers switch to flush-forward
 	} else {
 		a.sendSendCmd(foSendCmd{kind: sendPark, ep: ep})
-	}
-}
-
-// pumpRetry nudges the receiver to re-attempt pending SPSC deliveries
-// (mesh): during a drain there may be no inbound traffic left to
-// trigger the retry organically.
-func (a *foAgent) pumpRetry() {
-	select {
-	case a.fo.m[a.i].recvCmd <- foRecvCmd{kind: recvRetry}:
-	default:
 	}
 }
 
@@ -383,19 +366,11 @@ func (a *foAgent) checkFences() {
 			break
 		}
 	}
-	if a.round == roundDrain && a.subject == a.i {
-		if peersOK && !a.drainCmdSent {
-			a.drainCmdSent = true
-			a.sendSendCmd(foSendCmd{kind: sendDrain, victim: a.subject, ep: a.roundEpoch})
-		}
-		if !a.senderAcked {
-			a.pumpRetry()
-		}
+	if a.round == roundDrain && a.subject == a.i && peersOK && !a.drainCmdSent {
+		a.drainCmdSent = true
+		a.sendSendCmd(foSendCmd{kind: sendDrain, victim: a.subject, ep: a.roundEpoch})
 	}
 	if !(a.senderAcked && peersOK) {
-		if time.Since(a.fenceStart) > foFenceTimeout {
-			fo.fail(fmt.Errorf("core: failover fence timed out after %v on machine %d", foFenceTimeout, a.i))
-		}
 		return
 	}
 	// Quiesced: the ownership bitmap is stable. Snapshot it through the
@@ -540,6 +515,7 @@ func (a *foAgent) finishDrain() {
 	fo.parted[D].Store(true)
 	fo.active[D].Store(false)
 	fo.drainTarget.Store(-1)
+	fo.mcs[D].wake() // the leaver's parked workers exit
 	fo.noteResized("drain", D, fo.resizeStart[D].Swap(0))
 	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, D, nil)) //nolint:errcheck
 	a.onResume(D)
@@ -633,9 +609,11 @@ func (a *foAgent) sendRecvCmd(cmd foRecvCmd) bool {
 	}
 }
 
+// sendSendCmd hands the sender a command and wakes it from its port.
 func (a *foAgent) sendSendCmd(cmd foSendCmd) bool {
 	select {
 	case a.fo.m[a.i].sendCmd <- cmd:
+		a.mc.mesh.Wake(a.mc.port())
 		return true
 	case <-a.fo.stopping:
 		return false

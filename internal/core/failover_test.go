@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"nomad/internal/cluster"
+	"nomad/internal/factor"
 	"nomad/internal/rng"
 	"nomad/internal/train"
 )
@@ -120,9 +121,9 @@ func TestFailoverChaosMatrix(t *testing.T) {
 func TestPickerSkipsNonMembers(t *testing.T) {
 	const self, dead = 0, 2
 	cfg := elasticConfig("sim") // rank 4 is the latent spare
-	fo := newFailoverRuntime(cfg, nil, 64)
-	fo.noteDeath(dead, "test")
 	M := cfg.TotalMachines()
+	fo := newFailoverRuntime(cfg, nil, 64, idleMachines(cfg, 64))
+	fo.noteDeath(dead, "test")
 	for _, balance := range []bool{false, true} {
 		lastKnown := make([]atomic.Int64, M)
 		lastKnown[1].Store(50)
@@ -147,6 +148,16 @@ func TestPickerSkipsNonMembers(t *testing.T) {
 			t.Fatalf("balance %v: no pick within 5 s: the picker spins on a non-member", balance)
 		}
 	}
+}
+
+// idleMachines is a failover runtime's machines for a run of cfg over n
+// items, none of them started.
+func idleMachines(cfg train.Config, n int) []*meshMachine {
+	machines := make([]*meshMachine, cfg.TotalMachines())
+	for r := range machines {
+		machines[r] = newMeshMachine(r, cfg.Workers, 4, len(machines), factor.New(1, n, 1), 1)
+	}
+	return machines
 }
 
 // TestFailoverKillPoints kills machine 2 at the remaining injection
@@ -195,7 +206,7 @@ func TestSimKillDetectedThroughLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fo := newFailoverRuntime(cfg, nil, ds.Cols())
+	fo := newFailoverRuntime(cfg, nil, ds.Cols(), idleMachines(cfg, ds.Cols()))
 	fo.links = links
 	spec, err := cluster.ParseChaos("kill:rank=2,at=mid-epoch,after=1")
 	if err != nil {

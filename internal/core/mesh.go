@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,24 +50,6 @@ type meshResidual struct {
 	in  []itemToken
 	out [][]itemToken
 }
-
-// idleBackoff is the empty-queue wait policy shared by all worker
-// loops: spin-yield first, then sleep with capped exponential backoff
-// (1µs doubling to 128µs). The cap keeps cancellation prompt while the
-// doubling keeps a long-idle worker from burning a core at 50kHz the
-// way the old fixed 20µs sleep did.
-type idleBackoff struct{ spins int }
-
-func (b *idleBackoff) wait() {
-	b.spins++
-	if b.spins <= 64 {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(time.Microsecond << min(b.spins-65, 7))
-}
-
-func (b *idleBackoff) reset() { b.spins = 0 }
 
 // tokenRouter amortizes the routing RNG: one xoshiro step yields four
 // 16-bit route choices (rng.Quad), so uniform routing pays ¼ draw per
@@ -176,6 +157,9 @@ func trainShared(ctx context.Context, ds *dataset.Dataset, cfg train.Config, hoo
 	}
 
 	runErr := train.Monitor(ctx, &stop, counter, cfg, rec, md, hooks)
+	for q := range p {
+		mesh.Wake(q) // stop is raised: a parked worker must see it
+	}
 	wg.Wait()
 
 	// Every item token must now be in exactly one place, in each
@@ -221,6 +205,7 @@ type worker struct {
 	port      int              // the machine's network endpoint, or -1 in shared memory
 	plans     *visitPlans      // §3.4 local visit plans; nil when there is never a next stop
 	mc        int              // machine id, for the failover hooks
+	home      *meshMachine     // the worker's machine; nil in shared memory
 	fo        *failoverRuntime // nil without failover
 	lr        *localRatings
 	threshold int         // out-buffer flush size
@@ -372,45 +357,51 @@ func runWorkerOf[T vecmath.Float](hp *hotPath[T], w *worker, cfg train.Config,
 	// order; so does a hot path without a two-list kernel.
 	lanes := !straggler && hp.pair != nil
 	var items [meshBlock]int32
-	var idle idleBackoff
+	// recheck runs once the worker is published as parked (Mesh.Park):
+	// it marks the rows whose full lanes refused its tokens and retries
+	// them, lets the receiver retry its overflow into lanes this worker
+	// has emptied, and has a draining machine's leaver re-check its
+	// quiesce.
+	recheck := func() bool {
+		moved := false
+		for d := range out {
+			if len(out[d]) > 0 {
+				w.mesh.Blocked(d)
+				moved = flush(d) || moved
+			}
+		}
+		if !moved && w.home != nil {
+			w.home.parking(fo.drainingMachine(w.mc))
+		}
+		return moved
+	}
 	for !stop.Load() && !fo.machineGone(w.mc) {
+		k := w.mesh.RecvBatch(w.q, in[:])
 		if fo.drainingMachine(w.mc) {
 			// Graceful leave: stop training and forward everything this
 			// worker holds — inbound lane tokens and unflushed hand-off
 			// buffers alike — to the port; the next machine plans afresh.
-			// The idle flag is published only after the buffers are
-			// demonstrably empty, so the sender's quiesce check cannot
-			// miss a token between stations.
-			fo.setDrainIdle(w.mc, w.q, false)
-			k := w.mesh.RecvBatch(w.q, in[:])
 			out[w.port] = append(out[w.port], in[:k]...)
 			for d := 0; d < w.port; d++ {
 				out[w.port] = append(out[w.port], out[d]...)
 				out[d] = out[d][:0]
 			}
-			flush(w.port)
-			if k == 0 && len(out[w.port]) == 0 {
-				fo.setDrainIdle(w.mc, w.q, true)
-				idle.wait()
-			}
-			continue
+			k = 0
 		}
-		k := w.mesh.RecvBatch(w.q, in[:])
 		if k == 0 {
-			// Nothing inbound: push pending tokens along so they keep
-			// circulating, then back off.
-			moved := false
+			// Nothing to train: push pending tokens along so they keep
+			// circulating, else park. A worker parked holding nothing is
+			// what a drain's quiesce check reads as idle.
+			moved, holding := false, false
 			for d := range out {
 				moved = flush(d) || moved
+				holding = holding || len(out[d]) > 0
 			}
-			if moved {
-				idle.reset()
-			} else {
-				idle.wait()
+			if !moved {
+				w.mesh.Park(w.q, holding, recheck)
 			}
 			continue
 		}
-		idle.reset()
 		if g := fo.respGeneration(); g != respSeen {
 			respSeen = g
 			extras = fo.extraShards(w.gw, extras)

@@ -4,11 +4,13 @@ package core
 
 // Failure schedules in bulk, in virtual time. Every run happens inside
 // a testing/synctest bubble over the sim backend — the production TCP
-// link over paced in-memory connections — so heartbeats, fence polls
-// and backoff sleeps cost no wall time. The sweep covers every kill
-// point (mid-epoch, rendezvous, snapshot) × every victim rank, rank 0
-// being the arbiter, × seeds, plus every order of a kill, a join and a
-// drain on an elastic cluster, each with load balancing off and on.
+// link over paced in-memory connections — so heartbeats and fence
+// timeouts cost no wall time. Every wait in the runtime blocks on the
+// event that ends it, so no machine sleeps through the tokens sent to
+// it. The sweep covers every kill point (mid-epoch, rendezvous,
+// snapshot) × every victim rank, rank 0 being the arbiter, × seeds,
+// plus every order of a kill, a join and a drain on an elastic
+// cluster, each with load balancing off and on.
 // Build and run with
 //
 //	GOEXPERIMENT=synctest go test -run Synctest ./internal/core
@@ -65,14 +67,16 @@ func runInBubble(t *testing.T, cfg train.Config, chaos string) bubbleRun {
 }
 
 // balancedProfile carries the load-balanced half of the sweep. In
-// virtual time compute is free, so over an instant network §3.3's
-// least-loaded routing lets two machines trade tokens without ever
-// blocking. The clock then stops, and a third machine's workers,
-// asleep in their idle backoff (at most 128 µs), never wake: the run
-// spends its update budget on two machines' users (final RMSE drifted
-// by up to 0.8), and a chaos trigger that counts the sleeper's sends
-// never fires. A hop that costs more virtual time than the longest
-// sleep wakes every sleeper in time, as wall time does.
+// virtual time compute is free, so over an instant network no hop
+// advances the clock, and which machine trains when is left to the
+// Go scheduler, as in wall time. §3.3's least-loaded routing, which
+// follows the last queue length each peer sent, then lands the fixed
+// update budget unevenly across user shards (ROADMAP item 19): over
+// the instant network one balanced schedule in a few hundred to a
+// thousand drifts past the bound (up to 0.04), so about every second
+// sweep fails, as wall-clock runs can. A hop that costs
+// virtual time lets every machine train what it holds before the next
+// hop lands, so the budget follows the tokens.
 var balancedProfile = netsim.Profile{Name: "lagged", Latency: 200 * time.Microsecond}
 
 // TestSynctestFailureSchedules runs every schedule at every seed, with
@@ -167,6 +171,32 @@ func TestSynctestFailureSchedules(t *testing.T) {
 						map[string]int{"join": 4, "drain": 3})
 				}
 			})
+		}
+	}
+}
+
+// TestSynctestFenceTimeout is TestElasticFenceTimeout in virtual time,
+// with the unmodified foFenceTimeout. Rank 2's sends stall from the
+// partition on, so the join round that starts 30 ms later cannot fence
+// until they heal. Healed half a heartbeat interval before the timeout
+// is due, the round commits; healed half an interval after it, the run
+// has already taken the typed abort. So the abort fires at
+// foFenceTimeout of virtual time, within one heartbeat interval.
+func TestSynctestFenceTimeout(t *testing.T) {
+	const join, heartbeat = 30 * time.Millisecond, 500 * time.Millisecond
+	due := join + foFenceTimeout // counted from the partition
+	for _, heal := range []time.Duration{due - heartbeat/2, due + heartbeat/2} {
+		cfg := elasticConfig("sim")
+		cfg.HeartbeatInterval = heartbeat
+		chaos := fmt.Sprintf("partition:rank=2,at=mid-epoch,window=%v;join@+%v", heal, join)
+		r := runInBubble(t, cfg, chaos)
+		switch {
+		case heal < due && r.err != nil:
+			t.Errorf("%s: healed before the fence timeout, yet the run failed: %v", chaos, r.err)
+		case heal < due && len(r.resizes) != 1:
+			t.Errorf("%s: resizes %v, want the join", chaos, r.resizes)
+		case heal > due && (r.err == nil || !strings.Contains(r.err.Error(), "fence timed out")):
+			t.Errorf("%s: healed after the fence timeout; want the typed fence-timeout abort, got %v", chaos, r.err)
 		}
 	}
 }

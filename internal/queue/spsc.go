@@ -6,10 +6,12 @@
 // The original implementation used Intel TBB's concurrent_queue, which
 // the paper notes is "technically not lock-free" but scales nearly
 // linearly (§3.5): the queue is not NOMAD's bottleneck. The mesh keeps
-// that property without any lock, amortizes its atomics over blocks of
-// tokens, and reports each endpoint's approximate backlog with one
-// atomic load, which NOMAD's dynamic load balancing (§3.3) uses to
-// route tokens toward lightly loaded workers.
+// that property without any lock on the token path, amortizes its
+// atomics over blocks of tokens, and reports each endpoint's
+// approximate backlog with one atomic load, which NOMAD's dynamic load
+// balancing (§3.3) uses to route tokens toward lightly loaded workers.
+// An endpoint with nothing to do parks until a token or an event that
+// is not a token wakes it.
 package queue
 
 import (
@@ -174,26 +176,55 @@ func (r *Ring[T]) PopBatch(dst []T) int {
 }
 
 // paddedInt64 is an atomic counter on its own cache line, so the
-// per-destination length gossip of a Mesh never false-shares.
+// consumers' round-robin cursors never false-share.
 type paddedInt64 struct {
 	v atomic.Int64
 	_ [cacheLinePad - 8]byte
 }
 
+// endpoint is one endpoint's shared line: the approximate backlog of
+// its row and its waiter flags. The flags share the backlog's padded
+// line, so a producer's check of them, right after its Add, loads a
+// line that the Add already owns.
+type endpoint struct {
+	n    atomic.Int64 // approximate backlog, one Add per batch
+	wait atomic.Int32 // running, parkedEmpty or parkedHolding
+	full atomic.Bool  // a parkedHolding producer waits for room in a lane of this row
+	_    [cacheLinePad - 16]byte
+}
+
+// An endpoint's waiter states.
+const (
+	running       = iota
+	parkedEmpty   // parked, holding nothing
+	parkedHolding // parked, holding tokens that a full lane refused
+)
+
 // Mesh is the batched token transport: a p×p grid of SPSC rings where
 // ring (dst, src) carries tokens from endpoint src to endpoint dst.
 // Each endpoint owns one consumer role (its row) and one producer role
 // per destination (its column), so every ring has exactly one producer
-// and one consumer and no operation ever takes a lock or allocates.
+// and one consumer, and no token operation allocates or takes a lock,
+// except the channel send that wakes a parked endpoint.
 //
 // Per-destination backlog estimates are kept in cache-line-padded
 // atomics, updated with one Add per batch; ApproxLen is a single
 // atomic load, which is what NOMAD's §3.3 load-balance gossip reads.
+//
+// An endpoint with nothing to do parks (Park) on a one-slot wake
+// channel, and whoever ends its wait signals it: a producer, whose
+// Send loads the waiter flag after its backlog Add and signals only a
+// parked endpoint; a consumer that frees room for a producer parked on
+// a full lane; and Wake, for events that are not tokens. Go atomics
+// are sequentially consistent, so the parker's "publish the flag, then
+// re-check the row" and the producer's "publish the token, then load
+// the flag" cannot both miss: no wake is lost.
 type Mesh[T any] struct {
 	p     int
-	rings []*Ring[T]    // rings[dst*p+src]
-	lens  []paddedInt64 // approximate backlog per destination
-	curs  []paddedInt64 // consumer round-robin cursor per destination
+	rings []*Ring[T]      // rings[dst*p+src]
+	ends  []endpoint      // backlog and waiter flags per destination
+	curs  []paddedInt64   // consumer round-robin cursor per destination
+	wake  []chan struct{} // one slot per endpoint: a pending wake
 }
 
 // NewMesh returns a p×p mesh whose rings hold at least ringCap
@@ -205,11 +236,15 @@ func NewMesh[T any](p, ringCap int) *Mesh[T] {
 	m := &Mesh[T]{
 		p:     p,
 		rings: make([]*Ring[T], p*p),
-		lens:  make([]paddedInt64, p),
+		ends:  make([]endpoint, p),
 		curs:  make([]paddedInt64, p),
+		wake:  make([]chan struct{}, p),
 	}
 	for i := range m.rings {
 		m.rings[i] = NewRing[T](ringCap)
+	}
+	for d := range m.wake {
+		m.wake[d] = make(chan struct{}, 1)
 	}
 	return m
 }
@@ -228,7 +263,7 @@ func (m *Mesh[T]) Send(src, dst int, v T) bool {
 	if !m.rings[dst*m.p+src].Push(v) {
 		return false
 	}
-	m.lens[dst].v.Add(1)
+	m.arrived(dst, 1)
 	return true
 }
 
@@ -239,9 +274,21 @@ func (m *Mesh[T]) Send(src, dst int, v T) bool {
 func (m *Mesh[T]) SendBatch(src, dst int, vs []T) int {
 	n := m.rings[dst*m.p+src].PushBatch(vs)
 	if n > 0 {
-		m.lens[dst].v.Add(int64(n))
+		m.arrived(dst, n)
 	}
 	return n
+}
+
+// arrived counts n tokens just published into dst's row and wakes dst
+// if it is parked.
+//
+//nomad:noalloc
+func (m *Mesh[T]) arrived(dst, n int) {
+	e := &m.ends[dst]
+	e.n.Add(int64(n))
+	if e.wait.Load() != running {
+		m.Wake(dst)
+	}
 }
 
 // RecvBatch dequeues up to len(dst) elements addressed to endpoint d,
@@ -271,7 +318,17 @@ func (m *Mesh[T]) RecvBatch(d int, dst []T) int {
 		}
 	}
 	if got > 0 {
-		m.lens[d].v.Add(int64(-got))
+		e := &m.ends[d]
+		e.n.Add(int64(-got))
+		// The row has room again: a producer parked on a full lane of it
+		// retries. Rare, so every such producer is woken.
+		if e.full.Load() && e.full.Swap(false) {
+			for s := range m.ends {
+				if m.ends[s].wait.Load() == parkedHolding {
+					m.Wake(s)
+				}
+			}
+		}
 	}
 	return got
 }
@@ -280,7 +337,7 @@ func (m *Mesh[T]) RecvBatch(d int, dst []T) int {
 // load, no locks. The value is what §3.3 least-loaded routing compares.
 //
 //nomad:noalloc
-func (m *Mesh[T]) ApproxLen(d int) int { return int(m.lens[d].v.Load()) }
+func (m *Mesh[T]) ApproxLen(d int) int { return int(m.ends[d].n.Load()) }
 
 // TotalLen returns the approximate total number of tokens in the mesh.
 //
@@ -310,6 +367,52 @@ func (m *Mesh[T]) Drain(d int, fn func(T)) {
 		}
 	}
 	if n > 0 {
-		m.lens[d].v.Add(int64(-n))
+		m.ends[d].n.Add(int64(-n))
 	}
 }
+
+// Park blocks endpoint d, whose row was just found empty, until a
+// token is sent to it or Wake(d) is called. holding says d still holds
+// tokens that a full lane refused; such a parker also wakes when a row
+// it marked with Blocked frees room. Park first publishes d as parked,
+// then runs recheck (nil for none), then looks at d's row once more:
+// recheck reporting progress, or a token in the row, ends the park at
+// once. recheck is where d re-tests whatever else ends its wait and
+// where a holding d marks the rows it waits on and retries its sends.
+// Only endpoint d may call it.
+func (m *Mesh[T]) Park(d int, holding bool, recheck func() bool) {
+	e := &m.ends[d]
+	state := int32(parkedEmpty)
+	if holding {
+		state = parkedHolding
+	}
+	e.wait.Store(state)
+	if (recheck == nil || !recheck()) && e.n.Load() <= 0 {
+		<-m.wake[d]
+	}
+	e.wait.Store(running)
+}
+
+// Blocked marks row dst as refusing a parked producer's tokens: the
+// next RecvBatch of dst that frees room wakes every parkedHolding
+// endpoint. A producer calls it from Park's recheck, before it retries
+// its sends, so either the retry sees the room or the consumer sees the
+// mark.
+func (m *Mesh[T]) Blocked(dst int) { m.ends[dst].full.Store(true) }
+
+// Wake ends endpoint d's park, or its next one if it is not parked: a
+// wake that finds no parker is kept in d's slot. It is for events that
+// are not tokens, such as a stop; Send wakes a parked destination
+// itself.
+//
+//nomad:noalloc
+func (m *Mesh[T]) Wake(d int) {
+	m.ends[d].wait.Store(running)
+	select {
+	case m.wake[d] <- struct{}{}:
+	default:
+	}
+}
+
+// Idle reports whether endpoint d is parked holding nothing.
+func (m *Mesh[T]) Idle(d int) bool { return m.ends[d].wait.Load() == parkedEmpty }
