@@ -104,10 +104,7 @@ type meshMachine struct {
 	// lastKnown[r] is the queue length machine r reported with its
 	// latest batch to this machine (§3.3); only the receiver writes it.
 	lastKnown []atomic.Int64
-	// fenced[r] is the epoch of the latest failover fence marker machine
-	// r sent this machine, and dropFrom[r] whether r was evicted; only
-	// the receiver writes either.
-	fenced   []atomic.Uint64
+	// dropFrom[r] is whether r was evicted; only the receiver writes it.
 	dropFrom []bool
 
 	log *machineLog // the replay check's; nil when it is off
@@ -133,7 +130,6 @@ func newMeshMachine(id, workers, ringCap, machines int, md *factor.Model, circul
 		pending:   make([][]itemToken, workers+1),
 		retry:     make(chan struct{}, 1),
 		lastKnown: make([]atomic.Int64, machines),
-		fenced:    make([]atomic.Uint64, machines),
 		dropFrom:  make([]bool, machines),
 	}
 }
@@ -711,8 +707,8 @@ func runMeshSender(mc *meshMachine, link cluster.Link, cfg train.Config, r *rng.
 // (deliverBatch), then releases the arena back to the link's pool. A
 // batch naming an item that does not exist is rejected — reject names
 // the peer and ends the run — and everything after it is discarded. A
-// failover fence marker is filed under its peer in fenced, for the
-// agent. It runs until it holds markers end-of-circulation markers,
+// failover fence marker goes to the agent's inbox (without failover,
+// nothing waits for one, and it is dropped). It runs until it holds markers end-of-circulation markers,
 // when markers is positive, or else until every peer has ended its
 // stream (or the link fails).
 func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers int, fo *failoverRuntime, reject func(error)) {
@@ -742,8 +738,7 @@ func runMeshReceiver(mc *meshMachine, link cluster.Link, r *rng.Source, markers 
 				// before the marker has landed.
 				inb.Batch.Release()
 				if ep := uint64(q - endOfCirculation); ep > 0 {
-					mc.fenced[inb.From].Store(ep)
-					fo.wakeAgent(mc.id)
+					fo.post(mc.id, foInput{kind: inMarker, from: inb.From, foFrame: foFrame{epoch: ep}})
 				} else if markers--; markers == 0 {
 					return
 				}

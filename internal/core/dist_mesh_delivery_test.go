@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"strings"
@@ -266,12 +267,12 @@ func TestReceiverRejectsOutOfRangeItem(t *testing.T) {
 	}
 }
 
-// TestReceiverFilesMarkers sends the real receiver, in a multi-process
-// run without failover, a token batch, a failover fence marker for
-// epoch 3 and an end-of-circulation marker. The fence marker must be
-// filed under its peer, neither marker may be stored as the peer's
-// queue length, and the receiver must stop at the end-of-circulation
-// marker.
+// TestReceiverFilesMarkers sends the real receiver, with a failover
+// runtime, a token batch, a failover fence marker for epoch 3 and an
+// end-of-circulation marker. The fence marker must reach the agent's
+// inbox as its peer's marker input, neither marker may be stored as
+// the peer's queue length, and the receiver must stop at the
+// end-of-circulation marker.
 func TestReceiverFilesMarkers(t *testing.T) {
 	links := netlink.Pipe(2, netsim.Instant(), netlink.Options{K: deliveryK})
 	defer func() {
@@ -286,9 +287,13 @@ func TestReceiverFilesMarkers(t *testing.T) {
 	sendMarkers(links[1], 3, nil)
 	sendMarkers(links[1], 0, nil)
 
-	runMeshReceiver(mc, links[0], rng.New(1), 1, nil, func(err error) { t.Errorf("reject: %v", err) })
-	if got := mc.fenced[1].Load(); got != 3 {
-		t.Errorf("fence marker filed as epoch %d, want 3", got)
+	cfg := baseConfig()
+	cfg.Machines, cfg.Workers, cfg.Failover = 2, 1, true
+	fo := newFailoverRuntime(cfg, nil, deliveryTokens, []*meshMachine{mc, deliveryMachine(1, 64, 2, 1)})
+	runMeshReceiver(mc, links[0], rng.New(1), 1, fo, func(err error) { t.Errorf("reject: %v", err) })
+	want := []foInput{{kind: inMarker, from: 1, foFrame: foFrame{epoch: 3}}}
+	if got := fo.m[0].inbox; !reflect.DeepEqual(got, want) {
+		t.Errorf("agent inbox %+v, want %+v", got, want)
 	}
 	if got := mc.lastKnown[1].Load(); got != 42 {
 		t.Errorf("peer's queue length is %d, want 42 from its token batch", got)

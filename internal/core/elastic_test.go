@@ -247,3 +247,29 @@ func TestElasticRequestValidation(t *testing.T) {
 		t.Error("unbound ElasticControl.Drain returned nil")
 	}
 }
+
+// TestRequestDrainCountsPendingLeavers: a drain still pending is one
+// whose leaver has neither parted nor died, so completed drains and a
+// leaver killed before its round stop counting against the two-machine
+// floor. On five members: drains of 4 and 3 commit (4 parts) or die (3
+// is killed before its round); a drain of 2 then leaves 0 and 1, and is
+// accepted; a drain of 1 on top of it would leave one, and is refused.
+func TestRequestDrainCountsPendingLeavers(t *testing.T) {
+	cfg := failoverConfig("sim")
+	cfg.Machines = 5
+	fo := newFailoverRuntime(cfg, nil, 64, idleMachines(cfg, 64))
+	if err := fo.requestDrain(4); err != nil {
+		t.Fatal(err)
+	}
+	fo.parted[4].Store(true) // its round committed
+	if err := fo.requestDrain(3); err != nil {
+		t.Fatal(err)
+	}
+	fo.noteDeath(3, "test") // killed before its round
+	if err := fo.requestDrain(2); err != nil {
+		t.Fatalf("drain of rank 2 with no other drain pending: %v", err)
+	}
+	if err := fo.requestDrain(1); err == nil {
+		t.Fatal("drain of rank 1 accepted while rank 2's is pending: it would leave one machine")
+	}
+}

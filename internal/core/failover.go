@@ -11,70 +11,34 @@ package core
 //
 // The protocol is arbiter-driven over the links' control plane (frame
 // kinds ≥ 16; the multi-process runner owns 1..7), except for its
-// fence, which rides the data plane behind the tokens, and runs in a
-// per-machine "agent" goroutine alongside the sender/receiver pair.
-// All three reconfiguration rounds share one skeleton:
+// fence, which rides the data plane behind the tokens. It runs in a
+// per-machine agent (failover_agent.go: a pure step function and the
+// shell that applies its effects). Every round — evict, join or drain
+// a subject rank — has one skeleton (DESIGN.md §11): the arbiter, the
+// lowest live rank, broadcasts its start under a new membership epoch;
+// senders park behind a fence marker to every peer, so a peer is
+// fenced once its marker reaches the local receiver; each machine then
+// reports its token-ownership bitmap; the arbiter unions the reports
+// (a duplicate bit aborts) and commits — evict remaps the missing
+// tokens to the victim's ring buddy for regeneration, join activates
+// the spare with per-donor quotas, drain re-homes the leaver, whose
+// sender first streamed every token to its buddy — and broadcasts
+// resume. Faults are survived one at a time while two machines
+// remain; a successor arbiter finishes a dead one's round.
 //
-//	start      the arbiter — the lowest live rank — bumps the
-//	           membership epoch and broadcasts the round (evict /
-//	           join / drain, with its subject rank)
-//	fence      senders park (an eviction first redirects the victim's
-//	           pending batch; a drain's leaver instead flushes forward,
-//	           see below) and put a fence marker, stamped with the
-//	           round's epoch, behind their last token to every peer
-//	           (the multi-process stop's quiesce marker); a peer is
-//	           fenced once its marker has reached the local receiver,
-//	           so nothing it sent here is still in flight
-//	report     with the network quiescent, each machine snapshots its
-//	           token-ownership bitmap and reports it to the arbiter
-//	commit     the arbiter unions the reports (a duplicate bit is a
-//	           conservation violation and aborts) and commits the
-//	           round: evict → remap missing tokens to the victim's ring
-//	           buddy for regeneration; join → activate the spare,
-//	           compute per-donor token quotas (CarveShare) that drain
-//	           to the joiner over the data plane; drain → re-home the
-//	           leaver's rating shards to its buddy
-//	resume     the arbiter broadcasts resume; senders unpark and
-//	           circulation continues with the new membership — the
-//	           epoch is never restarted
-//
-// A drain differs in one step: the leaver's workers stop training and
-// flush their queues forward, and its sender streams every remaining
-// token to the leaver's ring buddy (zero lost updates — state is
-// moved, not reconstructed) before it sends its fence markers.
-//
-// Sequential faults are survivable while at least two machines remain:
-// a death detected mid-round is queued and handled in its own round
-// after resume, and if the arbiter itself dies mid-round the next
-// lowest live rank takes over — survivors re-aim their buffered
-// reports at the successor, so the round completes without restarting.
-// Every control frame has one shape, foFrame: the membership epoch it
-// was sent under and the round's subject rank, then the kind's
-// payload. Stale-epoch frames (from rounds already finished) are
-// dropped, with suspect and resume exempt so late detections and late
-// resumes are never lost.
-//
-// Elastic spares are provisioned up front: links, partitions and
-// worker/sender/receiver/agent goroutines exist for Machines +
-// ElasticSpares ranks from the start, but a spare is latent — it is not
-// a member, so no picker routes to it, it owns no tokens, and its
-// user-rating shards are fostered by active workers through the
-// responsibility table — until a join round activates it.
-//
-// Routing reads the same membership: every sender's picker skips a
-// rank that is not selectable (dead, drained or latent). The §3.3
-// queue-length gossip stays what the paper makes it, a load hint, and
-// carries no liveness.
-//
-// Buddy replication is receiver-driven and lossy-tolerant: every
-// machine streams the tokens it delivers (and rotating chunks of its
-// user-factor rows) to its ring successor as control frames; what was
-// updated since the last replicated snapshot is lost on a crash,
-// conservation is not.
+// Elastic spares are provisioned up front but latent: not members, so
+// no picker routes to them and they own no tokens, with their rating
+// shards fostered by active workers through the responsibility table,
+// until a join activates them. Routing reads the same membership; the
+// §3.3 queue-length gossip stays a load hint. Buddy replication
+// streams each machine's delivered tokens and rotating user-row chunks
+// to its ring successor: lossy, so a crash loses updates since the
+// last snapshot, never conservation.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -117,39 +81,15 @@ const (
 	replRowChunk = 128
 )
 
-// Agent phases.
-const (
-	foIdle = iota
-	foFencing
-	foAwaitResume
-)
-
-// Reconfiguration round kinds.
-const (
-	roundNone = iota
-	roundEvict
-	roundJoin
-	roundDrain
-)
-
-// foEvent kinds (runner/transport/elastic requests → agent
-// notifications).
-const (
-	evDetect  = iota // a peer died (victim, cause)
-	evFenced         // own sender flushed, sent its fence markers and parked
-	evRecheck        // a fence input changed: a peer's marker was filed, or a peer left
-	evJoin           // activate spare (victim = spare rank)
-	evDrain          // graceful leave (victim = leaver rank)
-)
-
-type foEvent struct {
+// foCmd is an agent's command to its sender or receiver goroutine.
+type foCmd struct {
 	kind   int
 	victim int
-	cause  string
-	ep     uint64 // round epoch for re-queued broadcast-origin events; 0 = initiator
+	ep     uint64          // the round's epoch, stamped on fence markers and snapshots
+	toks   []cluster.Token // inject: regenerated tokens (fresh vectors)
 }
 
-// foSendCmd kinds (agent → sender goroutine).
+// Sender command kinds.
 const (
 	sendEvict = iota // redirect victim's pending batch, flush, park
 	sendResume
@@ -157,29 +97,16 @@ const (
 	sendDrain // stream every local token to the ring buddy, then park
 )
 
-type foSendCmd struct {
-	kind   int
-	victim int
-	ep     uint64 // the round's epoch, stamped on the fence markers
-}
-
-// foRecvCmd kinds (agent → receiver goroutine). The command channel is
+// Receiver command kinds. The command channel is
 // FIFO with respect to itself, which is the protocol's ordering
 // argument: markDead is enqueued before any later snapshot, so by the
 // time the receiver answers the snapshot it has already stopped
 // accepting the victim's frames.
 const (
 	recvMarkDead = iota
-	recvSnapshot
+	recvSnapshot // posts the ownership bitmap to the agent, tagged ep
 	recvInject
 )
-
-type foRecvCmd struct {
-	kind   int
-	victim int
-	reply  chan []uint64   // snapshot: ownership bitmap copy
-	toks   []cluster.Token // inject: regenerated tokens (fresh vectors)
-}
 
 // replicaStore is one machine's replica of a peer's state, fed by the
 // peer's replication stream and consumed only if the peer dies.
@@ -188,18 +115,41 @@ type replicaStore struct {
 	users map[int32][]float64 // last replicated user-factor rows
 }
 
-// foMachine is the per-machine mailbox set. A machine's per-peer
-// state (fence markers, evicted sources) is its receiver's and lives
-// on the meshMachine.
+// foMachine is the per-machine mailbox set and the flags its agent's
+// shell publishes for the machine's own threads.
 type foMachine struct {
-	notify  chan foEvent
-	sendCmd chan foSendCmd
-	recvCmd chan foRecvCmd
+	// The agent's inbox: unbounded, so posting never blocks, and no
+	// input is dropped. wake is its one-slot signal.
+	mu      sync.Mutex
+	inbox   []foInput
+	wake    chan struct{}
+	sendCmd chan foCmd
+	recvCmd chan foCmd
+
+	draining atomic.Bool // workers flush forward: this machine is a drain's leaver
+	paused   atomic.Bool // replication paused during this machine's round
+
+	replicas map[int]*replicaStore // agent-owned: peers' replicated state
 
 	// Receiver-goroutine-owned state (no locks needed).
 	repl   *cluster.BatchBuf // pending replication snapshot
 	replN  int               // tokens accumulated in repl
 	rowCur int               // rotating cursor into the machine's user list
+}
+
+// post delivers an input to machine i's agent.
+func (fo *failoverRuntime) post(i int, in foInput) {
+	if fo == nil {
+		return
+	}
+	m := fo.m[i]
+	m.mu.Lock()
+	m.inbox = append(m.inbox, in)
+	m.mu.Unlock()
+	select {
+	case m.wake <- struct{}{}:
+	default:
+	}
 }
 
 // failoverRuntime is the shared state of one failover-enabled run: the
@@ -209,8 +159,7 @@ type foMachine struct {
 // runners call straight through without guards on their hot paths
 // beyond a nil check and, on the data planes, one atomic op per token.
 type failoverRuntime struct {
-	M, W, K, n int // M counts every provisioned slot, spares included
-	activeN    int // initial member count (ranks < activeN start active)
+	foConf
 
 	hooks *train.Hooks
 
@@ -228,9 +177,6 @@ type failoverRuntime struct {
 
 	owned [][]atomic.Uint64 // [machine][word]: token-ownership bitmaps
 
-	epoch  atomic.Uint64 // membership epoch, bumped at each round start
-	paused atomic.Bool   // replication paused during reconfiguration
-
 	// resp is the published responsibility table: shard → global worker
 	// currently training it. Identity for active members' own shards;
 	// latent spares' shards are fostered, and evictions/drains move
@@ -244,8 +190,6 @@ type failoverRuntime struct {
 	// tokens there, so scale-out rebalances on the data plane.
 	donate   []atomic.Int64
 	donateTo atomic.Int64
-
-	drainTarget atomic.Int64 // rank mid-drain, -1 otherwise
 
 	deaths     atomic.Int64
 	evictDone  atomic.Int64
@@ -282,8 +226,7 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int, machines []
 	M, W := cfg.TotalMachines(), cfg.Workers
 	words := (n + 63) / 64
 	fo := &failoverRuntime{
-		M: M, W: W, K: cfg.K, n: n,
-		activeN:     cfg.Machines,
+		foConf:      foConf{M: M, W: W, K: cfg.K, n: n, activeN: cfg.Machines},
 		hooks:       hooks,
 		m:           make([]*foMachine, M),
 		mcs:         machines,
@@ -299,15 +242,15 @@ func newFailoverRuntime(cfg train.Config, hooks *train.Hooks, n int, machines []
 		stopping:    make(chan struct{}),
 	}
 	fo.donateTo.Store(-1)
-	fo.drainTarget.Store(-1)
 	fo.lastVictim.Store(-1)
 	fo.lastJoined.Store(-1)
 	for i := 0; i < M; i++ {
 		fo.m[i] = &foMachine{
-			notify:  make(chan foEvent, 4*M+16),
-			sendCmd: make(chan foSendCmd, 4),
-			recvCmd: make(chan foRecvCmd, 8),
-			repl:    cluster.NewBatchBuf(),
+			wake:     make(chan struct{}, 1),
+			sendCmd:  make(chan foCmd, 4),
+			recvCmd:  make(chan foCmd, 8),
+			replicas: map[int]*replicaStore{},
+			repl:     cluster.NewBatchBuf(),
 		}
 		fo.owned[i] = make([]atomic.Uint64, words)
 		fo.active[i].Store(i < fo.activeN)
@@ -376,46 +319,30 @@ func (fo *failoverRuntime) memberFunc() func(int) bool {
 	return fo.selectable
 }
 
-// activeCount is the current working-set size.
-func (fo *failoverRuntime) activeCount() int {
-	nAct := 0
+// published is the published membership as a view, for the runtime's
+// own reads of it: the working set's size, a machine's ring buddy (the
+// replication target and the drain hand-off destination) and the
+// arbiter, where membership requests go.
+func (fo *failoverRuntime) published() *foView {
+	v := &foView{foConf: fo.foConf}
 	for r := 0; r < fo.M; r++ {
-		if fo.selectable(r) {
-			nAct++
+		if fo.dead[r].Load() {
+			v.dead = v.dead.with(r)
+		}
+		if fo.parted[r].Load() {
+			v.parted = v.parted.with(r)
+		}
+		if fo.active[r].Load() {
+			v.active = v.active.with(r)
 		}
 	}
-	return nAct
+	return v
 }
 
-// buddyOf returns i's ring successor among the selectable machines, or
-// -1. The buddy is the replication target, the evict-regeneration site
-// and the drain hand-off destination.
-func (fo *failoverRuntime) buddyOf(i int) int {
-	for d := 1; d < fo.M; d++ {
-		if c := (i + d) % fo.M; fo.selectable(c) {
-			return c
-		}
-	}
-	return -1
-}
-
-// arbiter is the reconfiguration coordinator: the lowest rank still in
-// the cluster. Recomputed on demand, which is what makes succession
-// work — when the arbiter dies, every survivor's next send lands at
-// the same successor.
-func (fo *failoverRuntime) arbiter() int {
-	for r := 0; r < fo.M; r++ {
-		if !fo.gone(r) {
-			return r
-		}
-	}
-	return 0
-}
-
-// drainingMachine reports whether machine i is the current drain
-// leaver; its workers flush forward instead of training.
+// drainingMachine reports whether machine i is a drain's leaver; its
+// workers flush forward instead of training.
 func (fo *failoverRuntime) drainingMachine(i int) bool {
-	return fo != nil && fo.drainTarget.Load() == int64(i)
+	return fo != nil && fo.m[i].draining.Load()
 }
 
 // ---- detection and death accounting ----
@@ -439,25 +366,20 @@ func (fo *failoverRuntime) detect(self, rank int, err error) {
 	if err != nil {
 		cause = err.Error()
 	}
-	fo.noteDeath(rank, cause)
-	select {
-	case fo.m[self].notify <- foEvent{kind: evDetect, victim: rank, cause: cause}:
-	default: // mailbox full: detection is idempotent, another observer's event is queued
-	}
+	fo.post(self, foInput{kind: inDetect, cause: cause, foFrame: foFrame{subject: rank}})
 }
 
 // noteDeath records a machine death exactly once: the global dead flag
 // (the in-process failure detector every picker consults), the
 // detection timestamp and the PeerDown event. The victim's parked
-// threads wake to wind down, and every agent re-checks its fence,
-// which no longer waits for the victim's marker.
+// threads wake to wind down, and every agent learns of it at once.
 func (fo *failoverRuntime) noteDeath(rank int, cause string) {
 	if !fo.dead[rank].CompareAndSwap(false, true) {
 		return
 	}
 	fo.mcs[rank].wake()
 	for i := range fo.m {
-		fo.wakeAgent(i)
+		fo.post(i, foInput{kind: inGone, foFrame: foFrame{subject: rank}})
 	}
 	fo.deaths.Add(1)
 	fo.lastVictim.Store(int64(rank))
@@ -542,7 +464,7 @@ func (fo *failoverRuntime) requestJoin(rank int) error {
 	fo.claimed[rank] = true
 	fo.elasticMu.Unlock()
 	fo.resizeStart[rank].Store(time.Now().UnixNano())
-	return fo.enqueueArbiter(foEvent{kind: evJoin, victim: rank})
+	return fo.enqueueArbiter(inJoin, rank)
 }
 
 // requestDrain asks the arbiter to retire a member gracefully (rank
@@ -576,42 +498,44 @@ func (fo *failoverRuntime) requestDrain(rank int) error {
 			return fmt.Errorf("core: rank %d is not a drainable member", rank)
 		}
 	}
+	// A requested drain still pending is one whose leaver has neither
+	// parted nor died.
 	pending := 0
 	for r := 0; r < fo.M; r++ {
-		if fo.drainReq[r] {
+		if fo.drainReq[r] && fo.selectable(r) {
 			pending++
 		}
 	}
-	if fo.activeCount()-pending-1 < 2 {
+	if fo.published().members()-pending-1 < 2 {
 		fo.elasticMu.Unlock()
 		return fmt.Errorf("core: draining rank %d would leave fewer than 2 machines", rank)
 	}
 	fo.drainReq[rank] = true
 	fo.elasticMu.Unlock()
 	fo.resizeStart[rank].Store(time.Now().UnixNano())
-	return fo.enqueueArbiter(foEvent{kind: evDrain, victim: rank})
+	return fo.enqueueArbiter(inDrain, rank)
 }
 
-// enqueueArbiter delivers a membership request to the current
-// arbiter's agent, blocking until accepted or the run stops.
-func (fo *failoverRuntime) enqueueArbiter(ev foEvent) error {
-	select {
-	case fo.m[fo.arbiter()].notify <- ev:
-		return nil
-	case <-fo.stopping:
+// enqueueArbiter posts a membership request to the current arbiter's
+// agent.
+func (fo *failoverRuntime) enqueueArbiter(kind uint8, rank int) error {
+	if fo.isStopping() {
 		return fmt.Errorf("core: run stopped before the membership change was accepted")
 	}
+	fo.post(fo.published().arbiter(), foInput{kind: kind, foFrame: foFrame{subject: rank}})
+	return nil
 }
 
 // noteResized emits the resize event for a committed membership change
-// of rank, timed from start, the nanos of that rank's own request
-// (taken from resizeStart).
-func (fo *failoverRuntime) noteResized(kind string, rank int, start int64) {
+// of rank, leaving machines members, timed from that rank's own
+// request (taken from resizeStart before the change is published, so
+// a request naming the new member cannot be mistaken for it).
+func (fo *failoverRuntime) noteResized(kind string, rank, machines int) {
 	secs := 0.0
-	if start > 0 {
+	if start := fo.resizeStart[rank].Swap(0); start > 0 {
 		secs = time.Duration(time.Now().UnixNano() - start).Seconds()
 	}
-	fo.hooks.Emit(train.ResizeEvent{Kind: kind, Rank: rank, Machines: fo.activeCount(), Seconds: secs})
+	fo.hooks.Emit(train.ResizeEvent{Kind: kind, Rank: rank, Machines: machines, Seconds: secs})
 }
 
 // ---- hot-path hooks (ownership, donation) ----
@@ -637,7 +561,7 @@ func (fo *failoverRuntime) donationDest(i int) int {
 
 // sendCmds returns machine i's sender mailbox (nil channel — never
 // ready — without failover).
-func (fo *failoverRuntime) sendCmds(i int) chan foSendCmd {
+func (fo *failoverRuntime) sendCmds(i int) chan foCmd {
 	if fo == nil {
 		return nil
 	}
@@ -645,7 +569,7 @@ func (fo *failoverRuntime) sendCmds(i int) chan foSendCmd {
 }
 
 // recvCmds returns machine i's receiver mailbox (nil without failover).
-func (fo *failoverRuntime) recvCmds(i int) chan foRecvCmd {
+func (fo *failoverRuntime) recvCmds(i int) chan foCmd {
 	if fo == nil {
 		return nil
 	}
@@ -687,21 +611,6 @@ func (fo *failoverRuntime) acceptBatch(mc *meshMachine, src int) bool {
 	return !mc.dropFrom[src]
 }
 
-// wakeAgent wakes machine i's agent to re-check its fence: its receiver
-// has filed a peer's marker, or a peer has left. When the mailbox is
-// full the agent has inputs queued, and it checks its fence after
-// each. Without failover nothing waits for a fence marker, and one
-// from a peer is ignored.
-func (fo *failoverRuntime) wakeAgent(i int) {
-	if fo == nil {
-		return
-	}
-	select {
-	case fo.m[i].notify <- foEvent{kind: evRecheck}:
-	default:
-	}
-}
-
 // afterDeliver streams a delivered batch to the ring buddy's replica.
 func (fo *failoverRuntime) afterDeliver(i int, toks []cluster.Token, link cluster.Link) {
 	m := fo.m[i]
@@ -709,7 +618,7 @@ func (fo *failoverRuntime) afterDeliver(i int, toks []cluster.Token, link cluste
 		m.repl.Add(toks[x].Item, toks[x].Vec)
 	}
 	m.replN += len(toks)
-	if m.replN < replEveryTokens || fo.paused.Load() || fo.isStopping() {
+	if m.replN < replEveryTokens || m.paused.Load() || fo.isStopping() {
 		return
 	}
 	fo.flushReplication(i, link)
@@ -717,19 +626,18 @@ func (fo *failoverRuntime) afterDeliver(i int, toks []cluster.Token, link cluste
 
 // flushReplication streams the pending delta snapshot — delivered
 // tokens plus a rotating chunk of user-factor rows — to the machine's
-// ring buddy, sealed under the current membership epoch. Replication
-// is lossy-tolerant: a failed or dropped frame only widens the window
-// of updates lost if this machine dies.
+// ring buddy. Replication is data, not protocol, so its frames carry
+// no epoch. It is lossy-tolerant: a failed or dropped frame only
+// widens the window of updates lost if this machine dies.
 func (fo *failoverRuntime) flushReplication(i int, link cluster.Link) {
 	m := fo.m[i]
-	buddy := fo.buddyOf(i)
+	buddy := fo.published().buddyOf(i)
 	if buddy < 0 {
 		m.repl.Reset()
 		m.replN = 0
 		return
 	}
-	ep := fo.epoch.Load()
-	payload, err := netlink.AppendTokenBatch(foAppend(nil, ep, i, nil), m.repl.Batch(0), fo.K)
+	payload, err := netlink.AppendTokenBatch(foAppend(nil, 0, i, nil), m.repl.Batch(0), fo.K)
 	if err == nil {
 		link.SendCtl(buddy, ctlFoReplToks, payload) //nolint:errcheck // lossy-tolerant plane
 	}
@@ -742,7 +650,7 @@ func (fo *failoverRuntime) flushReplication(i int, link cluster.Link) {
 	}
 	chunk := users[m.rowCur:min(m.rowCur+replRowChunk, len(users))]
 	m.rowCur = (m.rowCur + len(chunk)) % len(users)
-	rows := foAppend(make([]byte, 0, foHeader+4+len(chunk)*(4+8*fo.K)), ep, i, nil)
+	rows := foAppend(make([]byte, 0, foHeader+4+len(chunk)*(4+8*fo.K)), 0, i, nil)
 	// The rows are being written by this machine's own workers; the
 	// torn-read risk is the same one the unlocked monitor sampling
 	// accepts, and a torn replica row only costs replication fidelity.
@@ -778,32 +686,17 @@ func (fo *failoverRuntime) extraShards(gw int, buf []*localRatings) []*localRati
 }
 
 // respMove reassigns every shard currently trained by a worker of
-// machine from to the matching worker of machine to, and republishes.
+// machine from to the matching worker of machine to — or, with from
+// = -1, returns joiner to's own shards to it, ending their fostering —
+// and republishes the table (copied on write).
 func (fo *failoverRuntime) respMove(from, to int) {
 	fo.respMu.Lock()
 	defer fo.respMu.Unlock()
-	t := *fo.resp.Load()
-	nt := make([]int32, len(t))
-	copy(nt, t)
+	nt := slices.Clone(*fo.resp.Load())
 	for s, o := range nt {
-		if int(o)/fo.W == from {
+		if int(o)/fo.W == from || from < 0 && s/fo.W == to {
 			nt[s] = int32(to*fo.W + s%fo.W)
 		}
-	}
-	fo.resp.Store(&nt)
-	fo.respGen.Add(1)
-}
-
-// respActivate returns a joining spare's own shards to it: identity
-// for shards J·W..(J+1)·W-1, ending their fostering.
-func (fo *failoverRuntime) respActivate(J int) {
-	fo.respMu.Lock()
-	defer fo.respMu.Unlock()
-	t := *fo.resp.Load()
-	nt := make([]int32, len(t))
-	copy(nt, t)
-	for s := J * fo.W; s < (J+1)*fo.W; s++ {
-		nt[s] = int32(s)
 	}
 	fo.resp.Store(&nt)
 	fo.respGen.Add(1)
@@ -814,7 +707,7 @@ func (fo *failoverRuntime) respActivate(J int) {
 // handleRecvCmd executes an agent command on machine mc's receiver
 // goroutine. An injection is delivered like an inbound batch, with the
 // same ownership bits, row writes and visit planning.
-func (fo *failoverRuntime) handleRecvCmd(mc *meshMachine, cmd foRecvCmd, r *rng.Source) {
+func (fo *failoverRuntime) handleRecvCmd(mc *meshMachine, cmd foCmd, r *rng.Source) {
 	switch cmd.kind {
 	case recvMarkDead:
 		mc.dropFrom[cmd.victim] = true
@@ -823,7 +716,7 @@ func (fo *failoverRuntime) handleRecvCmd(mc *meshMachine, cmd foRecvCmd, r *rng.
 		for w := range bm {
 			bm[w] = fo.owned[mc.id][w].Load()
 		}
-		cmd.reply <- bm
+		fo.post(mc.id, foInput{kind: inSnapshot, foFrame: foFrame{epoch: cmd.ep, bm: bm}})
 	case recvInject:
 		mc.deliverBatch(-1, cmd.toks, fo, r)
 	}
@@ -848,36 +741,31 @@ func (fo *failoverRuntime) drainRecvCmds(mc *meshMachine, r *rng.Source) {
 // runSenderCmd executes a failover command on machine i's sender
 // goroutine. Every round variant ends the same way: flush, put a fence
 // marker for the round's epoch behind the last token to every peer
-// still in the cluster, notify the local agent, and park until resume —
+// still in the cluster, tell the local agent, and park until resume —
 // this machine's share of token circulation pauses, which is what lets
-// the snapshot see a quiescent network. drainAll is the runner's
-// flush-forward: stream every token still on this machine to dest.
-func (fo *failoverRuntime) runSenderCmd(i int, cmd foSendCmd, s *cluster.Sender, link cluster.Link, pick func() int, drainAll func(dest int)) {
-	switch cmd.kind {
-	case sendEvict:
-		s.Redirect(cmd.victim, pick)
-	case sendPark:
-		// Nothing to redirect: just flush and park.
-	case sendDrain:
-		if dest := fo.buddyOf(i); dest >= 0 {
-			drainAll(dest)
-		}
-	default:
-		return // stray resume from an abandoned protocol
-	}
-	s.FlushAll() //nolint:errcheck // a real failure surfaces via link.Err
-	sendMarkers(link, cmd.ep, func(p int) bool { return !fo.gone(p) })
-	select {
-	case fo.m[i].notify <- foEvent{kind: evFenced}:
-	case <-fo.stopping:
-		return
-	}
+// the snapshot see a quiescent network. A round command while parked
+// means a later round superseded this one: it fences again. drainAll
+// is the runner's flush-forward: stream every token still on this
+// machine to dest.
+func (fo *failoverRuntime) runSenderCmd(i int, cmd foCmd, s *cluster.Sender, link cluster.Link, pick func() int, drainAll func(dest int)) {
 	for {
-		select {
-		case c := <-fo.m[i].sendCmd:
-			if c.kind == sendResume {
-				return
+		switch cmd.kind {
+		case sendEvict:
+			s.Redirect(cmd.victim, pick)
+		case sendPark:
+			// Nothing to redirect: just flush and park.
+		case sendDrain:
+			if dest := fo.published().buddyOf(i); dest >= 0 {
+				drainAll(dest)
 			}
+		default:
+			return // resume
+		}
+		s.FlushAll() //nolint:errcheck // a real failure surfaces via link.Err
+		sendMarkers(link, cmd.ep, func(p int) bool { return !fo.gone(p) })
+		fo.post(i, foInput{kind: inFenced, foFrame: foFrame{epoch: cmd.ep}})
+		select {
+		case cmd = <-fo.m[i].sendCmd:
 		case <-fo.stopping:
 			return
 		}

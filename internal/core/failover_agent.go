@@ -1,19 +1,558 @@
 package core
 
-// The per-machine protocol agent: one goroutine per provisioned rank,
-// driven by its ctl channel, its notify mailbox and one fence-timeout
-// timer, running the evict/join/drain round state machine described in
-// failover.go.
+// The per-machine protocol agent, in two halves. step is the protocol:
+// a pure function from the agent's view of the cluster and one input to
+// the next view and the effects that input calls for. The shell
+// (runAgent, apply) is everything else: it owns the ctl channel, the
+// inbox the machine's receiver, sender and detector post to, the fence
+// timer and the replicas, and it is the only writer of what other
+// threads read. So every protocol decision can be checked by driving
+// step alone (explore_test.go), and every shared write has one place.
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"time"
 
 	"nomad/internal/cluster"
 	"nomad/internal/netlink"
 	"nomad/internal/partition"
 )
+
+// foMaxRanks bounds a failover run's provisioned machines: a view's
+// rank sets are one word, and the low bits of a round's epoch name the
+// arbiter that started it.
+const foMaxRanks = 64
+
+// rankSet is a set of ranks below foMaxRanks.
+type rankSet uint64
+
+func (s rankSet) has(r int) bool        { return s>>uint(r)&1 != 0 }
+func (s rankSet) with(r int) rankSet    { return s | 1<<uint(r) }
+func (s rankSet) without(r int) rankSet { return s &^ (1 << uint(r)) }
+
+// foConf is a failover run's immutable configuration.
+type foConf struct {
+	M, W, K, n int // M counts every provisioned slot, spares included
+	activeN    int // initial member count (ranks < activeN start active)
+}
+
+// Local input kinds. A ctl frame's input kind is its frame kind (16+).
+const (
+	inDetect   = uint8(iota + 1) // own link saw subject die (cause)
+	inGone                       // the runtime recorded subject's death
+	inFenced                     // own sender parked behind its markers for epoch
+	inMarker                     // from's fence marker for epoch reached the receiver
+	inJoin                       // activate spare subject (arbiter request)
+	inDrain                      // retire member subject (arbiter request)
+	inSnapshot                   // the receiver's ownership bitmap bm, for epoch
+	inTimeout                    // the fence timer fired
+)
+
+// foInput is one input to step: a decoded failover ctl frame from peer
+// from, or a local event, whose rank, epoch and bitmap ride in the
+// frame fields.
+type foInput struct {
+	kind  uint8
+	from  int
+	cause string
+	foFrame
+}
+
+// Effect kinds, applied by the shell in the order step emits them.
+const (
+	efFrame     = iota // ctl frame ctl to rank to (-1 = every peer)
+	efSend             // sender command ctl (victim subject, markers for epoch)
+	efRecv             // receiver command ctl (victim subject, epoch)
+	efRegen            // regenerate items bm of victim subject and inject them
+	efDeath            // publish subject's death (cause)
+	efActivate         // publish joiner subject as a member, donation quota
+	efPart             // publish leaver subject as parted, its shards to rank to
+	efRespMove         // publish subject's shards as this machine's
+	efDraining         // publish this machine's flush-forward flag (on)
+	efPause            // publish this machine's replication pause (on)
+	efRecovered        // emit subject's recovery
+	efResized          // emit a resize of subject, kind cause, to members after
+	efArm              // arm the fence timer
+	efDisarm           // stop it
+	efAbort            // fail the run with err
+)
+
+type foEffect struct {
+	kind  int
+	to    int
+	ctl   uint8
+	on    bool
+	cause string
+	quota []int64
+	err   error
+	foFrame
+}
+
+// Agent phases.
+const (
+	foIdle = iota
+	foFencing
+	foAwaitResume
+)
+
+// foView is one agent's view of the cluster and of its current round,
+// whose kind (round) is the ctl kind that starts it. It is a value, and
+// step copies a slice before writing into it, so a view is a snapshot.
+type foView struct {
+	foConf
+	self int
+
+	epoch                uint64 // the latest round entered; its frames are current
+	dead, parted, active rankSet
+	done                 rankSet // victims whose eviction round resumed
+
+	phase, subject      int   // the subject stays after resume
+	round               uint8 // the kind of the frame that started it
+	acked, drainSent    bool
+	regenSent, remapped bool
+
+	resumed  foFrame // the last round that resumed here
+	deferred foInput // a later arbiter's round start, held until this round ends
+
+	marker     []uint64   // per rank: its latest fence marker epoch
+	reports    [][]uint64 // per rank: its report this round (arbiter)
+	lastReport []uint64   // own report, re-aimed at a new arbiter
+	pending    []foInput  // membership requests awaiting a round
+}
+
+func (c foConf) newView(self int) foView {
+	v := foView{foConf: c, self: self, subject: -1, marker: make([]uint64, c.M), reports: make([][]uint64, c.M)}
+	for r := 0; r < c.activeN; r++ {
+		v.active = v.active.with(r)
+	}
+	return v
+}
+
+func (v *foView) gone(r int) bool       { return (v.dead | v.parted).has(r) }
+func (v *foView) selectable(r int) bool { return v.active.has(r) && !v.gone(r) }
+
+// arbiter is the lowest rank still in the cluster, as this agent knows
+// it. Views only learn true departures, so whoever starts a round was
+// the arbiter when it did.
+func (v *foView) arbiter() int {
+	for r := 0; r < v.M; r++ {
+		if !v.gone(r) {
+			return r
+		}
+	}
+	return 0
+}
+
+// buddyOf is i's ring successor among the selectable ranks, or -1.
+func (v *foView) buddyOf(i int) int {
+	for d := 1; d < v.M; d++ {
+		if c := (i + d) % v.M; v.selectable(c) {
+			return c
+		}
+	}
+	return -1
+}
+
+func (v *foView) members() (n int) {
+	for r := 0; r < v.M; r++ {
+		if v.selectable(r) {
+			n++
+		}
+	}
+	return n
+}
+
+// roundFrame is the current (or last) round's frame header, with bm.
+func (v *foView) roundFrame(bm []uint64) foFrame {
+	return foFrame{epoch: v.epoch, subject: v.subject, bm: bm}
+}
+
+// foStep is one step in progress: the view it edits and the effects it
+// has emitted.
+type foStep struct {
+	foView
+	effs []foEffect
+}
+
+func (s *foStep) emit(e foEffect) { s.effs = append(s.effs, e) }
+
+func (s *foStep) send(to int, kind uint8, f foFrame) {
+	s.emit(foEffect{kind: efFrame, to: to, ctl: kind, foFrame: f})
+}
+
+func (s *foStep) command(kind, cmd, subject int) {
+	s.emit(foEffect{kind: kind, ctl: uint8(cmd), foFrame: foFrame{epoch: s.epoch, subject: subject}})
+}
+
+// step applies one input to the view. It reads nothing but its
+// arguments and touches no channel, clock or atomic.
+func (v foView) step(in foInput) (foView, []foEffect) {
+	if v.gone(v.self) {
+		return v, nil // a parted leaver is out of the protocol
+	}
+	s := &foStep{foView: v}
+	arb := s.arbiter()
+	s.input(in)
+	s.advance(arb)
+	return s.foView, s.effs
+}
+
+func (s *foStep) input(in foInput) {
+	if in.kind > ctlFoSuspect && s.phase != foIdle &&
+		in.epoch > s.epoch && in.epoch%foMaxRanks == s.epoch%foMaxRanks {
+		// A later round of this round's arbiter: it committed this one,
+		// and its resume to us died with it.
+		s.resume()
+	}
+	if in.kind > ctlFoSuspect && in.kind != ctlFoResume && in.epoch == s.resumed.epoch {
+		// A round that ended here: its sender missed the resume.
+		s.send(in.from, ctlFoResume, s.resumed)
+	}
+	current := s.phase != foIdle && in.epoch == s.epoch && in.subject == s.subject
+	switch in.kind {
+	case inDetect, ctlFoSuspect:
+		s.learnDeath(in.subject, in.cause, in.kind == inDetect)
+	case inGone:
+		s.dead = s.dead.with(in.subject)
+	case inFenced:
+		s.acked = s.acked || s.phase == foFencing && in.epoch == s.epoch
+	case inMarker:
+		if in.epoch > s.marker[in.from] {
+			s.marker = slices.Clone(s.marker)
+			s.marker[in.from] = in.epoch
+		}
+	case inJoin, inDrain:
+		s.pending = append(s.pending[:len(s.pending):len(s.pending)], in)
+	case inSnapshot:
+		if s.phase == foAwaitResume && in.epoch == s.epoch && s.lastReport == nil {
+			s.lastReport = in.bm
+			s.report()
+		}
+	case inTimeout:
+		if s.phase == foFencing {
+			s.emit(foEffect{kind: efAbort, err: fmt.Errorf("core: failover fence timed out on machine %d", s.self)})
+		}
+	case ctlFoEvict, ctlFoJoin, ctlFoDrain:
+		s.start(in)
+	case ctlFoReport:
+		if current {
+			s.setReport(in.from, in.bm)
+		}
+	case ctlFoRemap:
+		if current && s.round == ctlFoEvict {
+			s.remap(in.bm)
+		}
+	case ctlFoRegenDone:
+		if current && s.round == ctlFoEvict && s.arbiter() == s.self {
+			s.regenDone()
+		}
+	case ctlFoResume:
+		if current {
+			// Pass a commit on when the arbiter that made it may be
+			// gone: as its successor, or as the leaver about to go.
+			if s.arbiter() == s.self || s.round == ctlFoDrain && s.subject == s.self {
+				s.send(-1, ctlFoResume, s.roundFrame(nil))
+			}
+			s.resume()
+		}
+	}
+}
+
+// learnDeath records subject's death; an observer tells the arbiter.
+func (s *foStep) learnDeath(r int, cause string, observed bool) {
+	if s.dead.has(r) {
+		return
+	}
+	s.dead = s.dead.with(r)
+	s.emit(foEffect{kind: efDeath, cause: cause, foFrame: foFrame{subject: r}})
+	if arb := s.arbiter(); observed && arb != s.self {
+		s.send(arb, ctlFoSuspect, foFrame{epoch: s.epoch, subject: r})
+	}
+}
+
+// start handles a round start. A later epoch enters the round; while
+// this agent's round is in flight it waits until that round resumes,
+// or its arbiter is known dead — then the round is an orphan, dropped.
+func (s *foStep) start(in foInput) {
+	switch {
+	case in.epoch > s.epoch && s.phase != foIdle && !s.dead.has(int(s.epoch%foMaxRanks)):
+		s.deferred = in
+	case in.epoch > s.epoch:
+		if in.kind == ctlFoEvict {
+			s.learnDeath(in.subject, "evicted by arbiter", false)
+		}
+		s.enter(in.kind, in.subject, in.epoch)
+	}
+}
+
+// initiate starts a round as the arbiter, under an epoch above every
+// one this agent has seen whose low bits name it, so no two arbiters
+// ever share one.
+func (s *foStep) initiate(kind uint8, subject int) {
+	ep := (s.epoch/foMaxRanks+1)*foMaxRanks + uint64(s.self)
+	s.send(-1, kind, foFrame{epoch: ep, subject: subject})
+	s.enter(kind, subject, ep)
+}
+
+// enter begins this machine's part of a round: the receiver stops
+// accepting an evicted victim, the sender redirects, flushes, fences
+// and parks — except a drain's leaver, whose workers flush forward
+// until fence streams its tokens out — and replication pauses.
+func (s *foStep) enter(round uint8, subject int, ep uint64) {
+	if s.phase != foIdle && s.round == ctlFoDrain && s.subject == s.self {
+		s.emit(foEffect{kind: efDraining}) // an orphaned drain: train again
+	}
+	s.round, s.subject, s.epoch, s.phase = round, subject, ep, foFencing
+	s.acked, s.drainSent, s.regenSent, s.remapped = false, false, false, false
+	s.reports, s.lastReport = make([][]uint64, s.M), nil
+	s.emit(foEffect{kind: efArm})
+	s.emit(foEffect{kind: efPause, on: true})
+	switch {
+	case round == ctlFoEvict:
+		s.command(efRecv, recvMarkDead, subject)
+		s.command(efSend, sendEvict, subject)
+	case round == ctlFoDrain && subject == s.self:
+		s.emit(foEffect{kind: efDraining, on: true})
+	default:
+		s.command(efSend, sendPark, subject)
+	}
+}
+
+// advance runs the checks every input may satisfy, in protocol order.
+func (s *foStep) advance(arb int) {
+	if s.gone(s.self) {
+		return
+	}
+	if a := s.arbiter(); a != arb {
+		s.succeed(a)
+	}
+	if d := s.deferred; d.kind != 0 && (s.phase == foIdle || s.dead.has(int(s.epoch%foMaxRanks))) {
+		s.deferred = foInput{}
+		s.start(d)
+	}
+	if s.phase == foFencing {
+		s.fence()
+	}
+	if s.phase != foIdle && s.arbiter() == s.self {
+		s.commit()
+	}
+	if s.phase == foIdle && s.arbiter() == s.self {
+		s.dispatch()
+	}
+}
+
+// succeed re-aims this agent's round at a new arbiter a. Every agent
+// tells the successor (the successor tells everyone) which round last
+// resumed here; then the successor re-announces its round for anyone
+// the dead arbiter left behind, and the rest resend what it took with
+// it.
+func (s *foStep) succeed(a int) {
+	to := a
+	if a == s.self {
+		to = -1
+	}
+	if s.resumed.epoch > 0 {
+		s.send(to, ctlFoResume, s.resumed)
+	}
+	switch {
+	case s.phase == foIdle:
+	case a == s.self:
+		s.send(-1, s.round, s.roundFrame(nil))
+	case s.regenSent:
+		s.send(a, ctlFoRegenDone, s.roundFrame(nil))
+	}
+	if s.phase != foIdle && s.lastReport != nil {
+		s.report()
+	}
+}
+
+// fence passes once every present peer's marker for this round has
+// reached the receiver — nothing it sent here is still in flight — and
+// the own sender has parked behind its markers. The leaver's stream
+// waits only for the peers, so no token arrives behind its back.
+func (s *foStep) fence() {
+	for p := 0; p < s.M; p++ {
+		if p != s.self && !s.gone(p) && s.marker[p] < s.epoch {
+			return
+		}
+	}
+	if s.round == ctlFoDrain && s.subject == s.self && !s.drainSent {
+		s.drainSent = true
+		s.command(efSend, sendDrain, s.subject)
+	}
+	if s.acked {
+		s.phase = foAwaitResume
+		s.emit(foEffect{kind: efDisarm})
+		s.command(efRecv, recvSnapshot, s.subject) // FIFO behind markDead
+	}
+}
+
+func (s *foStep) report() {
+	if arb := s.arbiter(); arb != s.self {
+		s.send(arb, ctlFoReport, s.roundFrame(s.lastReport))
+	} else {
+		s.setReport(s.self, s.lastReport)
+	}
+}
+
+func (s *foStep) setReport(r int, bm []uint64) {
+	s.reports = slices.Clone(s.reports)
+	s.reports[r] = bm
+}
+
+// commit (arbiter): once every present machine has reported, union the
+// bitmaps — a duplicate is a conservation violation — and commit.
+func (s *foStep) commit() {
+	if !s.remapped {
+		missing := make([]uint64, (s.n+63)/64)
+		for j := 0; j < s.n; j++ {
+			missing[j>>6] |= 1 << uint(j&63)
+		}
+		held := 0
+		for r := 0; r < s.M; r++ {
+			if s.gone(r) {
+				continue
+			}
+			if s.reports[r] == nil {
+				return
+			}
+			for w, x := range s.reports[r] {
+				if missing[w]&x != x {
+					s.emit(foEffect{kind: efAbort, err: fmt.Errorf("core: failover conservation broken: an item token is owned by two machines")})
+					return
+				}
+				missing[w] &^= x
+				held += bits.OnesCount64(x)
+			}
+		}
+		if s.round != ctlFoEvict {
+			s.finishResize(held)
+			return
+		}
+		// missing may include the tokens of a machine that died
+		// mid-round: regenerated here, its own round finds them whole.
+		buddy := s.buddyOf(s.subject)
+		if buddy < 0 {
+			s.emit(foEffect{kind: efAbort, err: fmt.Errorf("core: no live buddy for dead machine %d", s.subject)})
+			return
+		}
+		s.remapped = true
+		if buddy != s.self {
+			s.send(buddy, ctlFoRemap, s.roundFrame(missing))
+		} else {
+			s.remap(missing)
+		}
+	}
+	if s.regenSent {
+		s.regenDone()
+	}
+}
+
+// finishResize (arbiter) commits a join — the spare becomes a member,
+// and each member owes it a CarveShare of its reported load, donated
+// over the data plane after resume — or a drain, whose leaver's tokens
+// have all streamed to its buddy: the buddy takes its rating shards and
+// the rank is retired before any sender unparks.
+func (s *foStep) finishResize(held int) {
+	if held < s.n && s.dead&^s.done == 0 {
+		// Missing tokens belong to a death this agent has yet to learn
+		// of (the buddy of a killed leaver can snapshot before its last
+		// batch lands); that death's own round regenerates them.
+		return
+	}
+	r, kind := s.subject, "drain"
+	e := foEffect{kind: efPart, to: s.buddyOf(r), foFrame: foFrame{subject: r}}
+	if s.round == ctlFoJoin {
+		var donors []int
+		var counts []int64
+		for d := 0; d < s.M; d++ {
+			if d != r && s.selectable(d) {
+				c := 0
+				for _, x := range s.reports[d] {
+					c += bits.OnesCount64(x)
+				}
+				donors, counts = append(donors, d), append(counts, int64(c))
+			}
+		}
+		e.kind, e.quota, kind = efActivate, make([]int64, s.M), "join"
+		for x, q := range partition.CarveShare(counts) {
+			e.quota[donors[x]] = q
+		}
+		s.active = s.active.with(r)
+	} else {
+		s.parted, s.active = s.parted.with(r), s.active.without(r)
+	}
+	s.emit(foEffect{kind: efResized, to: s.members(), cause: kind, foFrame: foFrame{subject: r}})
+	s.emit(e)
+	s.send(-1, ctlFoResume, s.roundFrame(nil))
+	s.resume()
+}
+
+// remap (buddy): regenerate the missing tokens, once per round, take
+// over the victim's rating shards, and report regeneration done.
+func (s *foStep) remap(missing []uint64) {
+	if !s.regenSent {
+		s.regenSent = true
+		s.emit(foEffect{kind: efRegen, foFrame: s.roundFrame(missing)})
+		s.emit(foEffect{kind: efRespMove, foFrame: foFrame{subject: s.subject}})
+	}
+	if arb := s.arbiter(); arb != s.self {
+		s.send(arb, ctlFoRegenDone, s.roundFrame(nil))
+	}
+}
+
+// regenDone (arbiter): the cluster is whole again — record the recovery
+// and resume.
+func (s *foStep) regenDone() {
+	s.emit(foEffect{kind: efRecovered, foFrame: foFrame{subject: s.subject}})
+	s.send(-1, ctlFoResume, s.roundFrame(nil))
+	s.resume()
+}
+
+// resume ends the round: its membership change enters the view, the
+// sender unparks and replication resumes.
+func (s *foStep) resume() {
+	switch s.round {
+	case ctlFoEvict:
+		s.done = s.done.with(s.subject)
+	case ctlFoJoin:
+		s.active = s.active.with(s.subject)
+	case ctlFoDrain:
+		s.parted, s.active = s.parted.with(s.subject), s.active.without(s.subject)
+	}
+	s.phase, s.round, s.resumed = foIdle, 0, s.roundFrame(nil)
+	s.reports, s.lastReport = make([][]uint64, s.M), nil
+	s.emit(foEffect{kind: efDisarm})
+	s.command(efSend, sendResume, s.subject)
+	s.emit(foEffect{kind: efPause})
+}
+
+// dispatch (idle arbiter) starts the next round: an unrecovered death
+// first, then the oldest request still valid; stale requests drop.
+func (s *foStep) dispatch() {
+	for r := 0; r < s.M; r++ {
+		if s.dead.has(r) && !s.done.has(r) {
+			s.initiate(ctlFoEvict, r)
+			return
+		}
+	}
+	for len(s.pending) > 0 {
+		in := s.pending[0]
+		s.pending = s.pending[1:]
+		switch r := in.subject; {
+		case in.kind == inJoin && !s.active.has(r) && !s.gone(r):
+			s.initiate(ctlFoJoin, r)
+			return
+		case in.kind == inDrain && s.selectable(r):
+			s.initiate(ctlFoDrain, r)
+			return
+		}
+	}
+}
+
+// ---- the shell ----
 
 // startAgents launches one protocol agent per provisioned machine;
 // latent spares participate fully (they fence like members, and their
@@ -22,66 +561,64 @@ func (fo *failoverRuntime) startAgents() {
 	if fo == nil {
 		return
 	}
-	for _, mc := range fo.mcs {
+	for i := range fo.m {
 		fo.agentWG.Add(1)
-		go fo.runAgent(mc)
+		go fo.runAgent(i)
 	}
 }
 
-// foAgent is one machine's protocol state machine. All fields are
-// agent-goroutine-owned.
-type foAgent struct {
-	fo   *failoverRuntime
-	i    int
-	mc   *meshMachine // its receiver holds the peers' fence markers
-	link cluster.Link
-
-	phase      int
-	round      int
-	subject    int    // the rank this round is about (victim/joiner/leaver)
-	roundEpoch uint64 // the epoch the current round was sealed under
-
-	senderAcked  bool
-	drainCmdSent bool
-	regenSent    bool
-	fence        *time.Timer // the round's fence timeout, running only while fencing
-
-	suspected map[int]bool
-	done      map[int]bool
-	pending   []foEvent // faults/requests arriving mid-round, replayed after resume
-
-	reports    map[int][]uint64 // arbiter: rank → ownership bitmap
-	lastReport []uint64         // own last snapshot, resent on arbiter succession
-	replicas   map[int]*replicaStore
-}
-
-func (fo *failoverRuntime) runAgent(mc *meshMachine) {
+// runAgent is machine i's shell: it feeds step its inbox, its decoded
+// ctl frames and its fence timer, and applies the effects. Replication
+// frames are data: they go to the replicas, not to step.
+func (fo *failoverRuntime) runAgent(i int) {
 	defer fo.agentWG.Done()
-	i := mc.id
-	a := &foAgent{
-		fo: fo, i: i, mc: mc, link: fo.links[i],
-		subject:   -1,
-		fence:     time.NewTimer(foFenceTimeout),
-		suspected: map[int]bool{},
-		done:      map[int]bool{},
-		reports:   map[int][]uint64{},
-		replicas:  map[int]*replicaStore{},
+	m := fo.m[i]
+	v := fo.newView(i)
+	fence := time.NewTimer(foFenceTimeout)
+	fence.Stop()
+	defer fence.Stop()
+	feed := func(in foInput) {
+		if fo.dead[i].Load() {
+			return // a crashed machine's agent is gone with it
+		}
+		var effs []foEffect
+		v, effs = v.step(in)
+		for _, e := range effs {
+			fo.apply(i, e, fence)
+		}
 	}
-	a.fence.Stop()
-	defer a.fence.Stop()
-	notify := fo.m[i].notify
-	ctl := a.link.Ctl()
+	ctl := fo.links[i].Ctl()
 	for {
 		select {
-		case ev := <-notify:
-			a.handleEvent(ev)
+		case <-m.wake:
+			m.mu.Lock()
+			ins := m.inbox
+			m.inbox = nil
+			m.mu.Unlock()
+			for _, in := range ins {
+				feed(in)
+			}
 		case ct, ok := <-ctl:
 			if !ok {
 				return
 			}
-			a.handleCtl(ct)
-		case <-a.fence.C:
-			fo.fail(fmt.Errorf("core: failover fence timed out after %v on machine %d", foFenceTimeout, a.i))
+			f, ok := foDecode(ct.Kind, ct.Payload, fo.n, fo.M)
+			switch {
+			case !ok:
+			case ct.Kind == ctlFoReplToks:
+				if b, err := netlink.DecodeTokenBatch(f.body, fo.K); err == nil {
+					rs := m.replica(ct.From)
+					for _, t := range b.Tokens {
+						rs.items[t.Item] = t.Vec // freshly allocated by the decode
+					}
+				}
+			case ct.Kind == ctlFoReplRows:
+				m.storeReplRows(ct.From, f.body, fo.md.M, fo.K) //nolint:errcheck // lossy-tolerant plane
+			default:
+				feed(foInput{kind: ct.Kind, from: ct.From, foFrame: f})
+			}
+		case <-fence.C:
+			feed(foInput{kind: inTimeout})
 		case <-fo.stopping:
 			// Abandon the protocol but keep the ctl channel draining: a
 			// blocked channel would wedge the transport (the link's
@@ -91,443 +628,78 @@ func (fo *failoverRuntime) runAgent(mc *meshMachine) {
 			}
 			return
 		}
-		// Each input may be one the fence waits for: the sender's ack, a
-		// peer's marker, a peer leaving.
-		a.checkFences()
-		if a.phase != foFencing {
-			a.fence.Stop()
-		}
 	}
 }
 
-// beginRound enters a reconfiguration round: senders will park, the
-// fence timeout is armed, replication pauses.
-func (a *foAgent) beginRound(round, subject int, ep uint64) {
-	a.round, a.subject = round, subject
-	a.phase = foFencing
-	a.fence.Reset(foFenceTimeout)
-	a.senderAcked = false
-	a.drainCmdSent = false
-	a.regenSent = false
-	a.roundEpoch = ep
-	a.reports = map[int][]uint64{}
-	a.lastReport = nil
-	a.fo.paused.Store(true)
-}
-
-// queuePending defers an event that cannot start while a round is in
-// flight; replayed in order after resume.
-func (a *foAgent) queuePending(ev foEvent) {
-	for _, p := range a.pending {
-		if p.kind == ev.kind && p.victim == ev.victim {
-			return
+// apply carries out one effect of machine i's step. The commands block
+// until their goroutine takes them, but neither goroutine ever waits on
+// the agent — they post to its inbox — so no wait forms a cycle.
+func (fo *failoverRuntime) apply(i int, e foEffect, fence *time.Timer) {
+	m := fo.m[i]
+	switch e.kind {
+	case efFrame:
+		fo.links[i].SendCtl(e.to, e.ctl, foAppend(nil, e.epoch, e.subject, e.bm)) //nolint:errcheck // loss → fence timeout or a successor's resend
+	case efSend:
+		select {
+		case m.sendCmd <- foCmd{kind: int(e.ctl), victim: e.subject, ep: e.epoch}:
+			fo.mcs[i].mesh.Wake(fo.mcs[i].port())
+		case <-fo.stopping:
 		}
-	}
-	a.pending = append(a.pending, ev)
-}
-
-func (a *foAgent) handleEvent(ev foEvent) {
-	fo := a.fo
-	if fo.gone(a.i) {
-		return
-	}
-	switch ev.kind {
-	case evDetect:
-		v := ev.victim
-		if a.done[v] {
-			return
+	case efRecv:
+		fo.recvCmd(i, foCmd{kind: int(e.ctl), victim: e.subject, ep: e.epoch})
+	case efRegen:
+		fo.regenerate(i, e.subject, e.bm)
+	case efDeath:
+		fo.noteDeath(e.subject, e.cause)
+	case efActivate:
+		for r, q := range e.quota {
+			fo.donate[r].Store(q)
 		}
-		if a.phase != foIdle {
-			if a.round == roundEvict && v == a.subject {
-				return
-			}
-			a.queuePending(ev)
-			a.resendRoundState()
-			return
+		fo.donateTo.Store(int64(e.subject))
+		fo.active[e.subject].Store(true)
+		fo.lastJoined.Store(int64(e.subject))
+		fo.respMove(-1, e.subject)
+	case efPart:
+		if e.to >= 0 {
+			fo.respMove(e.subject, e.to)
 		}
-		if a.suspected[v] {
-			return
-		}
-		a.suspected[v] = true
-		if arb := fo.arbiter(); arb == a.i {
-			a.onSuspect(v)
-		} else {
-			a.link.SendCtl(arb, ctlFoSuspect, foAppend(nil, fo.epoch.Load(), v, nil)) //nolint:errcheck // loss → fence timeout → typed abort
-		}
-	case evFenced:
-		if a.phase != foFencing {
-			return
-		}
-		// The sender is parked, and its fence markers are behind its
-		// last tokens.
-		a.senderAcked = true
-	case evJoin, evDrain:
-		if ev.ep != 0 {
-			// Re-queued broadcast: re-enter the round under its
-			// original epoch, do not re-initiate.
-			if ev.kind == evJoin {
-				a.onJoinStart(ev.victim, ev.ep)
-			} else {
-				a.onDrainStart(ev.victim, ev.ep)
-			}
-			return
-		}
-		if a.phase != foIdle {
-			a.queuePending(ev)
-			return
-		}
-		ep := fo.epoch.Add(1)
-		kind := uint8(ctlFoJoin)
-		if ev.kind == evDrain {
-			kind = ctlFoDrain
-		}
-		a.link.SendCtl(-1, kind, foAppend(nil, ep, ev.victim, nil)) //nolint:errcheck
-		if ev.kind == evJoin {
-			a.onJoinStart(ev.victim, ep)
-		} else {
-			a.onDrainStart(ev.victim, ep)
-		}
+		fo.parted[e.subject].Store(true)
+		fo.active[e.subject].Store(false)
+		fo.mcs[e.subject].wake() // the leaver's parked workers exit
+	case efRespMove:
+		fo.respMove(e.subject, i)
+	case efDraining:
+		m.draining.Store(e.on)
+		fo.mcs[i].wake() // parked workers switch to flush-forward, or back
+	case efPause:
+		m.paused.Store(e.on)
+	case efRecovered:
+		fo.noteRecovered(e.subject)
+	case efResized:
+		fo.noteResized(e.cause, e.subject, e.to)
+	case efArm:
+		fence.Reset(foFenceTimeout)
+	case efDisarm:
+		fence.Stop()
+	case efAbort:
+		fo.fail(e.err)
 	}
 }
 
-// resendRoundState re-aims round artifacts at the recomputed arbiter:
-// when the arbiter dies mid-round, the successor needs the reports
-// (and the buddy's regen-done) the dead arbiter may have taken with
-// it. Idempotent — receivers treat duplicates as map overwrites.
-func (a *foAgent) resendRoundState() {
-	if a.phase != foAwaitResume {
-		return
-	}
-	fo := a.fo
-	arb := fo.arbiter()
-	if a.lastReport != nil {
-		if arb == a.i {
-			a.onReport(a.i, a.lastReport)
-		} else {
-			a.link.SendCtl(arb, ctlFoReport, foAppend(nil, a.roundEpoch, a.subject, a.lastReport)) //nolint:errcheck
-		}
-	}
-	if a.regenSent && arb != a.i {
-		a.link.SendCtl(arb, ctlFoRegenDone, foAppend(nil, a.roundEpoch, a.subject, nil)) //nolint:errcheck
-	}
-}
-
-func (a *foAgent) handleCtl(ct cluster.Ctl) {
-	fo := a.fo
-	f, ok := foDecode(ct.Kind, ct.Payload, fo.n, fo.M)
-	if !ok {
-		return
-	}
-	if fo.gone(a.i) {
-		// A dead machine drains and ignores; a drained (parted) machine
-		// still honours its own round's resume so its parked sender can
-		// unpark and close before teardown.
-		if ct.Kind == ctlFoResume && f.subject == a.i {
-			a.onResume(f.subject)
-		}
-		return
-	}
-	if ct.From >= 0 && ct.From < fo.M && fo.gone(ct.From) && ct.Kind != ctlFoResume {
-		return // stale frame from a member that already left
-	}
-	if f.epoch < fo.epoch.Load() && ct.Kind != ctlFoSuspect && ct.Kind != ctlFoResume {
-		return // a finished round's frame
-	}
-	switch ct.Kind {
-	case ctlFoSuspect:
-		if a.i == fo.arbiter() {
-			a.onSuspect(f.subject)
-		}
-	case ctlFoEvict:
-		a.onEvict(f.subject, "evicted by arbiter", f.epoch)
-	case ctlFoJoin:
-		a.onJoinStart(f.subject, f.epoch)
-	case ctlFoDrain:
-		a.onDrainStart(f.subject, f.epoch)
-	case ctlFoReport:
-		a.onReport(ct.From, f.bm)
-	case ctlFoRemap:
-		if f.subject == a.subject && a.phase != foIdle {
-			a.onRemap(f.bm)
-		}
-	case ctlFoRegenDone:
-		if a.i == fo.arbiter() {
-			a.onRegenDone()
-		}
-	case ctlFoResume:
-		a.onResume(f.subject)
-	case ctlFoReplToks:
-		if b, err := netlink.DecodeTokenBatch(f.body, fo.K); err == nil {
-			rs := a.replica(ct.From)
-			for _, t := range b.Tokens {
-				rs.items[t.Item] = t.Vec // freshly allocated by the decode
-			}
-		}
-	case ctlFoReplRows:
-		a.storeReplRows(ct.From, f.body) //nolint:errcheck // lossy-tolerant plane
-	}
-}
-
-// onSuspect (arbiter only): start an eviction round — bump the epoch,
-// broadcast, enter locally.
-func (a *foAgent) onSuspect(v int) {
-	fo := a.fo
-	if a.done[v] {
-		return
-	}
-	if a.phase != foIdle {
-		if !(a.round == roundEvict && v == a.subject) {
-			a.queuePending(foEvent{kind: evDetect, victim: v, cause: "suspected by peer"})
-		}
-		return
-	}
-	a.suspected[v] = true
-	ep := fo.epoch.Add(1)
-	a.link.SendCtl(-1, ctlFoEvict, foAppend(nil, ep, v, nil)) //nolint:errcheck // dead peers are skipped/harmless
-	a.onEvict(v, "evicted by arbiter", ep)
-}
-
-// onEvict starts this machine's part of an eviction round: receiver
-// stops accepting the victim, sender redirects + parks, fencing begins.
-func (a *foAgent) onEvict(v int, cause string, ep uint64) {
-	fo := a.fo
-	if a.done[v] || v < 0 || v >= fo.M {
-		return
-	}
-	fo.noteDeath(v, cause) // machines that never detected locally learn here
-	if a.phase != foIdle {
-		if a.round == roundEvict && v == a.subject {
-			return
-		}
-		a.queuePending(foEvent{kind: evDetect, victim: v, cause: cause})
-		return
-	}
-	a.suspected[v] = true
-	a.beginRound(roundEvict, v, ep)
-	if !a.sendRecvCmd(foRecvCmd{kind: recvMarkDead, victim: v}) {
-		return
-	}
-	a.sendSendCmd(foSendCmd{kind: sendEvict, victim: v, ep: ep})
-}
-
-// onJoinStart enters a scale-out round: every sender (the joiner's
-// latent one included) flushes and parks so the cluster can account
-// for its tokens before the working set grows.
-func (a *foAgent) onJoinStart(v int, ep uint64) {
-	fo := a.fo
-	if v < 0 || v >= fo.M || fo.active[v].Load() || fo.gone(v) {
-		return
-	}
-	if a.phase != foIdle {
-		a.queuePending(foEvent{kind: evJoin, victim: v, ep: ep})
-		return
-	}
-	a.beginRound(roundJoin, v, ep)
-	a.sendSendCmd(foSendCmd{kind: sendPark, ep: ep})
-}
-
-// onDrainStart enters a scale-in round. The leaver does not park: its
-// workers switch to flush-forward (drainTarget), and once every peer's
-// fence is satisfied its sender streams the remaining tokens to the
-// ring buddy (sendDrain, issued by checkFences).
-func (a *foAgent) onDrainStart(v int, ep uint64) {
-	fo := a.fo
-	if v < 0 || v >= fo.M || fo.gone(v) || !fo.active[v].Load() {
-		return
-	}
-	if a.phase != foIdle {
-		a.queuePending(foEvent{kind: evDrain, victim: v, ep: ep})
-		return
-	}
-	a.beginRound(roundDrain, v, ep)
-	if a.i == v {
-		fo.drainTarget.Store(int64(v))
-		a.mc.wake() // parked workers switch to flush-forward
-	} else {
-		a.sendSendCmd(foSendCmd{kind: sendPark, ep: ep})
-	}
-}
-
-// checkFences advances from fencing to reporting once the network is
-// quiescent from this machine's point of view: its own sender is
-// parked, and the receiver has read every present peer's fence marker
-// for this round (nothing in flight toward us).
-// The drain leaver additionally orders its own flush-forward after all
-// inbound has landed, so no token can arrive behind its back.
-func (a *foAgent) checkFences() {
-	fo := a.fo
-	if a.phase != foFencing {
-		return
-	}
-	peersOK := true
-	for p := 0; p < fo.M; p++ {
-		if p != a.i && !fo.gone(p) && a.mc.fenced[p].Load() < a.roundEpoch {
-			peersOK = false
-			break
-		}
-	}
-	if a.round == roundDrain && a.subject == a.i && peersOK && !a.drainCmdSent {
-		a.drainCmdSent = true
-		a.sendSendCmd(foSendCmd{kind: sendDrain, victim: a.subject, ep: a.roundEpoch})
-	}
-	if !(a.senderAcked && peersOK) {
-		return
-	}
-	// Quiesced: the ownership bitmap is stable. Snapshot it through the
-	// receiver (FIFO after markDead) and report to the arbiter.
-	reply := make(chan []uint64, 1)
-	if !a.sendRecvCmd(foRecvCmd{kind: recvSnapshot, reply: reply}) {
-		return
-	}
-	var bm []uint64
+// recvCmd hands machine i's receiver a command.
+func (fo *failoverRuntime) recvCmd(i int, cmd foCmd) {
 	select {
-	case bm = <-reply:
+	case fo.m[i].recvCmd <- cmd:
 	case <-fo.stopping:
-		return
-	}
-	a.phase = foAwaitResume
-	a.lastReport = bm
-	if arb := fo.arbiter(); arb == a.i {
-		a.onReport(a.i, bm)
-	} else {
-		a.link.SendCtl(arb, ctlFoReport, foAppend(nil, a.roundEpoch, a.subject, bm)) //nolint:errcheck
 	}
 }
 
-// onReport (arbiter or successor): once every present machine has
-// reported, union the bitmaps — a duplicate is a conservation
-// violation — and commit the round.
-func (a *foAgent) onReport(from int, bm []uint64) {
-	fo := a.fo
-	if a.phase == foIdle {
-		return // stale report from a finished round
-	}
-	a.reports[from] = bm
-	need, got := 0, 0
-	for r := 0; r < fo.M; r++ {
-		if fo.gone(r) {
-			continue
-		}
-		need++
-		if a.reports[r] != nil {
-			got++
-		}
-	}
-	if got < need {
-		return
-	}
-	// missing starts as every item, and each report takes its owned
-	// items out.
-	missing := make([]uint64, (fo.n+63)/64)
-	for j := 0; j < fo.n; j++ {
-		missing[j>>6] |= 1 << uint(j&63)
-	}
-	held := 0
-	for r := 0; r < fo.M; r++ {
-		if fo.gone(r) || a.reports[r] == nil {
-			continue
-		}
-		for w, x := range a.reports[r] {
-			if missing[w]&x != x {
-				fo.fail(fmt.Errorf("core: failover conservation broken: an item token is owned by two machines"))
-				return
-			}
-			missing[w] &^= x
-			held += bits.OnesCount64(x)
-		}
-	}
-	switch a.round {
-	case roundEvict:
-		// missing may also include tokens of a machine that died
-		// mid-round: they are regenerated here, and that machine's own
-		// queued round then finds a complete union.
-		buddy := fo.buddyOf(a.subject)
-		if buddy < 0 {
-			fo.fail(fmt.Errorf("core: no live buddy for dead machine %d", a.subject))
-			return
-		}
-		if buddy == a.i {
-			a.onRemap(missing)
-		} else {
-			a.link.SendCtl(buddy, ctlFoRemap, foAppend(nil, a.roundEpoch, a.subject, missing)) //nolint:errcheck
-		}
-	case roundJoin, roundDrain:
-		if held < fo.n && fo.deaths.Load() == fo.evictDone.Load() {
-			fo.fail(fmt.Errorf("core: %d item tokens missing after a resize with no unrecovered failure", fo.n-held))
-			return
-		}
-		// Any missing tokens belong to a mid-round death; its queued
-		// eviction round regenerates them.
-		if a.round == roundJoin {
-			a.finishJoin()
-		} else {
-			a.finishDrain()
-		}
-	}
-}
-
-// finishJoin (arbiter): activate the spare and publish per-donor token
-// quotas carved off each member proportional to its reported load; the
-// donors' senders rebalance over the data plane after resume.
-func (a *foAgent) finishJoin() {
-	fo := a.fo
-	J := a.subject
-	// Taken before J becomes a member that a drain may name.
-	start := fo.resizeStart[J].Swap(0)
-	var donors []int
-	var counts []int64
-	for r := 0; r < fo.M; r++ {
-		if r == J || !fo.selectable(r) {
-			continue
-		}
-		c := int64(0)
-		if rep := a.reports[r]; rep != nil {
-			for _, w := range rep {
-				c += int64(bits.OnesCount64(w))
-			}
-		}
-		donors = append(donors, r)
-		counts = append(counts, c)
-	}
-	quota := partition.CarveShare(counts)
-	for x, r := range donors {
-		fo.donate[r].Store(quota[x])
-	}
-	fo.donateTo.Store(int64(J))
-	fo.active[J].Store(true)
-	fo.lastJoined.Store(int64(J))
-	fo.respActivate(J)
-	fo.noteResized("join", J, start)
-	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, J, nil)) //nolint:errcheck
-	a.onResume(J)
-}
-
-// finishDrain (arbiter): the leaver's tokens have all streamed to its
-// buddy; re-home its rating shards, retire the rank and resume. The
-// parted flag is set before the resume broadcast so no unparked sender
-// can pick the leaver again.
-func (a *foAgent) finishDrain() {
-	fo := a.fo
-	D := a.subject
-	if buddy := fo.buddyOf(D); buddy >= 0 {
-		fo.respMove(D, buddy)
-	}
-	fo.parted[D].Store(true)
-	fo.active[D].Store(false)
-	fo.drainTarget.Store(-1)
-	fo.mcs[D].wake() // the leaver's parked workers exit
-	fo.noteResized("drain", D, fo.resizeStart[D].Swap(0))
-	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, D, nil)) //nolint:errcheck
-	a.onResume(D)
-}
-
-// onRemap (buddy only): regenerate the missing tokens, a bitmap over
-// the items — replica first, model row (hⱼ's home, so the victim's last
-// completed update) as fallback — install the victim's replicated user
-// rows, take over its rating shards, report regeneration done.
-func (a *foAgent) onRemap(missing []uint64) {
-	fo := a.fo
-	rs := a.replicas[a.subject]
+// regenerate (buddy i) rebuilds the missing tokens of victim, a bitmap
+// over the items — replica first, model row (hⱼ's home, so the victim's
+// last completed update) as fallback — installs the victim's replicated
+// user rows and injects the tokens through the receiver.
+func (fo *failoverRuntime) regenerate(i, victim int, missing []uint64) {
+	rs := fo.m[i].replicas[victim]
 	var toks []cluster.Token
 	for j := range fo.n {
 		if missing[j>>6]&(1<<uint(j&63)) == 0 {
@@ -536,8 +708,7 @@ func (a *foAgent) onRemap(missing []uint64) {
 		var vec []float64
 		if rs != nil {
 			if rv, ok := rs.items[int32(j)]; ok {
-				vec = make([]float64, len(rv))
-				copy(vec, rv)
+				vec = append([]float64(nil), rv...)
 			}
 		}
 		if vec == nil {
@@ -554,87 +725,26 @@ func (a *foAgent) onRemap(missing []uint64) {
 		}
 	}
 	if len(toks) > 0 {
-		if !a.sendRecvCmd(foRecvCmd{kind: recvInject, toks: toks}) {
-			return
-		}
-	}
-	// Re-home the victim's rating shards (its own and any it was
-	// fostering): buddy worker w takes over the matching worker-w
-	// shard. The generation bump is the workers' rebuild signal.
-	fo.respMove(a.subject, a.i)
-	a.regenSent = true
-	if arb := fo.arbiter(); arb == a.i {
-		a.onRegenDone()
-	} else {
-		a.link.SendCtl(arb, ctlFoRegenDone, foAppend(nil, a.roundEpoch, a.subject, nil)) //nolint:errcheck
+		fo.recvCmd(i, foCmd{kind: recvInject, toks: toks})
 	}
 }
 
-// onRegenDone (arbiter only): the cluster state is whole again —
-// record the recovery and broadcast resume.
-func (a *foAgent) onRegenDone() {
-	if a.phase == foIdle || a.round != roundEvict {
-		return
-	}
-	a.fo.noteRecovered(a.subject)
-	a.link.SendCtl(-1, ctlFoResume, foAppend(nil, a.roundEpoch, a.subject, nil)) //nolint:errcheck
-	a.onResume(a.subject)
-}
-
-// onResume ends the current round: unpark the local sender, re-enable
-// replication, replay any deferred faults/requests.
-func (a *foAgent) onResume(v int) {
-	if a.phase == foIdle || v != a.subject {
-		return
-	}
-	if a.round == roundEvict {
-		a.done[v] = true
-	}
-	a.phase, a.round, a.subject = foIdle, roundNone, -1
-	a.fo.paused.Store(false)
-	a.sendSendCmd(foSendCmd{kind: sendResume})
-	for a.phase == foIdle && len(a.pending) > 0 {
-		ev := a.pending[0]
-		a.pending = a.pending[1:]
-		a.handleEvent(ev)
-	}
-}
-
-func (a *foAgent) sendRecvCmd(cmd foRecvCmd) bool {
-	select {
-	case a.fo.m[a.i].recvCmd <- cmd:
-		return true
-	case <-a.fo.stopping:
-		return false
-	}
-}
-
-// sendSendCmd hands the sender a command and wakes it from its port.
-func (a *foAgent) sendSendCmd(cmd foSendCmd) bool {
-	select {
-	case a.fo.m[a.i].sendCmd <- cmd:
-		a.mc.mesh.Wake(a.mc.port())
-		return true
-	case <-a.fo.stopping:
-		return false
-	}
-}
-
-func (a *foAgent) replica(from int) *replicaStore {
-	rs := a.replicas[from]
+func (m *foMachine) replica(from int) *replicaStore {
+	rs := m.replicas[from]
 	if rs == nil {
 		rs = &replicaStore{items: map[int32][]float64{}, users: map[int32][]float64{}}
-		a.replicas[from] = rs
+		m.replicas[from] = rs
 	}
 	return rs
 }
 
-// storeReplRows decodes a ctlFoReplRows chunk into the sender's
-// replica. A malformed chunk stores nothing; like any lost replication
-// frame it only widens the window of updates a death would lose.
-func (a *foAgent) storeReplRows(from int, payload []byte) error {
-	return decodeUserRows(payload, a.fo.md.M, a.fo.K, func(u int, row []float64) {
-		rs := a.replica(from)
+// storeReplRows decodes a ctlFoReplRows chunk of a model with users
+// users and rank k into the sender's replica. A malformed chunk stores
+// nothing; like any lost replication frame it only widens the window of
+// updates a death would lose.
+func (m *foMachine) storeReplRows(from int, payload []byte, users, k int) error {
+	return decodeUserRows(payload, users, k, func(u int, row []float64) {
+		rs := m.replica(from)
 		rs.users[int32(u)] = append(rs.users[int32(u)][:0], row...)
 	})
 }

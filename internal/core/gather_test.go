@@ -29,11 +29,11 @@ func TestDecodeUserRowsRejects(t *testing.T) {
 			if slices.ContainsFunc(md.WData(), func(v float64) bool { return v != 0 }) {
 				t.Error("gather stored a row")
 			}
-			a := &foAgent{fo: &failoverRuntime{K: k, md: md}, replicas: map[int]*replicaStore{}}
-			if err := a.storeReplRows(1, tc.payload); err == nil {
+			fm := &foMachine{replicas: map[int]*replicaStore{}}
+			if err := fm.storeReplRows(1, tc.payload, m, k); err == nil {
 				t.Error("replica store accepted the payload")
 			}
-			if len(a.replicas) != 0 {
+			if len(fm.replicas) != 0 {
 				t.Error("replica store kept a row")
 			}
 		})

@@ -263,6 +263,10 @@ func (c Config) Normalize(ds *dataset.Dataset) (Config, error) {
 			// circulate tokens with.
 			return c, fmt.Errorf("train: failover needs at least 3 machines, got %d", c.Machines)
 		}
+		if c.TotalMachines() > 64 {
+			// Each failover agent's view holds a rank set in one word.
+			return c, fmt.Errorf("train: failover supports at most 64 machines, spares included, got %d", c.TotalMachines())
+		}
 	}
 	if c.Chaos != nil {
 		for _, ev := range c.Chaos.Events() {
